@@ -200,6 +200,9 @@ class NFElem:
     # arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)) and len(self.coeffs) == self.field.degree:
+            # a rational operand leaves a reduced tuple reduced: act on it directly
+            return NFElem(self.field, (self.coeffs[0] + other,) + self.coeffs[1:])
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -214,6 +217,8 @@ class NFElem:
         return NFElem(self.field, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self + (-other)
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -226,6 +231,8 @@ class NFElem:
         return o + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)) and len(self.coeffs) == self.field.degree:
+            return NFElem(self.field, tuple(c * other for c in self.coeffs))
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -234,6 +241,8 @@ class NFElem:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
         o = self._lift(other)
         if o is None:
             return NotImplemented

@@ -27,6 +27,10 @@ class RatFunc:
         if num.is_zero():
             self.num, self.den = Poly(), Poly([1])
             return
+        if num.degree == 0 and den.degree == 0:
+            c = _const(_quotient(num.coeffs[0], den.coeffs[0]))
+            self.num, self.den = c.num, c.den
+            return
         g = poly_gcd(num, den)
         if g.degree > 0:
             num = num.exact_div(g)
@@ -76,11 +80,7 @@ class RatFunc:
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant rational function")
-        if self.num.is_zero():
-            return Fraction(0)
-        lead = self.den.constant()
-        inv = 1 / lead if isinstance(lead, Fraction) else lead ** (-1)
-        return self.num.constant() * inv
+        return _quotient(self.num.constant(), self.den.constant())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RatFunc):
@@ -99,6 +99,8 @@ class RatFunc:
 
     def __add__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
+        if self.is_constant() and other.is_constant():
+            return _const(self.constant_value() + other.constant_value())
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -114,6 +116,8 @@ class RatFunc:
 
     def __mul__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
+        if self.is_constant() and other.is_constant():
+            return _const(self.constant_value() * other.constant_value())
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -122,6 +126,8 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
+        if self.is_constant() and other.is_constant():
+            return _const(self.constant_value() / other.constant_value())
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "RatFunc":
@@ -157,6 +163,21 @@ class RatFunc:
     def shift(self, a) -> "RatFunc":
         """r(x + a)."""
         return RatFunc(self.num.compose_shift(a), self.den.compose_shift(a))
+
+
+def _quotient(x, d):
+    """x/d for exact scalars, with no division by a rational 1."""
+    return x if isinstance(d, Fraction) and d == 1 else x / d
+
+
+def _const(v) -> RatFunc:
+    """Canonical constant v, built as the general path would: an integer pair or v/1."""
+    out = object.__new__(RatFunc)
+    if isinstance(v, Fraction):
+        out.num, out.den = Poly([v.numerator]), Poly([v.denominator])
+    else:
+        out.num, out.den = Poly([v]), Poly([1])
+    return out
 
 
 def _as_ratfunc(x) -> RatFunc:

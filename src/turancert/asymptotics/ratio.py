@@ -193,9 +193,33 @@ def _slot_value(f: AsymSeries, exp: Fraction):
     return c.constant_value()
 
 
-def _solve_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T: int) -> list:
-    cs: list = []
-    for i in range(1, T + 1):
+@dataclass
+class _Stages:
+    """Checked stages of one (root, rho) try, their floats, and any resonant stage."""
+
+    cs: list = field(default_factory=list)
+    floats: list = field(default_factory=list)
+    resonance: Optional[int] = None
+
+
+def _branch(root) -> tuple:
+    """(lam, lam_poly, approx, float(lam), stages per rho) for an edge root."""
+    if root.is_rational():
+        lam, lam_poly = root.as_fraction(), None
+    else:
+        nf = NumberField(root)
+        lam, lam_poly = nf.generator(), nf.modulus
+    approx = root.approx()
+    return lam, lam_poly, approx, float(lam), {}
+
+
+def _solve_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T: int,
+                  st: _Stages) -> list:
+    """c_1..c_T, continuing from the checked stages kept in `st`."""
+    if st.resonance is not None and st.resonance <= T:
+        raise _Resonance(st.resonance)
+    cs = list(st.cs)
+    for i in range(len(cs) + 1, T + 1):
         rel = Fraction(i + 1, rho)
         slot = -e0 + Fraction(i, rho)
         b = _slot_value(_residual(rec, lam, mu, rho, cs + [Fraction(0)], rel), slot)
@@ -205,18 +229,22 @@ def _solve_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T:
             if not b:
                 cs.append(Fraction(0))
                 continue
+            st.resonance = i
             raise _Resonance(i)
         cs.append(-(b / a))
-    # every slot up to T must now cancel identically
-    rel = Fraction(T + 1, rho)
-    f = _residual(rec, lam, mu, rho, cs, rel)
-    for i in range(T + 1):
-        c = f.coefficient(-e0 + Fraction(i, rho))
-        if not c.is_zero():
-            raise ExpansionError(
-                f"internal: residual slot {i} does not vanish after stage solve"
-            )
-    return cs
+    if len(cs) > len(st.cs):
+        # every slot up to T must now cancel identically
+        rel = Fraction(T + 1, rho)
+        f = _residual(rec, lam, mu, rho, cs, rel)
+        for i in range(T + 1):
+            c = f.coefficient(-e0 + Fraction(i, rho))
+            if not c.is_zero():
+                raise ExpansionError(
+                    f"internal: residual slot {i} does not vanish after stage solve"
+                )
+        st.floats += [float(c) for c in cs[len(st.cs):]]
+        st.cs = cs
+    return cs[:T]
 
 
 # -- branch acceptance ---------------------------------------------------------
@@ -231,8 +259,7 @@ def _ratio_checkpoint(table: TermTable, n: int) -> Optional[tuple]:
     return n, table.value(n + 1) / table.value(n)
 
 
-def _empirical_residuals(table: TermTable, lam, mu: Fraction, v: AsymSeries) -> list:
-    lamf = float(lam)
+def _empirical_residuals(table: TermTable, lamf, mu: Fraction, rho: int, floats: list) -> list:
     muf = float(mu)
     out = []
     for n0 in (40, 80):
@@ -240,7 +267,8 @@ def _empirical_residuals(table: TermTable, lam, mu: Fraction, v: AsymSeries) -> 
         if point is None:
             return [float("inf"), float("inf")]
         n, exact = point
-        pred = lamf * float(n) ** muf * v.eval_float(n)
+        v = 1.0 + sum(c * float(n) ** (-i / rho) for i, c in enumerate(floats, start=1))
+        pred = lamf * float(n) ** muf * v
         if pred == 0:
             return [float("inf"), float("inf")]
         out.append(abs(float(exact) - pred) / abs(pred))
@@ -265,12 +293,18 @@ def ratio_expansion(
     rho: Optional[int] = None,
     table: Optional[TermTable] = None,
 ) -> RatioExpansion:
-    """Expand a(n+1)/a(n) to K correction orders past the growth term."""
+    """Expand a(n+1)/a(n) to K correction orders past the growth term.
+
+    Edge roots and solved stages are kept on `table`, per (recurrence, rho)."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    mu, e0, on_edge = dominant_edge(rec)
-    char = edge_polynomial(rec, mu, on_edge)
-    roots = _positive_roots_desc(char)
+    if table is None:
+        table = TermTable(rec)
+    if (rec, rho) not in table.expansions:
+        mu, e0, on_edge = dominant_edge(rec)
+        char = edge_polynomial(rec, mu, on_edge)
+        table.expansions[(rec, rho)] = mu, e0, char, [_branch(r) for r in _positive_roots_desc(char)]
+    mu, e0, char, roots = table.expansions[(rec, rho)]
     diagnostics: dict = {
         "newtonPoints": newton_points(rec),
         "mu": str(mu),
@@ -283,21 +317,15 @@ def ratio_expansion(
             "is not a positive growth branch",
             diagnostics,
         )
-    if table is None:
-        table = TermTable(rec)
     rho_base = rho if rho is not None else mu.denominator
     rho_options = (rho_base,) if rho is not None else (rho_base, 2 * rho_base, 4 * rho_base)
-    for root in roots:
-        if root.is_rational():
-            lam, lam_poly = root.as_fraction(), None
-        else:
-            nf = NumberField(root)
-            lam, lam_poly = nf.generator(), nf.modulus
-        entry: dict = {"lambdaApprox": root.approx()}
+    for lam, lam_poly, approx, lamf, tries in roots:
+        entry: dict = {"lambdaApprox": approx}
         for rho_try in rho_options:
             T = K * rho_try
+            st = tries.setdefault(rho_try, _Stages())
             try:
-                cs = _solve_stages(rec, lam, mu, e0, rho_try, T)
+                cs = _solve_stages(rec, lam, mu, e0, rho_try, T, st)
             except _Resonance as res:
                 entry["status"] = f"resonance at stage {res.stage} with rho={rho_try}"
                 continue
@@ -306,7 +334,7 @@ def ratio_expansion(
                 + [(Fraction(i, rho_try), c) for i, c in enumerate(cs, start=1)],
                 Fraction(T + 1, rho_try),
             )
-            res40, res80 = _empirical_residuals(table, lam, mu, v)
+            res40, res80 = _empirical_residuals(table, lamf, mu, rho_try, st.floats[:T])
             entry["residuals"] = (res40, res80)
             if res80 < 1e-3 and res80 <= 0.75 * res40 + 1e-12:
                 entry["status"] = "accepted"

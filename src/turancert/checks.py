@@ -9,7 +9,6 @@ render them as text or JSON.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
@@ -236,6 +235,7 @@ def check_entry(entry: CorpusEntry, cache_dir: Optional[str] = None) -> list:
             except Exception as exc:  # a crash is a failing check, not a crash
                 results.append(_result(entry.name, key.replace("_", "-"), False, repr(exc)))
     results.extend(_check_residual(entry, table))
+    table.flush()
     return results
 
 
@@ -262,12 +262,10 @@ def rectangle_spot_check(seed: int = 0, count: int = 500) -> CheckResult:
     return _result("(global)", "rectangle-minimum", True, f"{count} rectangles")
 
 
-def run_all(cache_dir: Optional[str] = None, seed: int = 0, jobs: int = 4) -> list:
-    entries = [ENTRIES[k] for k in sorted(ENTRIES)]
+def run_all(cache_dir: Optional[str] = None, seed: int = 0) -> list:
     results: list = []
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        for batch in pool.map(lambda e: check_entry(e, cache_dir), entries):
-            results.extend(batch)
+    for name in sorted(ENTRIES):
+        results.extend(check_entry(ENTRIES[name], cache_dir))
     results.append(rectangle_spot_check(seed))
     results.sort(key=lambda r: (r.entry, r.check))
     return results

@@ -32,10 +32,9 @@ from .parser import (
     parse_operator,
     parse_recurrence,
     poly_text,
-    recurrence_to_text,
 )
 from .render import frac_str, series_to_json, series_to_text
-from .sequences import CacheError, Recurrence, TermTable
+from .sequences import CacheError, Recurrence, SingularRecurrenceError, TermTable
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -116,6 +115,7 @@ def cmd_terms(args) -> int:
         raise ValueError("--to must be nonnegative")
     table = TermTable(rec, cache_dir=args.cache_dir)
     vals = table.values(0, args.to)
+    table.flush()
     _emit(
         args,
         [", ".join(frac_str(v) for v in vals)],
@@ -128,6 +128,7 @@ def cmd_ratio_asymp(args) -> int:
     rec, _ = load_source(args.src, args.operator)
     table = TermTable(rec, cache_dir=args.cache_dir)
     rx = ratio_expansion(rec, args.K, table=table)
+    table.flush()
     growth = rx.growth_record()
     lines = [f"a(n+1)/a(n) = lambda * n^mu * v(n)   [{_display_name(rec)}]"]
     if "lambda" in growth:
@@ -149,6 +150,7 @@ def cmd_u_asymp(args) -> int:
     scaling = _resolve_scaling(args, default_scaling)
     table = TermTable(rec, cache_dir=args.cache_dir)
     rx = ratio_expansion(rec, args.K, table=table)
+    table.flush()
     u = u_expansion(rx, scaling=scaling)
     lines = [
         f"u(n) = b(n+1)*b(n-1)/b(n)^2 with b(n) = {_scaling_note(scaling)}"
@@ -165,6 +167,7 @@ def _verdict_command(args, check) -> int:
     scaling = _resolve_scaling(args, default_scaling)
     table = TermTable(rec, cache_dir=args.cache_dir)
     v = check(rec, scaling, table)
+    table.flush()
     lines = [
         f"sequence: {_display_name(rec)} (checking {_scaling_note(scaling)})",
         f"verdict: {v.result}",
@@ -214,6 +217,7 @@ def cmd_certify(args) -> int:
         if "not eventually positive" not in str(exc):
             raise
         return _certify_window_only(args, rec, scaling, table, exc)
+    table.flush()
     out_path = args.output or f"{_display_name(rec)}.turan3.json"
     blob = cert.dumps()
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -239,6 +243,7 @@ def cmd_certify(args) -> int:
 
 def _certify_window_only(args, rec, scaling, table, reason) -> int:
     cert = certify_u_window(rec, args.K, scaling=scaling, table=table)
+    table.flush()
     out_path = args.output or f"{_display_name(rec)}.uwindow.json"
     blob = cert.dumps()
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -262,6 +267,7 @@ def cmd_verify(args) -> int:
     rec, _ = load_source(args.src, args.operator)
     table = TermTable(rec, cache_dir=args.cache_dir)
     ok, diagnosis = verify_certificate(cert, rec, table)
+    table.flush()
     name = cert.get("sequence", {}).get("name") or _display_name(rec)
     if ok:
         lines = [f"certificate for {name}: verified"]
@@ -416,6 +422,7 @@ def main(argv=None) -> int:
         CertifyError,
         ExpansionError,
         CacheError,
+        SingularRecurrenceError,
         ValueError,
         OSError,
         json.JSONDecodeError,

@@ -459,6 +459,8 @@ def _u_form_for(
 
 
 def _drive(rec, check, scaling, max_order, rho, table) -> Verdict:
+    if table is None:
+        table = TermTable(rec)
     order = min(4, max_order)
     last: Optional[Verdict] = None
     while True:

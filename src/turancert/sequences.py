@@ -31,6 +31,10 @@ class CacheError(RuntimeError):
     """Raised when a term-cache file cannot be decoded."""
 
 
+class SingularRecurrenceError(ZeroDivisionError):
+    """The leading coefficient p0 vanishes where the recurrence must advance."""
+
+
 def _lock_for(path: str) -> threading.Lock:
     with _file_locks_guard:
         if path not in _file_locks:
@@ -110,6 +114,7 @@ class TermTable:
         self.cache_dir = cache_dir
         self._vals: list[Fraction] = list(rec.initials)
         self._persisted = 0
+        self.expansions: dict = {}  # (recurrence, rho) -> state kept by ratio_expansion
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
             self._load()
@@ -176,7 +181,7 @@ class TermTable:
             m = len(vals) - d  # recurrence index producing a(m+d)
             p0 = coeffs[0].eval(m)
             if p0 == 0:
-                raise ZeroDivisionError(
+                raise SingularRecurrenceError(
                     f"leading coefficient vanishes at n={m}; cannot advance"
                 )
             acc = Fraction(0)

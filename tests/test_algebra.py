@@ -325,3 +325,94 @@ def test_poly_over_nf_scalars_sturm_ready():
     p = Poly([s - 3, K.from_rational(1)])  # n + (sqrt2 - 3), root ~ 1.586
     r = RatFunc(p)
     assert eventual_positivity_threshold(r) == 1
+
+
+# -- constant fast paths against the general normalisation ---------------------
+
+
+def _reference_form(num: Poly, den: Poly) -> tuple:
+    """(num, den) coefficient tuples of num/den by the general normalisation:
+    cancel the gcd, then scale to an integer pair (rational coefficients) or
+    to a monic denominator (field coefficients)."""
+    if num.is_zero():
+        return (), (F(1),)
+    g = poly_gcd(num, den)
+    if g.degree > 0:
+        num, den = num.exact_div(g), den.exact_div(g)
+    if num.is_rational() and den.is_rational():
+        cn, pn = num.content_and_primitive()
+        cd, pd = den.content_and_primitive()
+        c = cn / cd
+        return pn.scale(F(c.numerator)).coeffs, pd.scale(F(c.denominator)).coeffs
+    lead = den.leading()
+    inv = 1 / lead if isinstance(lead, F) else lead ** (-1)
+    return num.scale(inv).coeffs, den.scale(inv).coeffs
+
+
+def _reference_ops(a: RatFunc, b: RatFunc) -> dict:
+    """a op b for op in + - * /, built from Poly products and normalised."""
+    out = {
+        "+": _reference_form(a.num * b.den + b.num * a.den, a.den * b.den),
+        "-": _reference_form(a.num * b.den - b.num * a.den, a.den * b.den),
+        "*": _reference_form(a.num * b.num, a.den * b.den),
+    }
+    if not b.is_zero():
+        out["/"] = _reference_form(a.num * b.den, a.den * b.num)
+    return out
+
+
+def _ops(a: RatFunc, b: RatFunc) -> dict:
+    out = {"+": a + b, "-": a - b, "*": a * b}
+    if not b.is_zero():
+        out["/"] = a / b
+    return {k: (r.num.coeffs, r.den.coeffs) for k, r in out.items()}
+
+
+def _bn_lambda_field() -> NumberField:
+    # growth constant of bn: the largest root of its edge polynomial x^3 - 7x^2 + 7x - 1
+    return NumberField(isolate_real_roots(Poly([-1, 7, -7, 1]))[-1])
+
+
+FIELDS = [sqrt_field(3), _bn_lambda_field(), NumberField(isolate_real_roots(X**3 - 2)[-1])]
+
+
+def field_elements():
+    return st.tuples(
+        st.sampled_from(FIELDS), st.lists(small_rats, min_size=1, max_size=3)
+    ).map(lambda t: t[0].element(t[1]))
+
+
+@given(small_rats, small_rats, small_rats)
+@settings(max_examples=150, deadline=None)
+def test_constant_ratfunc_matches_general_normalisation(x, y, d):
+    d = d or F(1)
+    a, b = RatFunc(Poly([x]), Poly([d])), RatFunc.const(y)
+    assert (a.num.coeffs, a.den.coeffs) == _reference_form(Poly([x]), Poly([d]))
+    assert _ops(a, b) == _reference_ops(a, b)
+    assert _ops(b, a) == _reference_ops(b, a)
+
+
+@given(field_elements(), st.lists(small_rats, min_size=1, max_size=3), small_rats)
+@settings(max_examples=60, deadline=None)
+def test_constant_ratfunc_over_number_field_matches(x, ycoeffs, q):
+    y = x.field.element(ycoeffs)
+    for num, den in ((x, F(1)), (x, q or F(2)), (q, x), (x, y)):
+        if isinstance(den, F) or den:
+            r = RatFunc(Poly([num]), Poly([den]))
+            assert (r.num.coeffs, r.den.coeffs) == _reference_form(Poly([num]), Poly([den]))
+    for a, b in ((RatFunc.const(x), RatFunc.const(y)), (RatFunc.const(x), RatFunc.const(q)),
+                 (RatFunc.const(q), RatFunc.const(x))):
+        assert _ops(a, b) == _reference_ops(a, b)
+
+
+@given(field_elements(), small_rats, st.integers(-5, 5))
+@settings(max_examples=100, deadline=None)
+def test_nf_mixed_with_rationals_matches_lifted(x, q, k):
+    K = x.field
+    for s in (q, k):
+        lifted = K.from_rational(s)
+        assert (x + s).coeffs == (x + lifted).coeffs == (s + x).coeffs
+        assert (x - s).coeffs == (x - lifted).coeffs
+        assert (s - x).coeffs == (lifted - x).coeffs
+        assert (x * s).coeffs == (x * lifted).coeffs == (s * x).coeffs
+        assert all(isinstance(c, F) for c in (x * s).coeffs + (s - x).coeffs)

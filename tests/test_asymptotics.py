@@ -311,6 +311,61 @@ class TestRatioExpansion:
         note = rx.growth_record()["stretchedExponential"]
         assert note == {"form": "exp(c*sqrt(n))", "c": "1"}
 
+    @pytest.mark.parametrize(
+        "name,orders",
+        [("bn", (4, 8, 4)), ("involutions", (3, 4)), ("inverse-catalan", (4, 5))],
+    )
+    def test_shared_table_matches_fresh_calls(self, name, orders):
+        rec = get(name).recurrence
+        shared = TermTable(rec)
+        for K in orders:
+            got = ratio_expansion(rec, K, table=shared)
+            want = ratio_expansion(rec, K, table=TermTable(rec))
+            assert _expansion_view(got) == _expansion_view(want)
+            assert got.diagnostics == want.diagnostics
+        assert len(shared.expansions) == 1
+
+    def test_shared_table_replays_resonance(self):
+        # a double root of the edge polynomial resonates at stage rho for every rho try
+        coeffs = [Poly([1, 1]), Poly([2, 2]), Poly([0, -1])]
+        rec = Recurrence(coeffs, [F(1), F(2)])
+        shared = TermTable(rec)
+        for K in (1, 3, 2):
+            with pytest.raises(ExpansionError) as got:
+                ratio_expansion(rec, K, table=shared)
+            with pytest.raises(ExpansionError) as want:
+                ratio_expansion(rec, K, table=TermTable(rec))
+            assert got.value.details == want.value.details
+            assert "resonance at stage 4 with rho=4" in str(got.value.details)
+
+    def test_shared_table_keeps_rho_choice(self):
+        # stage solves stored for one rho argument do not leak into another
+        rec = get("involutions").recurrence
+        shared = TermTable(rec)
+        ratio_expansion(rec, 3, table=shared)
+        with pytest.raises(ExpansionError):
+            ratio_expansion(rec, 3, rho=1, table=shared)
+        assert ratio_expansion(rec, 2, table=shared).rho == 2
+
+
+def _scalar_view(x):
+    if isinstance(x, F):
+        return x
+    return tuple(x.coeffs), tuple(x.field.modulus.coeffs)
+
+
+def _expansion_view(rx) -> tuple:
+    """Everything a RatioExpansion says, with field elements as plain tuples
+    (elements of two separately built fields cannot be compared directly)."""
+    terms = [
+        (e, [_scalar_view(x) for x in c.num.coeffs], [_scalar_view(x) for x in c.den.coeffs])
+        for e, c in rx.v.terms
+    ]
+    return (
+        _scalar_view(rx.lam), rx.lam_poly, rx.mu, rx.rho,
+        [_scalar_view(c) for c in rx.coeffs], terms, rx.v.error_order,
+    )
+
 
 U_GOLDENS = {
     "inverse-catalan": {F(2): F(-3, 2), F(3): F(9, 4), F(4): F(-21, 8)},

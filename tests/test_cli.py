@@ -10,6 +10,8 @@ import sys
 import pytest
 
 from turancert.cli import main
+from turancert.corpus import get
+from turancert.sequences import TermTable
 
 SUPER_CRITICAL = "(n+2)^3*a(n+1) - ((n+2)^3+1)*a(n) = 0 ; a(0)=1"
 
@@ -63,6 +65,21 @@ class TestSources:
         code, _, err = run(capsys, "terms", "garbage(", "--to", "3")
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["check-turan3", "certify"])
+    def test_leading_coefficient_root(self, capsys, tmp_path, command):
+        # p0 = n - 3 vanishes where a(4) would be computed
+        src = "(n-3)*a(n+1) - a(n) = 0 ; a(0)=1"
+        extra = ["-o", str(tmp_path / "c.json")] if command == "certify" else []
+        code, out, err = run(capsys, command, src, *extra)
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "error: leading coefficient vanishes at n=3; cannot advance"
+
+    def test_cache_dir_is_written(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "terms", "motzkin", "--to", "200", "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert len(TermTable(get("motzkin").recurrence, str(tmp_path))) == 201
 
 
 class TestAsymptotics:
@@ -217,6 +234,7 @@ class TestCorpusRun:
         )
         assert code == 0
         assert ", 0 failures" in out
+        assert len(list(tmp_path.glob("*.terms"))) == 9  # every entry's table is flushed
 
     def test_json_deterministic(self, capsys, tmp_path):
         code, out1, _ = run(
