@@ -167,20 +167,21 @@ def _v_shifted(cs: list, rho: int, j: int, rel_order: Fraction) -> AsymSeries:
 
 def _residual(rec: Recurrence, lam, mu: Fraction, rho: int, cs: list, rel_order: Fraction) -> AsymSeries:
     """p0(n) prod_{j<d} r(n+j) - sum_k pk(n) prod_{j<d-k} r(n+j), with
-    r(n) = lam n^mu v(n); absolute exponents (n^s appears as exponent -s)."""
+    r(n) = lam n^mu v(n); absolute exponents (n^s appears as exponent -s).
+    Each p_k takes the prefix product of the first d-k shifted factors."""
     d = rec.order
+    prefix = [AsymSeries.one()]
+    for j in range(d):
+        vj = _v_shifted(cs, rho, j, rel_order)
+        if j > 0:
+            vj = vj * binomial_power(j, mu, rel_order)
+        prefix.append((prefix[-1] * vj).truncate(rel_order))
     total = AsymSeries.zero()
     for k, p in enumerate(rec.coeffs):
         if p.is_zero():
             continue
         x = d - k
-        factor = AsymSeries.one().truncate(rel_order) if x else AsymSeries.one()
-        for j in range(x):
-            vj = _v_shifted(cs, rho, j, rel_order)
-            if j > 0:
-                vj = vj * binomial_power(j, mu, rel_order)
-            factor = (factor * vj).truncate(rel_order)
-        term = AsymSeries.from_poly_in_n(p) * factor
+        term = AsymSeries.from_poly_in_n(p) * prefix[x]
         term = term.scale(lam**x).shift_exponents(-mu * x)
         total = total + term if k == 0 else total - term
     return total
@@ -202,36 +203,38 @@ class _Stages:
     resonance: Optional[int] = None
 
 
-def _branch(root) -> tuple:
-    """(lam, lam_poly, approx, float(lam), stages per rho) for an edge root."""
+def _branch(root, rec: Recurrence, on_edge: list) -> tuple:
+    """(lam, lam_poly, approx, float(lam), slope, stages per rho) for an edge root.
+
+    The slope is the coefficient of c_i in residual slot i at every stage:
+    sum_k s_k lc(p_k) (d-k) lam^(d-k) over the edge, s_0 = +1 and s_k = -1
+    otherwise.  It is lam^(x_min+1) E'(lam), zero exactly at a multiple root."""
     if root.is_rational():
         lam, lam_poly = root.as_fraction(), None
     else:
         nf = NumberField(root)
         lam, lam_poly = nf.generator(), nf.modulus
-    approx = root.approx()
-    return lam, lam_poly, approx, float(lam), {}
+    d = rec.order
+    slope = sum((1 if k == 0 else -1) * rec.coeffs[k].leading() * (d - k) * lam ** (d - k) for k in on_edge)
+    return lam, lam_poly, root.approx(), float(lam), slope, {}
 
 
 def _solve_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T: int,
-                  st: _Stages) -> list:
-    """c_1..c_T, continuing from the checked stages kept in `st`."""
+                  slope, st: _Stages) -> list:
+    """c_1..c_T, continuing from the checked stages kept in `st`; residual
+    slot i is b + slope * c_i, with b its value at c_i = 0."""
     if st.resonance is not None and st.resonance <= T:
         raise _Resonance(st.resonance)
     cs = list(st.cs)
     for i in range(len(cs) + 1, T + 1):
-        rel = Fraction(i + 1, rho)
-        slot = -e0 + Fraction(i, rho)
-        b = _slot_value(_residual(rec, lam, mu, rho, cs + [Fraction(0)], rel), slot)
-        a1 = _slot_value(_residual(rec, lam, mu, rho, cs + [Fraction(1)], rel), slot)
-        a = a1 - b
-        if not a:
+        b = _slot_value(_residual(rec, lam, mu, rho, cs, Fraction(i + 1, rho)), -e0 + Fraction(i, rho))
+        if not slope:
             if not b:
                 cs.append(Fraction(0))
                 continue
             st.resonance = i
             raise _Resonance(i)
-        cs.append(-(b / a))
+        cs.append(-(b / slope))
     if len(cs) > len(st.cs):
         # every slot up to T must now cancel identically
         rel = Fraction(T + 1, rho)
@@ -303,7 +306,7 @@ def ratio_expansion(
     if (rec, rho) not in table.expansions:
         mu, e0, on_edge = dominant_edge(rec)
         char = edge_polynomial(rec, mu, on_edge)
-        table.expansions[(rec, rho)] = mu, e0, char, [_branch(r) for r in _positive_roots_desc(char)]
+        table.expansions[(rec, rho)] = mu, e0, char, [_branch(r, rec, on_edge) for r in _positive_roots_desc(char)]
     mu, e0, char, roots = table.expansions[(rec, rho)]
     diagnostics: dict = {
         "newtonPoints": newton_points(rec),
@@ -319,13 +322,13 @@ def ratio_expansion(
         )
     rho_base = rho if rho is not None else mu.denominator
     rho_options = (rho_base,) if rho is not None else (rho_base, 2 * rho_base, 4 * rho_base)
-    for lam, lam_poly, approx, lamf, tries in roots:
+    for lam, lam_poly, approx, lamf, slope, tries in roots:
         entry: dict = {"lambdaApprox": approx}
         for rho_try in rho_options:
             T = K * rho_try
             st = tries.setdefault(rho_try, _Stages())
             try:
-                cs = _solve_stages(rec, lam, mu, e0, rho_try, T, st)
+                cs = _solve_stages(rec, lam, mu, e0, rho_try, T, slope, st)
             except _Resonance as res:
                 entry["status"] = f"resonance at stage {res.stage} with rho={rho_try}"
                 continue

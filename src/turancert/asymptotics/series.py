@@ -11,7 +11,6 @@ errorOrder; boundary terms are absorbed into the error.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -232,15 +231,6 @@ class AsymSeries:
             total = total + c.constant_value() * Fraction(root) ** (-e.numerator)
         return total
 
-    # -- numeric evaluation (diagnostics only; exact claims never rely on it) ----
-
-    def eval_float(self, n) -> float:
-        ln = math.log(n)
-        total = 0.0
-        for e, c in self.terms:
-            total += _coef_float(c, ln) * float(n) ** (-float(e))
-        return total
-
 
 def _integer_root(n: int, q: int) -> int:
     r = int(round(n ** (1.0 / q)))
@@ -249,16 +239,6 @@ def _integer_root(n: int, q: int) -> int:
     while (r + 1) ** q <= n:
         r += 1
     return r
-
-
-def _scalar_float(x) -> float:
-    return float(x)
-
-
-def _coef_float(c: RatFunc, lval: float) -> float:
-    num = sum(_scalar_float(q) * lval**j for j, q in enumerate(c.num.coeffs))
-    den = sum(_scalar_float(q) * lval**j for j, q in enumerate(c.den.coeffs))
-    return num / den
 
 
 # -- operation layer ------------------------------------------------------------
@@ -282,25 +262,37 @@ def _split_one(a: AsymSeries, what: str) -> AsymSeries:
     return AsymSeries(a.terms[1:], a.error_order)
 
 
+def _binomial_kernel(x: AsymSeries, alpha: Fraction) -> AsymSeries:
+    """(1 + x)^alpha for x with positive exponents and a finite error order.
+
+    One pass of J.C.P. Miller's power recurrence (Knuth, TAOCP vol. 2,
+    4.7), graded by exponent: b_e = (1/e) sum_f ((alpha+1) f - e) x_f b_{e-f}
+    over the exponents e below x's error order that sums of x's exponents
+    reach.  For alpha = -1 it is b_e = -sum_f x_f b_{e-f}.
+    """
+    eps = x.error_order
+    reach = new = {Fraction(0)}
+    while new:
+        new = {e + f for e in new for f, _ in x.terms if e + f < eps} - reach
+        reach = reach | new
+    b = {Fraction(0): RatFunc.one()}
+    for e in sorted(reach)[1:]:
+        acc = RatFunc.zero()
+        for f, xf in x.terms:
+            if e - f in b:
+                t = xf * b[e - f]
+                acc = acc + (t if alpha == -1 else t * (((alpha + 1) * f - e) / e))
+        if acc:
+            b[e] = -acc if alpha == -1 else acc
+    return AsymSeries(b.items(), eps)
+
+
 def series_inv(a: AsymSeries, order=None) -> AsymSeries:
     """1/a for a = 1 + (positive-exponent terms)."""
     x = _split_one(a, "series_inv")
-    if not x.terms and x.error_order is None:
+    if x.is_zero():
         return AsymSeries.one()
-    beta = _require_order(a, order, "series_inv")
-    x = x.truncate(beta)
-    if not x.terms:
-        return AsymSeries.one().truncate(beta)
-    delta = x.terms[0][0]
-    out = AsymSeries.one().truncate(beta)
-    power = AsymSeries.one()
-    k_max = int(beta / delta) + 1
-    for _ in range(1, k_max + 1):
-        power = (power * (-x)).truncate(beta)
-        if not power.terms:
-            break
-        out = out + power
-    return out.truncate(beta)
+    return _binomial_kernel(x.truncate(_require_order(a, order, "series_inv")), Fraction(-1))
 
 
 def series_pow_binomial(a: AsymSeries, alpha, order=None) -> AsymSeries:
@@ -312,18 +304,18 @@ def series_pow_binomial(a: AsymSeries, alpha, order=None) -> AsymSeries:
         return a ** int(alpha)
     beta = _require_order(a, order, "series_pow_binomial")
     x = x.truncate(beta)
-    if not x.terms:
-        return AsymSeries.one().truncate(beta)
-    delta = x.terms[0][0]
-    out = AsymSeries.one().truncate(beta)
+    if alpha.denominator != 1 or alpha < 0:
+        return _binomial_kernel(x, alpha)
+    # a nonnegative integer power is a finite binomial sum, C(alpha, k) = 0
+    # past k = alpha; it takes half the time of the recurrence
+    out = AsymSeries.one().truncate(x.error_order)
     power = AsymSeries.one()
-    k_max = int(beta / delta) + 1
-    for k in range(1, k_max + 1):
+    for k in range(1, int(alpha) + 1):
         power = (power * x).truncate(beta)
         if not power.terms:
             break
         out = out + power.scale(gen_binomial(alpha, k))
-    return out.truncate(beta)
+    return out
 
 
 def series_log(a: AsymSeries, order=None) -> AsymSeries:
@@ -333,10 +325,10 @@ def series_log(a: AsymSeries, order=None) -> AsymSeries:
         return AsymSeries.zero()
     beta = _require_order(a, order, "series_log")
     x = x.truncate(beta)
+    out = AsymSeries.error_only(x.error_order)
     if not x.terms:
-        return AsymSeries.error_only(beta)
+        return out
     delta = x.terms[0][0]
-    out = AsymSeries.error_only(beta)
     power = AsymSeries.one()
     k_max = int(beta / delta) + 1
     for k in range(1, k_max + 1):
@@ -355,7 +347,7 @@ def series_exp(a: AsymSeries, order=None) -> AsymSeries:
         return AsymSeries.one()
     beta = _require_order(a, order, "series_exp")
     x = a.truncate(beta)
-    out = AsymSeries.one().truncate(beta)
+    out = AsymSeries.one().truncate(x.error_order)
     if not x.terms:
         return out
     delta = x.terms[0][0]

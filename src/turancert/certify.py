@@ -257,19 +257,22 @@ def certify_u_bounds(
 
     u_n = r(n+1)/r(n) with r(n) = a(n)/a(n-1), so with positive ratio
     bounds s_l <= r <= s_u the quotient is sandwiched by
-    s_l(n+1)/s_u(n) and s_u(n+1)/s_l(n).
+    s_l(n+1)/s_u(n) and s_u(n+1)/s_l(n).  The pair is kept on `table`,
+    per (recurrence, order).
     """
     if table is None:
         table = TermTable(rec)
-    rx = ratio_expansion(rec, order, table=table)
-    rb = certify_ratio_bounds(rec, order, table=table, rx=rx)
-    u_series = u_expansion(rx, scaling="none")
-    g, f, slack_exp, kept = u_bound_functions(u_series, order)
+    if (rec, order) not in table.u_bounds:
+        rx = ratio_expansion(rec, order, table=table)
+        rb = certify_ratio_bounds(rec, order, table=table, rx=rx)
+        u_series = u_expansion(rx, scaling="none")
+        g, f, slack_exp, kept = u_bound_functions(u_series, order)
 
-    hi = f - rb.upper.shift(1) / rb.lower
-    lo = rb.lower.shift(1) / rb.upper - g
-    n2 = max(_ept(hi), _ept(lo), rb.valid_from)
-    return rb, UBounds(g, f, n2, slack_exp, kept)
+        hi = f - rb.upper.shift(1) / rb.lower
+        lo = rb.lower.shift(1) / rb.upper - g
+        n2 = max(_ept(hi), _ept(lo), rb.valid_from)
+        table.u_bounds[(rec, order)] = rb, UBounds(g, f, n2, slack_exp, kept)
+    return table.u_bounds[(rec, order)]
 
 
 # -- corner polynomials and the certificate ------------------------------------

@@ -115,6 +115,7 @@ class TermTable:
         self._vals: list[Fraction] = list(rec.initials)
         self._persisted = 0
         self.expansions: dict = {}  # (recurrence, rho) -> state kept by ratio_expansion
+        self.u_bounds: dict = {}  # (recurrence, order) -> (rb, ub) kept by certify_u_bounds
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
             self._load()

@@ -7,13 +7,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from turancert.algebra import Poly, RatFunc
+from turancert.algebra import NFElem, NumberField, Poly, RatFunc, isolate_real_roots
 from turancert.asymptotics import (
     AsymSeries,
     ExpansionError,
     binomial_power,
     dominant_edge,
     edge_polynomial,
+    gen_binomial,
     phi_u_expansion,
     ratio_expansion,
     series_exp,
@@ -26,7 +27,9 @@ from turancert.asymptotics import (
     u_power,
     u_power_log,
 )
-from turancert.corpus import get
+from turancert.asymptotics.ratio import _residual, _slot_value
+from turancert.corpus import ENTRIES, get
+from turancert.parser import parse_recurrence
 from turancert.sequences import Recurrence, TermTable, phi_values, u_value
 
 L = RatFunc.variable()
@@ -120,6 +123,63 @@ class TestSeriesCore:
     def test_shift_series_golden(self):
         rec = shift_series(S((1, 1)), 1, order=4)
         assert rec == S((1, 1), (2, -1), (3, 1), err=4)
+
+    # 1 + o(n^-3): asking for more order than the input has cannot sharpen it
+    def test_inv_keeps_input_error(self):
+        assert series_inv(S((0, 1), err=3), 6) == S((0, 1), err=3)
+
+    def test_pow_binomial_keeps_input_error(self):
+        assert series_pow_binomial(S((0, 1), err=3), F(1, 2), 6) == S((0, 1), err=3)
+        assert series_pow_binomial(S((0, 1), err=3), 2, 6) == S((0, 1), err=3)
+
+    def test_log_keeps_input_error(self):
+        assert series_log(S((0, 1), err=3), 6) == AsymSeries.error_only(3)
+
+    def test_exp_keeps_input_error(self):
+        assert series_exp(AsymSeries.error_only(3), 6) == S((0, 1), err=3)
+
+
+def _power_sum(a: AsymSeries, alpha, order) -> AsymSeries:
+    """Reference for a^alpha: sum_k C(alpha, k) x^k over truncated powers of
+    x = a - 1, the loop the coefficient recurrence replaced."""
+    x = AsymSeries(a.terms[1:], a.error_order).truncate(order)
+    out = AsymSeries.one().truncate(x.error_order)
+    power = AsymSeries.one()
+    for k in range(1, int(F(order) / x.terms[0][0]) + 2):
+        power = (power * x).truncate(order)
+        if not power.terms:
+            break
+        out = out + power.scale(gen_binomial(alpha, k))
+    return out
+
+
+def _sqrt3_coef(rng: random.Random):
+    field = NumberField(isolate_real_roots(Poly([-3, 0, 1]))[-1])
+    return lambda: NFElem(field, (F(rng.randint(-4, 4), rng.randint(1, 3)), F(rng.randint(1, 4))))
+
+
+COEF_DOMAINS = {
+    "rational": lambda rng: lambda: F(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4)),
+    "sqrt3": _sqrt3_coef,
+    "ratfunc-of-L": lambda rng: lambda: _random_ratfunc(rng),
+}
+
+
+class TestBinomialKernel:
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("domain", sorted(COEF_DOMAINS))
+    def test_matches_power_sum(self, domain, q):
+        rng = random.Random(f"{domain}/{q}")
+        coef = COEF_DOMAINS[domain](rng)
+        order = F(3)
+        for err in (None, order - F(1, q)):
+            exps = rng.sample(range(1, 3 * q), 2)
+            a = AsymSeries([(F(0), 1)] + [(F(e, q), coef()) for e in exps], err)
+            for alpha in (-1, F(1, 2), F(-3, 2), F(2, 3), 1, 2, 3):
+                want = _power_sum(a, alpha, order)
+                assert series_pow_binomial(a, alpha, order).truncate(order) == want
+                if alpha == -1:
+                    assert series_inv(a, order) == want
 
 
 def _random_ratfunc(rng: random.Random) -> RatFunc:
@@ -238,6 +298,9 @@ RATIO_CASES = {
 }
 
 
+DOUBLE_ROOT = "(n+2)^2*a(n+2) - 4*(n+1)^2*a(n+1) + 4*n^2*a(n) = 0 ; a(0)=1, a(1)=2"
+
+
 class TestRatioExpansion:
     @pytest.mark.parametrize("name", sorted(RATIO_CASES))
     def test_rational_growth(self, name):
@@ -337,6 +400,29 @@ class TestRatioExpansion:
                 ratio_expansion(rec, K, table=TermTable(rec))
             assert got.value.details == want.value.details
             assert "resonance at stage 4 with rho=4" in str(got.value.details)
+
+    @pytest.mark.parametrize("source", sorted(ENTRIES) + [DOUBLE_ROOT])
+    def test_stage_slope_matches_two_residual_builds(self, source):
+        # slot i of the residual, built at c_i = 1 and at c_i = 0, differs by the edge slope
+        rec = get(source).recurrence if source in ENTRIES else parse_recurrence(source)
+        table = TermTable(rec)
+        try:
+            ratio_expansion(rec, 4, table=table)
+        except ExpansionError:
+            pass
+        mu, e0, _, roots = table.expansions[(rec, None)]
+        tried = 0
+        for lam, _, _, _, slope, tries in roots:
+            for rho, st in tries.items():
+                for i in range(1, len(st.cs) + 2):
+                    cs, rel, slot = st.cs[:i - 1], F(i + 1, rho), -e0 + F(i, rho)
+                    b = _slot_value(_residual(rec, lam, mu, rho, cs + [F(0)], rel), slot)
+                    a1 = _slot_value(_residual(rec, lam, mu, rho, cs + [F(1)], rel), slot)
+                    assert a1 - b == slope
+                    tried += 1
+        assert tried
+        if source == DOUBLE_ROOT:
+            assert all(not root[4] for root in roots)
 
     def test_shared_table_keeps_rho_choice(self):
         # stage solves stored for one rho argument do not leak into another

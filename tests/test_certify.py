@@ -107,6 +107,20 @@ class TestUBounds:
         assert ub.lower == rf([0, 0, 1], [0, 0, 1])
         assert ub.upper == rf([2, 0, 1], [0, 0, 1])
 
+    def test_shared_table_matches_fresh_calls(self):
+        # one window solve per (recurrence, order) serves every caller of a table
+        rec = get("motzkin").recurrence
+        shared = TermTable(rec)
+        pair = certify_u_bounds(rec, 4, table=shared)
+        assert pair == certify_u_bounds(rec, 4, table=TermTable(rec))
+        assert certify_u_bounds(rec, 4, table=shared) is pair
+        for make in (certify_turan3, certify_u_window):
+            cert = make(rec, 4, scaling="factorial", table=shared)
+            assert cert.to_json() == make(rec, 4, scaling="factorial", table=TermTable(rec)).to_json()
+            assert verify_certificate(cert.to_json(), rec, table=shared) == (True, [])
+        assert certify_u_bounds(rec, 5, table=shared) == certify_u_bounds(rec, 5, table=TermTable(rec))
+        assert len(shared.u_bounds) == 2
+
     def test_bound_functions_keep_rule(self):
         rec = get("motzkin").recurrence
         u = u_expansion(ratio_expansion(rec, 6))
