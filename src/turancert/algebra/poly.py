@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 def coerce_scalar(x):
@@ -25,10 +25,6 @@ def scalar_sign(x) -> int:
     if isinstance(x, Fraction):
         return (x > 0) - (x < 0)
     return x.sign()
-
-
-def scalar_is_rational(x) -> bool:
-    return isinstance(x, Fraction)
 
 
 def scalar_abs_upper(x) -> Fraction:

@@ -6,7 +6,6 @@ from .series import (
     compose_coef_shift,
     delta_series,
     gen_binomial,
-    log_var,
     series_exp,
     series_inv,
     series_log,
@@ -33,7 +32,6 @@ __all__ = [
     "compose_coef_shift",
     "delta_series",
     "gen_binomial",
-    "log_var",
     "series_exp",
     "series_inv",
     "series_log",

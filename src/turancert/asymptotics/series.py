@@ -28,11 +28,6 @@ def as_coef(x) -> RatFunc:
     return RatFunc.const(x)
 
 
-def log_var() -> RatFunc:
-    """The coefficient variable L (stands for log n)."""
-    return RatFunc.variable()
-
-
 def gen_binomial(alpha, k: int):
     """Generalized binomial coefficient C(alpha, k) for rational alpha."""
     out = Fraction(1)

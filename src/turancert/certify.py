@@ -22,9 +22,9 @@ expansion beyond the inductively proved windows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import ClassVar, Optional
 
 from . import __version__
 from .algebra import (
@@ -41,8 +41,8 @@ from .asymptotics import (
     shift_series,
     u_expansion,
 )
-from .render import frac_str
-from .sequences import Recurrence, TermTable, phi_values, turan3_sign, u_value
+from .render import frac_str, ratfunc_to_json
+from .sequences import Recurrence, TermTable, check_scaling, turan3_sign, u_value
 
 BASE_SCAN_BUDGET = 10000
 
@@ -275,6 +275,19 @@ def certify_u_bounds(
     return table.u_bounds[(rec, order)]
 
 
+def scaled_bounds(ub: UBounds, scaling: str) -> UBounds:
+    """The u-window under `scaling`.
+
+    u_n of {a_n/n!} equals u_n of {a_n} times n/(n+1), so the factorial
+    scaling multiplies both window functions by that exact factor.
+    """
+    check_scaling(scaling)
+    if scaling == "none":
+        return ub
+    factor = RatFunc(Poly([0, 1]), Poly([1, 1]))
+    return replace(ub, lower=ub.lower * factor, upper=ub.upper * factor)
+
+
 # -- corner polynomials and the certificate ------------------------------------
 
 
@@ -305,40 +318,28 @@ def corner_suite(g: RatFunc, f: RatFunc) -> list:
     return out
 
 
-_SCALE_FACTOR = RatFunc(Poly([0, 1]), Poly([1, 1]))  # n/(n+1)
-
-
 @dataclass
-class TuranCertificate:
-    """Finite certificate that the cubic Turan inequality holds from an index.
+class Certificate:
+    """What every certificate kind proves: the ratio window and the u-window.
 
-    All claims are exact: the u-window holds for n > bounds.valid_from by the
-    ratio induction, the four corner values are positive for n > N, and every
-    index in the initial segment was evaluated in exact arithmetic.
+    `to_json` writes this shared head (tool version, kind, sequence, order,
+    ratio bounds, u bounds) and then the kind's own fields from `_tail`.
     """
 
+    kind: ClassVar[str]
     rec: Recurrence
     scaling: str
     order: int
     ratio: RatioBounds
     bounds: UBounds
-    corners: list
-    N: int
-    segment_from: int
-    segment_to: int
-    violations: list
-    holds_from: int
+
+    def _tail(self) -> dict:
+        raise NotImplementedError
 
     def to_json(self) -> dict:
-        def rf(r: RatFunc) -> dict:
-            return {
-                "num": [frac_str(c) for c in r.num.coeffs],
-                "den": [frac_str(c) for c in r.den.coeffs],
-            }
-
         return {
             "toolVersion": __version__,
-            "kind": "turan3",
+            "kind": self.kind,
             "sequence": {
                 "name": self.rec.name,
                 "coeffs": [[frac_str(c) for c in p.coeffs] for p in self.rec.coeffs],
@@ -349,22 +350,44 @@ class TuranCertificate:
             "ratioBounds": {
                 "lambda": frac_str(self.ratio.lam),
                 "mu": self.ratio.mu,
-                "lower": rf(self.ratio.lower),
-                "upper": rf(self.ratio.upper),
+                "lower": ratfunc_to_json(self.ratio.lower),
+                "upper": ratfunc_to_json(self.ratio.upper),
                 "validFrom": self.ratio.valid_from,
             },
             "bounds": {
-                "g": rf(self.bounds.lower),
-                "f": rf(self.bounds.upper),
+                "g": ratfunc_to_json(self.bounds.lower),
+                "f": ratfunc_to_json(self.bounds.upper),
                 "validFrom": self.bounds.valid_from,
                 "slackExponent": frac_str(self.bounds.slack_exponent),
             },
+            **self._tail(),
+        }
+
+    def dumps(self) -> str:
+        return json.dumps(self.to_json(), indent=2)
+
+
+@dataclass
+class TuranCertificate(Certificate):
+    """Finite certificate that the cubic Turan inequality holds from an index.
+
+    All claims are exact: the u-window holds for n > bounds.valid_from by the
+    ratio induction, the four corner values are positive for n > N, and every
+    index in the initial segment was evaluated in exact arithmetic.
+    """
+
+    kind = "turan3"
+    corners: list
+    N: int
+    segment_from: int
+    segment_to: int
+    violations: list
+    holds_from: int
+
+    def _tail(self) -> dict:
+        return {
             "corners": [
-                {
-                    "num": [frac_str(c) for c in corner["value"].num.coeffs],
-                    "den": [frac_str(c) for c in corner["value"].den.coeffs],
-                    "threshold": corner["threshold"],
-                }
+                {**ratfunc_to_json(corner["value"]), "threshold": corner["threshold"]}
                 for corner in self.corners
             ],
             "N": self.N,
@@ -376,9 +399,6 @@ class TuranCertificate:
             "holdsFrom": self.holds_from,
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
 
 def certify_turan3(
     rec: Recurrence,
@@ -386,23 +406,13 @@ def certify_turan3(
     scaling: str = "none",
     table: Optional[TermTable] = None,
 ) -> TuranCertificate:
-    """End-to-end certificate for 4 b_n b_{n+1} > (a_n a_{n+1} - a_{n-1} a_{n+2})^2.
-
-    With factorial scaling the window functions pick up the exact factor
-    n/(n+1), since u_n of {a_n/n!} equals u_n of {a_n} times n/(n+1).
-    """
+    """End-to-end certificate for 4 b_n b_{n+1} > (a_n a_{n+1} - a_{n-1} a_{n+2})^2."""
     if table is None:
         table = TermTable(rec)
     rb, ub = certify_u_bounds(rec, order, table=table)
-    g, f = ub.lower, ub.upper
-    if scaling == "factorial":
-        g = g * _SCALE_FACTOR
-        f = f * _SCALE_FACTOR
-    elif scaling != "none":
-        raise ValueError(f"unknown scaling {scaling!r}")
-    scaled_bounds = UBounds(g, f, ub.valid_from, ub.slack_exponent, ub.kept)
+    ub = scaled_bounds(ub, scaling)
 
-    corners = corner_suite(g, f)
+    corners = corner_suite(ub.lower, ub.upper)
     n_cert = max([ub.valid_from] + [c["threshold"] for c in corners])
 
     violations = []
@@ -416,7 +426,7 @@ def certify_turan3(
         scaling=scaling,
         order=order,
         ratio=rb,
-        bounds=scaled_bounds,
+        bounds=ub,
         corners=corners,
         N=n_cert,
         segment_from=1,
@@ -427,7 +437,7 @@ def certify_turan3(
 
 
 @dataclass
-class UWindowCertificate:
+class UWindowCertificate(Certificate):
     """Certified window g(n) <= u_n <= f(n) without a sign conclusion.
 
     Emitted when the window itself is sound but its corners do not settle
@@ -435,52 +445,12 @@ class UWindowCertificate:
     checked segment records an exact recheck of the containment.
     """
 
-    rec: Recurrence
-    scaling: str
-    order: int
-    ratio: RatioBounds
-    bounds: UBounds
+    kind = "u-window"
     checked_from: int
     checked_to: int
 
-    def to_json(self) -> dict:
-        def rf(r: RatFunc) -> dict:
-            return {
-                "num": [frac_str(c) for c in r.num.coeffs],
-                "den": [frac_str(c) for c in r.den.coeffs],
-            }
-
-        return {
-            "toolVersion": __version__,
-            "kind": "u-window",
-            "sequence": {
-                "name": self.rec.name,
-                "coeffs": [[frac_str(c) for c in p.coeffs] for p in self.rec.coeffs],
-                "initials": [frac_str(v) for v in self.rec.initials],
-                "scaling": self.scaling,
-            },
-            "order": self.order,
-            "ratioBounds": {
-                "lambda": frac_str(self.ratio.lam),
-                "mu": self.ratio.mu,
-                "lower": rf(self.ratio.lower),
-                "upper": rf(self.ratio.upper),
-                "validFrom": self.ratio.valid_from,
-            },
-            "bounds": {
-                "g": rf(self.bounds.lower),
-                "f": rf(self.bounds.upper),
-                "validFrom": self.bounds.valid_from,
-                "slackExponent": frac_str(self.bounds.slack_exponent),
-            },
-            "checkedSegment": {
-                "from": self.checked_from,
-                "to": self.checked_to,
-            },
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+    def _tail(self) -> dict:
+        return {"checkedSegment": {"from": self.checked_from, "to": self.checked_to}}
 
 
 def certify_u_window(
@@ -499,17 +469,11 @@ def certify_u_window(
     if table is None:
         table = TermTable(rec)
     rb, ub = certify_u_bounds(rec, order, table=table)
-    g, f = ub.lower, ub.upper
-    if scaling == "factorial":
-        g = g * _SCALE_FACTOR
-        f = f * _SCALE_FACTOR
-    elif scaling != "none":
-        raise ValueError(f"unknown scaling {scaling!r}")
-    scaled_bounds = UBounds(g, f, ub.valid_from, ub.slack_exponent, ub.kept)
+    ub = scaled_bounds(ub, scaling)
 
     lo, hi = ub.valid_from + 1, ub.valid_from + span
     for n in range(lo, hi + 1):
-        if not scaled_bounds.contains(n, u_value(table, n, scaling)):
+        if not ub.contains(n, u_value(table, n, scaling)):
             raise CertifyError(f"u at n = {n} escapes the certified window")
 
     return UWindowCertificate(
@@ -517,7 +481,7 @@ def certify_u_window(
         scaling=scaling,
         order=order,
         ratio=rb,
-        bounds=scaled_bounds,
+        bounds=ub,
         checked_from=lo,
         checked_to=hi,
     )
@@ -533,57 +497,74 @@ def _rf_from_json(obj: dict) -> RatFunc:
     )
 
 
-def _sequence_identity(cert: dict, rec: Recurrence, bad: list) -> str:
-    seq = cert.get("sequence", {})
-    coeffs = [[frac_str(c) for c in p.coeffs] for p in rec.coeffs]
-    initials = [frac_str(v) for v in rec.initials]
-    if seq.get("coeffs") != coeffs or seq.get("initials") != initials:
-        bad.append("certificate does not describe this recurrence")
-    return seq.get("scaling", "none")
-
-
 def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] = None):
     """Replay a certificate against the sequence itself.
 
-    For the full kind ("turan3") this checks, in exact arithmetic: the
-    certificate names this recurrence; the corner polynomials follow from the
-    stored window functions; every stored threshold is valid; N covers
-    thresholds and window validity; u_n sits in the stored window on a hundred
-    sampled indices; and the initial-segment violation list is reproduced.
-    For the window-only kind ("u-window") it recomputes the window functions
-    and rechecks the stored segment exactly.  Returns (ok, diagnosis list).
+    The head and the kind's own fields are read in one parse; a certificate
+    that does not parse is rejected as malformed.  For the full kind
+    ("turan3") this checks, in exact arithmetic: the certificate names this
+    recurrence; the corner polynomials follow from the stored window
+    functions; every stored threshold is valid; N covers thresholds and
+    window validity; u_n sits in the stored window on a hundred sampled
+    indices; and the initial-segment violation list is reproduced.  For the
+    window-only kind ("u-window") it recomputes the window functions and
+    rechecks the stored segment exactly.  Returns (ok, diagnosis list).
     """
     if table is None:
         table = TermTable(rec)
-    kind = cert.get("kind", "turan3")
-    if kind == "u-window":
-        return _verify_u_window(cert, rec, table)
-    if kind != "turan3":
-        return False, [f"unknown certificate kind {kind!r}"]
-
     bad: list = []
-    scaling = _sequence_identity(cert, rec, bad)
-
     try:
+        if not isinstance(cert, dict):
+            raise TypeError("expected a JSON object")
+        kind = cert.get("kind", "turan3")
+        if kind not in ("turan3", "u-window"):
+            return False, [f"unknown certificate kind {kind!r}"]
+        seq = cert.get("sequence", {})
+        coeffs = [[frac_str(c) for c in p.coeffs] for p in rec.coeffs]
+        initials = [frac_str(v) for v in rec.initials]
+        if seq.get("coeffs") != coeffs or seq.get("initials") != initials:
+            bad.append("certificate does not describe this recurrence")
+        scaling = seq.get("scaling", "none")
+        check_scaling(scaling)
         g = _rf_from_json(cert["bounds"]["g"])
         f = _rf_from_json(cert["bounds"]["f"])
         valid_from = int(cert["bounds"]["validFrom"])
-        n_cert = int(cert["N"])
-        stored_corners = cert["corners"]
-        seg = cert["initialSegment"]
-    except (KeyError, TypeError, ValueError) as exc:
+        if valid_from < 0:
+            raise ValueError(f"negative validFrom {valid_from}")
+        if kind == "turan3":
+            seg = cert["initialSegment"]
+            replay, tail = _replay_turan3, {
+                "n_cert": int(cert["N"]),
+                "corners": [(_rf_from_json(c), int(c["threshold"])) for c in cert["corners"]],
+                "segment": (int(seg["from"]), int(seg["to"])),
+                "violations": [int(v) for v in seg["violations"]],
+                "holds_from": int(cert.get("holdsFrom", -1)),
+            }
+        else:
+            seg = cert["checkedSegment"]
+            replay, tail = _replay_u_window, {
+                "order": int(cert["order"]),
+                "segment": (int(seg["from"]), int(seg["to"])),
+            }
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         return False, [f"malformed certificate: {exc}"]
 
-    if len(stored_corners) != 4:
+    bad += replay(rec, table, scaling, g, f, valid_from, **tail)
+    return not bad, bad
+
+
+def _replay_turan3(
+    rec, table, scaling, g, f, valid_from, n_cert, corners, segment, violations, holds_from
+) -> list:
+    bad = []
+    if len(corners) != 4:
         bad.append("expected exactly four corner polynomials")
     else:
-        for i, stored in enumerate(stored_corners):
+        for i, (got, thr) in enumerate(corners):
             expect = corner_polynomial(g, f, i)
-            got = _rf_from_json(stored)
             if got != expect:
                 bad.append(f"corner {i} does not match the stored window functions")
                 continue
-            thr = int(stored["threshold"])
             if sign_at_infinity(expect) <= 0:
                 bad.append(f"corner {i} is not eventually positive")
             elif eventual_positivity_threshold(expect) > thr:
@@ -594,127 +575,44 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
     if valid_from > n_cert:
         bad.append("N does not cover the window validity threshold")
 
-    for i in range(1, 101):
-        n = valid_from + i
-        u = u_value(table, n, scaling)
-        if not (g.eval(n) <= u <= f.eval(n)):
-            bad.append(f"u at n = {n} escapes the stored window")
-            break
+    bad += _window_escape(table, scaling, g, f, range(valid_from + 1, valid_from + 101))
 
-    lo, hi = int(seg["from"]), int(seg["to"])
+    lo, hi = segment
     if lo != 1 or hi != n_cert:
         bad.append("initial segment does not cover [1, N]")
     else:
         viol = [n for n in range(lo, hi + 1) if turan3_sign(table, n, scaling) <= 0]
-        if viol != [int(v) for v in seg["violations"]]:
+        if viol != violations:
             bad.append("initial-segment violations do not match")
-        holds_from = (viol[-1] + 1) if viol else 1
-        if int(cert.get("holdsFrom", -1)) != holds_from:
+        if holds_from != ((viol[-1] + 1) if viol else 1):
             bad.append("holdsFrom is inconsistent with the violations")
+    return bad
 
-    return len(bad) == 0, bad
 
-
-def _verify_u_window(cert: dict, rec: Recurrence, table: TermTable):
-    bad: list = []
-    scaling = _sequence_identity(cert, rec, bad)
-
-    try:
-        g = _rf_from_json(cert["bounds"]["g"])
-        f = _rf_from_json(cert["bounds"]["f"])
-        valid_from = int(cert["bounds"]["validFrom"])
-        order = int(cert["order"])
-        seg = cert["checkedSegment"]
-        lo, hi = int(seg["from"]), int(seg["to"])
-    except (KeyError, TypeError, ValueError) as exc:
-        return False, [f"malformed certificate: {exc}"]
-
+def _replay_u_window(rec, table, scaling, g, f, valid_from, order, segment) -> list:
+    bad = []
     _, ub = certify_u_bounds(rec, order, table=table)
-    eg, ef = ub.lower, ub.upper
-    if scaling == "factorial":
-        eg = eg * _SCALE_FACTOR
-        ef = ef * _SCALE_FACTOR
-    elif scaling != "none":
-        bad.append(f"unknown scaling {scaling!r}")
-        return False, bad
-    if g != eg or f != ef:
+    expect = scaled_bounds(ub, scaling)
+    if g != expect.lower or f != expect.upper:
         bad.append("window functions do not match a recomputation")
     if valid_from < ub.valid_from:
         bad.append(
             f"validFrom {valid_from} is below the certified threshold {ub.valid_from}"
         )
 
+    lo, hi = segment
     if lo != valid_from + 1:
-        bad.append("checked segment does not start right after validFrom")
-    for n in range(lo, hi + 1):
-        if not (g.eval(n) <= u_value(table, n, scaling) <= f.eval(n)):
-            bad.append(f"u at n = {n} escapes the stored window")
-            break
-
-    return len(bad) == 0, bad
+        return bad + ["checked segment does not start right after validFrom"]
+    return bad + _window_escape(table, scaling, g, f, range(lo, hi + 1))
 
 
-# -- second-level window (iterated form) ----------------------------------------
-
-
-@dataclass
-class Llc2Certificate:
-    """Certified eventual 2-fold log-concavity via an interval-lifted window.
-
-    With b_n = a_n^2 - a_{n-1} a_{n+1} and u_n in [g, f] with f < 1, the
-    quotient b_{n-1} b_{n+1} / b_n^2 = u_n^2 (1-u_{n-1})(1-u_{n+1})/(1-u_n)^2
-    is sandwiched by endpoint products; its upper bound staying below 1
-    forces phi(phi(a)) > 0.
-    """
-
-    rec: Recurrence
-    scaling: str
-    order: int
-    lower: RatFunc
-    upper: RatFunc
-    N: int
-    violations: list
-    holds_from: int
-
-
-def certify_llc2(
-    rec: Recurrence,
-    order: int = 4,
-    scaling: str = "none",
-    table: Optional[TermTable] = None,
-) -> Llc2Certificate:
-    """Certificate that phi{a} is eventually positive and log-concave."""
-    if table is None:
-        table = TermTable(rec)
-    _, ub = certify_u_bounds(rec, order, table=table)
-    g, f = ub.lower, ub.upper
-    if scaling == "factorial":
-        g = g * _SCALE_FACTOR
-        f = f * _SCALE_FACTOR
-    elif scaling != "none":
-        raise ValueError(f"unknown scaling {scaling!r}")
-
-    # b_n > 0 and the interval endpoints positive: g > 0 and f < 1.
-    t_pos = max(_ept(g), _ept(1 - f))
-    g2 = g * g * (1 - f.shift(-1)) * (1 - f.shift(1)) / ((1 - g) * (1 - g))
-    f2 = f * f * (1 - g.shift(-1)) * (1 - g.shift(1)) / ((1 - f) * (1 - f))
-    # 2-fold log-concavity needs the lifted upper bound to stay below 1.
-    n_cert = max(ub.valid_from + 1, t_pos + 1, _ept(1 - f2))
-
-    violations = []
-    base = phi_values(table, 1, 0, n_cert + 2, scaling)
-    for n in range(1, n_cert + 1):
-        b0, b1, b2 = base[n - 1], base[n], base[n + 1]
-        if b1 <= 0 or b1 * b1 - b0 * b2 <= 0:
-            violations.append(n)
-    holds_from = (violations[-1] + 1) if violations else 1
-    return Llc2Certificate(
-        rec=rec,
-        scaling=scaling,
-        order=order,
-        lower=g2,
-        upper=f2,
-        N=n_cert,
-        violations=violations,
-        holds_from=holds_from,
-    )
+def _window_escape(table, scaling, g, f, indices) -> list:
+    """Diagnosis for the first n with u_n outside [g(n), f(n)], if any."""
+    for n in indices:
+        try:
+            inside = g.eval(n) <= u_value(table, n, scaling) <= f.eval(n)
+        except ZeroDivisionError:  # a pole of the stored window, or a(n) = 0
+            inside = False
+        if not inside:
+            return [f"u at n = {n} escapes the stored window"]
+    return []

@@ -10,15 +10,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import Poly, RatFunc, eventual_positivity_threshold
 from .asymptotics import ratio_expansion, u_expansion
 from .certify import (
     CertifyError,
+    UBounds,
     certify_turan3,
     certify_u_bounds,
     corner_polynomial,
+    scaled_bounds,
     turan_form,
 )
 from .corpus import ENTRIES, CorpusEntry
@@ -26,29 +28,17 @@ from .criteria import llogconcave_verdict, turan3_verdict
 from .sequences import TermTable, turan3_sign, u_value
 
 
-class CheckResult(tuple):
+class CheckResult(NamedTuple):
     """(entry, check, ok, detail)"""
 
-    __slots__ = ()
-
-    def __new__(cls, entry: str, check: str, ok: bool, detail: str = ""):
-        return super().__new__(cls, (entry, check, bool(ok), detail))
-
-    entry = property(lambda s: s[0])
-    check = property(lambda s: s[1])
-    ok = property(lambda s: s[2])
-    detail = property(lambda s: s[3])
+    entry: str
+    check: str
+    ok: bool
+    detail: str = ""
 
 
-def _result(entry, check, ok, detail=""):
-    return CheckResult(entry, check, ok, detail)
-
-
-_SCALE = RatFunc(Poly([0, 1]), Poly([1, 1]))  # n/(n+1)
-
-
-def window_functions(window: dict, scaled: bool) -> tuple[RatFunc, RatFunc]:
-    """Bound pair 1 + sum c/n^e per side, times n/(n+1) when scaled."""
+def window_functions(window: dict, scaling: str) -> tuple[RatFunc, RatFunc]:
+    """Bound pair 1 + sum c/n^e per side, scaled by `scaled_bounds`."""
     out = []
     for part in ("g", "f"):
         top = max((int(e) for e in window[part]), default=0)
@@ -56,16 +46,16 @@ def window_functions(window: dict, scaled: bool) -> tuple[RatFunc, RatFunc]:
         num = list(den)
         for e, c in window[part].items():
             num[top - int(e)] += c
-        r = RatFunc(Poly(num), Poly(den))
-        out.append(r * _SCALE if scaled else r)
-    return out[0], out[1]
+        out.append(RatFunc(Poly(num), Poly(den)))
+    ub = scaled_bounds(UBounds(out[0], out[1], 0, Fraction(0), {}), scaling)
+    return ub.lower, ub.upper
 
 
 def _check_terms(e: CorpusEntry, table: TermTable) -> list:
     want = e.expected["terms"]["values"]
     got = table.values(0, len(want) - 1)
     ok = list(got) == list(want)
-    return [_result(e.name, "terms", ok, "" if ok else f"got {got[:4]}...")]
+    return [CheckResult(e.name, "terms", ok, "" if ok else f"got {got[:4]}...")]
 
 
 def _check_growth(e: CorpusEntry, table: TermTable) -> list:
@@ -88,7 +78,7 @@ def _check_growth(e: CorpusEntry, table: TermTable) -> list:
             probs.append(f"minimal polynomial {coeffs} != {minpoly}")
         elif abs(float(rx.lam) - want["approx"]) > 1e-3:
             probs.append(f"approx {float(rx.lam):.4f} != {want['approx']}")
-    return [_result(e.name, "ratio-growth", not probs, "; ".join(probs))]
+    return [CheckResult(e.name, "ratio-growth", not probs, "; ".join(probs))]
 
 
 def _check_u_series(e: CorpusEntry, table: TermTable) -> list:
@@ -100,21 +90,21 @@ def _check_u_series(e: CorpusEntry, table: TermTable) -> list:
         got = u.coefficient(exp)
         if not (got.is_constant() and got.constant_value() == coef):
             probs.append(f"n^-{exp}: {got} != {coef}")
-    return [_result(e.name, "u-series", not probs, "; ".join(probs))]
+    return [CheckResult(e.name, "u-series", not probs, "; ".join(probs))]
 
 
 def _check_turan3(e: CorpusEntry, table: TermTable) -> list:
     v = turan3_verdict(e.recurrence, scaling=e.scaling, max_order=8, table=table)
     ok = v.result == e.expected["turan3"]
     detail = "" if ok else f"{v.result} ({v.rule}) != {e.expected['turan3']}"
-    return [_result(e.name, "turan3-verdict", ok, detail)]
+    return [CheckResult(e.name, "turan3-verdict", ok, detail)]
 
 
 def _check_llc_level(e: CorpusEntry, table: TermTable) -> list:
     ell = e.expected["llc_level"]
     v = llogconcave_verdict(e.recurrence, ell, scaling=e.scaling, max_order=8, table=table)
     ok = v.result == "holds"
-    return [_result(e.name, f"llc-level-{ell}", ok, "" if ok else f"{v.result} ({v.rule})")]
+    return [CheckResult(e.name, f"llc-level-{ell}", ok, "" if ok else f"{v.result} ({v.rule})")]
 
 
 def _check_ht_bounds(e: CorpusEntry, table: TermTable) -> list:
@@ -131,7 +121,7 @@ def _check_ht_bounds(e: CorpusEntry, table: TermTable) -> list:
             if not (got.is_constant() and Fraction(0) + got.constant_value() == coef):
                 probs.append(f"n^-{exp}: {got} != {coef}")
         detail = f"window constants only ({exc})" if not probs else "; ".join(probs)
-        return [_result(e.name, "ht-bounds", not probs, detail)]
+        return [CheckResult(e.name, "ht-bounds", not probs, detail)]
     probs = []
     if dict(ub.kept) != {k: (v, v) for k, v in want["d"].items()}:
         probs.append(f"kept {ub.kept} != {want['d']}")
@@ -144,12 +134,12 @@ def _check_ht_bounds(e: CorpusEntry, table: TermTable) -> list:
             if not ub.contains(n, u_value(table, n)):
                 probs.append(f"sandwich breaks at n={n}")
                 break
-    return [_result(e.name, "ht-bounds", not probs, "; ".join(probs))]
+    return [CheckResult(e.name, "ht-bounds", not probs, "; ".join(probs))]
 
 
 def _check_corners(e: CorpusEntry, table: TermTable) -> list:
     suite = e.expected["corner_suite"]
-    g, f = window_functions(suite["window"], e.scaling == "factorial")
+    g, f = window_functions(suite["window"], e.scaling)
     out = []
     for i, stored in enumerate(suite["corners"]):
         probs = []
@@ -162,7 +152,7 @@ def _check_corners(e: CorpusEntry, table: TermTable) -> list:
                 probs.append(f"threshold {thr} != {stored['minimal_threshold']}")
             if stored["printed_threshold"] < stored["minimal_threshold"]:
                 probs.append("printed threshold below the minimal one")
-        out.append(_result(e.name, f"corner-{i}", not probs, "; ".join(probs)))
+        out.append(CheckResult(e.name, f"corner-{i}", not probs, "; ".join(probs)))
     return out
 
 
@@ -175,18 +165,18 @@ def _check_holds_from(e: CorpusEntry, table: TermTable) -> list:
             break
     if start > 1 and turan3_sign(table, start - 1, e.scaling) > 0:
         probs.append(f"already positive at n={start - 1}")
-    out = [_result(e.name, "holds-from", not probs, "; ".join(probs))]
+    out = [CheckResult(e.name, "holds-from", not probs, "; ".join(probs))]
     try:
         cert = certify_turan3(e.recurrence, 4, scaling=e.scaling, table=table)
         ok = cert.holds_from == start
         out.append(
-            _result(
+            CheckResult(
                 e.name, "certificate", ok,
                 "" if ok else f"holdsFrom {cert.holds_from} != {start}",
             )
         )
     except CertifyError as exc:
-        out.append(_result(e.name, "certificate", True, f"not certifiable ({exc})"))
+        out.append(CheckResult(e.name, "certificate", True, f"not certifiable ({exc})"))
     return out
 
 
@@ -199,7 +189,7 @@ def _check_first_u_index(e: CorpusEntry, table: TermTable) -> list:
         if u_value(table, n) <= 0:
             probs.append(f"u({n}) not positive")
             break
-    return [_result(e.name, "first-u-index", not probs, "; ".join(probs))]
+    return [CheckResult(e.name, "first-u-index", not probs, "; ".join(probs))]
 
 
 def _check_residual(e: CorpusEntry, table: TermTable) -> list:
@@ -209,7 +199,7 @@ def _check_residual(e: CorpusEntry, table: TermTable) -> list:
         n for n in range(0, 300)
         if e.recurrence.residual(vals[n:n + d + 1], n) != 0
     ]
-    return [_result(e.name, "residual", not bad, f"nonzero at {bad[:3]}" if bad else "")]
+    return [CheckResult(e.name, "residual", not bad, f"nonzero at {bad[:3]}" if bad else "")]
 
 
 _CHECKERS = {
@@ -233,7 +223,7 @@ def check_entry(entry: CorpusEntry, cache_dir: Optional[str] = None) -> list:
             try:
                 results.extend(fn(entry, table))
             except Exception as exc:  # a crash is a failing check, not a crash
-                results.append(_result(entry.name, key.replace("_", "-"), False, repr(exc)))
+                results.append(CheckResult(entry.name, key.replace("_", "-"), False, repr(exc)))
     results.extend(_check_residual(entry, table))
     table.flush()
     return results
@@ -255,11 +245,11 @@ def rectangle_spot_check(seed: int = 0, count: int = 500) -> CheckResult:
             x = x0 + (x1 - x0) * Fraction(rng.randint(0, 16), 16)
             y = y0 + (y1 - y0) * Fraction(rng.randint(0, 16), 16)
             if turan_form(x, y) < corner_min:
-                return _result(
+                return CheckResult(
                     "(global)", "rectangle-minimum", False,
                     f"interior value below corners at ({x}, {y})",
                 )
-    return _result("(global)", "rectangle-minimum", True, f"{count} rectangles")
+    return CheckResult("(global)", "rectangle-minimum", True, f"{count} rectangles")
 
 
 def run_all(cache_dir: Optional[str] = None, seed: int = 0) -> list:

@@ -211,54 +211,48 @@ def cmd_certify(args) -> int:
     rec, default_scaling = load_source(args.src, args.operator)
     scaling = _resolve_scaling(args, default_scaling)
     table = TermTable(rec, cache_dir=args.cache_dir)
+    lines = [f"sequence: {_display_name(rec)} (checking {_scaling_note(scaling)})"]
     try:
         cert = certify_turan3(rec, args.K, scaling=scaling, table=table)
     except CertifyError as exc:
         if "not eventually positive" not in str(exc):
             raise
-        return _certify_window_only(args, rec, scaling, table, exc)
+        cert = certify_u_window(rec, args.K, scaling=scaling, table=table)
+        lines.append(f"the window does not settle the cubic Turan inequality: {exc}")
+    else:
+        lines.append(
+            f"ratio window valid for n > {cert.ratio.valid_from}"
+            f" (lambda = {frac_str(cert.ratio.lam)}, mu = {cert.ratio.mu})"
+        )
     table.flush()
-    out_path = args.output or f"{_display_name(rec)}.turan3.json"
+    out_path = args.output or f"{_display_name(rec)}.{cert.kind.replace('-', '')}.json"
     blob = cert.dumps()
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(blob + "\n")
-    viol = ", ".join(str(n) for n in cert.violations) or "none"
-    lines = [
-        f"sequence: {_display_name(rec)} (checking {_scaling_note(scaling)})",
-        f"ratio window valid for n > {cert.ratio.valid_from}"
-        f" (lambda = {frac_str(cert.ratio.lam)}, mu = {cert.ratio.mu})",
+    lines += [
         f"u window valid for n > {cert.bounds.valid_from}:",
         f"  g(n) = {_ratfunc_text(cert.bounds.lower)}",
         f"  f(n) = {_ratfunc_text(cert.bounds.upper)}",
-        "corner positivity thresholds: "
-        + ", ".join(str(c["threshold"]) for c in cert.corners),
-        f"window argument applies for n > {cert.N}; exact check on [1, {cert.N}]"
-        f" (violations: {viol})",
-        f"the cubic Turan inequality holds for all n >= {cert.holds_from}",
-        f"certificate written to {out_path}",
     ]
+    if cert.kind == "turan3":
+        viol = ", ".join(str(n) for n in cert.violations) or "none"
+        lines += [
+            "corner positivity thresholds: "
+            + ", ".join(str(c["threshold"]) for c in cert.corners),
+            f"window argument applies for n > {cert.N}; exact check on [1, {cert.N}]"
+            f" (violations: {viol})",
+            f"the cubic Turan inequality holds for all n >= {cert.holds_from}",
+            f"certificate written to {out_path}",
+        ]
+        code = EXIT_OK
+    else:
+        lines += [
+            f"exact recheck clean on [{cert.checked_from}, {cert.checked_to}]",
+            f"window-only certificate written to {out_path}",
+        ]
+        code = EXIT_INCONCLUSIVE
     _emit(args, lines, json.loads(blob))
-    return EXIT_OK
-
-
-def _certify_window_only(args, rec, scaling, table, reason) -> int:
-    cert = certify_u_window(rec, args.K, scaling=scaling, table=table)
-    table.flush()
-    out_path = args.output or f"{_display_name(rec)}.uwindow.json"
-    blob = cert.dumps()
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(blob + "\n")
-    lines = [
-        f"sequence: {_display_name(rec)} (checking {_scaling_note(scaling)})",
-        f"the window does not settle the cubic Turan inequality: {reason}",
-        f"u window valid for n > {cert.bounds.valid_from}:",
-        f"  g(n) = {_ratfunc_text(cert.bounds.lower)}",
-        f"  f(n) = {_ratfunc_text(cert.bounds.upper)}",
-        f"exact recheck clean on [{cert.checked_from}, {cert.checked_to}]",
-        f"window-only certificate written to {out_path}",
-    ]
-    _emit(args, lines, json.loads(blob))
-    return EXIT_INCONCLUSIVE
+    return code
 
 
 def cmd_verify(args) -> int:
@@ -268,7 +262,10 @@ def cmd_verify(args) -> int:
     table = TermTable(rec, cache_dir=args.cache_dir)
     ok, diagnosis = verify_certificate(cert, rec, table)
     table.flush()
-    name = cert.get("sequence", {}).get("name") or _display_name(rec)
+    try:
+        name = cert["sequence"]["name"] or _display_name(rec)
+    except (KeyError, TypeError):
+        name = _display_name(rec)
     if ok:
         lines = [f"certificate for {name}: verified"]
         if cert.get("kind", "turan3") == "turan3":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Poly, RatFunc
+from .algebra import Poly
 from .sequences import Recurrence
 
 F = Fraction

@@ -98,10 +98,6 @@ def _coerce(u: Union[AsymSeries, UnForm]) -> UnForm:
     return u if isinstance(u, UnForm) else to_un_form(u)
 
 
-def _fmt(r: RatFunc) -> str:
-    return coef_str(r)
-
-
 def _eventually_below(r: RatFunc, c: Fraction) -> str:
     """Whether r(log n) < c for all large n: 'yes', 'no', or 'boundary' (r == c)."""
     lim = limit_at_infinity(r)
@@ -169,7 +165,7 @@ def turan3_asymptotic(u: Union[AsymSeries, UnForm]) -> Verdict:
         )
 
     a1, r1 = un.alpha1, un.r1
-    trace.append(f"alpha_1 = {frac_str(a1)}, r_1 = {_fmt(r1)}")
+    trace.append(f"alpha_1 = {frac_str(a1)}, r_1 = {coef_str(r1)}")
 
     s1 = sign_at_infinity(r1)
     trace.append(f"sign of r_1 at infinity: {s1:+d}")
@@ -340,7 +336,7 @@ def llogconcave_asymptotic(u: Union[AsymSeries, UnForm], ell: int) -> Verdict:
         )
 
     a1, r1 = un.alpha1, un.r1
-    trace.append(f"alpha_1 = {frac_str(a1)}, r_1 = {_fmt(r1)}")
+    trace.append(f"alpha_1 = {frac_str(a1)}, r_1 = {coef_str(r1)}")
 
     s1 = sign_at_infinity(r1)
     trace.append(f"sign of r_1 at infinity: {s1:+d}")
@@ -409,7 +405,7 @@ def llogconcave_asymptotic(u: Union[AsymSeries, UnForm], ell: int) -> Verdict:
     for k in range(1, ell + 1):
         sk = sign_at_infinity(rk)
         trace.append(
-            f"level {k}: r_1 = {_fmt(rk)} (map {rule_txt}), sign at infinity {sk:+d}"
+            f"level {k}: r_1 = {coef_str(rk)} (map {rule_txt}), sign at infinity {sk:+d}"
         )
         if sk >= 0:
             return Verdict(
@@ -447,24 +443,14 @@ def llogconcave_asymptotic(u: Union[AsymSeries, UnForm], ell: int) -> Verdict:
 # -- drivers --------------------------------------------------------------------
 
 
-def _u_form_for(
-    rec: Recurrence,
-    order: int,
-    scaling: str = "none",
-    rho: Optional[int] = None,
-    table: Optional[TermTable] = None,
-) -> AsymSeries:
-    rx = ratio_expansion(rec, order, rho=rho, table=table)
-    return u_expansion(rx, scaling=scaling)
-
-
 def _drive(rec, check, scaling, max_order, rho, table) -> Verdict:
     if table is None:
         table = TermTable(rec)
     order = min(4, max_order)
     last: Optional[Verdict] = None
     while True:
-        u = _u_form_for(rec, order, scaling=scaling, rho=rho, table=table)
+        rx = ratio_expansion(rec, order, rho=rho, table=table)
+        u = u_expansion(rx, scaling=scaling)
         last = check(u)
         if not last.retryable or order >= max_order:
             return last

@@ -2,16 +2,15 @@
 
 Text form: ``1 - 3/2*n^-2 + 9/4*n^-3 + o(n^-4)`` with fractional powers
 parenthesized (``n^(-3/2)``) and log-dependent coefficients written in
-``log(n)``.  JSON forms round-trip exactly, including algebraic scalars
-(carried as modulus plus isolating interval).
+``log(n)``.  JSON forms are exact, including algebraic scalars (carried
+as modulus plus isolating interval).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
-from .algebra import AlgebraicReal, NumberField, Poly, RatFunc, scalar_sign
+from .algebra import Poly, RatFunc, scalar_sign
 from .asymptotics import AsymSeries
 
 
@@ -105,31 +104,11 @@ def scalar_to_json(x):
     }
 
 
-def scalar_from_json(obj, field_cache: Optional[dict] = None):
-    if isinstance(obj, str):
-        return Fraction(obj)
-    key = (tuple(obj["modulus"]), tuple(obj["rootInterval"]))
-    field = None if field_cache is None else field_cache.get(key)
-    if field is None:
-        poly = Poly([Fraction(c) for c in obj["modulus"]])
-        lo, hi = (Fraction(v) for v in obj["rootInterval"])
-        field = NumberField(AlgebraicReal(poly, lo, hi))
-        if field_cache is not None:
-            field_cache[key] = field
-    return field.element([Fraction(c) for c in obj["coeffs"]])
-
-
 def ratfunc_to_json(c: RatFunc) -> dict:
     return {
         "num": [scalar_to_json(x) for x in c.num.coeffs],
         "den": [scalar_to_json(x) for x in c.den.coeffs],
     }
-
-
-def ratfunc_from_json(obj: dict, field_cache: Optional[dict] = None) -> RatFunc:
-    num = Poly([scalar_from_json(x, field_cache) for x in obj["num"]])
-    den = Poly([scalar_from_json(x, field_cache) for x in obj["den"]])
-    return RatFunc(num, den)
 
 
 def series_to_json(s: AsymSeries) -> dict:
@@ -141,13 +120,3 @@ def series_to_json(s: AsymSeries) -> dict:
     }
     out["errorOrder"] = None if s.error_order is None else frac_str(s.error_order)
     return out
-
-
-def series_from_json(obj: dict) -> AsymSeries:
-    cache: dict = {}
-    terms = [
-        (Fraction(t["exponent"]), ratfunc_from_json(t["coefficient"], cache))
-        for t in obj["terms"]
-    ]
-    err = obj.get("errorOrder")
-    return AsymSeries(terms, None if err is None else Fraction(err))

@@ -209,14 +209,14 @@ class TermTable:
 SCALINGS = ("none", "factorial")
 
 
-def _check_scaling(scaling: str) -> None:
+def check_scaling(scaling: str) -> None:
     if scaling not in SCALINGS:
         raise ValueError(f"unknown scaling {scaling!r}; expected one of {SCALINGS}")
 
 
 def ratio_value(table: TermTable, n: int, scaling: str = "none") -> Fraction:
     """a(n)/a(n-1) of the (optionally 1/n!-scaled) sequence."""
-    _check_scaling(scaling)
+    check_scaling(scaling)
     prev = table.value(n - 1)
     if prev == 0:
         raise ZeroDivisionError(f"a({n-1}) = 0")
@@ -228,7 +228,7 @@ def ratio_value(table: TermTable, n: int, scaling: str = "none") -> Fraction:
 
 def u_value(table: TermTable, n: int, scaling: str = "none") -> Fraction:
     """u_n = a(n-1)a(n+1)/a(n)^2; the 1/n! scaling multiplies by n/(n+1)."""
-    _check_scaling(scaling)
+    check_scaling(scaling)
     an = table.value(n)
     if an == 0:
         raise ZeroDivisionError(f"a({n}) = 0")
@@ -264,7 +264,7 @@ def turan3_value(table: TermTable, n: int, scaling: str = "none") -> Fraction:
     factorial scaling is applied as an integer window rescale divided
     back out ((n+2)!^4).
     """
-    _check_scaling(scaling)
+    check_scaling(scaling)
     w = _scaled_window(table, n, 4, scaling)
     val = 4 * (w[1] * w[1] - w[0] * w[2]) * (w[2] * w[2] - w[1] * w[3]) - (
         w[1] * w[2] - w[0] * w[3]
@@ -284,7 +284,7 @@ def _factorial(n: int) -> int:
 
 def turan3_sign(table: TermTable, n: int, scaling: str = "none") -> int:
     """Sign of the degree-3 Turan form at n (cheap: no normalization)."""
-    _check_scaling(scaling)
+    check_scaling(scaling)
     w = _scaled_window(table, n, 4, scaling)
     val = 4 * (w[1] * w[1] - w[0] * w[2]) * (w[2] * w[2] - w[1] * w[3]) - (
         w[1] * w[2] - w[0] * w[3]
@@ -294,7 +294,7 @@ def turan3_sign(table: TermTable, n: int, scaling: str = "none") -> int:
 
 def logconcave_sign(table: TermTable, n: int, scaling: str = "none") -> int:
     """Sign of a_n^2 - a_{n-1} a_{n+1} on the scaled sequence."""
-    _check_scaling(scaling)
+    check_scaling(scaling)
     w = _scaled_window(table, n, 3, scaling)
     val = w[1] * w[1] - w[0] * w[2]
     return (val > 0) - (val < 0)
@@ -308,7 +308,7 @@ def phi_values(
     Returns the level-`level` sequence on indices lo..hi (base terms a
     optionally 1/n!-scaled first).
     """
-    _check_scaling(scaling)
+    check_scaling(scaling)
     if level < 0:
         raise ValueError("level must be >= 0")
     need_hi = hi + 2 * level

@@ -67,7 +67,7 @@ def test_corner_polynomial_golden_suite():
     for name, thresholds in published.items():
         entry = get(name)
         suite = entry.expected["corner_suite"]
-        g, f = window_functions(suite["window"], entry.scaling == "factorial")
+        g, f = window_functions(suite["window"], entry.scaling)
         for i, stored in enumerate(suite["corners"]):
             poly = corner_polynomial(g, f, i)
             assert poly == RatFunc(Poly(stored["num"]), stored["den"])

@@ -12,19 +12,19 @@ from turancert.algebra import Poly, RatFunc, eventual_positivity_threshold
 from turancert.asymptotics import ratio_expansion, u_expansion
 from turancert.certify import (
     CertifyError,
-    certify_llc2,
     certify_ratio_bounds,
     certify_turan3,
     certify_u_bounds,
     certify_u_window,
     corner_polynomial,
     corner_suite,
+    scaled_bounds,
     turan_form,
     u_bound_functions,
     verify_certificate,
 )
 from turancert.corpus import get
-from turancert.sequences import TermTable, phi_values, u_value
+from turancert.sequences import TermTable, u_value
 
 
 def rf(num, den=(1,)) -> RatFunc:
@@ -209,6 +209,15 @@ class TestTuranCertificate:
         with pytest.raises(ValueError):
             certify_turan3(get("motzkin").recurrence, 4, scaling="geometric")
 
+    def test_scaled_bounds(self):
+        _, ub = certify_u_bounds(get("motzkin").recurrence, 4)
+        assert scaled_bounds(ub, "none") == ub
+        scaled = scaled_bounds(ub, "factorial")
+        assert (scaled.lower, scaled.upper) == (ub.lower * SCALE, ub.upper * SCALE)
+        assert (scaled.valid_from, scaled.kept) == (ub.valid_from, ub.kept)
+        with pytest.raises(ValueError, match="unknown scaling"):
+            scaled_bounds(ub, "geometric")
+
     def test_verify_rejects_tampered_threshold(self):
         e = get("motzkin")
         cert = certify_turan3(e.recurrence, 4, scaling="factorial").to_json()
@@ -232,6 +241,22 @@ class TestTuranCertificate:
         ok, diag = verify_certificate(cert, e.recurrence)
         assert not ok
         assert any("violations" in d for d in diag)
+
+    @pytest.mark.parametrize("name, tamper", [
+        # g gets a pole inside the sampled indices past validFrom
+        ("motzkin", lambda doc: doc["bounds"]["g"].update(
+            den=[str(-doc["bounds"]["validFrom"] - 3), "1"])),
+        # u_1 of fine is undefined, as a(1) = 0
+        ("fine", lambda doc: doc["bounds"].update(validFrom=0)),
+    ], ids=["window-pole", "zero-term"])
+    def test_verify_rejects_undefined_sample(self, name, tamper):
+        e = get(name)
+        t = TermTable(e.recurrence)
+        doc = certify_turan3(e.recurrence, 4, scaling=e.scaling, table=t).to_json()
+        tamper(doc)
+        ok, diag = verify_certificate(doc, e.recurrence, t)
+        assert not ok
+        assert any("escapes the stored window" in d for d in diag)
 
     def test_verify_rejects_wrong_sequence(self):
         cert = certify_turan3(get("franel3").recurrence, 4, scaling="factorial")
@@ -301,27 +326,14 @@ class TestUWindowCertificate:
         assert not ok
         assert any("below the certified threshold" in d for d in diag)
 
-
-class TestSecondLevel:
-    def test_motzkin_llc2(self):
-        e = get("motzkin")
+    def test_verify_rejects_segment_before_window(self):
+        # the recheck never reads terms before a(0)
+        e = get("binomial4")
         t = TermTable(e.recurrence)
-        cert = certify_llc2(e.recurrence, 6, scaling="factorial", table=t)
-        assert cert.holds_from == 3
-        base = phi_values(t, 1, 0, cert.N + 40, "factorial")
-        for n in range(cert.N + 1, cert.N + 30):
-            assert base[n] > 0
-            assert base[n] ** 2 - base[n - 1] * base[n + 1] > 0
-
-    def test_inverse_catalan_llc2(self):
-        e = get("inverse-catalan")
-        cert = certify_llc2(e.recurrence, 8)
-        assert cert.violations == []
-        assert cert.holds_from == 1
-
-    def test_llc2_needs_tight_window(self):
-        with pytest.raises(CertifyError):
-            certify_llc2(get("motzkin").recurrence, 4, scaling="factorial")
+        doc = certify_u_window(e.recurrence, 4, table=t).to_json()
+        doc["checkedSegment"]["from"] = 0
+        ok, diag = verify_certificate(doc, e.recurrence, t)
+        assert (ok, diag) == (False, ["checked segment does not start right after validFrom"])
 
 
 class TestRectangleLemma:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+from turancert.certify import certify_turan3
 from turancert.cli import main
 from turancert.corpus import get
 from turancert.sequences import TermTable
@@ -225,6 +227,86 @@ class TestCertifyAndVerify:
         run(capsys, "certify", "motzkin", "--scale", "n!", "-o", str(a))
         run(capsys, "certify", "motzkin", "--scale", "factorial", "-o", str(b))
         assert json.loads(a.read_text()) == json.loads(b.read_text())
+
+
+# sha256 of the file `certify <name> -o FILE` writes: the certificate bytes
+# are an output contract, so a refactor of the writer must keep them
+CERTIFICATE_SHA256 = {
+    "domb": "e8f2e65daf29404f4bd891c605631f08054cde35e7ca4d047d86d67bebc9a709",
+    "fine": "639f395fdb9056630ba7c074d79fe57270e08c721d88d5837a562d78cca81c66",
+    "franel3": "5549ba3c7e9cab4b1e6cd208a63eadcd7237c81f780c7a779209c05ce2b306e5",
+    "motzkin": "eeba75659b61af4579668259ef061e281b6732f147d8eb8c977fa0e129be0cf4",
+    "binomial4": "28a79f9cb5d09d15e376c0597ce3eb2c15a7573da79fbf38021fb9161e34e583",
+    "inverse-catalan": "f376445bdc6c8fa43b7b8b8cef9711cbad203cae4427e19734844fb3fc7ff036",
+}
+
+HEAD_KEYS = ["toolVersion", "kind", "sequence", "order", "ratioBounds", "bounds"]
+TAIL_KEYS = {
+    "turan3": ["corners", "N", "initialSegment", "holdsFrom"],
+    "u-window": ["checkedSegment"],
+}
+
+# (tamper, diagnosis) for JSON files that do not parse as a certificate;
+# a tamper of None wraps the certificate in a list
+MALFORMED = {
+    "empty-initial-segment": (
+        lambda doc: doc.update(initialSegment={}),
+        "malformed certificate: 'from'",
+    ),
+    "corner-without-threshold": (
+        lambda doc: doc["corners"][0].pop("threshold"),
+        "malformed certificate: 'threshold'",
+    ),
+    "corner-without-num": (
+        lambda doc: doc["corners"][0].pop("num"),
+        "malformed certificate: 'num'",
+    ),
+    "holds-from-not-a-number": (
+        lambda doc: doc.update(holdsFrom="x"),
+        "malformed certificate: invalid literal for int() with base 10: 'x'",
+    ),
+    "zero-denominator": (
+        lambda doc: doc["bounds"]["g"].update(den=["0"]),
+        "malformed certificate: rational function with zero denominator",
+    ),
+    "top-level-list": (None, "malformed certificate: expected a JSON object"),
+    "negative-valid-from": (
+        lambda doc: doc["bounds"].update(validFrom=-5),
+        "malformed certificate: negative validFrom -5",
+    ),
+    "unknown-scaling": (
+        lambda doc: doc["sequence"].update(scaling="geometric"),
+        "malformed certificate: unknown scaling 'geometric'",
+    ),
+}
+
+
+class TestCertificateContract:
+    @pytest.mark.parametrize("name", sorted(CERTIFICATE_SHA256))
+    def test_certificate_bytes_and_key_order(self, capsys, tmp_path, name):
+        path = tmp_path / "c.json"
+        code, _, _ = run(capsys, "certify", name, "-o", str(path))
+        doc = json.loads(path.read_text())
+        assert code == (0 if doc["kind"] == "turan3" else 2)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CERTIFICATE_SHA256[name]
+        assert list(doc) == HEAD_KEYS + TAIL_KEYS[doc["kind"]]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_certificate_is_rejected(self, capsys, tmp_path, case):
+        tamper, diagnosis = MALFORMED[case]
+        doc = certify_turan3(get("motzkin").recurrence, 4, scaling="factorial").to_json()
+        if tamper is None:
+            doc = [doc]
+        else:
+            tamper(doc)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path), "motzkin")
+        assert code == 3
+        assert err == ""
+        head, *diag = out.splitlines()
+        assert head == "certificate for motzkin: REJECTED"
+        assert len(diag) == 1 and diag[0].strip().startswith(diagnosis)
 
 
 class TestCorpusRun:
