@@ -11,6 +11,7 @@ zero test via gcd first.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -37,17 +38,7 @@ def _is_rational_square(q: Fraction) -> bool:
     if q < 0:
         return False
     n, d = q.numerator, q.denominator
-    rn = int(n**0.5)
-    while rn * rn > n:
-        rn -= 1
-    while (rn + 1) * (rn + 1) <= n:
-        rn += 1
-    rd = int(d**0.5)
-    while rd * rd > d:
-        rd -= 1
-    while (rd + 1) * (rd + 1) <= d:
-        rd += 1
-    return rn * rn == n and rd * rd == d
+    return math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
 
 
 class NumberField:

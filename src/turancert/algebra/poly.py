@@ -53,10 +53,6 @@ class Poly:
         return Poly([c])
 
     @staticmethod
-    def monomial(k: int, c=1) -> "Poly":
-        return Poly([0] * k + [c])
-
-    @staticmethod
     def variable() -> "Poly":
         return Poly([0, 1])
 

@@ -10,7 +10,6 @@ interval with refinement).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .poly import Poly, scalar_abs_upper, scalar_sign, squarefree_part
 from .ratfunc import RatFunc, sign_at_infinity
@@ -97,13 +96,12 @@ class AlgebraicReal:
     only through refinement (value never changes).
     """
 
-    __slots__ = ("poly", "lo", "hi", "_chain")
+    __slots__ = ("poly", "lo", "hi")
 
     def __init__(self, poly: Poly, lo: Fraction, hi: Fraction):
         self.poly = poly
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        self._chain: Optional[list[Poly]] = None
 
     def __repr__(self) -> str:
         return f"AlgebraicReal({list(self.poly.coeffs)!r}, {self.lo}, {self.hi})"
@@ -137,46 +135,6 @@ class AlgebraicReal:
     def approx(self, digits: int = 12) -> float:
         self.refine_below(Fraction(1, 10**digits))
         return float((self.lo + self.hi) / 2)
-
-    def floor(self) -> int:
-        """Exact floor of the value."""
-        if self.is_rational():
-            v = self.lo
-            return v.numerator // v.denominator
-        while True:
-            fl = self.lo.numerator // self.lo.denominator
-            fh = self.hi.numerator // self.hi.denominator
-            if fl == fh:
-                return fl
-            if self.hi == Fraction(fh) and fl == fh - 1:
-                # open top endpoint exactly at an integer: value < fh
-                return fl
-            self.refine()
-
-    def sign_of_poly(self, q: Poly) -> int:
-        """Exact sign of q(value) for rational-coefficient q."""
-        if self.is_rational():
-            return scalar_sign(q.eval(self.lo))
-        from .poly import poly_gcd
-
-        g = poly_gcd(q, self.poly)
-        if g.degree > 0:
-            sl = scalar_sign(g.eval(self.lo))
-            sh = scalar_sign(g.eval(self.hi))
-            if sl == 0 or sh == 0 or sl != sh:
-                return 0
-        width_target = self.hi - self.lo
-        while True:
-            lo_v = q.eval(self.lo)
-            hi_v = q.eval(self.hi)
-            s_lo, s_hi = scalar_sign(lo_v), scalar_sign(hi_v)
-            if s_lo == s_hi and s_lo != 0:
-                # q has constant sign on the interval only if no q-root inside
-                chain = sturm_chain(squarefree_part(q))
-                if count_roots_halfopen(chain, self.lo, self.hi) == 0:
-                    return s_lo
-            width_target /= 2
-            self.refine_below(width_target)
 
 
 def isolate_real_roots(p: Poly) -> list[AlgebraicReal]:

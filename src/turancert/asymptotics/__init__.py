@@ -6,12 +6,9 @@ from .series import (
     compose_coef_shift,
     delta_series,
     gen_binomial,
-    series_exp,
     series_inv,
-    series_log,
     series_mul,
     series_pow_binomial,
-    shift_expand,
     shift_series,
 )
 from .ratio import (
@@ -32,12 +29,9 @@ __all__ = [
     "compose_coef_shift",
     "delta_series",
     "gen_binomial",
-    "series_exp",
     "series_inv",
-    "series_log",
     "series_mul",
     "series_pow_binomial",
-    "shift_expand",
     "shift_series",
     "ExpansionError",
     "RatioExpansion",

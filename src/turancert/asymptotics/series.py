@@ -99,12 +99,6 @@ class AsymSeries:
     def is_zero(self) -> bool:
         return not self.terms and self.error_order is None
 
-    def min_exp(self) -> Optional[Fraction]:
-        return self.terms[0][0] if self.terms else None
-
-    def max_exp(self) -> Optional[Fraction]:
-        return self.terms[-1][0] if self.terms else None
-
     def leading(self):
         if not self.terms:
             raise ValueError("series has no terms")
@@ -313,51 +307,6 @@ def series_pow_binomial(a: AsymSeries, alpha, order=None) -> AsymSeries:
     return out
 
 
-def series_log(a: AsymSeries, order=None) -> AsymSeries:
-    """log a for a = 1 + (positive-exponent terms)."""
-    x = _split_one(a, "series_log")
-    if not x.terms and x.error_order is None:
-        return AsymSeries.zero()
-    beta = _require_order(a, order, "series_log")
-    x = x.truncate(beta)
-    out = AsymSeries.error_only(x.error_order)
-    if not x.terms:
-        return out
-    delta = x.terms[0][0]
-    power = AsymSeries.one()
-    k_max = int(beta / delta) + 1
-    for k in range(1, k_max + 1):
-        power = (power * x).truncate(beta)
-        if not power.terms:
-            break
-        out = out + power.scale(Fraction((-1) ** (k + 1), k))
-    return out
-
-
-def series_exp(a: AsymSeries, order=None) -> AsymSeries:
-    """exp a for a with all exponents positive (a -> 0)."""
-    if a.terms and a.terms[0][0] <= 0:
-        raise ValueError("series_exp needs all exponents positive")
-    if not a.terms and a.error_order is None:
-        return AsymSeries.one()
-    beta = _require_order(a, order, "series_exp")
-    x = a.truncate(beta)
-    out = AsymSeries.one().truncate(x.error_order)
-    if not x.terms:
-        return out
-    delta = x.terms[0][0]
-    power = AsymSeries.one()
-    fact = 1
-    k_max = int(beta / delta) + 1
-    for k in range(1, k_max + 1):
-        power = (power * x).truncate(beta)
-        fact *= k
-        if not power.terms:
-            break
-        out = out + power.scale(Fraction(1, fact))
-    return out
-
-
 def binomial_power(c, alpha, order) -> AsymSeries:
     """(1 + c/n)^alpha as a series; exact when alpha is a nonnegative integer."""
     alpha = Fraction(alpha)
@@ -418,14 +367,6 @@ def compose_coef_shift(r: RatFunc, direction: int, order) -> AsymSeries:
         out = out + power.scale(deriv * Fraction(1, fact))
         j += 1
     return out
-
-
-def shift_expand(r: RatFunc, direction: int, K: int) -> list[RatFunc]:
-    """Coefficients r_1..r_K with r(log(n+dir)) - r(log n) = sum r_i(log n)/n^i + o(n^-K)."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    s = compose_coef_shift(r, direction, Fraction(K + 1))
-    return [s.coefficient(Fraction(i)) for i in range(1, K + 1)]
 
 
 def shift_series(a: AsymSeries, direction: int, order=None) -> AsymSeries:

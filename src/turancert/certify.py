@@ -42,7 +42,7 @@ from .asymptotics import (
     u_expansion,
 )
 from .render import frac_str, ratfunc_to_json
-from .sequences import Recurrence, TermTable, check_scaling, turan3_sign, u_value
+from .sequences import Recurrence, TermTable, check_inequality_range, check_scaling, u_value
 
 BASE_SCAN_BUDGET = 10000
 
@@ -81,10 +81,6 @@ class RatioBounds:
     lower: RatFunc
     upper: RatFunc
     valid_from: int
-    order: int
-
-    def contains(self, n: int, ratio: Fraction) -> bool:
-        return self.lower.eval(n) <= ratio <= self.upper.eval(n)
 
 
 def _ratio_window_functions(rx: RatioExpansion, order: int):
@@ -173,7 +169,7 @@ def certify_ratio_bounds(
     if d == 1:
         # r(n+1) = q_1(n) exactly; the discharge already covers every index
         # n+1 with n > n1.
-        return RatioBounds(rx.lam, mu, s_l, s_u, n1 + 1, order)
+        return RatioBounds(rx.lam, mu, s_l, s_u, n1 + 1)
 
     start = n1 + 2
     for m in range(start, start + BASE_SCAN_BUDGET):
@@ -188,7 +184,7 @@ def certify_ratio_bounds(
                 ok = False
                 break
         if ok:
-            return RatioBounds(rx.lam, mu, s_l, s_u, m - 1, order)
+            return RatioBounds(rx.lam, mu, s_l, s_u, m - 1)
     raise CertifyError(
         f"no base window of {d - 1} in-window ratios within "
         f"{BASE_SCAN_BUDGET} indices past {start}; retry with a larger order"
@@ -207,9 +203,6 @@ class UBounds:
     valid_from: int
     slack_exponent: Fraction
     kept: dict
-
-    def contains(self, n: int, u: Fraction) -> bool:
-        return self.lower.eval(n) <= u <= self.upper.eval(n)
 
 
 def u_bound_functions(u_series, order: int):
@@ -286,6 +279,24 @@ def scaled_bounds(ub: UBounds, scaling: str) -> UBounds:
         return ub
     factor = RatFunc(Poly([0, 1]), Poly([1, 1]))
     return replace(ub, lower=ub.lower * factor, upper=ub.upper * factor)
+
+
+def first_escape(
+    table: TermTable, scaling: str, g: RatFunc, f: RatFunc, lo: int, hi: int
+) -> Optional[int]:
+    """First n in [lo, hi] with u_n outside [g(n), f(n)], or None.
+
+    An index where g or f has a pole, or where a(n) = 0 leaves u_n
+    undefined, counts as an escape.
+    """
+    for n in range(lo, hi + 1):
+        try:
+            inside = g.eval(n) <= u_value(table, n, scaling) <= f.eval(n)
+        except ZeroDivisionError:
+            inside = False
+        if not inside:
+            return n
+    return None
 
 
 # -- corner polynomials and the certificate ------------------------------------
@@ -415,10 +426,7 @@ def certify_turan3(
     corners = corner_suite(ub.lower, ub.upper)
     n_cert = max([ub.valid_from] + [c["threshold"] for c in corners])
 
-    violations = []
-    for n in range(1, n_cert + 1):
-        if turan3_sign(table, n, scaling) <= 0:
-            violations.append(n)
+    violations = check_inequality_range(table, "turan3", 1, n_cert, scaling)
     holds_from = (violations[-1] + 1) if violations else 1
 
     return TuranCertificate(
@@ -472,9 +480,9 @@ def certify_u_window(
     ub = scaled_bounds(ub, scaling)
 
     lo, hi = ub.valid_from + 1, ub.valid_from + span
-    for n in range(lo, hi + 1):
-        if not ub.contains(n, u_value(table, n, scaling)):
-            raise CertifyError(f"u at n = {n} escapes the certified window")
+    n = first_escape(table, scaling, ub.lower, ub.upper, lo, hi)
+    if n is not None:
+        raise CertifyError(f"u at n = {n} escapes the certified window")
 
     return UWindowCertificate(
         rec=rec,
@@ -526,6 +534,9 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
             bad.append("certificate does not describe this recurrence")
         scaling = seq.get("scaling", "none")
         check_scaling(scaling)
+        order = cert["order"]
+        if type(order) is not int or order < 1:
+            raise ValueError(f"order must be an integer >= 1, got {order!r}")
         g = _rf_from_json(cert["bounds"]["g"])
         f = _rf_from_json(cert["bounds"]["f"])
         valid_from = int(cert["bounds"]["validFrom"])
@@ -543,7 +554,7 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
         else:
             seg = cert["checkedSegment"]
             replay, tail = _replay_u_window, {
-                "order": int(cert["order"]),
+                "order": order,
                 "segment": (int(seg["from"]), int(seg["to"])),
             }
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -575,13 +586,15 @@ def _replay_turan3(
     if valid_from > n_cert:
         bad.append("N does not cover the window validity threshold")
 
-    bad += _window_escape(table, scaling, g, f, range(valid_from + 1, valid_from + 101))
+    n = first_escape(table, scaling, g, f, valid_from + 1, valid_from + 100)
+    if n is not None:
+        bad.append(f"u at n = {n} escapes the stored window")
 
     lo, hi = segment
     if lo != 1 or hi != n_cert:
         bad.append("initial segment does not cover [1, N]")
     else:
-        viol = [n for n in range(lo, hi + 1) if turan3_sign(table, n, scaling) <= 0]
+        viol = check_inequality_range(table, "turan3", lo, hi, scaling)
         if viol != violations:
             bad.append("initial-segment violations do not match")
         if holds_from != ((viol[-1] + 1) if viol else 1):
@@ -603,16 +616,7 @@ def _replay_u_window(rec, table, scaling, g, f, valid_from, order, segment) -> l
     lo, hi = segment
     if lo != valid_from + 1:
         return bad + ["checked segment does not start right after validFrom"]
-    return bad + _window_escape(table, scaling, g, f, range(lo, hi + 1))
-
-
-def _window_escape(table, scaling, g, f, indices) -> list:
-    """Diagnosis for the first n with u_n outside [g(n), f(n)], if any."""
-    for n in indices:
-        try:
-            inside = g.eval(n) <= u_value(table, n, scaling) <= f.eval(n)
-        except ZeroDivisionError:  # a pole of the stored window, or a(n) = 0
-            inside = False
-        if not inside:
-            return [f"u at n = {n} escapes the stored window"]
-    return []
+    n = first_escape(table, scaling, g, f, lo, hi)
+    if n is not None:
+        bad.append(f"u at n = {n} escapes the stored window")
+    return bad

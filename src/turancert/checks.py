@@ -20,12 +20,13 @@ from .certify import (
     certify_turan3,
     certify_u_bounds,
     corner_polynomial,
+    first_escape,
     scaled_bounds,
     turan_form,
 )
 from .corpus import ENTRIES, CorpusEntry
 from .criteria import llogconcave_verdict, turan3_verdict
-from .sequences import TermTable, turan3_sign, u_value
+from .sequences import TermTable, check_inequality_range, turan3_sign, u_value
 
 
 class CheckResult(NamedTuple):
@@ -130,10 +131,9 @@ def _check_ht_bounds(e: CorpusEntry, table: TermTable) -> list:
     if ub.valid_from > want["n_max"]:
         probs.append(f"validFrom {ub.valid_from} > {want['n_max']}")
     if not probs:
-        for n in range(ub.valid_from + 1, ub.valid_from + 101):
-            if not ub.contains(n, u_value(table, n)):
-                probs.append(f"sandwich breaks at n={n}")
-                break
+        n = first_escape(table, "none", ub.lower, ub.upper, ub.valid_from + 1, ub.valid_from + 100)
+        if n is not None:
+            probs.append(f"sandwich breaks at n={n}")
     return [CheckResult(e.name, "ht-bounds", not probs, "; ".join(probs))]
 
 
@@ -159,10 +159,9 @@ def _check_corners(e: CorpusEntry, table: TermTable) -> list:
 def _check_holds_from(e: CorpusEntry, table: TermTable) -> list:
     start = e.expected["holds_from"]
     probs = []
-    for n in range(start, start + 60):
-        if turan3_sign(table, n, e.scaling) <= 0:
-            probs.append(f"sign at n={n} not positive")
-            break
+    bad = check_inequality_range(table, "turan3", start, start + 59, e.scaling)
+    if bad:
+        probs.append(f"sign at n={bad[0]} not positive")
     if start > 1 and turan3_sign(table, start - 1, e.scaling) > 0:
         probs.append(f"already positive at n={start - 1}")
     out = [CheckResult(e.name, "holds-from", not probs, "; ".join(probs))]

@@ -53,19 +53,24 @@ _SCALE_NAMES = {"none": "none", "n!": "factorial", "factorial": "factorial"}
 # -- sources ------------------------------------------------------------------
 
 
-def recurrence_from_json(doc: dict) -> tuple[Recurrence, str]:
-    if "text" in doc:
-        rec = parse_recurrence(doc["text"], name=doc.get("name", ""))
-    elif "operator" in doc:
-        rec = parse_operator(doc["operator"], name=doc.get("name", ""))
-    else:
-        try:
-            coeffs = [Poly([Fraction(c) for c in p]) for p in doc["coeffs"]]
-            initials = [Fraction(v) for v in doc["initials"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed recurrence document: {exc}") from exc
-        rec = Recurrence(coeffs, initials, name=doc.get("name", ""))
-    return rec, _SCALE_NAMES.get(doc.get("scaling", "none"), "none")
+def recurrence_from_json(doc) -> tuple[Recurrence, str]:
+    if not isinstance(doc, dict):
+        raise ParseError("malformed recurrence document: expected a JSON object")
+    scaling = doc.get("scaling", "none")
+    if not isinstance(scaling, str) or scaling not in _SCALE_NAMES:
+        raise ParseError(f"malformed recurrence document: unknown scaling {scaling!r}")
+    for key, parse in (("text", parse_recurrence), ("operator", parse_operator)):
+        if key in doc:
+            if not isinstance(doc[key], str):
+                raise ParseError(f"malformed recurrence document: {key!r} is not a string")
+            return parse(doc[key], name=doc.get("name", "")), _SCALE_NAMES[scaling]
+    try:
+        coeffs = [Poly([Fraction(c) for c in p]) for p in doc["coeffs"]]
+        initials = [Fraction(v) for v in doc["initials"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed recurrence document: {exc}") from exc
+    rec = Recurrence(coeffs, initials, name=doc.get("name", ""))
+    return rec, _SCALE_NAMES[scaling]
 
 
 def load_source(src: str, operator: bool = False) -> tuple[Recurrence, str]:

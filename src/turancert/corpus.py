@@ -341,7 +341,3 @@ def get(name: str) -> CorpusEntry:
     if name not in ENTRIES:
         raise KeyError(f"unknown corpus entry {name!r}; have {sorted(ENTRIES)}")
     return ENTRIES[name]
-
-
-def names() -> list[str]:
-    return sorted(ENTRIES)

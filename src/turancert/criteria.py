@@ -399,10 +399,10 @@ def llogconcave_asymptotic(u: Union[AsymSeries, UnForm], ell: int) -> Verdict:
                 trace,
             )
 
-    # Record the predicted leading coefficient at each granted level.
+    # Record the predicted leading coefficient at each granted level.  Every
+    # level below the last is eventually negative here, so none is zero.
     rule_txt = "2r + t" if critical else "2r"
-    rk = r1
-    for k in range(1, ell + 1):
+    for k, rk in enumerate(llc_level_coefficients(un, ell), start=1):
         sk = sign_at_infinity(rk)
         trace.append(
             f"level {k}: r_1 = {coef_str(rk)} (map {rule_txt}), sign at infinity {sk:+d}"
@@ -414,8 +414,6 @@ def llogconcave_asymptotic(u: Union[AsymSeries, UnForm], ell: int) -> Verdict:
                 f"predicted level-{k} coefficient is not eventually negative",
                 trace,
             )
-        if k < ell:
-            rk = 2 * rk + _level_increment(rk) if critical else 2 * rk
 
     if critical:
         if ell == 1:

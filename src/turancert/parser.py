@@ -458,38 +458,3 @@ def poly_text(p: Poly, var: str = "n") -> str:
         out += f" {sign} {body}"
     return out
 
-
-def _coef_term(p: Poly, shift: int) -> tuple[str, str]:
-    """(sign, text) for p * a(n+shift), with the sign pulled out."""
-    neg = p.leading() < 0
-    if neg:
-        p = -p
-    seq = "a(n)" if shift == 0 else f"a(n+{shift})"
-    if p.degree == 0:
-        c = Fraction(p[0])
-        text = seq if c == 1 else f"{_frac_text(c)}*{seq}"
-    else:
-        text = f"({poly_text(p)})*{seq}"
-    return ("-" if neg else "+", text)
-
-
-def recurrence_to_text(rec: Recurrence) -> str:
-    """Render a recurrence so that parse_recurrence round-trips it."""
-    d = rec.order
-    terms = [(rec.coeffs[0], d)]
-    for k in range(1, d + 1):
-        p = -rec.coeffs[k]
-        if not p.is_zero():
-            terms.append((p, d - k))
-    pieces = []
-    for idx, (p, shift) in enumerate(terms):
-        sign, text = _coef_term(p, shift)
-        if idx == 0:
-            pieces.append(text if sign == "+" else f"-{text}")
-        else:
-            pieces.append(f"{sign} {text}")
-    inits = ", ".join(
-        f"a({i})={_frac_text(v)}" for i, v in enumerate(rec.initials)
-    )
-    out = " ".join(pieces) + " = 0"
-    return f"{out} ; {inits}" if inits else out

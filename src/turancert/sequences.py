@@ -13,6 +13,7 @@ big integers) makes repeated long runs cheap.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 import threading
@@ -214,18 +215,6 @@ def check_scaling(scaling: str) -> None:
         raise ValueError(f"unknown scaling {scaling!r}; expected one of {SCALINGS}")
 
 
-def ratio_value(table: TermTable, n: int, scaling: str = "none") -> Fraction:
-    """a(n)/a(n-1) of the (optionally 1/n!-scaled) sequence."""
-    check_scaling(scaling)
-    prev = table.value(n - 1)
-    if prev == 0:
-        raise ZeroDivisionError(f"a({n-1}) = 0")
-    r = table.value(n) / prev
-    if scaling == "factorial":
-        r = r / n
-    return r
-
-
 def u_value(table: TermTable, n: int, scaling: str = "none") -> Fraction:
     """u_n = a(n-1)a(n+1)/a(n)^2; the 1/n! scaling multiplies by n/(n+1)."""
     check_scaling(scaling)
@@ -254,31 +243,6 @@ def _scaled_window(table: TermTable, n: int, k: int, scaling: str) -> list:
         out.append(vals[i] * mult)
         mult *= n - 1 + i  # next factor of (n+k-2)!/(index)!
     out.reverse()
-    return out
-
-
-def turan3_value(table: TermTable, n: int, scaling: str = "none") -> Fraction:
-    """4(a_n^2-a_{n-1}a_{n+1})(a_{n+1}^2-a_n a_{n+2}) - (a_n a_{n+1}-a_{n-1}a_{n+2})^2.
-
-    Computed on the scaled sequence; homogeneous of degree 4, so the
-    factorial scaling is applied as an integer window rescale divided
-    back out ((n+2)!^4).
-    """
-    check_scaling(scaling)
-    w = _scaled_window(table, n, 4, scaling)
-    val = 4 * (w[1] * w[1] - w[0] * w[2]) * (w[2] * w[2] - w[1] * w[3]) - (
-        w[1] * w[2] - w[0] * w[3]
-    ) ** 2
-    if scaling == "factorial":
-        # window entries were a_k * (n+2)!/k!; the form is degree-4 homogeneous
-        val = val / Fraction(_factorial(n + 2)) ** 4
-    return val
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
     return out
 
 
@@ -314,7 +278,7 @@ def phi_values(
     need_hi = hi + 2 * level
     base = table.values(lo, need_hi)
     if scaling == "factorial":
-        f = _factorial(lo) if lo >= 0 else 1
+        f = math.factorial(lo) if lo >= 0 else 1
         scaled = []
         for i, v in enumerate(base):
             scaled.append(v / f)

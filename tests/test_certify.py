@@ -57,7 +57,7 @@ class TestRatioBounds:
         t = TermTable(get("inverse-catalan").recurrence)
         vals = t.values(0, 200)
         for n in range(rb.valid_from + 1, 200):
-            assert rb.contains(n, vals[n] / vals[n - 1])
+            assert rb.lower.eval(n) <= vals[n] / vals[n - 1] <= rb.upper.eval(n)
 
     def test_window_induction_motzkin(self):
         rec = get("motzkin").recurrence
@@ -65,7 +65,7 @@ class TestRatioBounds:
         t = TermTable(rec)
         vals = t.values(0, rb.valid_from + 300)
         for n in range(rb.valid_from + 1, rb.valid_from + 300):
-            assert rb.contains(n, vals[n] / vals[n - 1])
+            assert rb.lower.eval(n) <= vals[n] / vals[n - 1] <= rb.upper.eval(n)
 
     def test_slack_is_one_unit(self):
         rb = certify_ratio_bounds(get("motzkin").recurrence, 4)
@@ -97,7 +97,7 @@ class TestUBounds:
         t = TermTable(rec)
         _, ub = certify_u_bounds(rec, 4, table=t)
         for n in range(ub.valid_from + 1, ub.valid_from + 300):
-            assert ub.contains(n, u_value(t, n))
+            assert ub.lower.eval(n) <= u_value(t, n) <= ub.upper.eval(n)
 
     def test_motzkin_and_franel3_pairs(self):
         _, ub = certify_u_bounds(get("motzkin").recurrence, 4)

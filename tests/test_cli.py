@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from turancert.certify import certify_turan3
+from turancert.certify import certify_turan3, certify_u_window
 from turancert.cli import main
 from turancert.corpus import get
 from turancert.sequences import TermTable
@@ -68,6 +68,27 @@ class TestSources:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [
+            (5, "expected a JSON object"),
+            (None, "expected a JSON object"),
+            ({"text": 5}, "'text' is not a string"),
+            ({"operator": ["N - 1"]}, "'operator' is not a string"),
+            (
+                {"text": "a(n+1) - 2*a(n) = 0 ; a(0)=1", "scaling": "factorail"},
+                "unknown scaling 'factorail'",
+            ),
+        ],
+        ids=["number", "null", "text-not-a-string", "operator-not-a-string", "unknown-scaling"],
+    )
+    def test_malformed_json_document(self, capsys, tmp_path, doc, reason):
+        p = tmp_path / "rec.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check-turan3", str(p))
+        assert (code, out) == (1, "")
+        assert err.strip() == f"error: malformed recurrence document: {reason}"
+
     @pytest.mark.parametrize("command", ["check-turan3", "certify"])
     def test_leading_coefficient_root(self, capsys, tmp_path, command):
         # p0 = n - 3 vanishes where a(4) would be computed
@@ -109,6 +130,13 @@ class TestAsymptotics:
         code, out, _ = run(capsys, "ratio-asymp", "bn", "-K", "3")
         assert code == 0
         assert "root of x^2 - 6*x + 1" in out
+
+    def test_ratio_asymp_huge_discriminant(self, capsys):
+        # the discriminant 10^400 - 4 is far past the float range
+        src = "a(n+2) - 10^200*a(n+1) + a(n) = 0 ; a(0)=1, a(1)=1"
+        code, out, err = run(capsys, "ratio-asymp", src, "-K", "2")
+        assert (code, err) == (0, "")
+        assert f"root of x^2 - 1{'0' * 200}*x + 1" in out
 
 
 class TestVerdictCommands:
@@ -278,6 +306,10 @@ MALFORMED = {
         lambda doc: doc["sequence"].update(scaling="geometric"),
         "malformed certificate: unknown scaling 'geometric'",
     ),
+    "order-zero": (
+        lambda doc: doc.update(order=0),
+        "malformed certificate: order must be an integer >= 1, got 0",
+    ),
 }
 
 
@@ -291,10 +323,14 @@ class TestCertificateContract:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == CERTIFICATE_SHA256[name]
         assert list(doc) == HEAD_KEYS + TAIL_KEYS[doc["kind"]]
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED))
-    def test_malformed_certificate_is_rejected(self, capsys, tmp_path, case):
+    @pytest.mark.parametrize(
+        "case, certify",
+        [pytest.param(case, certify_turan3, id=case) for case in sorted(MALFORMED)]
+        + [pytest.param("order-zero", certify_u_window, id="order-zero-u-window")],
+    )
+    def test_malformed_certificate_is_rejected(self, capsys, tmp_path, case, certify):
         tamper, diagnosis = MALFORMED[case]
-        doc = certify_turan3(get("motzkin").recurrence, 4, scaling="factorial").to_json()
+        doc = certify(get("motzkin").recurrence, 4, scaling="factorial").to_json()
         if tamper is None:
             doc = [doc]
         else:

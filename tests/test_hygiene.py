@@ -1,8 +1,10 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no function of the package goes uncalled without a recorded reason."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,66 @@ def test_detector_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Functions no module of the package calls, kept for a reason outside it.
+# Everything else that nothing in src/turancert names is dead code.
+UNCALLED_BUT_KEPT = {
+    "phi_u_expansion": "test oracle: the phi map on a u-expansion, against the level map",
+    "eval_exact": "test oracle: exact value of a truncated series at a grid point",
+    "phi_values": "benchmark workload: exact iterated-phi terms on long ranges",
+    "u_power_log": "benchmark workload: the n^2 log n model form of the level chain",
+    "series_mul": "benchmark tracing: the series-layer product it times",
+}
+
+
+def _names(node: ast.AST) -> Counter:
+    """How often each identifier is read, as a name or as an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _definitions(tree: ast.Module):
+    """Module-level functions and the non-dunder methods of module-level classes."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, funcs):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, funcs) and not sub.name.startswith("__"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def uncalled(sources: dict) -> list:
+    """(module, qualified name) of each definition that no code outside its
+    own body names.  Import lists and __all__ strings are not references."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    return sorted(
+        (module, qual)
+        for module, tree in trees.items()
+        for qual, node in _definitions(tree)
+        if used[node.name] == _names(node)[node.name]
+    )
+
+
+def test_dead_code_detector():
+    sources = {
+        "a": "__all__ = ['dead']\ndef dead():\n    return dead()\ndef live():\n    return 1\n"
+        "class K:\n    def __init__(self):\n        pass\n    def m(self):\n        pass\n",
+        "b": "from a import dead, live\nx = live() + K().n\n",
+    }
+    assert uncalled(sources) == [("a", "K.m"), ("a", "dead")]
+
+
+def test_every_function_is_called_or_kept():
+    sources = {
+        str(p.relative_to(PACKAGE)): p.read_text(encoding="utf-8")
+        for p in sorted(PACKAGE.rglob("*.py"))
+    }
+    found = uncalled(sources)
+    assert sorted(qual.split(".")[-1] for _, qual in found) == sorted(UNCALLED_BUT_KEPT), found
