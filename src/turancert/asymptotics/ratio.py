@@ -149,7 +149,26 @@ def edge_polynomial(rec: Recurrence, mu: Fraction, on_edge: list) -> Poly:
 # -- stage solver -------------------------------------------------------------
 
 
-def _v_shifted(cs: list, rho: int, j: int, rel_order: Fraction) -> AsymSeries:
+class _Powers:
+    """n^-shift (1 + j/n)^alpha for the residuals of one stage solve.
+
+    Each (j, alpha, shift) is expanded once, to the solve's last order
+    `top`, and truncated to the order a residual asks for; the truncation
+    equals the series expanded to that order directly."""
+
+    def __init__(self, top: Fraction):
+        self.top = top
+        self.memo: dict = {}
+
+    def get(self, j: int, alpha: Fraction, shift: Fraction, order: Fraction) -> AsymSeries:
+        key = (j, alpha, shift)
+        if key not in self.memo:
+            self.memo[key] = binomial_power(j, alpha, self.top - shift).shift_exponents(shift)
+        s = self.memo[key]
+        return s if s.is_exact() else s.truncate(order)
+
+
+def _v_shifted(cs: list, rho: int, j: int, rel_order: Fraction, powers: _Powers) -> AsymSeries:
     """v(n+j) re-expanded at n, for v = 1 + sum cs[i-1] n^{-i/rho}."""
     out = AsymSeries.one().truncate(rel_order)
     for i, c in enumerate(cs, start=1):
@@ -161,20 +180,21 @@ def _v_shifted(cs: list, rho: int, j: int, rel_order: Fraction) -> AsymSeries:
         if j == 0:
             out = out + AsymSeries.from_term(e, c)
         else:
-            out = out + binomial_power(j, -e, rel_order - e).shift_exponents(e).scale(c)
+            out = out + powers.get(j, -e, e, rel_order).scale(c)
     return out
 
 
-def _residual(rec: Recurrence, lam, mu: Fraction, rho: int, cs: list, rel_order: Fraction) -> AsymSeries:
+def _residual(rec: Recurrence, lam, mu: Fraction, rho: int, cs: list, rel_order: Fraction,
+              powers: _Powers) -> AsymSeries:
     """p0(n) prod_{j<d} r(n+j) - sum_k pk(n) prod_{j<d-k} r(n+j), with
     r(n) = lam n^mu v(n); absolute exponents (n^s appears as exponent -s).
     Each p_k takes the prefix product of the first d-k shifted factors."""
     d = rec.order
     prefix = [AsymSeries.one()]
     for j in range(d):
-        vj = _v_shifted(cs, rho, j, rel_order)
+        vj = _v_shifted(cs, rho, j, rel_order, powers)
         if j > 0:
-            vj = vj * binomial_power(j, mu, rel_order)
+            vj = vj * powers.get(j, mu, Fraction(0), rel_order)
         prefix.append((prefix[-1] * vj).truncate(rel_order))
     total = AsymSeries.zero()
     for k, p in enumerate(rec.coeffs):
@@ -226,8 +246,10 @@ def _solve_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T:
     if st.resonance is not None and st.resonance <= T:
         raise _Resonance(st.resonance)
     cs = list(st.cs)
+    rel = Fraction(T + 1, rho)
+    powers = _Powers(rel)
     for i in range(len(cs) + 1, T + 1):
-        b = _slot_value(_residual(rec, lam, mu, rho, cs, Fraction(i + 1, rho)), -e0 + Fraction(i, rho))
+        b = _slot_value(_residual(rec, lam, mu, rho, cs, Fraction(i + 1, rho), powers), -e0 + Fraction(i, rho))
         if not slope:
             if not b:
                 cs.append(Fraction(0))
@@ -237,8 +259,7 @@ def _solve_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T:
         cs.append(-(b / slope))
     if len(cs) > len(st.cs):
         # every slot up to T must now cancel identically
-        rel = Fraction(T + 1, rho)
-        f = _residual(rec, lam, mu, rho, cs, rel)
+        f = _residual(rec, lam, mu, rho, cs, rel, powers)
         for i in range(T + 1):
             c = f.coefficient(-e0 + Fraction(i, rho))
             if not c.is_zero():

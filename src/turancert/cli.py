@@ -121,11 +121,11 @@ def cmd_terms(args) -> int:
     table = TermTable(rec, cache_dir=args.cache_dir)
     vals = table.values(0, args.to)
     table.flush()
-    _emit(
-        args,
-        [", ".join(frac_str(v) for v in vals)],
-        {"name": _display_name(rec), "to": args.to, "terms": [frac_str(v) for v in vals]},
-    )
+    terms = [frac_str(v) for v in vals]
+    if args.json:
+        print(json.dumps({"name": _display_name(rec), "to": args.to, "terms": terms}, indent=2))
+    else:
+        print(", ".join(terms))
     return EXIT_OK
 
 

@@ -6,8 +6,23 @@ A recurrence of order d is stored with cleared denominators as
 
 with integer-coefficient polynomials and rational initial values
 a(0..m), m >= d-1.  Terms are exact Fractions; integer-valued sequences
-stay integral automatically.  A disk cache (append-only, length-prefixed
-big integers) makes repeated long runs cheap.
+stay integral automatically.  A disk cache (length-prefixed big
+integers, rewritten whole and swapped in with `os.replace`) makes
+repeated long runs cheap.
+
+The Turan and log-concavity signs are exact but filtered.  Both forms are
+homogeneous polynomials in the window a(n-1), a(n), ..., so their sign is
+unchanged when the window is multiplied by a positive number.
+`_form_sign` multiplies by the lcm of the denominators, which makes the
+entries integers x, and then divides by 2^s, where s is the largest bit
+length minus `PREC`.  Each x / 2^s lies in the integer interval
+[x >> s, (x >> s) + 1], since `>>` floors (negative x included).  The
+form evaluated on those intervals therefore encloses F(x / 2^s), whose
+sign is the sign of F(x).  When the enclosure excludes 0 that sign is
+returned; the operands have about `PREC` bits instead of tens of
+thousands.  Otherwise, and for windows shorter than `PREC` bits, the form
+is evaluated exactly on x.  No floats are involved, so the answer never
+depends on the filter.
 """
 
 from __future__ import annotations
@@ -16,16 +31,13 @@ import hashlib
 import math
 import os
 import struct
-import threading
+import tempfile
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .algebra import Poly
 
 CACHE_MAGIC = b"TCTERMS1"
-
-_file_locks: dict[str, threading.Lock] = {}
-_file_locks_guard = threading.Lock()
 
 
 class CacheError(RuntimeError):
@@ -34,13 +46,6 @@ class CacheError(RuntimeError):
 
 class SingularRecurrenceError(ZeroDivisionError):
     """The leading coefficient p0 vanishes where the recurrence must advance."""
-
-
-def _lock_for(path: str) -> threading.Lock:
-    with _file_locks_guard:
-        if path not in _file_locks:
-            _file_locks[path] = threading.Lock()
-        return _file_locks[path]
 
 
 class Recurrence:
@@ -130,9 +135,8 @@ class TermTable:
         path = self._path()
         if not os.path.exists(path):
             return
-        with _lock_for(path):
-            with open(path, "rb") as fh:
-                blob = fh.read()
+        with open(path, "rb") as fh:
+            blob = fh.read()
         if len(blob) < len(CACHE_MAGIC) or blob[: len(CACHE_MAGIC)] != CACHE_MAGIC:
             raise CacheError(f"bad cache header in {path}")
         vals: list[Fraction] = []
@@ -159,18 +163,25 @@ class TermTable:
         self._persisted = len(vals)
 
     def flush(self) -> None:
-        """Append any newly computed terms to the cache file."""
+        """Rewrite the cache file with every known term, if any are new.
+
+        The table goes to a temporary file in the cache directory that then
+        replaces the cache file in one `os.replace`, so a reader sees the old
+        file or the new one, and two writers never interleave entries."""
         if not self.cache_dir or len(self._vals) <= self._persisted:
             return
         path = self._path()
-        with _lock_for(path):
-            fresh = not os.path.exists(path)
-            with open(path, "ab") as fh:
-                if fresh:
-                    fh.write(CACHE_MAGIC)
-                for v in self._vals[self._persisted :]:
+        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(CACHE_MAGIC)
+                for v in self._vals:
                     fh.write(_encode_int(v.numerator))
                     fh.write(_encode_int(v.denominator))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         self._persisted = len(self._vals)
 
     # -- terms -----------------------------------------------------------
@@ -246,22 +257,74 @@ def _scaled_window(table: TermTable, n: int, k: int, scaling: str) -> list:
     return out
 
 
+PREC = 128  # bits kept per window entry by the sign filter
+
+
+class _Box:
+    """Closed integer interval [lo, hi] with the operations the forms use."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int):
+        self.lo = lo
+        self.hi = hi
+
+    def __sub__(self, other: "_Box") -> "_Box":
+        return _Box(self.lo - other.hi, self.hi - other.lo)
+
+    def __mul__(self, other: "_Box") -> "_Box":
+        p = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
+        return _Box(min(p), max(p))
+
+    def __rmul__(self, k: int) -> "_Box":
+        return _Box(k * self.lo, k * self.hi) if k >= 0 else _Box(k * self.hi, k * self.lo)
+
+    def __pow__(self, e: int) -> "_Box":
+        if e != 2:
+            raise ValueError("_Box supports only squares")
+        lo, hi = self.lo, self.hi
+        if lo >= 0:
+            return _Box(lo * lo, hi * hi)
+        if hi <= 0:
+            return _Box(hi * hi, lo * lo)
+        return _Box(0, max(lo * lo, hi * hi))
+
+
+def _turan3_form(w):
+    return 4 * (w[1] * w[1] - w[0] * w[2]) * (w[2] * w[2] - w[1] * w[3]) - (
+        w[1] * w[2] - w[0] * w[3]
+    ) ** 2
+
+
+def _logconcave_form(w):
+    return w[1] * w[1] - w[0] * w[2]
+
+
+def _form_sign(form: Callable, window: Sequence) -> int:
+    """Sign of the homogeneous `form` at `window`, filtered on PREC-bit boxes."""
+    den = math.lcm(*(v.denominator for v in window))
+    xs = [v.numerator * (den // v.denominator) for v in window]
+    s = max(x.bit_length() for x in xs) - PREC
+    if s > 0:
+        box = form([_Box(x >> s, (x >> s) + 1) for x in xs])
+        if box.lo > 0:
+            return 1
+        if box.hi < 0:
+            return -1
+    val = form(xs)
+    return (val > 0) - (val < 0)
+
+
 def turan3_sign(table: TermTable, n: int, scaling: str = "none") -> int:
     """Sign of the degree-3 Turan form at n (cheap: no normalization)."""
     check_scaling(scaling)
-    w = _scaled_window(table, n, 4, scaling)
-    val = 4 * (w[1] * w[1] - w[0] * w[2]) * (w[2] * w[2] - w[1] * w[3]) - (
-        w[1] * w[2] - w[0] * w[3]
-    ) ** 2
-    return (val > 0) - (val < 0)
+    return _form_sign(_turan3_form, _scaled_window(table, n, 4, scaling))
 
 
 def logconcave_sign(table: TermTable, n: int, scaling: str = "none") -> int:
     """Sign of a_n^2 - a_{n-1} a_{n+1} on the scaled sequence."""
     check_scaling(scaling)
-    w = _scaled_window(table, n, 3, scaling)
-    val = w[1] * w[1] - w[0] * w[2]
-    return (val > 0) - (val < 0)
+    return _form_sign(_logconcave_form, _scaled_window(table, n, 3, scaling))
 
 
 def phi_values(

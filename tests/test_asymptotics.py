@@ -25,7 +25,7 @@ from turancert.asymptotics import (
     u_power,
     u_power_log,
 )
-from turancert.asymptotics.ratio import _residual, _slot_value
+from turancert.asymptotics.ratio import _Powers, _residual, _slot_value
 from turancert.corpus import ENTRIES, get
 from turancert.parser import parse_recurrence
 from turancert.sequences import Recurrence, TermTable, phi_values, u_value
@@ -400,13 +400,24 @@ class TestRatioExpansion:
             for rho, st in tries.items():
                 for i in range(1, len(st.cs) + 2):
                     cs, rel, slot = st.cs[:i - 1], F(i + 1, rho), -e0 + F(i, rho)
-                    b = _slot_value(_residual(rec, lam, mu, rho, cs + [F(0)], rel), slot)
-                    a1 = _slot_value(_residual(rec, lam, mu, rho, cs + [F(1)], rel), slot)
+                    b = _slot_value(_residual(rec, lam, mu, rho, cs + [F(0)], rel, _Powers(rel)), slot)
+                    a1 = _slot_value(_residual(rec, lam, mu, rho, cs + [F(1)], rel, _Powers(rel)), slot)
                     assert a1 - b == slope
                     tried += 1
         assert tried
         if source == DOUBLE_ROOT:
             assert all(not root[4] for root in roots)
+
+    def test_stage_powers_equal_direct_expansions(self):
+        # one expansion to the top order, truncated, is the direct expansion
+        top = F(13, 2)
+        powers = _Powers(top)
+        for j in (1, 2, 3):
+            for alpha in (F(-1, 2), F(-3), F(5, 2), F(2)):
+                for shift in (F(0), F(1, 2), F(3)):
+                    for order in (shift + F(1, 2), F(4), top):
+                        want = binomial_power(j, alpha, order - shift).shift_exponents(shift)
+                        assert powers.get(j, alpha, shift, order) == want
 
     def test_shared_table_keeps_rho_choice(self):
         # stage solves stored for one rho argument do not leak into another

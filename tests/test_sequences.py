@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import math
-import threading
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import turancert
 from turancert import corpus
 from turancert.algebra import Poly
 from turancert.sequences import (
+    PREC,
     CacheError,
     Recurrence,
     TermTable,
@@ -19,6 +24,10 @@ from turancert.sequences import (
     phi_values,
     turan3_sign,
     u_value,
+    _Box,
+    _form_sign,
+    _logconcave_form,
+    _turan3_form,
 )
 
 C = math.comb
@@ -266,18 +275,156 @@ def test_cache_keys_differ():
     assert a.cache_key() == corpus.get("motzkin").recurrence.cache_key()
 
 
-def test_concurrent_fill_is_consistent(tmp_path):
-    rec = corpus.get("franel3").recurrence
-    tables = [TermTable(rec, cache_dir=str(tmp_path)) for _ in range(4)]
-
-    def work(t):
+def test_two_tables_from_empty_cache_do_not_duplicate_terms(tmp_path):
+    # both tables start before either writes; each then flushes its 81 terms
+    rec = corpus.get("motzkin").recurrence
+    t1 = TermTable(rec, cache_dir=str(tmp_path))
+    t2 = TermTable(rec, cache_dir=str(tmp_path))
+    for t in (t1, t2):
         t.ensure(80)
         t.flush()
+    assert [p.name for p in tmp_path.iterdir()] == [f"{rec.cache_key()}.terms"]
+    reloaded = TermTable(rec, cache_dir=str(tmp_path))
+    assert len(reloaded) == 81
+    assert reloaded.value(81) == 865461205861621792586606565768282577
+    assert reloaded.values(0, 90) == TermTable(rec).values(0, 90)
 
-    threads = [threading.Thread(target=work, args=(t,)) for t in tables]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
+
+def test_concurrent_fill_is_consistent(tmp_path):
+    # two processes share one cache directory, as two CLI runs would
+    rec = corpus.get("franel3").recurrence
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(turancert.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "turancert.cli", "terms", "franel3", "--to", "80",
+            "--cache-dir", str(tmp_path)]
+    procs = [subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL) for _ in range(2)]
+    assert [p.wait() for p in procs] == [0, 0]
     fresh = TermTable(rec, cache_dir=str(tmp_path))
+    assert len(fresh) == 81
     assert fresh.values(0, 80) == TermTable(rec).values(0, 80)
+
+
+# -- filtered form signs -----------------------------------------------------------
+
+
+def _t3_direct(w):
+    w = [F(v) for v in w]
+    v = 4 * (w[1] ** 2 - w[0] * w[2]) * (w[2] ** 2 - w[1] * w[3]) - (w[1] * w[2] - w[0] * w[3]) ** 2
+    return (v > 0) - (v < 0)
+
+
+def _lc_direct(w):
+    w = [F(v) for v in w]
+    v = w[1] ** 2 - w[0] * w[2]
+    return (v > 0) - (v < 0)
+
+
+FORMS = [(_turan3_form, _t3_direct, 4), (_logconcave_form, _lc_direct, 3)]
+
+
+def _geometric(a, r, k):
+    return [a * r**i for i in range(k)]
+
+
+def _filtered(form):
+    """`form` that records whether it ran on boxes, on exact values, or both."""
+    seen = []
+
+    def traced(w):
+        seen.append("box" if isinstance(w[0], _Box) else "exact")
+        return form(w)
+
+    return traced, seen
+
+
+@pytest.mark.parametrize("form, direct, k", FORMS)
+def test_form_sign_geometric_window_is_zero_by_fallback(form, direct, k):
+    for a, r in ((3**7000, 7**1000), (-(5**4400), 11**900), (2**10001 + 1, -(3**2000))):
+        w = _geometric(a, r, k)
+        assert max(abs(x).bit_length() for x in w) > 10000
+        traced, seen = _filtered(form)
+        assert _form_sign(traced, w) == 0 == direct(w)
+        assert seen == ["box", "exact"]
+
+
+@pytest.mark.parametrize("form, direct, k", FORMS)
+def test_form_sign_last_bit_perturbations(form, direct, k):
+    # F moves by about 2^-20000 of its scale: far inside the box, so the
+    # exact fallback must decide every one of these
+    w = _geometric(3**7000, 7**1000, k)
+    for slot in range(k):
+        for delta in (1, -1):
+            v = list(w)
+            v[slot] += delta
+            traced, seen = _filtered(form)
+            assert _form_sign(traced, v) == direct(v) != 0, (slot, delta)
+            assert seen == ["box", "exact"]
+
+
+@pytest.mark.parametrize("form, direct, k", FORMS)
+def test_form_sign_negative_entries(form, direct, k):
+    rng = random.Random(6)
+    for _ in range(60):
+        bits = rng.choice((64, 200, 3000, 12000))
+        base = rng.getrandbits(bits) | (1 << (bits - 1))
+        w = [base + rng.randrange(-(1 << (bits // 2)), 1 << (bits // 2)) for _ in range(k)]
+        w = [x * rng.choice((1, -1)) for x in w]
+        assert _form_sign(form, w) == direct(w)
+        neg = [-x for x in w]
+        assert _form_sign(form, neg) == direct(neg)
+    alt = _geometric(2**5000 + 3, -(3**700), k)
+    alt[1] -= 1
+    assert _form_sign(form, alt) == direct(alt)
+
+
+def test_form_sign_floors_negative_entries():
+    # After the shift by s = 173 the window reads (-1/2, 2^63 - 1, -2^127),
+    # so F = (2^63 - 1)^2 - 2^126 < 0.  The floor box of -1/2 is [-1, 0] and
+    # straddles 0; a box [0, 1] rounded toward 0 would wrongly prove F > 0.
+    s = 301 - PREC
+    w = [-(2 ** (s - 1)), (2**63 - 1) << s, -(2**300)]
+    assert _form_sign(_logconcave_form, w) == _lc_direct(w) == -1
+
+
+@pytest.mark.parametrize("form, direct, k", FORMS)
+def test_form_sign_mixed_denominators(form, direct, k):
+    w = _geometric(F(3**5000, 7**40), F(-(5**300), 11**250), k)
+    assert len({x.denominator for x in w}) == k
+    assert _form_sign(form, w) == direct(w) == 0
+    for slot in range(k):
+        v = list(w)
+        v[slot] += F(1, 13**slot * 2**900)
+        assert _form_sign(form, v) == direct(v)
+    rng = random.Random(7)
+    for _ in range(40):
+        v = [F(rng.getrandbits(4000) - (1 << 3999), rng.getrandbits(300) + 1) for _ in range(k)]
+        assert _form_sign(form, v) == direct(v)
+
+
+@pytest.mark.parametrize("form, direct, k", FORMS)
+def test_form_sign_short_windows_are_exact(form, direct, k):
+    rng = random.Random(8)
+    for _ in range(200):
+        w = [rng.randrange(-(1 << 60), 1 << 60) for _ in range(k)]
+        traced, seen = _filtered(form)
+        assert _form_sign(traced, w) == direct(w)
+        assert seen == ["exact"]
+    assert max(x.bit_length() for x in _geometric(2**60, 2**20, k)) < PREC
+    assert _form_sign(form, _geometric(2**60, 2**20, k)) == 0
+    assert _form_sign(form, [0] * k) == 0
+
+
+def test_form_sign_filter_decides_term_windows():
+    table = TermTable(corpus.get("apery").recurrence)
+    w = table.values(399, 402)
+    traced, seen = _filtered(_turan3_form)
+    assert _form_sign(traced, w) == _t3_direct(w)
+    assert seen == ["box"]
+
+
+@pytest.mark.parametrize("name", ["motzkin", "domb", "apery"])
+def test_turan3_range_matches_direct_form(name):
+    table = TermTable(corpus.get(name).recurrence)
+    bad = check_inequality_range(table, "turan3", 1, 400, scaling="factorial")
+    assert bad == [n for n in range(1, 401) if _t3_sign_direct(table, n) <= 0]
