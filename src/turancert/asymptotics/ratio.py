@@ -70,6 +70,8 @@ class RatioExpansion:
             rec["lambdaMinimalPolynomial"] = [
                 str(Fraction(c)) for c in self.lam_poly.coeffs
             ]
+            root = self.lam.field.root
+            rec["lambdaInterval"] = [str(root.lo), str(root.hi)]
         if self.rho == 2 and self.coeffs and self.coeffs[0]:
             # v = 1 + c1/sqrt(n) + ... lifts to a stretched-exponential
             # factor exp(2*c1*sqrt(n)) in a(n) itself

@@ -140,7 +140,8 @@ def cmd_ratio_asymp(args) -> int:
         lines.append(f"lambda = {growth['lambda']}")
     else:
         mp = poly_text(Poly([Fraction(c) for c in growth["lambdaMinimalPolynomial"]]), "x")
-        lines.append(f"lambda = {growth['lambdaApprox']:.6f}... (root of {mp})")
+        lo, hi = growth["lambdaInterval"]
+        lines.append(f"lambda in [{lo}, {hi}] (root of {mp}), lambda ~ {growth['lambdaApprox']:.6g}")
     lines.append(f"mu = {growth['mu']}")
     if rx.rho != 1:
         lines.append(f"exponent grid: multiples of 1/{rx.rho}")
@@ -429,6 +430,8 @@ def main(argv=None) -> int:
         OSError,
         json.JSONDecodeError,
     ) as exc:
+        if args.json and isinstance(exc, ExpansionError):
+            print(json.dumps({"error": str(exc), "details": exc.details}, indent=2))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

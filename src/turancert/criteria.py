@@ -7,6 +7,18 @@ Both criteria consume a normalized expansion of u_n = a_{n-1} a_{n+1} / a_n^2,
 and return a Verdict.  A "fails" verdict is only issued when the sign of the
 leading coefficient of the relevant form is established exactly; every other
 non-affirmative outcome is "inconclusive" with a rule naming the obstruction.
+
+Iterated log-concavity follows r_1 from level to level (r -> 2r, or
+r -> 2r + t at alpha_1 = 2).  The verdict needs only the sign at infinity of
+each level, so a level is carried as a Laurent series in x = 1/log n: a
+valuation and exact scalar coefficients (Fraction or NFElem), known up to an
+O(x^order) term.  Its sign at infinity is the sign of its first nonzero
+coefficient, and a level is used only once such a coefficient lies below its
+order, which makes the sign exact.  When every known coefficient cancels, r_1
+is expanded further and the chain rebuilt; the exact level is a rational
+function of log n with a known bound on its denominator degree, and a nonzero
+one has a nonzero coefficient at or below that bound, so zeros up to the
+bound prove the level identically 0.  A constant r_1 stays an exact constant.
 """
 
 from __future__ import annotations
@@ -15,9 +27,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .algebra import RatFunc, limit_at_infinity, sign_at_infinity
+from .algebra import RatFunc, limit_at_infinity, scalar_sign, sign_at_infinity
 from .asymptotics import AsymSeries, ratio_expansion, u_expansion
-from .render import coef_str, frac_str
+from .render import coef_str, frac_str, inv_log_series_str
 from .sequences import Recurrence, TermTable
 
 HOLDS = "holds"
@@ -269,14 +281,126 @@ def turan3_asymptotic(u: Union[AsymSeries, UnForm]) -> Verdict:
     )
 
 
-def _level_increment(r: RatFunc) -> RatFunc:
-    """Additive part of the level map r -> 2r + t in the critical regime.
+# -- the level chain in x = 1/log n ---------------------------------------------
 
-    t = 2 + (log r)'' - (log r)', with derivatives taken in log n; the log
-    derivatives see only |r|, so the formula is sign-agnostic in r.
+START_TERMS = 12  # coefficients of r_1 expanded first; doubled while a level is undecided
+
+
+class LogSeries:
+    """sum_i coeffs[i] x^(val+i) + O(x^order) in x = 1/log n, exact scalars.
+
+    An exact constant has `order` None, val 0 and at most one coefficient
+    (none for 0).  A truncated series keeps coeffs[0] != 0, so its first
+    coefficient is its leading term; a truncated series with no coefficient
+    has every known coefficient zero and an undecided sign.
     """
-    lr = r.derivative() / r
-    return lr.derivative() - lr + Fraction(2)
+
+    __slots__ = ("val", "coeffs", "order")
+
+    def __init__(self, val: int, coeffs, order: Optional[int]):
+        coeffs = list(coeffs)
+        k = 0
+        while k < len(coeffs) and not coeffs[k]:
+            k += 1
+        self.val = val if order is None else val + k
+        self.coeffs = tuple(coeffs[k:])
+        self.order = order
+
+    @staticmethod
+    def from_ratfunc(r: RatFunc, terms: int) -> "LogSeries":
+        """r(log n) expanded to `terms` coefficients past its leading term.
+
+        With L = 1/x, N(L)/D(L) = x^(deg D - deg N) * rev(N)(x) / rev(D)(x),
+        and both reversed polynomials are nonzero at x = 0.
+        """
+        if r.is_constant():
+            return LogSeries(0, [r.constant_value()], None)
+        val = r.den.degree - r.num.degree
+        coeffs = _series_div(r.num.coeffs[::-1], r.den.coeffs[::-1], terms)
+        return LogSeries(val, coeffs, val + terms)
+
+    def is_zero(self) -> bool:
+        return self.order is None and not self.coeffs
+
+    def constant_value(self):
+        if self.order is not None:
+            raise ValueError("not a constant level")
+        return self.coeffs[0] if self.coeffs else Fraction(0)
+
+    def sign(self) -> int:
+        """Sign at infinity: the sign of the leading coefficient."""
+        return scalar_sign(self.coeffs[0]) if self.coeffs else 0
+
+
+def _series_div(num, den, terms: int) -> list:
+    """Coefficients 0..terms-1 of the power series num/den, den[0] != 0."""
+    inv = 1 / den[0]
+    out: list = []
+    for k in range(terms):
+        acc = num[k] if k < len(num) else Fraction(0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out.append(acc * inv)
+    return out
+
+
+def _critical_step(r: LogSeries) -> LogSeries:
+    """The level map r -> 2r + t, t = 2 + (log r)'' - (log r)' in log n.
+
+    d/dL is -x^2 d/dx.  With r = x^v s(x), s(0) != 0 and s known to p
+    terms, (log r)' = -v x - x^2 s'/s is known mod x^(p+1), and so is t.
+    The log derivatives see only |r|, so the map is sign-agnostic in r.
+    """
+    if r.order is None:
+        return LogSeries(0, [2 * r.constant_value() + 2], None)
+    v, s = r.val, r.coeffs
+    p = len(s)
+    q = _series_div([k * s[k] for k in range(1, p)], s, p - 1)
+    lr = [Fraction(0), Fraction(-v)] + [-c for c in q]
+    t = [Fraction(2)] + [-lr[j] - (j - 1) * lr[j - 1] for j in range(1, p + 1)]
+    lo, order = min(v, 0), min(v + p, p + 1)
+    out = []
+    for j in range(lo, order):
+        c = t[j] if j >= 0 else Fraction(0)
+        if j >= v:
+            c += 2 * s[j - v]
+        out.append(c)
+    return LogSeries(lo, out, order)
+
+
+def _settled(level: LogSeries, den_bound: int) -> Optional[LogSeries]:
+    """The level with its sign decided, or None when more terms are needed.
+
+    A nonzero N(L)/D(L) has valuation deg D - deg N <= deg D in x, so a
+    series known to be zero below x^order with order > den_bound (a bound
+    on deg D) is identically zero.
+    """
+    if level.coeffs or level.order is None:
+        return level
+    return LogSeries(0, [], None) if level.order > den_bound else None
+
+
+def _level_chain(r1: RatFunc, ell: int, critical: bool, terms: int) -> Optional[list]:
+    """Levels 1..ell from r_1 expanded to `terms` terms; None if one is undecided."""
+    level = LogSeries.from_ratfunc(r1, terms)
+    # degree bounds on the numerator and denominator of the exact level:
+    # 2r + t = (2 N^3 D + T) / (N D)^2 with deg T <= 2 deg(N D)
+    a, b = r1.num.degree, r1.den.degree
+    levels = [level]
+    for _ in range(ell - 1):
+        if level.is_zero():
+            raise ValueError(
+                "leading coefficient vanishes; deeper levels are not determined"
+            )
+        if critical:
+            level = _settled(_critical_step(level), 2 * a + 2 * b)
+            a, b = max(3 * a + b, 2 * a + 2 * b), 2 * a + 2 * b
+            if level is None:
+                return None
+        else:
+            level = LogSeries(level.val, [2 * c for c in level.coeffs], level.order)
+        levels.append(level)
+    return levels
 
 
 def llc_level_coefficients(
@@ -286,20 +410,17 @@ def llc_level_coefficients(
 
     Level k+1 is obtained from level k by r -> 2r (alpha_1 < 2) or
     r -> 2r + t (alpha_1 = 2).  The leading exponent alpha_1 is preserved.
+    Each level is a LogSeries in 1/log n whose sign is decided.
     """
     un = _coerce(u)
     if un.m == 0:
         raise ValueError("no correction term to iterate")
-    levels = [un.r1]
-    critical = un.alpha1 == 2
-    for _ in range(ell - 1):
-        r = levels[-1]
-        if r.is_zero():
-            raise ValueError(
-                "leading coefficient vanishes; deeper levels are not determined"
-            )
-        levels.append(2 * r + _level_increment(r) if critical else 2 * r)
-    return levels
+    terms = START_TERMS
+    while True:
+        levels = _level_chain(un.r1, ell, un.alpha1 == 2, terms)
+        if levels is not None:
+            return levels
+        terms *= 2
 
 
 def llc_threshold(ell: int) -> Fraction:
@@ -403,9 +524,10 @@ def llogconcave_asymptotic(u: Union[AsymSeries, UnForm], ell: int) -> Verdict:
     # level below the last is eventually negative here, so none is zero.
     rule_txt = "2r + t" if critical else "2r"
     for k, rk in enumerate(llc_level_coefficients(un, ell), start=1):
-        sk = sign_at_infinity(rk)
+        sk = rk.sign()
         trace.append(
-            f"level {k}: r_1 = {coef_str(rk)} (map {rule_txt}), sign at infinity {sk:+d}"
+            f"level {k}: r_1 = {inv_log_series_str(rk)} (map {rule_txt}), "
+            f"sign at infinity {sk:+d}"
         )
         if sk >= 0:
             return Verdict(

@@ -28,6 +28,20 @@ def _scalar_str(x) -> str:
     return f"~{float((lo + hi) / 2):.10g}"
 
 
+def _join(parts: list) -> str:
+    """Sum of signed terms: a part "-t" joins as " - t"."""
+    out = parts[0]
+    for part in parts[1:]:
+        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    return out
+
+
+def _log_term(cs: str, k: int) -> str:
+    """The term cs*log(n)^k for k >= 1, with a unit coefficient left out."""
+    var = "log(n)" if k == 1 else f"log(n)^{k}"
+    return var if cs == "1" else f"-{var}" if cs == "-1" else f"{cs}*{var}"
+
+
 def poly_in_log_str(p: Poly) -> str:
     if p.is_zero():
         return "0"
@@ -37,15 +51,8 @@ def poly_in_log_str(p: Poly) -> str:
         if scalar_sign(c) == 0:
             continue
         cs = _scalar_str(c)
-        if k == 0:
-            parts.append(cs)
-        else:
-            var = "log(n)" if k == 1 else f"log(n)^{k}"
-            parts.append(var if cs == "1" else f"-{var}" if cs == "-1" else f"{cs}*{var}")
-    out = parts[0]
-    for part in parts[1:]:
-        out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-    return out
+        parts.append(cs if k == 0 else _log_term(cs, k))
+    return _join(parts)
 
 
 def coef_str(c: RatFunc) -> str:
@@ -55,6 +62,34 @@ def coef_str(c: RatFunc) -> str:
     if c.den.degree <= 0 and c.den.constant() == 1:
         return f"({num})"
     return f"(({num})/({poly_in_log_str(c.den)}))"
+
+
+def _inv_log_term(cs: str, k: int) -> str:
+    """The term cs*x^k in x = 1/log n."""
+    if k == 0:
+        return cs
+    if k < 0:
+        return _log_term(cs, -k)
+    return f"{cs}/" + ("log(n)" if k == 1 else f"log(n)^{k}")
+
+
+def inv_log_series_str(s) -> str:
+    """Leading terms of a series in x = 1/log n with exact coefficients.
+
+    `s` has `val`, `coeffs` (coefficient of x^(val+i) at i) and `order`
+    (the error exponent, None when the series is an exact constant).  At
+    most four exponents are shown, then the O-term: ``-2 - 16/log(n) +
+    22/log(n)^3 + O(1/log(n)^4)``.
+    """
+    if s.order is None:
+        return _scalar_str(s.coeffs[0]) if s.coeffs else "0"
+    stop = min(s.val + 4, s.order)
+    parts = [
+        _inv_log_term(_scalar_str(c), k)
+        for k, c in enumerate(s.coeffs[: stop - s.val], start=s.val)
+        if scalar_sign(c) != 0
+    ]
+    return _join(parts + [f"O({_inv_log_term('1', stop)})"])
 
 
 def power_str(e: Fraction) -> str:
@@ -79,12 +114,7 @@ def term_str(e: Fraction, c: RatFunc) -> str:
 
 def series_to_text(s: AsymSeries) -> str:
     parts = [term_str(e, c) for e, c in s.terms]
-    if not parts:
-        out = "0"
-    else:
-        out = parts[0]
-        for part in parts[1:]:
-            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+    out = _join(parts) if parts else "0"
     if s.error_order is not None:
         out += f" + o({power_str(s.error_order)})"
     return out

@@ -209,6 +209,8 @@ class TermTable:
         return self._vals[n]
 
     def values(self, lo: int, hi: int) -> list[Fraction]:
+        if lo < 0:
+            raise IndexError("negative index")
         self.ensure(hi)
         return self._vals[lo : hi + 1]
 
@@ -338,10 +340,12 @@ def phi_values(
     check_scaling(scaling)
     if level < 0:
         raise ValueError("level must be >= 0")
+    if lo < 0:
+        raise ValueError(f"phi values from n = {lo} need a({lo}); indices start at 0")
     need_hi = hi + 2 * level
     base = table.values(lo, need_hi)
     if scaling == "factorial":
-        f = math.factorial(lo) if lo >= 0 else 1
+        f = math.factorial(lo)
         scaled = []
         for i, v in enumerate(base):
             scaled.append(v / f)
@@ -369,11 +373,14 @@ def check_inequality_range(
 ) -> list[int]:
     """Indices in [lo, hi] where the named inequality fails.
 
-    `strict` demands sign > 0; otherwise >= 0.  The table is filled once,
-    so disjoint ranges may afterwards be checked concurrently.
+    `strict` demands sign > 0; otherwise >= 0.  The window at n starts at
+    a(n-1), so lo must be at least 1.  The table is filled to hi + 2 once,
+    before the scan.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
+    if lo < 1:
+        raise ValueError(f"the window at n = {lo} needs a({lo - 1}); scans start at n = 1")
     fn = PREDICATES[predicate]
     table.ensure(hi + 2)
     bad = []

@@ -17,7 +17,6 @@ from turancert.algebra import (
     Poly,
     RatFunc,
     eventual_positivity_threshold,
-    sign_at_infinity,
 )
 from turancert.asymptotics import (
     AsymSeries,
@@ -168,7 +167,7 @@ def test_iterated_log_concavity_levels():
     ic = get("inverse-catalan")
     assert llogconcave_verdict(ic.recurrence, 2).result == "holds"
     u_ic = u_expansion(ratio_expansion(ic.recurrence, 8))
-    assert [sign_at_infinity(r) for r in llc_level_coefficients(u_ic, 2)] == [-1, -1]
+    assert [r.sign() for r in llc_level_coefficients(u_ic, 2)] == [-1, -1]
     table = TermTable(ic.recurrence)
     for level in (1, 2):
         assert all(v > 0 for v in phi_values(table, level, 100, 2000))
@@ -181,7 +180,7 @@ def test_iterated_log_concavity_levels():
     assert [r.constant_value() for r in llc_level_coefficients(u_cube, 6)] == [
         F(-3), F(-4), F(-6), F(-10), F(-18), F(-34),
     ]
-    assert all(sign_at_infinity(r) < 0 for r in llc_level_coefficients(u_sqlog, 6))
+    assert all(r.sign() < 0 for r in llc_level_coefficients(u_sqlog, 6))
 
     # positivity through level 7 makes every level up to 6 strictly
     # log-concave on the window

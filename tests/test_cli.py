@@ -7,6 +7,7 @@ import json
 import shutil
 import subprocess
 import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -137,6 +138,33 @@ class TestAsymptotics:
         code, out, err = run(capsys, "ratio-asymp", src, "-K", "2")
         assert (code, err) == (0, "")
         assert f"root of x^2 - 1{'0' * 200}*x + 1" in out
+        line = next(ln for ln in out.splitlines() if ln.startswith("lambda in ["))
+        assert line.endswith("lambda ~ 1e+200")
+        lo, hi = (F(x) for x in line[len("lambda in ["):line.index("]")].split(", "))
+        code, out, _ = run(capsys, "--json", "ratio-asymp", src, "-K", "2")
+        growth = json.loads(out)["growth"]
+        assert [F(x) for x in growth["lambdaInterval"]] == [lo, hi]
+        assert growth["lambdaApprox"] == 1e200
+        minpoly = [F(c) for c in growth["lambdaMinimalPolynomial"]]
+
+        def p(x):
+            return sum(c * x**k for k, c in enumerate(minpoly))
+
+        assert lo < hi and p(lo) * p(hi) < 0
+
+    def test_expansion_error_details_under_json(self, capsys):
+        # a(n+1) = -a(n): the edge polynomial x + 1 has no positive root
+        src = "a(n+1) + a(n) = 0 ; a(0)=1"
+        code, out, err = run(capsys, "--json", "ratio-asymp", src)
+        assert code == 1
+        assert err.startswith("error: edge polynomial has no positive real root")
+        assert err.count("\n") == 1
+        doc = json.loads(out)
+        assert doc["error"] == err[len("error: "):].strip()
+        assert doc["details"]["edgePolynomial"] == ["1", "1"]
+        assert doc["details"]["branches"] == []
+        code, out, err2 = run(capsys, "ratio-asymp", src)
+        assert (code, out, err2) == (1, "", err)
 
 
 class TestVerdictCommands:

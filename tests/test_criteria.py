@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from turancert.algebra import Poly, RatFunc, sign_at_infinity
+from turancert.algebra import AlgebraicReal, NumberField, Poly, RatFunc
 from turancert.asymptotics import (
     AsymSeries,
     phi_u_expansion,
@@ -17,8 +17,11 @@ from turancert.asymptotics import (
     u_power_log,
 )
 from turancert.corpus import get
+from turancert import criteria
 from turancert.criteria import (
+    LogSeries,
     UnForm,
+    _settled,
     llc_level_coefficients,
     llc_threshold,
     llogconcave_asymptotic,
@@ -41,6 +44,35 @@ def L_func(num, den=(1,)):
 def u_of(name, order=4, scaling="none"):
     rec = get(name).recurrence
     return u_expansion(ratio_expansion(rec, order), scaling=scaling)
+
+
+def exact_level(r):
+    """Oracle: the critical level map 2r + 2 + (log r)'' - (log r)' on a RatFunc."""
+    lr = r.derivative() / r
+    return 2 * r + lr.derivative() - lr + 2
+
+
+def coef(s, k):
+    """Coefficient of x^k, x = 1/log n, in a LogSeries."""
+    i = k - s.val
+    return s.coeffs[i] if 0 <= i < len(s.coeffs) else F(0)
+
+
+def same_prefix(level, r) -> bool:
+    """The level agrees with the expansion of r(log n) wherever it is known."""
+    exact = LogSeries.from_ratfunc(r, 64)
+    if level.order is None:
+        return exact.order is None and level.coeffs == exact.coeffs
+    assert level.coeffs and level.order < exact.order
+    lo = min(level.val, exact.val)
+    return all(coef(level, k) == coef(exact, k) for k in range(lo, level.order))
+
+
+def exact_chain(r1, ell):
+    levels = [r1]
+    for _ in range(ell - 1):
+        levels.append(exact_level(levels[-1]))
+    return levels
 
 
 class TestUnForm:
@@ -188,6 +220,7 @@ class TestLogConcavityLevels:
     def test_level_coefficients_inverse_catalan(self):
         levels = llc_level_coefficients(u_of("inverse-catalan"), 3)
         assert [r.constant_value() for r in levels] == [F(-3, 2), F(-1), F(0)]
+        assert levels[2].is_zero() and levels[2].sign() == 0
         with pytest.raises(ValueError):
             llc_level_coefficients(u_of("inverse-catalan"), 4)
 
@@ -195,19 +228,20 @@ class TestLogConcavityLevels:
         u = u_of("inverse-catalan", order=8)
         levels = llc_level_coefficients(u, 3)
         p1 = phi_u_expansion(u)
-        assert p1.coefficient(F(2)) == levels[1]
+        assert same_prefix(levels[1], p1.coefficient(F(2)))
         p2 = phi_u_expansion(p1)
         assert p2.coefficient(F(2)).is_zero()
 
     def test_level_map_matches_phi_subcritical(self):
         u = u_of("motzkin", order=8, scaling="factorial")
         levels = llc_level_coefficients(u, 2)
-        assert phi_u_expansion(u).coefficient(F(1)) == levels[1]
+        assert same_prefix(levels[1], phi_u_expansion(u).coefficient(F(1)))
 
     def test_level_map_matches_phi_with_log_terms(self):
         u = u_power_log(2, 1, F(10))
         levels = llc_level_coefficients(u, 2)
-        assert phi_u_expansion(u).coefficient(F(2)) == levels[1]
+        assert levels[1].order is not None  # not a constant
+        assert same_prefix(levels[1], phi_u_expansion(u).coefficient(F(2)))
 
     def test_motzkin_scaled_levels_subcritical(self):
         rec = get("motzkin").recurrence
@@ -240,7 +274,7 @@ class TestLogConcavityLevels:
         v = llogconcave_asymptotic(u, 6)
         assert (v.result, v.rule) == ("holds", "llc.critical.threshold")
         for r in llc_level_coefficients(u, 6):
-            assert sign_at_infinity(r) < 0
+            assert r.sign() < 0
 
     def test_grant_by_deficit_at_threshold_limit(self):
         # r_1 -> -1 from below: level 2 is granted although the limit sits
@@ -272,6 +306,72 @@ class TestLogConcavityLevels:
         table = TermTable(get("inverse-catalan").recurrence)
         vals = phi_values(table, 2, 100, 160)
         assert all(v > 0 for v in vals)
+
+
+class TestLevelSeries:
+    """The level chain in x = 1/log n against the exact RatFunc level map."""
+
+    def test_prefixes_match_exact_chain_n2logn(self):
+        r1 = to_un_form(u_power_log(2, 1, F(14))).r1
+        levels = llc_level_coefficients(u_power_log(2, 1, F(14)), 5)
+        for level, r in zip(levels, exact_chain(r1, 5)):
+            assert level.val == 0 and level.sign() == -1
+            assert same_prefix(level, r)
+
+    def test_laurent_r1_tends_to_minus_infinity(self):
+        r1 = L_func([-3, -1])  # -log n - 3
+        un = UnForm([(F(2), r1)], None)
+        levels = llc_level_coefficients(un, 4)
+        for level, r in zip(levels, exact_chain(r1, 4)):
+            assert (level.val, level.sign()) == (-1, -1)
+            assert same_prefix(level, r)
+        v = llogconcave_asymptotic(un, 4)
+        assert (v.result, v.rule) == ("holds", "llc.critical.threshold")
+
+    def test_valuation_rise_is_followed(self, monkeypatch):
+        # r_1 = -1 + 1/log n: level 2 = 2/log n + ... tends to 0 from above
+        r1 = L_func([1, -1], [0, 1])
+        un = UnForm([(F(2), r1)], None)
+        levels = llc_level_coefficients(un, 3)
+        assert [(lv.val, lv.sign()) for lv in levels] == [(0, -1), (1, 1), (0, 1)]
+        for level, r in zip(levels, exact_chain(r1, 3)):
+            assert same_prefix(level, r)
+        # from a single term of r_1 the chain must raise its precision
+        monkeypatch.setattr(criteria, "START_TERMS", 1)
+        short = llc_level_coefficients(un, 3)
+        assert [(lv.val, lv.sign()) for lv in short] == [(0, -1), (1, 1), (0, 1)]
+        for level, r in zip(short, exact_chain(r1, 3)):
+            assert same_prefix(level, r)
+
+    def test_number_field_coefficients(self):
+        nf = NumberField(AlgebraicReal(Poly([-2, 0, 1]), F(1), F(2)))
+        r1 = RatFunc(Poly([F(-1), -2 * nf.generator()]), Poly([0, 1]))  # -2 sqrt2 - 1/log n
+        levels = llc_level_coefficients(UnForm([(F(2), r1)], None), 3)
+        for level, r in zip(levels, exact_chain(r1, 3)):
+            assert level.sign() == -1
+            assert same_prefix(level, r)
+
+    def test_exactly_zero_level_raises(self):
+        levels = llc_level_coefficients(u_of("inverse-catalan"), 3)
+        assert levels[2].is_zero()
+        with pytest.raises(ValueError, match="leading coefficient vanishes"):
+            llc_level_coefficients(u_of("inverse-catalan"), 4)
+
+    def test_zero_is_proved_only_past_the_degree_bound(self):
+        known_zero = LogSeries(0, [F(0)] * 3, 3)
+        assert _settled(known_zero, 3) is None
+        assert _settled(known_zero, 2).is_zero()
+        decided = LogSeries(0, [F(0), F(-1)], 2)
+        assert _settled(decided, 5) is decided and decided.val == 1
+
+    def test_trace_prints_leading_terms(self):
+        v = llogconcave_asymptotic(u_power_log(2, 1, F(14)), 5)
+        assert (
+            "level 5: r_1 = -2 - 16/log(n) + 22/log(n)^3 + O(1/log(n)^4) (map 2r + t),"
+            " sign at infinity -1"
+        ) in v.trace
+        v = llogconcave_asymptotic(u_of("inverse-catalan"), 2)
+        assert "level 2: r_1 = -1 (map 2r + t), sign at infinity -1" in v.trace
 
 
 class TestDrivers:

@@ -182,6 +182,29 @@ def test_phi_values_level2_matches_manual_iteration():
     assert phi_values(table, 2, 0, 4, scaling="factorial") == manual
 
 
+def test_values_rejects_negative_start():
+    table = TermTable(corpus.get("motzkin").recurrence)
+    with pytest.raises(IndexError):
+        table.values(-3, 12)  # used to slice from the end and start at a(10)
+    assert table.values(0, 3) == [F(1), F(1), F(2), F(4)]
+
+
+def test_inequality_scan_rejects_window_below_zero():
+    table = TermTable(corpus.get("motzkin").recurrence)
+    with pytest.raises(ValueError, match="needs a\\(-1\\)"):
+        check_inequality_range(table, "turan3", 0, 10)
+    with pytest.raises(ValueError):
+        check_inequality_range(table, "log-concave", -2, 10)
+    assert check_inequality_range(table, "log-concave", 1, 3) == [1, 2, 3]
+
+
+def test_phi_values_rejects_negative_start():
+    table = square_table()
+    with pytest.raises(ValueError, match="need a\\(-1\\)"):
+        phi_values(table, 1, -1, 3)
+    assert phi_values(table, 1, 0, 0) == [F(1 - 0)]
+
+
 def test_u_value_zero_term_raises():
     table = TermTable(corpus.get("fine").recurrence)
     assert table.value(1) == 0
