@@ -22,6 +22,7 @@ expansion beyond the inductively proved windows.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import ClassVar, Optional
@@ -42,7 +43,13 @@ from .asymptotics import (
     u_expansion,
 )
 from .render import frac_str, ratfunc_to_json
-from .sequences import Recurrence, TermTable, check_inequality_range, check_scaling, u_value
+from .sequences import (
+    Recurrence,
+    TermTable,
+    check_inequality_range,
+    check_scaling,
+    u_bound_sign,
+)
 
 BASE_SCAN_BUDGET = 10000
 
@@ -281,17 +288,40 @@ def scaled_bounds(ub: UBounds, scaling: str) -> UBounds:
     return replace(ub, lower=ub.lower * factor, upper=ub.upper * factor)
 
 
+def _integer_coeffs(r: RatFunc) -> tuple:
+    """Numerator and denominator of r as integer coefficients, highest first."""
+    num, den = r.num.coeffs, r.den.coeffs
+    m = math.lcm(*(c.denominator for c in num + den))
+    return tuple(int(c * m) for c in reversed(num)), tuple(int(c * m) for c in reversed(den))
+
+
+def _horner(coeffs: tuple, n: int) -> int:
+    acc = 0
+    for c in coeffs:
+        acc = acc * n + c
+    return acc
+
+
 def first_escape(
     table: TermTable, scaling: str, g: RatFunc, f: RatFunc, lo: int, hi: int
 ) -> Optional[int]:
     """First n in [lo, hi] with u_n outside [g(n), f(n)], or None.
 
-    An index where g or f has a pole, or where a(n) = 0 leaves u_n
-    undefined, counts as an escape.
+    The window is closed, and containment is decided exactly without
+    normalising a Fraction: g and f become integer coefficients once, each
+    bound is evaluated at n by integer Horner as p/q, and `u_bound_sign`
+    compares u_n with p/q through a form in the terms.  An index where g or
+    f has a pole (q = 0), or where a(n) = 0 leaves u_n undefined, counts as
+    an escape.  Terms are filled lazily: checking n needs a(n+1) and
+    nothing beyond it.
     """
+    (gp, gq), (fp, fq) = _integer_coeffs(g), _integer_coeffs(f)
     for n in range(lo, hi + 1):
         try:
-            inside = g.eval(n) <= u_value(table, n, scaling) <= f.eval(n)
+            inside = (
+                u_bound_sign(table, n, _horner(gp, n), _horner(gq, n), scaling) >= 0
+                and u_bound_sign(table, n, _horner(fp, n), _horner(fq, n), scaling) <= 0
+            )
         except ZeroDivisionError:
             inside = False
         if not inside:
@@ -516,7 +546,9 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
     window validity; u_n sits in the stored window on a hundred sampled
     indices; and the initial-segment violation list is reproduced.  For the
     window-only kind ("u-window") it recomputes the window functions and
-    rechecks the stored segment exactly.  Returns (ok, diagnosis list).
+    rechecks the stored segment exactly; a segment that starts anywhere but
+    right after validFrom, or that is empty (`to` below `from`), is
+    rejected.  Returns (ok, diagnosis list).
     """
     if table is None:
         table = TermTable(rec)
@@ -616,6 +648,8 @@ def _replay_u_window(rec, table, scaling, g, f, valid_from, order, segment) -> l
     lo, hi = segment
     if lo != valid_from + 1:
         return bad + ["checked segment does not start right after validFrom"]
+    if hi < lo:
+        return bad + ["checked segment is empty"]
     n = first_escape(table, scaling, g, f, lo, hi)
     if n is not None:
         bad.append(f"u at n = {n} escapes the stored window")

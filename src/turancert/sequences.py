@@ -10,8 +10,10 @@ stay integral automatically.  A disk cache (length-prefixed big
 integers, rewritten whole and swapped in with `os.replace`) makes
 repeated long runs cheap.
 
-The Turan and log-concavity signs are exact but filtered.  Both forms are
-homogeneous polynomials in the window a(n-1), a(n), ..., so their sign is
+Three signs are exact but filtered: the Turan form, the log-concavity
+form, and the comparison of u_n = a(n-1)a(n+1)/a(n)^2 with a rational
+bound p/q (the form q a(n-1)a(n+1) - p a(n)^2).  Each form is a
+homogeneous polynomial in the window a(n-1), a(n), ..., so its sign is
 unchanged when the window is multiplied by a positive number.
 `_form_sign` multiplies by the lcm of the denominators, which makes the
 entries integers x, and then divides by 2^s, where s is the largest bit
@@ -327,6 +329,25 @@ def logconcave_sign(table: TermTable, n: int, scaling: str = "none") -> int:
     """Sign of a_n^2 - a_{n-1} a_{n+1} on the scaled sequence."""
     check_scaling(scaling)
     return _form_sign(_logconcave_form, _scaled_window(table, n, 3, scaling))
+
+
+def u_bound_sign(table: TermTable, n: int, p: int, q: int, scaling: str = "none") -> int:
+    """Sign of u_n - p/q on the scaled sequence, for integers p and q.
+
+    As a(n)^2 > 0, u_n - p/q has the sign of q a(n-1)a(n+1) - p a(n)^2
+    times the sign of q.  The form is homogeneous of degree 2, so on the
+    factorial-rescaled window it gives the sign for the scaled u_n.  Raises
+    ZeroDivisionError when q = 0 or a(n) = 0, where the comparison is
+    undefined.
+    """
+    check_scaling(scaling)
+    if q == 0:
+        raise ZeroDivisionError(f"bound has a pole at n={n}")
+    window = _scaled_window(table, n, 3, scaling)
+    if window[1] == 0:
+        raise ZeroDivisionError(f"a({n}) = 0")
+    s = _form_sign(lambda w: q * (w[0] * w[2]) - p * w[1] ** 2, window)
+    return s if q > 0 else -s
 
 
 def phi_values(

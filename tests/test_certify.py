@@ -18,13 +18,14 @@ from turancert.certify import (
     certify_u_window,
     corner_polynomial,
     corner_suite,
+    first_escape,
     scaled_bounds,
     turan_form,
     u_bound_functions,
     verify_certificate,
 )
 from turancert.corpus import get
-from turancert.sequences import TermTable, u_value
+from turancert.sequences import Recurrence, TermTable, u_value
 
 
 def rf(num, den=(1,)) -> RatFunc:
@@ -334,6 +335,139 @@ class TestUWindowCertificate:
         doc["checkedSegment"]["from"] = 0
         ok, diag = verify_certificate(doc, e.recurrence, t)
         assert (ok, diag) == (False, ["checked segment does not start right after validFrom"])
+
+    @pytest.mark.parametrize("to", [6, 3, -5])
+    def test_verify_rejects_empty_segment(self, to):
+        # a segment ending before it starts rechecks no index at all
+        e = get("binomial4")
+        t = TermTable(e.recurrence)
+        doc = certify_u_window(e.recurrence, 4, table=t).to_json()
+        assert doc["checkedSegment"]["from"] == 7
+        doc["checkedSegment"]["to"] = to
+        ok, diag = verify_certificate(doc, e.recurrence, t)
+        assert (ok, diag) == (False, ["checked segment is empty"])
+
+
+def oracle_escape(table, scaling, g, f, lo, hi):
+    """The Fraction scan that first_escape replaced: u_n between two evaluations."""
+    for n in range(lo, hi + 1):
+        try:
+            inside = g.eval(n) <= u_value(table, n, scaling) <= f.eval(n)
+        except ZeroDivisionError:
+            inside = False
+        if not inside:
+            return n
+    return None
+
+
+def all_escapes(scan, table, scaling, g, f, lo, hi):
+    """Every index of [lo, hi] that `scan` reports, restarting after each."""
+    out = []
+    while (n := scan(table, scaling, g, f, lo, hi)) is not None:
+        out.append(n)
+        lo = n + 1
+    return out
+
+
+def assert_same_escapes(table, scaling, g, f, lo, hi):
+    got = all_escapes(first_escape, table, scaling, g, f, lo, hi)
+    assert got == all_escapes(oracle_escape, table, scaling, g, f, lo, hi)
+    return got
+
+
+X = RatFunc.variable()
+CERTIFIABLE = ["binomial4", "domb", "fine", "franel3", "inverse-catalan", "motzkin"]
+
+
+def moved_windows(g, f):
+    """The window itself and copies narrowed or widened by c/n^k."""
+    yield g, f
+    for c, k in ((F(1, 2), 1), (F(1, 2), 2), (F(3, 2), 2), (F(1, 3), 3), (F(7), 3), (F(40), 4)):
+        d = c / X**k
+        yield g + d, f - d
+        yield g - d, f + d
+        yield g + d, f
+        yield g, f - d
+
+
+class TestFirstEscape:
+    """first_escape against the Fraction oracle, escape by escape."""
+
+    @pytest.mark.parametrize("scaling", ["none", "factorial"])
+    @pytest.mark.parametrize("name", CERTIFIABLE)
+    def test_certified_windows_match_oracle(self, name, scaling):
+        rec = get(name).recurrence
+        t = TermTable(rec)
+        ub = scaled_bounds(certify_u_bounds(rec, 4, table=t)[1], scaling)
+        escaped = inside = 0
+        for g, f in moved_windows(ub.lower, ub.upper):
+            for lo, hi in ((1, 60), (ub.valid_from + 1, ub.valid_from + 40)):
+                got = assert_same_escapes(t, scaling, g, f, lo, hi)
+                escaped += len(got)
+                inside += hi - lo + 1 - len(got)
+        assert escaped and inside
+
+    def test_bn_negative_first_term(self):
+        # a(0) = -1 makes u_1 = -7
+        e = get("bn")
+        t = TermTable(e.recurrence)
+        g, f = CORNER_PAIRS["bn"]
+        assert t.value(0) == -1
+        for g2, f2 in moved_windows(g, f):
+            assert_same_escapes(t, e.scaling, g2, f2, 1, 60)
+        assert first_escape(t, e.scaling, g, f, 1, 60) == 1
+
+    def test_pole_inside_range(self):
+        # the moved bound has a pole at n = 40 and a negative denominator below it
+        rec = get("binomial4").recurrence
+        t = TermTable(rec)
+        _, ub = certify_u_bounds(rec, 4, table=t)
+        g, f = ub.lower, ub.upper
+        for g2, f2 in (
+            (g - 1 / (X - 40), f),
+            (g, f + 1 / (X - 40)),
+            (g - 1 / (X - 40) ** 2, f + 1 / (X - 40) ** 2),
+        ):
+            got = assert_same_escapes(t, "none", g2, f2, 1, 80)
+            assert 40 in got
+        assert first_escape(t, "none", g - 1 / (X - 40) ** 2, f, 20, 80) == 40
+
+    def test_zero_terms_escape(self):
+        # fine: a(1) = 0 leaves u_1 undefined
+        e = get("fine")
+        t = TermTable(e.recurrence)
+        g, f = window_pair(F(0), F(3), True)
+        assert t.value(1) == 0
+        assert first_escape(t, e.scaling, g, f, 1, 1) == 1
+        assert_same_escapes(t, e.scaling, g, f, 1, 60)
+        # 1, 0, 0, 1, 0, 0, ...: u_1 = u_2 = 0/0, where the form itself is 0
+        t = TermTable(Recurrence([Poly([1]), Poly(), Poly(), Poly([1])], [1, 0, 0]))
+        g, f = RatFunc.const(-1), RatFunc.const(1)
+        assert all_escapes(first_escape, t, "none", g, f, 1, 8) == [1, 2, 4, 5, 7, 8]
+        assert_same_escapes(t, "none", g, f, 1, 8)
+
+    @pytest.mark.parametrize("name, scaling", [("binomial4", "none"), ("motzkin", "factorial")])
+    def test_bound_equal_to_u_is_inside(self, name, scaling):
+        # equality defeats the filter, so the exact form decides, and <= holds
+        t = TermTable(get(name).recurrence)
+        n0 = 30
+        c = RatFunc.const(u_value(t, n0, scaling))
+        assert first_escape(t, scaling, c, c, n0, n0) is None
+        assert first_escape(t, scaling, c, RatFunc.const(10), n0, n0) is None
+        assert first_escape(t, scaling, RatFunc.const(0), c, n0, n0) is None
+        got = assert_same_escapes(t, scaling, c, c, n0 - 5, n0 + 5)
+        assert got == [n for n in range(n0 - 5, n0 + 6) if n != n0]
+
+    def test_rejecting_scan_fills_terms_lazily(self):
+        # tampered motzkin upper bound: u leaves it at n = 231 of [68, 2000]
+        rec = get("motzkin").recurrence
+        _, ub = certify_u_bounds(rec, 4)
+        ub = scaled_bounds(ub, "factorial")
+        assert ub.valid_from == 67
+        f = (1 + F(3, 2) / X**2 - F(39, 8) / X**3 + (F(489, 32) - F(1, 5)) / X**4) * SCALE
+        t = TermTable(rec)
+        assert first_escape(t, "factorial", ub.lower, f, 68, 2000) == 231
+        assert len(t) <= 233
 
 
 class TestRectangleLemma:

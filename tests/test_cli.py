@@ -270,6 +270,16 @@ class TestCertifyAndVerify:
         assert code == 3
         assert "REJECTED" in out
 
+    def test_verify_rejects_empty_segment(self, capsys, tmp_path):
+        cert_path = tmp_path / "b4.json"
+        run(capsys, "certify", "binomial4", "-o", str(cert_path))
+        doc = json.loads(cert_path.read_text())
+        doc["checkedSegment"]["to"] = doc["checkedSegment"]["from"] - 1
+        cert_path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(cert_path), "binomial4")
+        assert code == 3
+        assert "REJECTED" in out and "checked segment is empty" in out
+
     def test_verify_wrong_sequence(self, capsys, tmp_path):
         cert_path = tmp_path / "m.json"
         run(capsys, "certify", "motzkin", "-o", str(cert_path))
