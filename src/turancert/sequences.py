@@ -5,10 +5,33 @@ A recurrence of order d is stored with cleared denominators as
     p0(n) * a(n+d) = p1(n) * a(n+d-1) + ... + pd(n) * a(n),   n >= 0,
 
 with integer-coefficient polynomials and rational initial values
-a(0..m), m >= d-1.  Terms are exact Fractions; integer-valued sequences
-stay integral automatically.  A disk cache (length-prefixed big
-integers, rewritten whole and swapped in with `os.replace`) makes
-repeated long runs cheap.
+a(0..m), m >= d-1.  Terms are exact, and every stored term is a canonical
+`Fraction` (coprime, positive denominator), equal and hash-equal to what
+`Fraction` arithmetic gives.
+
+`TermTable` steps on integers.  When the table is built, the coefficients
+of p0..pd are scaled by one common positive integer, which leaves the
+recurrence unchanged, and each pk(m) is then an integer Horner sum.  The
+last d terms are carried as integers x over one positive common
+denominator D.  A step computes S = p1(m) x(m+d-1) + ... + pd(m) x(m), so
+a(m+d) = S / (D p0(m)); it divides S and p0(m) by their gcd g (with the
+sign of p0(m), so that D stays positive) and, only when p0(m)/g is not 1,
+scales the window and D by it.  An integer sequence thus keeps D = 1 and
+stores each term with no gcd but the small one; otherwise the term is
+stored after one gcd(S, D).  For order 1 the reduced term itself is the
+carried state, so D cannot outgrow the term's own denominator.  The state
+lives on the table, so filling one index at a time does not rebuild it; it
+is rebuilt from the last d stored terms when the table grew another way,
+such as a cache load.
+
+The disk cache (`CACHE_MAGIC` "TCTERMS2") holds every known term as
+length-prefixed big-endian signed numerator and denominator, followed by
+the SHA-256 of those entries.  It is rewritten whole and swapped in with
+`os.replace`.  A load checks the digest and then builds each pair as an
+already reduced `Fraction` without another gcd; a digest mismatch, a
+truncated entry or a denominator <= 0 is a `CacheError`.  A file in the
+older "TCTERMS1" format, which has no digest, is read as a cache miss and
+rewritten by the next flush.
 
 Three signs are exact but filtered: the Turan form, the log-concavity
 form, and the comparison of u_n = a(n-1)a(n+1)/a(n)^2 with a rational
@@ -33,13 +56,14 @@ import hashlib
 import math
 import os
 import struct
-import tempfile
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .algebra import Poly
 
-CACHE_MAGIC = b"TCTERMS1"
+CACHE_MAGIC = b"TCTERMS2"
+_STALE_MAGIC = b"TCTERMS1"  # the format before the digest: a cache miss
+_DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 class CacheError(RuntimeError):
@@ -114,6 +138,28 @@ def _encode_int(v: int) -> bytes:
     return struct.pack(">I", len(raw)) + raw
 
 
+def _reduced(num: int, den: int) -> Fraction:
+    """The Fraction num/den for coprime num and den > 0, built without a gcd."""
+    v = object.__new__(Fraction)
+    v._numerator = num
+    v._denominator = den
+    return v
+
+
+def _integer_coeffs(rec: Recurrence) -> list[tuple[int, ...]]:
+    """p0..pd times the lcm of all their coefficient denominators, highest
+    degree first, for integer Horner evaluation."""
+    scale = math.lcm(*(c.denominator for p in rec.coeffs for c in p.coeffs))
+    return [tuple(int(c * scale) for c in reversed(p.coeffs)) for p in rec.coeffs]
+
+
+def _horner(cs: tuple[int, ...], m: int) -> int:
+    acc = 0
+    for c in cs:
+        acc = acc * m + c
+    return acc
+
+
 class TermTable:
     """Exact terms of a recurrence with optional disk persistence."""
 
@@ -122,6 +168,9 @@ class TermTable:
         self.cache_dir = cache_dir
         self._vals: list[Fraction] = list(rec.initials)
         self._persisted = 0
+        self._coeffs = _integer_coeffs(rec)
+        # (len(_vals), x, D): a(len - d + i) = x[i] / D, valid while len matches
+        self._state: Optional[tuple[int, list[int], int]] = None
         self.expansions: dict = {}  # (recurrence, rho) -> state kept by ratio_expansion
         self.u_bounds: dict = {}  # (recurrence, order) -> (rb, ub) kept by certify_u_bounds
         if cache_dir:
@@ -139,22 +188,33 @@ class TermTable:
             return
         with open(path, "rb") as fh:
             blob = fh.read()
-        if len(blob) < len(CACHE_MAGIC) or blob[: len(CACHE_MAGIC)] != CACHE_MAGIC:
+        head = blob[: len(CACHE_MAGIC)]
+        if head == _STALE_MAGIC:
+            return
+        if head != CACHE_MAGIC:
             raise CacheError(f"bad cache header in {path}")
+        end = len(blob) - _DIGEST_SIZE
+        view = memoryview(blob)
+        if end < len(CACHE_MAGIC) or (
+            hashlib.sha256(view[len(CACHE_MAGIC) : end]).digest() != blob[end:]
+        ):
+            raise CacheError(f"cache digest mismatch in {path}")
         vals: list[Fraction] = []
         pos = len(CACHE_MAGIC)
         try:
-            while pos < len(blob):
+            while pos < end:
                 nums = []
                 for _ in range(2):
-                    (ln,) = struct.unpack_from(">I", blob, pos)
+                    (ln,) = struct.unpack_from(">I", view, pos)
                     pos += 4
-                    if ln == 0 or pos + ln > len(blob):
+                    if ln == 0 or pos + ln > end:
                         raise CacheError(f"truncated cache entry in {path}")
-                    nums.append(int.from_bytes(blob[pos : pos + ln], "big", signed=True))
+                    nums.append(int.from_bytes(view[pos : pos + ln], "big", signed=True))
                     pos += ln
-                vals.append(Fraction(nums[0], nums[1]))
-        except (struct.error, ValueError, ZeroDivisionError) as exc:
+                if nums[1] <= 0:
+                    raise CacheError(f"denominator {nums[1]} at index {len(vals)} in {path}")
+                vals.append(_reduced(nums[0], nums[1]))
+        except struct.error as exc:
             raise CacheError(f"corrupt cache file {path}: {exc}") from None
         # sanity: cached prefix must agree with the declared initial values
         for i, v in enumerate(self.rec.initials):
@@ -169,17 +229,25 @@ class TermTable:
 
         The table goes to a temporary file in the cache directory that then
         replaces the cache file in one `os.replace`, so a reader sees the old
-        file or the new one, and two writers never interleave entries."""
+        file or the new one, and two writers never interleave entries.  The
+        temporary file is created with mode 0o666 under the umask, as `open`
+        would create the cache file itself."""
         if not self.cache_dir or len(self._vals) <= self._persisted:
             return
         path = self._path()
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)
+        fd = os.open(tmp, flags, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(CACHE_MAGIC)
+                digest = hashlib.sha256()
                 for v in self._vals:
-                    fh.write(_encode_int(v.numerator))
-                    fh.write(_encode_int(v.denominator))
+                    for x in (v.numerator, v.denominator):
+                        raw = _encode_int(x)
+                        digest.update(raw)
+                        fh.write(raw)
+                fh.write(digest.digest())
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -189,20 +257,48 @@ class TermTable:
     # -- terms -----------------------------------------------------------
 
     def ensure(self, n: int) -> None:
-        d = self.rec.order
-        coeffs = self.rec.coeffs
         vals = self._vals
+        if len(vals) > n:
+            return
+        p0, *ps = self._coeffs
+        d = len(ps)
+        if self._state is not None and self._state[0] == len(vals):
+            _, xs, den = self._state
+        else:
+            window = vals[-d:]
+            den = math.lcm(*(v.denominator for v in window))
+            xs = [v.numerator * (den // v.denominator) for v in window]
         while len(vals) <= n:
             m = len(vals) - d  # recurrence index producing a(m+d)
-            p0 = coeffs[0].eval(m)
-            if p0 == 0:
+            q = _horner(p0, m)
+            if q == 0:
                 raise SingularRecurrenceError(
                     f"leading coefficient vanishes at n={m}; cannot advance"
                 )
-            acc = Fraction(0)
-            for k in range(1, d + 1):
-                acc += coeffs[k].eval(m) * vals[m + d - k]
-            vals.append(acc / p0)
+            s = 0
+            for k, pk in enumerate(ps, 1):
+                s += _horner(pk, m) * xs[d - k]
+            # a(m+d) = s / (den * q); keep den > 0 by dividing with q's sign
+            g = math.gcd(s, q)
+            if q < 0:
+                g = -g
+            s //= g
+            q //= g
+            if q == 1:
+                xs = xs[1:]
+            else:
+                xs = [x * q for x in xs[1:]]
+                den *= q
+            xs.append(s)
+            if den == 1:
+                v = Fraction(s)
+            else:
+                h = math.gcd(s, den)
+                v = _reduced(s // h, den // h)
+                if d == 1:
+                    xs, den = [v.numerator], v.denominator
+            vals.append(v)
+        self._state = (len(vals), xs, den)
 
     def value(self, n: int) -> Fraction:
         if n < 0:

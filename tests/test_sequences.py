@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -14,10 +16,13 @@ import pytest
 import turancert
 from turancert import corpus
 from turancert.algebra import Poly
+from turancert.parser import parse_recurrence
 from turancert.sequences import (
+    CACHE_MAGIC,
     PREC,
     CacheError,
     Recurrence,
+    SingularRecurrenceError,
     TermTable,
     check_inequality_range,
     logconcave_sign,
@@ -25,8 +30,10 @@ from turancert.sequences import (
     turan3_sign,
     u_value,
     _Box,
+    _encode_int,
     _form_sign,
     _logconcave_form,
+    _reduced,
     _turan3_form,
 )
 
@@ -221,7 +228,172 @@ def test_recurrence_validation():
         Recurrence([Poly([1, 1]), Poly([1])], [])  # too few initial values
 
 
+# -- integer stepping against the Fraction stepping loop ----------------------------
+
+
+def fraction_terms(rec, n):
+    """a(0..n) stepped in normalised Fraction arithmetic, as the table once did."""
+    d = rec.order
+    vals = list(rec.initials)
+    while len(vals) <= n:
+        m = len(vals) - d
+        p0 = rec.coeffs[0].eval(m)
+        if p0 == 0:
+            raise SingularRecurrenceError(f"leading coefficient vanishes at n={m}; cannot advance")
+        acc = F(0)
+        for k in range(1, d + 1):
+            acc += rec.coeffs[k].eval(m) * vals[m + d - k]
+        vals.append(acc / p0)
+    return vals
+
+
+def _pairs(vals):
+    return [(v.numerator, v.denominator, hash(v)) for v in vals]
+
+
+STEPPING_RECS = {
+    **{name: corpus.get(name).recurrence for name in sorted(corpus.ENTRIES)},
+    "square-ratio": parse_recurrence("a(n+1) - (n+2)^2/(n+1)^2*a(n) = 0; a(0) = 1"),
+    # p0 has fractional coefficients and changes sign at n = 2
+    "fractional-coeffs": Recurrence(
+        [Poly([F(-5, 2), F(1, 1)]), Poly([F(1, 3), F(2, 7)]), Poly([F(-3, 4)])],
+        [F(2), F(-1, 5)],
+    ),
+    "rational-order2": Recurrence(
+        [Poly([3, 4, 1]), Poly([1, 2]), Poly([-5, -1])], [F(1, 3), F(2, 7)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEPPING_RECS))
+def test_integer_stepping_matches_fraction_oracle(name):
+    rec = STEPPING_RECS[name]
+    n = 400 if name in corpus.ENTRIES else 150
+    assert _pairs(TermTable(rec).values(0, n)) == _pairs(fraction_terms(rec, n))
+
+
+def test_stepping_oracle_covers_zero_and_negative_terms():
+    assert TermTable(corpus.get("fine").recurrence).value(1) == 0
+    assert min(TermTable(corpus.get("bn").recurrence).values(0, 5)) < 0
+    vals = TermTable(STEPPING_RECS["rational-order2"]).values(0, 60)
+    assert any(v < 0 for v in vals) and len({v.denominator for v in vals}) > 10
+
+
+@pytest.mark.parametrize("name", ["inverse-catalan", "involutions", "bn", "fine", "rational-order2"])
+def test_many_small_ensures_match_one_fill(name):
+    rec = STEPPING_RECS[name]
+    rng = random.Random(9)
+    lazy = TermTable(rec)
+    n = 0
+    while n < 300:
+        n += rng.choice((1, 1, 1, 2, 3, 17))
+        lazy.ensure(n)
+    assert _pairs(lazy.values(0, n)) == _pairs(TermTable(rec).values(0, n))
+
+
+@pytest.mark.parametrize("name", ["involutions", "bn", "rational-order2", "square-ratio"])
+def test_extending_a_loaded_table_matches_oracle(name, tmp_path):
+    rec = STEPPING_RECS[name]
+    first = TermTable(rec, cache_dir=str(tmp_path))
+    first.ensure(49)
+    first.flush()
+    loaded = TermTable(rec, cache_dir=str(tmp_path))
+    assert len(loaded) == 50
+    assert _pairs(loaded.values(0, 250)) == _pairs(fraction_terms(rec, 250))
+
+
+def test_singular_recurrence_raises_where_the_oracle_does():
+    rec = parse_recurrence("(n-3)*a(n+1) - a(n) = 0; a(0) = 1")
+    with pytest.raises(SingularRecurrenceError) as want:
+        fraction_terms(rec, 10)
+    table = TermTable(rec)
+    for _ in range(2):
+        with pytest.raises(SingularRecurrenceError) as got:
+            table.ensure(10)
+        assert str(got.value) == str(want.value) == (
+            "leading coefficient vanishes at n=3; cannot advance"
+        )
+    assert _pairs(table.values(0, 3)) == _pairs(fraction_terms(rec, 3))
+
+
+def test_reduced_fraction_equals_normalised_fraction():
+    rng = random.Random(10)
+    cases = [(0, 1), (5, 1), (-7, 1), (3, 2**61 - 1), (-(2**200 + 1), 2**61 - 1)]
+    while len(cases) < 300:
+        num = rng.getrandbits(rng.choice((8, 70, 900))) * rng.choice((1, -1))
+        den = rng.getrandbits(rng.choice((3, 64, 700))) + 1
+        g = math.gcd(num, den)
+        cases.append((num // g, den // g))
+    for num, den in cases:
+        v, want = _reduced(num, den), F(num, den)
+        assert type(v) is F
+        assert (v.numerator, v.denominator) == (num, den)
+        assert v == want and hash(v) == hash(want) and {v: 1}[want] == 1
+
+
 # -- cache --------------------------------------------------------------------
+
+
+def _write_cache(path, pairs, magic=CACHE_MAGIC, digest=True):
+    payload = b"".join(_encode_int(x) for pair in pairs for x in pair)
+    tail = hashlib.sha256(payload).digest() if digest else b""
+    path.write_bytes(magic + payload + tail)
+
+
+def test_cache_digest_rejects_flipped_term_byte(tmp_path):
+    rec = corpus.get("motzkin").recurrence
+    t = TermTable(rec, cache_dir=str(tmp_path))
+    t.ensure(40)
+    t.flush()
+    assert t.value(30) == 1697385471211
+    path = next(tmp_path.iterdir())
+    blob = bytearray(path.read_bytes())
+    pos = len(CACHE_MAGIC)
+    for v in t.values(0, 29):
+        pos += len(_encode_int(v.numerator)) + len(_encode_int(v.denominator))
+    raw = _encode_int(t.value(30).numerator)
+    assert blob[pos : pos + len(raw)] == raw
+    blob[pos + len(raw) - 1] ^= 1  # a(30) would read 1697385471210
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CacheError, match="digest"):
+        TermTable(rec, cache_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("den", [0, -1])
+def test_cache_rejects_nonpositive_denominator(tmp_path, den):
+    rec = corpus.get("motzkin").recurrence
+    path = tmp_path / f"{rec.cache_key()}.terms"
+    _write_cache(path, [(1, 1), (1, 1), (2, den)])
+    with pytest.raises(CacheError, match="denominator"):
+        TermTable(rec, cache_dir=str(tmp_path))
+
+
+def test_old_format_cache_is_a_miss_and_rewritten(tmp_path):
+    rec = corpus.get("motzkin").recurrence
+    path = tmp_path / f"{rec.cache_key()}.terms"
+    _write_cache(path, [(1, 1), (1, 1), (2, 1), (4, 1)], magic=b"TCTERMS1", digest=False)
+    t = TermTable(rec, cache_dir=str(tmp_path))
+    assert len(t) == len(rec.initials)
+    t.flush()
+    assert path.read_bytes().startswith(CACHE_MAGIC)
+    reloaded = TermTable(rec, cache_dir=str(tmp_path))
+    assert reloaded.values(0, len(t) - 1) == t.values(0, len(t) - 1)
+    path.write_bytes(b"TCTERMS9" + path.read_bytes()[8:])
+    with pytest.raises(CacheError, match="header"):
+        TermTable(rec, cache_dir=str(tmp_path))
+
+
+def test_cache_file_mode_follows_umask(tmp_path):
+    rec = corpus.get("motzkin").recurrence
+    old = os.umask(0o022)
+    try:
+        t = TermTable(rec, cache_dir=str(tmp_path))
+        t.ensure(10)
+        t.flush()
+    finally:
+        os.umask(old)
+    (path,) = tmp_path.iterdir()
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 def test_cache_roundtrip(tmp_path):
