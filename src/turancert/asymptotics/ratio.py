@@ -5,10 +5,12 @@ u-ratio of the centered second difference.
 The growth branch comes from the Newton polygon of the recurrence: the
 rightmost upper-hull edge fixes mu, the edge polynomial fixes the
 admissible lam values.  Correction coefficients of v are solved stage by
-stage from the recurrence residual; every candidate branch must pass an
-empirical ratio check on exact terms before it is accepted (wrong
-branches miss by orders of magnitude, so loose float thresholds are
-safe; no exactness claim rests on the check).
+stage, online, by the triangular coefficient recurrence of Wimp &
+Zeilberger (1985) on scalar arrays; one full residual build per solve
+then checks that every slot up to the last stage cancels.  Every
+candidate branch must pass an empirical ratio check on exact terms before
+it is accepted (wrong branches miss by orders of magnitude, so loose
+float thresholds are safe; no exactness claim rests on the check).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .series import (
     AsymSeries,
     binomial_power,
     compose_coef_shift,
+    gen_binomial,
     series_inv,
     shift_series,
 )
@@ -151,26 +154,7 @@ def edge_polynomial(rec: Recurrence, mu: Fraction, on_edge: list) -> Poly:
 # -- stage solver -------------------------------------------------------------
 
 
-class _Powers:
-    """n^-shift (1 + j/n)^alpha for the residuals of one stage solve.
-
-    Each (j, alpha, shift) is expanded once, to the solve's last order
-    `top`, and truncated to the order a residual asks for; the truncation
-    equals the series expanded to that order directly."""
-
-    def __init__(self, top: Fraction):
-        self.top = top
-        self.memo: dict = {}
-
-    def get(self, j: int, alpha: Fraction, shift: Fraction, order: Fraction) -> AsymSeries:
-        key = (j, alpha, shift)
-        if key not in self.memo:
-            self.memo[key] = binomial_power(j, alpha, self.top - shift).shift_exponents(shift)
-        s = self.memo[key]
-        return s if s.is_exact() else s.truncate(order)
-
-
-def _v_shifted(cs: list, rho: int, j: int, rel_order: Fraction, powers: _Powers) -> AsymSeries:
+def _v_shifted(cs: list, rho: int, j: int, rel_order: Fraction) -> AsymSeries:
     """v(n+j) re-expanded at n, for v = 1 + sum cs[i-1] n^{-i/rho}."""
     out = AsymSeries.one().truncate(rel_order)
     for i, c in enumerate(cs, start=1):
@@ -182,21 +166,20 @@ def _v_shifted(cs: list, rho: int, j: int, rel_order: Fraction, powers: _Powers)
         if j == 0:
             out = out + AsymSeries.from_term(e, c)
         else:
-            out = out + powers.get(j, -e, e, rel_order).scale(c)
+            out = out + binomial_power(j, -e, rel_order - e).shift_exponents(e).scale(c)
     return out
 
 
-def _residual(rec: Recurrence, lam, mu: Fraction, rho: int, cs: list, rel_order: Fraction,
-              powers: _Powers) -> AsymSeries:
+def _residual(rec: Recurrence, lam, mu: Fraction, rho: int, cs: list, rel_order: Fraction) -> AsymSeries:
     """p0(n) prod_{j<d} r(n+j) - sum_k pk(n) prod_{j<d-k} r(n+j), with
     r(n) = lam n^mu v(n); absolute exponents (n^s appears as exponent -s).
     Each p_k takes the prefix product of the first d-k shifted factors."""
     d = rec.order
     prefix = [AsymSeries.one()]
     for j in range(d):
-        vj = _v_shifted(cs, rho, j, rel_order, powers)
+        vj = _v_shifted(cs, rho, j, rel_order)
         if j > 0:
-            vj = vj * powers.get(j, mu, Fraction(0), rel_order)
+            vj = vj * binomial_power(j, mu, rel_order)
         prefix.append((prefix[-1] * vj).truncate(rel_order))
     total = AsymSeries.zero()
     for k, p in enumerate(rec.coeffs):
@@ -207,13 +190,6 @@ def _residual(rec: Recurrence, lam, mu: Fraction, rho: int, cs: list, rel_order:
         term = term.scale(lam**x).shift_exponents(-mu * x)
         total = total + term if k == 0 else total - term
     return total
-
-
-def _slot_value(f: AsymSeries, exp: Fraction):
-    c = f.coefficient(exp)
-    if not c.is_constant():
-        raise ExpansionError("log-dependent residual slot in a ratio expansion")
-    return c.constant_value()
 
 
 @dataclass
@@ -241,36 +217,84 @@ def _branch(root, rec: Recurrence, on_edge: list) -> tuple:
     return lam, lam_poly, root.approx(), float(lam), slope, {}
 
 
+def _online_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T: int,
+                   slope, st: _Stages) -> list:
+    """c_1..c_T by the triangular recurrence of Wimp & Zeilberger (1985),
+    solved online on coefficient arrays indexed by the grid index k
+    (exponent k/rho): v_j[k] of v(n+j), f_j = (1 + j/n)^mu v_j, and the
+    prefix products P_x = P_{x-1} f_{x-1}, one new Cauchy coefficient each
+    per stage.  Residual slot i is
+    sum_k s_k lam^x sum_t p_k[t] P_x[i - rho(e0 - t - mu x)], x = d - k, over
+    integral, non-negative indices.  It reads P_x up to index i only, and
+    P_x[i] holds c_i only as x c_i, so slot i is b + slope * c_i with b built
+    from c_1..c_{i-1}.  Stages kept in `st` are replayed into the arrays,
+    not solved again."""
+    known = len(st.cs)
+    d = rec.order
+    slot = []
+    for k, p in enumerate(rec.coeffs):
+        x = d - k
+        sign_lam = lam**x if k == 0 else -(lam**x)
+        for t, pt in enumerate(p.coeffs):
+            off = rho * (e0 - t - mu * x)
+            if pt and off.denominator == 1:
+                slot.append((x, int(off), sign_lam * pt))
+    # (1 + j/n)^mu puts C(mu, l) j^l at k = l rho
+    binom = [[gen_binomial(mu, l) * j**l for l in range(T // rho + 1)] for j in range(d)]
+    v = [[1] + [0] * T for _ in range(d)]
+    f = [[1] + [0] * T for _ in range(d)]
+    P = [[1] + [0] * T for _ in range(d + 1)]
+    cs = []
+    for i in range(1, T + 1):
+        for j in range(d):
+            f[j][i] = sum(binom[j][l] * v[j][i - l * rho] for l in range(i // rho + 1) if binom[j][l])
+        for x in range(1, d + 1):
+            P[x][i] = sum(P[x - 1][a] * f[x - 1][i - a] for a in range(i + 1))
+        if i <= known:
+            c = st.cs[i - 1]
+        else:
+            b = sum(s * P[x][i - off] for x, off, s in slot if off <= i)
+            if not slope:
+                if b:
+                    st.resonance = i
+                    raise _Resonance(i)
+                c = Fraction(0)
+            else:
+                c = -(b / slope)
+        cs.append(c)
+        for j in range(d):
+            v[j][i] += c
+            f[j][i] += c
+        for x in range(1, d + 1):
+            P[x][i] += x * c
+        # c_i n^{-i/rho} (1 + j/n)^{-i/rho} puts c_i C(-i/rho, l) j^l at k = i + l rho
+        a, binom_l = Fraction(-i, rho), Fraction(1)
+        for l in range(1, (T - i) // rho + 1):
+            binom_l = binom_l * (a - l + 1) / l
+            for j in range(1, d):
+                v[j][i + l * rho] += c * (binom_l * j**l)
+    return cs
+
+
 def _solve_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T: int,
                   slope, st: _Stages) -> list:
-    """c_1..c_T, continuing from the checked stages kept in `st`; residual
-    slot i is b + slope * c_i, with b its value at c_i = 0."""
+    """c_1..c_T, continuing from the checked stages kept in `st`.
+
+    New stages come from the online recurrence of `_online_stages`; a solve
+    that adds any ends with one full `_residual` build, in which every slot
+    up to T must cancel identically."""
     if st.resonance is not None and st.resonance <= T:
         raise _Resonance(st.resonance)
-    cs = list(st.cs)
-    rel = Fraction(T + 1, rho)
-    powers = _Powers(rel)
-    for i in range(len(cs) + 1, T + 1):
-        b = _slot_value(_residual(rec, lam, mu, rho, cs, Fraction(i + 1, rho), powers), -e0 + Fraction(i, rho))
-        if not slope:
-            if not b:
-                cs.append(Fraction(0))
-                continue
-            st.resonance = i
-            raise _Resonance(i)
-        cs.append(-(b / slope))
-    if len(cs) > len(st.cs):
-        # every slot up to T must now cancel identically
-        f = _residual(rec, lam, mu, rho, cs, rel, powers)
-        for i in range(T + 1):
-            c = f.coefficient(-e0 + Fraction(i, rho))
-            if not c.is_zero():
-                raise ExpansionError(
-                    f"internal: residual slot {i} does not vanish after stage solve"
-                )
-        st.floats += [float(c) for c in cs[len(st.cs):]]
-        st.cs = cs
-    return cs[:T]
+    if len(st.cs) >= T:
+        return st.cs[:T]
+    cs = _online_stages(rec, lam, mu, e0, rho, T, slope, st)
+    res = _residual(rec, lam, mu, rho, cs, Fraction(T + 1, rho))
+    for i in range(T + 1):
+        if not res.coefficient(-e0 + Fraction(i, rho)).is_zero():
+            raise ExpansionError(f"internal: residual slot {i} does not vanish after stage solve")
+    st.floats += [float(c) for c in cs[len(st.cs):]]
+    st.cs = cs
+    return cs
 
 
 # -- branch acceptance ---------------------------------------------------------

@@ -153,11 +153,6 @@ class AsymSeries:
     def __mul__(self, other) -> "AsymSeries":
         if not isinstance(other, AsymSeries):
             return self.scale(other)
-        prods = [
-            (ea + eb, ca * cb)
-            for ea, ca in self.terms
-            for eb, cb in other.terms
-        ]
         errs = []
         if self.error_order is not None:
             if other.terms:
@@ -165,13 +160,22 @@ class AsymSeries:
             if other.error_order is not None:
                 errs.append(self.error_order + other.error_order)
             elif not other.terms:  # other is exactly zero
-                return AsymSeries.zero() if not self.terms else AsymSeries(prods)
+                return AsymSeries.zero()
         if other.error_order is not None:
             if self.terms:
                 errs.append(other.error_order + self.terms[0][0])
             elif self.error_order is None:  # self exactly zero
                 return AsymSeries.zero()
-        return AsymSeries(prods, _min_error(*errs))
+        err = _min_error(*errs)
+        # terms are sorted by exponent: a pair at or past the error order
+        # ends its row, as every later pair in it would be dropped too
+        prods = []
+        for ea, ca in self.terms:
+            for eb, cb in other.terms:
+                if err is not None and ea + eb >= err:
+                    break
+                prods.append((ea + eb, ca * cb))
+        return AsymSeries(prods, err)
 
     __rmul__ = __mul__
 

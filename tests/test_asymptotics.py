@@ -25,7 +25,15 @@ from turancert.asymptotics import (
     u_power,
     u_power_log,
 )
-from turancert.asymptotics.ratio import _Powers, _residual, _slot_value
+from turancert.asymptotics import ratio as ratio_module
+from turancert.asymptotics.ratio import (
+    _branch,
+    _positive_roots_desc,
+    _residual,
+    _Resonance,
+    _solve_stages,
+    _Stages,
+)
 from turancert.corpus import ENTRIES, get
 from turancert.parser import parse_recurrence
 from turancert.sequences import Recurrence, TermTable, phi_values, u_value
@@ -400,24 +408,13 @@ class TestRatioExpansion:
             for rho, st in tries.items():
                 for i in range(1, len(st.cs) + 2):
                     cs, rel, slot = st.cs[:i - 1], F(i + 1, rho), -e0 + F(i, rho)
-                    b = _slot_value(_residual(rec, lam, mu, rho, cs + [F(0)], rel, _Powers(rel)), slot)
-                    a1 = _slot_value(_residual(rec, lam, mu, rho, cs + [F(1)], rel, _Powers(rel)), slot)
+                    b = _slot_value(_residual(rec, lam, mu, rho, cs + [F(0)], rel), slot)
+                    a1 = _slot_value(_residual(rec, lam, mu, rho, cs + [F(1)], rel), slot)
                     assert a1 - b == slope
                     tried += 1
         assert tried
         if source == DOUBLE_ROOT:
             assert all(not root[4] for root in roots)
-
-    def test_stage_powers_equal_direct_expansions(self):
-        # one expansion to the top order, truncated, is the direct expansion
-        top = F(13, 2)
-        powers = _Powers(top)
-        for j in (1, 2, 3):
-            for alpha in (F(-1, 2), F(-3), F(5, 2), F(2)):
-                for shift in (F(0), F(1, 2), F(3)):
-                    for order in (shift + F(1, 2), F(4), top):
-                        want = binomial_power(j, alpha, order - shift).shift_exponents(shift)
-                        assert powers.get(j, alpha, shift, order) == want
 
     def test_shared_table_keeps_rho_choice(self):
         # stage solves stored for one rho argument do not leak into another
@@ -446,6 +443,231 @@ def _expansion_view(rx) -> tuple:
         _scalar_view(rx.lam), rx.lam_poly, rx.mu, rx.rho,
         [_scalar_view(c) for c in rx.coeffs], terms, rx.v.error_order,
     )
+
+
+def _slot_value(f: AsymSeries, exp: F):
+    c = f.coefficient(exp)
+    assert c.is_constant()
+    return c.constant_value()
+
+
+def per_stage_solve(rec, lam, mu, e0, rho, T, slope) -> tuple:
+    """Oracle: (c_1.., resonant stage or None) by one residual rebuild per
+    stage.  Slot i of the residual built from c_1..c_{i-1} is b, and
+    c_i = -b/slope; at slope 0 a zero b gives c_i = 0 and any other b
+    resonates."""
+    cs = []
+    for i in range(1, T + 1):
+        b = _slot_value(_residual(rec, lam, mu, rho, cs, F(i + 1, rho)), -e0 + F(i, rho))
+        if not slope:
+            if b:
+                return cs, i
+            cs.append(F(0))
+            continue
+        cs.append(-(b / slope))
+    return cs, None
+
+
+def _exact_view(cs: list) -> list:
+    """Coefficients with their types, field elements as coefficient tuples."""
+    return [(type(c).__name__, _scalar_view(c)) for c in cs]
+
+
+def _edge_roots(rec: Recurrence) -> tuple:
+    """(mu, e0, [(lam, slope)] per positive edge root) without the term table."""
+    mu, e0, on_edge = dominant_edge(rec)
+    roots = _positive_roots_desc(edge_polynomial(rec, mu, on_edge))
+    branches = [_branch(r, rec, on_edge) for r in roots]
+    return mu, e0, [(b[0], b[4]) for b in branches]
+
+
+def random_recurrence(seed: int):
+    """A recurrence of order 1 + seed % 3 with random rational coefficients,
+    or None when it has fewer than two nonzero coefficients."""
+    rng = random.Random(seed)
+    d = 1 + seed % 3
+    coeffs = [
+        Poly([F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))])
+        for _ in range(d + 1)
+    ]
+    if coeffs[0].is_zero() or sum(not c.is_zero() for c in coeffs) < 2:
+        return None
+    return Recurrence(coeffs, [F(1)] * d)
+
+
+# a(n) = 1: a double edge root at lam = 1 whose every stage slot is 0
+FLAT = Recurrence([Poly([1]), Poly([2]), Poly([-1])], [F(1), F(1)])
+# a double edge root at lam = 1 that resonates at stage rho
+RESONANT = Recurrence([Poly([1, 1]), Poly([2, 2]), Poly([0, -1])], [F(1), F(2)])
+
+_ORACLE: dict = {}
+
+
+def _oracle(name: str, index: int, rho: int) -> tuple:
+    """Per-stage oracle for a corpus entry's edge root `index`, to K = 12."""
+    key = name, index, rho
+    if key not in _ORACLE:
+        rec = get(name).recurrence
+        mu, e0, roots = _edge_roots(rec)
+        lam, slope = roots[index]
+        _ORACLE[key] = per_stage_solve(rec, lam, mu, e0, rho, 12 * rho, slope)
+    return _ORACLE[key]
+
+
+class TestOnlineStages:
+    @pytest.mark.parametrize("K", [4, 8, 12])
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_corpus_matches_per_stage_residuals(self, name, K):
+        rec = get(name).recurrence
+        table = TermTable(rec)
+        ratio_expansion(rec, K, table=table)
+        compared = 0
+        for index, (_, _, _, _, _, tries) in enumerate(table.expansions[(rec, None)][3]):
+            for rho, st in tries.items():
+                want, resonance = _oracle(name, index, rho)
+                T = K * rho
+                if resonance is not None and resonance <= T:
+                    assert (st.cs, st.resonance) == ([], resonance)
+                else:
+                    assert _exact_view(st.cs) == _exact_view(want[:T])
+                    assert st.resonance is None
+                compared += 1
+        assert compared
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_random_recurrences_match_per_stage_residuals(self, order):
+        compared, algebraic = 0, 0
+        for seed in range(order - 1, 48, 3):
+            rec = random_recurrence(seed)
+            if rec is None:
+                continue
+            try:
+                mu, e0, roots = _edge_roots(rec)
+            except ExpansionError:
+                continue
+            for lam, slope in roots:
+                algebraic += not isinstance(lam, F)
+                for rho in (1, 2, 4):
+                    T = 3 * rho
+                    want, resonance = per_stage_solve(rec, lam, mu, e0, rho, T, slope)
+                    assert resonance is None
+                    got = _solve_stages(rec, lam, mu, e0, rho, T, slope, _Stages())
+                    assert _exact_view(got) == _exact_view(want)
+                    compared += 1
+        assert compared >= 6
+        if order > 1:
+            assert algebraic
+
+    def test_double_root_resonance_matches_per_stage_residuals(self):
+        mu, e0, [(lam, slope)] = _edge_roots(RESONANT)
+        assert not slope
+        for rho in (1, 2, 4):
+            want, resonance = per_stage_solve(RESONANT, lam, mu, e0, rho, 3 * rho, slope)
+            assert (want, resonance) == ([F(0)] * (rho - 1), rho)
+            st = _Stages()
+            with pytest.raises(_Resonance) as got:
+                _solve_stages(RESONANT, lam, mu, e0, rho, 3 * rho, slope, st)
+            assert got.value.stage == st.resonance == resonance
+            assert st.cs == []
+        with pytest.raises(ExpansionError) as err:
+            ratio_expansion(RESONANT, 3)
+        assert err.value.details == {
+            "newtonPoints": [(2, 1), (1, 1), (0, 1)],
+            "mu": "0",
+            "edgePolynomial": ["1", "-2", "1"],
+            "branches": [{"lambdaApprox": 1.0, "status": "resonance at stage 4 with rho=4"}],
+        }
+        rec = parse_recurrence(DOUBLE_ROOT)
+        with pytest.raises(ExpansionError) as err:
+            ratio_expansion(rec, 3)
+        assert err.value.details["branches"] == [
+            {"lambdaApprox": 2.0, "status": "resonance at stage 8 with rho=4"}
+        ]
+
+    def test_double_root_zero_slots_match_per_stage_residuals(self):
+        mu, e0, [(lam, slope)] = _edge_roots(FLAT)
+        assert not slope
+        for rho in (1, 2, 4):
+            want, resonance = per_stage_solve(FLAT, lam, mu, e0, rho, 3 * rho, slope)
+            assert resonance is None
+            got = _solve_stages(FLAT, lam, mu, e0, rho, 3 * rho, slope, _Stages())
+            assert _exact_view(got) == _exact_view(want) == _exact_view([F(0)] * (3 * rho))
+
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_resume_equals_fresh_solve(self, name):
+        rec = get(name).recurrence
+        shared = TermTable(rec)
+        ratio_expansion(rec, 4, table=shared)
+        got = ratio_expansion(rec, 12, table=shared)
+        fresh = TermTable(rec)
+        want = ratio_expansion(rec, 12, table=fresh)
+        assert _expansion_view(got) == _expansion_view(want)
+        assert got.diagnostics == want.diagnostics
+        views = []
+        for tbl in (shared, fresh):
+            roots = tbl.expansions[(rec, None)][3]
+            views.append([
+                {rho: (_exact_view(st.cs), st.floats, st.resonance) for rho, st in root[5].items()}
+                for root in roots
+            ])
+        assert views[0] == views[1]
+
+    @pytest.mark.parametrize("name,stage", [("motzkin", 3), ("apery", 1), ("involutions", 7)])
+    def test_residual_check_catches_a_wrong_stage(self, monkeypatch, name, stage):
+        solve = ratio_module._online_stages
+
+        def perturbed(*args):
+            cs = solve(*args)
+            cs[stage - 1] += 1
+            return cs
+
+        monkeypatch.setattr(ratio_module, "_online_stages", perturbed)
+        with pytest.raises(ExpansionError, match=f"internal: residual slot {stage} does not vanish"):
+            ratio_expansion(get(name).recurrence, 4)
+
+    @pytest.mark.parametrize("name", ["involutions", "apery"])
+    def test_prefix_stability(self, name):
+        rec = get(name).recurrence
+        short = ratio_expansion(rec, 12)
+        long = ratio_expansion(rec, 24)
+        assert short.rho == long.rho
+        assert _exact_view(long.coeffs[: len(short.coeffs)]) == _exact_view(short.coeffs)
+
+    def test_one_residual_build_per_solve_that_adds_stages(self, monkeypatch):
+        builds, adding = [], []
+        residual, solve = ratio_module._residual, ratio_module._solve_stages
+
+        def counted_residual(*args):
+            builds.append(args[5])
+            return residual(*args)
+
+        def counted_solve(*args):
+            st = args[-1]
+            before = len(st.cs)
+            try:
+                return solve(*args)
+            finally:
+                adding.append(len(st.cs) > before)
+
+        monkeypatch.setattr(ratio_module, "_residual", counted_residual)
+        monkeypatch.setattr(ratio_module, "_solve_stages", counted_solve)
+        rec = get("involutions").recurrence
+        shared = TermTable(rec)
+        ratio_expansion(rec, 12, table=shared)
+        assert builds == [F(25, 2)] and adding == [True]
+        ratio_expansion(rec, 8, table=shared)
+        assert len(builds) == 1 and adding[1:] == [False]
+        ratio_expansion(rec, 16, table=shared)
+        assert builds[1:] == [F(33, 2)]
+        for name in ("bn", "apery", "fine"):
+            rec = get(name).recurrence
+            shared = TermTable(rec)
+            for K in (4, 12, 8, 12, 16):
+                ratio_expansion(rec, K, table=shared)
+        with pytest.raises(ExpansionError):
+            ratio_expansion(RESONANT, 3)
+        assert len(builds) == sum(adding)
+        assert len(adding) > sum(adding)
 
 
 U_GOLDENS = {

@@ -106,6 +106,66 @@ class TestSources:
         assert len(TermTable(get("motzkin").recurrence, str(tmp_path))) == 201
 
 
+# sha256 of the stdout of `COMMAND NAME -K k --json`, recorded before the
+# stage solver moved from per-stage residual builds to coefficient arrays
+ASYMP_SHA256 = {
+    ("u-asymp", "apery", 4): "ce46abcf7ab5493ef0d2d306b6f69b06cc9f7d76b82e730ec73b4cc0ce4dda97",
+    ("u-asymp", "binomial4", 4): "2b8cb2b143a54edf846b500c41a454bcf3130b9c3fa30f1d6106c2ca10b0ea58",
+    ("u-asymp", "bn", 4): "3069232ec86550195df4446c1a7bb0e8e26ffbe63498b67da4eaf8a7545a3d10",
+    ("u-asymp", "domb", 4): "d261519626e308676a36760c576c5b0d80619e56cb5256c7f81d1859319f05cd",
+    ("u-asymp", "fine", 4): "863e3488ea6313a30e82dbd63ac57ed540c44c4ad4ac4e08e7446a1a79d2c8c3",
+    ("u-asymp", "franel3", 4): "93c2246351be3b8800b318807044c7586cdc148560b07f04e8ae5e15f8207612",
+    ("u-asymp", "inverse-catalan", 4): "0527fb41ce205459e6f9ac2037941d2cbda172521724817dac38b9088ce8955e",
+    ("u-asymp", "involutions", 4): "6b8c52456ae6fbd3bc40bd0abbf0a796ebc38bd1743106c9beb7a66fa230dd00",
+    ("u-asymp", "motzkin", 4): "d1e31f985f2433598ea4a0b841c60e0de413c96c7f3a2d600da55f321063c66a",
+    ("u-asymp", "apery", 8): "7e6d0b57a8730a7ffa5f46a4a261abf6759fdd060914415e0ff517f682635d72",
+    ("u-asymp", "binomial4", 8): "93f7edb0d84fcf48ece6a7935cf6536a411f0ed4226611ea1b1f4d6756c2bd7e",
+    ("u-asymp", "bn", 8): "f200fdaaf74006f2e31d306375a2e5edf97c03a51e31641fcefe09f1a4ec9125",
+    ("u-asymp", "domb", 8): "a7812c4a3e9bf381a3eed2f3cef4e0ae99a2716ed2c9f72bec6b7775a9d97f98",
+    ("u-asymp", "fine", 8): "4fd70aff489d6762bfa1bd7764c79883bfb440d0937272dd017f44cceacfe999",
+    ("u-asymp", "franel3", 8): "e08906f3dc145c8ef67ce1c0d9e828223ff633521a1e5d31565f58948d3e4938",
+    ("u-asymp", "inverse-catalan", 8): "b1bec377181c0519f6dd3f5987cfef6231b418c822a28925232f61aa02095be6",
+    ("u-asymp", "involutions", 8): "9c9f97c7c52d66b93312ed1d6cd09868bf9c12c1c8f1e6f8b49ecfdff4b5aa4a",
+    ("u-asymp", "motzkin", 8): "743ea626c9d6954213bb17997d5887f741f00590acce074721bb41c7c6e8749d",
+    ("u-asymp", "apery", 12): "449837238f5aae595caef3f49a508a3d04875252eb5aa792d749d56f8eb4be31",
+    ("u-asymp", "binomial4", 12): "eb10fd1b876b6507ef6230c21dee903f4057b3f78c5657c5cb096b581181b843",
+    ("u-asymp", "bn", 12): "dac144a9c56c234b3af7cf2259e8ddc9724f1e7936dc06be69b63f623a4f4b9c",
+    ("u-asymp", "domb", 12): "3cda25b33f25472ad7f5ff4dfb852a30908e71505ce901b4f7da04e858aae8be",
+    ("u-asymp", "fine", 12): "36d075792f9ed33bc5c1d0eab4c87e40acd94c281b6591ce4c15380fdb047dcf",
+    ("u-asymp", "franel3", 12): "e669e20abdd48f20e19ed9fd6bb68ec804043b65b2f7146f92cd014eb1089059",
+    ("u-asymp", "inverse-catalan", 12): "b97cc990bfb5d159a04e8150df14dafa954a56bc9723f69f1bffae95805a5a51",
+    ("u-asymp", "involutions", 12): "0804007502c583d2bede461e3afafc4b7bda609c5907964bb29249fa098a2b69",
+    ("u-asymp", "motzkin", 12): "9a78465947ee3dfe0e7f5350a5fe9fab49b279489f49202c0826500990c4fe5c",
+    ("ratio-asymp", "apery", 4): "aadcbd34e4620dda2bfd50a5cdfeac8e3bda84d269c94092e873c8dde8c25662",
+    ("ratio-asymp", "binomial4", 4): "92157dc10551c9f94a5e017b6441c2bc5254144a72c87e87ec75f1dd1bf55d20",
+    ("ratio-asymp", "bn", 4): "0d228814a214798f2b9bf45b89099c60a413e11c22f786faa4bd11d65a49e3fa",
+    ("ratio-asymp", "domb", 4): "5675a0d67c508d8ff233ae58562073a4acf49a1471683a085d7a2b43587a632b",
+    ("ratio-asymp", "fine", 4): "5b7c49a054e6b99a7e98e1b22628f722ae0e9c71898fad1ad4b4ad3b32716331",
+    ("ratio-asymp", "franel3", 4): "7204a859498779e9628363554597a228dab0d637a3204638f25fe90a374b7cfc",
+    ("ratio-asymp", "inverse-catalan", 4): "868b95e603f97e9b765b132e9cd7d8560c0e73c194aa2d567d16f51caebd7048",
+    ("ratio-asymp", "involutions", 4): "14977a965d36733719b22a6312cd41f334d2ef20b099d524e16089467878fd4b",
+    ("ratio-asymp", "motzkin", 4): "b5a58a1dc8e9749cd913285dd14503acaa80572e31d732b0290bac360be9c027",
+    ("ratio-asymp", "apery", 8): "c64328858126353ae34f8989a5f1167a329d3e8bb0184c4da240604a767e2891",
+    ("ratio-asymp", "binomial4", 8): "0e951aa29c838398b052a228b2ae2e19cc7fcde237a1e305bc0001bcb4d3ead2",
+    ("ratio-asymp", "bn", 8): "b74914ddf54e9a9c21bb6b8b2dce492fd8a2bc065d762ec855d2de23c70242dc",
+    ("ratio-asymp", "domb", 8): "b33fd36f47e058382b03d57780aa49e4f05aeeba184e0b1e2ea3b9ee9a0cedb5",
+    ("ratio-asymp", "fine", 8): "265edc2767d7c2cf324073ea0576dd2293318145166829da2e81e9a961bc57cd",
+    ("ratio-asymp", "franel3", 8): "e9511143d73051915cf2271a6f9f4c6527d44ff7f65e6af6694fdce643c9ca59",
+    ("ratio-asymp", "inverse-catalan", 8): "2dff20a26bc3af0356d80accfe8f196b26f522ddbb83294baf36aa9cd2084a8e",
+    ("ratio-asymp", "involutions", 8): "ccde23e9c7d46380bd53ee0bb43b6662a8156273fb3b277473201fce921b9edd",
+    ("ratio-asymp", "motzkin", 8): "41608ffa879979f647ce745056ed9cdbdf02c5c4f3658b0e75acea1c9665ed4b",
+    ("ratio-asymp", "apery", 12): "041f7712c7ac66a8222d6ceda8d1d0a36f4ccebc61bd3d658ab64c04b4e30d78",
+    ("ratio-asymp", "binomial4", 12): "8302fcd8d7408f46290b7a8c84666e1d9b0129471deb3093cffe2482d31b7af9",
+    ("ratio-asymp", "bn", 12): "a7d0deb1cd7e2f437e321a281fc58e1a950e38c5fe3d85bf63ce555f5ecd431e",
+    ("ratio-asymp", "domb", 12): "9fb71e78b29d8911d333f1383a5e607e059982c92337f228aef624bc317622f7",
+    ("ratio-asymp", "fine", 12): "2fb8e5d06a165d899fcf46ae20c03836d4eaee63fd6974630eef22591231291e",
+    ("ratio-asymp", "franel3", 12): "57b7894f954be62cdc62c56831911ef38ffe8cc250182d157ad3fe76f544b1da",
+    ("ratio-asymp", "inverse-catalan", 12): "e3038912ee18cc6d72713bf4288bb09db388eb6da85a78bdab0897d64e13793a",
+    ("ratio-asymp", "involutions", 12): "8765022ae30d1e2b1c88779dc39953c5c158dc42ef2af9ebb140480e2aa825cf",
+    ("ratio-asymp", "motzkin", 12): "1afcfa9ad7c5fd351a781747e5f1955fe1f4013c19e7753d67185e1523cfd91e",
+}
+
+
 class TestAsymptotics:
     def test_u_asymp_series(self, capsys):
         code, out, _ = run(capsys, "u-asymp", "inverse-catalan", "-K", "5")
@@ -165,6 +225,12 @@ class TestAsymptotics:
         assert doc["details"]["branches"] == []
         code, out, err2 = run(capsys, "ratio-asymp", src)
         assert (code, out, err2) == (1, "", err)
+
+    @pytest.mark.parametrize("command, name, K", sorted(ASYMP_SHA256))
+    def test_expansion_bytes(self, capsys, command, name, K):
+        code, out, err = run(capsys, command, name, "-K", str(K), "--json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == ASYMP_SHA256[command, name, K]
 
 
 class TestVerdictCommands:
