@@ -22,7 +22,6 @@ expansion beyond the inductively proved windows.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import ClassVar, Optional
@@ -46,6 +45,8 @@ from .render import frac_str, ratfunc_to_json
 from .sequences import (
     Recurrence,
     TermTable,
+    _horner,
+    _integer_coeffs,
     check_inequality_range,
     check_scaling,
     u_bound_sign,
@@ -288,20 +289,6 @@ def scaled_bounds(ub: UBounds, scaling: str) -> UBounds:
     return replace(ub, lower=ub.lower * factor, upper=ub.upper * factor)
 
 
-def _integer_coeffs(r: RatFunc) -> tuple:
-    """Numerator and denominator of r as integer coefficients, highest first."""
-    num, den = r.num.coeffs, r.den.coeffs
-    m = math.lcm(*(c.denominator for c in num + den))
-    return tuple(int(c * m) for c in reversed(num)), tuple(int(c * m) for c in reversed(den))
-
-
-def _horner(coeffs: tuple, n: int) -> int:
-    acc = 0
-    for c in coeffs:
-        acc = acc * n + c
-    return acc
-
-
 def first_escape(
     table: TermTable, scaling: str, g: RatFunc, f: RatFunc, lo: int, hi: int
 ) -> Optional[int]:
@@ -315,7 +302,7 @@ def first_escape(
     an escape.  Terms are filled lazily: checking n needs a(n+1) and
     nothing beyond it.
     """
-    (gp, gq), (fp, fq) = _integer_coeffs(g), _integer_coeffs(f)
+    (gp, gq), (fp, fq) = _integer_coeffs((g.num, g.den)), _integer_coeffs((f.num, f.den))
     for n in range(lo, hi + 1):
         try:
             inside = (

@@ -146,11 +146,18 @@ def _reduced(num: int, den: int) -> Fraction:
     return v
 
 
-def _integer_coeffs(rec: Recurrence) -> list[tuple[int, ...]]:
-    """p0..pd times the lcm of all their coefficient denominators, highest
-    degree first, for integer Horner evaluation."""
-    scale = math.lcm(*(c.denominator for p in rec.coeffs for c in p.coeffs))
-    return [tuple(int(c * scale) for c in reversed(p.coeffs)) for p in rec.coeffs]
+def _integer_window(window: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers x and den > 0, the lcm of the denominators, with window[i] = x[i] / den."""
+    den = math.lcm(*(v.denominator for v in window))
+    return [v.numerator * (den // v.denominator) for v in window], den
+
+
+def _integer_coeffs(polys: Sequence[Poly]) -> list[tuple[int, ...]]:
+    """The rational polynomials times the lcm of all their coefficient
+    denominators, as integer coefficients, highest degree first, for
+    integer Horner evaluation."""
+    scale = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return [tuple(int(c * scale) for c in reversed(p.coeffs)) for p in polys]
 
 
 def _horner(cs: tuple[int, ...], m: int) -> int:
@@ -168,7 +175,7 @@ class TermTable:
         self.cache_dir = cache_dir
         self._vals: list[Fraction] = list(rec.initials)
         self._persisted = 0
-        self._coeffs = _integer_coeffs(rec)
+        self._coeffs = _integer_coeffs(rec.coeffs)
         # (len(_vals), x, D): a(len - d + i) = x[i] / D, valid while len matches
         self._state: Optional[tuple[int, list[int], int]] = None
         self.expansions: dict = {}  # (recurrence, rho) -> state kept by ratio_expansion
@@ -265,9 +272,7 @@ class TermTable:
         if self._state is not None and self._state[0] == len(vals):
             _, xs, den = self._state
         else:
-            window = vals[-d:]
-            den = math.lcm(*(v.denominator for v in window))
-            xs = [v.numerator * (den // v.denominator) for v in window]
+            xs, den = _integer_window(vals[-d:])
         while len(vals) <= n:
             m = len(vals) - d  # recurrence index producing a(m+d)
             q = _horner(p0, m)
@@ -402,8 +407,7 @@ def _logconcave_form(w):
 
 def _form_sign(form: Callable, window: Sequence) -> int:
     """Sign of the homogeneous `form` at `window`, filtered on PREC-bit boxes."""
-    den = math.lcm(*(v.denominator for v in window))
-    xs = [v.numerator * (den // v.denominator) for v in window]
+    xs, _ = _integer_window(window)
     s = max(x.bit_length() for x in xs) - PREC
     if s > 0:
         box = form([_Box(x >> s, (x >> s) + 1) for x in xs])
@@ -451,27 +455,44 @@ def phi_values(
 ) -> list[Fraction]:
     """Values of the k-fold iterate of phi{a}_n = a_{n+1}^2 - a_n a_{n+2}.
 
-    Returns the level-`level` sequence on indices lo..hi (base terms a
-    optionally 1/n!-scaled first).
+    Returns the exact level-`level` values on indices lo..hi as reduced
+    Fractions; the `factorial` scaling divides a(n) by n! before the first
+    level.  The value at n depends on the window a(n..n+2 level) only.  The
+    window becomes integers x over one denominator D (under `factorial`,
+    the lcm of its terms' denominators times (n+2 level)!), phi is iterated
+    on the integers without a gcd, and the result N / D^(2^level) is
+    reduced once at the end: each prime N shares with D^(2^level) divides
+    g = gcd(N, D), so dividing both by g, then by the part of g they still
+    share, until that is 1, leaves them coprime.
     """
     check_scaling(scaling)
     if level < 0:
         raise ValueError("level must be >= 0")
     if lo < 0:
         raise ValueError(f"phi values from n = {lo} need a({lo}); indices start at 0")
-    need_hi = hi + 2 * level
-    base = table.values(lo, need_hi)
-    if scaling == "factorial":
-        f = math.factorial(lo)
-        scaled = []
-        for i, v in enumerate(base):
-            scaled.append(v / f)
-            f *= lo + i + 1
-        base = scaled
-    cur = base
-    for _ in range(level):
-        cur = [cur[i + 1] * cur[i + 1] - cur[i] * cur[i + 2] for i in range(len(cur) - 2)]
-    return cur
+    w = 2 * level
+    base = table.values(lo, hi + w)
+    f = math.factorial(lo + w) if scaling == "factorial" else 1  # (n + w)!
+    out = []
+    for n in range(lo, hi + 1):
+        xs, den = _integer_window(base[n - lo : n - lo + w + 1])
+        if scaling == "factorial":
+            m = 1  # (n + w)! / (n + i)!
+            for i in range(w, -1, -1):
+                xs[i] *= m
+                m *= n + i
+            den *= f
+            f *= n + w + 1
+        for _ in range(level):
+            xs = [xs[i + 1] * xs[i + 1] - xs[i] * xs[i + 2] for i in range(len(xs) - 2)]
+        num, g = xs[0], math.gcd(xs[0], den)
+        den **= 1 << level
+        while g > 1:
+            num //= g
+            den //= g
+            g = math.gcd(num, g, den)
+        out.append(_reduced(num, den))
+    return out
 
 
 PREDICATES: dict[str, Callable[[TermTable, int, str], int]] = {

@@ -331,6 +331,71 @@ def test_reduced_fraction_equals_normalised_fraction():
         assert v == want and hash(v) == hash(want) and {v: 1}[want] == 1
 
 
+# -- iterated phi on integer windows against the Fraction iteration -------------
+
+
+def fraction_phi_values(table, level, lo, hi, scaling="none"):
+    """phi_values iterated in normalised Fraction arithmetic, as it once was."""
+    base = table.values(lo, hi + 2 * level)
+    if scaling == "factorial":
+        f = math.factorial(lo)
+        scaled = []
+        for i, v in enumerate(base):
+            scaled.append(v / f)
+            f *= lo + i + 1
+        base = scaled
+    cur = base
+    for _ in range(level):
+        cur = [cur[i + 1] * cur[i + 1] - cur[i] * cur[i + 2] for i in range(len(cur) - 2)]
+    return cur
+
+
+PHI_RECS = {
+    **STEPPING_RECS,
+    # phi of a geometric sequence is 0 at every level >= 1
+    "geometric": parse_recurrence("3*a(n+1) - 2*a(n) = 0; a(0) = 5/7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHI_RECS))
+def test_phi_values_match_fraction_oracle(name):
+    table = TermTable(PHI_RECS[name])
+    for level in range(4):
+        for scaling in ("none", "factorial"):
+            for lo in (0, 1, 5):
+                for hi in (lo - 1, lo + 40):
+                    got = phi_values(table, level, lo, hi, scaling)
+                    want = fraction_phi_values(table, level, lo, hi, scaling)
+                    assert len(got) == max(hi - lo + 1, 0)
+                    assert _pairs(got) == _pairs(want), (level, scaling, lo, hi)
+                    for v in got:
+                        assert type(v) is F
+                        assert v.denominator > 0
+                        assert math.gcd(v.numerator, v.denominator) == 1
+
+
+@pytest.mark.parametrize("name", ["motzkin", "involutions"])
+def test_phi_values_match_fraction_oracle_on_long_windows(name):
+    entry = corpus.get(name)
+    table = TermTable(entry.recurrence)
+    for level in (1, 2):
+        got = phi_values(table, level, 250, 300, entry.scaling)
+        assert _pairs(got) == _pairs(fraction_phi_values(table, level, 250, 300, entry.scaling))
+
+
+def test_phi_values_oracle_cases_cover_zeros_and_signs():
+    fine = TermTable(corpus.get("fine").recurrence)
+    zero = phi_values(fine, 0, 1, 1, "factorial")[0]
+    assert type(zero) is F and (zero.numerator, zero.denominator) == (0, 1)
+    assert TermTable(corpus.get("bn").recurrence).value(0) == -1
+    geometric = TermTable(PHI_RECS["geometric"])
+    for level in (1, 2, 3):
+        assert _pairs(phi_values(geometric, level, 0, 5)) == _pairs([F(0)] * 6)
+    assert phi_values(geometric, 1, 0, 3, "factorial")[0].denominator > 1
+    signs = {v > 0 for v in phi_values(TermTable(STEPPING_RECS["rational-order2"]), 2, 0, 40)}
+    assert signs == {True, False}
+
+
 # -- cache --------------------------------------------------------------------
 
 
