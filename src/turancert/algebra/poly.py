@@ -4,13 +4,23 @@ Coefficients are ``fractions.Fraction`` or any exact field scalar that
 supports ``+ - * /``, truthiness as a zero test, and (where signs are
 needed) a ``sign()`` method.  The zero polynomial has an empty
 coefficient tuple and degree -1.
+
+Rational polynomials also have an integer form: `_integer_coeffs` scales
+a group of them by one positive integer and lists their coefficients
+highest degree first, for `_horner` at integer points.  A positive scale
+keeps every sign and zero, so the term stepper, `first_escape`, the
+corpus residual check and the Sturm layer run on these lists.  `poly_gcd`
+and `squarefree_part` work on primitive integer lists: a pseudo-remainder
+is a positive multiple of the `Fraction` remainder, divided by its
+content, and a gcd is returned in its unique normal form, primitive with
+positive lead.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import gcd as _int_gcd
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 def coerce_scalar(x):
@@ -25,14 +35,6 @@ def scalar_sign(x) -> int:
     if isinstance(x, Fraction):
         return (x > 0) - (x < 0)
     return x.sign()
-
-
-def scalar_abs_upper(x) -> Fraction:
-    """A rational upper bound for abs(x)."""
-    if isinstance(x, Fraction):
-        return abs(x)
-    lo, hi = x.approx_interval()
-    return max(abs(lo), abs(hi))
 
 
 class Poly:
@@ -221,11 +223,11 @@ class Poly:
             raise TypeError("content requires rational coefficients")
         den_lcm = 1
         for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // _int_gcd(den_lcm, c.denominator)
+            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
         nums = [int(c * den_lcm) for c in self.coeffs]
         g = 0
         for v in nums:
-            g = _int_gcd(g, abs(v))
+            g = math.gcd(g, abs(v))
         if nums[-1] < 0:
             g = -g
         content = Fraction(g, den_lcm)
@@ -251,8 +253,73 @@ def _scalar_inv(c):
     return c ** (-1)
 
 
+def _integer_coeffs(polys: Sequence[Poly]) -> list[tuple[int, ...]]:
+    """The rational polynomials times the lcm of all their coefficient
+    denominators, as integer coefficients, highest degree first, for
+    integer Horner evaluation."""
+    scale = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return [
+        tuple(c.numerator * (scale // c.denominator) for c in reversed(p.coeffs))
+        for p in polys
+    ]
+
+
+def _horner(cs: Sequence[int], m: int) -> int:
+    acc = 0
+    for c in cs:
+        acc = acc * m + c
+    return acc
+
+
+def _primitive_ints(p: Poly) -> list[int]:
+    """p as coprime integers, highest degree first, with the sign of p kept."""
+    if not p.is_rational():
+        raise TypeError("integer kernels need rational coefficients")
+    return _content_free(list(_integer_coeffs((p,))[0]))
+
+
+def _content_free(a: list[int]) -> list[int]:
+    """a without leading zeros, divided by its positive content."""
+    while a and not a[0]:
+        a = a[1:]
+    g = math.gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of a mod b, content-free; [] when b divides a.
+
+    Each step cancels a's lead as a <- m a - t x^k b with m = |lc(b)| / g
+    and t = sign(lc(b)) lc(a) / g, where g = gcd(lc(a), |lc(b)|).
+    """
+    lb, nb = b[0], len(b)
+    c = abs(lb)
+    while len(a) >= nb:
+        top = a[0]
+        if top:
+            g = math.gcd(top, c)
+            m, t = c // g, (top if lb > 0 else -top) // g
+            head = [m * x - t * y for x, y in zip(a[1:nb], b[1:])]
+            a = head + ([m * x for x in a[nb:]] if m != 1 else a[nb:])
+        else:
+            a = a[1:]
+    return _content_free(a)
+
+
+def _poly_of(a: list[int]) -> Poly:
+    """The Poly of integers a (highest first), negated to a positive lead."""
+    return Poly(reversed(a) if a[0] > 0 else [-c for c in reversed(a)])
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd (primitive with positive lead when rational)."""
+    if a.is_rational() and b.is_rational():
+        if a.is_zero() and b.is_zero():
+            return Poly()
+        x, y = _primitive_ints(a), _primitive_ints(b)
+        while y:
+            x, y = y, _prem(x, y)
+        return _poly_of(x)
     a, b = Poly(a.coeffs), Poly(b.coeffs)
     while not b.is_zero():
         a, b = b, a % b
@@ -266,11 +333,22 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p with repeated roots collapsed to simple ones."""
+    """p with repeated roots collapsed to simple ones, primitive with
+    positive lead (rational coefficients only)."""
     if p.degree <= 0:
         return p
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.primitive() if p.is_rational() else p.monic()
-    q = p.exact_div(g)
-    return q.primitive() if q.is_rational() else q.monic()
+    q = _primitive_ints(p)
+    g = _primitive_ints(poly_gcd(p, p.derivative()))
+    if len(g) > 1:
+        q = _exact_quotient(q, g)
+    return _poly_of(q)
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer lists, highest first, where b divides a over Z."""
+    a, out = list(a), []
+    for k in range(len(a) - len(b) + 1):
+        out.append(a[k] // b[0])
+        for i, c in enumerate(b[1:], k + 1):
+            a[i] -= out[-1] * c
+    return out

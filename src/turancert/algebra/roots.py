@@ -1,41 +1,39 @@
 """Exact real root location: Sturm chains, isolation, positivity thresholds.
 
-All decisions are made with exact arithmetic.  Sturm chains work over any
-exact ordered field scalar (rationals, real algebraic numbers); full root
-isolation is provided for rational-coefficient polynomials and returns
-`AlgebraicReal` handles (square-free defining polynomial + isolating
-interval with refinement).
+Sturm chains, thresholds and isolation take rational coefficients and
+raise `TypeError` on any other scalar; all decisions are exact.  Sturm
+chains are built from integer pseudo-remainders (`poly._prem`), each
+member scaled by a positive constant, so every sign is the sign of the
+`Fraction` chain.  Thresholds count sign variations by integer Horner at
+integer points and read the count at +infinity from the leading
+coefficients.  Full root isolation returns `AlgebraicReal` handles
+(square-free defining polynomial + isolating interval with refinement).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly, scalar_abs_upper, scalar_sign, squarefree_part
+from .poly import (
+    Poly, _horner, _integer_coeffs, _prem, _primitive_ints, scalar_sign, squarefree_part
+)
 from .ratfunc import RatFunc, sign_at_infinity
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain of p; each member scaled by a positive constant."""
+    """Sturm chain of p: p, p', then the negated remainders, each made
+    primitive with its sign kept."""
+    if not p.is_rational():
+        raise TypeError("Sturm chains need rational coefficients")
     chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        rem = chain[-2] % chain[-1]
-        rem = -rem
-        if rem.is_zero():
-            break
-        if rem.is_rational():
-            _, prim = rem.content_and_primitive()
-            if rem.leading() < 0:
-                prim = -prim
-            rem = prim
-        else:
-            lead = rem.leading()
-            s = lead.sign()
-            inv = lead ** (-1)
-            rem = rem.scale(inv if s > 0 else -inv)
-        chain.append(rem)
     if chain[-1].is_zero():
-        chain.pop()
+        return chain[:1]
+    a, b = _primitive_ints(p), _primitive_ints(chain[-1])
+    while len(b) > 1:
+        a, b = b, [-c for c in _prem(a, b)]
+        if not b:
+            break
+        chain.append(Poly(reversed(b)))
     return chain
 
 
@@ -57,34 +55,43 @@ def cauchy_root_bound(p: Poly) -> Fraction:
     """B with all real roots of p inside (-B, B)."""
     if p.degree <= 0:
         return Fraction(1)
-    lead = scalar_abs_upper(p.leading())
-    m = max(scalar_abs_upper(c) for c in p.coeffs[:-1])
-    return Fraction(1) + m / lead if lead else Fraction(1)
+    m = max(abs(c) for c in p.coeffs[:-1])
+    return Fraction(1) + m / abs(p.leading())
+
+
+def _sign_changes(values: list[int]) -> int:
+    """Sign changes along the integers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def no_roots_above(p: Poly) -> int:
-    """Smallest-ish integer M >= 0 with no real roots of p in (M, inf).
+    """The smallest integer M >= 0 with no real root of p in (M, inf).
 
-    Uses a Sturm count to shrink the Cauchy bound; exact, works over any
-    exact scalar with sign support.
+    That is max(0, ceil(largest real root)).  A Sturm count V(m) - V(inf)
+    on the square-free part gives the roots in (m, inf); the search gallops
+    up from 0 through 1, 2, 4, ... to the first count of zero and then
+    bisects.  Rational coefficients only.
     """
+    if not p.is_rational():
+        raise TypeError("thresholds need rational coefficients")
     if p.degree <= 0:
         return 0
-    q = squarefree_part(p)
-    chain = sturm_chain(q)
-    b = cauchy_root_bound(q)
-    hi = int(b) + 1
-    lo = 0
-    if count_roots_halfopen(chain, Fraction(lo), Fraction(hi)) == 0:
+    chain = _integer_coeffs(sturm_chain(squarefree_part(p)))
+    at_inf = _sign_changes([cs[0] for cs in chain])
+
+    def roots_above(m: int) -> int:
+        return _sign_changes([_horner(cs, m) for cs in chain]) - at_inf
+
+    if not roots_above(0):
         return 0
-    # binary search: smallest m with zero roots in (m, hi]
-    while hi - lo > 1:
-        mid = (hi + lo) // 2
-        if count_roots_halfopen(chain, Fraction(mid), Fraction(hi)) == 0:
-            hi = mid
-        else:
-            lo = mid
-    return hi if count_roots_halfopen(chain, Fraction(lo), Fraction(hi)) else lo
+    lo, hi = 0, 1
+    while roots_above(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # roots above lo, none above hi
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if roots_above(mid) else (lo, mid)
+    return hi
 
 
 class AlgebraicReal:
@@ -243,16 +250,15 @@ def eventual_positivity_threshold(r: RatFunc) -> int:
 
     Requires sign_at_infinity(r) > 0; raises ValueError otherwise.  The
     returned threshold is minimal: r(N0) <= 0 or den(N0) == 0 or N0 == 0.
+    Both conditions hold at n exactly when (num den)(n) > 0, which is
+    scanned down from `no_roots_above` by integer Horner.
     """
     if sign_at_infinity(r) <= 0:
         raise ValueError("rational function is not eventually positive")
     prod = r.num * r.den
-    top = no_roots_above(prod)
+    top = no_roots_above(prod)  # raises TypeError unless prod is rational
+    (cs,) = _integer_coeffs((prod,))
     for n in range(top, 0, -1):
-        dv = r.den.eval(n)
-        if (isinstance(dv, Fraction) and dv == 0) or (not isinstance(dv, Fraction) and not dv):
-            return n
-        val = r.num.eval(n) * (1 / dv if isinstance(dv, Fraction) else dv ** (-1))
-        if scalar_sign(val) <= 0:
+        if _horner(cs, n) <= 0:
             return n
     return 0

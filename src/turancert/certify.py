@@ -34,6 +34,7 @@ from .algebra import (
     rationalize,
     sign_at_infinity,
 )
+from .algebra.poly import _horner, _integer_coeffs
 from .asymptotics import (
     RatioExpansion,
     binomial_power,
@@ -45,8 +46,6 @@ from .render import frac_str, ratfunc_to_json
 from .sequences import (
     Recurrence,
     TermTable,
-    _horner,
-    _integer_coeffs,
     check_inequality_range,
     check_scaling,
     u_bound_sign,

@@ -60,6 +60,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .algebra import Poly
+from .algebra.poly import _horner, _integer_coeffs
 
 CACHE_MAGIC = b"TCTERMS2"
 _STALE_MAGIC = b"TCTERMS1"  # the format before the digest: a cache miss
@@ -150,21 +151,6 @@ def _integer_window(window: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers x and den > 0, the lcm of the denominators, with window[i] = x[i] / den."""
     den = math.lcm(*(v.denominator for v in window))
     return [v.numerator * (den // v.denominator) for v in window], den
-
-
-def _integer_coeffs(polys: Sequence[Poly]) -> list[tuple[int, ...]]:
-    """The rational polynomials times the lcm of all their coefficient
-    denominators, as integer coefficients, highest degree first, for
-    integer Horner evaluation."""
-    scale = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return [tuple(int(c * scale) for c in reversed(p.coeffs)) for p in polys]
-
-
-def _horner(cs: tuple[int, ...], m: int) -> int:
-    acc = 0
-    for c in cs:
-        acc = acc * m + c
-    return acc
 
 
 class TermTable:
@@ -314,6 +300,8 @@ class TermTable:
     def values(self, lo: int, hi: int) -> list[Fraction]:
         if lo < 0:
             raise IndexError("negative index")
+        if hi < lo:
+            return []
         self.ensure(hi)
         return self._vals[lo : hi + 1]
 

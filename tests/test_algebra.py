@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -308,13 +309,23 @@ def test_rationalize_exact_nf_rational():
     assert rationalize(v, "down") == F(3, 2)
 
 
-def test_poly_over_nf_scalars_sturm_ready():
-    # eventual positivity with an irrational leading coefficient
+def test_sturm_layer_rejects_nf_scalars():
+    # the Sturm and threshold layer is rational only; poly_gcd keeps its
+    # number-field path, which RatFunc over Q(lambda) needs
     K = sqrt_field(2)
     s = K.generator()
     p = Poly([s - 3, K.from_rational(1)])  # n + (sqrt2 - 3), root ~ 1.586
-    r = RatFunc(p)
-    assert eventual_positivity_threshold(r) == 1
+    for fn, arg in (
+        (sturm_chain, p),
+        (squarefree_part, p),
+        (no_roots_above, p),
+        (eventual_positivity_threshold, RatFunc(p)),
+        (isolate_real_roots, p),
+    ):
+        with pytest.raises(TypeError):
+            fn(arg)
+    assert poly_gcd(p * (X + 1), p * (X - 2)) == p
+    assert RatFunc(p * (X + 1), p * (X - 2)) == RatFunc(X + 1, X - 2)
 
 
 # -- constant fast paths against the general normalisation ---------------------
@@ -406,3 +417,150 @@ def test_nf_mixed_with_rationals_matches_lifted(x, q, k):
         assert (s - x).coeffs == (lifted - x).coeffs
         assert (x * s).coeffs == (x * lifted).coeffs == (s * x).coeffs
         assert all(isinstance(c, F) for c in (x * s).coeffs + (s - x).coeffs)
+
+
+# -- integer kernels against the Fraction oracles ------------------------------
+#
+# The rational paths of the Fraction Euclid gcd and of the Sturm chain and
+# Cauchy-bisection threshold search that the integer kernels replaced, kept
+# as oracles.
+
+
+def fraction_poly_gcd(a: Poly, b: Poly) -> Poly:
+    a, b = Poly(a.coeffs), Poly(b.coeffs)
+    while not b.is_zero():
+        a, b = b, a % b
+        if not b.is_zero():
+            b = b.primitive()
+    return a if a.is_zero() else a.primitive()
+
+
+def fraction_squarefree_part(p: Poly) -> Poly:
+    if p.degree <= 0:
+        return p
+    g = fraction_poly_gcd(p, p.derivative())
+    return (p if g.degree <= 0 else p.exact_div(g)).primitive()
+
+
+def fraction_sturm_chain(p: Poly) -> list:
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero() and chain[-1].degree > 0:
+        rem = -(chain[-2] % chain[-1])
+        if rem.is_zero():
+            break
+        prim = rem.primitive()
+        chain.append(-prim if rem.leading() < 0 else prim)
+    if chain[-1].is_zero():
+        chain.pop()
+    return chain
+
+
+def fraction_no_roots_above(p: Poly) -> int:
+    if p.degree <= 0:
+        return 0
+    q = fraction_squarefree_part(p)
+    chain = fraction_sturm_chain(q)
+    lo, hi = 0, int(cauchy_root_bound(q)) + 1
+    if count_roots_halfopen(chain, F(lo), F(hi)) == 0:
+        return 0
+    while hi - lo > 1:
+        mid = (hi + lo) // 2
+        if count_roots_halfopen(chain, F(mid), F(hi)) == 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi if count_roots_halfopen(chain, F(lo), F(hi)) else lo
+
+
+def fraction_threshold(r: RatFunc) -> int:
+    for n in range(fraction_no_roots_above(r.num * r.den), 0, -1):
+        dv = r.den.eval(F(n))
+        if dv == 0 or r.num.eval(F(n)) / dv <= 0:
+            return n
+    return 0
+
+
+def random_factor(rng) -> Poly:
+    """A linear factor with an integer root (the search probes integers up
+    to 128), a rational root, a quadratic with two real roots or none, or a
+    dense random polynomial of degree 0-3."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return X - rng.choice([0, 1, 2, 3, 4, 8, 16, 24, 32, 48, 64, 67, 96, 128, -1, -7])
+    if kind == 1:
+        return X - F(rng.randint(-300, 300), rng.randint(1, 12))
+    if kind == 2:
+        return X**2 + F(rng.randint(-200, 200), rng.randint(1, 5)) * X + F(rng.randint(-999, 999), rng.randint(1, 10))
+    return Poly([F(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(rng.randint(1, 4))])
+
+
+def random_poly(rng, factors: int = 3) -> Poly:
+    """A product of random factors, some repeated, times a rational constant
+    of either sign; zero factors give a constant."""
+    p = Poly([F(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 30))])
+    for _ in range(rng.randint(0, factors)):
+        f = random_factor(rng)
+        p = p * f ** rng.choice([1, 1, 2, 3])
+    return p
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sturm_layer_matches_fraction_oracle(seed):
+    rng = random.Random(8100 + seed)
+    for _ in range(150):
+        p = random_poly(rng)
+        sq = squarefree_part(p)
+        assert sq == fraction_squarefree_part(p), p
+        assert all(type(c) is F for c in sq.coeffs)
+        assert sturm_chain(sq) == fraction_sturm_chain(sq), p
+        assert sturm_chain(p) == fraction_sturm_chain(p), p
+        assert no_roots_above(p) == fraction_no_roots_above(p), p
+
+
+def test_no_roots_above_on_probe_points():
+    # roots exactly at the galloping probes 0, 1, 2, 4, ..., between them,
+    # and at the bisection midpoints; simple, repeated, and with a negative lead
+    for root in (0, 1, 2, 3, 4, 5, 8, 12, 16, 31, 32, 33, 64, 67, 127, 128, 129):
+        for mult in (1, 2, 3):
+            for lead in (1, -F(3, 7)):
+                p = lead * (X - root) ** mult * (X + 5) * (X**2 + 1)
+                assert no_roots_above(p) == fraction_no_roots_above(p) == root
+    assert no_roots_above(X - F(1, 3)) == 1
+    assert no_roots_above(-3 * X + 1000) == 334
+    assert no_roots_above(Poly([7])) == no_roots_above(X**2 + 1) == no_roots_above(X + 2) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gcd_and_ratfunc_match_fraction_oracle(seed, monkeypatch):
+    import turancert.algebra.ratfunc as ratfunc_module
+
+    rng = random.Random(8200 + seed)
+    cases = []
+    for _ in range(120):
+        shared = random_poly(rng, 2)
+        a, b = random_poly(rng, 2) * shared, random_poly(rng, 2) * shared
+        if rng.random() < 0.1:
+            a = Poly()
+        if rng.random() < 0.1:
+            b = Poly()
+        got = poly_gcd(a, b)
+        assert got == fraction_poly_gcd(a, b), (a, b)
+        assert all(type(c) is F for c in got.coeffs)
+        if not b.is_zero():
+            cases.append((a, b, RatFunc(a, b)))
+    monkeypatch.setattr(ratfunc_module, "poly_gcd", fraction_poly_gcd)
+    for a, b, r in cases:
+        want = RatFunc(a, b)
+        assert (r.num.coeffs, r.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_threshold_matches_fraction_oracle(seed):
+    rng = random.Random(8300 + seed)
+    for _ in range(120):
+        r = RatFunc(random_poly(rng, 2), random_poly(rng, 2))
+        if r.is_zero():
+            continue
+        if sign_at_infinity(r) < 0:
+            r = -r
+        assert eventual_positivity_threshold(r) == fraction_threshold(r), r

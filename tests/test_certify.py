@@ -24,6 +24,7 @@ from turancert.certify import (
     u_bound_functions,
     verify_certificate,
 )
+from turancert import checks
 from turancert.corpus import get
 from turancert.sequences import Recurrence, TermTable, u_value
 
@@ -503,3 +504,40 @@ class TestRectangleLemma:
             fast = 4 * (m * m - a) * (m * m - b) * m**4 - (m**4 - a * b) ** 2
             assert (exact > 0) == (fast > 0)
             assert (exact < 0) == (fast < 0)
+
+
+class TestExactRectangleLemma:
+    """`corpus run`'s exact corner lemma: concave in each variable."""
+
+    def test_holds_for_the_corner_form(self):
+        r = checks.rectangle_lemma()
+        assert (r.entry, r.check, r.ok) == ("(global)", "rectangle-minimum", True)
+
+    @pytest.mark.parametrize(
+        "form, problem",
+        [
+            (lambda x, y: turan_form(x, y) + x * x, "x^2 coefficient"),  # convex in x
+            (lambda x, y: turan_form(x, y) + 2 * x * x * y * y, "x^2 coefficient"),  # +y^2
+            (lambda x, y: turan_form(x, y) + y * y, "symmetric"),  # convex in y only
+            (lambda x, y: turan_form(x, y) - x * y * y, "symmetric"),
+        ],
+    )
+    def test_rejects_forms_without_the_concavity(self, monkeypatch, form, problem):
+        monkeypatch.setattr(checks, "turan_form", form)
+        r = checks.rectangle_lemma()
+        assert not r.ok and problem in r.detail
+
+
+class TestResidualCheck:
+    @pytest.mark.parametrize("name", ["motzkin", "fine", "bn", "inverse-catalan"])
+    def test_matches_fraction_residual(self, name):
+        entry = get(name)
+        rec, d = entry.recurrence, entry.recurrence.order
+        table = TermTable(rec)
+        assert checks._check_residual(entry, table)[0].ok
+        table._vals[50] += F(1, 3)  # one wrong term breaks the d+1 residuals that read it
+        vals = table.values(0, 300 + d)
+        want = [n for n in range(300) if rec.residual(vals[n:n + d + 1], n) != 0]
+        assert want == list(range(50 - d, 51))
+        (r,) = checks._check_residual(entry, table)
+        assert not r.ok and r.detail == f"nonzero at {want[:3]}"

@@ -48,6 +48,7 @@ UNCALLED_BUT_KEPT = {
     "phi_values": "benchmark workload: exact iterated-phi terms on long ranges",
     "u_power_log": "benchmark workload: the n^2 log n model form of the level chain",
     "series_mul": "benchmark tracing: the series-layer product it times",
+    "residual": "benchmark workload: the Fraction residual that checks long term runs",
 }
 
 

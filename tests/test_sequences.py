@@ -196,6 +196,17 @@ def test_values_rejects_negative_start():
     assert table.values(0, 3) == [F(1), F(1), F(2), F(4)]
 
 
+def test_values_is_empty_when_hi_is_below_lo():
+    table = TermTable(corpus.get("motzkin").recurrence)
+    table.ensure(10)
+    assert table.values(2, -3) == []  # used to slice from the end: a(2..8)
+    assert table.values(2, -1) == []
+    assert table.values(5, 4) == []
+    assert table.values(0, -1) == []
+    assert len(table) == 11  # an empty range fills nothing
+    assert table.values(2, 2) == [F(2)]
+
+
 def test_inequality_scan_rejects_window_below_zero():
     table = TermTable(corpus.get("motzkin").recurrence)
     with pytest.raises(ValueError, match="needs a\\(-1\\)"):
