@@ -5,15 +5,21 @@ supports ``+ - * /``, truthiness as a zero test, and (where signs are
 needed) a ``sign()`` method.  The zero polynomial has an empty
 coefficient tuple and degree -1.
 
-Rational polynomials also have an integer form: `_integer_coeffs` scales
-a group of them by one positive integer and lists their coefficients
-highest degree first, for `_horner` at integer points.  A positive scale
-keeps every sign and zero, so the term stepper, `first_escape`, the
-corpus residual check and the Sturm layer run on these lists.  `poly_gcd`
-and `squarefree_part` work on primitive integer lists: a pseudo-remainder
-is a positive multiple of the `Fraction` remainder, divided by its
-content, and a gcd is returned in its unique normal form, primitive with
-positive lead.
+Rational polynomials have one integer normal form, and this module is the
+only place that clears them to it.  `_integer_coeffs` scales a group of
+them by one positive integer, the lcm of their denominators, and lists
+their coefficients highest degree first; `_integer_window` does the same
+for a window of rationals.  A positive scale keeps every sign and zero, so
+the term stepper, `first_escape`, the corpus residual check and the Sturm
+layer run on these lists by `_horner`.  `_primitive_ints` divides such a
+list by its content, and `_jointly_primitive` divides several lists by
+their joint content with a chosen sign: `RatFunc`'s canonical pair and the
+parser's cleared recurrence are both built by it.  `poly_gcd` and
+`squarefree_part` work on primitive integer lists: a pseudo-remainder is a
+positive multiple of the `Fraction` remainder, divided by its content, and
+a gcd is returned in its unique normal form, primitive with positive lead.
+By Gauss's lemma a primitive divisor leaves an integer quotient
+(`_exact_quotient`) and does not change the content of what it divides.
 """
 
 from __future__ import annotations
@@ -211,31 +217,9 @@ class Poly:
         inv = _scalar_inv(self.leading())
         return Poly([c * inv for c in self.coeffs])
 
-    def content_and_primitive(self) -> tuple[Fraction, "Poly"]:
-        """Write self = content * primitive with integer coprime primitive.
-
-        Only valid for rational coefficients.  The content's sign follows
-        the leading coefficient, so the primitive part has positive lead.
-        """
-        if self.is_zero():
-            return Fraction(0), self
-        if not all(isinstance(c, Fraction) for c in self.coeffs):
-            raise TypeError("content requires rational coefficients")
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        nums = [int(c * den_lcm) for c in self.coeffs]
-        g = 0
-        for v in nums:
-            g = math.gcd(g, abs(v))
-        if nums[-1] < 0:
-            g = -g
-        content = Fraction(g, den_lcm)
-        prim = Poly([v // g for v in nums])
-        return content, prim
-
     def primitive(self) -> "Poly":
-        return self.content_and_primitive()[1]
+        """self over its content, with positive lead (rational coefficients only)."""
+        return _poly_of(_primitive_ints(self))
 
     def is_rational(self) -> bool:
         return all(isinstance(c, Fraction) for c in self.coeffs)
@@ -262,6 +246,21 @@ def _integer_coeffs(polys: Sequence[Poly]) -> list[tuple[int, ...]]:
         tuple(c.numerator * (scale // c.denominator) for c in reversed(p.coeffs))
         for p in polys
     ]
+
+
+def _integer_window(window: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers x and den > 0, the lcm of the denominators, with window[i] = x[i] / den."""
+    den = math.lcm(*(v.denominator for v in window))
+    return [v.numerator * (den // v.denominator) for v in window], den
+
+
+def _jointly_primitive(lists: Sequence[Sequence[int]], sign: int) -> list[Poly]:
+    """The integer lists (highest first) over their joint content, negated
+    when sign < 0, as Polys: the normal form of a group scaled together."""
+    g = math.gcd(*(c for cs in lists for c in cs))
+    if sign < 0:
+        g = -g
+    return [Poly(c // g for c in reversed(cs)) for cs in lists]
 
 
 def _horner(cs: Sequence[int], m: int) -> int:
@@ -308,7 +307,7 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
 
 def _poly_of(a: list[int]) -> Poly:
     """The Poly of integers a (highest first), negated to a positive lead."""
-    return Poly(reversed(a) if a[0] > 0 else [-c for c in reversed(a)])
+    return Poly(reversed(a) if not a or a[0] > 0 else [-c for c in reversed(a)])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -1,16 +1,21 @@
 """Rational functions num/den in one variable over an exact field.
 
-Canonical form: num and den coprime; over the rationals both are scaled
-to integer coefficients with jointly coprime contents and positive
-leading denominator coefficient (so printed forms match hand-cleared
-fractions exactly); over other fields the denominator is monic.
+Canonical form: num and den coprime.  Over the rationals the pair is the
+integer normal form of `algebra.poly`: both are cleared to integers by one
+common scale, divided by their primitive integer gcd, then by their joint
+content, with the sign that makes the denominator's lead positive (so
+printed forms match hand-cleared fractions exactly).  Over other fields
+the denominator is monic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly, poly_gcd, scalar_sign
+from .poly import (
+    Poly, _exact_quotient, _integer_coeffs, _jointly_primitive, _primitive_ints, _scalar_inv,
+    poly_gcd, scalar_sign,
+)
 
 
 class RatFunc:
@@ -32,21 +37,18 @@ class RatFunc:
             self.num, self.den = c.num, c.den
             return
         g = poly_gcd(num, den)
+        if num.is_rational() and den.is_rational():
+            a, b = _integer_coeffs((num, den))
+            if g.degree > 0:
+                gs = _primitive_ints(g)
+                a, b = _exact_quotient(a, gs), _exact_quotient(b, gs)
+            self.num, self.den = _jointly_primitive((a, b), b[0])
+            return
         if g.degree > 0:
             num = num.exact_div(g)
             den = den.exact_div(g)
-        if num.is_rational() and den.is_rational():
-            cn, pn = num.content_and_primitive()
-            cd, pd = den.content_and_primitive()
-            # joint scale: keep integer pair with coprime contents
-            c = cn / cd
-            num = pn.scale(Fraction(c.numerator))
-            den = pd.scale(Fraction(c.denominator))
-        else:
-            lead_inv = den.leading() ** (-1) if not isinstance(den.leading(), Fraction) else 1 / den.leading()
-            num = num.scale(lead_inv)
-            den = den.scale(lead_inv)
-        self.num, self.den = num, den
+        lead_inv = _scalar_inv(den.leading())
+        self.num, self.den = num.scale(lead_inv), den.scale(lead_inv)
 
     # -- constructors ------------------------------------------------------
 
@@ -150,9 +152,7 @@ class RatFunc:
         d = self.den.eval(x)
         if isinstance(d, Fraction) and d == 0:
             raise ZeroDivisionError(f"pole at {x}")
-        n = self.num.eval(x)
-        inv = 1 / d if isinstance(d, Fraction) else d ** (-1)
-        return n * inv
+        return self.num.eval(x) * _scalar_inv(d)
 
     def defined_at(self, x) -> bool:
         d = self.den.eval(x)
@@ -204,7 +204,5 @@ def limit_at_infinity(r: RatFunc):
     if r.is_zero() or dn < dd:
         return Fraction(0)
     if dn == dd:
-        lead = r.den.leading()
-        inv = 1 / lead if isinstance(lead, Fraction) else lead ** (-1)
-        return r.num.leading() * inv
+        return r.num.leading() * _scalar_inv(r.den.leading())
     return "+inf" if sign_at_infinity(r) > 0 else "-inf"

@@ -12,10 +12,12 @@ coefficients.  Full root isolation returns `AlgebraicReal` handles
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .poly import (
-    Poly, _horner, _integer_coeffs, _prem, _primitive_ints, scalar_sign, squarefree_part
+    Poly, _exact_quotient, _horner, _integer_coeffs, _poly_of, _prem, _primitive_ints,
+    scalar_sign, squarefree_part,
 )
 from .ratfunc import RatFunc, sign_at_infinity
 
@@ -139,8 +141,8 @@ class AlgebraicReal:
         while self.hi - self.lo > width:
             self.refine()
 
-    def approx(self, digits: int = 12) -> float:
-        self.refine_below(Fraction(1, 10**digits))
+    def approx(self) -> float:
+        self.refine_below(Fraction(1, 10**12))
         return float((self.lo + self.hi) / 2)
 
 
@@ -155,14 +157,17 @@ def isolate_real_roots(p: Poly) -> list[AlgebraicReal]:
         raise TypeError("isolation implemented for rational coefficients")
     if p.degree <= 0:
         return []
-    q = squarefree_part(p)
+    sq = squarefree_part(p)
+    qs = _primitive_ints(sq)
     points: list[AlgebraicReal] = []
-    for rv in rational_roots_small(q):
-        q = q.exact_div(Poly([-rv, 1]))
-        points.append(AlgebraicReal(Poly([-rv, 1]).primitive(), rv, rv))
+    for rv in rational_roots_small(sq):
+        # a primitive factor leaves a primitive quotient with positive lead
+        lin = [rv.denominator, -rv.numerator]
+        qs = _exact_quotient(qs, lin)
+        points.append(AlgebraicReal(_poly_of(lin), rv, rv))
     roots: list[AlgebraicReal] = []
-    if q.degree > 0:
-        q = q.primitive()
+    if len(qs) > 1:
+        q = _poly_of(qs)
         chain = sturm_chain(q)
         bound = cauchy_root_bound(q)
         lo, hi = -bound - 1, bound + 1
@@ -205,44 +210,30 @@ def isolate_real_roots(p: Poly) -> list[AlgebraicReal]:
     return roots
 
 
-def rational_roots_small(p: Poly, limit: int = 10**6) -> list[Fraction]:
-    """Rational roots found by divisor search; skipped when coefficients
-    are too large for the search to be cheap."""
+def rational_roots_small(p: Poly) -> list[Fraction]:
+    """Rational roots found by divisor search; skipped when the constant or
+    leading coefficient of the primitive form exceeds 10^6, where the search
+    stops being cheap."""
     if p.degree <= 0 or not p.is_rational():
         return []
-    _, prim = p.content_and_primitive()
-    coeffs = [int(c) for c in prim.coeffs]
-    k = 0
-    while coeffs[k] == 0:
-        k += 1
-    found = [Fraction(0)] if k else []
-    coeffs = coeffs[k:]
-    a0, ad = abs(coeffs[0]), abs(coeffs[-1])
-    if a0 > limit or ad > limit:
-        return found
-    picked = set()
-    for pnum in _divisors(a0):
-        for pden in _divisors(ad):
-            for s in (1, -1):
-                cand = Fraction(s * pnum, pden)
-                if cand in picked:
-                    continue
-                if prim.eval(cand) == 0:
-                    picked.add(cand)
-                    found.append(cand)
+    cs = _primitive_ints(p)
+    found = set() if cs[-1] else {Fraction(0)}
+    while not cs[-1]:
+        cs.pop()
+    a0, ad = abs(cs[-1]), abs(cs[0])
+    if max(a0, ad) <= 10**6:
+        found.update(
+            c
+            for pnum in _divisors(a0)
+            for pden in _divisors(ad)
+            for c in (Fraction(pnum, pden), Fraction(-pnum, pden))
+            if _horner(cs, c) == 0
+        )
     return sorted(found)
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _divisors(n: int) -> set[int]:
+    return {d for k in range(1, math.isqrt(n) + 1) if n % k == 0 for d in (k, n // k)}
 
 
 def eventual_positivity_threshold(r: RatFunc) -> int:

@@ -52,6 +52,7 @@ from .sequences import (
 )
 
 BASE_SCAN_BUDGET = 10000
+U_WINDOW_SPAN = 2000  # indices past validFrom that a u-window certificate rechecks
 
 
 class CertifyError(RuntimeError):
@@ -482,20 +483,19 @@ def certify_u_window(
     order: int = 4,
     scaling: str = "none",
     table: Optional[TermTable] = None,
-    span: int = 2000,
 ) -> UWindowCertificate:
     """Certified u-window alone, rechecked exactly over a finite segment.
 
     The containment already holds for all n > validFrom by the ratio
-    induction; the segment recheck over (validFrom, validFrom + span] is a
-    redundant exact confirmation stored with the artifact.
+    induction; the segment recheck over (validFrom, validFrom +
+    U_WINDOW_SPAN] is a redundant exact confirmation stored with the artifact.
     """
     if table is None:
         table = TermTable(rec)
     rb, ub = certify_u_bounds(rec, order, table=table)
     ub = scaled_bounds(ub, scaling)
 
-    lo, hi = ub.valid_from + 1, ub.valid_from + span
+    lo, hi = ub.valid_from + 1, ub.valid_from + U_WINDOW_SPAN
     n = first_escape(table, scaling, ub.lower, ub.upper, lo, hi)
     if n is not None:
         raise CertifyError(f"u at n = {n} escapes the certified window")
@@ -521,20 +521,28 @@ def _rf_from_json(obj: dict) -> RatFunc:
     )
 
 
+def _json_int(value, name: str) -> int:
+    """An integer field of a certificate: a JSON int, and not a bool."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] = None):
     """Replay a certificate against the sequence itself.
 
     The head and the kind's own fields are read in one parse; a certificate
-    that does not parse is rejected as malformed.  For the full kind
-    ("turan3") this checks, in exact arithmetic: the certificate names this
-    recurrence; the corner polynomials follow from the stored window
-    functions; every stored threshold is valid; N covers thresholds and
-    window validity; u_n sits in the stored window on a hundred sampled
-    indices; and the initial-segment violation list is reproduced.  For the
-    window-only kind ("u-window") it recomputes the window functions and
-    rechecks the stored segment exactly; a segment that starts anywhere but
-    right after validFrom, or that is empty (`to` below `from`), is
-    rejected.  Returns (ok, diagnosis list).
+    that does not parse is rejected as malformed, and so is an integer
+    field that is not a JSON integer (a string, a float or a boolean).  For
+    the full kind ("turan3") this checks, in exact arithmetic: the
+    certificate names this recurrence; the corner polynomials follow from
+    the stored window functions; every stored threshold is valid; N covers
+    thresholds and window validity; u_n sits in the stored window on a
+    hundred sampled indices; and the initial-segment violation list is
+    reproduced.  For the window-only kind ("u-window") it recomputes the
+    window functions and rechecks the stored segment exactly; a segment that
+    starts anywhere but right after validFrom, or that is empty (`to` below
+    `from`), is rejected.  Returns (ok, diagnosis list).
     """
     if table is None:
         table = TermTable(rec)
@@ -552,28 +560,31 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
             bad.append("certificate does not describe this recurrence")
         scaling = seq.get("scaling", "none")
         check_scaling(scaling)
-        order = cert["order"]
-        if type(order) is not int or order < 1:
+        order = _json_int(cert["order"], "order")
+        if order < 1:
             raise ValueError(f"order must be an integer >= 1, got {order!r}")
         g = _rf_from_json(cert["bounds"]["g"])
         f = _rf_from_json(cert["bounds"]["f"])
-        valid_from = int(cert["bounds"]["validFrom"])
+        valid_from = _json_int(cert["bounds"]["validFrom"], "validFrom")
         if valid_from < 0:
             raise ValueError(f"negative validFrom {valid_from}")
         if kind == "turan3":
             seg = cert["initialSegment"]
             replay, tail = _replay_turan3, {
-                "n_cert": int(cert["N"]),
-                "corners": [(_rf_from_json(c), int(c["threshold"])) for c in cert["corners"]],
-                "segment": (int(seg["from"]), int(seg["to"])),
-                "violations": [int(v) for v in seg["violations"]],
-                "holds_from": int(cert.get("holdsFrom", -1)),
+                "n_cert": _json_int(cert["N"], "N"),
+                "corners": [
+                    (_rf_from_json(c), _json_int(c["threshold"], "threshold"))
+                    for c in cert["corners"]
+                ],
+                "segment": (_json_int(seg["from"], "from"), _json_int(seg["to"], "to")),
+                "violations": [_json_int(v, "violation") for v in seg["violations"]],
+                "holds_from": _json_int(cert["holdsFrom"], "holdsFrom"),
             }
         else:
             seg = cert["checkedSegment"]
             replay, tail = _replay_u_window, {
                 "order": order,
-                "segment": (int(seg["from"]), int(seg["to"])),
+                "segment": (_json_int(seg["from"], "from"), _json_int(seg["to"], "to")),
             }
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         return False, [f"malformed certificate: {exc}"]

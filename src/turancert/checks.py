@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .algebra import Poly, RatFunc, eventual_positivity_threshold
-from .algebra.poly import _horner, _integer_coeffs
+from .algebra.poly import _horner, _integer_coeffs, _integer_window
 from .asymptotics import ratio_expansion, u_expansion
 from .certify import (
     CertifyError,
@@ -26,7 +26,7 @@ from .certify import (
 )
 from .corpus import ENTRIES, CorpusEntry
 from .criteria import llogconcave_verdict, turan3_verdict
-from .sequences import TermTable, _integer_window, check_inequality_range, turan3_sign, u_value
+from .sequences import TermTable, check_inequality_range, turan3_sign, u_value
 
 
 class CheckResult(NamedTuple):

@@ -563,13 +563,13 @@ def llogconcave_asymptotic(u: Union[AsymSeries, UnForm], ell: int) -> Verdict:
 # -- drivers --------------------------------------------------------------------
 
 
-def _drive(rec, check, scaling, max_order, rho, table) -> Verdict:
+def _drive(rec, check, scaling, max_order, table) -> Verdict:
     if table is None:
         table = TermTable(rec)
     order = min(4, max_order)
     last: Optional[Verdict] = None
     while True:
-        rx = ratio_expansion(rec, order, rho=rho, table=table)
+        rx = ratio_expansion(rec, order, table=table)
         u = u_expansion(rx, scaling=scaling)
         last = check(u)
         if not last.retryable or order >= max_order:
@@ -581,7 +581,6 @@ def turan3_verdict(
     rec: Recurrence,
     scaling: str = "none",
     max_order: int = 8,
-    rho: Optional[int] = None,
     table: Optional[TermTable] = None,
 ) -> Verdict:
     """Expand u_n for a recurrence and decide the cubic Turan form.
@@ -589,7 +588,7 @@ def turan3_verdict(
     Starts at expansion order 4 and doubles up to max_order while the verdict
     stays inconclusive for lack of certified terms.
     """
-    return _drive(rec, turan3_asymptotic, scaling, max_order, rho, table)
+    return _drive(rec, turan3_asymptotic, scaling, max_order, table)
 
 
 def llogconcave_verdict(
@@ -597,10 +596,7 @@ def llogconcave_verdict(
     ell: int,
     scaling: str = "none",
     max_order: int = 8,
-    rho: Optional[int] = None,
     table: Optional[TermTable] = None,
 ) -> Verdict:
     """Expand u_n for a recurrence and decide ell-fold log-concavity."""
-    return _drive(
-        rec, lambda u: llogconcave_asymptotic(u, ell), scaling, max_order, rho, table
-    )
+    return _drive(rec, lambda u: llogconcave_asymptotic(u, ell), scaling, max_order, table)

@@ -18,10 +18,10 @@ in n and N with N*f(n) = f(n+1)*N, e.g. (n+2)^3*N^2 - (2n+3)*(17n^2+51n+39)*N
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Optional
 
 from .algebra import Poly, RatFunc, poly_gcd
+from .algebra.poly import _integer_coeffs, _jointly_primitive
 from .sequences import Recurrence
 
 
@@ -375,12 +375,8 @@ def _relation_to_recurrence(
         coeffs.append(-polys.get(d - k, Poly()))
     if coeffs[0].is_zero():
         raise ParseError("degenerate relation: the highest shift cancels")
-    scalars = [Fraction(c) for p in coeffs for c in p.coeffs if c]
-    m = lcm(*(c.denominator for c in scalars))
-    g = gcd(*(c.numerator * (m // c.denominator) for c in scalars))
-    coeffs = [p.scale(Fraction(m, g)) for p in coeffs]
-    if coeffs[0].leading() < 0:
-        coeffs = [-p for p in coeffs]
+    ints = _integer_coeffs(coeffs)
+    coeffs = _jointly_primitive(ints, ints[0][0])
     try:
         return Recurrence(coeffs, initials, name=name)
     except ValueError as exc:
@@ -430,11 +426,6 @@ def parse_operator(text: str, name: str = "") -> Recurrence:
 # -- printing ---------------------------------------------------------------------
 
 
-def _frac_text(c: Fraction) -> str:
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def poly_text(p: Poly, var: str = "n") -> str:
     """Plain text of a polynomial, highest power first."""
     if p.is_zero():
@@ -447,10 +438,10 @@ def poly_text(p: Poly, var: str = "n") -> str:
         sign = "-" if c < 0 else "+"
         c = abs(c)
         if k == 0:
-            body = _frac_text(c)
+            body = str(c)
         else:
             power = var if k == 1 else f"{var}^{k}"
-            body = power if c == 1 else f"{_frac_text(c)}*{power}"
+            body = power if c == 1 else f"{c}*{power}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
     out = ("-" if first_sign == "-" else "") + first_body

@@ -60,7 +60,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .algebra import Poly
-from .algebra.poly import _horner, _integer_coeffs
+from .algebra.poly import _horner, _integer_coeffs, _integer_window
 
 CACHE_MAGIC = b"TCTERMS2"
 _STALE_MAGIC = b"TCTERMS1"  # the format before the digest: a cache miss
@@ -145,12 +145,6 @@ def _reduced(num: int, den: int) -> Fraction:
     v._numerator = num
     v._denominator = den
     return v
-
-
-def _integer_window(window: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers x and den > 0, the lcm of the denominators, with window[i] = x[i] / den."""
-    den = math.lcm(*(v.denominator for v in window))
-    return [v.numerator * (den // v.denominator) for v in window], den
 
 
 class TermTable:
@@ -495,13 +489,12 @@ def check_inequality_range(
     lo: int,
     hi: int,
     scaling: str = "none",
-    strict: bool = True,
 ) -> list[int]:
-    """Indices in [lo, hi] where the named inequality fails.
+    """Indices in [lo, hi] where the named inequality fails, that is, where
+    its form is not strictly positive.
 
-    `strict` demands sign > 0; otherwise >= 0.  The window at n starts at
-    a(n-1), so lo must be at least 1.  The table is filled to hi + 2 once,
-    before the scan.
+    The window at n starts at a(n-1), so lo must be at least 1.  The table
+    is filled to hi + 2 once, before the scan.
     """
     if predicate not in PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
@@ -509,9 +502,4 @@ def check_inequality_range(
         raise ValueError(f"the window at n = {lo} needs a({lo - 1}); scans start at n = 1")
     fn = PREDICATES[predicate]
     table.ensure(hi + 2)
-    bad = []
-    for n in range(lo, hi + 1):
-        s = fn(table, n, scaling)
-        if s < 0 or (strict and s == 0):
-            bad.append(n)
-    return bad
+    return [n for n in range(lo, hi + 1) if fn(table, n, scaling) <= 0]

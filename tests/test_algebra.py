@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -328,23 +329,56 @@ def test_sturm_layer_rejects_nf_scalars():
     assert RatFunc(p * (X + 1), p * (X - 2)) == RatFunc(X + 1, X - 2)
 
 
-# -- constant fast paths against the general normalisation ---------------------
+# -- the integer normal form against the Fraction normalisation ------------------
+#
+# The Fraction normalisation that RatFunc, Poly.primitive and the parser ran
+# before the integer normal form, kept as self-contained oracles: content and
+# primitive part by a Fraction lcm/gcd loop, and RatFunc's cancel-then-scale.
+
+
+def fraction_content_and_primitive(p: Poly) -> tuple:
+    """p = content * primitive part, the primitive part coprime integers with
+    positive lead (the content takes the sign of p's lead)."""
+    den_lcm = 1
+    for c in p.coeffs:
+        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    nums = [int(c * den_lcm) for c in p.coeffs]
+    g = 0
+    for v in nums:
+        g = math.gcd(g, abs(v))
+    if nums[-1] < 0:
+        g = -g
+    return F(g, den_lcm), Poly([v // g for v in nums])
+
+
+def fraction_primitive(p: Poly) -> Poly:
+    return p if p.is_zero() else fraction_content_and_primitive(p)[1]
+
+
+def fraction_form(num: Poly, den: Poly) -> tuple:
+    """(num, den) coefficient tuples of num/den for rational coefficients:
+    cancel the Fraction gcd, then scale the two primitive parts by the
+    numerator and denominator of the quotient of their contents."""
+    if num.is_zero():
+        return (), (F(1),)
+    g = fraction_poly_gcd(num, den)
+    if g.degree > 0:
+        num, den = num.exact_div(g), den.exact_div(g)
+    cn, pn = fraction_content_and_primitive(num)
+    cd, pd = fraction_content_and_primitive(den)
+    c = cn / cd
+    return pn.scale(F(c.numerator)).coeffs, pd.scale(F(c.denominator)).coeffs
 
 
 def _reference_form(num: Poly, den: Poly) -> tuple:
     """(num, den) coefficient tuples of num/den by the general normalisation:
-    cancel the gcd, then scale to an integer pair (rational coefficients) or
-    to a monic denominator (field coefficients)."""
-    if num.is_zero():
-        return (), (F(1),)
+    the Fraction form (rational coefficients), or the gcd cancelled and the
+    denominator made monic (field coefficients)."""
+    if num.is_rational() and den.is_rational():
+        return fraction_form(num, den)
     g = poly_gcd(num, den)
     if g.degree > 0:
         num, den = num.exact_div(g), den.exact_div(g)
-    if num.is_rational() and den.is_rational():
-        cn, pn = num.content_and_primitive()
-        cd, pd = den.content_and_primitive()
-        c = cn / cd
-        return pn.scale(F(c.numerator)).coeffs, pd.scale(F(c.denominator)).coeffs
     lead = den.leading()
     inv = 1 / lead if isinstance(lead, F) else lead ** (-1)
     return num.scale(inv).coeffs, den.scale(inv).coeffs
@@ -429,17 +463,15 @@ def test_nf_mixed_with_rationals_matches_lifted(x, q, k):
 def fraction_poly_gcd(a: Poly, b: Poly) -> Poly:
     a, b = Poly(a.coeffs), Poly(b.coeffs)
     while not b.is_zero():
-        a, b = b, a % b
-        if not b.is_zero():
-            b = b.primitive()
-    return a if a.is_zero() else a.primitive()
+        a, b = b, fraction_primitive(a % b)
+    return fraction_primitive(a)
 
 
 def fraction_squarefree_part(p: Poly) -> Poly:
     if p.degree <= 0:
         return p
     g = fraction_poly_gcd(p, p.derivative())
-    return (p if g.degree <= 0 else p.exact_div(g)).primitive()
+    return fraction_primitive(p if g.degree <= 0 else p.exact_div(g))
 
 
 def fraction_sturm_chain(p: Poly) -> list:
@@ -448,7 +480,7 @@ def fraction_sturm_chain(p: Poly) -> list:
         rem = -(chain[-2] % chain[-1])
         if rem.is_zero():
             break
-        prim = rem.primitive()
+        prim = fraction_primitive(rem)
         chain.append(-prim if rem.leading() < 0 else prim)
     if chain[-1].is_zero():
         chain.pop()
@@ -564,3 +596,109 @@ def test_threshold_matches_fraction_oracle(seed):
         if sign_at_infinity(r) < 0:
             r = -r
         assert eventual_positivity_threshold(r) == fraction_threshold(r), r
+
+
+def random_constant(rng) -> Poly:
+    return Poly([F(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 12))])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ratfunc_matches_fraction_normal_form(seed):
+    # shared factors of multiplicity 1-3, leads of either sign and fractional
+    # coefficients on both sides (random_poly), constants against
+    # non-constants, and zero numerators
+    rng = random.Random(8400 + seed)
+    for _ in range(150):
+        shared = Poly()
+        while shared.degree < 1:
+            shared = random_factor(rng)
+        shared = shared ** rng.randint(1, 3)
+        a, b = random_poly(rng, 2) * shared, random_poly(rng, 2) * shared
+        kind = rng.randrange(5)
+        if kind == 0:
+            a = Poly()
+        elif kind == 1:
+            a = random_constant(rng)
+        elif kind == 2:
+            b = random_constant(rng)
+        if b.is_zero():
+            continue
+        r = RatFunc(a, b)
+        assert (r.num.coeffs, r.den.coeffs) == fraction_form(a, b), (a, b)
+        assert all(type(c) is F for c in r.num.coeffs + r.den.coeffs)
+
+
+def test_ratfunc_normal_form_signs_and_contents():
+    # the sign comes from the denominator's lead; the joint content is 1 even
+    # when each side alone has a content above 1
+    cases = [
+        ((-2 * X - 4, -6 * X), ((2, 1), (0, 3))),
+        ((6 * X + 6, -4 * X**2 - 4 * X), ((-3,), (0, 2))),
+        ((F(3, 4) * X - F(1, 2), Poly([F(-9, 2)])), ((2, -3), (18,))),
+        ((Poly([F(-5, 7)]), F(10, 3) * (X - 1) ** 2), ((-3,), (14, -28, 14))),
+        ((Poly(), -3 * X), ((), (1,))),
+    ]
+    for (num, den), want in cases:
+        r = RatFunc(num, den)
+        assert (r.num.coeffs, r.den.coeffs) == want == fraction_form(num, den), (num, den)
+
+
+def test_primitive_on_zero_and_negative_lead():
+    assert Poly().primitive() == Poly()
+    assert Poly([F(-3, 2), 0, F(-9, 4)]).primitive().coeffs == (2, 0, 3)
+    assert (-6 * X + 4).primitive().coeffs == (-2, 3)
+    assert Poly([F(-7, 3)]).primitive().coeffs == (1,)
+    rng = random.Random(8500)
+    for _ in range(200):
+        p = random_poly(rng, 3)
+        assert p.primitive() == fraction_primitive(p), p
+    with pytest.raises(TypeError):
+        Poly([sqrt_field(2).generator()]).primitive()
+
+
+def fraction_rational_roots(p: Poly) -> list:
+    """Divisor search on the Fraction primitive part, evaluated in Fractions."""
+    prim = fraction_primitive(p)
+    coeffs = [int(c) for c in prim.coeffs]
+    k = 0
+    while coeffs[k] == 0:
+        k += 1
+    a0, ad = abs(coeffs[k]), abs(coeffs[-1])
+    found = {F(0)} if k else set()
+    if a0 > 10**6 or ad > 10**6:
+        return sorted(found)
+    nums, dens = (
+        {d for x in range(1, math.isqrt(n) + 1) if n % x == 0 for d in (x, n // x)}
+        for n in (a0, ad)
+    )
+    for pnum in nums:
+        for pden in dens:
+            found.update(c for c in (F(pnum, pden), F(-pnum, pden)) if prim.eval(c) == 0)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_isolate_splits_rational_roots_off_the_primitive_factor(seed):
+    # rational roots come back as exact points on their primitive linear
+    # factor; the other roots carry the primitive cofactor with positive lead
+    rng = random.Random(8600 + seed)
+    for _ in range(40):
+        p = random_poly(rng, 2) * (X - F(rng.randint(-20, 20), rng.randint(1, 6))) ** rng.randint(1, 2)
+        if rng.random() < 0.5:
+            p = p * (X**2 - rng.choice([2, 3, 5, 7]))
+        sq = fraction_squarefree_part(p)
+        rational = fraction_rational_roots(sq)
+        assert rational_roots_small(sq) == rational, p
+        cofactor = sq
+        for rv in rational:
+            cofactor = cofactor.exact_div(X - rv)
+        roots = isolate_real_roots(p)
+        assert [(r.lo, r.hi) for r in roots] == sorted((r.lo, r.hi) for r in roots)
+        assert [r.lo for r in roots if r.is_rational()] == rational, p
+        for r in roots:
+            if r.is_rational():
+                assert r.poly == fraction_primitive(X - r.lo), p
+            else:
+                assert r.poly == fraction_primitive(cofactor), p
+                assert all(type(c) is F for c in r.poly.coeffs)
+                assert r.poly.eval(r.lo) * r.poly.eval(r.hi) < 0

@@ -393,9 +393,52 @@ MALFORMED = {
         lambda doc: doc["corners"][0].pop("num"),
         "malformed certificate: 'num'",
     ),
+    "holds-from-missing": (
+        lambda doc: doc.pop("holdsFrom"),
+        "malformed certificate: 'holdsFrom'",
+    ),
     "holds-from-not-a-number": (
         lambda doc: doc.update(holdsFrom="x"),
-        "malformed certificate: invalid literal for int() with base 10: 'x'",
+        "malformed certificate: holdsFrom must be an integer, got 'x'",
+    ),
+    # integer fields must be JSON integers: int() would accept each of these
+    "n-as-string": (
+        lambda doc: doc.update(N=str(doc["N"])),
+        "malformed certificate: N must be an integer, got '67'",
+    ),
+    "n-as-float": (
+        lambda doc: doc.update(N=doc["N"] + 0.9),
+        "malformed certificate: N must be an integer, got 67.9",
+    ),
+    "valid-from-as-string": (
+        lambda doc: doc["bounds"].update(validFrom=str(doc["bounds"]["validFrom"])),
+        "malformed certificate: validFrom must be an integer, got '67'",
+    ),
+    "holds-from-as-string": (
+        lambda doc: doc.update(holdsFrom=str(doc["holdsFrom"])),
+        "malformed certificate: holdsFrom must be an integer, got '2'",
+    ),
+    "segment-from-as-bool": (
+        lambda doc: doc["initialSegment"].update({"from": True}),
+        "malformed certificate: from must be an integer, got True",
+    ),
+    "segment-to-as-string": (
+        lambda doc: doc["initialSegment"].update(to=str(doc["initialSegment"]["to"])),
+        "malformed certificate: to must be an integer, got '67'",
+    ),
+    "violations-as-strings": (
+        lambda doc: doc["initialSegment"].update(
+            violations=[str(v) for v in doc["initialSegment"]["violations"]]
+        ),
+        "malformed certificate: violation must be an integer, got '1'",
+    ),
+    "threshold-as-string": (
+        lambda doc: doc["corners"][1].update(threshold=str(doc["corners"][1]["threshold"])),
+        "malformed certificate: threshold must be an integer, got '4'",
+    ),
+    "order-as-bool": (
+        lambda doc: doc.update(order=True),
+        "malformed certificate: order must be an integer, got True",
     ),
     "zero-denominator": (
         lambda doc: doc["bounds"]["g"].update(den=["0"]),
@@ -416,6 +459,18 @@ MALFORMED = {
     ),
 }
 
+# tampers of the window-only kind's own fields
+MALFORMED_U_WINDOW = {
+    "checked-from-as-string": (
+        lambda doc: doc["checkedSegment"].update({"from": str(doc["checkedSegment"]["from"])}),
+        "malformed certificate: from must be an integer, got '",
+    ),
+    "checked-to-as-float": (
+        lambda doc: doc["checkedSegment"].update(to=doc["checkedSegment"]["to"] + 0.5),
+        "malformed certificate: to must be an integer, got ",
+    ),
+}
+
 
 class TestCertificateContract:
     @pytest.mark.parametrize("name", sorted(CERTIFICATE_SHA256))
@@ -430,10 +485,11 @@ class TestCertificateContract:
     @pytest.mark.parametrize(
         "case, certify",
         [pytest.param(case, certify_turan3, id=case) for case in sorted(MALFORMED)]
-        + [pytest.param("order-zero", certify_u_window, id="order-zero-u-window")],
+        + [pytest.param("order-zero", certify_u_window, id="order-zero-u-window")]
+        + [pytest.param(case, certify_u_window, id=case) for case in sorted(MALFORMED_U_WINDOW)],
     )
     def test_malformed_certificate_is_rejected(self, capsys, tmp_path, case, certify):
-        tamper, diagnosis = MALFORMED[case]
+        tamper, diagnosis = {**MALFORMED, **MALFORMED_U_WINDOW}[case]
         doc = certify(get("motzkin").recurrence, 4, scaling="factorial").to_json()
         if tamper is None:
             doc = [doc]

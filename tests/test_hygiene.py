@@ -102,3 +102,51 @@ def test_every_function_is_called_or_kept():
     }
     found = uncalled(sources)
     assert sorted(qual.split(".")[-1] for _, qual in found) == sorted(UNCALLED_BUT_KEPT), found
+
+
+# Clearing rational coefficients to integers is decided in one module: no
+# other module of the package takes an lcm of denominators.
+LCM_OWNER = "algebra/poly.py"
+
+
+def lcm_calls(source: str) -> list:
+    """Lines that call math.lcm, through the module (or an alias) or through
+    a name imported from it."""
+    tree = ast.parse(source)
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "math"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            names |= {a.asname or a.name for a in node.names if a.name == "lcm"}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr == "lcm"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in modules
+            or isinstance(node.func, ast.Name)
+            and node.func.id in names
+        )
+    )
+
+
+def test_lcm_detector():
+    src = (
+        "import math\nimport math as m\nfrom math import lcm as L, gcd\n"
+        "a = math.lcm(2, 3)\nb = m.lcm(4)\nc = L(5, 6)\nd = gcd(1, 2) + math.gcd(3)\n"
+    )
+    assert lcm_calls(src) == [4, 5, 6]
+    assert lcm_calls("def lcm(a, b):\n    return a\nx = lcm(1, 2)\n") == []
+
+
+def test_only_poly_clears_denominators():
+    callers = {
+        str(p.relative_to(PACKAGE))
+        for p in PACKAGE.rglob("*.py")
+        if lcm_calls(p.read_text(encoding="utf-8"))
+    }
+    assert callers == {LCM_OWNER}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -66,6 +68,53 @@ class TestGrammar:
     def test_fractional_initials(self):
         r = parse_recurrence("a(n+1) - a(n) = 0 ; a(0)=-3/2")
         assert r.initials == (F(-3, 2),)
+
+
+def fraction_clearing(coeffs: list) -> list:
+    """The former clearing of a relation: scale every coefficient by the lcm
+    of the denominators over the gcd of the scaled numerators in Fractions,
+    then negate all when p0 has a negative lead."""
+    scalars = [F(c) for p in coeffs for c in p.coeffs if c]
+    m = math.lcm(*(c.denominator for c in scalars))
+    g = math.gcd(*(c.numerator * (m // c.denominator) for c in scalars))
+    coeffs = [p.scale(F(m, g)) for p in coeffs]
+    if coeffs[0].leading() < 0:
+        coeffs = [-p for p in coeffs]
+    return coeffs
+
+
+def random_rational_poly(rng) -> Poly:
+    """A nonzero polynomial of degree 0-2 with fractional coefficients of either sign."""
+    p = Poly()
+    while p.is_zero():
+        p = Poly([F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(rng.randint(1, 3))])
+    return p
+
+
+class TestClearing:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_fraction_clearing(self, seed):
+        # fractional coefficients and negative leads, the terms written in
+        # either order around '='
+        rng = random.Random(8700 + seed)
+        for _ in range(40):
+            ps = [random_rational_poly(rng) for _ in range(3)]
+            want = fraction_clearing(ps)
+            t0, t1, t2 = (f"({poly_text(p)})" for p in ps)
+            neg1, neg2 = (f"({poly_text(-p)})" for p in ps[1:])
+            for text in (
+                f"{t0}*a(n+2) = {t1}*a(n+1) + {t2}*a(n) ; 1, 1",
+                f"{neg2}*a(n) + {neg1}*a(n+1) + {t0}*a(n+2) = 0 ; 1, 1",
+            ):
+                got = parse_recurrence(text)
+                assert list(got.coeffs) == want, text
+                assert got.coeffs[0].leading() > 0
+                assert all(type(c) is F for p in got.coeffs for c in p.coeffs)
+
+    def test_negative_lead_and_fractions(self):
+        r = parse_recurrence("-(2/3*n + 1/2)*a(n+1) = (3/4*n - 5/6)*a(n) ; 1")
+        assert list(r.coeffs) == [Poly([6, 8]), Poly([10, -9])]
+        assert list(r.coeffs) == fraction_clearing([Poly([F(-1, 2), F(-2, 3)]), Poly([F(-5, 6), F(3, 4)])])
 
 
 class TestGrammarErrors:
