@@ -9,15 +9,17 @@ Rational polynomials have one integer normal form, and this module is the
 only place that clears them to it.  `_integer_coeffs` scales a group of
 them by one positive integer, the lcm of their denominators, and lists
 their coefficients highest degree first; `_integer_window` does the same
-for a window of rationals.  A positive scale keeps every sign and zero, so
-the term stepper, `first_escape`, the corpus residual check and the Sturm
-layer run on these lists by `_horner`.  `_primitive_ints` divides such a
-list by its content, and `_jointly_primitive` divides several lists by
-their joint content with a chosen sign: `RatFunc`'s canonical pair and the
-parser's cleared recurrence are both built by it.  `poly_gcd` and
-`squarefree_part` work on primitive integer lists: a pseudo-remainder is a
-positive multiple of the `Fraction` remainder, divided by its content, and
-a gcd is returned in its unique normal form, primitive with positive lead.
+for a window of rationals: `sequences.windows` builds every term window
+of an exact scan with it.  A positive scale keeps every sign and zero, so
+the term stepper, the bounds of `certify.first_escape`, the corpus
+residual check and the Sturm layer run on these lists by `_horner`.
+`_primitive_ints` divides such a list by its content, and
+`_jointly_primitive` divides several lists by their joint content with a
+chosen sign: `RatFunc`'s canonical pair and the parser's cleared
+recurrence are both built by it.  `poly_gcd` and `squarefree_part` work on
+primitive integer lists: a pseudo-remainder is a positive multiple of the
+`Fraction` remainder, divided by its content, and a gcd is returned in its
+unique normal form, primitive with positive lead.
 By Gauss's lemma a primitive divisor leaves an integer quotient
 (`_exact_quotient`) and does not change the content of what it divides.
 """

@@ -61,6 +61,16 @@ class RatFunc:
         return RatFunc(Poly([0, 1]))
 
     @staticmethod
+    def laurent(terms) -> "RatFunc":
+        """The sum of c n^e over (e, c) pairs with int exponents e, as one
+        numerator over n^k, k the largest -e (or 0); equal exponents add."""
+        k = max([0] + [-e for e, _ in terms])
+        num = [0] * (k + max(e for e, _ in terms) + 1)
+        for e, c in terms:
+            num[e + k] += c
+        return RatFunc(Poly(num), Poly([0] * k + [1]))
+
+    @staticmethod
     def zero() -> "RatFunc":
         return RatFunc(Poly())
 

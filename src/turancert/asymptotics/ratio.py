@@ -25,7 +25,7 @@ from ..algebra import (
     RatFunc,
     isolate_real_roots,
 )
-from ..sequences import Recurrence, TermTable
+from ..sequences import Recurrence, TermTable, check_scaling
 from .series import (
     AsymSeries,
     binomial_power,
@@ -414,13 +414,12 @@ def ratio_expansion(
 def u_expansion(rx: RatioExpansion, scaling: str = "none") -> AsymSeries:
     """u_n = a(n-1)a(n+1)/a(n)^2 = r(n)/r(n-1) as a series; optional
     factorial scaling multiplies by n/(n+1)."""
+    check_scaling(scaling)
     beta = rx.v.error_order
     u = binomial_power(-1, -rx.mu, beta)
     u = u * rx.v * series_inv(shift_series(rx.v, -1, beta), beta)
     if scaling == "factorial":
         u = u * binomial_power(1, -1, beta)
-    elif scaling != "none":
-        raise ValueError(f"unknown scaling {scaling!r}")
     return u.truncate(beta)
 
 

@@ -46,9 +46,10 @@ from .render import frac_str, ratfunc_to_json
 from .sequences import (
     Recurrence,
     TermTable,
+    _form_sign,
     check_inequality_range,
     check_scaling,
-    u_bound_sign,
+    windows,
 )
 
 BASE_SCAN_BUDGET = 10000
@@ -57,12 +58,6 @@ U_WINDOW_SPAN = 2000  # indices past validFrom that a u-window certificate reche
 
 class CertifyError(RuntimeError):
     """Raised when a certificate cannot be established at the given order."""
-
-
-def _monomial(e: int) -> RatFunc:
-    if e >= 0:
-        return RatFunc(Poly([0] * e + [1]))
-    return RatFunc(Poly([1]), Poly([0] * (-e) + [1]))
 
 
 def _ept(r: RatFunc) -> int:
@@ -106,16 +101,13 @@ def _ratio_window_functions(rx: RatioExpansion, order: int):
 
     beta = Fraction(order + 1)
     w = binomial_power(-1, Fraction(mu), beta) * shift_series(rx.v, -1, beta)
-    top = order - 1  # keep inverse powers n^0 .. n^-(order-1)
-    num = Poly()
+    mid = []  # lam c n^(mu - e) for the inverse powers n^0 .. n^-(order-1)
     for e, c in w.truncate(Fraction(order)).terms:
         if not c.is_constant():
             raise CertifyError("ratio series has non-constant coefficients")
-        k = int(e)
-        num = num + Poly([0] * (top - k) + [rx.lam * c.constant_value()])
-    mid = RatFunc(num, Poly([0] * top + [1])) * _monomial(mu)
-    slack = _monomial(mu - order + 1)
-    return mid - slack, mid + slack, mu
+        mid.append((mu - int(e), rx.lam * c.constant_value()))
+    slack = mu - order + 1
+    return RatFunc.laurent(mid + [(slack, -1)]), RatFunc.laurent(mid + [(slack, 1)]), mu
 
 
 def certify_ratio_bounds(
@@ -238,10 +230,8 @@ def u_bound_functions(u_series, order: int):
         raise CertifyError("u-window needs integer exponents")
 
     def build(parts, slack_sign):
-        out = RatFunc(Poly([1]))
-        for e, dcoef in parts:
-            out = out + dcoef * _monomial(-int(e))
-        return out + slack_sign * _monomial(-int(slack_exp))
+        terms = [(0, 1)] + [(-int(e), dcoef) for e, dcoef in parts]
+        return RatFunc.laurent(terms + [(-int(slack_exp), slack_sign)])
 
     g = build(kept_lo, -1)
     f = build(kept_hi, +1)
@@ -294,25 +284,24 @@ def first_escape(
 ) -> Optional[int]:
     """First n in [lo, hi] with u_n outside [g(n), f(n)], or None.
 
-    The window is closed, and containment is decided exactly without
-    normalising a Fraction: g and f become integer coefficients once, each
-    bound is evaluated at n by integer Horner as p/q, and `u_bound_sign`
-    compares u_n with p/q through a form in the terms.  An index where g or
-    f has a pole (q = 0), or where a(n) = 0 leaves u_n undefined, counts as
-    an escape.  Terms are filled lazily: checking n needs a(n+1) and
-    nothing beyond it.
+    The window is closed, and containment is decided exactly on the
+    integer windows x of a(n-1..n+1) from `sequences.windows`: g and f
+    become integer coefficients once, each bound is evaluated at n by
+    integer Horner as p/q with q > 0, and u_n - p/q has the sign of the
+    homogeneous form q x0 x2 - p x1^2.  An index where g or f has a pole
+    (q = 0), or where a(n) = 0 leaves u_n undefined, counts as an escape.
+    Terms are filled lazily: checking n needs a(n+1) and nothing beyond it.
     """
-    (gp, gq), (fp, fq) = _integer_coeffs((g.num, g.den)), _integer_coeffs((f.num, f.den))
-    for n in range(lo, hi + 1):
-        try:
-            inside = (
-                u_bound_sign(table, n, _horner(gp, n), _horner(gq, n), scaling) >= 0
-                and u_bound_sign(table, n, _horner(fp, n), _horner(fq, n), scaling) <= 0
-            )
-        except ZeroDivisionError:
-            inside = False
-        if not inside:
+    bounds = [_integer_coeffs((r.num, r.den)) for r in (g, f)]
+    for n, (xs, _) in enumerate(windows(table, lo - 1, hi - 1, 3, scaling), lo):
+        if xs[1] == 0:
             return n
+        for (num, den), side in zip(bounds, (1, -1)):  # u_n >= g(n), u_n <= f(n)
+            p, q = _horner(num, n), _horner(den, n)
+            if q < 0:
+                p, q = -p, -q
+            if q == 0 or side * _form_sign(lambda w: q * (w[0] * w[2]) - p * w[1] ** 2, xs) < 0:
+                return n
     return None
 
 
@@ -514,11 +503,23 @@ def certify_u_window(
 # -- independent re-check -------------------------------------------------------
 
 
-def _rf_from_json(obj: dict) -> RatFunc:
-    return RatFunc(
-        Poly([Fraction(c) for c in obj["num"]]),
-        Poly([Fraction(c) for c in obj["den"]]),
-    )
+def _rf_from_json(obj: dict, name: str) -> RatFunc:
+    """A rational function of a certificate: two lists of rational strings."""
+    parts = []
+    for part in ("num", "den"):
+        cs = obj[part]
+        if type(cs) is not list:
+            raise ValueError(f"{name}.{part} must be a list, got {cs!r}")
+        parts.append(Poly([_json_rational(c, f"{name}.{part}") for c in cs]))
+    return RatFunc(*parts)
+
+
+def _json_rational(value, name: str) -> Fraction:
+    """A rational field of a certificate, in the form the writer emits:
+    a string s with frac_str(Fraction(s)) == s, such as "-3/4" or "2"."""
+    if type(value) is not str or frac_str(Fraction(value)) != value:
+        raise ValueError(f"{name} must be a rational string, got {value!r}")
+    return Fraction(value)
 
 
 def _json_int(value, name: str) -> int:
@@ -533,7 +534,8 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
 
     The head and the kind's own fields are read in one parse; a certificate
     that does not parse is rejected as malformed, and so is an integer
-    field that is not a JSON integer (a string, a float or a boolean).  For
+    field that is not a JSON integer (a string, a float or a boolean) or a
+    rational coefficient that is not a string in the writer's form.  For
     the full kind ("turan3") this checks, in exact arithmetic: the
     certificate names this recurrence; the corner polynomials follow from
     the stored window functions; every stored threshold is valid; N covers
@@ -563,8 +565,8 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
         order = _json_int(cert["order"], "order")
         if order < 1:
             raise ValueError(f"order must be an integer >= 1, got {order!r}")
-        g = _rf_from_json(cert["bounds"]["g"])
-        f = _rf_from_json(cert["bounds"]["f"])
+        g = _rf_from_json(cert["bounds"]["g"], "g")
+        f = _rf_from_json(cert["bounds"]["f"], "f")
         valid_from = _json_int(cert["bounds"]["validFrom"], "validFrom")
         if valid_from < 0:
             raise ValueError(f"negative validFrom {valid_from}")
@@ -573,7 +575,7 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
             replay, tail = _replay_turan3, {
                 "n_cert": _json_int(cert["N"], "N"),
                 "corners": [
-                    (_rf_from_json(c), _json_int(c["threshold"], "threshold"))
+                    (_rf_from_json(c, "corner"), _json_int(c["threshold"], "threshold"))
                     for c in cert["corners"]
                 ],
                 "segment": (_json_int(seg["from"], "from"), _json_int(seg["to"], "to")),

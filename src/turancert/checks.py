@@ -40,15 +40,11 @@ class CheckResult(NamedTuple):
 
 def window_functions(window: dict, scaling: str) -> tuple[RatFunc, RatFunc]:
     """Bound pair 1 + sum c/n^e per side, scaled by `scaled_bounds`."""
-    out = []
-    for part in ("g", "f"):
-        top = max((int(e) for e in window[part]), default=0)
-        den = [Fraction(0)] * top + [Fraction(1)]
-        num = list(den)
-        for e, c in window[part].items():
-            num[top - int(e)] += c
-        out.append(RatFunc(Poly(num), Poly(den)))
-    ub = scaled_bounds(UBounds(out[0], out[1], 0, Fraction(0), {}), scaling)
+    g, f = (
+        RatFunc.laurent([(0, 1)] + [(-int(e), c) for e, c in window[part].items()])
+        for part in ("g", "f")
+    )
+    ub = scaled_bounds(UBounds(g, f, 0, Fraction(0), {}), scaling)
     return ub.lower, ub.upper
 
 

@@ -33,21 +33,26 @@ truncated entry or a denominator <= 0 is a `CacheError`.  A file in the
 older "TCTERMS1" format, which has no digest, is read as a cache miss and
 rewritten by the next flush.
 
-Three signs are exact but filtered: the Turan form, the log-concavity
-form, and the comparison of u_n = a(n-1)a(n+1)/a(n)^2 with a rational
-bound p/q (the form q a(n-1)a(n+1) - p a(n)^2).  Each form is a
-homogeneous polynomial in the window a(n-1), a(n), ..., so its sign is
-unchanged when the window is multiplied by a positive number.
-`_form_sign` multiplies by the lcm of the denominators, which makes the
-entries integers x, and then divides by 2^s, where s is the largest bit
-length minus `PREC`.  Each x / 2^s lies in the integer interval
-[x >> s, (x >> s) + 1], since `>>` floors (negative x included).  The
-form evaluated on those intervals therefore encloses F(x / 2^s), whose
-sign is the sign of F(x).  When the enclosure excludes 0 that sign is
-returned; the operands have about `PREC` bits instead of tens of
-thousands.  Otherwise, and for windows shorter than `PREC` bits, the form
-is evaluated exactly on x.  No floats are involved, so the answer never
-depends on the filter.
+Every finite check on the terms is the sign of a homogeneous form on a
+window of consecutive terms, taken on a(n) or on a(n)/n!.  `windows` is
+the one builder of those windows: integers over one positive denominator,
+scaled on integers, filled one window at a time.  `FORMS` names each
+scanned form with its window length; `check_inequality_range` scans one,
+`turan3_sign` and `logconcave_sign` are one-window scans, `phi_values`
+iterates phi on the windows, and `certify.first_escape` compares u_n with
+bounds p/q on them by the form q a(n-1)a(n+1) - p a(n)^2.
+
+A homogeneous form keeps its sign when the window is multiplied by a
+positive number, so a sign needs no denominator.  `_form_sign` clears a
+window to integers x (a rational window by the lcm of its denominators)
+and then divides by 2^s, where s is the largest bit length minus `PREC`.
+Each x / 2^s lies in the integer interval [x >> s, (x >> s) + 1], since
+`>>` floors (negative x included).  The form evaluated on those intervals
+therefore encloses F(x / 2^s), whose sign is the sign of F(x).  When the
+enclosure excludes 0 that sign is returned; the operands have about
+`PREC` bits instead of tens of thousands.  Otherwise, and for windows
+shorter than `PREC` bits, the form is evaluated exactly on x.  No floats
+are involved, so the answer never depends on the filter.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ import math
 import os
 import struct
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import Poly
 from .algebra.poly import _horner, _integer_coeffs, _integer_window
@@ -325,25 +330,6 @@ def u_value(table: TermTable, n: int, scaling: str = "none") -> Fraction:
     return u
 
 
-def _scaled_window(table: TermTable, n: int, k: int, scaling: str) -> list:
-    """Window a(n-1..n+k-2) rescaled by a positive constant.
-
-    For the factorial scaling the window is multiplied by (n+k-2)!, which
-    keeps entries integral when the base terms are integers; inequality
-    checks only use signs of homogeneous forms, so the rescale is free.
-    """
-    vals = table.values(n - 1, n + k - 2)
-    if scaling == "none":
-        return vals
-    out = []
-    mult = 1
-    for i in range(len(vals) - 1, -1, -1):
-        out.append(vals[i] * mult)
-        mult *= n - 1 + i  # next factor of (n+k-2)!/(index)!
-    out.reverse()
-    return out
-
-
 PREC = 128  # bits kept per window entry by the sign filter
 
 
@@ -389,7 +375,7 @@ def _logconcave_form(w):
 
 def _form_sign(form: Callable, window: Sequence) -> int:
     """Sign of the homogeneous `form` at `window`, filtered on PREC-bit boxes."""
-    xs, _ = _integer_window(window)
+    xs = window if all(type(x) is int for x in window) else _integer_window(window)[0]
     s = max(x.bit_length() for x in xs) - PREC
     if s > 0:
         box = form([_Box(x >> s, (x >> s) + 1) for x in xs])
@@ -401,85 +387,37 @@ def _form_sign(form: Callable, window: Sequence) -> int:
     return (val > 0) - (val < 0)
 
 
-def turan3_sign(table: TermTable, n: int, scaling: str = "none") -> int:
-    """Sign of the degree-3 Turan form at n (cheap: no normalization)."""
-    check_scaling(scaling)
-    return _form_sign(_turan3_form, _scaled_window(table, n, 4, scaling))
+def windows(
+    table: TermTable, lo: int, hi: int, k: int, scaling: str = "none"
+) -> Iterator[tuple[list[int], int]]:
+    """Yield (xs, den) for each window a(i..i+k-1), i = lo..hi, scaled.
 
-
-def logconcave_sign(table: TermTable, n: int, scaling: str = "none") -> int:
-    """Sign of a_n^2 - a_{n-1} a_{n+1} on the scaled sequence."""
-    check_scaling(scaling)
-    return _form_sign(_logconcave_form, _scaled_window(table, n, 3, scaling))
-
-
-def u_bound_sign(table: TermTable, n: int, p: int, q: int, scaling: str = "none") -> int:
-    """Sign of u_n - p/q on the scaled sequence, for integers p and q.
-
-    As a(n)^2 > 0, u_n - p/q has the sign of q a(n-1)a(n+1) - p a(n)^2
-    times the sign of q.  The form is homogeneous of degree 2, so on the
-    factorial-rescaled window it gives the sign for the scaled u_n.  Raises
-    ZeroDivisionError when q = 0 or a(n) = 0, where the comparison is
-    undefined.
+    xs are integers and den > 0, with the scaled term at i+j equal to
+    xs[j] / den: a(i+j) itself, or a(i+j)/(i+j)! under `factorial`.  There
+    the window cleared to integers is multiplied by (i+k-1)!/(i+j)!, a
+    product of small ints, and den carries (i+k-1)!, one factor more per
+    step.  Terms are filled one window at a time, so a scan that stops
+    early computes none past its last window.
     """
     check_scaling(scaling)
-    if q == 0:
-        raise ZeroDivisionError(f"bound has a pole at n={n}")
-    window = _scaled_window(table, n, 3, scaling)
-    if window[1] == 0:
-        raise ZeroDivisionError(f"a({n}) = 0")
-    s = _form_sign(lambda w: q * (w[0] * w[2]) - p * w[1] ** 2, window)
-    return s if q > 0 else -s
-
-
-def phi_values(
-    table: TermTable, level: int, lo: int, hi: int, scaling: str = "none"
-) -> list[Fraction]:
-    """Values of the k-fold iterate of phi{a}_n = a_{n+1}^2 - a_n a_{n+2}.
-
-    Returns the exact level-`level` values on indices lo..hi as reduced
-    Fractions; the `factorial` scaling divides a(n) by n! before the first
-    level.  The value at n depends on the window a(n..n+2 level) only.  The
-    window becomes integers x over one denominator D (under `factorial`,
-    the lcm of its terms' denominators times (n+2 level)!), phi is iterated
-    on the integers without a gcd, and the result N / D^(2^level) is
-    reduced once at the end: each prime N shares with D^(2^level) divides
-    g = gcd(N, D), so dividing both by g, then by the part of g they still
-    share, until that is 1, leaves them coprime.
-    """
-    check_scaling(scaling)
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    if lo < 0:
-        raise ValueError(f"phi values from n = {lo} need a({lo}); indices start at 0")
-    w = 2 * level
-    base = table.values(lo, hi + w)
-    f = math.factorial(lo + w) if scaling == "factorial" else 1  # (n + w)!
-    out = []
-    for n in range(lo, hi + 1):
-        xs, den = _integer_window(base[n - lo : n - lo + w + 1])
-        if scaling == "factorial":
-            m = 1  # (n + w)! / (n + i)!
-            for i in range(w, -1, -1):
-                xs[i] *= m
-                m *= n + i
+    factorial = scaling == "factorial"
+    f = math.factorial(lo + k - 1) if factorial else 1  # (i + k - 1)!
+    for i in range(lo, hi + 1):
+        xs, den = _integer_window(table.values(i, i + k - 1))
+        if factorial:
+            m = 1  # (i + k - 1)! / (i + j)!
+            for j in range(k - 1, -1, -1):
+                xs[j] *= m
+                m *= i + j
             den *= f
-            f *= n + w + 1
-        for _ in range(level):
-            xs = [xs[i + 1] * xs[i + 1] - xs[i] * xs[i + 2] for i in range(len(xs) - 2)]
-        num, g = xs[0], math.gcd(xs[0], den)
-        den **= 1 << level
-        while g > 1:
-            num //= g
-            den //= g
-            g = math.gcd(num, g, den)
-        out.append(_reduced(num, den))
-    return out
+            f *= i + k
+        yield xs, den
 
 
-PREDICATES: dict[str, Callable[[TermTable, int, str], int]] = {
-    "turan3": turan3_sign,
-    "log-concave": logconcave_sign,
+# predicate -> (window length, form); the window at n starts at a(n-1)
+FORMS: dict[str, tuple[int, Callable]] = {
+    "turan3": (4, _turan3_form),
+    "log-concave": (3, _logconcave_form),
 }
 
 
@@ -491,15 +429,59 @@ def check_inequality_range(
     scaling: str = "none",
 ) -> list[int]:
     """Indices in [lo, hi] where the named inequality fails, that is, where
-    its form is not strictly positive.
-
-    The window at n starts at a(n-1), so lo must be at least 1.  The table
-    is filled to hi + 2 once, before the scan.
-    """
-    if predicate not in PREDICATES:
+    its form is not strictly positive.  The window at n starts at a(n-1),
+    so lo must be at least 1."""
+    if predicate not in FORMS:
         raise ValueError(f"unknown predicate {predicate!r}")
     if lo < 1:
         raise ValueError(f"the window at n = {lo} needs a({lo - 1}); scans start at n = 1")
-    fn = PREDICATES[predicate]
-    table.ensure(hi + 2)
-    return [n for n in range(lo, hi + 1) if fn(table, n, scaling) <= 0]
+    k, form = FORMS[predicate]
+    scan = windows(table, lo - 1, hi - 1, k, scaling)
+    return [n for n, (xs, _) in enumerate(scan, lo) if _form_sign(form, xs) <= 0]
+
+
+def _sign_at(predicate: str, table: TermTable, n: int, scaling: str) -> int:
+    k, form = FORMS[predicate]
+    ((xs, _),) = windows(table, n - 1, n - 1, k, scaling)
+    return _form_sign(form, xs)
+
+
+def turan3_sign(table: TermTable, n: int, scaling: str = "none") -> int:
+    """Sign of the degree-3 Turan form at n on the scaled sequence."""
+    return _sign_at("turan3", table, n, scaling)
+
+
+def logconcave_sign(table: TermTable, n: int, scaling: str = "none") -> int:
+    """Sign of a_n^2 - a_{n-1} a_{n+1} on the scaled sequence."""
+    return _sign_at("log-concave", table, n, scaling)
+
+
+def phi_values(
+    table: TermTable, level: int, lo: int, hi: int, scaling: str = "none"
+) -> list[Fraction]:
+    """Values of the k-fold iterate of phi{a}_n = a_{n+1}^2 - a_n a_{n+2}.
+
+    Returns the exact level-`level` values on indices lo..hi as reduced
+    Fractions; the `factorial` scaling divides a(n) by n! before the first
+    level.  The value at n depends on the window a(n..n+2 level) only: phi
+    is iterated on its integers xs from `windows`, without a gcd, and the
+    result N / den^(2^level) is reduced once at the end: each prime N shares
+    with den^(2^level) divides g = gcd(N, den), so dividing both by g, then
+    by the part of g they still share, until that is 1, leaves them coprime.
+    """
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    if lo < 0:
+        raise ValueError(f"phi values from n = {lo} need a({lo}); indices start at 0")
+    out = []
+    for xs, den in windows(table, lo, hi, 2 * level + 1, scaling):
+        for _ in range(level):
+            xs = [xs[i + 1] * xs[i + 1] - xs[i] * xs[i + 2] for i in range(len(xs) - 2)]
+        num, g = xs[0], math.gcd(xs[0], den)
+        den **= 1 << level
+        while g > 1:
+            num //= g
+            den //= g
+            g = math.gcd(num, g, den)
+        out.append(_reduced(num, den))
+    return out

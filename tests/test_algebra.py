@@ -144,6 +144,24 @@ def test_ratfunc_shift_and_eval():
     assert not r.defined_at(F(-1))
 
 
+def test_ratfunc_laurent_is_the_sum_of_its_monomials():
+    n = RatFunc.variable()
+    rng = random.Random(14)
+    for _ in range(40):
+        terms = [
+            (rng.randrange(-5, 4), F(rng.randrange(-9, 10), rng.randrange(1, 5)))
+            for _ in range(rng.randrange(1, 6))
+        ]
+        want = RatFunc.zero()
+        for e, c in terms:
+            want = want + c * n**e
+        got = RatFunc.laurent(terms)
+        assert got == want
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+    assert RatFunc.laurent([(0, 1), (-2, F(1, 2)), (-2, F(-1, 2))]) == RatFunc.one()
+    assert RatFunc.laurent([(-3, 2)]).den == Poly([0, 0, 0, 1])
+
+
 def test_sign_and_limit_at_infinity():
     assert sign_at_infinity(RatFunc(X - 10**9, X + 1)) == 1
     assert sign_at_infinity(RatFunc(-X**2, Poly([1]))) == -1

@@ -440,6 +440,30 @@ MALFORMED = {
         lambda doc: doc.update(order=True),
         "malformed certificate: order must be an integer, got True",
     ),
+    # rational coefficients must be strings in the writer's form: Fraction()
+    # would accept each of these
+    **{
+        f"g-coefficient-{case}": (
+            lambda doc, value=value: doc["bounds"]["g"]["num"].__setitem__(0, value),
+            f"malformed certificate: g.num must be a rational string, got {value!r}",
+        )
+        for case, value in (
+            ("int", 1), ("float", 1.0), ("exponent", "1e0"), ("bool", True),
+            ("space", " 1"), ("decimal", "1.0"), ("unreduced", "2/2"),
+        )
+    },
+    "f-den-unreduced": (
+        lambda doc: doc["bounds"]["f"]["den"].__setitem__(1, "4/2"),
+        "malformed certificate: f.den must be a rational string, got '4/2'",
+    ),
+    "corner-coefficient-decimal": (
+        lambda doc: doc["corners"][2]["num"].__setitem__(0, "-9.0"),
+        "malformed certificate: corner.num must be a rational string, got '-9.0'",
+    ),
+    "g-num-as-string": (
+        lambda doc: doc["bounds"]["g"].update(num="102"),
+        "malformed certificate: g.num must be a list, got '102'",
+    ),
     "zero-denominator": (
         lambda doc: doc["bounds"]["g"].update(den=["0"]),
         "malformed certificate: rational function with zero denominator",

@@ -46,6 +46,7 @@ UNCALLED_BUT_KEPT = {
     "phi_u_expansion": "test oracle: the phi map on a u-expansion, against the level map",
     "eval_exact": "test oracle: exact value of a truncated series at a grid point",
     "phi_values": "benchmark workload: exact iterated-phi terms on long ranges",
+    "logconcave_sign": "benchmark tracing counts it; tests use it as the single-index log-concavity sign",
     "u_power_log": "benchmark workload: the n^2 log n model form of the level chain",
     "series_mul": "benchmark tracing: the series-layer product it times",
     "residual": "benchmark workload: the Fraction residual that checks long term runs",
@@ -105,27 +106,29 @@ def test_every_function_is_called_or_kept():
 
 
 # Clearing rational coefficients to integers is decided in one module: no
-# other module of the package takes an lcm of denominators.
+# other module of the package takes an lcm of denominators.  Likewise the
+# factorial scaling of term windows is decided in one module.
 LCM_OWNER = "algebra/poly.py"
+FACTORIAL_OWNER = "sequences.py"
 
 
-def lcm_calls(source: str) -> list:
-    """Lines that call math.lcm, through the module (or an alias) or through
-    a name imported from it."""
+def math_calls(source: str, func: str) -> list:
+    """Lines that call math.<func>, through the module (or an alias) or
+    through a name imported from it."""
     tree = ast.parse(source)
     modules, names = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules |= {a.asname or a.name for a in node.names if a.name == "math"}
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
-            names |= {a.asname or a.name for a in node.names if a.name == "lcm"}
+            names |= {a.asname or a.name for a in node.names if a.name == func}
     return sorted(
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and (
             isinstance(node.func, ast.Attribute)
-            and node.func.attr == "lcm"
+            and node.func.attr == func
             and isinstance(node.func.value, ast.Name)
             and node.func.value.id in modules
             or isinstance(node.func, ast.Name)
@@ -139,14 +142,22 @@ def test_lcm_detector():
         "import math\nimport math as m\nfrom math import lcm as L, gcd\n"
         "a = math.lcm(2, 3)\nb = m.lcm(4)\nc = L(5, 6)\nd = gcd(1, 2) + math.gcd(3)\n"
     )
-    assert lcm_calls(src) == [4, 5, 6]
-    assert lcm_calls("def lcm(a, b):\n    return a\nx = lcm(1, 2)\n") == []
+    assert math_calls(src, "lcm") == [4, 5, 6]
+    assert math_calls("def lcm(a, b):\n    return a\nx = lcm(1, 2)\n", "lcm") == []
+    assert math_calls("from math import factorial as f\nx = f(3)\n", "factorial") == [2]
+
+
+def _callers(func: str) -> set:
+    return {
+        str(p.relative_to(PACKAGE))
+        for p in PACKAGE.rglob("*.py")
+        if math_calls(p.read_text(encoding="utf-8"), func)
+    }
 
 
 def test_only_poly_clears_denominators():
-    callers = {
-        str(p.relative_to(PACKAGE))
-        for p in PACKAGE.rglob("*.py")
-        if lcm_calls(p.read_text(encoding="utf-8"))
-    }
-    assert callers == {LCM_OWNER}
+    assert _callers("lcm") == {LCM_OWNER}
+
+
+def test_only_sequences_scales_by_factorials():
+    assert _callers("factorial") == {FACTORIAL_OWNER}

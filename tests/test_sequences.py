@@ -29,6 +29,7 @@ from turancert.sequences import (
     phi_values,
     turan3_sign,
     u_value,
+    windows,
     _Box,
     _encode_int,
     _form_sign,
@@ -699,3 +700,55 @@ def test_turan3_range_matches_direct_form(name):
     table = TermTable(corpus.get(name).recurrence)
     bad = check_inequality_range(table, "turan3", 1, 400, scaling="factorial")
     assert bad == [n for n in range(1, 401) if _t3_sign_direct(table, n) <= 0]
+
+
+# -- term windows and every scan against Fraction oracles -------------------------
+
+
+def scaled_terms(table, hi, scaling):
+    """a(0..hi), divided by k! under `factorial`, in Fraction arithmetic."""
+    vals = table.values(0, hi)
+    if scaling == "factorial":
+        return [v / math.factorial(k) for k, v in enumerate(vals)]
+    return vals
+
+
+@pytest.mark.parametrize("scaling", ["none", "factorial"])
+@pytest.mark.parametrize("name", sorted(corpus.ENTRIES))
+def test_scans_match_fraction_oracle(name, scaling):
+    table = TermTable(corpus.get(name).recurrence)
+    terms = scaled_terms(table, 302, scaling)
+    for predicate, single, direct, k in (
+        ("turan3", turan3_sign, _t3_direct, 4),
+        ("log-concave", logconcave_sign, _lc_direct, 3),
+    ):
+        signs = [direct(terms[n - 1 : n - 1 + k]) for n in range(1, 301)]
+        got = check_inequality_range(table, predicate, 1, 300, scaling)
+        assert got == [n for n, v in enumerate(signs, 1) if v <= 0], predicate
+        for n in (1, 2, 3, 50, 300):
+            assert single(table, n, scaling) == signs[n - 1], (predicate, n)
+
+
+@pytest.mark.parametrize("scaling", ["none", "factorial"])
+@pytest.mark.parametrize("name", ["bn", "fine", "inverse-catalan", "involutions", "motzkin"])
+def test_windows_are_the_scaled_terms(name, scaling):
+    table = TermTable(corpus.get(name).recurrence)
+    terms = scaled_terms(table, 80, scaling)
+    for lo, hi, k in ((0, 40, 1), (0, 30, 3), (7, 75, 4), (20, 19, 5)):
+        got = list(windows(table, lo, hi, k, scaling))
+        assert len(got) == max(hi - lo + 1, 0)
+        for i, (xs, den) in enumerate(got, lo):
+            assert den > 0 and all(type(x) is int for x in xs)
+            assert [F(x, den) for x in xs] == terms[i : i + k], (lo, k, i)
+
+
+def test_windows_fill_terms_one_window_at_a_time():
+    table = TermTable(corpus.get("motzkin").recurrence)
+    scan = windows(table, 10, 2000, 4, "factorial")
+    for _ in range(5):
+        next(scan)
+    assert len(table) == 18  # a(0..17): the fifth window is a(14..17)
+    with pytest.raises(ValueError, match="unknown scaling"):
+        list(windows(table, 1, 0, 3, "geometric"))
+    with pytest.raises(IndexError):
+        next(windows(table, -1, 3, 3))
