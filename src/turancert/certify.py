@@ -293,7 +293,7 @@ def first_escape(
     Terms are filled lazily: checking n needs a(n+1) and nothing beyond it.
     """
     bounds = [_integer_coeffs((r.num, r.den)) for r in (g, f)]
-    for n, (xs, _) in enumerate(windows(table, lo - 1, hi - 1, 3, scaling), lo):
+    for n, (xs, _, _) in enumerate(windows(table, lo - 1, hi - 1, 3, scaling), lo):
         if xs[1] == 0:
             return n
         for (num, den), side in zip(bounds, (1, -1)):  # u_n >= g(n), u_n <= f(n)

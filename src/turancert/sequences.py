@@ -15,14 +15,25 @@ recurrence unchanged, and each pk(m) is then an integer Horner sum.  The
 last d terms are carried as integers x over one positive common
 denominator D.  A step computes S = p1(m) x(m+d-1) + ... + pd(m) x(m), so
 a(m+d) = S / (D p0(m)); it divides S and p0(m) by their gcd g (with the
-sign of p0(m), so that D stays positive) and, only when p0(m)/g is not 1,
-scales the window and D by it.  An integer sequence thus keeps D = 1 and
-stores each term with no gcd but the small one; otherwise the term is
-stored after one gcd(S, D).  For order 1 the reduced term itself is the
-carried state, so D cannot outgrow the term's own denominator.  The state
-lives on the table, so filling one index at a time does not rebuild it; it
-is rebuilt from the last d stored terms when the table grew another way,
-such as a cache load.
+sign of p0(m), so that D stays positive) and, only when q = p0(m)/g is not
+1, scales the window and D by it.  An integer sequence thus keeps D = 1 and
+stores each term with no gcd but the small one.
+
+Otherwise the term S/D is reduced against a kernel K: a positive integer
+that every prime of D divides, carried beside D.  When a step scales D by
+q, K becomes lcm(K, q).  The reduction sets h = gcd(S, K, D), and while
+h > 1 divides the numerator and D by h and sets h = gcd(num, h, D); a
+prime they still share divides every h so far, so the loop ends with them
+coprime.  Each gcd has an operand no larger than K, which grows like the
+lcm of the p0 values (about 4.3k bits for involutions at n = 3000), while
+D grows like their product (about 29.5k bits).  When K is not smaller than
+D the term takes one gcd(S, D).  That is always so for order 1: there the
+reduced term itself is the carried state, so D cannot outgrow the term's
+own denominator, and K is D.  The state lives on the table, so filling one
+index at a time does not rebuild it.  It is rebuilt from the last d stored
+terms when the table grew another way, such as a cache load; K is then the
+lcm of the initial state's denominator and |p0(m)| over every stepped m,
+since each prime of a stored denominator comes from one or the other.
 
 The disk cache (`CACHE_MAGIC` "TCTERMS2") holds every known term as
 length-prefixed big-endian signed numerator and denominator, followed by
@@ -35,12 +46,14 @@ rewritten by the next flush.
 
 Every finite check on the terms is the sign of a homogeneous form on a
 window of consecutive terms, taken on a(n) or on a(n)/n!.  `windows` is
-the one builder of those windows: integers over one positive denominator,
-scaled on integers, filled one window at a time.  `FORMS` names each
-scanned form with its window length; `check_inequality_range` scans one,
-`turan3_sign` and `logconcave_sign` are one-window scans, `phi_values`
-iterates phi on the windows, and `certify.first_escape` compares u_n with
-bounds p/q on them by the form q a(n-1)a(n+1) - p a(n)^2.
+the one builder of those windows: integers, scaled on integers and filled
+one window at a time, yielded with the positive denominator they stand
+over and, apart from it, the factorial that `factorial` multiplies it by;
+only `phi_values` reads those two.  `FORMS` names each scanned form with
+its window length; `check_inequality_range` scans one, `turan3_sign` and
+`logconcave_sign` are one-window scans, `phi_values` iterates phi on the
+windows, and `certify.first_escape` compares u_n with bounds p/q on them
+by the form q a(n-1)a(n+1) - p a(n)^2.
 
 A homogeneous form keeps its sign when the window is multiplied by a
 positive number, so a sign needs no denominator.  `_form_sign` clears a
@@ -161,8 +174,9 @@ class TermTable:
         self._vals: list[Fraction] = list(rec.initials)
         self._persisted = 0
         self._coeffs = _integer_coeffs(rec.coeffs)
-        # (len(_vals), x, D): a(len - d + i) = x[i] / D, valid while len matches
-        self._state: Optional[tuple[int, list[int], int]] = None
+        # (len(_vals), x, D, K): a(len - d + i) = x[i] / D and every prime of D
+        # divides K, valid while len matches
+        self._state: Optional[tuple[int, list[int], int, int]] = None
         self.expansions: dict = {}  # (recurrence, rho) -> state kept by ratio_expansion
         self.u_bounds: dict = {}  # (recurrence, order) -> (rb, ub) kept by certify_u_bounds
         if cache_dir:
@@ -255,9 +269,16 @@ class TermTable:
         p0, *ps = self._coeffs
         d = len(ps)
         if self._state is not None and self._state[0] == len(vals):
-            _, xs, den = self._state
+            _, xs, den, ker = self._state
         else:
             xs, den = _integer_window(vals[-d:])
+            ker = den
+            if d > 1 and den > 1:
+                # den's primes divide the initial state's denominator or a p0(m)
+                ker = _integer_window(self.rec.initials[-d:])[1]
+                for m in range(len(self.rec.initials) - d, len(vals) - d):
+                    q = abs(_horner(p0, m))
+                    ker = ker * q // math.gcd(ker, q)
         while len(vals) <= n:
             m = len(vals) - d  # recurrence index producing a(m+d)
             q = _horner(p0, m)
@@ -279,16 +300,26 @@ class TermTable:
             else:
                 xs = [x * q for x in xs[1:]]
                 den *= q
+                # order 1 carries the reduced term, so K is D itself
+                ker = ker * q // math.gcd(ker, q) if d > 1 else den
             xs.append(s)
             if den == 1:
                 v = Fraction(s)
+            elif ker < den:
+                # a prime that num and rd still share divides every h so far
+                num, rd, h = s, den, math.gcd(s, ker, den)
+                while h > 1:
+                    num //= h
+                    rd //= h
+                    h = math.gcd(num, h, rd)
+                v = _reduced(num, rd)
             else:
                 h = math.gcd(s, den)
                 v = _reduced(s // h, den // h)
                 if d == 1:
                     xs, den = [v.numerator], v.denominator
             vals.append(v)
-        self._state = (len(vals), xs, den)
+        self._state = (len(vals), xs, den, ker)
 
     def value(self, n: int) -> Fraction:
         if n < 0:
@@ -389,15 +420,17 @@ def _form_sign(form: Callable, window: Sequence) -> int:
 
 def windows(
     table: TermTable, lo: int, hi: int, k: int, scaling: str = "none"
-) -> Iterator[tuple[list[int], int]]:
-    """Yield (xs, den) for each window a(i..i+k-1), i = lo..hi, scaled.
+) -> Iterator[tuple[list[int], int, int]]:
+    """Yield (xs, den, f) for each window a(i..i+k-1), i = lo..hi, scaled.
 
-    xs are integers and den > 0, with the scaled term at i+j equal to
-    xs[j] / den: a(i+j) itself, or a(i+j)/(i+j)! under `factorial`.  There
-    the window cleared to integers is multiplied by (i+k-1)!/(i+j)!, a
-    product of small ints, and den carries (i+k-1)!, one factor more per
-    step.  Terms are filled one window at a time, so a scan that stops
-    early computes none past its last window.
+    xs are integers and den, f > 0, with the scaled term at i+j equal to
+    xs[j] / (den f): a(i+j) itself, or a(i+j)/(i+j)! under `factorial`.
+    den is the lcm of the window's denominators.  Under `factorial` the
+    cleared window is multiplied by (i+k-1)!/(i+j)!, a product of small
+    ints, and f = (i+k-1)!, one factor more per step; under `none` f = 1.
+    A sign scan reads xs only, so den f is never multiplied out here.
+    Terms are filled one window at a time, so a scan that stops early
+    computes none past its last window.
     """
     check_scaling(scaling)
     factorial = scaling == "factorial"
@@ -409,9 +442,9 @@ def windows(
             for j in range(k - 1, -1, -1):
                 xs[j] *= m
                 m *= i + j
-            den *= f
+        yield xs, den, f
+        if factorial:
             f *= i + k
-        yield xs, den
 
 
 # predicate -> (window length, form); the window at n starts at a(n-1)
@@ -437,12 +470,12 @@ def check_inequality_range(
         raise ValueError(f"the window at n = {lo} needs a({lo - 1}); scans start at n = 1")
     k, form = FORMS[predicate]
     scan = windows(table, lo - 1, hi - 1, k, scaling)
-    return [n for n, (xs, _) in enumerate(scan, lo) if _form_sign(form, xs) <= 0]
+    return [n for n, (xs, _, _) in enumerate(scan, lo) if _form_sign(form, xs) <= 0]
 
 
 def _sign_at(predicate: str, table: TermTable, n: int, scaling: str) -> int:
     k, form = FORMS[predicate]
-    ((xs, _),) = windows(table, n - 1, n - 1, k, scaling)
+    ((xs, _, _),) = windows(table, n - 1, n - 1, k, scaling)
     return _form_sign(form, xs)
 
 
@@ -465,16 +498,18 @@ def phi_values(
     Fractions; the `factorial` scaling divides a(n) by n! before the first
     level.  The value at n depends on the window a(n..n+2 level) only: phi
     is iterated on its integers xs from `windows`, without a gcd, and the
-    result N / den^(2^level) is reduced once at the end: each prime N shares
-    with den^(2^level) divides g = gcd(N, den), so dividing both by g, then
-    by the part of g they still share, until that is 1, leaves them coprime.
+    result N / (den f)^(2^level) is reduced once at the end: each prime N
+    shares with (den f)^(2^level) divides g = gcd(N, den f), so dividing
+    both by g, then by the part of g they still share, until that is 1,
+    leaves them coprime.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
     if lo < 0:
         raise ValueError(f"phi values from n = {lo} need a({lo}); indices start at 0")
     out = []
-    for xs, den in windows(table, lo, hi, 2 * level + 1, scaling):
+    for xs, den, f in windows(table, lo, hi, 2 * level + 1, scaling):
+        den *= f
         for _ in range(level):
             xs = [xs[i + 1] * xs[i + 1] - xs[i] * xs[i + 2] for i in range(len(xs) - 2)]
         num, g = xs[0], math.gcd(xs[0], den)

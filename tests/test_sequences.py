@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 import turancert
-from turancert import corpus
+from turancert import corpus, sequences
 from turancert.algebra import Poly
 from turancert.parser import parse_recurrence
 from turancert.sequences import (
@@ -274,6 +274,24 @@ STEPPING_RECS = {
     "rational-order2": Recurrence(
         [Poly([3, 4, 1]), Poly([1, 2]), Poly([-5, -1])], [F(1, 3), F(2, 7)]
     ),
+    # the initial denominators bring primes that p0 = n + 2 supplies only later
+    "involutions-sevenths": Recurrence(
+        corpus.get("involutions").recurrence.coeffs, [F(1, 7), F(1, 11)]
+    ),
+    # p0 = 4: the primes 7 and 11 of the initials appear in no p0 value
+    "power-of-two-p0": parse_recurrence(
+        "4*a(n+2) - (n+1)*a(n+1) - 3*a(n) = 0; a(0) = 1/7, a(1) = 1/11"
+    ),
+    # p0 = 8 (n+2)^3 (n+5): S often shares more of a prime power with D than
+    # K holds, so 17 terms up to n = 150 take two reduction passes
+    "cubed-p0": Recurrence(
+        [Poly([8]) * Poly([2, 1]) ** 3 * Poly([5, 1]), Poly([]), Poly([-3, -6]), Poly([5])],
+        [F(0), F(3), F(-4, 3)],
+    ),
+    # p0 = (n + 1)(2n - 7) is negative up to n = 3 and positive after
+    "sign-changing-p0": Recurrence(
+        [Poly([-7, 2]) * Poly([1, 1]), Poly([3, 1]), Poly([-1, 3])], [F(1, 2), F(-1, 3)]
+    ),
 }
 
 
@@ -282,6 +300,71 @@ def test_integer_stepping_matches_fraction_oracle(name):
     rec = STEPPING_RECS[name]
     n = 400 if name in corpus.ENTRIES else 150
     assert _pairs(TermTable(rec).values(0, n)) == _pairs(fraction_terms(rec, n))
+
+
+def random_recurrence(rng):
+    """Order 2 or 3; p0 a signed product of linear factors, some repeated and
+    some negative at small n, that vanishes at no n >= 0; rational initials."""
+    d = rng.choice((2, 3))
+    p0 = Poly([rng.choice((-1, 1)) * rng.randint(1, 6)])
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.7:
+            factor = Poly([rng.randint(1, 5), rng.randint(1, 3)])
+        else:  # 2n - (2j + 1): negative for n <= j, never zero
+            factor = Poly([-2 * rng.randint(0, 4) - 1, 2])
+        p0 = p0 * factor ** rng.choice((1, 1, 2, 3))
+    ps = [
+        Poly([F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(rng.randint(1, 3))])
+        for _ in range(d)
+    ]
+    if ps[-1].is_zero():
+        ps[-1] = Poly([1])
+    initials = [F(rng.randint(-20, 20), rng.randint(1, 30)) for _ in range(d)]
+    return Recurrence([p0, *ps], initials)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_recurrences_match_fraction_oracle(seed):
+    rec = random_recurrence(random.Random(1500 + seed))
+    assert _pairs(TermTable(rec).values(0, 120)) == _pairs(fraction_terms(rec, 120))
+
+
+def test_involutions_match_fraction_oracle_to_1500():
+    rec = corpus.get("involutions").recurrence
+    assert _pairs(TermTable(rec).values(0, 1500)) == _pairs(fraction_terms(rec, 1500))
+
+
+class _TracedMath:
+    """The math module with gcd wrapped to record the bit length of its
+    smallest operand on every call."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def gcd(self, *args):
+        self.sizes.append(min(abs(x).bit_length() for x in args))
+        return math.gcd(*args)
+
+
+def test_stepping_gcds_stay_far_below_the_common_denominator(monkeypatch, tmp_path):
+    """Involutions carries D of about 29.5k bits at n = 3000.  Reducing each
+    term by gcd(S, D) makes gcds whose smaller operand has about 14.5k bits;
+    the kernel K keeps every gcd at K's size, about 4.3k bits."""
+    rec = corpus.get("involutions").recurrence
+    cached = TermTable(rec, cache_dir=str(tmp_path))
+    cached.ensure(999)
+    cached.flush()
+    traced = _TracedMath()
+    monkeypatch.setattr(sequences, "math", traced)
+    for table in (TermTable(rec), TermTable(rec, cache_dir=str(tmp_path))):
+        traced.sizes.clear()
+        table.ensure(3000)
+        den_bits = max(v.denominator.bit_length() for v in table.values(2990, 3000))
+        assert den_bits > 29000
+        assert traced.sizes and max(traced.sizes) < den_bits // 4
 
 
 def test_stepping_oracle_covers_zero_and_negative_terms():
@@ -303,15 +386,22 @@ def test_many_small_ensures_match_one_fill(name):
     assert _pairs(lazy.values(0, n)) == _pairs(TermTable(rec).values(0, n))
 
 
-@pytest.mark.parametrize("name", ["involutions", "bn", "rational-order2", "square-ratio"])
-def test_extending_a_loaded_table_matches_oracle(name, tmp_path):
+@pytest.mark.parametrize(
+    "name, cached, to",
+    [
+        pytest.param(name, 50, 250, id=name)
+        for name in ["involutions", "bn", "rational-order2", "square-ratio", "cubed-p0"]
+    ]
+    + [pytest.param("involutions", 1000, 1500, id="involutions-from-1000")],
+)
+def test_extending_a_loaded_table_matches_oracle(name, cached, to, tmp_path):
     rec = STEPPING_RECS[name]
     first = TermTable(rec, cache_dir=str(tmp_path))
-    first.ensure(49)
+    first.ensure(cached - 1)
     first.flush()
     loaded = TermTable(rec, cache_dir=str(tmp_path))
-    assert len(loaded) == 50
-    assert _pairs(loaded.values(0, 250)) == _pairs(fraction_terms(rec, 250))
+    assert len(loaded) == cached
+    assert _pairs(loaded.values(0, to)) == _pairs(fraction_terms(rec, to))
 
 
 def test_singular_recurrence_raises_where_the_oracle_does():
@@ -737,9 +827,10 @@ def test_windows_are_the_scaled_terms(name, scaling):
     for lo, hi, k in ((0, 40, 1), (0, 30, 3), (7, 75, 4), (20, 19, 5)):
         got = list(windows(table, lo, hi, k, scaling))
         assert len(got) == max(hi - lo + 1, 0)
-        for i, (xs, den) in enumerate(got, lo):
+        for i, (xs, den, f) in enumerate(got, lo):
             assert den > 0 and all(type(x) is int for x in xs)
-            assert [F(x, den) for x in xs] == terms[i : i + k], (lo, k, i)
+            assert f == (math.factorial(i + k - 1) if scaling == "factorial" else 1)
+            assert [F(x, den * f) for x in xs] == terms[i : i + k], (lo, k, i)
 
 
 def test_windows_fill_terms_one_window_at_a_time():
