@@ -62,10 +62,6 @@ class Poly:
     def const(c) -> "Poly":
         return Poly([c])
 
-    @staticmethod
-    def variable() -> "Poly":
-        return Poly([0, 1])
-
     # -- basic structure -------------------------------------------------
 
     @property

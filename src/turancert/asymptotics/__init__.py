@@ -17,7 +17,6 @@ from .ratio import (
     dominant_edge,
     edge_polynomial,
     newton_points,
-    phi_u_expansion,
     ratio_expansion,
     u_expansion,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "dominant_edge",
     "edge_polynomial",
     "newton_points",
-    "phi_u_expansion",
     "ratio_expansion",
     "u_expansion",
     "u_power",

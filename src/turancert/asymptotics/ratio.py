@@ -1,6 +1,5 @@
 """Consecutive-ratio expansions a(n+1)/a(n) ~ lam * n^mu * v(n) for
-P-recursive sequences, and the induced expansions of u_n and of the
-u-ratio of the centered second difference.
+P-recursive sequences, and the induced expansion of u_n.
 
 The growth branch comes from the Newton polygon of the recurrence: the
 rightmost upper-hull edge fixes mu, the edge polynomial fixes the
@@ -19,17 +18,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from ..algebra import (
-    NumberField,
-    Poly,
-    RatFunc,
-    isolate_real_roots,
-)
+from ..algebra import NumberField, Poly, isolate_real_roots
 from ..sequences import Recurrence, TermTable, check_scaling
 from .series import (
     AsymSeries,
     binomial_power,
-    compose_coef_shift,
     gen_binomial,
     series_inv,
     shift_series,
@@ -421,43 +414,3 @@ def u_expansion(rx: RatioExpansion, scaling: str = "none") -> AsymSeries:
     if scaling == "factorial":
         u = u * binomial_power(1, -1, beta)
     return u.truncate(beta)
-
-
-def phi_u_expansion(u: AsymSeries, order=None) -> AsymSeries:
-    """u-ratio of the centered sequence b_n = a_n^2 - a_{n-1}a_{n+1}.
-
-    Uses the exact identity u{b}_n = u_n^2 (u_{n-1}-1)(u_{n+1}-1)/(u_n-1)^2
-    on the series level: write 1 - u = lead(L) n^{-alpha} g(n) with g
-    leading 1, then the ratio splits into shifted-g, shifted-lead and
-    binomial factors.  `order` asks for o(n^-order) in the result,
-    capped by what the accuracy of u supports.
-    """
-    if u.error_order is None and order is None:
-        raise ValueError("phi_u_expansion of an exact series needs an explicit order")
-    if not u.terms or u.terms[0] != (Fraction(0), RatFunc.one()):
-        raise ValueError("u must have leading term exactly 1")
-    D = AsymSeries.one() - u
-    if not D.terms:
-        raise ValueError("1 - u vanishes to working order; need a nonzero r1")
-    alpha, lead = D.leading()
-    if alpha <= 0:
-        raise ValueError("u must tend to 1 from a positive-order correction")
-    rel_candidates = []
-    if order is not None:
-        rel_candidates.append(Fraction(order))
-    if u.error_order is not None:
-        rel_candidates.append(u.error_order - alpha)
-    rel = min(rel_candidates)
-    if rel <= 0:
-        raise ValueError("u is not accurate enough for any phi-ratio term")
-    w = u.truncate(alpha + rel)
-    D = (AsymSeries.one() - w).truncate(alpha + rel)
-    g = AsymSeries([(e - alpha, c / lead) for e, c in D.terms], rel)
-    f_part = binomial_power(1, -alpha, rel) * binomial_power(-1, -alpha, rel)
-    if not lead.is_constant():
-        inv_lead = lead ** (-1)
-        f_part = f_part * compose_coef_shift(lead, 1, rel).scale(inv_lead)
-        f_part = f_part * compose_coef_shift(lead, -1, rel).scale(inv_lead)
-    gi = series_inv(g, rel)
-    out = (w * w) * f_part * shift_series(g, 1, rel) * shift_series(g, -1, rel) * gi * gi
-    return out.truncate(rel)

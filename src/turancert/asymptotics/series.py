@@ -99,11 +99,6 @@ class AsymSeries:
     def is_zero(self) -> bool:
         return not self.terms and self.error_order is None
 
-    def leading(self):
-        if not self.terms:
-            raise ValueError("series has no terms")
-        return self.terms[0]
-
     def coefficient(self, exp) -> RatFunc:
         exp = Fraction(exp)
         for e, c in self.terms:
@@ -204,34 +199,6 @@ class AsymSeries:
         if self.error_order is not None and self.error_order <= order:
             return self
         return AsymSeries(self.terms, order)
-
-    def eval_exact(self, n: int):
-        """Value of the truncated sum at integer n >= 1, exactly.
-
-        Needs log-free (constant) coefficients, and n must be a perfect
-        q-th power for every exponent denominator q that appears.
-        """
-        total = Fraction(0)
-        for e, c in self.terms:
-            if not c.is_constant():
-                raise ValueError("exact evaluation needs log-free coefficients")
-            root = _integer_root(n, e.denominator)
-            if root**e.denominator != n:
-                raise ValueError(
-                    f"{n} is not a perfect {e.denominator}th power; "
-                    "pick evaluation points on the exponent grid"
-                )
-            total = total + c.constant_value() * Fraction(root) ** (-e.numerator)
-        return total
-
-
-def _integer_root(n: int, q: int) -> int:
-    r = int(round(n ** (1.0 / q)))
-    while r > 0 and r**q > n:
-        r -= 1
-    while (r + 1) ** q <= n:
-        r += 1
-    return r
 
 
 # -- operation layer ------------------------------------------------------------

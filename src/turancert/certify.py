@@ -60,6 +60,11 @@ class CertifyError(RuntimeError):
     """Raised when a certificate cannot be established at the given order."""
 
 
+class CornerError(CertifyError):
+    """A corner of a sound u-window is not eventually positive, so the
+    window does not settle the cubic Turan inequality."""
+
+
 def _ept(r: RatFunc) -> int:
     """Eventual positivity threshold, mapped onto CertifyError."""
     if sign_at_infinity(r) <= 0:
@@ -327,7 +332,7 @@ def corner_suite(g: RatFunc, f: RatFunc) -> list:
     for corner in range(4):
         poly = corner_polynomial(g, f, corner)
         if sign_at_infinity(poly) <= 0:
-            raise CertifyError(
+            raise CornerError(
                 f"corner {corner} of the u-window is not eventually positive; "
                 "either the window is too wide or the form is negative on it"
             )

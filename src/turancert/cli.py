@@ -20,6 +20,7 @@ from .algebra import Poly
 from .asymptotics import ExpansionError, ratio_expansion, u_expansion
 from .certify import (
     CertifyError,
+    CornerError,
     certify_turan3,
     certify_u_window,
     verify_certificate,
@@ -182,7 +183,7 @@ def _verdict_command(args, check) -> int:
     ]
     for note in v.trace:
         lines.append(f"  {note}")
-    payload = dict(v.to_dict())
+    payload = v.to_dict()
     payload["name"] = _display_name(rec)
     payload["scaling"] = scaling
     _emit(args, lines, payload)
@@ -220,9 +221,7 @@ def cmd_certify(args) -> int:
     lines = [f"sequence: {_display_name(rec)} (checking {_scaling_note(scaling)})"]
     try:
         cert = certify_turan3(rec, args.K, scaling=scaling, table=table)
-    except CertifyError as exc:
-        if "not eventually positive" not in str(exc):
-            raise
+    except CornerError as exc:
         cert = certify_u_window(rec, args.K, scaling=scaling, table=table)
         lines.append(f"the window does not settle the cubic Turan inequality: {exc}")
     else:

@@ -1,12 +1,14 @@
 """Asymptotic criteria for the cubic Turan form and iterated log-concavity.
 
-Both criteria consume a normalized expansion of u_n = a_{n-1} a_{n+1} / a_n^2,
+Both criteria take the AsymSeries of u_n = a_{n-1} a_{n+1} / a_n^2 that
+`u_expansion` (or a model form) returns, which must lead with exactly 1,
 
     u_n = 1 + r_1(log n)/n^{alpha_1} + ... + r_m(log n)/n^{alpha_m} + o(n^{-beta}),
 
-and return a Verdict.  A "fails" verdict is only issued when the sign of the
-leading coefficient of the relevant form is established exactly; every other
-non-affirmative outcome is "inconclusive" with a rule naming the obstruction.
+read its correction terms and error order directly, and return a Verdict.
+A "fails" verdict is only issued when the sign of the leading coefficient of
+the relevant form is established exactly; every other non-affirmative
+outcome is "inconclusive" with a rule naming the obstruction.
 
 Iterated log-concavity follows r_1 from level to level (r -> 2r, or
 r -> 2r + t at alpha_1 = 2).  The verdict needs only the sign at infinity of
@@ -23,9 +25,9 @@ bound prove the level identically 0.  A constant r_1 stays an exact constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .algebra import RatFunc, limit_at_infinity, scalar_sign, sign_at_infinity
 from .asymptotics import AsymSeries, ratio_expansion, u_expansion
@@ -50,86 +52,27 @@ class Verdict:
     trace: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "result": self.result,
-            "rule": self.rule,
-            "reason": self.reason,
-            "trace": list(self.trace),
-        }
+        return asdict(self)
 
     @property
     def retryable(self) -> bool:
         return self.result == INCONCLUSIVE and self.rule in RETRYABLE
 
 
-class UnForm:
-    """Correction terms (alpha_i, r_i) of a u-expansion, plus its error order."""
+def _corrections(u: AsymSeries) -> tuple:
+    """The correction terms (alpha_i, r_i) of u = 1 + sum r_i(log n)/n^alpha_i.
 
-    __slots__ = ("terms", "error_order")
-
-    def __init__(self, terms, error_order: Optional[Fraction]):
-        terms = tuple((Fraction(e), r) for e, r in terms)
-        for e, r in terms:
-            if e <= 0:
-                raise ValueError("correction exponents must be positive")
-            if r.is_zero():
-                raise ValueError("correction coefficients must be nonzero")
-        if any(terms[i][0] >= terms[i + 1][0] for i in range(len(terms) - 1)):
-            raise ValueError("correction exponents must increase")
-        self.terms = terms
-        self.error_order = error_order
-
-    @property
-    def m(self) -> int:
-        return len(self.terms)
-
-    @property
-    def alpha1(self) -> Fraction:
-        return self.terms[0][0]
-
-    @property
-    def r1(self) -> RatFunc:
-        return self.terms[0][1]
-
-    @property
-    def alpha_last(self) -> Fraction:
-        return self.terms[-1][0]
-
-
-def to_un_form(u: AsymSeries) -> UnForm:
-    """Split a series with leading term 1 into its correction terms."""
-    if not u.terms or u.terms[0][0] != 0:
-        raise ValueError("series must have a constant leading term")
-    lead = u.terms[0][1]
-    if not (lead.is_constant() and lead.constant_value() == 1):
+    An AsymSeries keeps its exponents sorted and distinct and its
+    coefficients nonzero, so past a leading 1 every exponent is positive.
+    """
+    if not u.terms or u.terms[0] != (0, RatFunc.one()):
         raise ValueError("leading term must equal 1")
-    return UnForm(u.terms[1:], u.error_order)
+    return u.terms[1:]
 
 
-def _coerce(u: Union[AsymSeries, UnForm]) -> UnForm:
-    return u if isinstance(u, UnForm) else to_un_form(u)
-
-
-def _eventually_below(r: RatFunc, c: Fraction) -> str:
-    """Whether r(log n) < c for all large n: 'yes', 'no', or 'boundary' (r == c)."""
-    lim = limit_at_infinity(r)
-    if lim == "-inf":
-        return "yes"
-    if lim == "+inf":
-        return "no"
-    if lim < c:
-        return "yes"
-    if lim > c:
-        return "no"
-    s = sign_at_infinity(r - Fraction(c))
-    if s < 0:
-        return "yes"
-    if s > 0:
-        return "no"
-    return "boundary"
-
-
-def _hypothesis_gap(un: UnForm, trace: list, prefix: str) -> Optional[Verdict]:
+def _hypothesis_gap(
+    terms: tuple, beta: Optional[Fraction], trace: list, prefix: str
+) -> Optional[Verdict]:
     """Check the visible-span hypothesis alpha_m - alpha_1 >= 1.
 
     Exact forms are exempt: every omitted exponent has coefficient zero, so
@@ -137,9 +80,9 @@ def _hypothesis_gap(un: UnForm, trace: list, prefix: str) -> Optional[Verdict]:
     conceal non-smooth terms inside its o(n^-beta) tail, and those do not
     lose a power of n under the shift n -> n+1.
     """
-    if un.error_order is None:
+    if beta is None:
         return None
-    span = un.alpha_last - un.alpha1
+    span = terms[-1][0] - terms[0][0]
     if span >= 1:
         return None
     trace.append(
@@ -154,21 +97,21 @@ def _hypothesis_gap(un: UnForm, trace: list, prefix: str) -> Optional[Verdict]:
     )
 
 
-def turan3_asymptotic(u: Union[AsymSeries, UnForm]) -> Verdict:
+def turan3_asymptotic(u: AsymSeries) -> Verdict:
     """Eventual sign of 4(1-u_n)(1-u_{n+1}) - (1-u_n u_{n+1})^2.
 
     Positive sign of the form is equivalent to the cubic Turan inequality
     4 b_n b_{n+1} > (a_n a_{n+1} - a_{n-1} a_{n+2})^2 for the underlying
     sequence, where b_n = a_n^2 - a_{n-1} a_{n+1}.
     """
-    un = _coerce(u)
+    terms, beta = _corrections(u), u.error_order
     trace: list = []
 
-    if un.m == 0:
-        if un.error_order is None:
+    if not terms:
+        if beta is None:
             trace.append("u is identically 1; the form vanishes identically")
             return Verdict(HOLDS, "turan3.equality", "equality case: the form is 0", trace)
-        trace.append(f"no correction term visible below o(n^-{frac_str(un.error_order)})")
+        trace.append(f"no correction term visible below o(n^-{frac_str(beta)})")
         return Verdict(
             INCONCLUSIVE,
             "turan3.insufficient-order",
@@ -176,7 +119,7 @@ def turan3_asymptotic(u: Union[AsymSeries, UnForm]) -> Verdict:
             trace,
         )
 
-    a1, r1 = un.alpha1, un.r1
+    a1, r1 = terms[0]
     trace.append(f"alpha_1 = {frac_str(a1)}, r_1 = {coef_str(r1)}")
 
     s1 = sign_at_infinity(r1)
@@ -193,11 +136,10 @@ def turan3_asymptotic(u: Union[AsymSeries, UnForm]) -> Verdict:
             trace,
         )
 
-    gap = _hypothesis_gap(un, trace, "turan3")
+    gap = _hypothesis_gap(terms, beta, trace, "turan3")
     if gap is not None:
         return gap
 
-    beta = un.error_order
     if beta is not None and beta <= 2 * a1:
         trace.append(
             f"error order {frac_str(beta)} <= 2*alpha_1 = {frac_str(2 * a1)}; "
@@ -403,21 +345,20 @@ def _level_chain(r1: RatFunc, ell: int, critical: bool, terms: int) -> Optional[
     return levels
 
 
-def llc_level_coefficients(
-    u: Union[AsymSeries, UnForm], ell: int
-) -> list:
+def llc_level_coefficients(u: AsymSeries, ell: int) -> list:
     """Predicted leading coefficient r_1 at each level 1..ell of iterated phi.
 
     Level k+1 is obtained from level k by r -> 2r (alpha_1 < 2) or
     r -> 2r + t (alpha_1 = 2).  The leading exponent alpha_1 is preserved.
     Each level is a LogSeries in 1/log n whose sign is decided.
     """
-    un = _coerce(u)
-    if un.m == 0:
+    corrections = _corrections(u)
+    if not corrections:
         raise ValueError("no correction term to iterate")
+    a1, r1 = corrections[0]
     terms = START_TERMS
     while True:
-        levels = _level_chain(un.r1, ell, un.alpha1 == 2, terms)
+        levels = _level_chain(r1, ell, a1 == 2, terms)
         if levels is not None:
             return levels
         terms *= 2
@@ -430,7 +371,7 @@ def llc_threshold(ell: int) -> Fraction:
     return Fraction(-2) + Fraction(4, 2**ell)
 
 
-def llogconcave_asymptotic(u: Union[AsymSeries, UnForm], ell: int) -> Verdict:
+def llogconcave_asymptotic(u: AsymSeries, ell: int) -> Verdict:
     """Eventual ell-fold log-concavity of the underlying sequence.
 
     Level 1 is ordinary log-concavity (u_n < 1 eventually) and is decided in
@@ -439,16 +380,16 @@ def llogconcave_asymptotic(u: Union[AsymSeries, UnForm], ell: int) -> Verdict:
     """
     if ell < 1:
         raise ValueError("level must be at least 1")
-    un = _coerce(u)
+    terms, beta = _corrections(u), u.error_order
     trace: list = []
 
-    if un.m == 0:
-        if un.error_order is None:
+    if not terms:
+        if beta is None:
             trace.append("u is identically 1; every iterated difference vanishes")
             return Verdict(
                 HOLDS, "llc.equality", "equality case: all levels vanish", trace
             )
-        trace.append(f"no correction term visible below o(n^-{frac_str(un.error_order)})")
+        trace.append(f"no correction term visible below o(n^-{frac_str(beta)})")
         return Verdict(
             INCONCLUSIVE,
             "llc.insufficient-order",
@@ -456,7 +397,7 @@ def llogconcave_asymptotic(u: Union[AsymSeries, UnForm], ell: int) -> Verdict:
             trace,
         )
 
-    a1, r1 = un.alpha1, un.r1
+    a1, r1 = terms[0]
     trace.append(f"alpha_1 = {frac_str(a1)}, r_1 = {coef_str(r1)}")
 
     s1 = sign_at_infinity(r1)
@@ -471,11 +412,10 @@ def llogconcave_asymptotic(u: Union[AsymSeries, UnForm], ell: int) -> Verdict:
         )
 
     if ell >= 2:
-        gap = _hypothesis_gap(un, trace, "llc")
+        gap = _hypothesis_gap(terms, beta, trace, "llc")
         if gap is not None:
             return gap
 
-    beta = un.error_order
     if beta is not None and ell * a1 >= beta:
         trace.append(
             f"error order {frac_str(beta)} <= ell*alpha_1 = {frac_str(ell * a1)}; "
@@ -500,7 +440,8 @@ def llogconcave_asymptotic(u: Union[AsymSeries, UnForm], ell: int) -> Verdict:
     critical = a1 == 2
     if critical and ell >= 2:
         c = llc_threshold(ell)
-        below = _eventually_below(r1, c)
+        # r_1 - c is eventually negative, identically 0, or eventually positive
+        below = ("yes", "boundary", "no")[sign_at_infinity(r1 - c) + 1]
         trace.append(
             f"critical regime: level {ell} threshold is r_1 < {frac_str(c)}; "
             f"comparison: {below}"
@@ -523,7 +464,7 @@ def llogconcave_asymptotic(u: Union[AsymSeries, UnForm], ell: int) -> Verdict:
     # Record the predicted leading coefficient at each granted level.  Every
     # level below the last is eventually negative here, so none is zero.
     rule_txt = "2r + t" if critical else "2r"
-    for k, rk in enumerate(llc_level_coefficients(un, ell), start=1):
+    for k, rk in enumerate(llc_level_coefficients(u, ell), start=1):
         sk = rk.sign()
         trace.append(
             f"level {k}: r_1 = {inv_log_series_str(rk)} (map {rule_txt}), "

@@ -1,0 +1,84 @@
+"""Test oracles on asymptotic series that no command needs: the exact value
+of a truncated series at a grid point, and the phi map on a u-expansion."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from turancert.algebra import RatFunc
+from turancert.asymptotics import (
+    AsymSeries,
+    binomial_power,
+    compose_coef_shift,
+    series_inv,
+    shift_series,
+)
+
+
+def eval_exact(s: AsymSeries, n: int):
+    """Value of the truncated sum at integer n >= 1, exactly.
+
+    Needs log-free (constant) coefficients, and n must be a perfect
+    q-th power for every exponent denominator q that appears.
+    """
+    total = Fraction(0)
+    for e, c in s.terms:
+        if not c.is_constant():
+            raise ValueError("exact evaluation needs log-free coefficients")
+        root = _integer_root(n, e.denominator)
+        if root**e.denominator != n:
+            raise ValueError(
+                f"{n} is not a perfect {e.denominator}th power; "
+                "pick evaluation points on the exponent grid"
+            )
+        total = total + c.constant_value() * Fraction(root) ** (-e.numerator)
+    return total
+
+
+def _integer_root(n: int, q: int) -> int:
+    r = int(round(n ** (1.0 / q)))
+    while r > 0 and r**q > n:
+        r -= 1
+    while (r + 1) ** q <= n:
+        r += 1
+    return r
+
+
+def phi_u_expansion(u: AsymSeries, order=None) -> AsymSeries:
+    """u-ratio of the centered sequence b_n = a_n^2 - a_{n-1}a_{n+1}.
+
+    Uses the exact identity u{b}_n = u_n^2 (u_{n-1}-1)(u_{n+1}-1)/(u_n-1)^2
+    on the series level: write 1 - u = lead(L) n^{-alpha} g(n) with g
+    leading 1, then the ratio splits into shifted-g, shifted-lead and
+    binomial factors.  `order` asks for o(n^-order) in the result,
+    capped by what the accuracy of u supports.
+    """
+    if u.error_order is None and order is None:
+        raise ValueError("phi_u_expansion of an exact series needs an explicit order")
+    if not u.terms or u.terms[0] != (Fraction(0), RatFunc.one()):
+        raise ValueError("u must have leading term exactly 1")
+    D = AsymSeries.one() - u
+    if not D.terms:
+        raise ValueError("1 - u vanishes to working order; need a nonzero r1")
+    alpha, lead = D.terms[0]
+    if alpha <= 0:
+        raise ValueError("u must tend to 1 from a positive-order correction")
+    rel_candidates = []
+    if order is not None:
+        rel_candidates.append(Fraction(order))
+    if u.error_order is not None:
+        rel_candidates.append(u.error_order - alpha)
+    rel = min(rel_candidates)
+    if rel <= 0:
+        raise ValueError("u is not accurate enough for any phi-ratio term")
+    w = u.truncate(alpha + rel)
+    D = (AsymSeries.one() - w).truncate(alpha + rel)
+    g = AsymSeries([(e - alpha, c / lead) for e, c in D.terms], rel)
+    f_part = binomial_power(1, -alpha, rel) * binomial_power(-1, -alpha, rel)
+    if not lead.is_constant():
+        inv_lead = lead ** (-1)
+        f_part = f_part * compose_coef_shift(lead, 1, rel).scale(inv_lead)
+        f_part = f_part * compose_coef_shift(lead, -1, rel).scale(inv_lead)
+    gi = series_inv(g, rel)
+    out = (w * w) * f_part * shift_series(g, 1, rel) * shift_series(g, -1, rel) * gi * gi
+    return out.truncate(rel)

@@ -12,6 +12,7 @@ from turancert.algebra import Poly, RatFunc, eventual_positivity_threshold
 from turancert.asymptotics import ratio_expansion, u_expansion
 from turancert.certify import (
     CertifyError,
+    CornerError,
     certify_ratio_bounds,
     certify_turan3,
     certify_u_bounds,
@@ -171,7 +172,7 @@ class TestCorners:
         # width, so no corner can be eventually positive.
         rec = get("inverse-catalan").recurrence
         _, ub = certify_u_bounds(rec, 4)
-        with pytest.raises(CertifyError):
+        with pytest.raises(CornerError):
             corner_suite(ub.lower, ub.upper)
 
 

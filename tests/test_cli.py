@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from turancert import certify as certify_module
 from turancert.certify import certify_turan3, certify_u_window
 from turancert.cli import main
 from turancert.corpus import get
@@ -23,6 +24,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def u_bounds_calls(monkeypatch):
+    """The order of every certify_u_bounds call, in call order."""
+    calls = []
+    original = certify_module.certify_u_bounds
+
+    def counted(rec, order, **kwargs):
+        calls.append(order)
+        return original(rec, order, **kwargs)
+
+    monkeypatch.setattr(certify_module, "certify_u_bounds", counted)
+    return calls
 
 
 class TestSources:
@@ -233,6 +248,86 @@ class TestAsymptotics:
         assert hashlib.sha256(out.encode()).hexdigest() == ASYMP_SHA256[command, name, K]
 
 
+# sha256 of the exit code, a newline and the stdout of `check-turan3 NAME
+# --json` (ell None) and `check-llc NAME --ell L --json`, recorded before the
+# criteria read the u-series directly; the entry's own scaling runs without
+# --scale, the other one with it
+VERDICT_SHA256 = {
+    ("check-turan3", "apery", None, "none"): "84698cb3d49e48155492bdbad8bf5803f4bd1a70edaf6168c09a58b4849da5b9",
+    ("check-llc", "apery", 1, "none"): "6ea5255402ef9f4c6319f06c3b13bb96bc99f3849b9678f9e876fdfd5ea07fdb",
+    ("check-llc", "apery", 2, "none"): "6ea5255402ef9f4c6319f06c3b13bb96bc99f3849b9678f9e876fdfd5ea07fdb",
+    ("check-llc", "apery", 3, "none"): "6ea5255402ef9f4c6319f06c3b13bb96bc99f3849b9678f9e876fdfd5ea07fdb",
+    ("check-turan3", "apery", None, "factorial"): "cbe5b43e57bdc0694960bcabab861e8d44c7389327c8ae1b73d4963369e3942f",
+    ("check-llc", "apery", 1, "factorial"): "cbb21716cf278cfa8597e509a2c48490c2f5c053667aae43847a11b9b4b0ec01",
+    ("check-llc", "apery", 2, "factorial"): "c930145cdc874d545ee75325a612556d58e05b8ccd12f69250193a9a986c5ad6",
+    ("check-llc", "apery", 3, "factorial"): "c3e2f153e7c22c601951c645c4cde07a8af1f8350a48fcb680af11465b7cd146",
+    ("check-turan3", "binomial4", None, "none"): "ced4a13621c7817cc47dda4897a00658e3073c09a791fc0763873af9bb2d4aee",
+    ("check-llc", "binomial4", 1, "none"): "405b918ebd0aab53b238392f3f5c7a6be0f0302625fa83600330657fd6e6597b",
+    ("check-llc", "binomial4", 2, "none"): "405b918ebd0aab53b238392f3f5c7a6be0f0302625fa83600330657fd6e6597b",
+    ("check-llc", "binomial4", 3, "none"): "405b918ebd0aab53b238392f3f5c7a6be0f0302625fa83600330657fd6e6597b",
+    ("check-turan3", "binomial4", None, "factorial"): "d7cb2133c8695f3e31766cef1c6d21397f58b2c58f7dd3d0ded3f64e16fea83c",
+    ("check-llc", "binomial4", 1, "factorial"): "5789f17bbba8cffbdbe1afd8c1ef66e6f32b08289aae31e6a3484c3d51b78582",
+    ("check-llc", "binomial4", 2, "factorial"): "6cb03b86578534cafe38eb567d2f52bc2b3f99c2bd141c32acc352b1533e8372",
+    ("check-llc", "binomial4", 3, "factorial"): "3a210a2282b8be552d7cabc670900ca2a5ddf9f144721528c072a179b57df212",
+    ("check-turan3", "bn", None, "none"): "7455983b5b80c84c6f210768a586825ab555d8821b24b5a42b31fa8ce48295b7",
+    ("check-llc", "bn", 1, "none"): "81ca72e95af99221e9a73e8e2427fc3584215060ecd881852135e97bf3bd634c",
+    ("check-llc", "bn", 2, "none"): "81ca72e95af99221e9a73e8e2427fc3584215060ecd881852135e97bf3bd634c",
+    ("check-llc", "bn", 3, "none"): "81ca72e95af99221e9a73e8e2427fc3584215060ecd881852135e97bf3bd634c",
+    ("check-turan3", "bn", None, "factorial"): "c1395c908dc9921dc904c15455af7188608edde85f56e1d778ce103d097a0072",
+    ("check-llc", "bn", 1, "factorial"): "49fb537151e9ba0e8b540d52a1bb7a1030ca335b3e524d1692b30018bf20e33c",
+    ("check-llc", "bn", 2, "factorial"): "1ab3e9bddc74cf851880601a733fdf04551195797ca15e44cea9edbde13d375a",
+    ("check-llc", "bn", 3, "factorial"): "d72212895ef0160ce05e3d38daa5a1e264ab653674adf1229eccfcfd21e604b4",
+    ("check-turan3", "domb", None, "none"): "b646f2694c6a4402c80d2ca81699f6acf80ed6d6c8a0557691302ff49734304c",
+    ("check-llc", "domb", 1, "none"): "62eb8dbf0f5e81100ab24fe79c507e0a68dd0ee4f0e4135d9af91c94130a2d41",
+    ("check-llc", "domb", 2, "none"): "62eb8dbf0f5e81100ab24fe79c507e0a68dd0ee4f0e4135d9af91c94130a2d41",
+    ("check-llc", "domb", 3, "none"): "62eb8dbf0f5e81100ab24fe79c507e0a68dd0ee4f0e4135d9af91c94130a2d41",
+    ("check-turan3", "domb", None, "factorial"): "4ad8a3a3e42f42559847fff18b2e61a7da3faf7809333101a19ed6754e070d36",
+    ("check-llc", "domb", 1, "factorial"): "11875e84b0189a8798751c38444617a68aa4973c3644323403fefb8ba1e43399",
+    ("check-llc", "domb", 2, "factorial"): "9884085490c626c88b53c4b8296aa6f1489a787efe2cbdd79e9beb2859096283",
+    ("check-llc", "domb", 3, "factorial"): "0eb2419e73c1728b697f04a739ce4f7037fba420d1deae8c8ce6f7c91356f3b5",
+    ("check-turan3", "fine", None, "none"): "0d24d5042afa77da8c30201b9a019a56afc2ac1f6548080d15bffcdf4e734a2c",
+    ("check-llc", "fine", 1, "none"): "eccbf2147194f1dc64a22510992b144d9cf1c1fbaff15d324a0afa67cbe0fa7f",
+    ("check-llc", "fine", 2, "none"): "eccbf2147194f1dc64a22510992b144d9cf1c1fbaff15d324a0afa67cbe0fa7f",
+    ("check-llc", "fine", 3, "none"): "eccbf2147194f1dc64a22510992b144d9cf1c1fbaff15d324a0afa67cbe0fa7f",
+    ("check-turan3", "fine", None, "factorial"): "1d0f0d455ff20a4db019232059685b3a20d003568f296fcf17bb01b00c90a9d9",
+    ("check-llc", "fine", 1, "factorial"): "4a8556c6493cad5ea41516d87d767250d05d5a78373a134f60eda23ce5b7fc34",
+    ("check-llc", "fine", 2, "factorial"): "51561049f9834a8089efe293ffad159fd8ec7bab6938e66d90db09775a59ab9c",
+    ("check-llc", "fine", 3, "factorial"): "8c9d43ab7f8adf7b969572ceb20c46bd5e40196bc693615d8de1696d9368c623",
+    ("check-turan3", "franel3", None, "none"): "302ebdd9ec0782dbbf073cc32695004c6e7c64eb0b6430e43205928527c4e96a",
+    ("check-llc", "franel3", 1, "none"): "96bc19492a604211c57443fb9d9338dcd2f51c094d6929c6e4f555dbf29bb9ca",
+    ("check-llc", "franel3", 2, "none"): "96bc19492a604211c57443fb9d9338dcd2f51c094d6929c6e4f555dbf29bb9ca",
+    ("check-llc", "franel3", 3, "none"): "96bc19492a604211c57443fb9d9338dcd2f51c094d6929c6e4f555dbf29bb9ca",
+    ("check-turan3", "franel3", None, "factorial"): "05eb8d7e5ed199fdd83492ee01e220ab7df64e37cf7806fa183bd8508c4b902f",
+    ("check-llc", "franel3", 1, "factorial"): "9bd0bea9e4779e9f5ef8b9b4cd9110a13be269466fa704ff87a361ab0572a048",
+    ("check-llc", "franel3", 2, "factorial"): "2c0d3af91d6900bd09e2a6c6c542d34d7474a2fad163a47a44f11507d22fc36f",
+    ("check-llc", "franel3", 3, "factorial"): "987dd06d3130a3eabd66b2804c0d363076d2ef9c6c29af7817dbfb92e601d84f",
+    ("check-turan3", "inverse-catalan", None, "none"): "caf6d1c525c265b59e89dff0bb7b0de112c65c9a24e20ae36d3bad8618b7895e",
+    ("check-llc", "inverse-catalan", 1, "none"): "2a77513140012c343389c01510ac6e4fad317da284b8e1d34d8ad224383bb007",
+    ("check-llc", "inverse-catalan", 2, "none"): "cecfe2927f907db9ceb0234664698198793c888f8540c2af5f6ba18c75c01177",
+    ("check-llc", "inverse-catalan", 3, "none"): "f48d281bc57e6ea3c3ee8462a3827458247f6fc109b71493beb62783e36b3785",
+    ("check-turan3", "inverse-catalan", None, "factorial"): "17133faaedfb8523c0f5366b6925e3486f26678d74217ef3c792f64ba4f6694b",
+    ("check-llc", "inverse-catalan", 1, "factorial"): "c480517a7c07053af4266f263ac6824c058d69757bd42be72cc2339f2d1f11d3",
+    ("check-llc", "inverse-catalan", 2, "factorial"): "0c3bac7c99a483d12e8ebb7c0122c4ff5333db9d99a2f08256017a583f5fc020",
+    ("check-llc", "inverse-catalan", 3, "factorial"): "9b4a9f720a2566d3c89934b441da98ecf6b9fb7bc1afec8909a81c56137d386f",
+    ("check-turan3", "involutions", None, "none"): "775e645b3c8e9023a5daff46050ebbff401e60b04a78c678487377d7afe425d4",
+    ("check-llc", "involutions", 1, "none"): "c3c9826b25183e449d48fa8d77e726ea41285eb3151bfdd71c07df354a86aab7",
+    ("check-llc", "involutions", 2, "none"): "7866e56c8d2495a4ad4d2760ea9cae4c552c84d7006f9c5667b4c81c943fef9f",
+    ("check-llc", "involutions", 3, "none"): "1e64231ccb0b6f83dd133959614399d1d207cd2213de84653e6d75f5bbf19365",
+    ("check-turan3", "involutions", None, "factorial"): "07aa934d0010c5adadd8efd31f7ac736260950758853341d608799bd445c8ad8",
+    ("check-llc", "involutions", 1, "factorial"): "3ca2653da8ea4b1012888577c813d6ce70ec288969deae142cb68179b3c94e0e",
+    ("check-llc", "involutions", 2, "factorial"): "b174f33c90dd5ad1e7836737482969e0dc5628e4ee088c1f2663916d11cee807",
+    ("check-llc", "involutions", 3, "factorial"): "711514e8470018c0c17c308b042c21cc36e95d1b05df5f365090fc22d5df175a",
+    ("check-turan3", "motzkin", None, "none"): "d21a4c1a9e37a9ce898cd1bb707d1d9de662d3ebfb7ca189d471aafd10f7ba65",
+    ("check-llc", "motzkin", 1, "none"): "f494d2b2d63c152d050194d873fdade24c2907ef8dabcf0302a52c8951386892",
+    ("check-llc", "motzkin", 2, "none"): "f494d2b2d63c152d050194d873fdade24c2907ef8dabcf0302a52c8951386892",
+    ("check-llc", "motzkin", 3, "none"): "f494d2b2d63c152d050194d873fdade24c2907ef8dabcf0302a52c8951386892",
+    ("check-turan3", "motzkin", None, "factorial"): "e36095de4ca8b1876f70e3b5a6dd30cd6069eab3c70eda7e15e75928edec93a7",
+    ("check-llc", "motzkin", 1, "factorial"): "731f5b2751b67cf1fe8a501e9f2651a06696081e9b53eaffe0d3f02e9ffafb7c",
+    ("check-llc", "motzkin", 2, "factorial"): "bd26897cb3da7b65ebc990f1a693db7e02007e3e370f888cc780d8901a6471ea",
+    ("check-llc", "motzkin", 3, "factorial"): "40c1bfb48eaa9f4623e462e06449652824c38ada0740f13e3a9da2efa5ab9c9e",
+}
+
+
 class TestVerdictCommands:
     def test_holds_exit_zero(self, capsys):
         code, out, _ = run(capsys, "check-turan3", "motzkin")
@@ -304,12 +399,24 @@ class TestCertifyAndVerify:
         assert code == 1
         assert "rational growth constant" in err
 
-    def test_certify_window_only_fallback(self, capsys, tmp_path):
+    @pytest.mark.parametrize("name", ["motzkin", "inverse-catalan"])
+    def test_discharge_refusal_builds_the_window_once(self, capsys, tmp_path, u_bounds_calls, name):
+        # only a corner refusal falls back to the window-only certificate;
+        # a refused discharge of the u-window itself ends the command
+        path = tmp_path / "x.json"
+        code, out, err = run(capsys, "certify", name, "-K", "1", "-o", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: required inequality is not eventually positive\n"
+        assert u_bounds_calls == [1]
+        assert not path.exists()
+
+    def test_certify_window_only_fallback(self, capsys, tmp_path, u_bounds_calls):
         # corners refuse on binomial4, so the command falls back to a
         # window-only certificate and reports inconclusive
         cert_path = tmp_path / "b4.json"
         code, out, _ = run(capsys, "certify", "binomial4", "-o", str(cert_path))
         assert code == 2
+        assert u_bounds_calls == [4, 4]  # the fallback reads the table's window
         assert "does not settle" in out
         assert "g(n) = (2*n^2 + 1) / (2*n^2)" in out
         assert "f(n) = (2*n^2 + 5) / (2*n^2)" in out
@@ -359,6 +466,15 @@ class TestCertifyAndVerify:
         run(capsys, "certify", "motzkin", "--scale", "n!", "-o", str(a))
         run(capsys, "certify", "motzkin", "--scale", "factorial", "-o", str(b))
         assert json.loads(a.read_text()) == json.loads(b.read_text())
+
+    @pytest.mark.parametrize("command, name, ell, scale", sorted(VERDICT_SHA256, key=str))
+    def test_verdict_bytes(self, capsys, command, name, ell, scale):
+        argv = [command, name] + ([] if ell is None else ["--ell", str(ell)])
+        if scale != get(name).scaling:
+            argv += ["--scale", scale]
+        code, out, _ = run(capsys, *argv, "--json")
+        digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+        assert digest == VERDICT_SHA256[command, name, ell, scale]
 
 
 # sha256 of the file `certify <name> -o FILE` writes: the certificate bytes

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -10,7 +11,6 @@ import pytest
 from turancert.algebra import AlgebraicReal, NumberField, Poly, RatFunc
 from turancert.asymptotics import (
     AsymSeries,
-    phi_u_expansion,
     ratio_expansion,
     u_expansion,
     u_power,
@@ -20,17 +20,17 @@ from turancert.corpus import get
 from turancert import criteria
 from turancert.criteria import (
     LogSeries,
-    UnForm,
     _settled,
     llc_level_coefficients,
     llc_threshold,
     llogconcave_asymptotic,
     llogconcave_verdict,
-    to_un_form,
     turan3_asymptotic,
     turan3_verdict,
 )
 from turancert.sequences import Recurrence, TermTable, phi_values
+
+from oracles import phi_u_expansion
 
 
 def S(*terms, err=None):
@@ -76,31 +76,52 @@ def exact_chain(r1, ell):
 
 
 class TestUnForm:
+    """The form 1 + sum_i r_i(log n)/n^alpha_i of u_n, read off its series."""
+
     def test_split_ic(self):
-        un = to_un_form(u_of("inverse-catalan"))
-        assert un.m == 3
-        assert un.alpha1 == 2
-        assert un.r1.constant_value() == F(-3, 2)
-        assert un.alpha_last == 4
-        assert un.error_order == 5
+        u = u_of("inverse-catalan")
+        assert [(e, r.constant_value()) for e, r in criteria._corrections(u)] == [
+            (2, F(-3, 2)),
+            (3, F(9, 4)),
+            (4, F(-21, 8)),
+        ]
+        assert u.error_order == 5
 
     def test_leading_must_be_one(self):
-        with pytest.raises(ValueError):
-            to_un_form(S((0, 2), (2, -1), err=3))
-        with pytest.raises(ValueError):
-            to_un_form(S((1, 1), err=3))
-
-    def test_term_validation(self):
-        with pytest.raises(ValueError):
-            UnForm([(F(0), L_func([1]))], None)
-        with pytest.raises(ValueError):
-            UnForm([(F(2), L_func([1])), (F(2), L_func([1]))], None)
-        with pytest.raises(ValueError):
-            UnForm([(F(2), L_func([0]))], None)
+        # a leading 2, no constant term, a growing term, the zero series
+        for u in (S((0, 2), (2, -1), err=3), S((1, 1), err=3), S((-1, 1), (0, 1)), S()):
+            with pytest.raises(ValueError, match="leading term must equal 1"):
+                turan3_asymptotic(u)
+            for ell in (1, 3):
+                with pytest.raises(ValueError, match="leading term must equal 1"):
+                    llogconcave_asymptotic(u, ell)
+            with pytest.raises(ValueError, match="leading term must equal 1"):
+                llc_level_coefficients(u, 2)
 
     def test_degenerate(self):
-        un = UnForm([], None)
-        assert un.m == 0
+        assert criteria._corrections(S((0, 1))) == ()
+        assert criteria._corrections(S((0, 1), err=3)) == ()
+        with pytest.raises(ValueError, match="no correction term"):
+            llc_level_coefficients(S((0, 1)), 2)
+
+
+# sha256 of json.dumps(llogconcave_asymptotic(FORM, ell).to_dict()) on the
+# model forms n^3 and n^2 log n, recorded before the criteria read the
+# u-series directly
+LEVEL_SHA256 = {
+    ("n3", 1): "503d9ff41890dac0c19bd24ba82185caed688f6e90596d969213f063305de3d0",
+    ("n3", 2): "b361e4a45f2f059be25287348d341f5e1849a744c2c2150fa98a87f246e49be2",
+    ("n3", 3): "3569e8d295a23efa7af4a1277d0d8a61675483f62af75c72cc75890b08a541e8",
+    ("n3", 4): "5e4f0217fd60d4b7d391d5d4a5c19fa296d1d52eeb17cac4f6a2dd0794e4deff",
+    ("n3", 5): "d86e7997ef5517dc823546bcf6a2131499cd8eabb6ae33e5fc422344d99c4f63",
+    ("n3", 6): "8086f73ea26fb519ca294435ddb525c80cb95bd1bdc91cab8b98b55a8fe60095",
+    ("n2logn", 1): "fa5d66adabf3a0f2de0985903385ff940b20c7dfc6ff69cd82fadad63a46a03b",
+    ("n2logn", 2): "0c2cc6d4fe6fe3f24aa2b079beb888fbf4e0ab4cc24b734aa88c0f87630569e0",
+    ("n2logn", 3): "009f67a468974b6de2fdf99158fdb12f844bfc12f957f27f857e4fb251fbf71c",
+    ("n2logn", 4): "a4400d1e616be6e425d82ed3b70170746bd764f2d5810a0bfe37272f81513f37",
+    ("n2logn", 5): "be9aebb210d9a1daadd66616245282f6b7940b5d0e65943f16bbc3a949747cc6",
+}
+LEVEL_FORMS = {"n3": lambda: u_power(3, None), "n2logn": lambda: u_power_log(2, 1, F(14))}
 
 
 class TestTuran3:
@@ -276,6 +297,11 @@ class TestLogConcavityLevels:
         for r in llc_level_coefficients(u, 6):
             assert r.sign() < 0
 
+    @pytest.mark.parametrize("form, ell", sorted(LEVEL_SHA256))
+    def test_model_form_verdict_bytes(self, form, ell):
+        blob = json.dumps(llogconcave_asymptotic(LEVEL_FORMS[form](), ell).to_dict())
+        assert hashlib.sha256(blob.encode()).hexdigest() == LEVEL_SHA256[form, ell]
+
     def test_grant_by_deficit_at_threshold_limit(self):
         # r_1 -> -1 from below: level 2 is granted although the limit sits
         # exactly on the threshold.
@@ -312,7 +338,7 @@ class TestLevelSeries:
     """The level chain in x = 1/log n against the exact RatFunc level map."""
 
     def test_prefixes_match_exact_chain_n2logn(self):
-        r1 = to_un_form(u_power_log(2, 1, F(14))).r1
+        r1 = criteria._corrections(u_power_log(2, 1, F(14)))[0][1]
         levels = llc_level_coefficients(u_power_log(2, 1, F(14)), 5)
         for level, r in zip(levels, exact_chain(r1, 5)):
             assert level.val == 0 and level.sign() == -1
@@ -320,25 +346,25 @@ class TestLevelSeries:
 
     def test_laurent_r1_tends_to_minus_infinity(self):
         r1 = L_func([-3, -1])  # -log n - 3
-        un = UnForm([(F(2), r1)], None)
-        levels = llc_level_coefficients(un, 4)
+        u = S((0, 1), (2, r1))
+        levels = llc_level_coefficients(u, 4)
         for level, r in zip(levels, exact_chain(r1, 4)):
             assert (level.val, level.sign()) == (-1, -1)
             assert same_prefix(level, r)
-        v = llogconcave_asymptotic(un, 4)
+        v = llogconcave_asymptotic(u, 4)
         assert (v.result, v.rule) == ("holds", "llc.critical.threshold")
 
     def test_valuation_rise_is_followed(self, monkeypatch):
         # r_1 = -1 + 1/log n: level 2 = 2/log n + ... tends to 0 from above
         r1 = L_func([1, -1], [0, 1])
-        un = UnForm([(F(2), r1)], None)
-        levels = llc_level_coefficients(un, 3)
+        u = S((0, 1), (2, r1))
+        levels = llc_level_coefficients(u, 3)
         assert [(lv.val, lv.sign()) for lv in levels] == [(0, -1), (1, 1), (0, 1)]
         for level, r in zip(levels, exact_chain(r1, 3)):
             assert same_prefix(level, r)
         # from a single term of r_1 the chain must raise its precision
         monkeypatch.setattr(criteria, "START_TERMS", 1)
-        short = llc_level_coefficients(un, 3)
+        short = llc_level_coefficients(u, 3)
         assert [(lv.val, lv.sign()) for lv in short] == [(0, -1), (1, 1), (0, 1)]
         for level, r in zip(short, exact_chain(r1, 3)):
             assert same_prefix(level, r)
@@ -346,7 +372,7 @@ class TestLevelSeries:
     def test_number_field_coefficients(self):
         nf = NumberField(AlgebraicReal(Poly([-2, 0, 1]), F(1), F(2)))
         r1 = RatFunc(Poly([F(-1), -2 * nf.generator()]), Poly([0, 1]))  # -2 sqrt2 - 1/log n
-        levels = llc_level_coefficients(UnForm([(F(2), r1)], None), 3)
+        levels = llc_level_coefficients(S((0, 1), (2, r1)), 3)
         for level, r in zip(levels, exact_chain(r1, 3)):
             assert level.sign() == -1
             assert same_prefix(level, r)

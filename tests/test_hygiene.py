@@ -43,8 +43,6 @@ def test_no_unused_imports(path):
 # Functions no module of the package calls, kept for a reason outside it.
 # Everything else that nothing in src/turancert names is dead code.
 UNCALLED_BUT_KEPT = {
-    "phi_u_expansion": "test oracle: the phi map on a u-expansion, against the level map",
-    "eval_exact": "test oracle: exact value of a truncated series at a grid point",
     "phi_values": "benchmark workload: exact iterated-phi terms on long ranges",
     "logconcave_sign": "benchmark tracing counts it; tests use it as the single-index log-concavity sign",
     "u_power_log": "benchmark workload: the n^2 log n model form of the level chain",
@@ -53,13 +51,17 @@ UNCALLED_BUT_KEPT = {
 }
 
 
-def _names(node: ast.AST) -> Counter:
-    """How often each identifier is read, as a name or as an attribute."""
-    return Counter(
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
-    )
+def _names(node: ast.AST, classes=frozenset()) -> Counter:
+    """How often each identifier is read, as a name or as an attribute.
+    A read of C.attr, C one of `classes`, counts toward "C.attr" only."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            through_class = isinstance(n.value, ast.Name) and n.value.id in classes
+            out[f"{n.value.id}.{n.attr}" if through_class else n.attr] += 1
+    return out
 
 
 def _definitions(tree: ast.Module):
@@ -76,14 +78,26 @@ def _definitions(tree: ast.Module):
 
 def uncalled(sources: dict) -> list:
     """(module, qualified name) of each definition that no code outside its
-    own body names.  Import lists and __all__ strings are not references."""
+    own body names.  Import lists and __all__ strings are not references.
+    A method C.m is named by a bare read of m or by a read of C.m; a read of
+    D.m through another class D of the package does not name it."""
     trees = {module: ast.parse(src) for module, src in sources.items()}
-    used = sum((_names(tree) for tree in trees.values()), Counter())
+    classes = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    used = sum((_names(tree, classes) for tree in trees.values()), Counter())
+
+    def reads(counts, qual, name):
+        return counts[name] + (counts[qual] if qual != name else 0)
+
     return sorted(
         (module, qual)
         for module, tree in trees.items()
         for qual, node in _definitions(tree)
-        if used[node.name] == _names(node)[node.name]
+        if reads(used, qual, node.name) == reads(_names(node, classes), qual, node.name)
     )
 
 
@@ -92,8 +106,12 @@ def test_dead_code_detector():
         "a": "__all__ = ['dead']\ndef dead():\n    return dead()\ndef live():\n    return 1\n"
         "class K:\n    def __init__(self):\n        pass\n    def m(self):\n        pass\n",
         "b": "from a import dead, live\nx = live() + K().n\n",
+        # P.var is read only as a name of R, so it is dead; R().w() names w
+        "c": "class P:\n    def var(self):\n        pass\n"
+        "class R:\n    def var(self):\n        pass\n    def w(self):\n        pass\n"
+        "y = R.var() + R().w()\n",
     }
-    assert uncalled(sources) == [("a", "K.m"), ("a", "dead")]
+    assert uncalled(sources) == [("a", "K.m"), ("a", "dead"), ("c", "P.var")]
 
 
 def test_every_function_is_called_or_kept():
