@@ -3,10 +3,18 @@ P-recursive sequences, and the induced expansion of u_n.
 
 The growth branch comes from the Newton polygon of the recurrence: the
 rightmost upper-hull edge fixes mu, the edge polynomial fixes the
-admissible lam values.  Correction coefficients of v are solved stage by
-stage, online, by the triangular coefficient recurrence of Wimp &
-Zeilberger (1985) on scalar arrays; one full residual build per solve
-then checks that every slot up to the last stage cancels.  Every
+admissible lam values.  Past that point every exact step runs on grid
+arrays: plain lists of T + 1 scalars (`Fraction` or `NFElem`, whatever lam
+brings), entry k the coefficient of n^(-k/rho).  Four helpers do all of
+their arithmetic: the binomial row (1 + j/n)^alpha, the shifted v(n+j), the
+truncated Cauchy product and the inverse of 1 + x.
+
+Correction coefficients of v are solved stage by stage, online, by the
+triangular coefficient recurrence of Wimp & Zeilberger (1985); a solve
+that adds stages then rebuilds every residual slot from the final
+coefficients by whole-array products, and each slot must be exactly 0.
+`u_expansion` runs on the same arrays.  An `AsymSeries` is built only at
+the edges: the v of a `RatioExpansion` and the u-series returned.  Every
 candidate branch must pass an empirical ratio check on exact terms before
 it is accepted (wrong branches miss by orders of magnitude, so loose
 float thresholds are safe; no exactness claim rests on the check).
@@ -20,13 +28,7 @@ from typing import Optional
 
 from ..algebra import NumberField, Poly, isolate_real_roots
 from ..sequences import Recurrence, TermTable, check_scaling
-from .series import (
-    AsymSeries,
-    binomial_power,
-    gen_binomial,
-    series_inv,
-    shift_series,
-)
+from .series import AsymSeries
 
 
 class ExpansionError(RuntimeError):
@@ -144,45 +146,102 @@ def edge_polynomial(rec: Recurrence, mu: Fraction, on_edge: list) -> Poly:
     return Poly(coeffs)
 
 
-# -- stage solver -------------------------------------------------------------
+# -- grid arrays ----------------------------------------------------------------
+#
+# A grid array holds T + 1 scalars; entry k is the coefficient of n^(-k/rho).
 
 
-def _v_shifted(cs: list, rho: int, j: int, rel_order: Fraction) -> AsymSeries:
-    """v(n+j) re-expanded at n, for v = 1 + sum cs[i-1] n^{-i/rho}."""
-    out = AsymSeries.one().truncate(rel_order)
+def _binomial_row(j, alpha, rho: int, T: int) -> list:
+    """(1 + j/n)^alpha: C(alpha, l) j^l at k = l rho."""
+    row = [Fraction(0)] * (T + 1)
+    b = Fraction(1)
+    for l, k in enumerate(range(0, T + 1, rho)):
+        row[k] = b
+        b = b * (alpha - l) / (l + 1) * j
+    return row
+
+
+def _add_shifted(row: list, c, i: int, j: int, rho: int) -> None:
+    """Add the term c n^{-i/rho} of v, taken at n + j, to v(n+j)'s row:
+    c (1 + j/n)^{-i/rho} from k = i on."""
+    for k, b in enumerate(_binomial_row(j, Fraction(-i, rho), rho, len(row) - 1 - i)):
+        if b:
+            row[i + k] += c * b
+
+
+def _shifted(cs: list, rho: int, j: int, T: int) -> list:
+    """v(n+j) for v = 1 + sum cs[i-1] n^{-i/rho}."""
+    row = [Fraction(1)] + [Fraction(0)] * T
     for i, c in enumerate(cs, start=1):
-        e = Fraction(i, rho)
-        if e >= rel_order:
-            break
-        if not c:
-            continue
-        if j == 0:
-            out = out + AsymSeries.from_term(e, c)
-        else:
-            out = out + binomial_power(j, -e, rel_order - e).shift_exponents(e).scale(c)
+        if c:
+            _add_shifted(row, c, i, j, rho)
+    return row
+
+
+def _terms(a: list) -> list:
+    """(k, scalar) for each nonzero entry of a grid array."""
+    return [(k, x) for k, x in enumerate(a) if x]
+
+
+def _coef(terms, b: list, i: int):
+    """Coefficient i of a * b, with a given by (k, scalar) terms."""
+    return sum(x * b[i - m] for m, x in terms if m <= i)
+
+
+def _mul(a: list, b: list) -> list:
+    """Truncated Cauchy product of two grid arrays of one length, over
+    their nonzero entries only."""
+    out = [Fraction(0)] * len(b)
+    tb = _terms(b)
+    for m, x in _terms(a):
+        for k, y in tb:
+            if m + k >= len(out):
+                break
+            out[m + k] += x * y
     return out
 
 
-def _residual(rec: Recurrence, lam, mu: Fraction, rho: int, cs: list, rel_order: Fraction) -> AsymSeries:
-    """p0(n) prod_{j<d} r(n+j) - sum_k pk(n) prod_{j<d-k} r(n+j), with
-    r(n) = lam n^mu v(n); absolute exponents (n^s appears as exponent -s).
-    Each p_k takes the prefix product of the first d-k shifted factors."""
+def _inv(a: list) -> list:
+    """1/a for the grid array a = 1 + x: out[k] = -sum x[m] out[k - m] over
+    the nonzero entries of x and of out."""
+    x = _terms(a)[1:]
+    out, nonzero = [Fraction(1)], [True]
+    for k in range(1, len(a)):
+        out.append(-sum(c * out[k - m] for m, c in x if m <= k and nonzero[k - m]))
+        nonzero.append(bool(out[k]))
+    return out
+
+
+# -- stage solver -------------------------------------------------------------
+
+
+def _slot_terms(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int) -> list:
+    """(x, off, s_k lam^x p_k[t]) per recurrence monomial on the grid: with
+    r(n) = lam n^mu v(n), residual slot i (absolute exponent -e0 + i/rho) is
+    the sum of s_k lam^x p_k[t] P_x[i - off], x = d - k, off = rho(e0 - t - mu x),
+    over integral off, where P_x = prod_{j<x} (1 + j/n)^mu v(n+j)."""
     d = rec.order
-    prefix = [AsymSeries.one()]
-    for j in range(d):
-        vj = _v_shifted(cs, rho, j, rel_order)
-        if j > 0:
-            vj = vj * binomial_power(j, mu, rel_order)
-        prefix.append((prefix[-1] * vj).truncate(rel_order))
-    total = AsymSeries.zero()
+    out = []
     for k, p in enumerate(rec.coeffs):
-        if p.is_zero():
-            continue
         x = d - k
-        term = AsymSeries.from_poly_in_n(p) * prefix[x]
-        term = term.scale(lam**x).shift_exponents(-mu * x)
-        total = total + term if k == 0 else total - term
-    return total
+        sign_lam = lam**x if k == 0 else -(lam**x)
+        for t, pt in enumerate(p.coeffs):
+            off = rho * (e0 - t - mu * x)
+            if pt and off.denominator == 1:
+                out.append((x, int(off), sign_lam * pt))
+    return out
+
+
+def _residual_slots(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, cs: list) -> list:
+    """Residual slots 0..T for T = len(cs), rebuilt from c_1..c_T by whole
+    grid products, none of the online solver's arrays."""
+    T = len(cs)
+    prefix = [[Fraction(1)] + [Fraction(0)] * T]
+    for j in range(rec.order):
+        f = _mul(_binomial_row(j, mu, rho, T), _shifted(cs, rho, j, T))
+        prefix.append(_mul(prefix[-1], f))
+    slots = _slot_terms(rec, lam, mu, e0, rho)
+    return [sum(s * prefix[x][i - off] for x, off, s in slots if off <= i) for i in range(T + 1)]
 
 
 @dataclass
@@ -213,40 +272,29 @@ def _branch(root, rec: Recurrence, on_edge: list) -> tuple:
 def _online_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T: int,
                    slope, st: _Stages) -> list:
     """c_1..c_T by the triangular recurrence of Wimp & Zeilberger (1985),
-    solved online on coefficient arrays indexed by the grid index k
-    (exponent k/rho): v_j[k] of v(n+j), f_j = (1 + j/n)^mu v_j, and the
-    prefix products P_x = P_{x-1} f_{x-1}, one new Cauchy coefficient each
-    per stage.  Residual slot i is
-    sum_k s_k lam^x sum_t p_k[t] P_x[i - rho(e0 - t - mu x)], x = d - k, over
-    integral, non-negative indices.  It reads P_x up to index i only, and
-    P_x[i] holds c_i only as x c_i, so slot i is b + slope * c_i with b built
-    from c_1..c_{i-1}.  Stages kept in `st` are replayed into the arrays,
-    not solved again."""
+    solved online on grid arrays: v_j of v(n+j), f_j = (1 + j/n)^mu v_j,
+    and the prefix products P_x = P_{x-1} f_{x-1}, one new Cauchy
+    coefficient each per stage.  Slot i (`_slot_terms`) reads P_x up to
+    index i only, and P_x[i] holds c_i only as x c_i, so slot i is
+    b + slope * c_i with b built from c_1..c_{i-1}.  Stages kept in `st`
+    are replayed into the arrays, not solved again."""
     known = len(st.cs)
     d = rec.order
-    slot = []
-    for k, p in enumerate(rec.coeffs):
-        x = d - k
-        sign_lam = lam**x if k == 0 else -(lam**x)
-        for t, pt in enumerate(p.coeffs):
-            off = rho * (e0 - t - mu * x)
-            if pt and off.denominator == 1:
-                slot.append((x, int(off), sign_lam * pt))
-    # (1 + j/n)^mu puts C(mu, l) j^l at k = l rho
-    binom = [[gen_binomial(mu, l) * j**l for l in range(T // rho + 1)] for j in range(d)]
-    v = [[1] + [0] * T for _ in range(d)]
-    f = [[1] + [0] * T for _ in range(d)]
-    P = [[1] + [0] * T for _ in range(d + 1)]
+    slots = _slot_terms(rec, lam, mu, e0, rho)
+    binom = [_terms(_binomial_row(j, mu, rho, T)) for j in range(d)]
+    v = [[Fraction(1)] + [Fraction(0)] * T for _ in range(d)]
+    f = [[Fraction(1)] + [Fraction(0)] * T for _ in range(d)]
+    P = [[Fraction(1)] + [Fraction(0)] * T for _ in range(d + 1)]
     cs = []
     for i in range(1, T + 1):
         for j in range(d):
-            f[j][i] = sum(binom[j][l] * v[j][i - l * rho] for l in range(i // rho + 1) if binom[j][l])
+            f[j][i] = _coef(binom[j], v[j], i)
         for x in range(1, d + 1):
-            P[x][i] = sum(P[x - 1][a] * f[x - 1][i - a] for a in range(i + 1))
+            P[x][i] = _coef(enumerate(P[x - 1][: i + 1]), f[x - 1], i)
         if i <= known:
             c = st.cs[i - 1]
         else:
-            b = sum(s * P[x][i - off] for x, off, s in slot if off <= i)
+            b = sum(s * P[x][i - off] for x, off, s in slots if off <= i)
             if not slope:
                 if b:
                     st.resonance = i
@@ -256,16 +304,10 @@ def _online_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T
                 c = -(b / slope)
         cs.append(c)
         for j in range(d):
-            v[j][i] += c
+            _add_shifted(v[j], c, i, j, rho)
             f[j][i] += c
         for x in range(1, d + 1):
             P[x][i] += x * c
-        # c_i n^{-i/rho} (1 + j/n)^{-i/rho} puts c_i C(-i/rho, l) j^l at k = i + l rho
-        a, binom_l = Fraction(-i, rho), Fraction(1)
-        for l in range(1, (T - i) // rho + 1):
-            binom_l = binom_l * (a - l + 1) / l
-            for j in range(1, d):
-                v[j][i + l * rho] += c * (binom_l * j**l)
     return cs
 
 
@@ -273,17 +315,17 @@ def _solve_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T:
                   slope, st: _Stages) -> list:
     """c_1..c_T, continuing from the checked stages kept in `st`.
 
-    New stages come from the online recurrence of `_online_stages`; a solve
-    that adds any ends with one full `_residual` build, in which every slot
-    up to T must cancel identically."""
+    New stages come from the online recurrence of `_online_stages`.  A
+    solve that adds any ends by rebuilding every residual slot 0..T from
+    the final c_1..c_T with whole grid products (`_residual_slots`), so a
+    slip in the online arrays shows; each slot must be exactly 0."""
     if st.resonance is not None and st.resonance <= T:
         raise _Resonance(st.resonance)
     if len(st.cs) >= T:
         return st.cs[:T]
     cs = _online_stages(rec, lam, mu, e0, rho, T, slope, st)
-    res = _residual(rec, lam, mu, rho, cs, Fraction(T + 1, rho))
-    for i in range(T + 1):
-        if not res.coefficient(-e0 + Fraction(i, rho)).is_zero():
+    for i, r in enumerate(_residual_slots(rec, lam, mu, e0, rho, cs)):
+        if r:
             raise ExpansionError(f"internal: residual slot {i} does not vanish after stage solve")
     st.floats += [float(c) for c in cs[len(st.cs):]]
     st.cs = cs
@@ -405,12 +447,14 @@ def ratio_expansion(
 
 
 def u_expansion(rx: RatioExpansion, scaling: str = "none") -> AsymSeries:
-    """u_n = a(n-1)a(n+1)/a(n)^2 = r(n)/r(n-1) as a series; optional
-    factorial scaling multiplies by n/(n+1)."""
+    """u_n = a(n-1)a(n+1)/a(n)^2 = r(n)/r(n-1) = (1 - 1/n)^(-mu) v(n)/v(n-1),
+    on grid arrays to v's error order; factorial scaling multiplies by
+    n/(n+1) = (1 + 1/n)^(-1)."""
     check_scaling(scaling)
-    beta = rx.v.error_order
-    u = binomial_power(-1, -rx.mu, beta)
-    u = u * rx.v * series_inv(shift_series(rx.v, -1, beta), beta)
+    rho, cs = rx.rho, rx.coeffs
+    T = len(cs)
+    u = _mul(_binomial_row(-1, -rx.mu, rho, T), [Fraction(1)] + cs)
+    u = _mul(u, _inv(_shifted(cs, rho, -1, T)))
     if scaling == "factorial":
-        u = u * binomial_power(1, -1, beta)
-    return u.truncate(beta)
+        u = _mul(u, _binomial_row(1, Fraction(-1), rho, T))
+    return AsymSeries([(Fraction(k, rho), c) for k, c in enumerate(u)], rx.v.error_order)

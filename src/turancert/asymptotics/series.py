@@ -79,15 +79,6 @@ class AsymSeries:
         return AsymSeries([(Fraction(0), c)])
 
     @staticmethod
-    def from_term(exp, coef) -> "AsymSeries":
-        return AsymSeries([(exp, coef)])
-
-    @staticmethod
-    def from_poly_in_n(p: Poly) -> "AsymSeries":
-        """Polynomial in n as an exact series (negative exponents)."""
-        return AsymSeries([(Fraction(-j), p[j]) for j in range(p.degree + 1)])
-
-    @staticmethod
     def error_only(order) -> "AsymSeries":
         return AsymSeries([], error_order=order)
 

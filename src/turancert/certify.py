@@ -65,10 +65,10 @@ class CornerError(CertifyError):
     window does not settle the cubic Turan inequality."""
 
 
-def _ept(r: RatFunc) -> int:
-    """Eventual positivity threshold, mapped onto CertifyError."""
+def _ept(r: RatFunc, what: str) -> int:
+    """Eventual positivity threshold of `what`, mapped onto CertifyError."""
     if sign_at_infinity(r) <= 0:
-        raise CertifyError("required inequality is not eventually positive")
+        raise CertifyError(f"required inequality is not eventually positive: {what}")
     return eventual_positivity_threshold(r)
 
 
@@ -126,7 +126,8 @@ def certify_ratio_bounds(
     The recurrence is rewritten as r(n+d) = q_1(n) + sum_k q_k(n) / prod of
     the d-1 previous ratios.  Once every q_k has settled sign and the bound
     functions discharge the induction step symbolically, a scan finds d-1
-    consecutive exactly in-window ratios to start the induction.
+    consecutive exactly in-window ratios to start the induction.  The upper
+    and lower steps bound r(n+d) through the window of the ratios before it.
     """
     if table is None:
         table = TermTable(rec)
@@ -138,7 +139,7 @@ def certify_ratio_bounds(
     p0 = RatFunc(rec.coeffs[0])
     q = [RatFunc(rec.coeffs[k]) / p0 for k in range(1, d + 1)]
 
-    thresholds = [_ept(s_l)]
+    thresholds = [_ept(s_l, "s_l(n)")]
     sigma = []
     for k in range(2, d + 1):
         qk = q[k - 1]
@@ -167,8 +168,8 @@ def certify_ratio_bounds(
             upper_step = upper_step + q[k - 1] / prod_large
             lower_step = lower_step + q[k - 1] / prod_small
 
-    thresholds.append(_ept(s_u.shift(d) - upper_step))
-    thresholds.append(_ept(lower_step - s_l.shift(d)))
+    thresholds.append(_ept(s_u.shift(d) - upper_step, "s_u(n+d) - upper step"))
+    thresholds.append(_ept(lower_step - s_l.shift(d), "lower step - s_l(n+d)"))
     n1 = max(thresholds)
 
     if d == 1:
@@ -266,7 +267,7 @@ def certify_u_bounds(
 
         hi = f - rb.upper.shift(1) / rb.lower
         lo = rb.lower.shift(1) / rb.upper - g
-        n2 = max(_ept(hi), _ept(lo), rb.valid_from)
+        n2 = max(_ept(hi, "f(n) - s_u(n+1)/s_l(n)"), _ept(lo, "s_l(n+1)/s_u(n) - g(n)"), rb.valid_from)
         table.u_bounds[(rec, order)] = rb, UBounds(g, f, n2, slack_exp, kept)
     return table.u_bounds[(rec, order)]
 

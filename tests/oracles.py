@@ -1,5 +1,7 @@
 """Test oracles on asymptotic series that no command needs: the exact value
-of a truncated series at a grid point, and the phi map on a u-expansion."""
+of a truncated series at a grid point, the phi map on a u-expansion, and
+`AsymSeries` versions of the stage residual and of the u-expansion, which
+the package computes on grid arrays."""
 
 from __future__ import annotations
 
@@ -8,11 +10,13 @@ from fractions import Fraction
 from turancert.algebra import RatFunc
 from turancert.asymptotics import (
     AsymSeries,
+    RatioExpansion,
     binomial_power,
     compose_coef_shift,
     series_inv,
     shift_series,
 )
+from turancert.sequences import Recurrence
 
 
 def eval_exact(s: AsymSeries, n: int):
@@ -82,3 +86,52 @@ def phi_u_expansion(u: AsymSeries, order=None) -> AsymSeries:
     gi = series_inv(g, rel)
     out = (w * w) * f_part * shift_series(g, 1, rel) * shift_series(g, -1, rel) * gi * gi
     return out.truncate(rel)
+
+
+def series_v_shifted(cs: list, rho: int, j: int, rel_order: Fraction) -> AsymSeries:
+    """v(n+j) re-expanded at n, for v = 1 + sum cs[i-1] n^{-i/rho}."""
+    out = AsymSeries.one().truncate(rel_order)
+    for i, c in enumerate(cs, start=1):
+        e = Fraction(i, rho)
+        if e >= rel_order:
+            break
+        if not c:
+            continue
+        if j == 0:
+            out = out + AsymSeries([(e, c)])
+        else:
+            out = out + binomial_power(j, -e, rel_order - e).shift_exponents(e).scale(c)
+    return out
+
+
+def series_residual(rec: Recurrence, lam, mu: Fraction, rho: int, cs: list, rel_order: Fraction) -> AsymSeries:
+    """p0(n) prod_{j<d} r(n+j) - sum_k pk(n) prod_{j<d-k} r(n+j), with
+    r(n) = lam n^mu v(n); absolute exponents (n^s appears as exponent -s).
+    Each p_k takes the prefix product of the first d-k shifted factors."""
+    d = rec.order
+    prefix = [AsymSeries.one()]
+    for j in range(d):
+        vj = series_v_shifted(cs, rho, j, rel_order)
+        if j > 0:
+            vj = vj * binomial_power(j, mu, rel_order)
+        prefix.append((prefix[-1] * vj).truncate(rel_order))
+    total = AsymSeries.zero()
+    for k, p in enumerate(rec.coeffs):
+        if p.is_zero():
+            continue
+        x = d - k
+        term = AsymSeries([(Fraction(-t), pt) for t, pt in enumerate(p.coeffs)]) * prefix[x]
+        term = term.scale(lam**x).shift_exponents(-mu * x)
+        total = total + term if k == 0 else total - term
+    return total
+
+
+def series_u_expansion(rx: RatioExpansion, scaling: str = "none") -> AsymSeries:
+    """u_n = r(n)/r(n-1) by series algebra on rx.v: (1 - 1/n)^(-mu) v(n) / v(n-1),
+    times (1 + 1/n)^(-1) under factorial scaling."""
+    beta = rx.v.error_order
+    u = binomial_power(-1, -rx.mu, beta)
+    u = u * rx.v * series_inv(shift_series(rx.v, -1, beta), beta)
+    if scaling == "factorial":
+        u = u * binomial_power(1, -1, beta)
+    return u.truncate(beta)

@@ -26,9 +26,10 @@ from turancert.asymptotics import (
 )
 from turancert.asymptotics import ratio as ratio_module
 from turancert.asymptotics.ratio import (
+    RatioExpansion,
     _branch,
     _positive_roots_desc,
-    _residual,
+    _residual_slots,
     _Resonance,
     _solve_stages,
     _Stages,
@@ -37,7 +38,7 @@ from turancert.corpus import ENTRIES, get
 from turancert.parser import parse_recurrence
 from turancert.sequences import Recurrence, TermTable, phi_values, u_value
 
-from oracles import eval_exact, phi_u_expansion
+from oracles import eval_exact, phi_u_expansion, series_residual, series_u_expansion
 
 L = RatFunc.variable()
 
@@ -396,7 +397,7 @@ class TestRatioExpansion:
 
     @pytest.mark.parametrize("source", sorted(ENTRIES) + [DOUBLE_ROOT])
     def test_stage_slope_matches_two_residual_builds(self, source):
-        # slot i of the residual, built at c_i = 1 and at c_i = 0, differs by the edge slope
+        # slot i of the rebuilt residual, at c_i = 1 and at c_i = 0, differs by the edge slope
         rec = get(source).recurrence if source in ENTRIES else parse_recurrence(source)
         table = TermTable(rec)
         try:
@@ -408,9 +409,9 @@ class TestRatioExpansion:
         for lam, _, _, _, slope, tries in roots:
             for rho, st in tries.items():
                 for i in range(1, len(st.cs) + 2):
-                    cs, rel, slot = st.cs[:i - 1], F(i + 1, rho), -e0 + F(i, rho)
-                    b = _slot_value(_residual(rec, lam, mu, rho, cs + [F(0)], rel), slot)
-                    a1 = _slot_value(_residual(rec, lam, mu, rho, cs + [F(1)], rel), slot)
+                    cs = st.cs[:i - 1]
+                    b = _residual_slots(rec, lam, mu, e0, rho, cs + [F(0)])[i]
+                    a1 = _residual_slots(rec, lam, mu, e0, rho, cs + [F(1)])[i]
                     assert a1 - b == slope
                     tried += 1
         assert tried
@@ -433,17 +434,27 @@ def _scalar_view(x):
     return tuple(x.coeffs), tuple(x.field.modulus.coeffs)
 
 
+def _series_view(u: AsymSeries) -> tuple:
+    """A series' terms with their scalar types, field elements as tuples."""
+    return [
+        (e, [_scalar_view(x) for x in c.num.coeffs], [_scalar_view(x) for x in c.den.coeffs])
+        for e, c in u.terms
+    ], u.error_order
+
+
 def _expansion_view(rx) -> tuple:
     """Everything a RatioExpansion says, with field elements as plain tuples
     (elements of two separately built fields cannot be compared directly)."""
-    terms = [
-        (e, [_scalar_view(x) for x in c.num.coeffs], [_scalar_view(x) for x in c.den.coeffs])
-        for e, c in rx.v.terms
-    ]
     return (
         _scalar_view(rx.lam), rx.lam_poly, rx.mu, rx.rho,
-        [_scalar_view(c) for c in rx.coeffs], terms, rx.v.error_order,
+        [_scalar_view(c) for c in rx.coeffs], *_series_view(rx.v),
     )
+
+
+def _stage_expansion(lam, mu, rho, cs) -> RatioExpansion:
+    """A RatioExpansion from solved stages, without the exact-term check."""
+    v = AsymSeries([(F(0), 1)] + [(F(i, rho), c) for i, c in enumerate(cs, start=1)], F(len(cs) + 1, rho))
+    return RatioExpansion(lam=lam, lam_poly=None, mu=mu, rho=rho, v=v, coeffs=cs)
 
 
 def _slot_value(f: AsymSeries, exp: F):
@@ -459,7 +470,7 @@ def per_stage_solve(rec, lam, mu, e0, rho, T, slope) -> tuple:
     resonates."""
     cs = []
     for i in range(1, T + 1):
-        b = _slot_value(_residual(rec, lam, mu, rho, cs, F(i + 1, rho)), -e0 + F(i, rho))
+        b = _slot_value(series_residual(rec, lam, mu, rho, cs, F(i + 1, rho)), -e0 + F(i, rho))
         if not slope:
             if b:
                 return cs, i
@@ -626,6 +637,30 @@ class TestOnlineStages:
         with pytest.raises(ExpansionError, match=f"internal: residual slot {stage} does not vanish"):
             ratio_expansion(get(name).recurrence, 4)
 
+    @pytest.mark.parametrize("K", [1, 4, 8, 12])
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_rebuilt_slots_match_series_residual(self, name, K):
+        # the closing check's grid slots against the AsymSeries residual,
+        # on the solved stages and on stages moved off the solution
+        rec = get(name).recurrence
+        table = TermTable(rec)
+        ratio_expansion(rec, K, table=table)
+        mu, e0, _, roots = table.expansions[(rec, None)]
+        compared, nonzero = 0, 0
+        for lam, _, _, _, _, tries in roots:
+            for rho, st in tries.items():
+                moved = [c + F(i, 3) for i, c in enumerate(st.cs, start=1)]
+                for cs in (st.cs, moved):
+                    T = len(cs)
+                    res = series_residual(rec, lam, mu, rho, cs, F(T + 1, rho))
+                    want = [_slot_value(res, -e0 + F(i, rho)) for i in range(T + 1)]
+                    got = _residual_slots(rec, lam, mu, e0, rho, cs)
+                    assert len(got) == T + 1
+                    assert all(g == w for g, w in zip(got, want))
+                    compared += 1
+                    nonzero += sum(bool(w) for w in want)
+        assert compared and nonzero
+
     @pytest.mark.parametrize("name", ["involutions", "apery"])
     def test_prefix_stability(self, name):
         rec = get(name).recurrence
@@ -636,10 +671,10 @@ class TestOnlineStages:
 
     def test_one_residual_build_per_solve_that_adds_stages(self, monkeypatch):
         builds, adding = [], []
-        residual, solve = ratio_module._residual, ratio_module._solve_stages
+        residual, solve = ratio_module._residual_slots, ratio_module._solve_stages
 
         def counted_residual(*args):
-            builds.append(args[5])
+            builds.append(len(args[5]))  # T, the last stage
             return residual(*args)
 
         def counted_solve(*args):
@@ -650,16 +685,16 @@ class TestOnlineStages:
             finally:
                 adding.append(len(st.cs) > before)
 
-        monkeypatch.setattr(ratio_module, "_residual", counted_residual)
+        monkeypatch.setattr(ratio_module, "_residual_slots", counted_residual)
         monkeypatch.setattr(ratio_module, "_solve_stages", counted_solve)
         rec = get("involutions").recurrence
         shared = TermTable(rec)
         ratio_expansion(rec, 12, table=shared)
-        assert builds == [F(25, 2)] and adding == [True]
+        assert builds == [24] and adding == [True]
         ratio_expansion(rec, 8, table=shared)
         assert len(builds) == 1 and adding[1:] == [False]
         ratio_expansion(rec, 16, table=shared)
-        assert builds[1:] == [F(33, 2)]
+        assert builds[1:] == [32]
         for name in ("bn", "apery", "fine"):
             rec = get(name).recurrence
             shared = TermTable(rec)
@@ -678,6 +713,35 @@ U_GOLDENS = {
 
 
 class TestUExpansion:
+    @pytest.mark.parametrize("scaling", ["none", "factorial"])
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_matches_series_oracle_on_corpus(self, name, scaling):
+        rec = get(name).recurrence
+        table = TermTable(rec)
+        for K in (1, 2, 4, 8, 12):
+            rx = ratio_expansion(rec, K, table=table)
+            assert _series_view(u_expansion(rx, scaling)) == _series_view(series_u_expansion(rx, scaling))
+
+    def test_matches_series_oracle_on_random_recurrences(self):
+        compared, algebraic = 0, 0
+        for seed in range(30):
+            rec = random_recurrence(seed)
+            if rec is None:
+                continue
+            try:
+                mu, e0, roots = _edge_roots(rec)
+            except ExpansionError:
+                continue
+            for lam, slope in roots:
+                algebraic += not isinstance(lam, F)
+                for rho in (mu.denominator, 2 * mu.denominator):
+                    cs = _solve_stages(rec, lam, mu, e0, rho, 4 * rho, slope, _Stages())
+                    rx = _stage_expansion(lam, mu, rho, cs)
+                    for scaling in ("none", "factorial"):
+                        assert _series_view(u_expansion(rx, scaling)) == _series_view(series_u_expansion(rx, scaling))
+                        compared += 1
+        assert compared >= 20 and algebraic
+
     @pytest.mark.parametrize("name", sorted(U_GOLDENS))
     def test_goldens(self, name):
         rx = ratio_expansion(get(name).recurrence, 4)

@@ -25,7 +25,7 @@ from turancert.certify import (
     u_bound_functions,
     verify_certificate,
 )
-from turancert import checks
+from turancert import certify, checks
 from turancert.corpus import get
 from turancert.sequences import Recurrence, TermTable, u_value
 
@@ -86,6 +86,28 @@ class TestRatioBounds:
 
 
 class TestUBounds:
+    def test_refusal_names_the_inequality(self):
+        with pytest.raises(CertifyError) as err:
+            certify._ept(RatFunc(Poly([1, -1])), "s_l(n)")
+        assert str(err.value) == "required inequality is not eventually positive: s_l(n)"
+
+    def test_every_discharge_names_its_inequality(self, monkeypatch):
+        seen, ept = [], certify._ept
+
+        def recorded(r, what):
+            seen.append(what)
+            return ept(r, what)
+
+        monkeypatch.setattr(certify, "_ept", recorded)
+        certify_u_bounds(get("motzkin").recurrence, 4)
+        assert seen == [
+            "s_l(n)",
+            "s_u(n+d) - upper step",
+            "lower step - s_l(n+d)",
+            "f(n) - s_u(n+1)/s_l(n)",
+            "s_l(n+1)/s_u(n) - g(n)",
+        ]
+
     def test_binomial4_printed_pair(self):
         rec = get("binomial4").recurrence
         rb, ub = certify_u_bounds(rec, 4)

@@ -402,11 +402,13 @@ class TestCertifyAndVerify:
     @pytest.mark.parametrize("name", ["motzkin", "inverse-catalan"])
     def test_discharge_refusal_builds_the_window_once(self, capsys, tmp_path, u_bounds_calls, name):
         # only a corner refusal falls back to the window-only certificate;
-        # a refused discharge of the u-window itself ends the command
+        # a refused discharge of the u-window itself ends the command, naming
+        # the inequality that is not eventually positive
         path = tmp_path / "x.json"
         code, out, err = run(capsys, "certify", name, "-K", "1", "-o", str(path))
         assert (code, out) == (1, "")
-        assert err == "error: required inequality is not eventually positive\n"
+        inequality = {"motzkin": "f(n) - s_u(n+1)/s_l(n)", "inverse-catalan": "s_l(n)"}[name]
+        assert err == f"error: required inequality is not eventually positive: {inequality}\n"
         assert u_bounds_calls == [1]
         assert not path.exists()
 

@@ -1,9 +1,11 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no function of the package goes uncalled without a recorded reason."""
+no function of the package goes uncalled without a recorded reason, and
+every function the benchmark's tracer names still exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -47,6 +49,7 @@ UNCALLED_BUT_KEPT = {
     "logconcave_sign": "benchmark tracing counts it; tests use it as the single-index log-concavity sign",
     "u_power_log": "benchmark workload: the n^2 log n model form of the level chain",
     "series_mul": "benchmark tracing: the series-layer product it times",
+    "series_inv": "benchmark tracing times it by name; the tests' u-series oracle inverts with it",
     "residual": "benchmark workload: the Fraction residual that checks long term runs",
 }
 
@@ -179,3 +182,31 @@ def test_only_poly_clears_denominators():
 
 def test_only_sequences_scales_by_factorials():
     assert _callers("factorial") == {FACTORIAL_OWNER}
+
+
+# The benchmark's tracer patches functions it names by module and attribute;
+# a renamed or deleted target would make every traced run fail.
+TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"
+
+
+def tracing_targets() -> list:
+    """(module, attribute) of each SPANS and COUNTS entry, read from the tracer's source."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] in (["SPANS"], ["COUNTS"]):
+            out += [(module, attr) for _, module, attr in ast.literal_eval(node.value)]
+    return out
+
+
+def test_tracing_lists_are_read():
+    modules = {module for module, _ in tracing_targets()}
+    assert "turancert.asymptotics.series" in modules and "turancert.algebra.ratfunc" in modules
+
+
+@pytest.mark.parametrize("module,attr", tracing_targets(), ids=lambda x: x)
+def test_tracing_target_resolves(module, attr):
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
