@@ -1,6 +1,10 @@
 """Exact arithmetic in Q(theta) for a real algebraic theta.
 
-Elements are polynomials in theta reduced modulo a defining polynomial.
+Elements are polynomials in theta reduced modulo a defining polynomial: a
+coefficient tuple as long as the field degree.  Two reduced tuples stay
+reduced under + - *, which act on the tuples (a product on integers, with
+the monic modulus cancelling what passes the degree) and divide no `Poly`;
+an operand left long by a shrunk modulus is reduced first.
 The defining polynomial is kept square-free but need not be proven
 irreducible: inversion uses dynamic splitting (when a gcd with the
 modulus appears, the modulus shrinks to the factor that still vanishes
@@ -15,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .poly import Poly, poly_gcd
+from .poly import Poly, _convolve, _integer_window, poly_gcd
 from .roots import AlgebraicReal
 
 
@@ -84,6 +88,27 @@ class NumberField:
         cs += [Fraction(0)] * (self.degree - len(cs))
         return tuple(cs[: self.degree])
 
+    def _reduced(self, e: "NFElem") -> tuple:
+        """e's coefficient tuple, reduced only when its length is not the degree."""
+        cs = e.coeffs
+        return cs if len(cs) == self.degree else self.reduce(Poly(cs))
+
+    def _mul(self, a: tuple, b: tuple) -> tuple:
+        """The product of two reduced tuples, on integers: the convolution of
+        the cleared tuples, each coefficient past the degree cancelled against
+        the modulus as it is now (splitting may have shrunk it), cleared too."""
+        (x, s), (y, t) = _integer_window(a), _integer_window(b)
+        (m, _), d = _integer_window(self.modulus.coeffs), self.degree
+        out, scale = _convolve(x, y), s * t
+        for k in range(2 * d - 2, d - 1, -1):
+            c = out[k]
+            if c:
+                if m[d] != 1:
+                    out, scale = [m[d] * v for v in out], scale * m[d]
+                for i in range(k - d, k):
+                    out[i] -= c * m[i - k + d]
+        return tuple(Fraction(c, scale) for c in out[:d])
+
     # -- element factory ----------------------------------------------------
 
     def element(self, coeffs) -> "NFElem":
@@ -98,7 +123,7 @@ class NumberField:
     # -- core ops on coefficient tuples ---------------------------------------
 
     def is_zero(self, e: "NFElem") -> bool:
-        cs = self.reduce(Poly(e.coeffs))
+        cs = self._reduced(e)
         if not any(cs):
             return True
         if self.known_irreducible:
@@ -111,7 +136,7 @@ class NumberField:
 
     def inv(self, e: "NFElem") -> "NFElem":
         while True:
-            p = Poly(self.reduce(Poly(e.coeffs)))
+            p = Poly(self._reduced(e))
             if p.is_zero():
                 raise ZeroDivisionError("inverse of zero field element")
             # extended Euclid: u*p + v*modulus = g
@@ -135,10 +160,7 @@ class NumberField:
     def sign(self, e: "NFElem") -> int:
         if self.is_zero(e):
             return 0
-        p = Poly(self.reduce(Poly(e.coeffs)))
-        if p.degree <= 0:
-            c = p.constant()
-            return (c > 0) - (c < 0)
+        p = Poly(self._reduced(e))
         while True:
             lo, hi = poly_eval_interval(p, self.root.lo, self.root.hi)
             if lo > 0:
@@ -148,7 +170,7 @@ class NumberField:
             self.root.refine()
 
     def approx_interval(self, e: "NFElem", width: Optional[Fraction] = None) -> tuple:
-        p = Poly(self.reduce(Poly(e.coeffs)))
+        p = Poly(self._reduced(e))
         lo, hi = poly_eval_interval(p, self.root.lo, self.root.hi)
         if width is not None:
             while hi - lo > width:
@@ -158,7 +180,7 @@ class NumberField:
 
     def to_fraction(self, e: "NFElem") -> Optional[Fraction]:
         """Exact rational value if the element is rational, else None."""
-        cs = self.reduce(Poly(e.coeffs))
+        cs = self._reduced(e)
         c0 = cs[0] if cs else Fraction(0)
         if not any(cs[1:]):
             return c0
@@ -191,16 +213,15 @@ class NFElem:
     # arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)) and len(self.coeffs) == self.field.degree:
+        K = self.field
+        if isinstance(other, (int, Fraction)):
             # a rational operand leaves a reduced tuple reduced: act on it directly
-            return NFElem(self.field, (self.coeffs[0] + other,) + self.coeffs[1:])
+            a = K._reduced(self)
+            return NFElem(K, (a[0] + other,) + a[1:])
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(o.coeffs) + [Fraction(0)] * (n - len(o.coeffs))
-        return NFElem(self.field, self.field.reduce(Poly([x + y for x, y in zip(a, b)])))
+        return NFElem(K, tuple(x + y for x, y in zip(K._reduced(self), K._reduced(o))))
 
     __radd__ = __add__
 
@@ -208,26 +229,23 @@ class NFElem:
         return NFElem(self.field, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, NFElem)):
             return self + (-other)
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and len(self.coeffs) == self.field.degree:
-            return NFElem(self.field, tuple(c * other for c in self.coeffs))
+        K = self.field
+        if isinstance(other, (int, Fraction)):
+            return NFElem(K, tuple(c * other for c in K._reduced(self)))
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return NFElem(self.field, self.field.reduce(Poly(self.coeffs) * Poly(o.coeffs)))
+        return NFElem(K, K._mul(K._reduced(self), K._reduced(o)))
 
     __rmul__ = __mul__
 

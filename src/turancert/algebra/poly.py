@@ -13,13 +13,17 @@ for a window of rationals: `sequences.windows` builds every term window
 of an exact scan with it.  A positive scale keeps every sign and zero, so
 the term stepper, the bounds of `certify.first_escape`, the corpus
 residual check and the Sturm layer run on these lists by `_horner`.
+Products of rational polynomials are its second user: each factor is
+cleared by `_integer_window`, the integer lists are convolved, and the
+result is divided by the two scales once (1 for `RatFunc` normal forms);
+field-valued coefficients are convolved as they are.
 `_primitive_ints` divides such a list by its content, and
 `_jointly_primitive` divides several lists by their joint content with a
 chosen sign: `RatFunc`'s canonical pair and the parser's cleared
-recurrence are both built by it.  `poly_gcd` and `squarefree_part` work on
-primitive integer lists: a pseudo-remainder is a positive multiple of the
-`Fraction` remainder, divided by its content, and a gcd is returned in its
-unique normal form, primitive with positive lead.
+recurrence are both built by it.  `poly_gcd` and `RatFunc` take gcds of
+integer lists (`_int_gcd`): a pseudo-remainder is a positive multiple of
+the `Fraction` remainder, divided by its content, and `poly_gcd` returns
+its gcd primitive with positive lead.
 By Gauss's lemma a primitive divisor leaves an integer quotient
 (`_exact_quotient`) and does not change the content of what it divides.
 """
@@ -128,13 +132,10 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-        return Poly(out)
+        if self.is_rational() and other.is_rational():
+            (x, s), (y, t) = _integer_window(a), _integer_window(b)
+            return _over(_convolve(x, y), s * t)
+        return Poly(_convolve(a, b))
 
     __rmul__ = __mul__
 
@@ -258,7 +259,25 @@ def _jointly_primitive(lists: Sequence[Sequence[int]], sign: int) -> list[Poly]:
     g = math.gcd(*(c for cs in lists for c in cs))
     if sign < 0:
         g = -g
-    return [Poly(c // g for c in reversed(cs)) for cs in lists]
+    return [_over([c // g for c in reversed(cs)], 1) for cs in lists]
+
+
+def _convolve(x: Sequence, y: Sequence) -> list:
+    """The product of two coefficient lists (integers, or any exact scalars),
+    in the order given; an entry no pair reaches stays the int 0."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, c in enumerate(x):
+        if c:
+            for j, d in enumerate(y, i):
+                out[j] += c * d
+    return out
+
+
+def _over(cs: Sequence[int], scale: int) -> Poly:
+    """The Poly of cs[i] / scale, lowest degree first; cs is empty or ends nonzero."""
+    p = object.__new__(Poly)
+    p.coeffs = tuple(map(Fraction, cs)) if scale == 1 else tuple(Fraction(c, scale) for c in cs)
+    return p
 
 
 def _horner(cs: Sequence[int], m: int) -> int:
@@ -308,15 +327,21 @@ def _poly_of(a: list[int]) -> Poly:
     return Poly(reversed(a) if not a or a[0] > 0 else [-c for c in reversed(a)])
 
 
+def _int_gcd(x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """A content-free gcd of integer lists (highest first, not both empty),
+    of either sign: the primitive pseudo-remainder sequence."""
+    x, y = list(x), list(y)
+    while y:
+        x, y = y, _prem(x, y)
+    return _content_free(x)
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd (primitive with positive lead when rational)."""
     if a.is_rational() and b.is_rational():
         if a.is_zero() and b.is_zero():
             return Poly()
-        x, y = _primitive_ints(a), _primitive_ints(b)
-        while y:
-            x, y = y, _prem(x, y)
-        return _poly_of(x)
+        return _poly_of(_int_gcd(_primitive_ints(a), _primitive_ints(b)))
     a, b = Poly(a.coeffs), Poly(b.coeffs)
     while not b.is_zero():
         a, b = b, a % b

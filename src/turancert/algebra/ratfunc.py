@@ -1,11 +1,11 @@
 """Rational functions num/den in one variable over an exact field.
 
 Canonical form: num and den coprime.  Over the rationals the pair is the
-integer normal form of `algebra.poly`: both are cleared to integers by one
-common scale, divided by their primitive integer gcd, then by their joint
-content, with the sign that makes the denominator's lead positive (so
-printed forms match hand-cleared fractions exactly).  Over other fields
-the denominator is monic.
+integer normal form of `algebra.poly`: both are cleared to integers once,
+by one common scale, and those lists are divided by their integer gcd,
+then by their joint content, with the sign that makes the denominator's
+lead positive (so printed forms match hand-cleared fractions exactly).
+Over other fields the denominator is monic.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import (
-    Poly, _exact_quotient, _integer_coeffs, _jointly_primitive, _primitive_ints, _scalar_inv,
-    poly_gcd, scalar_sign,
+    Poly, _exact_quotient, _int_gcd, _integer_coeffs, _jointly_primitive, _scalar_inv, poly_gcd,
+    scalar_sign,
 )
 
 
@@ -36,17 +36,16 @@ class RatFunc:
             c = _const(_quotient(num.coeffs[0], den.coeffs[0]))
             self.num, self.den = c.num, c.den
             return
-        g = poly_gcd(num, den)
         if num.is_rational() and den.is_rational():
             a, b = _integer_coeffs((num, den))
-            if g.degree > 0:
-                gs = _primitive_ints(g)
-                a, b = _exact_quotient(a, gs), _exact_quotient(b, gs)
+            g = _int_gcd(a, b) if min(len(a), len(b)) > 1 else [1]
+            if len(g) > 1:
+                a, b = _exact_quotient(a, g), _exact_quotient(b, g)
             self.num, self.den = _jointly_primitive((a, b), b[0])
             return
+        g = poly_gcd(num, den)
         if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
+            num, den = num.exact_div(g), den.exact_div(g)
         lead_inv = _scalar_inv(den.leading())
         self.num, self.den = num.scale(lead_inv), den.scale(lead_inv)
 

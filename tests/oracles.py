@@ -1,13 +1,21 @@
-"""Test oracles on asymptotic series that no command needs: the exact value
-of a truncated series at a grid point, the phi map on a u-expansion, and
-`AsymSeries` versions of the stage residual and of the u-expansion, which
-the package computes on grid arrays."""
+"""Test oracles that no command needs.
+
+On asymptotic series: the exact value of a truncated series at a grid
+point, the phi map on a u-expansion, and `AsymSeries` versions of the stage
+residual and of the u-expansion, which the package computes on grid arrays.
+
+On exact scalars: polynomial products and shifts by a loop over the
+coefficients in their own scalar type, and number-field `+ - *`, zero test,
+sign and rational value by a `Poly` division by the modulus after every
+operation, which the package does on integers and reduced tuples.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from turancert.algebra import RatFunc
+from turancert.algebra import NFElem, Poly, RatFunc, poly_gcd
+from turancert.algebra.numberfield import poly_eval_interval
 from turancert.asymptotics import (
     AsymSeries,
     RatioExpansion,
@@ -135,3 +143,91 @@ def series_u_expansion(rx: RatioExpansion, scaling: str = "none") -> AsymSeries:
     if scaling == "factorial":
         u = u * binomial_power(1, -1, beta)
     return u.truncate(beta)
+
+
+# -- exact scalars ------------------------------------------------------------
+
+
+def loop_product(a: Poly, b: Poly) -> Poly:
+    """a * b by the schoolbook loop over the coefficients, in their own type."""
+    if not a.coeffs or not b.coeffs:
+        return Poly()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Poly(out)
+
+
+def loop_shift(p: Poly, a) -> Poly:
+    """p(x + a) by Horner, with `loop_product` for each step."""
+    acc = Poly()
+    for c in reversed(p.coeffs):
+        acc = loop_product(acc, Poly([a, 1])) + Poly([c])
+    return acc
+
+
+def _lift(x: NFElem, y) -> NFElem:
+    return y if isinstance(y, NFElem) else x.field.from_rational(y)
+
+
+def nf_add(x: NFElem, y) -> NFElem:
+    """x + y, padded to one length and reduced by the modulus."""
+    y = _lift(x, y)
+    n = max(len(x.coeffs), len(y.coeffs))
+    a = list(x.coeffs) + [Fraction(0)] * (n - len(x.coeffs))
+    b = list(y.coeffs) + [Fraction(0)] * (n - len(y.coeffs))
+    return NFElem(x.field, x.field.reduce(Poly([u + v for u, v in zip(a, b)])))
+
+
+def nf_sub(x: NFElem, y) -> NFElem:
+    return nf_add(x, -_lift(x, y))
+
+
+def nf_mul(x: NFElem, y) -> NFElem:
+    """x * y as a loop product of the two tuples, reduced by the modulus."""
+    y = _lift(x, y)
+    return NFElem(x.field, x.field.reduce(loop_product(Poly(x.coeffs), Poly(y.coeffs))))
+
+
+def nf_is_zero(x: NFElem) -> bool:
+    """Zero test on the reduced tuple; a reducible modulus shrinks to the
+    factor it shares with a nonzero tuple vanishing at the tracked root."""
+    K = x.field
+    cs = K.reduce(Poly(x.coeffs))
+    if not any(cs):
+        return True
+    if K.known_irreducible:
+        return False
+    g = poly_gcd(Poly(cs), K.modulus)
+    if g.degree > 0 and K._root_vanishes(g):
+        K._shrink_modulus(g)
+        return True
+    return False
+
+
+def nf_sign(x: NFElem) -> int:
+    K = x.field
+    if nf_is_zero(x):
+        return 0
+    p = Poly(K.reduce(Poly(x.coeffs)))
+    if p.degree <= 0:
+        return (p.constant() > 0) - (p.constant() < 0)
+    while True:
+        lo, hi = poly_eval_interval(p, K.root.lo, K.root.hi)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        K.root.refine()
+
+
+def nf_to_fraction(x: NFElem):
+    K = x.field
+    cs = K.reduce(Poly(x.coeffs))
+    c0 = cs[0] if cs else Fraction(0)
+    if not any(cs[1:]):
+        return c0
+    if K.known_irreducible:
+        return None
+    return c0 if nf_is_zero(nf_sub(NFElem(K, cs), c0)) else None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from turancert.algebra import (
     AlgebraicReal,
+    NFElem,
     NumberField,
     Poly,
     RatFunc,
@@ -27,6 +29,10 @@ from turancert.algebra import (
     sign_at_infinity,
     squarefree_part,
     sturm_chain,
+)
+
+from oracles import (
+    loop_product, loop_shift, nf_add, nf_is_zero, nf_mul, nf_sign, nf_sub, nf_to_fraction,
 )
 
 X = Poly([0, 1])
@@ -581,11 +587,8 @@ def test_no_roots_above_on_probe_points():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_gcd_and_ratfunc_match_fraction_oracle(seed, monkeypatch):
-    import turancert.algebra.ratfunc as ratfunc_module
-
+def test_gcd_and_ratfunc_match_fraction_oracle(seed):
     rng = random.Random(8200 + seed)
-    cases = []
     for _ in range(120):
         shared = random_poly(rng, 2)
         a, b = random_poly(rng, 2) * shared, random_poly(rng, 2) * shared
@@ -597,11 +600,8 @@ def test_gcd_and_ratfunc_match_fraction_oracle(seed, monkeypatch):
         assert got == fraction_poly_gcd(a, b), (a, b)
         assert all(type(c) is F for c in got.coeffs)
         if not b.is_zero():
-            cases.append((a, b, RatFunc(a, b)))
-    monkeypatch.setattr(ratfunc_module, "poly_gcd", fraction_poly_gcd)
-    for a, b, r in cases:
-        want = RatFunc(a, b)
-        assert (r.num.coeffs, r.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+            r = RatFunc(a, b)
+            assert (r.num.coeffs, r.den.coeffs) == fraction_form(a, b), (a, b)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -720,3 +720,106 @@ def test_isolate_splits_rational_roots_off_the_primitive_factor(seed):
                 assert r.poly == fraction_primitive(cofactor), p
                 assert all(type(c) is F for c in r.poly.coeffs)
                 assert r.poly.eval(r.lo) * r.poly.eval(r.hi) < 0
+
+
+# -- integer and reduced-tuple kernels against loop oracles ---------------------
+
+
+def random_rational_poly(rng) -> Poly:
+    """Zero, a constant, an integral polynomial (the RatFunc normal form) or
+    one with fractional coefficients; leads of either sign."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Poly()
+    if kind == 1:
+        return random_constant(rng)
+    dens = [1] if kind == 2 else [1, 2, 3, 7, 12, 35]
+    cs = [F(rng.randint(-60, 60), rng.choice(dens)) for _ in range(rng.randint(1, 6))]
+    return Poly(cs + [F(rng.choice([-1, 1]) * rng.randint(1, 40), rng.choice(dens))])
+
+
+def typed(p: Poly) -> list:
+    return [(type(c), c) for c in p.coeffs]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rational_products_match_loop_oracle(seed):
+    rng = random.Random(8700 + seed)
+    for _ in range(150):
+        a, b = random_rational_poly(rng), random_rational_poly(rng)
+        assert typed(a * b) == typed(loop_product(a, b)), (a, b)
+        k = rng.randint(0, 4)
+        want = Poly([1])
+        for _ in range(k):
+            want = loop_product(want, a)
+        assert typed(a**k) == typed(want), (a, k)
+        shift = rng.choice([0, 1, -1, 3, F(-5, 3), F(7, 2)])
+        assert typed(a.compose_shift(shift)) == typed(loop_shift(a, F(shift))), (a, shift)
+        if b:
+            r = RatFunc(a, b)
+            assert (r.num.coeffs, r.den.coeffs) == fraction_form(a, b), (a, b)
+            assert all(type(c) is F for c in r.num.coeffs + r.den.coeffs)
+
+
+def test_poly_over_number_field_multiplies_on_the_generic_path():
+    K = sqrt_field(2)
+    s = K.generator()
+    p = Poly([s + 1, K.from_rational(F(-3, 2)), 2 * s])
+    q = Poly([F(1, 3), s - 5])  # a rational and a field coefficient
+    for a, b in ((p, q), (q, p), (p, X - F(2, 3)), (X**2 + 1, q), (p, p)):
+        got, want = a * b, loop_product(a, b)
+        assert len(got.coeffs) == len(want.coeffs)
+        assert all(x == y for x, y in zip(got.coeffs, want.coeffs)), (a, b)
+        assert any(isinstance(c, NFElem) for c in got.coeffs)
+    assert all(x == y for x, y in zip((p**2).coeffs, loop_product(p, p).coeffs))
+    assert all(x == y for x, y in zip(p.compose_shift(1).coeffs, loop_shift(p, F(1)).coeffs))
+
+
+# x^3 - 2x with the root sqrt 2: the first inverse of theta meets the factor
+# x, which does not vanish at the root, and shrinks the modulus to x^2 - 2;
+# every tuple built before that is left long.
+NF_ROOTS = {
+    "quadratic": lambda: AlgebraicReal(X**2 - 34 * X + 1, 33, 34),
+    "cubic": lambda: AlgebraicReal(2 * X**3 - 5, 1, 2),
+    "shrinking": lambda: AlgebraicReal(X**3 - 2 * X, 1, 2),
+}
+
+
+def nf_run(root, seed: int, kernel: bool) -> list:
+    """A seeded sequence of + - * on a pool of field elements and rationals,
+    with an inverse of theta at step 20, logging every result's coefficient
+    tuple with types, its zero test, sign and rational value, and the
+    modulus.  kernel=False runs the reduce-based oracles on the same script."""
+    rng = random.Random(seed)
+    K = NumberField(root)
+    if kernel:
+        ops, preds = (operator.add, operator.sub, operator.mul), (bool, NFElem.sign, NFElem.to_fraction)
+    else:
+        ops, preds = (nf_add, nf_sub, nf_mul), (lambda x: not nf_is_zero(x), nf_sign, nf_to_fraction)
+    pool = [K.generator(), K.element([-2, 0, 1])]
+    pool += [K.element([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]) for _ in range(3)]
+    log = []
+    for step in range(50):
+        if step == 20:
+            pool.append(K.inv(pool[0]))
+        x = rng.choice(pool)
+        y = rng.choice(pool) if rng.random() < 0.7 else rng.choice([F(rng.randint(-7, 7), rng.randint(1, 4)), rng.randint(-3, 3)])
+        op = rng.randrange(3)
+        if not isinstance(y, NFElem) and rng.random() < 0.5:  # the rational on the left
+            z = [y + x, y - x, y * x][op] if kernel else ops[op](K.from_rational(y), x)
+        else:
+            z = ops[op](x, y)
+        log.append(([(type(c), c) for c in z.coeffs], [f(z) for f in preds], K.modulus.coeffs))
+        if max(abs(c.numerator) + c.denominator for c in z.coeffs) < 10**40:
+            pool.append(z)
+    return log
+
+
+@pytest.mark.parametrize("field", sorted(NF_ROOTS))
+@pytest.mark.parametrize("seed", range(3))
+def test_nf_kernels_match_reduce_oracle(field, seed):
+    got = nf_run(NF_ROOTS[field](), 8800 + seed, kernel=True)
+    want = nf_run(NF_ROOTS[field](), 8800 + seed, kernel=False)
+    assert got == want
+    if field == "shrinking":
+        assert got[-1][2] == (-2, 0, 1)

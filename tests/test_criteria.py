@@ -123,6 +123,28 @@ LEVEL_SHA256 = {
 }
 LEVEL_FORMS = {"n3": lambda: u_power(3, None), "n2logn": lambda: u_power_log(2, 1, F(14))}
 
+# sha256 of series_view of the model forms' u-series: every exponent and
+# every num/den coefficient of its RatFunc coefficients with its scalar
+# type, recorded while products of rational polynomials still ran on
+# Fractions.  The verdict pins above read only the levels derived from these.
+SERIES_SHA256 = {
+    "n2logn": "32b3845ec93ee46845f3cac331bfeabe41ff72284360670af7379425c68abccf",
+    "n3": "c868b9b318b2107e07ac3323c0c6564705c60ad62a7300b2f327ae57528d72cd",
+    "n5/2": "4c3123aaa979d9aaa6a2bc6cd65ba2eca2e2786c2a41b6043f6efc16ba2db9ab",
+}
+SERIES_FORMS = {
+    "n2logn": lambda: u_power_log(2, 1, 14),
+    "n3": lambda: u_power(3, None),
+    "n5/2": lambda: u_power(F(5, 2), 14),
+}
+
+
+def series_view(s) -> str:
+    def cs(p):
+        return [[type(c).__name__, str(c)] for c in p.coeffs]
+
+    return json.dumps([[str(e), cs(r.num), cs(r.den)] for e, r in s.terms] + [str(s.error_order)])
+
 
 class TestTuran3:
     def test_inverse_catalan_holds(self):
@@ -301,6 +323,11 @@ class TestLogConcavityLevels:
     def test_model_form_verdict_bytes(self, form, ell):
         blob = json.dumps(llogconcave_asymptotic(LEVEL_FORMS[form](), ell).to_dict())
         assert hashlib.sha256(blob.encode()).hexdigest() == LEVEL_SHA256[form, ell]
+
+    @pytest.mark.parametrize("form", sorted(SERIES_SHA256))
+    def test_model_form_series_bytes(self, form):
+        view = series_view(SERIES_FORMS[form]())
+        assert hashlib.sha256(view.encode()).hexdigest() == SERIES_SHA256[form]
 
     def test_grant_by_deficit_at_threshold_limit(self):
         # r_1 -> -1 from below: level 2 is granted although the limit sits

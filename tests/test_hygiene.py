@@ -210,3 +210,29 @@ def test_tracing_target_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+# Field arithmetic on reduced elements acts on the coefficient tuples: a Poly
+# built there means a division by the modulus came back into + - * or bool.
+def test_reduced_field_arithmetic_builds_no_poly(monkeypatch):
+    from fractions import Fraction
+
+    from turancert.algebra import AlgebraicReal, NumberField, Poly
+
+    K = NumberField(AlgebraicReal(Poly([-2, 0, 1]), 1, 2))
+    x, y = K.element([1, 2]), K.element([Fraction(-3, 4), 5])
+    assert K.known_irreducible
+    built = []
+    init = Poly.__init__
+
+    def counted(self, coeffs=()):
+        built.append(coeffs)
+        init(self, coeffs)
+
+    monkeypatch.setattr(Poly, "__init__", counted)
+    values = [x + y, x - y, x * y, x * x, 3 - x, x + Fraction(1, 2), x * 7]
+    truths = [bool(x), bool(x - x), bool(x * y - y * x)]
+    monkeypatch.undo()
+    assert built == []
+    assert [v.coeffs for v in values[:3]] == [(Fraction(1, 4), 7), (Fraction(7, 4), -3), (Fraction(77, 4), Fraction(7, 2))]
+    assert truths == [True, False, False]
