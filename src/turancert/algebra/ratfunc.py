@@ -117,7 +117,10 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        # negating the numerator of a canonical pair leaves it canonical
+        out = object.__new__(RatFunc)
+        out.num, out.den = -self.num, self.den
+        return out
 
     def __sub__(self, other) -> "RatFunc":
         return self + (-_as_ratfunc(other))

@@ -161,20 +161,29 @@ def _binomial_row(j, alpha, rho: int, T: int) -> list:
     return row
 
 
-def _add_shifted(row: list, c, i: int, j: int, rho: int) -> None:
+def _memo_row(rows: dict, j, alpha, rho: int, T: int) -> list:
+    """`_binomial_row` through the memo `rows`, keyed on (j, alpha, rho):
+    a row is built once, to the largest T asked, and sliced after."""
+    row = rows.get((j, alpha, rho))
+    if row is None or len(row) <= T:
+        row = rows[(j, alpha, rho)] = _binomial_row(j, alpha, rho, T)
+    return row[: T + 1]
+
+
+def _add_shifted(row: list, c, i: int, j: int, rho: int, rows: dict) -> None:
     """Add the term c n^{-i/rho} of v, taken at n + j, to v(n+j)'s row:
     c (1 + j/n)^{-i/rho} from k = i on."""
-    for k, b in enumerate(_binomial_row(j, Fraction(-i, rho), rho, len(row) - 1 - i)):
+    for k, b in enumerate(_memo_row(rows, j, Fraction(-i, rho), rho, len(row) - 1 - i)):
         if b:
             row[i + k] += c * b
 
 
-def _shifted(cs: list, rho: int, j: int, T: int) -> list:
+def _shifted(cs: list, rho: int, j: int, T: int, rows: dict) -> list:
     """v(n+j) for v = 1 + sum cs[i-1] n^{-i/rho}."""
     row = [Fraction(1)] + [Fraction(0)] * T
     for i, c in enumerate(cs, start=1):
         if c:
-            _add_shifted(row, c, i, j, rho)
+            _add_shifted(row, c, i, j, rho, rows)
     return row
 
 
@@ -232,13 +241,16 @@ def _slot_terms(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int) -> l
     return out
 
 
-def _residual_slots(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, cs: list) -> list:
+def _residual_slots(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, cs: list,
+                    rows: Optional[dict] = None) -> list:
     """Residual slots 0..T for T = len(cs), rebuilt from c_1..c_T by whole
-    grid products, none of the online solver's arrays."""
+    grid products, none of the online solver's arrays; binomial rows come
+    from the memo `rows`, fresh if none is given."""
     T = len(cs)
+    rows = {} if rows is None else rows
     prefix = [[Fraction(1)] + [Fraction(0)] * T]
     for j in range(rec.order):
-        f = _mul(_binomial_row(j, mu, rho, T), _shifted(cs, rho, j, T))
+        f = _mul(_memo_row(rows, j, mu, rho, T), _shifted(cs, rho, j, T, rows))
         prefix.append(_mul(prefix[-1], f))
     slots = _slot_terms(rec, lam, mu, e0, rho)
     return [sum(s * prefix[x][i - off] for x, off, s in slots if off <= i) for i in range(T + 1)]
@@ -270,18 +282,19 @@ def _branch(root, rec: Recurrence, on_edge: list) -> tuple:
 
 
 def _online_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T: int,
-                   slope, st: _Stages) -> list:
+                   slope, st: _Stages, rows: dict) -> list:
     """c_1..c_T by the triangular recurrence of Wimp & Zeilberger (1985),
     solved online on grid arrays: v_j of v(n+j), f_j = (1 + j/n)^mu v_j,
     and the prefix products P_x = P_{x-1} f_{x-1}, one new Cauchy
     coefficient each per stage.  Slot i (`_slot_terms`) reads P_x up to
     index i only, and P_x[i] holds c_i only as x c_i, so slot i is
     b + slope * c_i with b built from c_1..c_{i-1}.  Stages kept in `st`
-    are replayed into the arrays, not solved again."""
+    are replayed into the arrays, not solved again.  Binomial rows come
+    from the memo `rows`."""
     known = len(st.cs)
     d = rec.order
     slots = _slot_terms(rec, lam, mu, e0, rho)
-    binom = [_terms(_binomial_row(j, mu, rho, T)) for j in range(d)]
+    binom = [_terms(_memo_row(rows, j, mu, rho, T)) for j in range(d)]
     v = [[Fraction(1)] + [Fraction(0)] * T for _ in range(d)]
     f = [[Fraction(1)] + [Fraction(0)] * T for _ in range(d)]
     P = [[Fraction(1)] + [Fraction(0)] * T for _ in range(d + 1)]
@@ -304,7 +317,7 @@ def _online_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T
                 c = -(b / slope)
         cs.append(c)
         for j in range(d):
-            _add_shifted(v[j], c, i, j, rho)
+            _add_shifted(v[j], c, i, j, rho, rows)
             f[j][i] += c
         for x in range(1, d + 1):
             P[x][i] += x * c
@@ -318,13 +331,15 @@ def _solve_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T:
     New stages come from the online recurrence of `_online_stages`.  A
     solve that adds any ends by rebuilding every residual slot 0..T from
     the final c_1..c_T with whole grid products (`_residual_slots`), so a
-    slip in the online arrays shows; each slot must be exactly 0."""
+    slip in the online arrays shows; each slot must be exactly 0.  The two
+    share one memo of binomial rows, so each row is built once per solve."""
     if st.resonance is not None and st.resonance <= T:
         raise _Resonance(st.resonance)
     if len(st.cs) >= T:
         return st.cs[:T]
-    cs = _online_stages(rec, lam, mu, e0, rho, T, slope, st)
-    for i, r in enumerate(_residual_slots(rec, lam, mu, e0, rho, cs)):
+    rows: dict = {}
+    cs = _online_stages(rec, lam, mu, e0, rho, T, slope, st, rows)
+    for i, r in enumerate(_residual_slots(rec, lam, mu, e0, rho, cs, rows)):
         if r:
             raise ExpansionError(f"internal: residual slot {i} does not vanish after stage solve")
     st.floats += [float(c) for c in cs[len(st.cs):]]
@@ -454,7 +469,7 @@ def u_expansion(rx: RatioExpansion, scaling: str = "none") -> AsymSeries:
     rho, cs = rx.rho, rx.coeffs
     T = len(cs)
     u = _mul(_binomial_row(-1, -rx.mu, rho, T), [Fraction(1)] + cs)
-    u = _mul(u, _inv(_shifted(cs, rho, -1, T)))
+    u = _mul(u, _inv(_shifted(cs, rho, -1, T, {})))
     if scaling == "factorial":
         u = _mul(u, _binomial_row(1, Fraction(-1), rho, T))
     return AsymSeries([(Fraction(k, rho), c) for k, c in enumerate(u)], rx.v.error_order)

@@ -44,9 +44,9 @@ from .asymptotics import (
 )
 from .render import frac_str, ratfunc_to_json
 from .sequences import (
+    PREC,
     Recurrence,
     TermTable,
-    _form_sign,
     check_inequality_range,
     check_scaling,
     windows,
@@ -293,22 +293,47 @@ def first_escape(
     The window is closed, and containment is decided exactly on the
     integer windows x of a(n-1..n+1) from `sequences.windows`: g and f
     become integer coefficients once, each bound is evaluated at n by
-    integer Horner as p/q with q > 0, and u_n - p/q has the sign of the
-    homogeneous form q x0 x2 - p x1^2.  An index where g or f has a pole
-    (q = 0), or where a(n) = 0 leaves u_n undefined, counts as an escape.
-    Terms are filled lazily: checking n needs a(n+1) and nothing beyond it.
+    integer Horner as p/q with q > 0, and u_n - p/q has the sign of
+    q A - p B for A = x0 x2 and B = x1^2, so both bounds compare the same
+    two products.  As in `sequences`, x / 2^s lies in [t, t + 1] for
+    t = x >> s, which bounds A and B, once per n, on `PREC`-bit operands;
+    A and B are multiplied out exactly only when the range of a q A - p B
+    contains 0.  An index where g or f has a pole (q = 0), or where
+    a(n) = 0 leaves u_n undefined, counts as an escape.  Terms are filled
+    lazily: checking n needs a(n+1) and nothing beyond it.
     """
-    bounds = [_integer_coeffs((r.num, r.den)) for r in (g, f)]
+    (gp, gq), (fp, fq) = (_integer_coeffs((r.num, r.den)) for r in (g, f))
     for n, (xs, _, _) in enumerate(windows(table, lo - 1, hi - 1, 3, scaling), lo):
-        if xs[1] == 0:
+        x0, x1, x2 = xs
+        lp, lq, up, uq = _horner(gp, n), _horner(gq, n), _horner(fp, n), _horner(fq, n)
+        if not (x1 and lq and uq):
             return n
-        for (num, den), side in zip(bounds, (1, -1)):  # u_n >= g(n), u_n <= f(n)
-            p, q = _horner(num, n), _horner(den, n)
-            if q < 0:
-                p, q = -p, -q
-            if q == 0 or side * _form_sign(lambda w: q * (w[0] * w[2]) - p * w[1] ** 2, xs) < 0:
+        if lq < 0:
+            lp, lq = -lp, -lq
+        if uq < 0:
+            up, uq = -up, -uq
+        s = max(x0.bit_length(), x1.bit_length(), x2.bit_length()) - PREC
+        if s > 0:
+            t0, t1, t2 = x0 >> s, x1 >> s, x2 >> s
+            ps = (t0 * t2, t0 * (t2 + 1), (t0 + 1) * t2, (t0 + 1) * (t2 + 1))
+            a = min(ps), max(ps)
+            b = (t1 * t1, (t1 + 1) ** 2) if t1 >= 0 else ((t1 + 1) ** 2, t1 * t1)
+            glo, ghi = _box_difference(lp, lq, a, b)
+            flo, fhi = _box_difference(up, uq, a, b)
+            if ghi < 0 or flo > 0:  # u_n < g(n) or u_n > f(n) on the ranges alone
                 return n
+            if glo >= 0 and fhi <= 0:
+                continue
+        a, b = x0 * x2, x1 * x1
+        if lq * a < lp * b or uq * a > up * b:
+            return n
     return None
+
+
+def _box_difference(p: int, q: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The range of q A - p B over A in a and B in b, for q > 0."""
+    pb = (p * b[0], p * b[1]) if p >= 0 else (p * b[1], p * b[0])
+    return q * a[0] - pb[1], q * a[1] - pb[0]
 
 
 # -- corner polynomials and the certificate ------------------------------------

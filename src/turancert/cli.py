@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from . import __version__
 from .algebra import Poly
@@ -354,7 +355,70 @@ def _add_scale(p: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _terms_args(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    p.add_argument("--to", type=int, required=True, metavar="N")
+
+
+def _ratio_asymp_args(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    p.add_argument("-K", type=int, default=4, help="expansion order (default 4)")
+
+
+def _u_asymp_args(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    _add_scale(p)
+    p.add_argument("-K", type=int, default=4, help="expansion order (default 4)")
+
+
+def _verdict_args(p: argparse.ArgumentParser) -> None:
+    _add_source(p)
+    _add_scale(p)
+
+
+def _check_llc_args(p: argparse.ArgumentParser) -> None:
+    _verdict_args(p)
+    p.add_argument("--ell", type=int, required=True, metavar="L")
+
+
+def _certify_args(p: argparse.ArgumentParser) -> None:
+    _verdict_args(p)
+    p.add_argument("-K", type=int, default=4, help="window order (default 4)")
+    p.add_argument("-o", "--output", metavar="FILE",
+                   help="certificate path (default <name>.turan3.json, or"
+                        " <name>.uwindow.json for a window-only fallback)")
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("cert", help="certificate JSON file")
+    _add_source(p)
+
+
+def _corpus_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("corpus_cmd", choices=["run"],
+                   help="run: recompute and compare every stored artifact")
+
+
+# name -> (function, help text, argument adder), in the order --help lists them
+COMMANDS = {
+    "terms": (cmd_terms, "print exact terms a(0)..a(N)", _terms_args),
+    "ratio-asymp": (cmd_ratio_asymp, "asymptotic expansion of a(n+1)/a(n)", _ratio_asymp_args),
+    "u-asymp": (cmd_u_asymp, "asymptotic expansion of a(n+1)a(n-1)/a(n)^2", _u_asymp_args),
+    "check-turan3": (cmd_check_turan3, "asymptotic verdict for the cubic Turan inequality",
+                     _verdict_args),
+    "check-llc": (cmd_check_llc, "asymptotic verdict for l-fold log-concavity", _check_llc_args),
+    "certify": (cmd_certify, "produce a finite certificate for the cubic Turan inequality",
+                _certify_args),
+    "verify": (cmd_verify, "re-check a certificate against a recurrence", _verify_args),
+    "corpus": (cmd_corpus, "operations on the built-in corpus", _corpus_args),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The root parser with every command, or with `command`'s alone.
+
+    A command line whose first word names a command parses and fails the
+    same way under either tree, so `main` builds only that command's."""
     root = argparse.ArgumentParser(
         prog="turancert",
         description="Exact asymptotics and Turan-type certificates "
@@ -364,59 +428,19 @@ def build_parser() -> argparse.ArgumentParser:
     root.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     _add_common(root, suppress=False)
     sub = root.add_subparsers(dest="cmd", required=True, metavar="command")
-
-    def command(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p, suppress=True)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = command("terms", cmd_terms, "print exact terms a(0)..a(N)")
-    _add_source(p)
-    p.add_argument("--to", type=int, required=True, metavar="N")
-
-    p = command("ratio-asymp", cmd_ratio_asymp, "asymptotic expansion of a(n+1)/a(n)")
-    _add_source(p)
-    p.add_argument("-K", type=int, default=4, help="expansion order (default 4)")
-
-    p = command("u-asymp", cmd_u_asymp, "asymptotic expansion of a(n+1)a(n-1)/a(n)^2")
-    _add_source(p)
-    _add_scale(p)
-    p.add_argument("-K", type=int, default=4, help="expansion order (default 4)")
-
-    p = command("check-turan3", cmd_check_turan3,
-                "asymptotic verdict for the cubic Turan inequality")
-    _add_source(p)
-    _add_scale(p)
-
-    p = command("check-llc", cmd_check_llc,
-                "asymptotic verdict for l-fold log-concavity")
-    _add_source(p)
-    _add_scale(p)
-    p.add_argument("--ell", type=int, required=True, metavar="L")
-
-    p = command("certify", cmd_certify,
-                "produce a finite certificate for the cubic Turan inequality")
-    _add_source(p)
-    _add_scale(p)
-    p.add_argument("-K", type=int, default=4, help="window order (default 4)")
-    p.add_argument("-o", "--output", metavar="FILE",
-                   help="certificate path (default <name>.turan3.json, or"
-                        " <name>.uwindow.json for a window-only fallback)")
-
-    p = command("verify", cmd_verify, "re-check a certificate against a recurrence")
-    p.add_argument("cert", help="certificate JSON file")
-    _add_source(p)
-
-    p = command("corpus", cmd_corpus, "operations on the built-in corpus")
-    p.add_argument("corpus_cmd", choices=["run"],
-                   help="run: recompute and compare every stored artifact")
-
+    for name, (fn, help_text, add_arguments) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            _add_common(p, suppress=True)
+            add_arguments(p)
+            p.set_defaults(fn=fn)
     return root
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except (

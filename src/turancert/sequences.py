@@ -49,8 +49,10 @@ window of consecutive terms, taken on a(n) or on a(n)/n!.  `windows` is
 the one builder of those windows: integers, scaled on integers and filled
 one window at a time, yielded with the positive denominator they stand
 over and, apart from it, the factorial that `factorial` multiplies it by;
-only `phi_values` reads those two.  `FORMS` names each scanned form with
-its window length; `check_inequality_range` scans one, `turan3_sign` and
+only `phi_values` reads those two.  A window slides from the one before,
+keeping k-1 integers, whenever the entering denominator is a multiple of
+the last lcm, as it always is for integer terms.  `FORMS` names each
+scanned form with its window length; `check_inequality_range` scans one, `turan3_sign` and
 `logconcave_sign` are one-window scans, `phi_values` iterates phi on the
 windows, and `certify.first_escape` compares u_n with bounds p/q on them
 by the form q a(n-1)a(n+1) - p a(n)^2.
@@ -429,22 +431,47 @@ def windows(
     cleared window is multiplied by (i+k-1)!/(i+j)!, a product of small
     ints, and f = (i+k-1)!, one factor more per step; under `none` f = 1.
     A sign scan reads xs only, so den f is never multiplied out here.
-    Terms are filled one window at a time, so a scan that stops early
-    computes none past its last window.
+
+    The window at i slides from the one at i-1 when the entering term's
+    denominator d is a multiple m den of the last den: d is the new lcm,
+    the k-1 kept entries are multiplied by m (and by i+k-1 under
+    `factorial`) and the entering numerator is appended.  Otherwise the
+    window is cleared afresh.  Each window is a new list.  Terms are filled
+    one window at a time, so a scan that stops early computes none past its
+    last window.
     """
     check_scaling(scaling)
     factorial = scaling == "factorial"
-    f = math.factorial(lo + k - 1) if factorial else 1  # (i + k - 1)!
-    for i in range(lo, hi + 1):
-        xs, den = _integer_window(table.values(i, i + k - 1))
+
+    def cleared(i: int, vals: list[Fraction]) -> tuple[list[int], int]:
+        """The window at i built from its terms, with the lcm of their denominators."""
+        xs, den = _integer_window(vals)
         if factorial:
             m = 1  # (i + k - 1)! / (i + j)!
             for j in range(k - 1, -1, -1):
                 xs[j] *= m
                 m *= i + j
-        yield xs, den, f
+        return xs, den
+
+    if hi < lo:
+        return
+    xs, den = cleared(lo, table.values(lo, lo + k - 1))
+    f = math.factorial(lo + k - 1) if factorial else 1  # (i + k - 1)!
+    yield xs, den, f
+    for i in range(lo + 1, hi + 1):
+        vals = table.values(i, i + k - 1)
         if factorial:
-            f *= i + k
+            f *= i + k - 1
+        m, r = divmod(vals[-1].denominator, den)
+        if r:
+            xs, den = cleared(i, vals)
+        else:  # every denominator of the window divides the new one
+            den = vals[-1].denominator
+            if factorial:
+                m *= i + k - 1
+            xs = [x * m for x in xs[1:]] if m > 1 else xs[1:]
+            xs.append(vals[-1].numerator)
+        yield xs, den, f
 
 
 # predicate -> (window length, form); the window at n starts at a(n-1)

@@ -168,6 +168,26 @@ def test_ratfunc_laurent_is_the_sum_of_its_monomials():
     assert RatFunc.laurent([(-3, 2)]).den == Poly([0, 0, 0, 1])
 
 
+def test_ratfunc_negation_is_the_normal_form_of_the_negated_pair():
+    rng = random.Random(19)
+
+    def rand_poly(deg):
+        return Poly([F(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(deg + 1)])
+
+    g = sqrt_field(2).generator()
+    cases = [RatFunc.zero(), RatFunc.const(0), RatFunc.const(5), RatFunc.const(F(-3, 7)),
+             RatFunc.const(g), RatFunc(Poly([g, 1]), Poly([1, 0, g]))]
+    while len(cases) < 80:
+        num, den = rand_poly(rng.randrange(4)), rand_poly(rng.randrange(4))
+        if not den.is_zero():
+            cases.append(RatFunc(num, den))
+    for r in cases:
+        got, want = -r, RatFunc(-r.num, r.den)
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs), r
+        back = -got
+        assert (back.num.coeffs, back.den.coeffs) == (r.num.coeffs, r.den.coeffs)
+
+
 def test_sign_and_limit_at_infinity():
     assert sign_at_infinity(RatFunc(X - 10**9, X + 1)) == 1
     assert sign_at_infinity(RatFunc(-X**2, Poly([1]))) == -1

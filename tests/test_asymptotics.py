@@ -705,6 +705,24 @@ class TestOnlineStages:
         assert len(builds) == sum(adding)
         assert len(adding) > sum(adding)
 
+    @pytest.mark.parametrize("name", ["bn", "apery", "involutions", "motzkin"])
+    def test_each_binomial_row_is_built_once_per_solve(self, monkeypatch, name):
+        built = []
+        row = ratio_module._binomial_row
+
+        def counted(j, alpha, rho, T):
+            built.append((j, alpha, rho))
+            return row(j, alpha, rho, T)
+
+        monkeypatch.setattr(ratio_module, "_binomial_row", counted)
+        rec = get(name).recurrence
+        ratio_expansion(rec, 12)
+        assert built and len(built) == len(set(built))
+        # the rows are the solve's own: a fresh table builds them all again
+        first, built[:] = list(built), []
+        ratio_expansion(rec, 12)
+        assert built == first
+
 
 U_GOLDENS = {
     "inverse-catalan": {F(2): F(-3, 2), F(3): F(9, 4), F(4): F(-21, 8)},

@@ -26,8 +26,8 @@ from turancert.certify import (
     verify_certificate,
 )
 from turancert import certify, checks
-from turancert.corpus import get
-from turancert.sequences import Recurrence, TermTable, u_value
+from turancert.corpus import ENTRIES, get
+from turancert.sequences import PREC, Recurrence, TermTable, u_value
 
 
 def rf(num, den=(1,)) -> RatFunc:
@@ -401,6 +401,12 @@ def assert_same_escapes(table, scaling, g, f, lo, hi):
 
 X = RatFunc.variable()
 CERTIFIABLE = ["binomial4", "domb", "fine", "franel3", "inverse-catalan", "motzkin"]
+# terms of both signs: a(n) = (-3)^n (n+1)!, and signs + + - - repeating,
+# under which u_n < 0
+SIGNED = {
+    "alternating": Recurrence([Poly([1]), Poly([-6, -3])], [1]),
+    "period-4 signs": Recurrence([Poly([1]), Poly(), Poly([-1, -1])], [1, 1]),
+}
 
 
 def moved_windows(g, f):
@@ -491,7 +497,59 @@ class TestFirstEscape:
         f = (1 + F(3, 2) / X**2 - F(39, 8) / X**3 + (F(489, 32) - F(1, 5)) / X**4) * SCALE
         t = TermTable(rec)
         assert first_escape(t, "factorial", ub.lower, f, 68, 2000) == 231
-        assert len(t) <= 233
+        assert len(t) == 233  # a(0..232): checking n = 231 needs a(232)
+
+    @pytest.mark.parametrize("scaling", ["none", "factorial"])
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_every_corpus_entry_matches_oracle(self, name, scaling):
+        # windows 1 +- c/n around the limit 1 of u, narrowed and widened
+        t = TermTable(get(name).recurrence)
+        escaped = inside = 0
+        for g, f in moved_windows(1 - 2 / X, 1 + 2 / X):
+            for lo, hi in ((1, 40), (150, 190)):
+                got = assert_same_escapes(t, scaling, g, f, lo, hi)
+                escaped += len(got)
+                inside += hi - lo + 1 - len(got)
+        assert escaped and inside
+
+    @pytest.mark.parametrize("scaling", ["none", "factorial"])
+    @pytest.mark.parametrize("name", sorted(ENTRIES) + sorted(SIGNED))
+    def test_tightened_bounds_escape_at_a_known_index(self, name, scaling):
+        # g = u(n0) + eps - M (n - n0)^2 lies far below u except at n0, where
+        # it passes u by eps; the upper bound mirrors it.  eps = 0 is a touch.
+        # The larger eps is seen on the PREC-bit boxes, the smaller one only
+        # by the exact products.
+        t = TermTable(SIGNED[name] if name in SIGNED else get(name).recurrence)
+        wide, m = RatFunc.const(-100), RatFunc.const(100)
+        for n0 in (5, 37, 150):
+            u0 = u_value(t, n0, scaling)
+            bump = 100 * (X - n0) ** 2
+            for eps, want in ((F(1, 10**30), n0), (F(1, 10**80), n0), (F(0), None)):
+                g, f = u0 + eps - bump, u0 - eps + bump
+                assert first_escape(t, scaling, g, m, 2, 200) == want
+                assert first_escape(t, scaling, wide, f, 2, 200) == want
+                assert_same_escapes(t, scaling, g, f, 2, 200)
+
+    def test_alternating_terms_past_the_filter_width(self):
+        # a(n) = (-3)^n (n+1)! has u_n = (n+2)/(n+1) exactly, and windows of
+        # mixed signs that outgrow PREC bits from n = 25 on
+        t = TermTable(SIGNED["alternating"])
+        u = (X + 2) / (X + 1)
+        assert t.value(61) < 0 < t.value(60) and t.value(60).numerator.bit_length() > 2 * PREC
+        assert first_escape(t, "none", u, u, 1, 120) is None
+        assert first_escape(t, "none", u - 1 / X**9, u + 1 / X**9, 1, 120) is None
+        # a bound off u by less than the boxes resolve is settled exactly
+        assert first_escape(t, "none", u - 1, u - 1 / X**40, 40, 120) == 40
+        assert first_escape(t, "none", u + 1 / X**40, u + 1, 40, 120) == 40
+        for cut in (3, 60, 61, 99):
+            # both bounds cross u at n = cut, and u leaves them from n = cut + 1
+            g, f = u + (X - cut) / X**12, u + (cut - X) / X**12
+            assert first_escape(t, "none", u, f, 1, 120) == cut + 1
+            assert first_escape(t, "none", g, u, 1, 120) == cut + 1
+            assert all_escapes(first_escape, t, "none", g, f, 1, 120) == list(range(cut + 1, 121))
+            for scaling in ("none", "factorial"):
+                assert_same_escapes(t, scaling, g, u + 1, 1, 120)
+                assert_same_escapes(t, scaling, u - 1, f, 1, 120)
 
 
 class TestRectangleLemma:

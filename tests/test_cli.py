@@ -12,8 +12,9 @@ from fractions import Fraction as F
 import pytest
 
 from turancert import certify as certify_module
+from turancert import cli
 from turancert.certify import certify_turan3, certify_u_window
-from turancert.cli import main
+from turancert.cli import COMMANDS, main
 from turancert.corpus import get
 from turancert.sequences import TermTable
 
@@ -688,3 +689,70 @@ class TestProcessEntry:
         proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "turancert" in proc.stdout
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), through a parser exit too."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARSE_CASES = [
+    ["--help"],
+    *([name, "--help"] for name in COMMANDS),
+    ["bogus", "motzkin"],  # an unknown command
+    ["terms", "motzkin"],  # a missing required option
+    ["verify", "cert.json"],  # a missing positional
+    ["terms", "motzkin", "--to", "3", "--bogus"],  # a trailing unrecognised argument
+    ["corpus", "run", "extra"],
+    ["check-turan3", "motzkin", "--scale", "weird"],
+    ["--json", "terms", "motzkin", "--to", "3"],  # a root option before the command
+    ["terms", "--json", "motzkin", "--to", "3"],
+]
+
+VALID = [
+    ["terms", "motzkin", "--to", "3", "--cache-dir", "d"],
+    ["ratio-asymp", "--operator", "N - 2", "-K", "3"],
+    ["u-asymp", "fine", "--scale", "n!", "--json"],
+    ["check-turan3", "fine", "--max-K", "5"],
+    ["check-llc", "motzkin", "--ell", "2", "--seed", "3"],
+    ["certify", "motzkin", "-K", "5", "-o", "out.json"],
+    ["verify", "cert.json", "motzkin"],
+    ["corpus", "run"],
+]
+
+
+class TestOneCommandParser:
+    """main builds the parser of the named command only, with the same outcome."""
+
+    @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+    def test_same_output_and_exit_as_the_full_tree(self, capsys, monkeypatch, argv):
+        got = outcome(capsys, argv)
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert outcome(capsys, argv) == got
+
+    def test_valid_lines_parse_alike(self):
+        assert sorted(argv[0] for argv in VALID) == sorted(COMMANDS)
+        for argv in VALID:
+            assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    def test_only_the_named_command_is_built(self, capsys, monkeypatch):
+        built, full = [], cli.build_parser
+
+        def recorded(command=None):
+            built.append(command)
+            return full(command)
+
+        monkeypatch.setattr(cli, "build_parser", recorded)
+        assert outcome(capsys, ["terms", "motzkin", "--to", "2"])[:2] == (0, "1, 1, 2\n")
+        outcome(capsys, ["--json", "terms", "motzkin", "--to", "2"])
+        outcome(capsys, ["bogus"])
+        assert built == ["terms", None, None]
+        with pytest.raises(SystemExit):
+            full("terms").parse_args(["corpus", "run"])
+        assert "invalid choice: 'corpus' (choose from 'terms')" in capsys.readouterr().err

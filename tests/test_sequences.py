@@ -819,16 +819,26 @@ def test_scans_match_fraction_oracle(name, scaling):
             assert single(table, n, scaling) == signs[n - 1], (predicate, n)
 
 
+# denominators 6, 6, 3, 1, 1, ...: a(n) = n!/6, whose window lcm shrinks
+SHRINKING = Recurrence([Poly([1]), Poly([1, 1])], [F(1, 6)])
+
+
 @pytest.mark.parametrize("scaling", ["none", "factorial"])
-@pytest.mark.parametrize("name", ["bn", "fine", "inverse-catalan", "involutions", "motzkin"])
+@pytest.mark.parametrize("name", sorted(corpus.ENTRIES) + ["shrinking"])
 def test_windows_are_the_scaled_terms(name, scaling):
-    table = TermTable(corpus.get(name).recurrence)
-    terms = scaled_terms(table, 80, scaling)
-    for lo, hi, k in ((0, 40, 1), (0, 30, 3), (7, 75, 4), (20, 19, 5)):
+    # every window is the scaled terms over the lcm of its denominators,
+    # whether it slid from the last one or was cleared afresh, from any start
+    table = TermTable(SHRINKING if name == "shrinking" else corpus.get(name).recurrence)
+    terms = scaled_terms(table, 330, scaling)
+    rng = random.Random(name)
+    cases = [(0, 40, 1), (0, 30, 3), (7, 75, 4), (20, 19, 5)]
+    cases += [(lo, lo + 65, k) for k in (1, 2, 3, 4, 5) for lo in (0, 1, rng.randrange(2, 260))]
+    for lo, hi, k in cases:
         got = list(windows(table, lo, hi, k, scaling))
         assert len(got) == max(hi - lo + 1, 0)
         for i, (xs, den, f) in enumerate(got, lo):
-            assert den > 0 and all(type(x) is int for x in xs)
+            assert all(type(x) is int for x in xs)
+            assert den == math.lcm(*(v.denominator for v in table.values(i, i + k - 1)))
             assert f == (math.factorial(i + k - 1) if scaling == "factorial" else 1)
             assert [F(x, den * f) for x in xs] == terms[i : i + k], (lo, k, i)
 
@@ -839,6 +849,14 @@ def test_windows_fill_terms_one_window_at_a_time():
     for _ in range(5):
         next(scan)
     assert len(table) == 18  # a(0..17): the fifth window is a(14..17)
+    for name in ("motzkin", "involutions", "inverse-catalan", "fine"):
+        rec = corpus.get(name).recurrence
+        for k, lo, scaling in ((3, 10, "none"), (4, 0, "factorial"), (5, 37, "none")):
+            t = TermTable(rec)
+            scan = windows(t, lo, 2000, k, scaling)
+            for j in range(1, 9):
+                next(scan)
+                assert len(t) == max(lo + j - 1 + k, len(rec.initials)), (name, k, j)
     with pytest.raises(ValueError, match="unknown scaling"):
         list(windows(table, 1, 0, 3, "geometric"))
     with pytest.raises(IndexError):
