@@ -123,7 +123,8 @@ def cmd_terms(args) -> int:
     table = TermTable(rec, cache_dir=args.cache_dir)
     vals = table.values(0, args.to)
     table.flush()
-    terms = [frac_str(v) for v in vals]
+    terms = table.decimal_strings(args.to)
+    terms += [frac_str(v) for v in vals[len(terms) :]]
     if args.json:
         print(json.dumps({"name": _display_name(rec), "to": args.to, "terms": terms}, indent=2))
     else:

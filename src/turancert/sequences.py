@@ -35,6 +35,21 @@ terms when the table grew another way, such as a cache load; K is then the
 lcm of the initial state's denominator and |p0(m)| over every stepped m,
 since each prime of a stored denominator comes from one or the other.
 
+`TermTable.decimal_strings` renders an integer sequence without `str(int)`,
+which takes quadratic time in the digit count on CPython 3.11.  It
+steps the recurrence a second time from the initial values, in
+`decimal.Decimal` under `_EXACT_DECIMAL`, whose precision and exponent
+range are the largest there are and which traps `Inexact` and `Rounded`:
+each term is a small-integer combination of the last d decimals divided
+exactly by p0(m), so it costs linear time, and `str` of a decimal is
+linear too.  The terms stay integers with exponent 0, so `str` writes them
+exactly as `str(int)` does; a zero is normalised to `Decimal(0)`, since a
+decimal zero carries a sign and would print as "-0".  The path runs only
+when every requested term has denominator 1, and it stops before the
+first term with more digits than `sys.get_int_max_str_digits()` allows,
+so that the caller's `str` raises the usual `ValueError` on that term.
+The table's binary terms stay the only values stored or cached.
+
 The disk cache (`CACHE_MAGIC` "TCTERMS2") holds every known term as
 length-prefixed big-endian signed numerator and denominator, followed by
 the SHA-256 of those entries.  It is rewritten whole and swapped in with
@@ -72,10 +87,13 @@ are involved, so the answer never depends on the filter.
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import math
 import os
 import struct
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -85,6 +103,19 @@ from .algebra.poly import _horner, _integer_coeffs, _integer_window
 CACHE_MAGIC = b"TCTERMS2"
 _STALE_MAGIC = b"TCTERMS1"  # the format before the digest: a cache miss
 _DIGEST_SIZE = hashlib.sha256().digest_size
+# exact integer arithmetic in decimal: any rounding raises
+_EXACT_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[
+        decimal.InvalidOperation,
+        decimal.DivisionByZero,
+        decimal.Overflow,
+        decimal.Inexact,
+        decimal.Rounded,
+    ],
+)
 
 
 class CacheError(RuntimeError):
@@ -322,6 +353,40 @@ class TermTable:
                     xs, den = [v.numerator], v.denominator
             vals.append(v)
         self._state = (len(vals), xs, den, ker)
+
+    def decimal_strings(self, hi: int) -> list[str]:
+        """`str` of the known terms a(0..hi) up to the first one over the
+        int-to-str digit limit, by exact decimal stepping; [] unless every
+        one of those terms is an integer.  The caller renders the rest."""
+        vals = self._vals[: hi + 1]
+        if any(v.denominator != 1 for v in vals):
+            return []
+        limit = sys.get_int_max_str_digits()
+        p0, *ps = self._coeffs
+        d = len(ps)
+        first = len(self.rec.initials)
+        xs: list[Decimal] = []  # the last d decimals
+        out = []
+        with decimal.localcontext(_EXACT_DECIMAL):
+            for i, v in enumerate(vals):
+                if i < first:
+                    x = Decimal(v.numerator)
+                else:
+                    m = i - d
+                    s = _horner(ps[0], m) * xs[-1]
+                    for k in range(1, d):
+                        s += _horner(ps[k], m) * xs[-1 - k]
+                    x = s / _horner(p0, m)
+                    if not x:
+                        x = Decimal(0)  # not -0
+                xs.append(x)
+                if len(xs) > d:
+                    del xs[0]
+                # an integer decimal has adjusted() + 1 digits
+                if limit and x.adjusted() >= limit:
+                    break
+                out.append(str(x))
+        return out
 
     def value(self, n: int) -> Fraction:
         if n < 0:

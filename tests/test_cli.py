@@ -122,6 +122,70 @@ class TestSources:
         assert len(TermTable(get("motzkin").recurrence, str(tmp_path))) == 201
 
 
+# sha256 of the stdout of `terms NAME --to 1500 [--json]`, recorded while
+# every term was rendered by str(Fraction)
+TERMS_SHA256 = {
+    ("apery", False): "f918c3a36710857abe1fea4116684b18eaa6d04469060922487c1122bb6bb71f",
+    ("apery", True): "67d3dd458f722e2305151098effc07e6a13dfc16dd1fc16ea82f5707e7fb3f2f",
+    ("binomial4", False): "9de57497031ac2279b29dd650084a963dd076594d925d22edea77916d8eaef9b",
+    ("binomial4", True): "5ca216f37ce3579cb4ba614aa99e438d37fee929f6f0590ed992a13dcb205cf0",
+    ("bn", False): "e578c608f33b1feee6af092b76ecef0fee3c65bab342e8e8922f4274a7103749",
+    ("bn", True): "9978ef516c160b6bd06cd979dd573a4e44cd982e72cac401b7009c573169fa77",
+    ("domb", False): "5a46b306174b336b8b2df7ad676e33e140f913ab1afeb2e0c6e81ef22f2e79d5",
+    ("domb", True): "2c1d90d13be65ef51b99ec2e7f6e0c729f467f47836115a7e0c209fbbc68eb15",
+    ("fine", False): "89b6c79695eb227d10c0464ccd145aae48d04652f1862116d0d6af3fbddbb4e7",
+    ("fine", True): "e24ff54852d95dc8c06ed5fe686ddc53ae5e583239b8159f74fdcb74b93575c6",
+    ("franel3", False): "d20958264ee4aa826d513cc9d000caaf940b1799602340edb5f54371cda96972",
+    ("franel3", True): "0eca8bc33be3fec372bc74212b48e22e117bbc5c9a58bd163e164a6849a74b12",
+    ("inverse-catalan", False): "2890e5cd5832eb6aaf02b1acde4cd8193c7c538b38571900c8531e43c12106df",
+    ("inverse-catalan", True): "189e532ef59b7a1611dbcd0fea386127ffcc7d9971c92dd39ac2ef9c2c0b642e",
+    ("involutions", False): "13b2503b334e54647782af17a05b5a5f17088e2a1855778207ab2c8062a3c666",
+    ("involutions", True): "05df5d72292510d38f4278f799588662ea131306c9d5bc0b6316b2ce2ead6d40",
+    ("motzkin", False): "20790bf449ffe468895d420a75a62ef6572c4baa1ed7220edf642647f1b8b4f1",
+    ("motzkin", True): "4547d02963710d92be7de38766fbd6899ef08ab1015629e40b1df81352011cd6",
+}
+
+
+@pytest.fixture
+def digit_limit():
+    """Set CPython's int-to-str digit limit for one test, then restore it."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+class TestTermsOutput:
+    @pytest.mark.parametrize("name, json_flag", sorted(TERMS_SHA256))
+    def test_corpus_terms_stdout(self, capsys, name, json_flag):
+        code, out, err = run(capsys, "terms", name, "--to", "1500", *(["--json"] if json_flag else []))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == TERMS_SHA256[name, json_flag]
+
+    def test_zero_terms_render_unsigned(self, capsys):
+        # a(n+1) = -n*a(n): from a(2) on, each step multiplies a zero by -n < 0
+        src = "a(n+1) + n*a(n) = 0 ; a(0)=1"
+        assert run(capsys, "terms", src, "--to", "8") == (0, "1" + ", 0" * 8 + "\n", "")
+        code, out, _ = run(capsys, "terms", src, "--to", "8", "--json")
+        assert code == 0 and json.loads(out)["terms"] == ["1"] + ["0"] * 8
+
+    @pytest.mark.parametrize("name", ["apery", "involutions"])
+    @pytest.mark.parametrize("json_flag", [False, True])
+    def test_digit_limit_error(self, capsys, digit_limit, name, json_flag):
+        digit_limit(4300)  # CPython's default
+        with pytest.raises(ValueError) as exc:
+            str(10**4300)
+        argv = ["terms", name, "--to", "3000", *(["--json"] if json_flag else [])]
+        assert run(capsys, *argv) == (1, "", f"error: {exc.value}\n")
+
+    def test_lifted_digit_limit_renders_as_str(self, capsys, digit_limit):
+        digit_limit(0)
+        code, out, err = run(capsys, "terms", "apery", "--to", "3500", "--json")
+        terms = [str(v) for v in TermTable(get("apery").recurrence).values(0, 3500)]
+        assert len(terms[-1]) > 4300
+        assert (code, err) == (0, "")
+        assert out == json.dumps({"name": "apery", "to": 3500, "terms": terms}, indent=2) + "\n"
+
+
 # sha256 of the stdout of `COMMAND NAME -K k --json`, recorded before the
 # stage solver moved from per-stage residual builds to coefficient arrays
 ASYMP_SHA256 = {

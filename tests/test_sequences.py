@@ -17,6 +17,7 @@ import turancert
 from turancert import corpus, sequences
 from turancert.algebra import Poly
 from turancert.parser import parse_recurrence
+from turancert.render import frac_str
 from turancert.sequences import (
     CACHE_MAGIC,
     PREC,
@@ -332,6 +333,85 @@ def test_random_recurrences_match_fraction_oracle(seed):
 def test_involutions_match_fraction_oracle_to_1500():
     rec = corpus.get("involutions").recurrence
     assert _pairs(TermTable(rec).values(0, 1500)) == _pairs(fraction_terms(rec, 1500))
+
+
+# -- decimal rendering: the oracle is frac_str on the table's terms
+
+
+def _rendered(rec, n):
+    """(table.decimal_strings(n), frac_str of each of a(0..n))."""
+    table = TermTable(rec)
+    vals = table.values(0, n)
+    return table.decimal_strings(n), [frac_str(v) for v in vals]
+
+
+@pytest.mark.parametrize("name", sorted(corpus.ENTRIES))
+def test_decimal_strings_match_frac_str_on_the_corpus(name):
+    got, want = _rendered(corpus.get(name).recurrence, 1500)
+    if name in ("inverse-catalan", "involutions"):
+        assert "/" in want[3] and got == []  # rational terms fall back whole
+    else:
+        assert got == want
+
+
+DECIMAL_RECS = {
+    # integer terms, but p0(m) = m + 2 divides the step sum only as a whole
+    "catalan": parse_recurrence("(n+2)*a(n+1) - (4*n+2)*a(n) = 0 ; a(0)=1"),
+    # order 1 with three initial values: stepping starts at n = 2
+    "extra-initials": Recurrence([Poly([1, 1]), Poly([1, 1]) * Poly([-5, 2])], [4, -9, 2]),
+    "both-signs": parse_recurrence("a(n+2) + (n+1)*a(n+1) - 3*a(n) = 0 ; a(0)=2, a(1)=-1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECIMAL_RECS))
+def test_decimal_strings_match_frac_str(name):
+    got, want = _rendered(DECIMAL_RECS[name], 300)
+    assert got == want
+    if name == "both-signs":
+        assert any(t.startswith("-") for t in got) and any(t[0] not in "-0" for t in got)
+
+
+def random_integer_recurrence(rng):
+    """Order 1 or 2 with integer terms: each pk is p0 times an integer
+    polynomial, p0 a signed product of linear factors that vanishes at no
+    n >= 0, all scaled by one rational; integer initials."""
+    d = rng.choice((1, 2))
+    p0 = Poly([rng.choice((-1, 1)) * rng.randint(1, 6)])
+    for _ in range(rng.randint(0, 2)):
+        p0 = p0 * Poly([rng.choice((rng.randint(1, 5), -2 * rng.randint(0, 4) - 1)), 2])
+    scale = F(1, rng.randint(1, 4))
+    ps = [p0 * Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))]) for _ in range(d)]
+    if ps[-1].is_zero():
+        ps[-1] = p0
+    initials = [rng.randint(-20, 20) for _ in range(d + rng.randint(0, 1))]
+    return Recurrence([c * Poly([scale]) for c in (p0, *ps)], initials)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_random_integer_recurrences_render_as_frac_str(seed):
+    got, want = _rendered(random_integer_recurrence(random.Random(2000 + seed)), 150)
+    assert got == want
+
+
+def test_decimal_zero_renders_unsigned_under_negative_p0():
+    # -a(n+1) = n*a(n): a(1) = 0 / -1, a decimal -0, and every later term is 0
+    rec = Recurrence([Poly([-1]), Poly([0, 1])], [3])
+    got, want = _rendered(rec, 8)
+    assert got == want == ["3"] + ["0"] * 8
+
+
+def test_decimal_strings_stop_before_the_first_term_over_the_digit_limit():
+    rec = corpus.get("apery").recurrence
+    table = TermTable(rec)
+    want = [str(v.numerator) for v in table.values(0, 600)]
+    first_over = next(i for i, t in enumerate(want) if len(t) > 640)
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        got = table.decimal_strings(600)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert 0 < first_over < 600 and got == want[:first_over]
 
 
 class _TracedMath:
