@@ -105,12 +105,14 @@ class AlgebraicReal:
     only through refinement (value never changes).
     """
 
-    __slots__ = ("poly", "lo", "hi")
+    __slots__ = ("poly", "lo", "hi", "_ints", "_lo_sign")
 
     def __init__(self, poly: Poly, lo: Fraction, hi: Fraction):
         self.poly = poly
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
+        (self._ints,) = _integer_coeffs((poly,))  # highest degree first
+        self._lo_sign = self._sign_at(self.lo)  # kept by refine
 
     def __repr__(self) -> str:
         return f"AlgebraicReal({list(self.poly.coeffs)!r}, {self.lo}, {self.hi})"
@@ -123,19 +125,29 @@ class AlgebraicReal:
             raise ValueError("not refined to a rational point")
         return self.lo
 
+    def _sign_at(self, x: Fraction) -> int:
+        """Sign of poly at x by homogeneous integer Horner on x's numerator and denominator."""
+        acc, scale = 0, 1
+        for c in self._ints:
+            acc = acc * x.numerator + c * scale
+            scale *= x.denominator
+        return (acc > 0) - (acc < 0)
+
     def refine(self) -> None:
+        """Halve the interval, keeping the half with the sign change.  The sign
+        at lo is not evaluated again: lo moves only to a midpoint whose sign was just taken."""
         if self.lo == self.hi:
             return
         mid = (self.lo + self.hi) / 2
-        v = self.poly.eval(mid)
+        v = self._sign_at(mid)
         if v == 0:
             self.lo = self.hi = mid
             return
-        # keep the half with the sign change
-        if scalar_sign(self.poly.eval(self.lo)) * scalar_sign(v) < 0:
+        if self._lo_sign * v < 0:
             self.hi = mid
         else:
             self.lo = mid
+            self._lo_sign = v
 
     def refine_below(self, width: Fraction) -> None:
         while self.hi - self.lo > width:

@@ -295,12 +295,14 @@ def first_escape(
     become integer coefficients once, each bound is evaluated at n by
     integer Horner as p/q with q > 0, and u_n - p/q has the sign of
     q A - p B for A = x0 x2 and B = x1^2, so both bounds compare the same
-    two products.  As in `sequences`, x / 2^s lies in [t, t + 1] for
-    t = x >> s, which bounds A and B, once per n, on `PREC`-bit operands;
-    A and B are multiplied out exactly only when the range of a q A - p B
-    contains 0.  An index where g or f has a pole (q = 0), or where
-    a(n) = 0 leaves u_n undefined, counts as an escape.  Terms are filled
-    lazily: checking n needs a(n+1) and nothing beyond it.
+    two products.  As in `sequences._form_sign`, x / 2^s = t + delta for
+    t = x >> s, each delta in [0, 1), so q A - p B at t moves by at most
+    q(|t0| + |t2| + 1) + |p|(2|t1| + 1) (`_u_products`); a bound is decided
+    on t when its value there exceeds that radius in size, and A, B are
+    multiplied out exactly only when one is not.  An index where g or f
+    has a pole (q = 0), or where a(n) = 0 leaves u_n undefined, counts as
+    an escape.  Terms are filled lazily: checking n needs a(n+1) and
+    nothing beyond it.
     """
     (gp, gq), (fp, fq) = (_integer_coeffs((r.num, r.den)) for r in (g, f))
     for n, (xs, _, _) in enumerate(windows(table, lo - 1, hi - 1, 3, scaling), lo):
@@ -314,26 +316,23 @@ def first_escape(
             up, uq = -up, -uq
         s = max(x0.bit_length(), x1.bit_length(), x2.bit_length()) - PREC
         if s > 0:
-            t0, t1, t2 = x0 >> s, x1 >> s, x2 >> s
-            ps = (t0 * t2, t0 * (t2 + 1), (t0 + 1) * t2, (t0 + 1) * (t2 + 1))
-            a = min(ps), max(ps)
-            b = (t1 * t1, (t1 + 1) ** 2) if t1 >= 0 else ((t1 + 1) ** 2, t1 * t1)
-            glo, ghi = _box_difference(lp, lq, a, b)
-            flo, fhi = _box_difference(up, uq, a, b)
-            if ghi < 0 or flo > 0:  # u_n < g(n) or u_n > f(n) on the ranges alone
+            a, b, ea, eb = _u_products(x0 >> s, x1 >> s, x2 >> s)
+            lv, lr = lq * a - lp * b, lq * ea + abs(lp) * eb
+            uv, ur = uq * a - up * b, uq * ea + abs(up) * eb
+            if lv < -lr or uv > ur:  # u_n < g(n) or u_n > f(n) on t alone
                 return n
-            if glo >= 0 and fhi <= 0:
+            if lv > lr and uv < -ur:
                 continue
-        a, b = x0 * x2, x1 * x1
+        a, b, _, _ = _u_products(x0, x1, x2)
         if lq * a < lp * b or uq * a > up * b:
             return n
     return None
 
 
-def _box_difference(p: int, q: int, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """The range of q A - p B over A in a and B in b, for q > 0."""
-    pb = (p * b[0], p * b[1]) if p >= 0 else (p * b[1], p * b[0])
-    return q * a[0] - pb[1], q * a[1] - pb[0]
+def _u_products(w0: int, w1: int, w2: int) -> tuple:
+    """A = w0 w2 and B = w1^2, each with a radius that bounds how far it
+    moves when every entry grows by some delta in [0, 1)."""
+    return w0 * w2, w1 * w1, abs(w0) + abs(w2) + 1, 2 * abs(w1) + 1
 
 
 # -- corner polynomials and the certificate ------------------------------------

@@ -76,13 +76,16 @@ A homogeneous form keeps its sign when the window is multiplied by a
 positive number, so a sign needs no denominator.  `_form_sign` clears a
 window to integers x (a rational window by the lcm of its denominators)
 and then divides by 2^s, where s is the largest bit length minus `PREC`.
-Each x / 2^s lies in the integer interval [x >> s, (x >> s) + 1], since
-`>>` floors (negative x included).  The form evaluated on those intervals
-therefore encloses F(x / 2^s), whose sign is the sign of F(x).  When the
-enclosure excludes 0 that sign is returned; the operands have about
-`PREC` bits instead of tens of thousands.  Otherwise, and for windows
-shorter than `PREC` bits, the form is evaluated exactly on x.  No floats
-are involved, so the answer never depends on the filter.
+Since `>>` floors (negative x included), x / 2^s = t + delta with
+t = x >> s and each delta in [0, 1).  Each `FORMS` function returns the
+form's value at t and an integer radius bounding |F(t + delta) - F(t)|
+for every such delta, built from the form's factors: a bound summed over
+its expanded monomials sends over half of involutions' factorial-scaled
+windows to the exact path.  When |F(t)| exceeds the radius, F(x / 2^s),
+which has the sign of F(x), has the sign of F(t): one evaluation on
+`PREC`-bit operands instead of tens of thousands of bits.  Otherwise, and
+for windows shorter than `PREC` bits, the form is evaluated exactly on x.
+No floats are involved, so the answer never depends on the truncation.
 """
 
 from __future__ import annotations
@@ -431,57 +434,34 @@ def u_value(table: TermTable, n: int, scaling: str = "none") -> Fraction:
 PREC = 128  # bits kept per window entry by the sign filter
 
 
-class _Box:
-    """Closed integer interval [lo, hi] with the operations the forms use."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: int, hi: int):
-        self.lo = lo
-        self.hi = hi
-
-    def __sub__(self, other: "_Box") -> "_Box":
-        return _Box(self.lo - other.hi, self.hi - other.lo)
-
-    def __mul__(self, other: "_Box") -> "_Box":
-        p = (self.lo * other.lo, self.lo * other.hi, self.hi * other.lo, self.hi * other.hi)
-        return _Box(min(p), max(p))
-
-    def __rmul__(self, k: int) -> "_Box":
-        return _Box(k * self.lo, k * self.hi) if k >= 0 else _Box(k * self.hi, k * self.lo)
-
-    def __pow__(self, e: int) -> "_Box":
-        if e != 2:
-            raise ValueError("_Box supports only squares")
-        lo, hi = self.lo, self.hi
-        if lo >= 0:
-            return _Box(lo * lo, hi * hi)
-        if hi <= 0:
-            return _Box(hi * hi, lo * lo)
-        return _Box(0, max(lo * lo, hi * hi))
+def _turan3_form(w) -> tuple:
+    """4AB - C^2 at w, for A = w1^2 - w0w2, B = w2^2 - w1w3, C = w1w2 - w0w3,
+    and a radius bounding its move when each entry grows by some delta in
+    [0, 1): A, B, C move by at most e_A, e_B, e_C, so 4AB by
+    4(|A|e_B + |B|e_A + e_A e_B) and C^2 by (2|C| + e_C) e_C."""
+    w0, w1, w2, w3 = w
+    a, b, c = w1 * w1 - w0 * w2, w2 * w2 - w1 * w3, w1 * w2 - w0 * w3
+    m0, m1, m2, m3 = abs(w0), abs(w1), abs(w2), abs(w3)
+    ea, eb, ec = 2 * m1 + m0 + m2 + 2, 2 * m2 + m1 + m3 + 2, m0 + m1 + m2 + m3 + 2
+    return 4 * a * b - c * c, 4 * (abs(a) * eb + abs(b) * ea + ea * eb) + (2 * abs(c) + ec) * ec
 
 
-def _turan3_form(w):
-    return 4 * (w[1] * w[1] - w[0] * w[2]) * (w[2] * w[2] - w[1] * w[3]) - (
-        w[1] * w[2] - w[0] * w[3]
-    ) ** 2
-
-
-def _logconcave_form(w):
-    return w[1] * w[1] - w[0] * w[2]
+def _logconcave_form(w) -> tuple:
+    """w1^2 - w0w2 at w, and e_A, which bounds its move as in `_turan3_form`."""
+    w0, w1, w2 = w
+    return w1 * w1 - w0 * w2, 2 * abs(w1) + abs(w0) + abs(w2) + 2
 
 
 def _form_sign(form: Callable, window: Sequence) -> int:
-    """Sign of the homogeneous `form` at `window`, filtered on PREC-bit boxes."""
+    """Sign of the homogeneous `form` at `window`, decided on the PREC-bit
+    truncation when its value there is larger than its radius."""
     xs = window if all(type(x) is int for x in window) else _integer_window(window)[0]
     s = max(x.bit_length() for x in xs) - PREC
     if s > 0:
-        box = form([_Box(x >> s, (x >> s) + 1) for x in xs])
-        if box.lo > 0:
-            return 1
-        if box.hi < 0:
-            return -1
-    val = form(xs)
+        val, radius = form([x >> s for x in xs])
+        if abs(val) > radius:
+            return 1 if val > 0 else -1
+    val = form(xs)[0]
     return (val > 0) - (val < 0)
 
 
@@ -539,7 +519,8 @@ def windows(
         yield xs, den, f
 
 
-# predicate -> (window length, form); the window at n starts at a(n-1)
+# predicate -> (window length, form giving (value, radius)); the window at n
+# starts at a(n-1)
 FORMS: dict[str, tuple[int, Callable]] = {
     "turan3": (4, _turan3_form),
     "log-concave": (3, _logconcave_form),

@@ -8,13 +8,18 @@ On exact scalars: polynomial products and shifts by a loop over the
 coefficients in their own scalar type, and number-field `+ - *`, zero test,
 sign and rational value by a `Poly` division by the modulus after every
 operation, which the package does on integers and reduced tuples.
+Root refinement by bisection that evaluates the polynomial in `Fraction`
+arithmetic at both ends of every step.
+
+On truncated windows: random PREC-bit truncations and the random fractional
+parts that the truncation drops, for the radius tests of the sign forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from turancert.algebra import NFElem, Poly, RatFunc, poly_gcd
+from turancert.algebra import NFElem, Poly, RatFunc, poly_gcd, scalar_sign
 from turancert.algebra.numberfield import poly_eval_interval
 from turancert.asymptotics import (
     AsymSeries,
@@ -24,7 +29,7 @@ from turancert.asymptotics import (
     series_inv,
     shift_series,
 )
-from turancert.sequences import Recurrence
+from turancert.sequences import PREC, Recurrence
 
 
 def eval_exact(s: AsymSeries, n: int):
@@ -231,3 +236,27 @@ def nf_to_fraction(x: NFElem):
     if K.known_irreducible:
         return None
     return c0 if nf_is_zero(nf_sub(NFElem(K, cs), c0)) else None
+
+
+def random_truncation(rng, k):
+    """k integers of mixed signs and up to PREC + 1 bits, some of them tiny."""
+    return [rng.choice((1, -1)) * rng.getrandbits(rng.randint(0, PREC + 1)) for _ in range(k)]
+
+
+def random_deltas(rng, k):
+    """k Fractions in [0, 1), the ends 0 and 1 - 2^-200 among them."""
+    ends = (Fraction(0), 1 - Fraction(1, 2**200))
+    return [rng.choice(ends) if rng.random() < 0.4 else Fraction(rng.randrange(2**70), 2**70) for _ in range(k)]
+
+
+def bisect_reference(poly: Poly, lo: Fraction, hi: Fraction) -> tuple:
+    """One bisection of the isolating interval [lo, hi] of a root of poly:
+    the half whose ends' `Fraction` values differ in sign, or the midpoint
+    twice when poly vanishes there."""
+    if lo == hi:
+        return lo, hi
+    mid = (lo + hi) / 2
+    v = poly.eval(mid)
+    if v == 0:
+        return mid, mid
+    return (lo, mid) if scalar_sign(poly.eval(lo)) * scalar_sign(v) < 0 else (mid, hi)

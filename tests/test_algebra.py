@@ -32,7 +32,7 @@ from turancert.algebra import (
 )
 
 from oracles import (
-    loop_product, loop_shift, nf_add, nf_is_zero, nf_mul, nf_sign, nf_sub, nf_to_fraction,
+    bisect_reference, loop_product, loop_shift, nf_add, nf_is_zero, nf_mul, nf_sign, nf_sub, nf_to_fraction,
 )
 
 X = Poly([0, 1])
@@ -223,6 +223,23 @@ def test_isolate_sqrt2():
     assert abs(pos.approx() - 2**0.5) < 1e-9
     assert abs(neg.approx() + 2**0.5) < 1e-9
     assert not pos.is_rational()
+
+
+def test_refine_matches_fraction_bisection():
+    # the roots of the edge polynomials of apery and bn, three irrational
+    # roots of a cubic, and a root of a polynomial with non-integer
+    # coefficients
+    roots = []
+    for p in (X**2 - 34 * X + 1, X**3 - 7 * X**2 + 7 * X - 1, X**3 - 3 * X + 1):
+        roots += isolate_real_roots(p)
+    roots.append(AlgebraicReal(F(1, 3) * X**2 - F(2, 3), 1, 2))
+    assert sum(not r.is_rational() for r in roots) == 8
+    for r in roots:
+        lo, hi = r.lo, r.hi
+        for _ in range(80):
+            r.refine()
+            lo, hi = bisect_reference(r.poly, lo, hi)
+            assert (r.lo, r.hi) == (lo, hi)
 
 
 def test_isolate_includes_rational_roots():

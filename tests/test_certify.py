@@ -29,6 +29,8 @@ from turancert import certify, checks
 from turancert.corpus import ENTRIES, get
 from turancert.sequences import PREC, Recurrence, TermTable, u_value
 
+from oracles import random_deltas, random_truncation
+
 
 def rf(num, den=(1,)) -> RatFunc:
     return RatFunc(Poly([F(c) for c in num]), Poly([F(c) for c in den]))
@@ -517,8 +519,8 @@ class TestFirstEscape:
     def test_tightened_bounds_escape_at_a_known_index(self, name, scaling):
         # g = u(n0) + eps - M (n - n0)^2 lies far below u except at n0, where
         # it passes u by eps; the upper bound mirrors it.  eps = 0 is a touch.
-        # The larger eps is seen on the PREC-bit boxes, the smaller one only
-        # by the exact products.
+        # The larger eps is seen on the PREC-bit truncation, the smaller one
+        # only by the exact products.
         t = TermTable(SIGNED[name] if name in SIGNED else get(name).recurrence)
         wide, m = RatFunc.const(-100), RatFunc.const(100)
         for n0 in (5, 37, 150):
@@ -538,7 +540,7 @@ class TestFirstEscape:
         assert t.value(61) < 0 < t.value(60) and t.value(60).numerator.bit_length() > 2 * PREC
         assert first_escape(t, "none", u, u, 1, 120) is None
         assert first_escape(t, "none", u - 1 / X**9, u + 1 / X**9, 1, 120) is None
-        # a bound off u by less than the boxes resolve is settled exactly
+        # a bound off u by less than the truncation resolves is settled exactly
         assert first_escape(t, "none", u - 1, u - 1 / X**40, 40, 120) == 40
         assert first_escape(t, "none", u + 1 / X**40, u + 1, 40, 120) == 40
         for cut in (3, 60, 61, 99):
@@ -550,6 +552,45 @@ class TestFirstEscape:
             for scaling in ("none", "factorial"):
                 assert_same_escapes(t, scaling, g, u + 1, 1, 120)
                 assert_same_escapes(t, scaling, u - 1, f, 1, 120)
+
+
+    def test_u_radius_bounds_every_move(self):
+        # q A - p B at t + delta, against its value at t
+        rng = random.Random(23)
+        for _ in range(400):
+            t = random_truncation(rng, 3)
+            a, b, ea, eb = certify._u_products(*t)
+            assert (a, b) == (t[0] * t[2], t[1] ** 2)
+            for _ in range(5):
+                p, q = rng.randint(-(10**12), 10**12), rng.randint(1, 10**12)
+                moved = certify._u_products(*(x + d for x, d in zip(t, random_deltas(rng, 3))))
+                change = q * (moved[0] - a) - p * (moved[1] - b)
+                assert abs(change) <= q * ea + abs(p) * eb, (t, p, q)
+
+    def test_u_window_segments_need_no_exact_fallback(self, monkeypatch):
+        """The default u-window recheck decides every index on its
+        truncation: products taken on more than PREC bits are a fallback
+        to the exact integers."""
+        calls = []
+
+        def counted(*w):
+            calls.append(max(x.bit_length() for x in w) > PREC)
+            return products(*w)
+
+        products = certify._u_products
+        monkeypatch.setattr(certify, "_u_products", counted)
+        for name in ("binomial4", "motzkin"):
+            rec = get(name).recurrence
+            t = TermTable(rec)
+            _, ub = certify_u_bounds(rec, 4, table=t)
+            calls.clear()
+            assert first_escape(t, "none", ub.lower, ub.upper, ub.valid_from + 1, ub.valid_from + 2000) is None
+            assert len(calls) == 2000 and not any(calls), name
+            # a bound equal to u(n0) is decided only by the exact products
+            c = RatFunc.const(u_value(t, 500))
+            calls.clear()
+            assert first_escape(t, "none", c, c, 500, 500) is None
+            assert calls == [False, True]
 
 
 class TestRectangleLemma:

@@ -1,17 +1,20 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no function of the package goes uncalled without a recorded reason, and
-every function the benchmark's tracer names still exists."""
+no function of the package goes uncalled without a recorded reason,
+every function the benchmark's tracer names still exists, and every
+committed benchmark record holds the fields its readers use."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "turancert"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "turancert"
 
 # A package __init__ imports names to re-export them.
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
@@ -236,3 +239,49 @@ def test_reduced_field_arithmetic_builds_no_poly(monkeypatch):
     assert built == []
     assert [v.coeffs for v in values[:3]] == [(Fraction(1, 4), 7), (Fraction(7, 4), -3), (Fraction(77, 4), Fraction(7, 2))]
     assert truths == [True, False, False]
+
+
+# -- benchmark records -----------------------------------------------------------
+
+BENCH_RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+BENCH_WORKLOADS = ("corpus", "deep", "long-range")
+BENCH_METRICS = ("setup_s", "wall_s", "peak_rss_mb")
+
+
+def bench_record_problems(doc: dict) -> list:
+    """What a paired-run record lacks: its description fields, and for each
+    workload a parent and a change figure of every end-to-end metric, each
+    a number or a dict with a numeric median."""
+
+    def numeric(v) -> bool:
+        v = v.get("median") if isinstance(v, dict) else v
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    problems = [key for key in ("what", "parent", "command", "design") if key not in doc]
+    for w in BENCH_WORKLOADS:
+        summary = doc.get("workloads", {}).get(w, {}).get("summary", {})
+        for m in BENCH_METRICS:
+            for side in ("parent", "change"):
+                if not numeric(summary.get(m, {}).get(side)):
+                    problems.append(f"{w}.{m}.{side}")
+    return problems
+
+
+def test_bench_record_detector():
+    side = {"parent": {"median": 1.0, "q1": 0.9}, "change": 0.5}
+    summary = {m: dict(side) for m in BENCH_METRICS}
+    doc = {"what": "", "parent": "", "command": "", "design": "",
+           "workloads": {w: {"summary": summary} for w in BENCH_WORKLOADS}}
+    assert bench_record_problems(doc) == []
+    del doc["design"]
+    doc["workloads"]["deep"] = {"summary": {**summary, "wall_s": {"parent": {"q1": 1}, "change": True}}}
+    assert bench_record_problems(doc) == ["design", "deep.wall_s.parent", "deep.wall_s.change"]
+
+
+def test_bench_records_exist():
+    assert len(BENCH_RECORDS) >= 15
+
+
+@pytest.mark.parametrize("path", BENCH_RECORDS, ids=lambda p: p.name)
+def test_bench_record_is_complete(path):
+    assert bench_record_problems(json.loads(path.read_text(encoding="utf-8"))) == []

@@ -16,6 +16,7 @@ import pytest
 import turancert
 from turancert import corpus, sequences
 from turancert.algebra import Poly
+from turancert.algebra.poly import _integer_window
 from turancert.parser import parse_recurrence
 from turancert.render import frac_str
 from turancert.sequences import (
@@ -31,13 +32,14 @@ from turancert.sequences import (
     turan3_sign,
     u_value,
     windows,
-    _Box,
     _encode_int,
     _form_sign,
     _logconcave_form,
     _reduced,
     _turan3_form,
 )
+
+from oracles import random_deltas, random_truncation
 
 C = math.comb
 
@@ -769,12 +771,20 @@ def _geometric(a, r, k):
     return [a * r**i for i in range(k)]
 
 
-def _filtered(form):
-    """`form` that records whether it ran on boxes, on exact values, or both."""
+def _filtered(form, window):
+    """`form` that records each call as on the PREC-bit truncation of
+    `window` or on its exact integers; a call on anything else fails."""
+    xs = _integer_window([F(v) for v in window])[0]
+    s = max(x.bit_length() for x in xs) - PREC
     seen = []
 
     def traced(w):
-        seen.append("box" if isinstance(w[0], _Box) else "exact")
+        w = list(w)
+        if w == xs:
+            seen.append("exact")
+        else:
+            assert s > 0 and w == [x >> s for x in xs], w
+            seen.append("truncated")
         return form(w)
 
     return traced, seen
@@ -785,23 +795,23 @@ def test_form_sign_geometric_window_is_zero_by_fallback(form, direct, k):
     for a, r in ((3**7000, 7**1000), (-(5**4400), 11**900), (2**10001 + 1, -(3**2000))):
         w = _geometric(a, r, k)
         assert max(abs(x).bit_length() for x in w) > 10000
-        traced, seen = _filtered(form)
+        traced, seen = _filtered(form, w)
         assert _form_sign(traced, w) == 0 == direct(w)
-        assert seen == ["box", "exact"]
+        assert seen == ["truncated", "exact"]
 
 
 @pytest.mark.parametrize("form, direct, k", FORMS)
 def test_form_sign_last_bit_perturbations(form, direct, k):
-    # F moves by about 2^-20000 of its scale: far inside the box, so the
+    # F moves by about 2^-20000 of its scale: far inside the radius, so the
     # exact fallback must decide every one of these
     w = _geometric(3**7000, 7**1000, k)
     for slot in range(k):
         for delta in (1, -1):
             v = list(w)
             v[slot] += delta
-            traced, seen = _filtered(form)
+            traced, seen = _filtered(form, v)
             assert _form_sign(traced, v) == direct(v) != 0, (slot, delta)
-            assert seen == ["box", "exact"]
+            assert seen == ["truncated", "exact"]
 
 
 @pytest.mark.parametrize("form, direct, k", FORMS)
@@ -849,7 +859,7 @@ def test_form_sign_short_windows_are_exact(form, direct, k):
     rng = random.Random(8)
     for _ in range(200):
         w = [rng.randrange(-(1 << 60), 1 << 60) for _ in range(k)]
-        traced, seen = _filtered(form)
+        traced, seen = _filtered(form, w)
         assert _form_sign(traced, w) == direct(w)
         assert seen == ["exact"]
     assert max(x.bit_length() for x in _geometric(2**60, 2**20, k)) < PREC
@@ -860,9 +870,67 @@ def test_form_sign_short_windows_are_exact(form, direct, k):
 def test_form_sign_filter_decides_term_windows():
     table = TermTable(corpus.get("apery").recurrence)
     w = table.values(399, 402)
-    traced, seen = _filtered(_turan3_form)
+    traced, seen = _filtered(_turan3_form, w)
     assert _form_sign(traced, w) == _t3_direct(w)
-    assert seen == ["box"]
+    assert seen == ["truncated"]
+
+
+@pytest.mark.parametrize("form, direct, k", FORMS)
+def test_form_radius_bounds_every_move(form, direct, k):
+    rng = random.Random(21)
+    for i in range(400):
+        t = random_truncation(rng, k)
+        if i % 4 == 0:  # near-geometric: the form's factors cancel at t
+            t = [x + rng.randrange(-8, 9) for x in _geometric(rng.getrandbits(40) + 1, 3, k)]
+        value, radius = form(t)
+        assert value == form([F(x) for x in t])[0]
+        for _ in range(5):
+            moved = form([x + d for x, d in zip(t, random_deltas(rng, k))])[0]
+            assert abs(moved - value) <= radius, (t, moved - value, radius)
+
+
+@pytest.mark.parametrize("form, direct, k", FORMS)
+def test_form_sign_value_within_radius_is_exact(form, direct, k):
+    # windows built so that the truncation cannot decide them
+    rng = random.Random(22)
+    undecided = 0
+    for _ in range(300):
+        bits = rng.choice((200, 1000, 5000))
+        w = _geometric(rng.getrandbits(bits) | 1 << (bits - 1), rng.choice((2, -3, 5)), k)
+        w = [x + rng.randrange(-(1 << (bits // 2)), 1 << (bits // 2)) for x in w]
+        s = max(x.bit_length() for x in w) - PREC
+        value, radius = form([x >> s for x in w])
+        traced, seen = _filtered(form, w)
+        assert _form_sign(traced, w) == direct(w)
+        if abs(value) <= radius:
+            undecided += 1
+            assert seen == ["truncated", "exact"]
+        else:
+            assert seen == ["truncated"] and (value > 0) - (value < 0) == direct(w)
+    assert undecided > 50
+
+
+def test_turan3_scans_need_no_exact_fallback(monkeypatch):
+    """Every window of the long scans is decided on its truncation: a
+    window whose form runs on more than PREC bits fell back to the exact
+    integers, and makes two calls for one window."""
+    k, form = sequences.FORMS["turan3"]
+    calls = []
+
+    def counted(w):
+        calls.append(max(x.bit_length() for x in w) > PREC)
+        return form(w)
+
+    monkeypatch.setitem(sequences.FORMS, "turan3", (k, counted))
+    geometric = Recurrence([Poly([1]), Poly([3])], [3**200])  # F = 0 exactly
+    scans = [(geometric, "none", 100)]
+    scans += [(corpus.get(name).recurrence, "factorial", 2998) for name in ("motzkin", "domb", "apery")]
+    scans += [(corpus.get("involutions").recurrence, scaling, 2998) for scaling in ("none", "factorial")]
+    for rec, scaling, hi in scans:
+        calls.clear()
+        check_inequality_range(TermTable(rec), "turan3", 1, hi, scaling)
+        fallbacks = hi if rec is geometric else 0
+        assert (sum(calls), len(calls)) == (fallbacks, hi + fallbacks), (rec, scaling)
 
 
 @pytest.mark.parametrize("name", ["motzkin", "domb", "apery"])
