@@ -1,7 +1,5 @@
 """Exact scalar, polynomial, rational-function and algebraic-number kernel."""
 
-from fractions import Fraction as Rat
-
 from .poly import Poly, poly_gcd, squarefree_part, scalar_sign
 from .ratfunc import RatFunc, limit_at_infinity, sign_at_infinity
 from .roots import (
@@ -17,7 +15,6 @@ from .roots import (
 from .numberfield import NFElem, NumberField, rationalize
 
 __all__ = [
-    "Rat",
     "Poly",
     "poly_gcd",
     "squarefree_part",

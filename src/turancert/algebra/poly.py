@@ -11,7 +11,8 @@ them by one positive integer, the lcm of their denominators, and lists
 their coefficients highest degree first; `_integer_window` does the same
 for a window of rationals: `sequences.windows` builds every term window
 of an exact scan with it.  A positive scale keeps every sign and zero, so
-the term stepper, the bounds of `certify.first_escape`, the corpus
+the term stepper, the bounds that `certify` compares with u_n
+(`first_escape`) and with a(n)/a(n-1) (the ratio base window), the corpus
 residual check and the Sturm layer run on these lists by `_horner`.
 Products of rational polynomials are its second user: each factor is
 cleared by `_integer_window`, the integer lists are convolved, and the

@@ -166,12 +166,6 @@ class RatFunc:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num.eval(x) * _scalar_inv(d)
 
-    def defined_at(self, x) -> bool:
-        d = self.den.eval(x)
-        if isinstance(d, Fraction):
-            return d != 0
-        return bool(d)
-
     def shift(self, a) -> "RatFunc":
         """r(x + a)."""
         return RatFunc(self.num.compose_shift(a), self.den.compose_shift(a))

@@ -35,13 +35,8 @@ from .algebra import (
     sign_at_infinity,
 )
 from .algebra.poly import _horner, _integer_coeffs
-from .asymptotics import (
-    RatioExpansion,
-    binomial_power,
-    ratio_expansion,
-    shift_series,
-    u_expansion,
-)
+from .asymptotics import RatioExpansion, ratio_expansion, u_expansion
+from .asymptotics.ratio import _binomial_row, _mul, _shifted
 from .render import frac_str, ratfunc_to_json
 from .sequences import (
     PREC,
@@ -92,7 +87,9 @@ class RatioBounds:
 
 
 def _ratio_window_functions(rx: RatioExpansion, order: int):
-    """Truncated series of a(n)/a(n-1) = lam (n-1)^mu v(n-1) plus unit slack."""
+    """a(n)/a(n-1) = lam n^mu (1 - 1/n)^mu v(n-1) to order - 1 corrections,
+    plus unit slack, read off the expansion's grid arrays: entry k of
+    (1 - 1/n)^mu v(n-1) is the coefficient of lam n^(mu - k)."""
     if rx.rho != 1:
         raise CertifyError(
             "certification needs an expansion on the integer exponent grid"
@@ -104,14 +101,10 @@ def _ratio_window_functions(rx: RatioExpansion, order: int):
         raise CertifyError("certification needs an integer power correction")
     mu = int(mu)
 
-    beta = Fraction(order + 1)
-    w = binomial_power(-1, Fraction(mu), beta) * shift_series(rx.v, -1, beta)
-    mid = []  # lam c n^(mu - e) for the inverse powers n^0 .. n^-(order-1)
-    for e, c in w.truncate(Fraction(order)).terms:
-        if not c.is_constant():
-            raise CertifyError("ratio series has non-constant coefficients")
-        mid.append((mu - int(e), rx.lam * c.constant_value()))
-    slack = mu - order + 1
+    T = order - 1
+    w = _mul(_binomial_row(-1, mu, 1, T), _shifted(rx.coeffs[:T], 1, -1, T, {}))
+    mid = [(mu - k, rx.lam * c) for k, c in enumerate(w)]
+    slack = mu - T
     return RatFunc.laurent(mid + [(slack, -1)]), RatFunc.laurent(mid + [(slack, 1)]), mu
 
 
@@ -177,20 +170,20 @@ def certify_ratio_bounds(
         # n+1 with n > n1.
         return RatioBounds(rx.lam, mu, s_l, s_u, n1 + 1)
 
-    start = n1 + 2
-    for m in range(start, start + BASE_SCAN_BUDGET):
-        ok = True
-        for j in range(m, m + d - 1):
-            prev, cur = table.values(j - 1, j)
-            if prev == 0 or not s_l.defined_at(j):
-                ok = False
-                break
-            ratio = cur / prev
-            if not (s_l.eval(j) <= ratio <= s_u.eval(j)):
-                ok = False
-                break
-        if ok:
-            return RatioBounds(rx.lam, mu, s_l, s_u, m - 1)
+    return RatioBounds(rx.lam, mu, s_l, s_u, _base_window(table, s_l, s_u, n1 + 2, d) - 1)
+
+
+def _base_window(table: TermTable, s_l: RatFunc, s_u: RatFunc, start: int, d: int) -> int:
+    """The first m in [start, start + BASE_SCAN_BUDGET) with s_l(j) <=
+    a(j)/a(j-1) <= s_u(j) for every j in [m, m + d - 2].  Each m is an
+    `_escape` scan with k = 2; after an escape at n, every m up to n fails
+    at n too, so the next m tried is n + 1."""
+    m = start
+    while m < start + BASE_SCAN_BUDGET:
+        n = _escape(table, "none", s_l, s_u, m, m + d - 2, 2)
+        if n is None:
+            return m
+        m = n + 1
     raise CertifyError(
         f"no base window of {d - 1} in-window ratios within "
         f"{BASE_SCAN_BUDGET} indices past {start}; retry with a larger order"
@@ -288,25 +281,32 @@ def scaled_bounds(ub: UBounds, scaling: str) -> UBounds:
 def first_escape(
     table: TermTable, scaling: str, g: RatFunc, f: RatFunc, lo: int, hi: int
 ) -> Optional[int]:
-    """First n in [lo, hi] with u_n outside [g(n), f(n)], or None.
+    """First n in [lo, hi] with u_n outside [g(n), f(n)], or None (`_escape`
+    with k = 3)."""
+    return _escape(table, scaling, g, f, lo, hi, 3)
 
-    The window is closed, and containment is decided exactly on the
-    integer windows x of a(n-1..n+1) from `sequences.windows`: g and f
-    become integer coefficients once, each bound is evaluated at n by
-    integer Horner as p/q with q > 0, and u_n - p/q has the sign of
-    q A - p B for A = x0 x2 and B = x1^2, so both bounds compare the same
-    two products.  As in `sequences._form_sign`, x / 2^s = t + delta for
+
+def _escape(
+    table: TermTable, scaling: str, g: RatFunc, f: RatFunc, lo: int, hi: int, k: int
+) -> Optional[int]:
+    """First n in [lo, hi] with Q_n = x[0] x[-1] / x[-2]^2 outside
+    [g(n), f(n)], or None, for x the integer window of a(n-1..n+k-2) from
+    `sequences.windows`: Q_n is a(n)/a(n-1) for k = 2 (A = x0 x1, B = x0^2)
+    and u_n for k = 3 (A = x0 x2, B = x1^2).  The window is closed and
+    decided exactly: g and f become integer coefficients once, each bound
+    is p/q at n by integer Horner with q > 0, and Q_n - p/q has the sign of
+    q A - p B.  As in `sequences._form_sign`, x / 2^s = t + delta for
     t = x >> s, each delta in [0, 1), so q A - p B at t moves by at most
-    q(|t0| + |t2| + 1) + |p|(2|t1| + 1) (`_u_products`); a bound is decided
-    on t when its value there exceeds that radius in size, and A, B are
-    multiplied out exactly only when one is not.  An index where g or f
-    has a pole (q = 0), or where a(n) = 0 leaves u_n undefined, counts as
-    an escape.  Terms are filled lazily: checking n needs a(n+1) and
-    nothing beyond it.
+    q(|t[0]| + |t[-1]| + 1) + |p|(2|t[-2]| + 1) (`_window_products`); a
+    bound is decided on t when its value there exceeds that radius in size,
+    and A, B are multiplied out exactly only when one is not.  A pole of g
+    or f (q = 0), or x[-2] = 0, which leaves Q_n undefined, counts as an
+    escape.  Terms are filled lazily: checking n needs a(n+k-2) and nothing
+    beyond it.
     """
     (gp, gq), (fp, fq) = (_integer_coeffs((r.num, r.den)) for r in (g, f))
-    for n, (xs, _, _) in enumerate(windows(table, lo - 1, hi - 1, 3, scaling), lo):
-        x0, x1, x2 = xs
+    for n, (xs, _, _) in enumerate(windows(table, lo - 1, hi - 1, k, scaling), lo):
+        x0, x1, x2 = xs[0], xs[-2], xs[-1]
         lp, lq, up, uq = _horner(gp, n), _horner(gq, n), _horner(fp, n), _horner(fq, n)
         if not (x1 and lq and uq):
             return n
@@ -316,22 +316,23 @@ def first_escape(
             up, uq = -up, -uq
         s = max(x0.bit_length(), x1.bit_length(), x2.bit_length()) - PREC
         if s > 0:
-            a, b, ea, eb = _u_products(x0 >> s, x1 >> s, x2 >> s)
+            a, b, ea, eb = _window_products(x0 >> s, x1 >> s, x2 >> s)
             lv, lr = lq * a - lp * b, lq * ea + abs(lp) * eb
             uv, ur = uq * a - up * b, uq * ea + abs(up) * eb
-            if lv < -lr or uv > ur:  # u_n < g(n) or u_n > f(n) on t alone
+            if lv < -lr or uv > ur:  # Q_n < g(n) or Q_n > f(n) on t alone
                 return n
             if lv > lr and uv < -ur:
                 continue
-        a, b, _, _ = _u_products(x0, x1, x2)
+        a, b, _, _ = _window_products(x0, x1, x2)
         if lq * a < lp * b or uq * a > up * b:
             return n
     return None
 
 
-def _u_products(w0: int, w1: int, w2: int) -> tuple:
-    """A = w0 w2 and B = w1^2, each with a radius that bounds how far it
-    moves when every entry grows by some delta in [0, 1)."""
+def _window_products(w0: int, w1: int, w2: int) -> tuple:
+    """A = w0 w2 and B = w1^2 for the entries x[0], x[-2], x[-1] of a
+    window, each with a radius that bounds how far it moves when every
+    entry grows by some delta in [0, 1); for k = 2, w0 and w1 are one entry."""
     return w0 * w2, w1 * w1, abs(w0) + abs(w2) + 1, 2 * abs(w1) + 1
 
 

@@ -69,13 +69,15 @@ keeping k-1 integers, whenever the entering denominator is a multiple of
 the last lcm, as it always is for integer terms.  `FORMS` names each
 scanned form with its window length; `check_inequality_range` scans one, `turan3_sign` and
 `logconcave_sign` are one-window scans, `phi_values` iterates phi on the
-windows, and `certify.first_escape` compares u_n with bounds p/q on them
-by the form q a(n-1)a(n+1) - p a(n)^2.
+windows, and `certify` compares a quotient of terms with bounds p/q on
+them: u_n by the form q a(n-1)a(n+1) - p a(n)^2 (`first_escape`), and
+a(n)/a(n-1) by q a(n-1)a(n) - p a(n-1)^2 over the base window of the
+ratio induction.
 
 A homogeneous form keeps its sign when the window is multiplied by a
-positive number, so a sign needs no denominator.  `_form_sign` clears a
-window to integers x (a rational window by the lcm of its denominators)
-and then divides by 2^s, where s is the largest bit length minus `PREC`.
+positive number, so a sign needs no denominator.  `_form_sign` takes the
+integer window x from `windows` and divides it by 2^s, where s is the
+largest bit length minus `PREC`.
 Since `>>` floors (negative x included), x / 2^s = t + delta with
 t = x >> s and each delta in [0, 1).  Each `FORMS` function returns the
 form's value at t and an integer radius bounding |F(t + delta) - F(t)|
@@ -452,10 +454,9 @@ def _logconcave_form(w) -> tuple:
     return w1 * w1 - w0 * w2, 2 * abs(w1) + abs(w0) + abs(w2) + 2
 
 
-def _form_sign(form: Callable, window: Sequence) -> int:
-    """Sign of the homogeneous `form` at `window`, decided on the PREC-bit
-    truncation when its value there is larger than its radius."""
-    xs = window if all(type(x) is int for x in window) else _integer_window(window)[0]
+def _form_sign(form: Callable, xs: Sequence[int]) -> int:
+    """Sign of the homogeneous `form` at the integer window `xs`, decided on
+    the PREC-bit truncation when its value there is larger than its radius."""
     s = max(x.bit_length() for x in xs) - PREC
     if s > 0:
         val, radius = form([x >> s for x in xs])

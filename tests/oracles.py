@@ -2,7 +2,8 @@
 
 On asymptotic series: the exact value of a truncated series at a grid
 point, the phi map on a u-expansion, and `AsymSeries` versions of the stage
-residual and of the u-expansion, which the package computes on grid arrays.
+residual, of the u-expansion and of the ratio window functions, which the
+package computes on grid arrays.
 
 On exact scalars: polynomial products and shifts by a loop over the
 coefficients in their own scalar type, and number-field `+ - *`, zero test,
@@ -10,6 +11,9 @@ sign and rational value by a `Poly` division by the modulus after every
 operation, which the package does on integers and reduced tuples.
 Root refinement by bisection that evaluates the polynomial in `Fraction`
 arithmetic at both ends of every step.
+
+On exact terms: the search for the base window of the ratio induction,
+trying every start in `Fraction` arithmetic.
 
 On truncated windows: random PREC-bit truncations and the random fractional
 parts that the truncation drops, for the radius tests of the sign forms.
@@ -148,6 +152,41 @@ def series_u_expansion(rx: RatioExpansion, scaling: str = "none") -> AsymSeries:
     if scaling == "factorial":
         u = u * binomial_power(1, -1, beta)
     return u.truncate(beta)
+
+
+def series_ratio_windows(rx: RatioExpansion, order: int) -> tuple:
+    """The ratio window functions by series algebra on rx.v: the terms of
+    lam (1 - 1/n)^mu v(n-1) n^mu below n^(mu - order + 1), with a unit
+    slack there taken off (lower) and added (upper)."""
+    beta = Fraction(order + 1)
+    mu = int(rx.mu)
+    w = binomial_power(-1, Fraction(mu), beta) * shift_series(rx.v, -1, beta)
+    mid = [(mu - int(e), rx.lam * c.constant_value()) for e, c in w.truncate(Fraction(order)).terms]
+    slack = mu - order + 1
+    return RatFunc.laurent(mid + [(slack, -1)]), RatFunc.laurent(mid + [(slack, 1)])
+
+
+# -- exact terms ----------------------------------------------------------------
+
+
+def ratio_base_reference(table, s_l: RatFunc, s_u: RatFunc, start: int, d: int, budget: int):
+    """The first m in [start, start + budget) whose d - 1 ratios
+    a(j)/a(j-1), j = m .. m + d - 2, each lie in [s_l(j), s_u(j)], tried m
+    by m in `Fraction` arithmetic; None if there is none.  A zero a(j-1)
+    or a pole of either bound at j leaves the ratio out."""
+    for m in range(start, start + budget):
+        ok = True
+        for j in range(m, m + d - 1):
+            prev, cur = table.values(j - 1, j)
+            try:
+                ok = prev != 0 and s_l.eval(j) <= cur / prev <= s_u.eval(j)
+            except ZeroDivisionError:
+                ok = False
+            if not ok:
+                break
+        if ok:
+            return m
+    return None
 
 
 # -- exact scalars ------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -29,7 +30,7 @@ from turancert import certify, checks
 from turancert.corpus import ENTRIES, get
 from turancert.sequences import PREC, Recurrence, TermTable, u_value
 
-from oracles import random_deltas, random_truncation
+from oracles import random_deltas, random_truncation, ratio_base_reference, series_ratio_windows
 
 
 def rf(num, den=(1,)) -> RatFunc:
@@ -85,6 +86,99 @@ class TestRatioBounds:
     def test_algebraic_growth_refused(self):
         with pytest.raises(CertifyError):
             certify_ratio_bounds(get("bn").recurrence, 4)
+
+    def test_window_functions_match_series_construction(self):
+        # lam (1 - 1/n)^mu v(n-1) n^mu from the grid arrays, against the
+        # same window built by binomial_power and shift_series; every
+        # corpus entry has mu = 0, so three recurrences add mu = 1, -1, 2
+        pairs = 0
+        for name in CERTIFIABLE + sorted(POWER_GROWTH):
+            rec = POWER_GROWTH[name] if name in POWER_GROWTH else get(name).recurrence
+            t = TermTable(rec)
+            for order in range(2, 10):
+                rx = ratio_expansion(rec, order, table=t)
+                s_l, s_u, mu = certify._ratio_window_functions(rx, order)
+                want = series_ratio_windows(rx, order)
+                assert (s_l, s_u) == want, (name, order)
+                assert [repr(r) for r in (s_l, s_u)] == [repr(r) for r in want]
+                assert mu == rx.mu
+                pairs += 1
+        assert pairs == 72
+
+    def test_base_window_matches_fraction_search(self, monkeypatch):
+        # each base-window search against the Fraction search that tries
+        # every start, and every outcome against its recorded value
+        searches, base_window = [], certify._base_window
+
+        def recorded(*args):
+            searches.append(args)
+            return base_window(*args)
+
+        monkeypatch.setattr(certify, "_base_window", recorded)
+        got, searched = {}, 0
+        for name in sorted(ENTRIES):
+            rec = get(name).recurrence
+            for order in range(2, 9):
+                searches.clear()
+                try:
+                    result = certify_ratio_bounds(rec, order).valid_from
+                except CertifyError as err:
+                    result = str(err)
+                got.setdefault(name, []).append(result)
+                for table, s_l, s_u, start, d in searches:
+                    m = ratio_base_reference(table, s_l, s_u, start, d, certify.BASE_SCAN_BUDGET)
+                    assert m is not None and result == m - 1, (name, order)
+                    searched += 1
+        assert got == RATIO_VALID_FROM
+        assert searched == 35  # inverse-catalan has order 1 and no base window
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_base_window_resumes_past_each_escape(self, monkeypatch, d):
+        # terms of mixed signs with zeros among them, so that runs of d - 1
+        # ratios inside the bounds are short; every start is compared with
+        # the search that tries each m, including searches that run out
+        rng = random.Random(30 + d)
+        vals = [rng.choice((0, 1, 1, -1, 2, -3, 5)) * rng.randint(1, 4) for _ in range(90)]
+        t = TermTable(Recurrence([Poly([1]), Poly([1])], vals))
+        monkeypatch.setattr(certify, "BASE_SCAN_BUDGET", 12)
+        outcomes = set()
+        for g, f in ((RatFunc.const(-2), RatFunc.const(3)), (1 - 1 / (X - 9), 1 + X / 4)):
+            for start in range(1, 70):
+                m = ratio_base_reference(t, g, f, start, d, 12)
+                want = m if m is not None else (
+                    f"no base window of {d - 1} in-window ratios within "
+                    f"12 indices past {start}; retry with a larger order"
+                )
+                try:
+                    got = certify._base_window(t, g, f, start, d)
+                except CertifyError as err:
+                    got = str(err)
+                assert got == want, (g, f, start)
+                outcomes.add(m is None or m - start)
+        assert True in outcomes and 0 in outcomes and max(outcomes) > 1
+
+
+# a(n+2) = (n+2) a(n+1) + a(n), (n+1) a(n+1) = 3 a(n) and
+# a(n+2) = (n+2)^2 a(n+1) + a(n): ratios lam n^mu v(n) with mu = 1, -1, 2
+POWER_GROWTH = {
+    "mu=1": Recurrence([Poly([1]), Poly([2, 1]), Poly([1])], [1, 1]),
+    "mu=-1": Recurrence([Poly([1, 1]), Poly([3])], [1]),
+    "mu=2": Recurrence([Poly([1]), Poly([4, 4, 1]), Poly([1])], [1, 1]),
+}
+
+
+# valid_from of the ratio window at orders 2..8, or the refusal
+RATIO_VALID_FROM = {
+    "apery": ["certification needs a rational growth constant"] * 7,
+    "binomial4": [24, 5, 6, 9, 11, 14, 19],
+    "bn": ["certification needs a rational growth constant"] * 7,
+    "domb": [11, 8, 12, 35, 136, 638, 3479],
+    "fine": [7, 7, 8, 9, 8, 11, 15],
+    "franel3": [3, 2, 3, 4, 5, 7, 9],
+    "inverse-catalan": [3, 2, 2, 2, 2, 2, 2],
+    "involutions": ["certification needs an expansion on the integer exponent grid"] * 7,
+    "motzkin": [15, 32, 67, 135, 271, 543, 1085],
+}
 
 
 class TestUBounds:
@@ -555,17 +649,21 @@ class TestFirstEscape:
 
 
     def test_u_radius_bounds_every_move(self):
-        # q A - p B at t + delta, against its value at t
+        # q A - p B at t + delta, against its value at t, for the entries
+        # (x[0], x[-2], x[-1]) of a window: (w0, w1, w2) for k = 3, and
+        # (w0, w0, w1) for k = 2, where A = w0 w1 and B = w0^2 share a delta
         rng = random.Random(23)
-        for _ in range(400):
-            t = random_truncation(rng, 3)
-            a, b, ea, eb = certify._u_products(*t)
-            assert (a, b) == (t[0] * t[2], t[1] ** 2)
-            for _ in range(5):
-                p, q = rng.randint(-(10**12), 10**12), rng.randint(1, 10**12)
-                moved = certify._u_products(*(x + d for x, d in zip(t, random_deltas(rng, 3))))
-                change = q * (moved[0] - a) - p * (moved[1] - b)
-                assert abs(change) <= q * ea + abs(p) * eb, (t, p, q)
+        for k in (3, 2):
+            for _ in range(400):
+                w = random_truncation(rng, k)
+                a, b, ea, eb = certify._window_products(w[0], w[-2], w[-1])
+                assert (a, b) == ((w[0] * w[2], w[1] ** 2) if k == 3 else (w[0] * w[1], w[0] ** 2))
+                for _ in range(5):
+                    p, q = rng.randint(-(10**12), 10**12), rng.randint(1, 10**12)
+                    moved = [x + d for x, d in zip(w, random_deltas(rng, k))]
+                    ma, mb, _, _ = certify._window_products(moved[0], moved[-2], moved[-1])
+                    change = q * (ma - a) - p * (mb - b)
+                    assert abs(change) <= q * ea + abs(p) * eb, (w, p, q)
 
     def test_u_window_segments_need_no_exact_fallback(self, monkeypatch):
         """The default u-window recheck decides every index on its
@@ -577,8 +675,8 @@ class TestFirstEscape:
             calls.append(max(x.bit_length() for x in w) > PREC)
             return products(*w)
 
-        products = certify._u_products
-        monkeypatch.setattr(certify, "_u_products", counted)
+        products = certify._window_products
+        monkeypatch.setattr(certify, "_window_products", counted)
         for name in ("binomial4", "motzkin"):
             rec = get(name).recurrence
             t = TermTable(rec)
@@ -591,6 +689,113 @@ class TestFirstEscape:
             calls.clear()
             assert first_escape(t, "none", c, c, 500, 500) is None
             assert calls == [False, True]
+
+
+def oracle_ratio_escape(table, scaling, g, f, lo, hi):
+    """The scaled ratio a(n)/a(n-1) between two evaluations, in Fraction
+    arithmetic; a zero a(n-1) or a pole of a bound is an escape."""
+    for n in range(lo, hi + 1):
+        prev, cur = table.values(n - 1, n)
+        try:
+            ratio = cur / prev / (n if scaling == "factorial" else 1)
+            inside = g.eval(n) <= ratio <= f.eval(n)
+        except ZeroDivisionError:
+            inside = False
+        if not inside:
+            return n
+    return None
+
+
+def ratio_escape(table, scaling, g, f, lo, hi):
+    return certify._escape(table, scaling, g, f, lo, hi, 2)
+
+
+def given_terms(vals):
+    """A table whose first terms are vals, continued by a(n+1) = a(n)."""
+    return TermTable(Recurrence([Poly([1]), Poly([1])], vals))
+
+
+def assert_same_ratio_escapes(table, scaling, g, f, lo, hi):
+    got = all_escapes(ratio_escape, table, scaling, g, f, lo, hi)
+    assert got == all_escapes(oracle_ratio_escape, table, scaling, g, f, lo, hi), (g, f)
+    return got
+
+
+# a(n-1) < 0 at n = 2 (a(n) < 0) and n = 3 (a(n) > 0), a(n-1) = 0 at n = 5
+SIGNED_TERMS = [2, -3, -5, 7, 0, 4, 6]
+RATIOS = {1: F(-3, 2), 2: F(5, 3), 3: F(-7, 5), 4: F(0), 6: F(3, 2)}
+BIG = 3**150  # windows past PREC bits take the truncated path
+
+
+class TestRatioEscape:
+    """The k = 2 scan of a(n)/a(n-1) on hand-built tables, each case
+    against the Fraction comparison."""
+
+    @pytest.mark.parametrize("scale", [1, BIG])
+    @pytest.mark.parametrize("n", sorted(RATIOS))
+    def test_bound_equal_to_the_ratio_is_inside(self, n, scale):
+        t = given_terms([v * scale for v in SIGNED_TERMS])
+        r = RatFunc.const(RATIOS[n])
+        assert ratio_escape(t, "none", r, r, n, n) is None
+        for eps in (F(1, 10**20), F(1, 10**50)):  # seen on the truncation, then only exactly
+            for g, f in ((r + eps, r + 1), (r - 1, r - eps)):
+                assert ratio_escape(t, "none", g, f, n, n) == n
+                assert oracle_ratio_escape(t, "none", g, f, n, n) == n
+        assert oracle_ratio_escape(t, "none", r, r, n, n) is None
+
+    @pytest.mark.parametrize("scale", [1, BIG])
+    def test_zero_previous_term_escapes(self, scale):
+        t = given_terms([v * scale for v in SIGNED_TERMS])
+        wide = RatFunc.const(-100), RatFunc.const(100)
+        assert ratio_escape(t, "none", *wide, 1, 7) == 5
+        assert all_escapes(ratio_escape, t, "none", *wide, 1, 7) == [5]
+        assert_same_ratio_escapes(t, "none", *wide, 1, 7)
+
+    def test_pole_of_the_lower_bound_escapes(self):
+        # g = -10 + 1/(n - 3): a pole at n = 3, a negative denominator below
+        t = given_terms(SIGNED_TERMS)
+        g, f = -10 + 1 / (X - 3), RatFunc.const(10)
+        assert all_escapes(ratio_escape, t, "none", g, f, 1, 7) == [3, 5]
+        assert_same_ratio_escapes(t, "none", g, f, 1, 7)
+
+    @pytest.mark.parametrize("scaling", ["none", "factorial"])
+    @pytest.mark.parametrize("scale", [1, BIG, F(1, 3**90)])
+    def test_moved_bounds_match_fraction_comparison(self, scale, scaling):
+        # entries past PREC bits of both signs, offsets below the
+        # truncation, and a rational table that windows clear to integers
+        vals = [v * scale + (k % 3 - 1) for k, v in enumerate(SIGNED_TERMS * 3)]
+        t = given_terms(vals)
+        escaped = inside = 0
+        for g, f in moved_windows(RatFunc.const(-2), RatFunc.const(2)):
+            for g2, f2 in ((g, f), (g - 1 / (X - 6), f), (g, f + (X - 12) / X)):
+                got = assert_same_ratio_escapes(t, scaling, g2, f2, 1, len(vals) - 1)
+                escaped += len(got)
+                inside += len(vals) - 1 - len(got)
+        assert escaped and inside
+
+
+def test_certificates_reach_no_series_operation(monkeypatch):
+    """Certify and verify take every window from grid arrays: with the
+    series operations made to fail in every module that binds them, both
+    certificate kinds are still built and verified."""
+    from turancert.asymptotics import series
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a series operation was reached")
+
+    for attr in ("shift_series", "binomial_power"):
+        original = getattr(series, attr)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get(attr) is original:
+                monkeypatch.setattr(module, attr, refused)
+    for attr in ("__mul__", "__rmul__", "truncate"):
+        monkeypatch.setattr(series.AsymSeries, attr, refused)
+    for name in ("motzkin", "binomial4"):
+        rec = get(name).recurrence
+        full = certify_turan3(rec, 4, "factorial", table=TermTable(rec))
+        window = certify_u_window(rec, 4, table=TermTable(rec))
+        for cert in (full, window):
+            assert verify_certificate(cert.to_json(), rec, TermTable(rec)) == (True, [])
 
 
 class TestRectangleLemma:

@@ -54,19 +54,22 @@ UNCALLED_BUT_KEPT = {
     "series_mul": "benchmark tracing: the series-layer product it times",
     "series_inv": "benchmark tracing times it by name; the tests' u-series oracle inverts with it",
     "residual": "benchmark workload: the Fraction residual that checks long term runs",
+    "get": "the tests' corpus lookup; its KeyError lists the known names",
+    "shift_series": "benchmark tracing times it by name; the tests' oracles shift with it",
 }
 
 
 def _names(node: ast.AST, classes=frozenset()) -> Counter:
-    """How often each identifier is read, as a name or as an attribute.
-    A read of C.attr, C one of `classes`, counts toward "C.attr" only."""
+    """How often each identifier is read: a bare read of x counts toward
+    "x", an attribute read y.x toward ".x", and a read of C.x, C one of
+    `classes`, toward "C.x" only."""
     out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
             out[n.id] += 1
         elif isinstance(n, ast.Attribute):
             through_class = isinstance(n.value, ast.Name) and n.value.id in classes
-            out[f"{n.value.id}.{n.attr}" if through_class else n.attr] += 1
+            out[f"{n.value.id}.{n.attr}" if through_class else f".{n.attr}"] += 1
     return out
 
 
@@ -85,8 +88,11 @@ def _definitions(tree: ast.Module):
 def uncalled(sources: dict) -> list:
     """(module, qualified name) of each definition that no code outside its
     own body names.  Import lists and __all__ strings are not references.
-    A method C.m is named by a bare read of m or by a read of C.m; a read of
-    D.m through another class D of the package does not name it."""
+    A module-level function f is named only by a bare read of f: the
+    package imports every function it calls by name, so a read of x.f is
+    some other f.  A method C.m is named by a bare read of m, by an
+    attribute read x.m or by a read of C.m; a read of D.m through another
+    class D of the package does not name it."""
     trees = {module: ast.parse(src) for module, src in sources.items()}
     classes = {
         node.name
@@ -97,7 +103,9 @@ def uncalled(sources: dict) -> list:
     used = sum((_names(tree, classes) for tree in trees.values()), Counter())
 
     def reads(counts, qual, name):
-        return counts[name] + (counts[qual] if qual != name else 0)
+        if qual == name:
+            return counts[name]
+        return counts[name] + counts[f".{name}"] + counts[qual]
 
     return sorted(
         (module, qual)
@@ -116,8 +124,10 @@ def test_dead_code_detector():
         "c": "class P:\n    def var(self):\n        pass\n"
         "class R:\n    def var(self):\n        pass\n    def w(self):\n        pass\n"
         "y = R.var() + R().w()\n",
+        # get is read only as an attribute of a dict, so it is dead
+        "d": "def get(name):\n    return name\nz = {}.get(1)\n",
     }
-    assert uncalled(sources) == [("a", "K.m"), ("a", "dead"), ("c", "P.var")]
+    assert uncalled(sources) == [("a", "K.m"), ("a", "dead"), ("c", "P.var"), ("d", "get")]
 
 
 def test_every_function_is_called_or_kept():

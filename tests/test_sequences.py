@@ -843,15 +843,15 @@ def test_form_sign_floors_negative_entries():
 def test_form_sign_mixed_denominators(form, direct, k):
     w = _geometric(F(3**5000, 7**40), F(-(5**300), 11**250), k)
     assert len({x.denominator for x in w}) == k
-    assert _form_sign(form, w) == direct(w) == 0
+    assert _form_sign(form, _integer_window(w)[0]) == direct(w) == 0
     for slot in range(k):
         v = list(w)
         v[slot] += F(1, 13**slot * 2**900)
-        assert _form_sign(form, v) == direct(v)
+        assert _form_sign(form, _integer_window(v)[0]) == direct(v)
     rng = random.Random(7)
     for _ in range(40):
         v = [F(rng.getrandbits(4000) - (1 << 3999), rng.getrandbits(300) + 1) for _ in range(k)]
-        assert _form_sign(form, v) == direct(v)
+        assert _form_sign(form, _integer_window(v)[0]) == direct(v)
 
 
 @pytest.mark.parametrize("form, direct, k", FORMS)
@@ -871,7 +871,7 @@ def test_form_sign_filter_decides_term_windows():
     table = TermTable(corpus.get("apery").recurrence)
     w = table.values(399, 402)
     traced, seen = _filtered(_turan3_form, w)
-    assert _form_sign(traced, w) == _t3_direct(w)
+    assert _form_sign(traced, _integer_window(w)[0]) == _t3_direct(w)
     assert seen == ["truncated"]
 
 
