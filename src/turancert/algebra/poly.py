@@ -11,9 +11,10 @@ them by one positive integer, the lcm of their denominators, and lists
 their coefficients highest degree first; `_integer_window` does the same
 for a window of rationals: `sequences.windows` builds every term window
 of an exact scan with it.  A positive scale keeps every sign and zero, so
-the term stepper, the bounds that `certify` compares with u_n
-(`first_escape`) and with a(n)/a(n-1) (the ratio base window), the corpus
-residual check and the Sturm layer run on these lists by `_horner`.
+the term stepper, the certificate bounds that `sequences` compares with
+u_n (`first_escape`) and with a(n)/a(n-1) (`_escape`, for the ratio base
+window), the corpus residual check and the Sturm layer run on these lists
+by `_horner`.
 Products of rational polynomials are its second user: each factor is
 cleared by `_integer_window`, the integer lists are convolved, and the
 result is divided by the two scales once (1 for `RatFunc` normal forms);

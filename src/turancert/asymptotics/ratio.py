@@ -13,11 +13,12 @@ Correction coefficients of v are solved stage by stage, online, by the
 triangular coefficient recurrence of Wimp & Zeilberger (1985); a solve
 that adds stages then rebuilds every residual slot from the final
 coefficients by whole-array products, and each slot must be exactly 0.
-`u_expansion` runs on the same arrays.  An `AsymSeries` is built only at
-the edges: the v of a `RatioExpansion` and the u-series returned.  Every
-candidate branch must pass an empirical ratio check on exact terms before
-it is accepted (wrong branches miss by orders of magnitude, so loose
-float thresholds are safe; no exactness claim rests on the check).
+`u_grid` runs on the same arrays.  An `AsymSeries` is built only on
+demand, by `_grid_series`: the v of a `RatioExpansion` and the u-series
+of `u_expansion`.  Every candidate branch must pass an empirical ratio
+check on exact terms before it is accepted (wrong branches miss by orders
+of magnitude, so loose float thresholds are safe; no exactness claim
+rests on the check).
 """
 
 from __future__ import annotations
@@ -52,9 +53,13 @@ class RatioExpansion:
     lam_poly: Optional[Poly]
     mu: Fraction
     rho: int
-    v: AsymSeries
     coeffs: list
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def v(self) -> AsymSeries:
+        """v as a series, to the error order (T + 1)/rho, built on each read."""
+        return _grid_series([Fraction(1)] + self.coeffs, self.rho)
 
     def growth_record(self) -> dict:
         rec: dict = {
@@ -185,6 +190,11 @@ def _shifted(cs: list, rho: int, j: int, T: int, rows: dict) -> list:
         if c:
             _add_shifted(row, c, i, j, rho, rows)
     return row
+
+
+def _grid_series(a: list, rho: int) -> AsymSeries:
+    """The grid array a as a series, to its error order len(a)/rho."""
+    return AsymSeries([(Fraction(k, rho), c) for k, c in enumerate(a)], Fraction(len(a), rho))
 
 
 def _terms(a: list) -> list:
@@ -429,11 +439,6 @@ def ratio_expansion(
             except _Resonance as res:
                 entry["status"] = f"resonance at stage {res.stage} with rho={rho_try}"
                 continue
-            v = AsymSeries(
-                [(Fraction(0), 1)]
-                + [(Fraction(i, rho_try), c) for i, c in enumerate(cs, start=1)],
-                Fraction(T + 1, rho_try),
-            )
             res40, res80 = _empirical_residuals(table, lamf, mu, rho_try, st.floats[:T])
             entry["residuals"] = (res40, res80)
             if res80 < 1e-3 and res80 <= 0.75 * res40 + 1e-12:
@@ -444,7 +449,6 @@ def ratio_expansion(
                     lam_poly=lam_poly,
                     mu=mu,
                     rho=rho_try,
-                    v=v,
                     coeffs=cs,
                     diagnostics=diagnostics,
                 )
@@ -461,9 +465,10 @@ def ratio_expansion(
 # -- induced expansions ----------------------------------------------------------
 
 
-def u_expansion(rx: RatioExpansion, scaling: str = "none") -> AsymSeries:
-    """u_n = a(n-1)a(n+1)/a(n)^2 = r(n)/r(n-1) = (1 - 1/n)^(-mu) v(n)/v(n-1),
-    on grid arrays to v's error order; factorial scaling multiplies by
+def u_grid(rx: RatioExpansion, scaling: str = "none") -> list:
+    """u_n = a(n-1)a(n+1)/a(n)^2 = r(n)/r(n-1) = (1 - 1/n)^(-mu) v(n)/v(n-1)
+    as a grid array of T + 1 entries, T = len(rx.coeffs), entry k the
+    coefficient of n^(-k/rho); factorial scaling multiplies by
     n/(n+1) = (1 + 1/n)^(-1)."""
     check_scaling(scaling)
     rho, cs = rx.rho, rx.coeffs
@@ -472,4 +477,9 @@ def u_expansion(rx: RatioExpansion, scaling: str = "none") -> AsymSeries:
     u = _mul(u, _inv(_shifted(cs, rho, -1, T, {})))
     if scaling == "factorial":
         u = _mul(u, _binomial_row(1, Fraction(-1), rho, T))
-    return AsymSeries([(Fraction(k, rho), c) for k, c in enumerate(u)], rx.v.error_order)
+    return u
+
+
+def u_expansion(rx: RatioExpansion, scaling: str = "none") -> AsymSeries:
+    """`u_grid` as a series, to v's error order (T + 1)/rho."""
+    return _grid_series(u_grid(rx, scaling), rx.rho)

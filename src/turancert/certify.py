@@ -34,17 +34,16 @@ from .algebra import (
     rationalize,
     sign_at_infinity,
 )
-from .algebra.poly import _horner, _integer_coeffs
-from .asymptotics import RatioExpansion, ratio_expansion, u_expansion
-from .asymptotics.ratio import _binomial_row, _mul, _shifted
+from .asymptotics import RatioExpansion, ratio_expansion
+from .asymptotics.ratio import _binomial_row, _mul, _shifted, u_grid
 from .render import frac_str, ratfunc_to_json
 from .sequences import (
-    PREC,
     Recurrence,
     TermTable,
+    _escape,
     check_inequality_range,
     check_scaling,
-    windows,
+    first_escape,
 )
 
 BASE_SCAN_BUDGET = 10000
@@ -204,38 +203,26 @@ class UBounds:
     kept: dict
 
 
-def u_bound_functions(u_series, order: int):
-    """Window functions from a u-expansion: kept terms, rounded outward.
+def u_bound_functions(u: list, order: int):
+    """Window functions from the u-grid of an expansion on the integer grid
+    (`u_grid`, entry k the coefficient of n^-k): kept terms, rounded outward.
 
-    Keeps correction terms with exponent strictly below order-1, rounds
-    their coefficients outward to denominators at most 10^6, and adds a
-    unit slack at the last kept exponent (or at order-1 if none is kept).
+    Keeps the nonzero entries 0 < k < order-1, rounds them outward to
+    denominators at most 10^6, and adds a unit slack at the last kept
+    exponent (or at order-1 if none is kept).
     """
-    cut = Fraction(order - 1)
-    kept_lo: list = []
-    kept_hi: list = []
-    last_exp = None
-    for e, c in u_series.terms:
-        if e == 0 or e >= cut:
-            continue
-        if not c.is_constant():
-            raise CertifyError("u-series has non-constant coefficients")
-        val = c.constant_value()
-        kept_lo.append((e, rationalize(val, "down")))
-        kept_hi.append((e, rationalize(val, "up")))
-        last_exp = e
-    slack_exp = last_exp if last_exp is not None else cut
-    if slack_exp.denominator != 1:
-        raise CertifyError("u-window needs integer exponents")
+    kept = {
+        Fraction(k): (rationalize(c, "down"), rationalize(c, "up"))
+        for k, c in enumerate(u[: order - 1])
+        if k and c
+    }
+    slack_exp = max(kept, default=Fraction(order - 1))
 
-    def build(parts, slack_sign):
-        terms = [(0, 1)] + [(-int(e), dcoef) for e, dcoef in parts]
+    def build(side, slack_sign):
+        terms = [(0, 1)] + [(-int(e), pair[side]) for e, pair in kept.items()]
         return RatFunc.laurent(terms + [(-int(slack_exp), slack_sign)])
 
-    g = build(kept_lo, -1)
-    f = build(kept_hi, +1)
-    kept = {e: (lo, hi) for (e, lo), (_, hi) in zip(kept_lo, kept_hi)}
-    return g, f, Fraction(slack_exp), kept
+    return build(0, -1), build(1, +1), slack_exp, kept
 
 
 def certify_u_bounds(
@@ -255,8 +242,7 @@ def certify_u_bounds(
     if (rec, order) not in table.u_bounds:
         rx = ratio_expansion(rec, order, table=table)
         rb = certify_ratio_bounds(rec, order, table=table, rx=rx)
-        u_series = u_expansion(rx, scaling="none")
-        g, f, slack_exp, kept = u_bound_functions(u_series, order)
+        g, f, slack_exp, kept = u_bound_functions(u_grid(rx), order)
 
         hi = f - rb.upper.shift(1) / rb.lower
         lo = rb.lower.shift(1) / rb.upper - g
@@ -276,64 +262,6 @@ def scaled_bounds(ub: UBounds, scaling: str) -> UBounds:
         return ub
     factor = RatFunc(Poly([0, 1]), Poly([1, 1]))
     return replace(ub, lower=ub.lower * factor, upper=ub.upper * factor)
-
-
-def first_escape(
-    table: TermTable, scaling: str, g: RatFunc, f: RatFunc, lo: int, hi: int
-) -> Optional[int]:
-    """First n in [lo, hi] with u_n outside [g(n), f(n)], or None (`_escape`
-    with k = 3)."""
-    return _escape(table, scaling, g, f, lo, hi, 3)
-
-
-def _escape(
-    table: TermTable, scaling: str, g: RatFunc, f: RatFunc, lo: int, hi: int, k: int
-) -> Optional[int]:
-    """First n in [lo, hi] with Q_n = x[0] x[-1] / x[-2]^2 outside
-    [g(n), f(n)], or None, for x the integer window of a(n-1..n+k-2) from
-    `sequences.windows`: Q_n is a(n)/a(n-1) for k = 2 (A = x0 x1, B = x0^2)
-    and u_n for k = 3 (A = x0 x2, B = x1^2).  The window is closed and
-    decided exactly: g and f become integer coefficients once, each bound
-    is p/q at n by integer Horner with q > 0, and Q_n - p/q has the sign of
-    q A - p B.  As in `sequences._form_sign`, x / 2^s = t + delta for
-    t = x >> s, each delta in [0, 1), so q A - p B at t moves by at most
-    q(|t[0]| + |t[-1]| + 1) + |p|(2|t[-2]| + 1) (`_window_products`); a
-    bound is decided on t when its value there exceeds that radius in size,
-    and A, B are multiplied out exactly only when one is not.  A pole of g
-    or f (q = 0), or x[-2] = 0, which leaves Q_n undefined, counts as an
-    escape.  Terms are filled lazily: checking n needs a(n+k-2) and nothing
-    beyond it.
-    """
-    (gp, gq), (fp, fq) = (_integer_coeffs((r.num, r.den)) for r in (g, f))
-    for n, (xs, _, _) in enumerate(windows(table, lo - 1, hi - 1, k, scaling), lo):
-        x0, x1, x2 = xs[0], xs[-2], xs[-1]
-        lp, lq, up, uq = _horner(gp, n), _horner(gq, n), _horner(fp, n), _horner(fq, n)
-        if not (x1 and lq and uq):
-            return n
-        if lq < 0:
-            lp, lq = -lp, -lq
-        if uq < 0:
-            up, uq = -up, -uq
-        s = max(x0.bit_length(), x1.bit_length(), x2.bit_length()) - PREC
-        if s > 0:
-            a, b, ea, eb = _window_products(x0 >> s, x1 >> s, x2 >> s)
-            lv, lr = lq * a - lp * b, lq * ea + abs(lp) * eb
-            uv, ur = uq * a - up * b, uq * ea + abs(up) * eb
-            if lv < -lr or uv > ur:  # Q_n < g(n) or Q_n > f(n) on t alone
-                return n
-            if lv > lr and uv < -ur:
-                continue
-        a, b, _, _ = _window_products(x0, x1, x2)
-        if lq * a < lp * b or uq * a > up * b:
-            return n
-    return None
-
-
-def _window_products(w0: int, w1: int, w2: int) -> tuple:
-    """A = w0 w2 and B = w1^2 for the entries x[0], x[-2], x[-1] of a
-    window, each with a radius that bounds how far it moves when every
-    entry grows by some delta in [0, 1); for k = 2, w0 and w1 are one entry."""
-    return w0 * w2, w1 * w1, abs(w0) + abs(w2) + 1, 2 * abs(w1) + 1
 
 
 # -- corner polynomials and the certificate ------------------------------------

@@ -20,13 +20,12 @@ from .certify import (
     certify_turan3,
     certify_u_bounds,
     corner_polynomial,
-    first_escape,
     scaled_bounds,
     turan_form,
 )
 from .corpus import ENTRIES, CorpusEntry
 from .criteria import llogconcave_verdict, turan3_verdict
-from .sequences import TermTable, check_inequality_range, turan3_sign, u_value
+from .sequences import TermTable, check_inequality_range, first_escape, turan3_sign, u_value
 
 
 class CheckResult(NamedTuple):

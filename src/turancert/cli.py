@@ -148,9 +148,10 @@ def cmd_ratio_asymp(args) -> int:
     lines.append(f"mu = {growth['mu']}")
     if rx.rho != 1:
         lines.append(f"exponent grid: multiples of 1/{rx.rho}")
-    lines.append(f"v(n) = {series_to_text(rx.v)}")
+    v = rx.v
+    lines.append(f"v(n) = {series_to_text(v)}")
     _emit(args, lines, {"name": _display_name(rec), "growth": growth,
-                        "series": series_to_json(rx.v)})
+                        "series": series_to_json(v)})
     return EXIT_OK
 
 

@@ -335,9 +335,3 @@ _add(
         },
     )
 )
-
-
-def get(name: str) -> CorpusEntry:
-    if name not in ENTRIES:
-        raise KeyError(f"unknown corpus entry {name!r}; have {sorted(ENTRIES)}")
-    return ENTRIES[name]

@@ -123,6 +123,19 @@ def _lin_add(a: _Lin, b: _Lin, sign: int) -> _Lin:
     return _Lin(a.scalar + (b.scalar if sign > 0 else -b.scalar), terms)
 
 
+def _operator_terms(a: _Lin) -> dict:
+    """The N-polynomial of an operator-mode value: its scalar part is the
+    N^0 coefficient."""
+    terms = dict(a.terms)
+    if not a.scalar.is_zero():
+        w = terms.get(0, _ZERO) + a.scalar
+        if w.is_zero():
+            terms.pop(0, None)
+        else:
+            terms[0] = w
+    return terms
+
+
 class _Parser:
     def __init__(self, text: str, operator_mode: bool):
         self.text = text
@@ -271,13 +284,10 @@ class _Parser:
         if a.is_scalar:
             s = a.scalar
             return b.map_terms(lambda r: s * r)
-        if b.is_scalar:
-            if self.op_mode and not b.scalar.is_constant():
-                # fall through to the Ore product with b as an N^0 operator
-                pass
-            else:
-                s = b.scalar
-                return a.map_terms(lambda r: r * s)
+        # in operator mode a non-constant b is an N^0 operator for the Ore product
+        if b.is_scalar and (not self.op_mode or b.scalar.is_constant()):
+            s = b.scalar
+            return a.map_terms(lambda r: r * s)
         if not self.op_mode:
             raise ParseError(
                 "products of sequence terms are not supported; "
@@ -285,13 +295,8 @@ class _Parser:
                 pos,
             )
         out: dict[int, RatFunc] = {}
-        a_terms = dict(a.terms)
-        if not a.scalar.is_zero():
-            a_terms[0] = a_terms.get(0, _ZERO) + a.scalar
-        b_terms = dict(b.terms)
-        if not b.scalar.is_zero():
-            b_terms[0] = b_terms.get(0, _ZERO) + b.scalar
-        for k, q in a_terms.items():
+        b_terms = _operator_terms(b)
+        for k, q in _operator_terms(a).items():
             for j, r in b_terms.items():
                 w = out.get(k + j, _ZERO) + q * r.shift(k)
                 if w.is_zero():
@@ -394,15 +399,8 @@ def _parse(text: str, name: str, operator_mode: bool) -> Recurrence:
         lin = lhs
     else:
         raise ParseError("expected '=' in the relation", p.peek().pos)
-    if operator_mode and not lin.scalar.is_zero():
-        # the plain part of an operator polynomial is its N^0 coefficient
-        terms = dict(lin.terms)
-        w = terms.get(0, _ZERO) + lin.scalar
-        if w.is_zero():
-            terms.pop(0, None)
-        else:
-            terms[0] = w
-        lin = _Lin(terms=terms)
+    if operator_mode:
+        lin = _Lin(terms=_operator_terms(lin))
     inits: list[Fraction] = []
     if p.peek().kind == ";":
         p.next()

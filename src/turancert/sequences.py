@@ -63,16 +63,18 @@ Every finite check on the terms is the sign of a homogeneous form on a
 window of consecutive terms, taken on a(n) or on a(n)/n!.  `windows` is
 the one builder of those windows: integers, scaled on integers and filled
 one window at a time, yielded with the positive denominator they stand
-over and, apart from it, the factorial that `factorial` multiplies it by;
-only `phi_values` reads those two.  A window slides from the one before,
-keeping k-1 integers, whenever the entering denominator is a multiple of
-the last lcm, as it always is for integer terms.  `FORMS` names each
-scanned form with its window length; `check_inequality_range` scans one, `turan3_sign` and
-`logconcave_sign` are one-window scans, `phi_values` iterates phi on the
-windows, and `certify` compares a quotient of terms with bounds p/q on
-them: u_n by the form q a(n-1)a(n+1) - p a(n)^2 (`first_escape`), and
-a(n)/a(n-1) by q a(n-1)a(n) - p a(n-1)^2 over the base window of the
-ratio induction.
+over.  Only `phi_values` reads that denominator, and only it needs the
+factorial the `factorial` scaling divides by, which it steps itself.  A
+window slides from the one before, keeping k-1 integers, whenever the
+entering denominator is a multiple of the last lcm, as it always is for
+integer terms.  `FORMS`
+names each scanned form with its window length; `check_inequality_range`
+scans one, `turan3_sign` and `logconcave_sign` are one-window scans,
+`phi_values` iterates phi on the windows, and `_escape` compares a
+quotient of terms with bounds p/q on them for `certify`: u_n by the form
+q a(n-1)a(n+1) - p a(n)^2 (`first_escape`), and a(n)/a(n-1) by
+q a(n-1)a(n) - p a(n-1)^2 over the base window of the ratio induction.
+No other module reads `PREC` or calls `windows`.
 
 A homogeneous form keeps its sign when the window is multiplied by a
 positive number, so a sign needs no denominator.  `_form_sign` takes the
@@ -102,7 +104,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .algebra import Poly
+from .algebra import Poly, RatFunc
 from .algebra.poly import _horner, _integer_coeffs, _integer_window
 
 CACHE_MAGIC = b"TCTERMS2"
@@ -466,17 +468,75 @@ def _form_sign(form: Callable, xs: Sequence[int]) -> int:
     return (val > 0) - (val < 0)
 
 
+def first_escape(
+    table: TermTable, scaling: str, g: RatFunc, f: RatFunc, lo: int, hi: int
+) -> Optional[int]:
+    """First n in [lo, hi] with u_n outside [g(n), f(n)], or None (`_escape`
+    with k = 3)."""
+    return _escape(table, scaling, g, f, lo, hi, 3)
+
+
+def _escape(
+    table: TermTable, scaling: str, g: RatFunc, f: RatFunc, lo: int, hi: int, k: int
+) -> Optional[int]:
+    """First n in [lo, hi] with Q_n = x[0] x[-1] / x[-2]^2 outside
+    [g(n), f(n)], or None, for x the integer window of a(n-1..n+k-2) from
+    `windows`: Q_n is a(n)/a(n-1) for k = 2 (A = x0 x1, B = x0^2) and u_n
+    for k = 3 (A = x0 x2, B = x1^2).  The window is closed and decided
+    exactly: g and f become integer coefficients once, each bound is p/q at
+    n by integer Horner with q > 0, and Q_n - p/q has the sign of
+    q A - p B.  As in `_form_sign`, x / 2^s = t + delta for t = x >> s,
+    each delta in [0, 1), so q A - p B at t moves by at most
+    q(|t[0]| + |t[-1]| + 1) + |p|(2|t[-2]| + 1) (`_window_products`); a
+    bound is decided on t when its value there exceeds that radius in size,
+    and A, B are multiplied out exactly only when one is not.  A pole of g
+    or f (q = 0), or x[-2] = 0, which leaves Q_n undefined, counts as an
+    escape.  Terms are filled lazily: checking n needs a(n+k-2) and nothing
+    beyond it.
+    """
+    (gp, gq), (fp, fq) = (_integer_coeffs((r.num, r.den)) for r in (g, f))
+    for n, (xs, _) in enumerate(windows(table, lo - 1, hi - 1, k, scaling), lo):
+        x0, x1, x2 = xs[0], xs[-2], xs[-1]
+        lp, lq, up, uq = _horner(gp, n), _horner(gq, n), _horner(fp, n), _horner(fq, n)
+        if not (x1 and lq and uq):
+            return n
+        if lq < 0:
+            lp, lq = -lp, -lq
+        if uq < 0:
+            up, uq = -up, -uq
+        s = max(x0.bit_length(), x1.bit_length(), x2.bit_length()) - PREC
+        if s > 0:
+            a, b, ea, eb = _window_products(x0 >> s, x1 >> s, x2 >> s)
+            lv, lr = lq * a - lp * b, lq * ea + abs(lp) * eb
+            uv, ur = uq * a - up * b, uq * ea + abs(up) * eb
+            if lv < -lr or uv > ur:  # Q_n < g(n) or Q_n > f(n) on t alone
+                return n
+            if lv > lr and uv < -ur:
+                continue
+        a, b, _, _ = _window_products(x0, x1, x2)
+        if lq * a < lp * b or uq * a > up * b:
+            return n
+    return None
+
+
+def _window_products(w0: int, w1: int, w2: int) -> tuple:
+    """A = w0 w2 and B = w1^2 for the entries x[0], x[-2], x[-1] of a
+    window, each with a radius that bounds how far it moves when every
+    entry grows by some delta in [0, 1); for k = 2, w0 and w1 are one entry."""
+    return w0 * w2, w1 * w1, abs(w0) + abs(w2) + 1, 2 * abs(w1) + 1
+
+
 def windows(
     table: TermTable, lo: int, hi: int, k: int, scaling: str = "none"
-) -> Iterator[tuple[list[int], int, int]]:
-    """Yield (xs, den, f) for each window a(i..i+k-1), i = lo..hi, scaled.
+) -> Iterator[tuple[list[int], int]]:
+    """Yield (xs, den) for each window a(i..i+k-1), i = lo..hi, scaled.
 
-    xs are integers and den, f > 0, with the scaled term at i+j equal to
-    xs[j] / (den f): a(i+j) itself, or a(i+j)/(i+j)! under `factorial`.
-    den is the lcm of the window's denominators.  Under `factorial` the
-    cleared window is multiplied by (i+k-1)!/(i+j)!, a product of small
-    ints, and f = (i+k-1)!, one factor more per step; under `none` f = 1.
-    A sign scan reads xs only, so den f is never multiplied out here.
+    xs are integers and den > 0, with the scaled term at i+j equal to
+    xs[j] / (den f): a(i+j) itself with f = 1, or a(i+j)/(i+j)! under
+    `factorial` with f = (i+k-1)!.  den is the lcm of the window's
+    denominators.  Under `factorial` the cleared window is multiplied by
+    (i+k-1)!/(i+j)!, a product of small ints; f itself is left to the
+    caller, since a sign scan reads xs only.
 
     The window at i slides from the one at i-1 when the entering term's
     denominator d is a multiple m den of the last den: d is the new lcm,
@@ -502,12 +562,9 @@ def windows(
     if hi < lo:
         return
     xs, den = cleared(lo, table.values(lo, lo + k - 1))
-    f = math.factorial(lo + k - 1) if factorial else 1  # (i + k - 1)!
-    yield xs, den, f
+    yield xs, den
     for i in range(lo + 1, hi + 1):
         vals = table.values(i, i + k - 1)
-        if factorial:
-            f *= i + k - 1
         m, r = divmod(vals[-1].denominator, den)
         if r:
             xs, den = cleared(i, vals)
@@ -517,7 +574,7 @@ def windows(
                 m *= i + k - 1
             xs = [x * m for x in xs[1:]] if m > 1 else xs[1:]
             xs.append(vals[-1].numerator)
-        yield xs, den, f
+        yield xs, den
 
 
 # predicate -> (window length, form giving (value, radius)); the window at n
@@ -544,12 +601,12 @@ def check_inequality_range(
         raise ValueError(f"the window at n = {lo} needs a({lo - 1}); scans start at n = 1")
     k, form = FORMS[predicate]
     scan = windows(table, lo - 1, hi - 1, k, scaling)
-    return [n for n, (xs, _, _) in enumerate(scan, lo) if _form_sign(form, xs) <= 0]
+    return [n for n, (xs, _) in enumerate(scan, lo) if _form_sign(form, xs) <= 0]
 
 
 def _sign_at(predicate: str, table: TermTable, n: int, scaling: str) -> int:
     k, form = FORMS[predicate]
-    ((xs, _, _),) = windows(table, n - 1, n - 1, k, scaling)
+    ((xs, _),) = windows(table, n - 1, n - 1, k, scaling)
     return _form_sign(form, xs)
 
 
@@ -572,18 +629,22 @@ def phi_values(
     Fractions; the `factorial` scaling divides a(n) by n! before the first
     level.  The value at n depends on the window a(n..n+2 level) only: phi
     is iterated on its integers xs from `windows`, without a gcd, and the
-    result N / (den f)^(2^level) is reduced once at the end: each prime N
-    shares with (den f)^(2^level) divides g = gcd(N, den f), so dividing
-    both by g, then by the part of g they still share, until that is 1,
-    leaves them coprime.
+    result N / (den f)^(2^level), with f = (n + 2 level)! under `factorial`
+    and f = 1 otherwise, is reduced once at the end: each prime N shares
+    with (den f)^(2^level) divides g = gcd(N, den f), so dividing both by
+    g, then by the part of g they still share, until that is 1, leaves
+    them coprime.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
     if lo < 0:
         raise ValueError(f"phi values from n = {lo} need a({lo}); indices start at 0")
     out = []
-    for xs, den, f in windows(table, lo, hi, 2 * level + 1, scaling):
-        den *= f
+    k, f = 2 * level + 1, 1
+    for n, (xs, den) in enumerate(windows(table, lo, hi, k, scaling), lo):
+        if scaling == "factorial":  # f = (n + k - 1)!, one factor more per step
+            f = f * (n + k - 1) if n > lo else math.factorial(n + k - 1)
+            den *= f
         for _ in range(level):
             xs = [xs[i + 1] * xs[i + 1] - xs[i] * xs[i + 2] for i in range(len(xs) - 2)]
         num, g = xs[0], math.gcd(xs[0], den)

@@ -17,6 +17,8 @@ trying every start in `Fraction` arithmetic.
 
 On truncated windows: random PREC-bit truncations and the random fractional
 parts that the truncation drops, for the radius tests of the sign forms.
+
+On the corpus: lookup of an entry by name.
 """
 
 from __future__ import annotations
@@ -33,7 +35,15 @@ from turancert.asymptotics import (
     series_inv,
     shift_series,
 )
+from turancert.corpus import ENTRIES, CorpusEntry
 from turancert.sequences import PREC, Recurrence
+
+
+def get(name: str) -> CorpusEntry:
+    """The corpus entry `name`; a KeyError lists the known names."""
+    if name not in ENTRIES:
+        raise KeyError(f"unknown corpus entry {name!r}; have {sorted(ENTRIES)}")
+    return ENTRIES[name]
 
 
 def eval_exact(s: AsymSeries, n: int):

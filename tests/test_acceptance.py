@@ -30,7 +30,7 @@ from turancert.asymptotics import (
 from turancert.certify import certify_u_bounds, corner_polynomial
 from turancert.checks import window_functions
 from turancert.cli import main as cli_main
-from turancert.corpus import ENTRIES, get
+from turancert.corpus import ENTRIES
 from turancert.criteria import (
     llc_level_coefficients,
     llogconcave_asymptotic,
@@ -39,6 +39,8 @@ from turancert.criteria import (
     turan3_verdict,
 )
 from turancert.sequences import TermTable, phi_values, u_value
+
+from oracles import get
 
 
 def rf(num, den=(1,)) -> RatFunc:

@@ -34,11 +34,11 @@ from turancert.asymptotics.ratio import (
     _solve_stages,
     _Stages,
 )
-from turancert.corpus import ENTRIES, get
+from turancert.corpus import ENTRIES
 from turancert.parser import parse_recurrence
 from turancert.sequences import Recurrence, TermTable, phi_values, u_value
 
-from oracles import eval_exact, phi_u_expansion, series_residual, series_u_expansion
+from oracles import eval_exact, get, phi_u_expansion, series_residual, series_u_expansion
 
 L = RatFunc.variable()
 
@@ -453,8 +453,7 @@ def _expansion_view(rx) -> tuple:
 
 def _stage_expansion(lam, mu, rho, cs) -> RatioExpansion:
     """A RatioExpansion from solved stages, without the exact-term check."""
-    v = AsymSeries([(F(0), 1)] + [(F(i, rho), c) for i, c in enumerate(cs, start=1)], F(len(cs) + 1, rho))
-    return RatioExpansion(lam=lam, lam_poly=None, mu=mu, rho=rho, v=v, coeffs=cs)
+    return RatioExpansion(lam=lam, lam_poly=None, mu=mu, rho=rho, coeffs=cs)
 
 
 def _slot_value(f: AsymSeries, exp: F):

@@ -10,7 +10,8 @@ from fractions import Fraction as F
 import pytest
 
 from turancert.algebra import Poly, RatFunc, eventual_positivity_threshold
-from turancert.asymptotics import ratio_expansion, u_expansion
+from turancert.asymptotics import ratio_expansion
+from turancert.asymptotics.ratio import u_grid
 from turancert.certify import (
     CertifyError,
     CornerError,
@@ -20,17 +21,16 @@ from turancert.certify import (
     certify_u_window,
     corner_polynomial,
     corner_suite,
-    first_escape,
     scaled_bounds,
     turan_form,
     u_bound_functions,
     verify_certificate,
 )
-from turancert import certify, checks
-from turancert.corpus import ENTRIES, get
-from turancert.sequences import PREC, Recurrence, TermTable, u_value
+from turancert import certify, checks, sequences
+from turancert.corpus import ENTRIES
+from turancert.sequences import PREC, Recurrence, TermTable, first_escape, u_value
 
-from oracles import random_deltas, random_truncation, ratio_base_reference, series_ratio_windows
+from oracles import get, random_deltas, random_truncation, ratio_base_reference, series_ratio_windows
 
 
 def rf(num, den=(1,)) -> RatFunc:
@@ -244,8 +244,7 @@ class TestUBounds:
 
     def test_bound_functions_keep_rule(self):
         rec = get("motzkin").recurrence
-        u = u_expansion(ratio_expansion(rec, 6))
-        g, f, slack_exp, kept = u_bound_functions(u, 6)
+        g, f, slack_exp, kept = u_bound_functions(u_grid(ratio_expansion(rec, 6)), 6)
         # order 6 keeps exponents 2, 3, 4 and puts the slack at 4
         assert sorted(kept) == [F(2), F(3), F(4)]
         assert slack_exp == 4
@@ -656,12 +655,12 @@ class TestFirstEscape:
         for k in (3, 2):
             for _ in range(400):
                 w = random_truncation(rng, k)
-                a, b, ea, eb = certify._window_products(w[0], w[-2], w[-1])
+                a, b, ea, eb = sequences._window_products(w[0], w[-2], w[-1])
                 assert (a, b) == ((w[0] * w[2], w[1] ** 2) if k == 3 else (w[0] * w[1], w[0] ** 2))
                 for _ in range(5):
                     p, q = rng.randint(-(10**12), 10**12), rng.randint(1, 10**12)
                     moved = [x + d for x, d in zip(w, random_deltas(rng, k))]
-                    ma, mb, _, _ = certify._window_products(moved[0], moved[-2], moved[-1])
+                    ma, mb, _, _ = sequences._window_products(moved[0], moved[-2], moved[-1])
                     change = q * (ma - a) - p * (mb - b)
                     assert abs(change) <= q * ea + abs(p) * eb, (w, p, q)
 
@@ -675,8 +674,8 @@ class TestFirstEscape:
             calls.append(max(x.bit_length() for x in w) > PREC)
             return products(*w)
 
-        products = certify._window_products
-        monkeypatch.setattr(certify, "_window_products", counted)
+        products = sequences._window_products
+        monkeypatch.setattr(sequences, "_window_products", counted)
         for name in ("binomial4", "motzkin"):
             rec = get(name).recurrence
             t = TermTable(rec)
@@ -707,7 +706,7 @@ def oracle_ratio_escape(table, scaling, g, f, lo, hi):
 
 
 def ratio_escape(table, scaling, g, f, lo, hi):
-    return certify._escape(table, scaling, g, f, lo, hi, 2)
+    return sequences._escape(table, scaling, g, f, lo, hi, 2)
 
 
 def given_terms(vals):
@@ -796,6 +795,25 @@ def test_certificates_reach_no_series_operation(monkeypatch):
         window = certify_u_window(rec, 4, table=TermTable(rec))
         for cert in (full, window):
             assert verify_certificate(cert.to_json(), rec, TermTable(rec)) == (True, [])
+
+
+@pytest.mark.parametrize(
+    "name,make",
+    [("motzkin", certify_turan3), ("domb", certify_turan3),
+     ("binomial4", certify_u_window), ("inverse-catalan", certify_u_window)],
+)
+def test_certificates_build_no_series(monkeypatch, name, make):
+    """The expansion reaches certify as grid arrays only: with `AsymSeries`
+    made impossible to build, certificates are still built and verified."""
+    from turancert.asymptotics import series
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an AsymSeries was built")
+
+    monkeypatch.setattr(series.AsymSeries, "__init__", refused)
+    e = get(name)
+    cert = make(e.recurrence, 4, e.scaling, table=TermTable(e.recurrence))
+    assert verify_certificate(cert.to_json(), e.recurrence, TermTable(e.recurrence)) == (True, [])
 
 
 class TestRectangleLemma:

@@ -15,8 +15,9 @@ from turancert import certify as certify_module
 from turancert import cli
 from turancert.certify import certify_turan3, certify_u_window
 from turancert.cli import COMMANDS, main
-from turancert.corpus import get
 from turancert.sequences import TermTable
+
+from oracles import get
 
 SUPER_CRITICAL = "(n+2)^3*a(n+1) - ((n+2)^3+1)*a(n) = 0 ; a(0)=1"
 

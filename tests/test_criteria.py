@@ -16,7 +16,6 @@ from turancert.asymptotics import (
     u_power,
     u_power_log,
 )
-from turancert.corpus import get
 from turancert import criteria
 from turancert.criteria import (
     LogSeries,
@@ -30,7 +29,7 @@ from turancert.criteria import (
 )
 from turancert.sequences import Recurrence, TermTable, phi_values
 
-from oracles import phi_u_expansion
+from oracles import get, phi_u_expansion
 
 
 def S(*terms, err=None):

@@ -54,7 +54,6 @@ UNCALLED_BUT_KEPT = {
     "series_mul": "benchmark tracing: the series-layer product it times",
     "series_inv": "benchmark tracing times it by name; the tests' u-series oracle inverts with it",
     "residual": "benchmark workload: the Fraction residual that checks long term runs",
-    "get": "the tests' corpus lookup; its KeyError lists the known names",
     "shift_series": "benchmark tracing times it by name; the tests' oracles shift with it",
 }
 
@@ -195,6 +194,45 @@ def test_only_poly_clears_denominators():
 
 def test_only_sequences_scales_by_factorials():
     assert _callers("factorial") == {FACTORIAL_OWNER}
+
+
+# Term windows are decided in one module: no other module reads the
+# truncation width PREC or calls `windows`.
+WINDOW_OWNER = "sequences.py"
+
+
+def window_uses(source: str) -> list:
+    """Lines that import PREC or windows, read PREC or call windows, by a
+    bare name or as an attribute."""
+
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and {"PREC", "windows"} & {a.name for a in node.names}:
+            lines.add(node.lineno)
+        elif name(node) == "PREC" or isinstance(node, ast.Call) and name(node.func) == "windows":
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_window_use_detector():
+    src = (
+        "from .sequences import PREC as P, Recurrence\nfrom . import sequences\n"
+        "x = sequences.PREC + P\nfor w in sequences.windows(t, 1, 2, 3):\n    pass\n"
+        "y = windows, 'PREC'\nz = w(t)\n"
+    )
+    assert window_uses(src) == [1, 3, 4]
+
+
+def test_only_sequences_decides_term_windows():
+    users = {
+        str(p.relative_to(PACKAGE))
+        for p in PACKAGE.rglob("*.py")
+        if window_uses(p.read_text(encoding="utf-8"))
+    }
+    assert users == {WINDOW_OWNER}
 
 
 # The benchmark's tracer patches functions it names by module and attribute;

@@ -9,13 +9,14 @@ from fractions import Fraction as F
 import pytest
 
 from turancert.algebra import Poly
-from turancert.corpus import get
 from turancert.parser import (
     ParseError,
     parse_operator,
     parse_recurrence,
     poly_text,
 )
+
+from oracles import get
 
 
 class TestGrammar:
@@ -212,6 +213,13 @@ class TestOperatorImport:
         a = parse_operator("N^2*n - N ; a(0)=1, a(1)=1")
         b = parse_operator("(n+2)*N^2 - N ; a(0)=1, a(1)=1")
         assert a == b
+
+    def test_scalar_part_cancels_the_n0_coefficient(self):
+        # (N + 1)(N - 1) has N^0 coefficient -1, which the plain 1 cancels
+        a = parse_operator("(N + 1)*(N - 1) + 1 - N ; a(0)=1, a(1)=2")
+        b = parse_operator("N^2 - N ; a(0)=1, a(1)=2")
+        assert a == b
+        assert a.order == 1 and a.initials == (1, 2)
 
     def test_n_symbol_rejected_in_relation_mode(self):
         with pytest.raises(ParseError, match="unknown symbol"):

@@ -39,7 +39,7 @@ from turancert.sequences import (
     _turan3_form,
 )
 
-from oracles import random_deltas, random_truncation
+from oracles import get, random_deltas, random_truncation
 
 C = math.comb
 
@@ -88,7 +88,7 @@ ORACLES["fine"] = fine_oracle
 
 @pytest.mark.parametrize("name", sorted(corpus.ENTRIES))
 def test_corpus_terms_match_oracles(name):
-    entry = corpus.get(name)
+    entry = get(name)
     table = TermTable(entry.recurrence)
     expected = entry.expected["terms"]["values"]
     got = table.values(0, len(expected) - 1)
@@ -100,7 +100,7 @@ def test_corpus_terms_match_oracles(name):
 
 @pytest.mark.parametrize("name", sorted(corpus.ENTRIES))
 def test_recurrence_residual_vanishes(name):
-    rec = corpus.get(name).recurrence
+    rec = get(name).recurrence
     table = TermTable(rec)
     d = rec.order
     for n in range(0, 40):
@@ -135,12 +135,12 @@ def test_ratio_and_u_values():
     table = reciprocal_factorial_table()
     assert table.value(4) == F(1, 24)
     assert u_value(table, 3) == F(3, 4)  # (1/2)(1/24)/(1/6)^2
-    cat = TermTable(corpus.get("inverse-catalan").recurrence)
+    cat = TermTable(get("inverse-catalan").recurrence)
     assert u_value(cat, 1) == F(1, 2)
 
 
 def test_factorial_scaling_matches_explicit_division():
-    entry = corpus.get("motzkin")
+    entry = get("motzkin")
     table = TermTable(entry.recurrence)
     for n in range(1, 12):
         lhs = u_value(table, n, scaling="factorial")
@@ -158,19 +158,19 @@ def _t3_sign_direct(table, n):
 
 
 def test_turan3_motzkin_initial_violation():
-    table = TermTable(corpus.get("motzkin").recurrence)
+    table = TermTable(get("motzkin").recurrence)
     bad = check_inequality_range(table, "turan3", 1, 60, scaling="factorial")
     assert bad == [1]
 
 
 def test_turan3_bn_clean_from_start():
-    table = TermTable(corpus.get("bn").recurrence)
+    table = TermTable(get("bn").recurrence)
     assert check_inequality_range(table, "turan3", 1, 60, scaling="factorial") == []
 
 
 def test_logconcave_violations_of_unscaled_motzkin():
     # raw Motzkin numbers are log-convex, so the log-concavity sign is negative
-    table = TermTable(corpus.get("motzkin").recurrence)
+    table = TermTable(get("motzkin").recurrence)
     assert logconcave_sign(table, 5) == -1
     assert check_inequality_range(table, "log-concave", 2, 10) == list(range(2, 11))
 
@@ -187,21 +187,21 @@ def test_phi_values_square_sequence():
 
 
 def test_phi_values_level2_matches_manual_iteration():
-    table = TermTable(corpus.get("motzkin").recurrence)
+    table = TermTable(get("motzkin").recurrence)
     lvl1 = phi_values(table, 1, 0, 8, scaling="factorial")
     manual = [lvl1[i + 1] ** 2 - lvl1[i] * lvl1[i + 2] for i in range(5)]
     assert phi_values(table, 2, 0, 4, scaling="factorial") == manual
 
 
 def test_values_rejects_negative_start():
-    table = TermTable(corpus.get("motzkin").recurrence)
+    table = TermTable(get("motzkin").recurrence)
     with pytest.raises(IndexError):
         table.values(-3, 12)  # used to slice from the end and start at a(10)
     assert table.values(0, 3) == [F(1), F(1), F(2), F(4)]
 
 
 def test_values_is_empty_when_hi_is_below_lo():
-    table = TermTable(corpus.get("motzkin").recurrence)
+    table = TermTable(get("motzkin").recurrence)
     table.ensure(10)
     assert table.values(2, -3) == []  # used to slice from the end: a(2..8)
     assert table.values(2, -1) == []
@@ -212,7 +212,7 @@ def test_values_is_empty_when_hi_is_below_lo():
 
 
 def test_inequality_scan_rejects_window_below_zero():
-    table = TermTable(corpus.get("motzkin").recurrence)
+    table = TermTable(get("motzkin").recurrence)
     with pytest.raises(ValueError, match="needs a\\(-1\\)"):
         check_inequality_range(table, "turan3", 0, 10)
     with pytest.raises(ValueError):
@@ -228,7 +228,7 @@ def test_phi_values_rejects_negative_start():
 
 
 def test_u_value_zero_term_raises():
-    table = TermTable(corpus.get("fine").recurrence)
+    table = TermTable(get("fine").recurrence)
     assert table.value(1) == 0
     with pytest.raises(ZeroDivisionError):
         u_value(table, 1)  # a(1) = 0 in the middle of the window
@@ -267,7 +267,7 @@ def _pairs(vals):
 
 
 STEPPING_RECS = {
-    **{name: corpus.get(name).recurrence for name in sorted(corpus.ENTRIES)},
+    **{name: get(name).recurrence for name in sorted(corpus.ENTRIES)},
     "square-ratio": parse_recurrence("a(n+1) - (n+2)^2/(n+1)^2*a(n) = 0; a(0) = 1"),
     # p0 has fractional coefficients and changes sign at n = 2
     "fractional-coeffs": Recurrence(
@@ -279,7 +279,7 @@ STEPPING_RECS = {
     ),
     # the initial denominators bring primes that p0 = n + 2 supplies only later
     "involutions-sevenths": Recurrence(
-        corpus.get("involutions").recurrence.coeffs, [F(1, 7), F(1, 11)]
+        get("involutions").recurrence.coeffs, [F(1, 7), F(1, 11)]
     ),
     # p0 = 4: the primes 7 and 11 of the initials appear in no p0 value
     "power-of-two-p0": parse_recurrence(
@@ -333,7 +333,7 @@ def test_random_recurrences_match_fraction_oracle(seed):
 
 
 def test_involutions_match_fraction_oracle_to_1500():
-    rec = corpus.get("involutions").recurrence
+    rec = get("involutions").recurrence
     assert _pairs(TermTable(rec).values(0, 1500)) == _pairs(fraction_terms(rec, 1500))
 
 
@@ -349,7 +349,7 @@ def _rendered(rec, n):
 
 @pytest.mark.parametrize("name", sorted(corpus.ENTRIES))
 def test_decimal_strings_match_frac_str_on_the_corpus(name):
-    got, want = _rendered(corpus.get(name).recurrence, 1500)
+    got, want = _rendered(get(name).recurrence, 1500)
     if name in ("inverse-catalan", "involutions"):
         assert "/" in want[3] and got == []  # rational terms fall back whole
     else:
@@ -403,7 +403,7 @@ def test_decimal_zero_renders_unsigned_under_negative_p0():
 
 
 def test_decimal_strings_stop_before_the_first_term_over_the_digit_limit():
-    rec = corpus.get("apery").recurrence
+    rec = get("apery").recurrence
     table = TermTable(rec)
     want = [str(v.numerator) for v in table.values(0, 600)]
     first_over = next(i for i, t in enumerate(want) if len(t) > 640)
@@ -435,7 +435,7 @@ def test_stepping_gcds_stay_far_below_the_common_denominator(monkeypatch, tmp_pa
     """Involutions carries D of about 29.5k bits at n = 3000.  Reducing each
     term by gcd(S, D) makes gcds whose smaller operand has about 14.5k bits;
     the kernel K keeps every gcd at K's size, about 4.3k bits."""
-    rec = corpus.get("involutions").recurrence
+    rec = get("involutions").recurrence
     cached = TermTable(rec, cache_dir=str(tmp_path))
     cached.ensure(999)
     cached.flush()
@@ -450,8 +450,8 @@ def test_stepping_gcds_stay_far_below_the_common_denominator(monkeypatch, tmp_pa
 
 
 def test_stepping_oracle_covers_zero_and_negative_terms():
-    assert TermTable(corpus.get("fine").recurrence).value(1) == 0
-    assert min(TermTable(corpus.get("bn").recurrence).values(0, 5)) < 0
+    assert TermTable(get("fine").recurrence).value(1) == 0
+    assert min(TermTable(get("bn").recurrence).values(0, 5)) < 0
     vals = TermTable(STEPPING_RECS["rational-order2"]).values(0, 60)
     assert any(v < 0 for v in vals) and len({v.denominator for v in vals}) > 10
 
@@ -560,7 +560,7 @@ def test_phi_values_match_fraction_oracle(name):
 
 @pytest.mark.parametrize("name", ["motzkin", "involutions"])
 def test_phi_values_match_fraction_oracle_on_long_windows(name):
-    entry = corpus.get(name)
+    entry = get(name)
     table = TermTable(entry.recurrence)
     for level in (1, 2):
         got = phi_values(table, level, 250, 300, entry.scaling)
@@ -568,10 +568,10 @@ def test_phi_values_match_fraction_oracle_on_long_windows(name):
 
 
 def test_phi_values_oracle_cases_cover_zeros_and_signs():
-    fine = TermTable(corpus.get("fine").recurrence)
+    fine = TermTable(get("fine").recurrence)
     zero = phi_values(fine, 0, 1, 1, "factorial")[0]
     assert type(zero) is F and (zero.numerator, zero.denominator) == (0, 1)
-    assert TermTable(corpus.get("bn").recurrence).value(0) == -1
+    assert TermTable(get("bn").recurrence).value(0) == -1
     geometric = TermTable(PHI_RECS["geometric"])
     for level in (1, 2, 3):
         assert _pairs(phi_values(geometric, level, 0, 5)) == _pairs([F(0)] * 6)
@@ -590,7 +590,7 @@ def _write_cache(path, pairs, magic=CACHE_MAGIC, digest=True):
 
 
 def test_cache_digest_rejects_flipped_term_byte(tmp_path):
-    rec = corpus.get("motzkin").recurrence
+    rec = get("motzkin").recurrence
     t = TermTable(rec, cache_dir=str(tmp_path))
     t.ensure(40)
     t.flush()
@@ -610,7 +610,7 @@ def test_cache_digest_rejects_flipped_term_byte(tmp_path):
 
 @pytest.mark.parametrize("den", [0, -1])
 def test_cache_rejects_nonpositive_denominator(tmp_path, den):
-    rec = corpus.get("motzkin").recurrence
+    rec = get("motzkin").recurrence
     path = tmp_path / f"{rec.cache_key()}.terms"
     _write_cache(path, [(1, 1), (1, 1), (2, den)])
     with pytest.raises(CacheError, match="denominator"):
@@ -618,7 +618,7 @@ def test_cache_rejects_nonpositive_denominator(tmp_path, den):
 
 
 def test_old_format_cache_is_a_miss_and_rewritten(tmp_path):
-    rec = corpus.get("motzkin").recurrence
+    rec = get("motzkin").recurrence
     path = tmp_path / f"{rec.cache_key()}.terms"
     _write_cache(path, [(1, 1), (1, 1), (2, 1), (4, 1)], magic=b"TCTERMS1", digest=False)
     t = TermTable(rec, cache_dir=str(tmp_path))
@@ -633,7 +633,7 @@ def test_old_format_cache_is_a_miss_and_rewritten(tmp_path):
 
 
 def test_cache_file_mode_follows_umask(tmp_path):
-    rec = corpus.get("motzkin").recurrence
+    rec = get("motzkin").recurrence
     old = os.umask(0o022)
     try:
         t = TermTable(rec, cache_dir=str(tmp_path))
@@ -646,7 +646,7 @@ def test_cache_file_mode_follows_umask(tmp_path):
 
 
 def test_cache_roundtrip(tmp_path):
-    rec = corpus.get("apery").recurrence
+    rec = get("apery").recurrence
     t1 = TermTable(rec, cache_dir=str(tmp_path))
     t1.ensure(60)
     t1.flush()
@@ -658,7 +658,7 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_cache_appends_incrementally(tmp_path):
-    rec = corpus.get("motzkin").recurrence
+    rec = get("motzkin").recurrence
     t1 = TermTable(rec, cache_dir=str(tmp_path))
     t1.ensure(10)
     t1.flush()
@@ -673,7 +673,7 @@ def test_cache_appends_incrementally(tmp_path):
 
 
 def test_cache_detects_corruption(tmp_path):
-    rec = corpus.get("motzkin").recurrence
+    rec = get("motzkin").recurrence
     t1 = TermTable(rec, cache_dir=str(tmp_path))
     t1.ensure(10)
     t1.flush()
@@ -688,7 +688,7 @@ def test_cache_detects_corruption(tmp_path):
 
 
 def test_cache_rejects_initials_mismatch(tmp_path):
-    rec = corpus.get("motzkin").recurrence
+    rec = get("motzkin").recurrence
     t = TermTable(rec, cache_dir=str(tmp_path))
     t.ensure(5)
     t.flush()
@@ -701,7 +701,7 @@ def test_cache_rejects_initials_mismatch(tmp_path):
 
 
 def test_cache_key_covers_initials(tmp_path):
-    rec = corpus.get("motzkin").recurrence
+    rec = get("motzkin").recurrence
     other = Recurrence(rec.coeffs, [F(1), F(2)], name=rec.name)
     assert other.cache_key() != rec.cache_key()
     TermTable(rec, cache_dir=str(tmp_path)).flush()
@@ -713,15 +713,15 @@ def test_cache_key_covers_initials(tmp_path):
 
 
 def test_cache_keys_differ():
-    a = corpus.get("motzkin").recurrence
-    b = corpus.get("franel3").recurrence
+    a = get("motzkin").recurrence
+    b = get("franel3").recurrence
     assert a.cache_key() != b.cache_key()
-    assert a.cache_key() == corpus.get("motzkin").recurrence.cache_key()
+    assert a.cache_key() == get("motzkin").recurrence.cache_key()
 
 
 def test_two_tables_from_empty_cache_do_not_duplicate_terms(tmp_path):
     # both tables start before either writes; each then flushes its 81 terms
-    rec = corpus.get("motzkin").recurrence
+    rec = get("motzkin").recurrence
     t1 = TermTable(rec, cache_dir=str(tmp_path))
     t2 = TermTable(rec, cache_dir=str(tmp_path))
     for t in (t1, t2):
@@ -736,7 +736,7 @@ def test_two_tables_from_empty_cache_do_not_duplicate_terms(tmp_path):
 
 def test_concurrent_fill_is_consistent(tmp_path):
     # two processes share one cache directory, as two CLI runs would
-    rec = corpus.get("franel3").recurrence
+    rec = get("franel3").recurrence
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(turancert.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -868,7 +868,7 @@ def test_form_sign_short_windows_are_exact(form, direct, k):
 
 
 def test_form_sign_filter_decides_term_windows():
-    table = TermTable(corpus.get("apery").recurrence)
+    table = TermTable(get("apery").recurrence)
     w = table.values(399, 402)
     traced, seen = _filtered(_turan3_form, w)
     assert _form_sign(traced, _integer_window(w)[0]) == _t3_direct(w)
@@ -924,8 +924,8 @@ def test_turan3_scans_need_no_exact_fallback(monkeypatch):
     monkeypatch.setitem(sequences.FORMS, "turan3", (k, counted))
     geometric = Recurrence([Poly([1]), Poly([3])], [3**200])  # F = 0 exactly
     scans = [(geometric, "none", 100)]
-    scans += [(corpus.get(name).recurrence, "factorial", 2998) for name in ("motzkin", "domb", "apery")]
-    scans += [(corpus.get("involutions").recurrence, scaling, 2998) for scaling in ("none", "factorial")]
+    scans += [(get(name).recurrence, "factorial", 2998) for name in ("motzkin", "domb", "apery")]
+    scans += [(get("involutions").recurrence, scaling, 2998) for scaling in ("none", "factorial")]
     for rec, scaling, hi in scans:
         calls.clear()
         check_inequality_range(TermTable(rec), "turan3", 1, hi, scaling)
@@ -935,7 +935,7 @@ def test_turan3_scans_need_no_exact_fallback(monkeypatch):
 
 @pytest.mark.parametrize("name", ["motzkin", "domb", "apery"])
 def test_turan3_range_matches_direct_form(name):
-    table = TermTable(corpus.get(name).recurrence)
+    table = TermTable(get(name).recurrence)
     bad = check_inequality_range(table, "turan3", 1, 400, scaling="factorial")
     assert bad == [n for n in range(1, 401) if _t3_sign_direct(table, n) <= 0]
 
@@ -954,7 +954,7 @@ def scaled_terms(table, hi, scaling):
 @pytest.mark.parametrize("scaling", ["none", "factorial"])
 @pytest.mark.parametrize("name", sorted(corpus.ENTRIES))
 def test_scans_match_fraction_oracle(name, scaling):
-    table = TermTable(corpus.get(name).recurrence)
+    table = TermTable(get(name).recurrence)
     terms = scaled_terms(table, 302, scaling)
     for predicate, single, direct, k in (
         ("turan3", turan3_sign, _t3_direct, 4),
@@ -976,7 +976,7 @@ SHRINKING = Recurrence([Poly([1]), Poly([1, 1])], [F(1, 6)])
 def test_windows_are_the_scaled_terms(name, scaling):
     # every window is the scaled terms over the lcm of its denominators,
     # whether it slid from the last one or was cleared afresh, from any start
-    table = TermTable(SHRINKING if name == "shrinking" else corpus.get(name).recurrence)
+    table = TermTable(SHRINKING if name == "shrinking" else get(name).recurrence)
     terms = scaled_terms(table, 330, scaling)
     rng = random.Random(name)
     cases = [(0, 40, 1), (0, 30, 3), (7, 75, 4), (20, 19, 5)]
@@ -984,21 +984,21 @@ def test_windows_are_the_scaled_terms(name, scaling):
     for lo, hi, k in cases:
         got = list(windows(table, lo, hi, k, scaling))
         assert len(got) == max(hi - lo + 1, 0)
-        for i, (xs, den, f) in enumerate(got, lo):
+        for i, (xs, den) in enumerate(got, lo):
             assert all(type(x) is int for x in xs)
             assert den == math.lcm(*(v.denominator for v in table.values(i, i + k - 1)))
-            assert f == (math.factorial(i + k - 1) if scaling == "factorial" else 1)
+            f = math.factorial(i + k - 1) if scaling == "factorial" else 1
             assert [F(x, den * f) for x in xs] == terms[i : i + k], (lo, k, i)
 
 
 def test_windows_fill_terms_one_window_at_a_time():
-    table = TermTable(corpus.get("motzkin").recurrence)
+    table = TermTable(get("motzkin").recurrence)
     scan = windows(table, 10, 2000, 4, "factorial")
     for _ in range(5):
         next(scan)
     assert len(table) == 18  # a(0..17): the fifth window is a(14..17)
     for name in ("motzkin", "involutions", "inverse-catalan", "fine"):
-        rec = corpus.get(name).recurrence
+        rec = get(name).recurrence
         for k, lo, scaling in ((3, 10, "none"), (4, 0, "factorial"), (5, 37, "none")):
             t = TermTable(rec)
             scan = windows(t, lo, 2000, k, scaling)
