@@ -61,38 +61,6 @@ class RatioExpansion:
         """v as a series, to the error order (T + 1)/rho, built on each read."""
         return _grid_series([Fraction(1)] + self.coeffs, self.rho)
 
-    def growth_record(self) -> dict:
-        rec: dict = {
-            "lambdaApprox": float(self.lam),
-            "mu": str(self.mu),
-            "rho": self.rho,
-        }
-        if self.lam_poly is None:
-            rec["lambda"] = str(Fraction(self.lam))
-        else:
-            rec["lambdaMinimalPolynomial"] = [
-                str(Fraction(c)) for c in self.lam_poly.coeffs
-            ]
-            root = self.lam.field.root
-            rec["lambdaInterval"] = [str(root.lo), str(root.hi)]
-        if self.rho == 2 and self.coeffs and self.coeffs[0]:
-            # v = 1 + c1/sqrt(n) + ... lifts to a stretched-exponential
-            # factor exp(2*c1*sqrt(n)) in a(n) itself
-            rec["stretchedExponential"] = {
-                "form": "exp(c*sqrt(n))",
-                "c": _scalar_str(2 * self.coeffs[0]),
-            }
-        return rec
-
-
-def _scalar_str(x) -> str:
-    if isinstance(x, (int, Fraction)):
-        return str(Fraction(x))
-    q = x.to_fraction()
-    if q is not None:
-        return str(q)
-    return repr(float(x))
-
 
 # -- Newton polygon ---------------------------------------------------------
 

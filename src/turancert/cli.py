@@ -29,13 +29,15 @@ from .certify import (
 from .checks import run_all
 from .corpus import ENTRIES
 from .criteria import llogconcave_verdict, turan3_verdict
-from .parser import (
-    ParseError,
-    parse_operator,
-    parse_recurrence,
+from .parser import ParseError, parse_operator, parse_recurrence
+from .render import (
+    frac_str,
+    growth_record,
     poly_text,
+    ratfunc_text,
+    series_to_json,
+    series_to_text,
 )
-from .render import frac_str, series_to_json, series_to_text
 from .sequences import CacheError, Recurrence, SingularRecurrenceError, TermTable
 
 EXIT_OK = 0
@@ -91,11 +93,14 @@ def load_source(src: str, operator: bool = False) -> tuple[Recurrence, str]:
     return rec, "none"
 
 
-def _resolve_scaling(args, default: str) -> str:
+def _open(args) -> tuple[Recurrence, str, TermTable]:
+    """The source's recurrence, its scaling (--scale, where the command has
+    it, over the source's default) and a term table on --cache-dir."""
+    rec, scaling = load_source(args.src, args.operator)
     choice = getattr(args, "scale", None)
-    if choice is None:
-        return default
-    return _SCALE_NAMES[choice]
+    if choice is not None:
+        scaling = _SCALE_NAMES[choice]
+    return rec, scaling, TermTable(rec, cache_dir=args.cache_dir)
 
 
 def _display_name(rec: Recurrence) -> str:
@@ -133,18 +138,17 @@ def cmd_terms(args) -> int:
 
 
 def cmd_ratio_asymp(args) -> int:
-    rec, _ = load_source(args.src, args.operator)
-    table = TermTable(rec, cache_dir=args.cache_dir)
+    rec, _, table = _open(args)
     rx = ratio_expansion(rec, args.K, table=table)
     table.flush()
-    growth = rx.growth_record()
+    growth = growth_record(rx)
     lines = [f"a(n+1)/a(n) = lambda * n^mu * v(n)   [{_display_name(rec)}]"]
     if "lambda" in growth:
         lines.append(f"lambda = {growth['lambda']}")
     else:
-        mp = poly_text(Poly([Fraction(c) for c in growth["lambdaMinimalPolynomial"]]), "x")
         lo, hi = growth["lambdaInterval"]
-        lines.append(f"lambda in [{lo}, {hi}] (root of {mp}), lambda ~ {growth['lambdaApprox']:.6g}")
+        lines.append(f"lambda in [{lo}, {hi}] (root of {poly_text(rx.lam_poly, 'x')}),"
+                     f" lambda ~ {growth['lambdaApprox']:.6g}")
     lines.append(f"mu = {growth['mu']}")
     if rx.rho != 1:
         lines.append(f"exponent grid: multiples of 1/{rx.rho}")
@@ -156,9 +160,7 @@ def cmd_ratio_asymp(args) -> int:
 
 
 def cmd_u_asymp(args) -> int:
-    rec, default_scaling = load_source(args.src, args.operator)
-    scaling = _resolve_scaling(args, default_scaling)
-    table = TermTable(rec, cache_dir=args.cache_dir)
+    rec, scaling, table = _open(args)
     rx = ratio_expansion(rec, args.K, table=table)
     table.flush()
     u = u_expansion(rx, scaling=scaling)
@@ -173,9 +175,7 @@ def cmd_u_asymp(args) -> int:
 
 
 def _verdict_command(args, check) -> int:
-    rec, default_scaling = load_source(args.src, args.operator)
-    scaling = _resolve_scaling(args, default_scaling)
-    table = TermTable(rec, cache_dir=args.cache_dir)
+    rec, scaling, table = _open(args)
     v = check(rec, scaling, table)
     table.flush()
     lines = [
@@ -211,16 +211,8 @@ def cmd_check_llc(args) -> int:
     )
 
 
-def _ratfunc_text(r) -> str:
-    num = poly_text(r.num)
-    den = poly_text(r.den)
-    return num if den == "1" else f"({num}) / ({den})"
-
-
 def cmd_certify(args) -> int:
-    rec, default_scaling = load_source(args.src, args.operator)
-    scaling = _resolve_scaling(args, default_scaling)
-    table = TermTable(rec, cache_dir=args.cache_dir)
+    rec, scaling, table = _open(args)
     lines = [f"sequence: {_display_name(rec)} (checking {_scaling_note(scaling)})"]
     try:
         cert = certify_turan3(rec, args.K, scaling=scaling, table=table)
@@ -239,8 +231,8 @@ def cmd_certify(args) -> int:
         fh.write(blob + "\n")
     lines += [
         f"u window valid for n > {cert.bounds.valid_from}:",
-        f"  g(n) = {_ratfunc_text(cert.bounds.lower)}",
-        f"  f(n) = {_ratfunc_text(cert.bounds.upper)}",
+        f"  g(n) = {ratfunc_text(cert.bounds.lower)}",
+        f"  f(n) = {ratfunc_text(cert.bounds.upper)}",
     ]
     if cert.kind == "turan3":
         viol = ", ".join(str(n) for n in cert.violations) or "none"
@@ -266,8 +258,7 @@ def cmd_certify(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.cert, "r", encoding="utf-8") as fh:
         cert = json.load(fh)
-    rec, _ = load_source(args.src, args.operator)
-    table = TermTable(rec, cache_dir=args.cache_dir)
+    rec, _, table = _open(args)
     ok, diagnosis = verify_certificate(cert, rec, table)
     table.flush()
     try:

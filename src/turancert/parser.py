@@ -1,4 +1,4 @@
-"""Text forms of recurrences.
+"""Reading recurrences from text (`render` writes every text form).
 
 The main grammar accepts relations written with explicit sequence terms,
 
@@ -419,31 +419,3 @@ def parse_recurrence(text: str, name: str = "") -> Recurrence:
 def parse_operator(text: str, name: str = "") -> Recurrence:
     """Import a shift-operator polynomial in n and N annihilating the sequence."""
     return _parse(text, name, operator_mode=True)
-
-
-# -- printing ---------------------------------------------------------------------
-
-
-def poly_text(p: Poly, var: str = "n") -> str:
-    """Plain text of a polynomial, highest power first."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = Fraction(p[k])
-        if not c:
-            continue
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        if k == 0:
-            body = str(c)
-        else:
-            power = var if k == 1 else f"{var}^{k}"
-            body = power if c == 1 else f"{c}*{power}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
-

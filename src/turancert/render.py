@@ -1,9 +1,13 @@
-"""Readable text and JSON forms for series and their scalars.
+"""Readable text and JSON forms of everything a command prints: polynomials,
+rational functions, series and their scalars, and the growth record of a
+ratio expansion.  No other module of the package writes these forms.
 
-Text form: ``1 - 3/2*n^-2 + 9/4*n^-3 + o(n^-4)`` with fractional powers
-parenthesized (``n^(-3/2)``) and log-dependent coefficients written in
-``log(n)``.  JSON forms are exact, including algebraic scalars (carried
-as modulus plus isolating interval).
+Text form of a series: ``1 - 3/2*n^-2 + 9/4*n^-3 + o(n^-4)`` with
+fractional powers parenthesized (``n^(-3/2)``) and log-dependent
+coefficients written as polynomials in ``log(n)``.  An irrational scalar
+prints as ``~`` and its value to 10 significant digits.  JSON forms are
+exact, including algebraic scalars (carried as modulus plus isolating
+interval).
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Poly, RatFunc, scalar_sign
-from .asymptotics import AsymSeries
+from .asymptotics import AsymSeries, RatioExpansion
 
 
 def frac_str(q) -> str:
@@ -36,13 +40,14 @@ def _join(parts: list) -> str:
     return out
 
 
-def _log_term(cs: str, k: int) -> str:
-    """The term cs*log(n)^k for k >= 1, with a unit coefficient left out."""
-    var = "log(n)" if k == 1 else f"log(n)^{k}"
-    return var if cs == "1" else f"-{var}" if cs == "-1" else f"{cs}*{var}"
+def _power_term(cs: str, var: str, k: int) -> str:
+    """The term cs*var^k for k >= 1, with a unit coefficient left out."""
+    power = var if k == 1 else f"{var}^{k}"
+    return power if cs == "1" else f"-{power}" if cs == "-1" else f"{cs}*{power}"
 
 
-def poly_in_log_str(p: Poly) -> str:
+def poly_text(p: Poly, var: str = "n") -> str:
+    """Plain text of a polynomial in `var`, highest power first."""
     if p.is_zero():
         return "0"
     parts = []
@@ -51,17 +56,23 @@ def poly_in_log_str(p: Poly) -> str:
         if scalar_sign(c) == 0:
             continue
         cs = _scalar_str(c)
-        parts.append(cs if k == 0 else _log_term(cs, k))
+        parts.append(cs if k == 0 else _power_term(cs, var, k))
     return _join(parts)
+
+
+def ratfunc_text(r: RatFunc) -> str:
+    """num, or (num) / (den) when the denominator is not 1, both in n."""
+    num, den = poly_text(r.num), poly_text(r.den)
+    return num if den == "1" else f"({num}) / ({den})"
 
 
 def coef_str(c: RatFunc) -> str:
     if c.is_constant():
         return _scalar_str(c.constant_value())
-    num = poly_in_log_str(c.num)
+    num = poly_text(c.num, "log(n)")
     if c.den.degree <= 0 and c.den.constant() == 1:
         return f"({num})"
-    return f"(({num})/({poly_in_log_str(c.den)}))"
+    return f"(({num})/({poly_text(c.den, 'log(n)')}))"
 
 
 def _inv_log_term(cs: str, k: int) -> str:
@@ -69,8 +80,8 @@ def _inv_log_term(cs: str, k: int) -> str:
     if k == 0:
         return cs
     if k < 0:
-        return _log_term(cs, -k)
-    return f"{cs}/" + ("log(n)" if k == 1 else f"log(n)^{k}")
+        return _power_term(cs, "log(n)", -k)
+    return f"{cs}/" + _power_term("1", "log(n)", k)
 
 
 def inv_log_series_str(s) -> str:
@@ -150,3 +161,32 @@ def series_to_json(s: AsymSeries) -> dict:
     }
     out["errorOrder"] = None if s.error_order is None else frac_str(s.error_order)
     return out
+
+
+def growth_record(rx: RatioExpansion) -> dict:
+    """The growth constants of a(n+1)/a(n) ~ lam * n^mu as JSON.
+
+    A rational lam is written exactly.  An irrational lam is given by the
+    polynomial it was isolated in, the square-free part of the edge
+    polynomial with its rational roots divided out (`lambdaMinimalPolynomial`,
+    constant term first), and an isolating interval.  That polynomial is
+    not factored further over Q, so from degree 4 up it need not be lam's
+    minimal polynomial.  With rho = 2, v = 1 + c1/sqrt(n) + ... lifts to a
+    stretched-exponential factor exp(2*c1*sqrt(n)) in a(n) itself; an
+    irrational c is written as its float repr.
+    """
+    rec: dict = {"lambdaApprox": float(rx.lam), "mu": str(rx.mu), "rho": rx.rho}
+    if rx.lam_poly is None:
+        rec["lambda"] = frac_str(rx.lam)
+    else:
+        rec["lambdaMinimalPolynomial"] = [frac_str(c) for c in rx.lam_poly.coeffs]
+        root = rx.lam.field.root
+        rec["lambdaInterval"] = [frac_str(root.lo), frac_str(root.hi)]
+    if rx.rho == 2 and rx.coeffs and rx.coeffs[0]:
+        c = 2 * rx.coeffs[0]
+        q = c if isinstance(c, (int, Fraction)) else c.to_fraction()
+        rec["stretchedExponential"] = {
+            "form": "exp(c*sqrt(n))",
+            "c": repr(float(c)) if q is None else frac_str(q),
+        }
+    return rec

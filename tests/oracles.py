@@ -19,6 +19,9 @@ On truncated windows: random PREC-bit truncations and the random fractional
 parts that the truncation drops, for the radius tests of the sign forms.
 
 On the corpus: lookup of an entry by name.
+
+On text forms: the polynomial printer that `turancert.parser` carried
+before `render.poly_text` took its place, for rational coefficients.
 """
 
 from __future__ import annotations
@@ -309,3 +312,27 @@ def bisect_reference(poly: Poly, lo: Fraction, hi: Fraction) -> tuple:
     if v == 0:
         return mid, mid
     return (lo, mid) if scalar_sign(poly.eval(lo)) * scalar_sign(v) < 0 else (mid, hi)
+
+
+def poly_text_reference(p: Poly, var: str = "n") -> str:
+    """Plain text of a polynomial, highest power first."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for k in range(p.degree, -1, -1):
+        c = Fraction(p[k])
+        if not c:
+            continue
+        sign = "-" if c < 0 else "+"
+        c = abs(c)
+        if k == 0:
+            body = str(c)
+        else:
+            power = var if k == 1 else f"{var}^{k}"
+            body = power if c == 1 else f"{c}*{power}"
+        parts.append((sign, body))
+    first_sign, first_body = parts[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out

@@ -36,6 +36,7 @@ from turancert.asymptotics.ratio import (
 )
 from turancert.corpus import ENTRIES
 from turancert.parser import parse_recurrence
+from turancert.render import growth_record
 from turancert.sequences import Recurrence, TermTable, phi_values, u_value
 
 from oracles import eval_exact, get, phi_u_expansion, series_residual, series_u_expansion
@@ -311,7 +312,7 @@ class TestRatioExpansion:
         rx = ratio_expansion(get(name).recurrence, 3)
         assert list(rx.lam_poly.coeffs) == [F(c) for c in minpoly]
         assert float(rx.lam) == pytest.approx(approx)
-        rec = rx.growth_record()
+        rec = growth_record(rx)
         assert rec["lambdaMinimalPolynomial"] == [str(c) for c in minpoly]
 
     def test_inverse_catalan_corrections(self):
@@ -365,7 +366,7 @@ class TestRatioExpansion:
 
     def test_stretched_exponential_note(self):
         rx = ratio_expansion(get("involutions").recurrence, 3)
-        note = rx.growth_record()["stretchedExponential"]
+        note = growth_record(rx)["stretchedExponential"]
         assert note == {"form": "exp(c*sqrt(n))", "c": "1"}
 
     @pytest.mark.parametrize(

@@ -293,6 +293,26 @@ class TestAsymptotics:
 
         assert lo < hi and p(lo) * p(hi) < 0
 
+    def test_ratio_asymp_prints_the_isolating_factor(self, capsys):
+        # lambda = 2 + sqrt(3) has minimal polynomial x^2 - 4x + 1, which
+        # divides the printed quartic: the edge polynomial is not factored over Q
+        src = "a(n+4) - 4*a(n+3) + 2*a(n+2) - 4*a(n+1) + a(n) = 0 ; 1, 4, 15, 56"
+        code, out, err = run(capsys, "ratio-asymp", src, "-K", "3")
+        assert (code, err) == (0, "")
+        assert "(root of x^4 - 4*x^3 + 2*x^2 - 4*x + 1), lambda ~ 3.73205" in out
+        code, out, err = run(capsys, "--json", "ratio-asymp", src, "-K", "3")
+        assert (code, err) == (0, "")
+        growth = json.loads(out)["growth"]
+        assert growth == {
+            "lambdaApprox": 3.732050807568877,
+            "mu": "0",
+            "rho": 1,
+            "lambdaMinimalPolynomial": ["1", "-4", "2", "-4", "1"],
+            "lambdaInterval": ["2100957828286869/562949953421312", "16807662626294955/4503599627370496"],
+        }
+        lo, hi = (F(x) for x in growth["lambdaInterval"])
+        assert 2 < lo and (lo - 2) ** 2 < 3 < (hi - 2) ** 2
+
     def test_expansion_error_details_under_json(self, capsys):
         # a(n+1) = -a(n): the edge polynomial x + 1 has no positive root
         src = "a(n+1) + a(n) = 0 ; a(0)=1"

@@ -235,6 +235,37 @@ def test_only_sequences_decides_term_windows():
     assert users == {WINDOW_OWNER}
 
 
+# Text and JSON forms are written in one module: no other module defines a
+# function or a method named *_text, *_str or *_record.
+TEXT_OWNER = "render.py"
+TEXT_SUFFIXES = ("_text", "_str", "_record")
+
+
+def text_forms(source: str) -> list:
+    """Qualified names of the module-level functions and class methods of
+    `source` whose names end in one of TEXT_SUFFIXES."""
+    return sorted(
+        qual for qual, node in _definitions(ast.parse(source)) if node.name.endswith(TEXT_SUFFIXES)
+    )
+
+
+def test_text_form_detector():
+    src = (
+        "def poly_text(p):\n    def inner_str(x):\n        pass\n"
+        "def _scalar_str(x):\n    pass\nasync def growth_record(r):\n    pass\n"
+        "class R:\n    def growth_record(self):\n        pass\n    def __str__(self):\n        pass\n"
+        "def text(p):\n    pass\ndef str_of(p):\n    pass\npoly_str = str\n"
+    )
+    assert text_forms(src) == ["R.growth_record", "_scalar_str", "growth_record", "poly_text"]
+
+
+def test_only_render_writes_text_forms():
+    writers = {str(p.relative_to(PACKAGE)): text_forms(p.read_text(encoding="utf-8")) for p in PACKAGE.rglob("*.py")}
+    assert {module for module, names in writers.items() if names} == {TEXT_OWNER}, {
+        module: names for module, names in writers.items() if names and module != TEXT_OWNER
+    }
+
+
 # The benchmark's tracer patches functions it names by module and attribute;
 # a renamed or deleted target would make every traced run fail.
 TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"

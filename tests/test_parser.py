@@ -8,15 +8,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from turancert.algebra import Poly
-from turancert.parser import (
-    ParseError,
-    parse_operator,
-    parse_recurrence,
-    poly_text,
-)
+from turancert.algebra import AlgebraicReal, NumberField, Poly, RatFunc
+from turancert.parser import ParseError, parse_operator, parse_recurrence
+from turancert.render import poly_text, ratfunc_text
 
-from oracles import get
+from oracles import get, poly_text_reference
 
 
 class TestGrammar:
@@ -231,3 +227,20 @@ class TestPrinting:
         assert poly_text(Poly([F(1, 2), 0, -3])) == "-3*n^2 + 1/2"
         assert poly_text(Poly([])) == "0"
         assert poly_text(Poly([0, 1]), "x") == "x"
+
+    @pytest.mark.parametrize("var", ["n", "x", "log(n)"])
+    def test_poly_text_matches_reference(self, var):
+        rng = random.Random(f"poly_text {var}")
+        pool = [F(0), F(1), F(-1), F(2), F(-7), F(1, 2), F(-3, 4), F(22, 7)]
+        for _ in range(1000):
+            p = Poly([rng.choice(pool) for _ in range(rng.randint(0, 7))])
+            assert poly_text(p, var) == poly_text_reference(p, var), p.coeffs
+
+    def test_number_field_coefficients_print_approximately(self):
+        K = NumberField(AlgebraicReal(Poly([-2, 0, 1]), 1, 2))
+        r2 = K.element([0, 1])
+        assert poly_text(Poly([r2, K.element([1]), -r2])) == "~-1.414213562*n^2 + n + ~1.414213562"
+        assert poly_text(Poly([3, -r2]), "x") == "~-1.414213562*x + 3"
+        r = RatFunc(Poly([r2, 1]), Poly([1, 0, 2]))
+        assert ratfunc_text(r) == "(1/2*n + ~0.7071067812) / (n^2 + 1/2)"
+        assert ratfunc_text(RatFunc(Poly([1, r2]))) == "~1.414213562*n + 1"
