@@ -177,9 +177,6 @@ class Poly:
                 rem[k + i] = rem[k + i] - q * c
         return Poly(quot), Poly(rem)
 
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(_as_poly(other))[0]
-
     def __mod__(self, other: "Poly") -> "Poly":
         return self.divmod(_as_poly(other))[1]
 

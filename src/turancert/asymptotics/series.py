@@ -129,9 +129,6 @@ class AsymSeries:
             other = AsymSeries.constant(other)
         return self + (-other)
 
-    def __rsub__(self, other) -> "AsymSeries":
-        return (-self) + other
-
     def scale(self, c) -> "AsymSeries":
         c = as_coef(c)
         return AsymSeries([(e, c * k) for e, k in self.terms], self.error_order)

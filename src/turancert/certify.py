@@ -34,7 +34,7 @@ from .algebra import (
     rationalize,
     sign_at_infinity,
 )
-from .asymptotics import RatioExpansion, ratio_expansion
+from .asymptotics import ExpansionError, RatioExpansion, ratio_expansion
 from .asymptotics.ratio import _binomial_row, _mul, _shifted, u_grid
 from .render import frac_str, ratfunc_to_json
 from .sequences import (
@@ -131,34 +131,22 @@ def certify_ratio_bounds(
     p0 = RatFunc(rec.coeffs[0])
     q = [RatFunc(rec.coeffs[k]) / p0 for k in range(1, d + 1)]
 
+    # prod_small and prod_large run over s_l(n+d-j) and s_u(n+d-j), j < k; the
+    # upper step divides q_k > 0 by the small product, q_k < 0 by the large.
     thresholds = [_ept(s_l, "s_l(n)")]
-    sigma = []
+    upper_step = lower_step = q[0]
+    prod_small = prod_large = RatFunc.one()
     for k in range(2, d + 1):
+        prod_small = prod_small * s_l.shift(d - k + 1)
+        prod_large = prod_large * s_u.shift(d - k + 1)
         qk = q[k - 1]
         sk = sign_at_infinity(qk)
-        sigma.append(sk)
-        if sk > 0:
-            thresholds.append(eventual_positivity_threshold(qk))
-        elif sk < 0:
-            thresholds.append(eventual_positivity_threshold(-qk))
-
-    upper_step = q[0]
-    lower_step = q[0]
-    for k in range(2, d + 1):
-        sk = sigma[k - 2]
         if sk == 0:
             continue
-        prod_small = RatFunc(Poly([1]))
-        prod_large = RatFunc(Poly([1]))
-        for j in range(1, k):
-            prod_small = prod_small * s_l.shift(d - j)
-            prod_large = prod_large * s_u.shift(d - j)
-        if sk > 0:
-            upper_step = upper_step + q[k - 1] / prod_small
-            lower_step = lower_step + q[k - 1] / prod_large
-        else:
-            upper_step = upper_step + q[k - 1] / prod_large
-            lower_step = lower_step + q[k - 1] / prod_small
+        thresholds.append(eventual_positivity_threshold(qk if sk > 0 else -qk))
+        hi, lo = (prod_small, prod_large) if sk > 0 else (prod_large, prod_small)
+        upper_step = upper_step + qk / hi
+        lower_step = lower_step + qk / lo
 
     thresholds.append(_ept(s_u.shift(d) - upper_step, "s_u(n+d) - upper step"))
     thresholds.append(_ept(lower_step - s_l.shift(d), "lower step - s_l(n+d)"))
@@ -355,10 +343,11 @@ class TuranCertificate(Certificate):
     kind = "turan3"
     corners: list
     N: int
-    segment_from: int
-    segment_to: int
     violations: list
-    holds_from: int
+
+    @property
+    def holds_from(self) -> int:
+        return _holds_from(self.violations)
 
     def _tail(self) -> dict:
         return {
@@ -367,13 +356,14 @@ class TuranCertificate(Certificate):
                 for corner in self.corners
             ],
             "N": self.N,
-            "initialSegment": {
-                "from": self.segment_from,
-                "to": self.segment_to,
-                "violations": list(self.violations),
-            },
+            "initialSegment": {"from": 1, "to": self.N, "violations": list(self.violations)},
             "holdsFrom": self.holds_from,
         }
+
+
+def _holds_from(violations: list) -> int:
+    """holdsFrom: one past the last violation on [1, N], or 1 if there is none."""
+    return violations[-1] + 1 if violations else 1
 
 
 def certify_turan3(
@@ -392,21 +382,7 @@ def certify_turan3(
     n_cert = max([ub.valid_from] + [c["threshold"] for c in corners])
 
     violations = check_inequality_range(table, "turan3", 1, n_cert, scaling)
-    holds_from = (violations[-1] + 1) if violations else 1
-
-    return TuranCertificate(
-        rec=rec,
-        scaling=scaling,
-        order=order,
-        ratio=rb,
-        bounds=ub,
-        corners=corners,
-        N=n_cert,
-        segment_from=1,
-        segment_to=n_cert,
-        violations=violations,
-        holds_from=holds_from,
-    )
+    return TuranCertificate(rec, scaling, order, rb, ub, corners, n_cert, violations)
 
 
 @dataclass
@@ -448,15 +424,7 @@ def certify_u_window(
     if n is not None:
         raise CertifyError(f"u at n = {n} escapes the certified window")
 
-    return UWindowCertificate(
-        rec=rec,
-        scaling=scaling,
-        order=order,
-        ratio=rb,
-        bounds=ub,
-        checked_from=lo,
-        checked_to=hi,
-    )
+    return UWindowCertificate(rec, scaling, order, rb, ub, lo, hi)
 
 
 # -- independent re-check -------------------------------------------------------
@@ -501,9 +469,10 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
     thresholds and window validity; u_n sits in the stored window on a
     hundred sampled indices; and the initial-segment violation list is
     reproduced.  For the window-only kind ("u-window") it recomputes the
-    window functions and rechecks the stored segment exactly; a segment that
-    starts anywhere but right after validFrom, or that is empty (`to` below
-    `from`), is rejected.  Returns (ok, diagnosis list).
+    window functions and rechecks the stored segment exactly; a window that
+    cannot be recomputed at the stored order, or a segment that starts
+    anywhere but right after validFrom or is empty (`to` below `from`), is
+    rejected.  Returns (ok, diagnosis list).
     """
     if table is None:
         table = TermTable(rec)
@@ -587,14 +556,17 @@ def _replay_turan3(
         viol = check_inequality_range(table, "turan3", lo, hi, scaling)
         if viol != violations:
             bad.append("initial-segment violations do not match")
-        if holds_from != ((viol[-1] + 1) if viol else 1):
+        if holds_from != _holds_from(viol):
             bad.append("holdsFrom is inconsistent with the violations")
     return bad
 
 
 def _replay_u_window(rec, table, scaling, g, f, valid_from, order, segment) -> list:
+    try:
+        _, ub = certify_u_bounds(rec, order, table=table)
+    except (CertifyError, ExpansionError) as exc:
+        return [f"the window cannot be recomputed at order {order}: {exc}"]
     bad = []
-    _, ub = certify_u_bounds(rec, order, table=table)
     expect = scaled_bounds(ub, scaling)
     if g != expect.lower or f != expect.upper:
         bad.append("window functions do not match a recomputation")

@@ -4,7 +4,8 @@ Sources are corpus names, files (relation text or a JSON recurrence
 document), or inline relation text.  Exit codes are scriptable: 0 when a
 checked property holds (or the command simply succeeded), 2 when a verdict
 is inconclusive, 3 when a property fails or a certificate does not verify,
-and 1 for pipeline errors (bad input, refused certification, I/O).
+and 1 for usage and pipeline errors (a bad command line, bad input, refused
+certification, I/O).
 """
 
 from __future__ import annotations
@@ -433,7 +434,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    try:
+        args = build_parser(command).parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help or --version, 2 on misuse
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.fn(args)
     except (

@@ -70,6 +70,33 @@ def _corrections(u: AsymSeries) -> tuple:
     return u.terms[1:]
 
 
+def _leading_verdict(
+    terms: tuple, beta: Optional[Fraction], trace: list, prefix: str, equality, convex
+) -> Optional[Verdict]:
+    """The verdict that the first correction decides on its own, or None.
+
+    u identically 1 holds with equality, no visible correction is too short,
+    and r_1 > 0 at infinity makes the sequence eventually log-convex.
+    `equality` and `convex` are the criterion's (trace note, reason) pairs.
+    """
+    if not terms:
+        if beta is None:
+            trace.append(equality[0])
+            return Verdict(HOLDS, f"{prefix}.equality", equality[1], trace)
+        trace.append(f"no correction term visible below o(n^-{frac_str(beta)})")
+        reason = "no correction term visible at this order"
+        return Verdict(INCONCLUSIVE, f"{prefix}.insufficient-order", reason, trace)
+
+    a1, r1 = terms[0]
+    trace.append(f"alpha_1 = {frac_str(a1)}, r_1 = {coef_str(r1)}")
+    s1 = sign_at_infinity(r1)
+    trace.append(f"sign of r_1 at infinity: {s1:+d}")
+    if s1 <= 0:
+        return None
+    trace.append(convex[0])
+    return Verdict(FAILS, f"{prefix}.log-convex", convex[1], trace)
+
+
 def _hypothesis_gap(
     terms: tuple, beta: Optional[Fraction], trace: list, prefix: str
 ) -> Optional[Verdict]:
@@ -106,35 +133,17 @@ def turan3_asymptotic(u: AsymSeries) -> Verdict:
     """
     terms, beta = _corrections(u), u.error_order
     trace: list = []
-
-    if not terms:
-        if beta is None:
-            trace.append("u is identically 1; the form vanishes identically")
-            return Verdict(HOLDS, "turan3.equality", "equality case: the form is 0", trace)
-        trace.append(f"no correction term visible below o(n^-{frac_str(beta)})")
-        return Verdict(
-            INCONCLUSIVE,
-            "turan3.insufficient-order",
-            "no correction term visible at this order",
-            trace,
-        )
-
+    leading = _leading_verdict(terms, beta, trace, "turan3", (
+        "u is identically 1; the form vanishes identically",
+        "equality case: the form is 0",
+    ), (
+        "u_n > 1 eventually, so 4(1-u_n)(1-u_{n+1}) <= (u_n + u_{n+1} - 2)^2"
+        " < (u_n u_{n+1} - 1)^2 and the form is eventually negative",
+        "the sequence is eventually log-convex; the form is eventually negative",
+    ))
+    if leading is not None:
+        return leading
     a1, r1 = terms[0]
-    trace.append(f"alpha_1 = {frac_str(a1)}, r_1 = {coef_str(r1)}")
-
-    s1 = sign_at_infinity(r1)
-    trace.append(f"sign of r_1 at infinity: {s1:+d}")
-    if s1 > 0:
-        trace.append(
-            "u_n > 1 eventually, so 4(1-u_n)(1-u_{n+1}) <= (u_n + u_{n+1} - 2)^2"
-            " < (u_n u_{n+1} - 1)^2 and the form is eventually negative"
-        )
-        return Verdict(
-            FAILS,
-            "turan3.log-convex",
-            "the sequence is eventually log-convex; the form is eventually negative",
-            trace,
-        )
 
     gap = _hypothesis_gap(terms, beta, trace, "turan3")
     if gap is not None:
@@ -382,34 +391,16 @@ def llogconcave_asymptotic(u: AsymSeries, ell: int) -> Verdict:
         raise ValueError("level must be at least 1")
     terms, beta = _corrections(u), u.error_order
     trace: list = []
-
-    if not terms:
-        if beta is None:
-            trace.append("u is identically 1; every iterated difference vanishes")
-            return Verdict(
-                HOLDS, "llc.equality", "equality case: all levels vanish", trace
-            )
-        trace.append(f"no correction term visible below o(n^-{frac_str(beta)})")
-        return Verdict(
-            INCONCLUSIVE,
-            "llc.insufficient-order",
-            "no correction term visible at this order",
-            trace,
-        )
-
+    leading = _leading_verdict(terms, beta, trace, "llc", (
+        "u is identically 1; every iterated difference vanishes",
+        "equality case: all levels vanish",
+    ), (
+        "u_n > 1 eventually: the level-1 difference is eventually negative",
+        "the sequence is eventually log-convex, so level 1 already fails",
+    ))
+    if leading is not None:
+        return leading
     a1, r1 = terms[0]
-    trace.append(f"alpha_1 = {frac_str(a1)}, r_1 = {coef_str(r1)}")
-
-    s1 = sign_at_infinity(r1)
-    trace.append(f"sign of r_1 at infinity: {s1:+d}")
-    if s1 > 0:
-        trace.append("u_n > 1 eventually: the level-1 difference is eventually negative")
-        return Verdict(
-            FAILS,
-            "llc.log-convex",
-            "the sequence is eventually log-convex, so level 1 already fails",
-            trace,
-        )
 
     if ell >= 2:
         gap = _hypothesis_gap(terms, beta, trace, "llc")

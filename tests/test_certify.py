@@ -28,6 +28,7 @@ from turancert.certify import (
 )
 from turancert import certify, checks, sequences
 from turancert.corpus import ENTRIES
+from turancert.parser import parse_recurrence
 from turancert.sequences import PREC, Recurrence, TermTable, first_escape, u_value
 
 from oracles import get, random_deltas, random_truncation, ratio_base_reference, series_ratio_windows
@@ -179,6 +180,39 @@ RATIO_VALID_FROM = {
     "involutions": ["certification needs an expansion on the integer exponent grid"] * 7,
     "motzkin": [15, 32, 67, 135, 271, 543, 1085],
 }
+
+# valid_from of the ratio window at orders 2..5, or the refusal, for
+# recurrences of order 3 and 4: the induction multiplies more than one
+# shifted bound, and q_k > 0, q_k = 0 and q_k < 0 all occur
+HIGHER_ORDER_VALID_FROM = {
+    "a(n+3) - a(n+2) - a(n+1) - 2*a(n) = 0 ; 1, 1, 3": [6, 8, 12, 17],
+    "a(n+3) - 4*a(n+2) + 9*a(n) = 0 ; 2, 4, 11": [15, 31, 49, 69],
+    "(n+3)*a(n+3) - (n+3)*a(n+2) - (n+2)*a(n+1) - 2*(n+1)*a(n) = 0 ; 1, 1, 3": [5, 7, 11, 17],
+    "a(n+4) - a(n+3) - a(n+2) - a(n+1) - 2*a(n) = 0 ; 1, 1, 2, 3": [16, 22, 33, 45],
+    "a(n+4) - 2*a(n+3) - a(n+1) + 2*a(n) = 0 ; 1, 3, 5, 9": [3, 6, 11, 17],
+    "(n+3)^2*a(n+3) - (3*n^2+15*n+19)*a(n+2) + (n+2)*a(n+1) - (n+1)*a(n) = 0 ; 1, 2, 5":
+        [2, 2, 2, 4],
+    "a(n+3) - 6*a(n+2) + 11*a(n+1) - 6*a(n) = 0 ; 3, 6, 14":
+        ["required inequality is not eventually positive: s_u(n+d) - upper step"] * 4,
+}
+
+
+@pytest.mark.parametrize("text", sorted(HIGHER_ORDER_VALID_FROM))
+def test_ratio_induction_beyond_order_two(text):
+    rec = parse_recurrence(text)
+    t = TermTable(rec)
+    got = []
+    for order in range(2, 6):
+        try:
+            rb = certify_ratio_bounds(rec, order, table=t)
+        except CertifyError as err:
+            got.append(str(err))
+            continue
+        got.append(rb.valid_from)
+        vals = t.values(0, rb.valid_from + 60)
+        for n in range(rb.valid_from + 1, rb.valid_from + 60):
+            assert rb.lower.eval(n) <= vals[n] / vals[n - 1] <= rb.upper.eval(n)
+    assert got == HIGHER_ORDER_VALID_FROM[text]
 
 
 class TestUBounds:

@@ -20,6 +20,7 @@ from turancert.sequences import TermTable
 from oracles import get
 
 SUPER_CRITICAL = "(n+2)^3*a(n+1) - ((n+2)^3+1)*a(n) = 0 ; a(0)=1"
+HARMONIC = "(n+2)*a(n+2) - (2*n+3)*a(n+1) + (n+1)*a(n) = 0 ; 0, 1"
 
 
 def run(capsys, *argv):
@@ -541,6 +542,34 @@ class TestCertifyAndVerify:
         assert code == 3
         assert "REJECTED" in out and "checked segment is empty" in out
 
+    def test_verify_rejects_an_order_it_cannot_recompute(self, capsys, tmp_path):
+        cert_path = tmp_path / "b4.json"
+        run(capsys, "certify", "binomial4", "-o", str(cert_path))
+        doc = json.loads(cert_path.read_text())
+        doc["order"] = 3
+        cert_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(cert_path), "binomial4")
+        assert (code, err) == (3, "")
+        assert out.splitlines() == [
+            "certificate for binomial4: REJECTED",
+            "  the window cannot be recomputed at order 3: required inequality is not"
+            " eventually positive: f(n) - s_u(n+1)/s_l(n)",
+        ]
+
+    @pytest.mark.parametrize("src, message", [
+        ("involutions", "certification needs an expansion on the integer exponent grid"),
+        (HARMONIC, "no growth branch matches the exact terms"),
+    ], ids=["involutions", "harmonic"])
+    def test_verify_rejects_a_window_on_the_wrong_sequence(self, capsys, tmp_path, src, message):
+        cert_path = tmp_path / "b4.json"
+        run(capsys, "certify", "binomial4", "-o", str(cert_path))
+        code, out, err = run(capsys, "verify", str(cert_path), src)
+        assert (code, err) == (3, "")
+        head, mismatch, window = out.splitlines()
+        assert head == "certificate for binomial4: REJECTED"
+        assert mismatch == "  certificate does not describe this recurrence"
+        assert window.startswith("  the window cannot be recomputed at order 4: " + message)
+
     def test_verify_wrong_sequence(self, capsys, tmp_path):
         cert_path = tmp_path / "m.json"
         run(capsys, "certify", "motzkin", "-o", str(cert_path))
@@ -777,13 +806,8 @@ class TestProcessEntry:
 
 
 def outcome(capsys, argv):
-    """(exit code, stdout, stderr) of main(argv), through a parser exit too."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    """(exit code, stdout, stderr) of main(argv); a parser exit is a return too."""
+    return run(capsys, *argv)
 
 
 PARSE_CASES = [
@@ -825,6 +849,17 @@ class TestOneCommandParser:
         assert sorted(argv[0] for argv in VALID) == sorted(COMMANDS)
         for argv in VALID:
             assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check-turan3", "motzkin", "--bogus"], 1),  # usage errors exit 1, not argparse's 2
+        (["bogus"], 1),
+        (["--version"], 0),
+        (["terms", "--help"], 0),
+    ], ids=str)
+    def test_parser_exit_code(self, capsys, argv, code):
+        got, _, err = outcome(capsys, argv)
+        assert got == code
+        assert err.startswith("usage: turancert") == (code == 1)
 
     def test_only_the_named_command_is_built(self, capsys, monkeypatch):
         built, full = [], cli.build_parser
