@@ -31,10 +31,11 @@ from .algebra import (
     Poly,
     RatFunc,
     eventual_positivity_threshold,
+    limit_at_infinity,
     rationalize,
     sign_at_infinity,
 )
-from .asymptotics import ExpansionError, RatioExpansion, ratio_expansion
+from .asymptotics import RatioExpansion, ratio_expansion
 from .asymptotics.ratio import _binomial_row, _mul, _shifted, u_grid
 from .render import frac_str, ratfunc_to_json
 from .sequences import (
@@ -127,6 +128,17 @@ def certify_ratio_bounds(
         rx = ratio_expansion(rec, order, table=table)
     s_l, s_u, mu = _ratio_window_functions(rx, order)
 
+    n1 = _induction_threshold(rec, s_l, s_u)
+    # for d = 1, r(n+1) = q_1(n) exactly, so the step covers every n+1 with n > n1
+    d = rec.order
+    valid_from = n1 + 1 if d == 1 else _base_window(table, s_l, s_u, n1 + 2, d) - 1
+    return RatioBounds(rx.lam, mu, s_l, s_u, valid_from)
+
+
+def _induction_threshold(rec: Recurrence, s_l: RatFunc, s_u: RatFunc) -> int:
+    """An n1 past which s_l > 0, every q_k = p_k/p_0 has its eventual sign
+    and both induction steps hold: d - 1 consecutive ratios inside the
+    window [s_l, s_u] at n+1 .. n+d-1, n > n1, put r(n+d) inside it too."""
     d = rec.order
     p0 = RatFunc(rec.coeffs[0])
     q = [RatFunc(rec.coeffs[k]) / p0 for k in range(1, d + 1)]
@@ -150,14 +162,7 @@ def certify_ratio_bounds(
 
     thresholds.append(_ept(s_u.shift(d) - upper_step, "s_u(n+d) - upper step"))
     thresholds.append(_ept(lower_step - s_l.shift(d), "lower step - s_l(n+d)"))
-    n1 = max(thresholds)
-
-    if d == 1:
-        # r(n+1) = q_1(n) exactly; the discharge already covers every index
-        # n+1 with n > n1.
-        return RatioBounds(rx.lam, mu, s_l, s_u, n1 + 1)
-
-    return RatioBounds(rx.lam, mu, s_l, s_u, _base_window(table, s_l, s_u, n1 + 2, d) - 1)
+    return max(thresholds)
 
 
 def _base_window(table: TermTable, s_l: RatFunc, s_u: RatFunc, start: int, d: int) -> int:
@@ -231,25 +236,27 @@ def certify_u_bounds(
         rx = ratio_expansion(rec, order, table=table)
         rb = certify_ratio_bounds(rec, order, table=table, rx=rx)
         g, f, slack_exp, kept = u_bound_functions(u_grid(rx), order)
-
-        hi = f - rb.upper.shift(1) / rb.lower
-        lo = rb.lower.shift(1) / rb.upper - g
-        n2 = max(_ept(hi, "f(n) - s_u(n+1)/s_l(n)"), _ept(lo, "s_l(n+1)/s_u(n) - g(n)"), rb.valid_from)
+        n2 = max(_discharge_threshold(rb.lower, rb.upper, g, f), rb.valid_from)
         table.u_bounds[(rec, order)] = rb, UBounds(g, f, n2, slack_exp, kept)
     return table.u_bounds[(rec, order)]
 
 
-def scaled_bounds(ub: UBounds, scaling: str) -> UBounds:
-    """The u-window under `scaling`.
+def _discharge_threshold(s_l: RatFunc, s_u: RatFunc, g: RatFunc, f: RatFunc) -> int:
+    """An n2 past which g(n) < s_l(n+1)/s_u(n) and s_u(n+1)/s_l(n) < f(n)."""
+    hi = _ept(f - s_u.shift(1) / s_l, "f(n) - s_u(n+1)/s_l(n)")
+    return max(hi, _ept(s_l.shift(1) / s_u - g, "s_l(n+1)/s_u(n) - g(n)"))
 
-    u_n of {a_n/n!} equals u_n of {a_n} times n/(n+1), so the factorial
-    scaling multiplies both window functions by that exact factor.
-    """
+
+FACTORIAL_FACTOR = RatFunc(Poly([0, 1]), Poly([1, 1]))  # u_n of a_n/n! is u_n of a_n times this
+
+
+def scaled_bounds(ub: UBounds, scaling: str) -> UBounds:
+    """The u-window under `scaling`: both window functions times
+    `FACTORIAL_FACTOR` under the factorial scaling."""
     check_scaling(scaling)
     if scaling == "none":
         return ub
-    factor = RatFunc(Poly([0, 1]), Poly([1, 1]))
-    return replace(ub, lower=ub.lower * factor, upper=ub.upper * factor)
+    return replace(ub, lower=ub.lower * FACTORIAL_FACTOR, upper=ub.upper * FACTORIAL_FACTOR)
 
 
 # -- corner polynomials and the certificate ------------------------------------
@@ -462,17 +469,14 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
     The head and the kind's own fields are read in one parse; a certificate
     that does not parse is rejected as malformed, and so is an integer
     field that is not a JSON integer (a string, a float or a boolean) or a
-    rational coefficient that is not a string in the writer's form.  For
-    the full kind ("turan3") this checks, in exact arithmetic: the
-    certificate names this recurrence; the corner polynomials follow from
-    the stored window functions; every stored threshold is valid; N covers
-    thresholds and window validity; u_n sits in the stored window on a
-    hundred sampled indices; and the initial-segment violation list is
-    reproduced.  For the window-only kind ("u-window") it recomputes the
-    window functions and rechecks the stored segment exactly; a window that
-    cannot be recomputed at the stored order, or a segment that starts
-    anywhere but right after validFrom or is empty (`to` below `from`), is
-    rejected.  Returns (ok, diagnosis list).
+    rational coefficient that is not a string in the writer's form.  Then
+    every claim is proved exactly from the stored fields and the recurrence
+    alone: it names this recurrence, `_replay_windows` proves both windows,
+    and for "turan3" the corners follow from g and f with valid thresholds,
+    N covers them and validFrom, and the segment's violations and holdsFrom
+    are reproduced; for "u-window" u_n stays in the window on a nonempty
+    checked segment that starts right after validFrom.  Returns (ok,
+    diagnosis list).
     """
     if table is None:
         table = TermTable(rec)
@@ -493,6 +497,12 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
         order = _json_int(cert["order"], "order")
         if order < 1:
             raise ValueError(f"order must be an integer >= 1, got {order!r}")
+        rb = cert["ratioBounds"]
+        ratio = RatioBounds(
+            _json_rational(rb["lambda"], "lambda"), _json_int(rb["mu"], "mu"),
+            _rf_from_json(rb["lower"], "lower"), _rf_from_json(rb["upper"], "upper"),
+            _json_int(rb["validFrom"], "validFrom"),
+        )
         g = _rf_from_json(cert["bounds"]["g"], "g")
         f = _rf_from_json(cert["bounds"]["f"], "f")
         valid_from = _json_int(cert["bounds"]["validFrom"], "validFrom")
@@ -513,18 +523,46 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
         else:
             seg = cert["checkedSegment"]
             replay, tail = _replay_u_window, {
-                "order": order,
                 "segment": (_json_int(seg["from"], "from"), _json_int(seg["to"], "to")),
             }
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         return False, [f"malformed certificate: {exc}"]
 
-    bad += replay(rec, table, scaling, g, f, valid_from, **tail)
+    bad += _replay_windows(rec, table, scaling, order, ratio, g, f, valid_from) or replay(
+        table, scaling, g, f, valid_from, **tail)
     return not bad, bad
 
 
+def _replay_windows(rec, table, scaling, order, rb, g, f, valid_from) -> list:
+    """Prove the stored ratio window and u-window with the builder's own
+    induction and discharge.  Exponents are read off the stored functions,
+    so no stated order or mu sizes the work."""
+    slack = rb.upper - rb.lower
+    e = slack.num.degree - slack.den.degree
+    if e != rb.mu - order + 1 or slack != RatFunc.laurent([(e, 2)]):
+        return [f"s_u(n) - s_l(n) is not 2 n^{rb.mu - order + 1}, the slack of mu = {rb.mu} at order {order}"]
+    top = rb.lower.num.degree - rb.lower.den.degree
+    if not rb.lower or top != rb.mu or limit_at_infinity(rb.lower / RatFunc.laurent([(top, 1)])) != rb.lam:
+        return [f"s_l(n) does not lead with lambda n^mu = {frac_str(rb.lam)} n^{rb.mu}"]
+    if scaling == "factorial":
+        g, f = g / FACTORIAL_FACTOR, f / FACTORIAL_FACTOR
+    try:
+        n1 = _induction_threshold(rec, rb.lower, rb.upper)
+        n2 = max(_discharge_threshold(rb.lower, rb.upper, g, f), rb.valid_from)
+    except CertifyError as exc:
+        return [f"the window is not proved: {exc}"]
+    if rb.valid_from <= n1:
+        return [f"ratio validFrom {rb.valid_from} is below the induction threshold {n1 + 1}"]
+    base = _escape(table, "none", rb.lower, rb.upper, rb.valid_from + 1, rb.valid_from + rec.order - 1, 2)
+    if base is not None:
+        return [f"base ratio a(n)/a(n-1) at n = {base} is outside the ratio window"]
+    if valid_from < n2:
+        return [f"validFrom {valid_from} is below {n2}, past which the ratio window discharges the u-window"]
+    return []
+
+
 def _replay_turan3(
-    rec, table, scaling, g, f, valid_from, n_cert, corners, segment, violations, holds_from
+    table, scaling, g, f, valid_from, n_cert, corners, segment, violations, holds_from
 ) -> list:
     bad = []
     if len(corners) != 4:
@@ -545,10 +583,6 @@ def _replay_turan3(
     if valid_from > n_cert:
         bad.append("N does not cover the window validity threshold")
 
-    n = first_escape(table, scaling, g, f, valid_from + 1, valid_from + 100)
-    if n is not None:
-        bad.append(f"u at n = {n} escapes the stored window")
-
     lo, hi = segment
     if lo != 1 or hi != n_cert:
         bad.append("initial segment does not cover [1, N]")
@@ -561,26 +595,11 @@ def _replay_turan3(
     return bad
 
 
-def _replay_u_window(rec, table, scaling, g, f, valid_from, order, segment) -> list:
-    try:
-        _, ub = certify_u_bounds(rec, order, table=table)
-    except (CertifyError, ExpansionError) as exc:
-        return [f"the window cannot be recomputed at order {order}: {exc}"]
-    bad = []
-    expect = scaled_bounds(ub, scaling)
-    if g != expect.lower or f != expect.upper:
-        bad.append("window functions do not match a recomputation")
-    if valid_from < ub.valid_from:
-        bad.append(
-            f"validFrom {valid_from} is below the certified threshold {ub.valid_from}"
-        )
-
+def _replay_u_window(table, scaling, g, f, valid_from, segment) -> list:
     lo, hi = segment
     if lo != valid_from + 1:
-        return bad + ["checked segment does not start right after validFrom"]
+        return ["checked segment does not start right after validFrom"]
     if hi < lo:
-        return bad + ["checked segment is empty"]
+        return ["checked segment is empty"]
     n = first_escape(table, scaling, g, f, lo, hi)
-    if n is not None:
-        bad.append(f"u at n = {n} escapes the stored window")
-    return bad
+    return [] if n is None else [f"u at n = {n} escapes the stored window"]

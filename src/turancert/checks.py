@@ -15,12 +15,11 @@ from .algebra import Poly, RatFunc, eventual_positivity_threshold
 from .algebra.poly import _horner, _integer_coeffs, _integer_window
 from .asymptotics import ratio_expansion, u_expansion
 from .certify import (
+    FACTORIAL_FACTOR,
     CertifyError,
-    UBounds,
     certify_turan3,
     certify_u_bounds,
     corner_polynomial,
-    scaled_bounds,
     turan_form,
 )
 from .corpus import ENTRIES, CorpusEntry
@@ -38,13 +37,13 @@ class CheckResult(NamedTuple):
 
 
 def window_functions(window: dict, scaling: str) -> tuple[RatFunc, RatFunc]:
-    """Bound pair 1 + sum c/n^e per side, scaled by `scaled_bounds`."""
-    g, f = (
-        RatFunc.laurent([(0, 1)] + [(-int(e), c) for e, c in window[part].items()])
+    """Bound pair 1 + sum c/n^e per side, times `FACTORIAL_FACTOR` under
+    the factorial scaling."""
+    factor = FACTORIAL_FACTOR if scaling == "factorial" else 1
+    return tuple(
+        RatFunc.laurent([(0, 1)] + [(-int(e), c) for e, c in window[part].items()]) * factor
         for part in ("g", "f")
     )
-    ub = scaled_bounds(UBounds(g, f, 0, Fraction(0), {}), scaling)
-    return ub.lower, ub.upper
 
 
 def _check_terms(e: CorpusEntry, table: TermTable) -> list:

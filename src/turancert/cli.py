@@ -408,6 +408,16 @@ COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it reports arguments it does not know under its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
+
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The root parser with every command, or with `command`'s alone.
 
@@ -421,7 +431,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     )
     root.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     _add_common(root, suppress=False)
-    sub = root.add_subparsers(dest="cmd", required=True, metavar="command")
+    sub = root.add_subparsers(dest="cmd", required=True, metavar="command",
+                              parser_class=_CommandParser)
     for name, (fn, help_text, add_arguments) in COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, help=help_text)

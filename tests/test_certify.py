@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 import random
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from turancert.algebra import Poly, RatFunc, eventual_positivity_threshold
-from turancert.asymptotics import ratio_expansion
+from turancert.asymptotics import ExpansionError, ratio_expansion
 from turancert.asymptotics.ratio import u_grid
 from turancert.certify import (
     CertifyError,
@@ -26,10 +27,13 @@ from turancert.certify import (
     u_bound_functions,
     verify_certificate,
 )
-from turancert import certify, checks, sequences
+from turancert import certify, checks, cli, sequences
 from turancert.corpus import ENTRIES
 from turancert.parser import parse_recurrence
-from turancert.sequences import PREC, Recurrence, TermTable, first_escape, u_value
+from turancert.render import ratfunc_to_json
+from turancert.sequences import (
+    PREC, Recurrence, TermTable, check_inequality_range, first_escape, u_value,
+)
 
 from oracles import get, random_deltas, random_truncation, ratio_base_reference, series_ratio_windows
 
@@ -396,21 +400,24 @@ class TestTuranCertificate:
         assert not ok
         assert any("violations" in d for d in diag)
 
-    @pytest.mark.parametrize("name, tamper", [
-        # g gets a pole inside the sampled indices past validFrom
+    @pytest.mark.parametrize("name, tamper, message", [
+        # g gets a pole just past validFrom, and grows like n
         ("motzkin", lambda doc: doc["bounds"]["g"].update(
-            den=[str(-doc["bounds"]["validFrom"] - 3), "1"])),
+            den=[str(-doc["bounds"]["validFrom"] - 3), "1"]),
+         "the window is not proved: required inequality is not eventually positive:"
+         " s_l(n+1)/s_u(n) - g(n)"),
         # u_1 of fine is undefined, as a(1) = 0
-        ("fine", lambda doc: doc["bounds"].update(validFrom=0)),
+        ("fine", lambda doc: doc["bounds"].update(validFrom=0),
+         "validFrom 0 is below 8, past which the ratio window discharges the u-window"),
     ], ids=["window-pole", "zero-term"])
-    def test_verify_rejects_undefined_sample(self, name, tamper):
+    def test_verify_rejects_undefined_sample(self, name, tamper, message):
         e = get(name)
         t = TermTable(e.recurrence)
         doc = certify_turan3(e.recurrence, 4, scaling=e.scaling, table=t).to_json()
         tamper(doc)
         ok, diag = verify_certificate(doc, e.recurrence, t)
         assert not ok
-        assert any("escapes the stored window" in d for d in diag)
+        assert message in diag
 
     def test_verify_rejects_wrong_sequence(self):
         cert = certify_turan3(get("franel3").recurrence, 4, scaling="factorial")
@@ -468,7 +475,10 @@ class TestUWindowCertificate:
         doc["bounds"]["g"]["num"][0] = "3"
         ok, diag = verify_certificate(doc, e.recurrence, t)
         assert not ok
-        assert any("recomputation" in d for d in diag)
+        assert (
+            "the window is not proved: required inequality is not eventually positive:"
+            " s_l(n+1)/s_u(n) - g(n)"
+        ) in diag
 
     def test_verify_rejects_early_valid_from(self):
         e = get("binomial4")
@@ -478,7 +488,7 @@ class TestUWindowCertificate:
         doc["checkedSegment"] = {"from": 2, "to": 100}
         ok, diag = verify_certificate(doc, e.recurrence, t)
         assert not ok
-        assert any("below the certified threshold" in d for d in diag)
+        assert "validFrom 1 is below 6, past which the ratio window discharges the u-window" in diag
 
     def test_verify_rejects_segment_before_window(self):
         # the recheck never reads terms before a(0)
@@ -499,6 +509,140 @@ class TestUWindowCertificate:
         doc["checkedSegment"]["to"] = to
         ok, diag = verify_certificate(doc, e.recurrence, t)
         assert (ok, diag) == (False, ["checked segment is empty"])
+
+
+HALF_CUBE = rf([1], [0, 0, 0, 2])  # 1/(2n^3), half the K = 4 ratio slack
+
+
+def with_part(part, key, change):
+    """A tamper that replaces the rational function doc[part][key] by change(it)."""
+    def tamper(doc):
+        doc[part][key] = ratfunc_to_json(change(certify._rf_from_json(doc[part][key], key)))
+    return tamper
+
+
+def with_lower(lam, change):
+    """A tamper that sets s_l to change(s_l), and s_u to s_l + 2/n^3 and
+    lambda to lam, so that the slack and the limit still match."""
+    def tamper(doc):
+        s_l = change(certify._rf_from_json(doc["ratioBounds"]["lower"], "lower"))
+        doc["ratioBounds"].update(
+            {"lambda": lam, "lower": ratfunc_to_json(s_l), "upper": ratfunc_to_json(s_l + 4 * HALF_CUBE)})
+    return tamper
+
+
+def refreshed(doc, table, n_cert=None):
+    """doc with every field that follows from its windows recomputed: the
+    corners and their thresholds, N (kept when given), the initial segment
+    and holdsFrom, so that only the head's own claims can be wrong."""
+    g, f = (certify._rf_from_json(doc["bounds"][k], k) for k in ("g", "f"))
+    corners = [corner_polynomial(g, f, i) for i in range(4)]
+    thresholds = [eventual_positivity_threshold(c) for c in corners]
+    doc["corners"] = [{**ratfunc_to_json(c), "threshold": t} for c, t in zip(corners, thresholds)]
+    n_cert = max([doc["bounds"]["validFrom"]] + thresholds) if n_cert is None else n_cert
+    violations = check_inequality_range(table, "turan3", 1, n_cert, doc["sequence"]["scaling"])
+    doc["N"], doc["initialSegment"] = n_cert, {"from": 1, "to": n_cert, "violations": violations}
+    doc["holdsFrom"] = violations[-1] + 1 if violations else 1
+    return doc
+
+
+NOT_POSITIVE = "the window is not proved: required inequality is not eventually positive: "
+SLACK = "s_u(n) - s_l(n) is not 2 n^-3, the slack of mu = 0 at order 4"
+ZERO = RatFunc.zero()
+
+
+class TestProvedHead:
+    """Tampered heads of motzkin's K = 4 factorial certificate, every
+    dependent field recomputed: each claim is false, and was accepted
+    while `verify` only sampled u_n past validFrom."""
+
+    @pytest.mark.parametrize("n_cert, tamper, message", [
+        # f: u's own expansion with its n^-4 coefficient lowered by 1/5,
+        # which u leaves at n = 231
+        (67, with_part("bounds", "f", lambda f: (
+            1 + rf([F(3, 2)], [0, 0, 1]) - rf([F(39, 8)], [0, 0, 0, 1])
+            + rf([F(489, 32) - F(1, 5)], [0, 0, 0, 0, 1])) * SCALE),
+         NOT_POSITIVE + "f(n) - s_u(n+1)/s_l(n)"),
+        (None, lambda doc: doc["ratioBounds"].update(validFrom=10),
+         "ratio validFrom 10 is below the induction threshold 67"),
+        (30, lambda doc: doc["bounds"].update(validFrom=30),
+         "validFrom 30 is below 67, past which the ratio window discharges the u-window"),
+        (None, with_lower("3", lambda s: s - HALF_CUBE), NOT_POSITIVE + "s_u(n+d) - upper step"),
+        (None, lambda doc: doc["ratioBounds"].update({"lambda": "5"}),
+         "s_l(n) does not lead with lambda n^mu = 5 n^0"),
+        (None, with_part("ratioBounds", "upper", lambda s: s - HALF_CUBE), SLACK),
+        (None, with_part("ratioBounds", "lower", lambda s: ZERO), SLACK),
+        (None, with_part("ratioBounds", "lower", lambda s: -s), SLACK),
+        (None, with_lower("0", lambda s: ZERO), "s_l(n) does not lead with lambda n^mu = 0 n^0"),
+        (None, with_lower("-3", lambda s: -s), NOT_POSITIVE + "s_l(n)"),
+    ], ids=["a-low-f", "b-ratio-valid-from", "c-valid-from", "d-shifted-window", "e-lambda",
+            "f-low-s_u", "g-zero-s_l", "g-negated-s_l", "g-zero-s_l-matched", "g-negated-s_l-matched"])
+    def test_rejects_a_false_head(self, n_cert, tamper, message):
+        rec = get("motzkin").recurrence
+        t = TermTable(rec)
+        doc = certify_turan3(rec, 4, "factorial", table=t).to_json()
+        tamper(doc)
+        doc = refreshed(doc, t, n_cert)
+        assert verify_certificate(doc, rec, t) == (False, [message])
+
+    def test_base_ratios_are_checked_exactly(self):
+        # 3^n's window closes the induction for 2^n too, whose ratios lie outside it
+        three = parse_recurrence("a(n+2) - 5*a(n+1) + 6*a(n) = 0 ; 1, 3")
+        two = parse_recurrence("a(n+2) - 5*a(n+1) + 6*a(n) = 0 ; 1, 2")
+        doc = certify_u_window(three, 4).to_json()
+        assert doc["ratioBounds"]["validFrom"] == 6
+        assert verify_certificate(doc, three) == (True, [])
+        assert verify_certificate(doc, two) == (False, [
+            "certificate does not describe this recurrence",
+            "base ratio a(n)/a(n-1) at n = 7 is outside the ratio window",
+        ])
+
+    @pytest.mark.parametrize("tamper, message", [
+        (with_lower("0", lambda s: ZERO), "s_l(n) does not lead with lambda n^mu = 0 n^0"),
+        (with_lower("-3", lambda s: -s), NOT_POSITIVE + "s_l(n)"),
+    ], ids=["zero", "negated"])
+    def test_a_false_lower_bound_exits_3_with_a_diagnosis(self, capsys, tmp_path, tamper, message):
+        rec = get("motzkin").recurrence
+        doc = certify_turan3(rec, 4, "factorial").to_json()
+        tamper(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["verify", str(path), "motzkin"]) == 3
+        out, err = capsys.readouterr()
+        assert (out.splitlines(), err) == (["certificate for motzkin: REJECTED", "  " + message], "")
+
+    def test_verify_needs_no_expansion(self, monkeypatch):
+        docs = []
+        for name, e in sorted(ENTRIES.items()):
+            for order in (4, 6, 8):
+                for make in (certify_turan3, certify_u_window):
+                    try:
+                        cert = make(e.recurrence, order, e.scaling, table=TermTable(e.recurrence))
+                    except (CertifyError, ExpansionError):
+                        continue
+                    docs.append((e.recurrence, cert.to_json()))
+        # turan3 on domb, fine, franel3 and motzkin at every order, and on
+        # inverse-catalan at 6 and 8; u-window on those five and binomial4
+        assert len(docs) == 14 + 18
+
+        def refused(*args, **kwargs):
+            raise AssertionError("verify reached the expansion")
+
+        for attr in ("ratio_expansion", "certify_u_bounds", "certify_ratio_bounds"):
+            monkeypatch.setattr(certify, attr, refused)
+        for rec, doc in docs:
+            assert verify_certificate(doc, rec, TermTable(rec)) == (True, []), doc["sequence"]["name"]
+
+    @pytest.mark.parametrize("order", [8, 16, 24])
+    def test_rewritten_order_is_rejected_at_once(self, order):
+        rec = get("binomial4").recurrence
+        t = TermTable(rec)
+        doc = certify_u_window(rec, 4, table=t).to_json()
+        doc["order"] = order
+        start = time.perf_counter()
+        ok, diag = verify_certificate(doc, rec, t)
+        assert time.perf_counter() - start < 0.5
+        assert (ok, diag) == (False, [f"s_u(n) - s_l(n) is not 2 n^{1 - order}, the slack of mu = 0 at order {order}"])
 
 
 def oracle_escape(table, scaling, g, f, lo, hi):
