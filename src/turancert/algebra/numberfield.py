@@ -1,10 +1,13 @@
 """Exact arithmetic in Q(theta) for a real algebraic theta.
 
-Elements are polynomials in theta reduced modulo a defining polynomial: a
-coefficient tuple as long as the field degree.  Two reduced tuples stay
-reduced under + - *, which act on the tuples (a product on integers, with
-the monic modulus cancelling what passes the degree) and divide no `Poly`;
-an operand left long by a shrunk modulus is reduced first.
+Elements are polynomials in theta reduced modulo a defining polynomial.
+An element stores an integer numerator tuple `num`, as long as the field
+degree, over one positive denominator `den`, in the normal form
+gcd(den, *num) = 1; `coeffs` gives the tuple of `Fraction`s num[i] / den.
+Two reduced elements stay reduced under + - *, which act on the integers
+(a product cancels what passes the degree against the cleared modulus)
+and divide no `Poly`; each result takes one gcd to its normal form.  An
+operand left long by a shrunk modulus is reduced first.
 The defining polynomial is kept square-free but need not be proven
 irreducible: inversion uses dynamic splitting (when a gcd with the
 modulus appears, the modulus shrinks to the factor that still vanishes
@@ -19,23 +22,13 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .poly import Poly, _convolve, _integer_window, poly_gcd
+from .poly import Poly, _convolve, _int_gcd, _integer_window, _poly_of
 from .roots import AlgebraicReal
 
 
 def _iv_mul(a: tuple, b: tuple) -> tuple:
     vals = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(vals), max(vals))
-
-
-def poly_eval_interval(p: Poly, lo: Fraction, hi: Fraction) -> tuple:
-    """Interval enclosure of p over [lo, hi] (rational coefficients)."""
-    acc = (Fraction(0), Fraction(0))
-    x = (lo, hi)
-    for c in reversed(p.coeffs):
-        acc = _iv_mul(acc, x)
-        acc = (acc[0] + c, acc[1] + c)
-    return acc
 
 
 def _is_rational_square(q: Fraction) -> bool:
@@ -50,8 +43,7 @@ class NumberField:
 
     def __init__(self, root: AlgebraicReal):
         self.root = root
-        self.modulus = Poly(root.poly.coeffs).monic()
-        self.known_irreducible = self._cheap_irreducible()
+        self._shrink_modulus(Poly(root.poly.coeffs))
 
     def _cheap_irreducible(self) -> bool:
         d = self.modulus.degree
@@ -64,10 +56,6 @@ class NumberField:
             return not _is_rational_square(disc)
         return False
 
-    @property
-    def degree(self) -> int:
-        return self.modulus.degree
-
     # -- root-aware modulus maintenance -----------------------------------
 
     def _root_vanishes(self, g: Poly) -> bool:
@@ -79,7 +67,10 @@ class NumberField:
         return (sl > 0) != (sh > 0) or sl == 0 or sh == 0
 
     def _shrink_modulus(self, g: Poly) -> None:
+        """Make g, monic, the modulus, kept with its degree and integer form."""
         self.modulus = g.monic()
+        self.degree = self.modulus.degree
+        self.int_modulus = _integer_window(self.modulus.coeffs)[0]
         self.known_irreducible = self._cheap_irreducible()
 
     def reduce(self, p: Poly) -> tuple:
@@ -88,18 +79,16 @@ class NumberField:
         cs += [Fraction(0)] * (self.degree - len(cs))
         return tuple(cs[: self.degree])
 
-    def _reduced(self, e: "NFElem") -> tuple:
-        """e's coefficient tuple, reduced only when its length is not the degree."""
-        cs = e.coeffs
-        return cs if len(cs) == self.degree else self.reduce(Poly(cs))
+    def _reduced(self, e: "NFElem") -> "NFElem":
+        """e, reduced only when its length is not the degree."""
+        return e if len(e.num) == self.degree else NFElem(self, self.reduce(Poly(e.coeffs)))
 
-    def _mul(self, a: tuple, b: tuple) -> tuple:
-        """The product of two reduced tuples, on integers: the convolution of
-        the cleared tuples, each coefficient past the degree cancelled against
-        the modulus as it is now (splitting may have shrunk it), cleared too."""
-        (x, s), (y, t) = _integer_window(a), _integer_window(b)
-        (m, _), d = _integer_window(self.modulus.coeffs), self.degree
-        out, scale = _convolve(x, y), s * t
+    def _mul(self, a: "NFElem", b: "NFElem") -> "NFElem":
+        """The product of two reduced elements, on integers: the convolution
+        of the numerators, each coefficient past the degree cancelled against
+        the integer modulus as it is now (splitting may have shrunk it)."""
+        m, d = self.int_modulus, self.degree
+        out, scale = _convolve(a.num, b.num), a.den * b.den
         for k in range(2 * d - 2, d - 1, -1):
             c = out[k]
             if c:
@@ -107,7 +96,7 @@ class NumberField:
                     out, scale = [m[d] * v for v in out], scale * m[d]
                 for i in range(k - d, k):
                     out[i] -= c * m[i - k + d]
-        return tuple(Fraction(c, scale) for c in out[:d])
+        return _normal(self, out[:d], scale)
 
     # -- element factory ----------------------------------------------------
 
@@ -123,12 +112,12 @@ class NumberField:
     # -- core ops on coefficient tuples ---------------------------------------
 
     def is_zero(self, e: "NFElem") -> bool:
-        cs = self._reduced(e)
-        if not any(cs):
+        x = self._reduced(e).num
+        if not any(x):
             return True
         if self.known_irreducible:
             return False
-        g = poly_gcd(Poly(cs), self.modulus)
+        g = _poly_of(_int_gcd(x[::-1], self.int_modulus[::-1]))
         if g.degree > 0 and self._root_vanishes(g):
             self._shrink_modulus(g)
             return True
@@ -136,7 +125,7 @@ class NumberField:
 
     def inv(self, e: "NFElem") -> "NFElem":
         while True:
-            p = Poly(self._reduced(e))
+            p = Poly(self._reduced(e).coeffs)
             if p.is_zero():
                 raise ZeroDivisionError("inverse of zero field element")
             # extended Euclid: u*p + v*modulus = g
@@ -157,12 +146,23 @@ class NumberField:
             c = r1.constant()
             return NFElem(self, self.reduce(u1.scale(1 / c)))
 
+    def _enclose(self, e: "NFElem") -> tuple:
+        """e's enclosure over the root's interval by interval Horner, on
+        integers: step j scaled by den * D^j, D the root ends' denominator."""
+        r = self._reduced(e)
+        (lo, hi), D = _integer_window((self.root.lo, self.root.hi))
+        a = b = 0
+        for j, c in enumerate(reversed(r.num)):
+            a, b = _iv_mul((a, b), (lo, hi))
+            a, b = a + c * D**j, b + c * D**j
+        scale = r.den * D ** (len(r.num) - 1)
+        return Fraction(a, scale), Fraction(b, scale)
+
     def sign(self, e: "NFElem") -> int:
         if self.is_zero(e):
             return 0
-        p = Poly(self._reduced(e))
         while True:
-            lo, hi = poly_eval_interval(p, self.root.lo, self.root.hi)
+            lo, hi = self._enclose(e)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -170,36 +170,50 @@ class NumberField:
             self.root.refine()
 
     def approx_interval(self, e: "NFElem", width: Optional[Fraction] = None) -> tuple:
-        p = Poly(self._reduced(e))
-        lo, hi = poly_eval_interval(p, self.root.lo, self.root.hi)
+        lo, hi = self._enclose(e)
         if width is not None:
             while hi - lo > width:
                 self.root.refine()
-                lo, hi = poly_eval_interval(p, self.root.lo, self.root.hi)
+                lo, hi = self._enclose(e)
         return lo, hi
 
     def to_fraction(self, e: "NFElem") -> Optional[Fraction]:
         """Exact rational value if the element is rational, else None."""
-        cs = self._reduced(e)
-        c0 = cs[0] if cs else Fraction(0)
-        if not any(cs[1:]):
+        r = self._reduced(e)
+        c0 = Fraction(r.num[0], r.den)
+        if not any(r.num[1:]):
             return c0
         if self.known_irreducible:
             return None
         # reducible modulus: the value may still be rational
-        if self.is_zero(NFElem(self, cs) - self.from_rational(c0)):
+        if self.is_zero(r - c0):
             return c0
         return None
+
+
+def _normal(field: NumberField, num, den: int) -> "NFElem":
+    """The element num / den (den > 0), divided to normal form by one gcd."""
+    g = math.gcd(den, *num)
+    if g > 1:
+        num, den = [c // g for c in num], den // g
+    e = object.__new__(NFElem)
+    e.field, e.num, e.den = field, tuple(num), den
+    return e
 
 
 class NFElem:
     """Element of a NumberField; supports field arithmetic and exact sign."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: NumberField, coeffs: tuple):
-        self.field = field
-        self.coeffs = tuple(Fraction(c) if isinstance(c, int) else c for c in coeffs)
+        # lcm-clearing reduced Fractions leaves gcd(den, *num) = 1
+        num, self.den = _integer_window(coeffs)
+        self.field, self.num = field, tuple(num)
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _lift(self, other) -> Optional["NFElem"]:
         if isinstance(other, NFElem):
@@ -212,40 +226,50 @@ class NFElem:
 
     # arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
+    def _add(self, other, sign: int):
+        """self + sign * other, on the integers of the reduced operands."""
         K = self.field
-        if isinstance(other, (int, Fraction)):
+        a = K._reduced(self)
+        x, s = a.num, a.den
+        if not isinstance(other, NFElem):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             # a rational operand leaves a reduced tuple reduced: act on it directly
-            a = K._reduced(self)
-            return NFElem(K, (a[0] + other,) + a[1:])
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return NFElem(K, tuple(x + y for x, y in zip(K._reduced(self), K._reduced(o))))
+            if not other:
+                return a
+            p, r = sign * other.numerator, other.denominator
+            return _normal(K, (x[0] * r + p * s,) + tuple(c * r for c in x[1:]), s * r)
+        b = K._reduced(self._lift(other))
+        y, t = b.num, b.den
+        return _normal(K, [u * t + sign * v * s for u, v in zip(x, y)], s * t)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return NFElem(self.field, tuple(-c for c in self.coeffs))
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, NFElem)):
-            return self + (-other)
-        return NotImplemented
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
             return -self + other
         return NotImplemented
 
+    def __neg__(self):
+        a = self.field._reduced(self)
+        return _normal(a.field, [-c for c in a.num], a.den)
+
     def __mul__(self, other):
         K = self.field
-        if isinstance(other, (int, Fraction)):
-            return NFElem(K, tuple(c * other for c in K._reduced(self)))
-        o = self._lift(other)
-        if o is None:
+        if isinstance(other, NFElem):
+            return K._mul(K._reduced(self), K._reduced(self._lift(other)))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return NFElem(K, K._mul(K._reduced(self), K._reduced(o)))
+        a = K._reduced(self)
+        if other == 1:
+            return a
+        return _normal(K, [c * other.numerator for c in a.num], a.den * other.denominator)
 
     __rmul__ = __mul__
 

@@ -10,7 +10,9 @@ only place that clears them to it.  `_integer_coeffs` scales a group of
 them by one positive integer, the lcm of their denominators, and lists
 their coefficients highest degree first; `_integer_window` does the same
 for a window of rationals: `sequences.windows` builds every term window
-of an exact scan with it.  A positive scale keeps every sign and zero, so
+of an exact scan with it, and a number-field element (`NFElem`) stores its
+coefficients, and the field its modulus, as the integers it returns, which
++ - * then act on.  A positive scale keeps every sign and zero, so
 the term stepper, the certificate bounds that `sequences` compares with
 u_n (`first_escape`) and with a(n)/a(n-1) (`_escape`, for the ratio base
 window), the corpus residual check and the Sturm layer run on these lists

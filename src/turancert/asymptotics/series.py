@@ -1,4 +1,4 @@
-"""Truncated asymptotic series sum_i c_i(log n) / n^{e_i} + o(n^{-beta}).
+"""Truncated asymptotic series sum_i c_i(log n) / n^{e_i} + O(n^{-beta}).
 
 Coefficients are rational functions of an abstract variable L standing for
 log n; exponents are arbitrary rationals (negative allowed, so polynomial
@@ -6,7 +6,8 @@ prefactors embed).  errorOrder None means the remainder is identically
 zero (finite closed form), not merely unknown.
 
 Truncation is strict: a term is kept iff its exponent is strictly below
-errorOrder; boundary terms are absorbed into the error.
+errorOrder; boundary terms are absorbed into the error, so the remainder
+is big-O of n^{-errorOrder}, not little-o.
 """
 
 from __future__ import annotations

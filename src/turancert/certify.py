@@ -471,12 +471,12 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
     field that is not a JSON integer (a string, a float or a boolean) or a
     rational coefficient that is not a string in the writer's form.  Then
     every claim is proved exactly from the stored fields and the recurrence
-    alone: it names this recurrence, `_replay_windows` proves both windows,
-    and for "turan3" the corners follow from g and f with valid thresholds,
-    N covers them and validFrom, and the segment's violations and holdsFrom
-    are reproduced; for "u-window" u_n stays in the window on a nonempty
-    checked segment that starts right after validFrom.  Returns (ok,
-    diagnosis list).
+    alone: it names this recurrence, `_replay_windows` proves both windows
+    and checks slackExponent against g and f, and for "turan3" the corners
+    follow from g and f with valid thresholds, N covers them and validFrom,
+    and the segment's violations and holdsFrom are reproduced; for
+    "u-window" u_n stays in the window on a nonempty checked segment that
+    starts right after validFrom.  Returns (ok, diagnosis list).
     """
     if table is None:
         table = TermTable(rec)
@@ -506,6 +506,7 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
         g = _rf_from_json(cert["bounds"]["g"], "g")
         f = _rf_from_json(cert["bounds"]["f"], "f")
         valid_from = _json_int(cert["bounds"]["validFrom"], "validFrom")
+        slack_exp = _json_rational(cert["bounds"]["slackExponent"], "slackExponent")
         if valid_from < 0:
             raise ValueError(f"negative validFrom {valid_from}")
         if kind == "turan3":
@@ -528,15 +529,16 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         return False, [f"malformed certificate: {exc}"]
 
-    bad += _replay_windows(rec, table, scaling, order, ratio, g, f, valid_from) or replay(
+    bad += _replay_windows(rec, table, scaling, order, ratio, g, f, valid_from, slack_exp) or replay(
         table, scaling, g, f, valid_from, **tail)
     return not bad, bad
 
 
-def _replay_windows(rec, table, scaling, order, rb, g, f, valid_from) -> list:
+def _replay_windows(rec, table, scaling, order, rb, g, f, valid_from, slack_exp) -> list:
     """Prove the stored ratio window and u-window with the builder's own
-    induction and discharge.  Exponents are read off the stored functions,
-    so no stated order or mu sizes the work."""
+    induction and discharge, and check that the stated slack exponent is the
+    largest power of 1/n in the unscaled f - g.  Exponents are read off the
+    stored functions, so no stated order or mu sizes the work."""
     slack = rb.upper - rb.lower
     e = slack.num.degree - slack.den.degree
     if e != rb.mu - order + 1 or slack != RatFunc.laurent([(e, 2)]):
@@ -558,7 +560,16 @@ def _replay_windows(rec, table, scaling, order, rb, g, f, valid_from) -> list:
         return [f"base ratio a(n)/a(n-1) at n = {base} is outside the ratio window"]
     if valid_from < n2:
         return [f"validFrom {valid_from} is below {n2}, past which the ratio window discharges the u-window"]
+    width = f - g
+    if not width or slack_exp != _pole_order(width):
+        return [f"slackExponent {frac_str(slack_exp)} is not the largest power of 1/n in f(n) - g(n)"]
     return []
+
+
+def _pole_order(r: RatFunc) -> int:
+    """The order of r's pole at n = 0: the largest power of 1/n in a Laurent polynomial r."""
+    den, num = (next(i for i, c in enumerate(p.coeffs) if c) for p in (r.den, r.num))
+    return den - num
 
 
 def _replay_turan3(

@@ -2,8 +2,9 @@
 rational functions, series and their scalars, and the growth record of a
 ratio expansion.  No other module of the package writes these forms.
 
-Text form of a series: ``1 - 3/2*n^-2 + 9/4*n^-3 + o(n^-4)`` with
-fractional powers parenthesized (``n^(-3/2)``) and log-dependent
+Text form of a series: ``1 - 3/2*n^-2 + 9/4*n^-3 + O(n^-4)``, with the
+remainder big-O at the error order (the series does not know the term
+there), fractional powers parenthesized (``n^(-3/2)``) and log-dependent
 coefficients written as polynomials in ``log(n)``.  An irrational scalar
 prints as ``~`` and its value to 10 significant digits.  JSON forms are
 exact, including algebraic scalars (carried as modulus plus isolating
@@ -127,7 +128,7 @@ def series_to_text(s: AsymSeries) -> str:
     parts = [term_str(e, c) for e, c in s.terms]
     out = _join(parts) if parts else "0"
     if s.error_order is not None:
-        out += f" + o({power_str(s.error_order)})"
+        out += f" + O({power_str(s.error_order)})"
     return out
 
 

@@ -6,9 +6,11 @@ residual, of the u-expansion and of the ratio window functions, which the
 package computes on grid arrays.
 
 On exact scalars: polynomial products and shifts by a loop over the
-coefficients in their own scalar type, and number-field `+ - *`, zero test,
-sign and rational value by a `Poly` division by the modulus after every
-operation, which the package does on integers and reduced tuples.
+coefficients in their own scalar type, and number-field `+ - * /`,
+negation, powers, zero test, sign and rational value by a `Poly` division
+by the modulus after every operation, and enclosures over the root's
+interval by interval Horner in `Fraction`s, which the package does on
+integers and reduced tuples.
 Root refinement by bisection that evaluates the polynomial in `Fraction`
 arithmetic at both ends of every step.
 
@@ -29,7 +31,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from turancert.algebra import NFElem, Poly, RatFunc, poly_gcd, scalar_sign
-from turancert.algebra.numberfield import poly_eval_interval
 from turancert.asymptotics import (
     AsymSeries,
     RatioExpansion,
@@ -247,6 +248,25 @@ def nf_mul(x: NFElem, y) -> NFElem:
     return NFElem(x.field, x.field.reduce(loop_product(Poly(x.coeffs), Poly(y.coeffs))))
 
 
+def nf_neg(x: NFElem) -> NFElem:
+    return NFElem(x.field, x.field.reduce(Poly([-c for c in x.coeffs])))
+
+
+def nf_pow(x: NFElem, k: int) -> NFElem:
+    """x ** k by |k| loop products, inverted for k < 0."""
+    out = x.field.from_rational(1)
+    for _ in range(abs(k)):
+        out = nf_mul(out, x)
+    return x.field.inv(out) if k < 0 else out
+
+
+def nf_div(x: NFElem, y) -> NFElem:
+    """x / y as x times the inverse of y (a rational y as its reciprocal)."""
+    if isinstance(y, NFElem):
+        return nf_mul(x, x.field.inv(y))
+    return nf_mul(x, 1 / Fraction(y))
+
+
 def nf_is_zero(x: NFElem) -> bool:
     """Zero test on the reduced tuple; a reducible modulus shrinks to the
     factor it shares with a nonzero tuple vanishing at the tracked root."""
@@ -263,6 +283,21 @@ def nf_is_zero(x: NFElem) -> bool:
     return False
 
 
+def _iv_mul(a: tuple, b: tuple) -> tuple:
+    vals = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return (min(vals), max(vals))
+
+
+def poly_eval_interval(p: Poly, lo: Fraction, hi: Fraction) -> tuple:
+    """Interval enclosure of p over [lo, hi] by Horner in `Fraction`s."""
+    acc = (Fraction(0), Fraction(0))
+    x = (lo, hi)
+    for c in reversed(p.coeffs):
+        acc = _iv_mul(acc, x)
+        acc = (acc[0] + c, acc[1] + c)
+    return acc
+
+
 def nf_sign(x: NFElem) -> int:
     K = x.field
     if nf_is_zero(x):
@@ -277,6 +312,17 @@ def nf_sign(x: NFElem) -> int:
         if hi < 0:
             return -1
         K.root.refine()
+
+
+def nf_approx_interval(x: NFElem, width: Fraction) -> tuple:
+    """An enclosure of x no wider than width, refining the root as needed."""
+    K = x.field
+    p = Poly(K.reduce(Poly(x.coeffs)))
+    lo, hi = poly_eval_interval(p, K.root.lo, K.root.hi)
+    while hi - lo > width:
+        K.root.refine()
+        lo, hi = poly_eval_interval(p, K.root.lo, K.root.hi)
+    return lo, hi
 
 
 def nf_to_fraction(x: NFElem):

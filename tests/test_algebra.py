@@ -32,7 +32,8 @@ from turancert.algebra import (
 )
 
 from oracles import (
-    bisect_reference, loop_product, loop_shift, nf_add, nf_is_zero, nf_mul, nf_sign, nf_sub, nf_to_fraction,
+    bisect_reference, loop_product, loop_shift, nf_add, nf_approx_interval, nf_div, nf_is_zero, nf_mul, nf_neg, nf_pow,
+    nf_sign, nf_sub, nf_to_fraction,
 )
 
 X = Poly([0, 1])
@@ -821,30 +822,48 @@ NF_ROOTS = {
 }
 
 
+WIDTH = F(1, 10**12)
+
+
 def nf_run(root, seed: int, kernel: bool) -> list:
-    """A seeded sequence of + - * on a pool of field elements and rationals,
-    with an inverse of theta at step 20, logging every result's coefficient
-    tuple with types, its zero test, sign and rational value, and the
-    modulus.  kernel=False runs the reduce-based oracles on the same script."""
+    """A seeded sequence of + - * / on a pool of field elements, with ints
+    and Fractions on either side, negations and powers -2..3 among them and
+    an inverse of theta at step 20.  It logs every result's coefficient
+    tuple with types, its zero test, sign, rational value and enclosure to
+    WIDTH, and the modulus, or the error of an inverse of zero.  Each
+    kernel result must be stored in normal form: a reduced integer tuple
+    over a positive denominator, their gcd 1.  kernel=False runs the
+    reduce-based oracles on the same script."""
     rng = random.Random(seed)
     K = NumberField(root)
     if kernel:
-        ops, preds = (operator.add, operator.sub, operator.mul), (bool, NFElem.sign, NFElem.to_fraction)
+        binary, neg, power = (operator.add, operator.sub, operator.mul, operator.truediv), operator.neg, operator.pow
+        preds = (bool, NFElem.sign, NFElem.to_fraction, lambda x: x.approx_interval(WIDTH))
     else:
-        ops, preds = (nf_add, nf_sub, nf_mul), (lambda x: not nf_is_zero(x), nf_sign, nf_to_fraction)
+        binary, neg, power = (nf_add, nf_sub, nf_mul, nf_div), nf_neg, nf_pow
+        preds = (lambda x: not nf_is_zero(x), nf_sign, nf_to_fraction, lambda x: nf_approx_interval(x, WIDTH))
     pool = [K.generator(), K.element([-2, 0, 1])]
     pool += [K.element([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]) for _ in range(3)]
     log = []
-    for step in range(50):
+    for step in range(80):
         if step == 20:
             pool.append(K.inv(pool[0]))
-        x = rng.choice(pool)
-        y = rng.choice(pool) if rng.random() < 0.7 else rng.choice([F(rng.randint(-7, 7), rng.randint(1, 4)), rng.randint(-3, 3)])
-        op = rng.randrange(3)
-        if not isinstance(y, NFElem) and rng.random() < 0.5:  # the rational on the left
-            z = [y + x, y - x, y * x][op] if kernel else ops[op](K.from_rational(y), x)
-        else:
-            z = ops[op](x, y)
+        x, kind, op = rng.choice(pool), step % 4, rng.randrange(4)
+        # the other operand: an element, an int or a Fraction; kind 3 is unary
+        y = [rng.choice(pool), rng.randint(-3, 3), F(rng.randint(-7, 7), rng.randint(1, 4)), rng.randint(-2, 3)][kind]
+        try:
+            if kind == 3:
+                z = neg(x) if op == 0 else power(x, y)
+            elif kind and rng.random() < 0.5:  # the rational on the left
+                z = binary[op](y, x) if kernel else binary[op](K.from_rational(y), x)
+            else:
+                z = binary[op](x, y)
+        except ZeroDivisionError:
+            log.append(("ZeroDivisionError", K.modulus.coeffs))
+            continue
+        if kernel:
+            assert (len(z.num), math.gcd(z.den, *z.num)) == (K.degree, 1) and z.den > 0
+            assert all(type(c) is int for c in z.num) and type(z.den) is int
         log.append(([(type(c), c) for c in z.coeffs], [f(z) for f in preds], K.modulus.coeffs))
         if max(abs(c.numerator) + c.denominator for c in z.coeffs) < 10**40:
             pool.append(z)
@@ -858,4 +877,4 @@ def test_nf_kernels_match_reduce_oracle(field, seed):
     want = nf_run(NF_ROOTS[field](), 8800 + seed, kernel=False)
     assert got == want
     if field == "shrinking":
-        assert got[-1][2] == (-2, 0, 1)
+        assert got[-1][-1] == (-2, 0, 1)

@@ -575,8 +575,12 @@ class TestProvedHead:
         (None, with_part("ratioBounds", "lower", lambda s: -s), SLACK),
         (None, with_lower("0", lambda s: ZERO), "s_l(n) does not lead with lambda n^mu = 0 n^0"),
         (None, with_lower("-3", lambda s: -s), NOT_POSITIVE + "s_l(n)"),
+        # f - g is 2 n^-2 once unscaled from n/(n+1)
+        (None, lambda doc: doc["bounds"].update(slackExponent="7/3"),
+         "slackExponent 7/3 is not the largest power of 1/n in f(n) - g(n)"),
     ], ids=["a-low-f", "b-ratio-valid-from", "c-valid-from", "d-shifted-window", "e-lambda",
-            "f-low-s_u", "g-zero-s_l", "g-negated-s_l", "g-zero-s_l-matched", "g-negated-s_l-matched"])
+            "f-low-s_u", "g-zero-s_l", "g-negated-s_l", "g-zero-s_l-matched", "g-negated-s_l-matched",
+            "h-slack-exponent"])
     def test_rejects_a_false_head(self, n_cert, tamper, message):
         rec = get("motzkin").recurrence
         t = TermTable(rec)

@@ -264,6 +264,15 @@ class TestAsymptotics:
         assert exps["3/2"] == {"num": ["-1"], "den": ["4"]}
         assert exps["2"] == {"num": ["5"], "den": ["8"]}
 
+    def test_remainder_prints_big_o(self, capsys):
+        # the term at the error order is dropped, not known to vanish:
+        # -K 3 shows it, so the remainder of -K 2 is O(n^-3), not o(n^-3)
+        code, out, _ = run(capsys, "ratio-asymp", "motzkin", "-K", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == "v(n) = 1 - 3/2*n^-1 + 69/16*n^-2 + O(n^-3)"
+        code, out, _ = run(capsys, "ratio-asymp", "motzkin", "-K", "3")
+        assert out.splitlines()[-1].endswith(" - 51/4*n^-3 + O(n^-4)")
+
     def test_ratio_asymp_rational_growth(self, capsys):
         code, out, _ = run(capsys, "ratio-asymp", "motzkin", "-K", "3")
         assert code == 0
@@ -333,6 +342,17 @@ class TestAsymptotics:
         code, out, err = run(capsys, command, name, "-K", str(K), "--json")
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == ASYMP_SHA256[command, name, K]
+
+    # The benchmark's `deep` workload runs these expansions, each in a process
+    # that has expanded nothing before, so no root refinement is inherited.
+    @pytest.mark.parametrize("name", ["apery", "bn", "involutions"])
+    def test_expansion_bytes_in_a_fresh_process(self, name):
+        proc = subprocess.run(
+            [sys.executable, "-m", "turancert.cli", "u-asymp", name, "-K", "12", "--json"],
+            capture_output=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == ASYMP_SHA256["u-asymp", name, 12]
 
 
 # sha256 of the exit code, a newline and the stdout of `check-turan3 NAME
