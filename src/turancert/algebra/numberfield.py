@@ -5,15 +5,18 @@ An element stores an integer numerator tuple `num`, as long as the field
 degree, over one positive denominator `den`, in the normal form
 gcd(den, *num) = 1; `coeffs` gives the tuple of `Fraction`s num[i] / den.
 Two reduced elements stay reduced under + - *, which act on the integers
-(a product cancels what passes the degree against the cleared modulus)
-and divide no `Poly`; each result takes one gcd to its normal form.  An
-operand left long by a shrunk modulus is reduced first.
+and divide no `Poly`; each result takes one gcd to its normal form.
+A product cancels what passes the degree against the cleared modulus by
+`_fold`, which also folds each column of the grid arrays of
+`asymptotics.ratio`.  An operand left long by a shrunk modulus is reduced
+first.
 The defining polynomial is kept square-free but need not be proven
 irreducible: inversion uses dynamic splitting (when a gcd with the
 modulus appears, the modulus shrinks to the factor that still vanishes
 at the tracked root), so arithmetic stays exact either way.  Signs are
 decided by interval evaluation with root refinement, with an exact
-zero test via gcd first.
+zero test via gcd first; an enclosure that still holds 0 when narrower
+than a lower bound on |e| for e != 0 is an error, not a longer refinement.
 """
 
 from __future__ import annotations
@@ -85,18 +88,10 @@ class NumberField:
 
     def _mul(self, a: "NFElem", b: "NFElem") -> "NFElem":
         """The product of two reduced elements, on integers: the convolution
-        of the numerators, each coefficient past the degree cancelled against
-        the integer modulus as it is now (splitting may have shrunk it)."""
-        m, d = self.int_modulus, self.degree
-        out, scale = _convolve(a.num, b.num), a.den * b.den
-        for k in range(2 * d - 2, d - 1, -1):
-            c = out[k]
-            if c:
-                if m[d] != 1:
-                    out, scale = [m[d] * v for v in out], scale * m[d]
-                for i in range(k - d, k):
-                    out[i] -= c * m[i - k + d]
-        return _normal(self, out[:d], scale)
+        of the numerators, folded to the degree against the integer modulus
+        as it is now (splitting may have shrunk it)."""
+        num, scale = _fold(_convolve(a.num, b.num), self.int_modulus, self.degree)
+        return _normal(self, num, a.den * b.den * scale)
 
     # -- element factory ----------------------------------------------------
 
@@ -159,15 +154,39 @@ class NumberField:
         return Fraction(a, scale), Fraction(b, scale)
 
     def sign(self, e: "NFElem") -> int:
+        """Refines the root until e's enclosure leaves 0; one narrower than
+        `_floor(e)` that still holds 0 means `is_zero` missed a zero."""
         if self.is_zero(e):
             return 0
+        floor = None
         while True:
             lo, hi = self._enclose(e)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
+            floor = self._floor(e) if floor is None else floor
+            if hi - lo < floor:
+                raise ArithmeticError(f"internal: {e!r} is zero, but the zero test passed it")
             self.root.refine()
+
+    def _floor(self, e: "NFElem") -> Fraction:
+        """A lower bound on |e| for e = g(theta)/den != 0 (1 if g = 0).  With
+        M the modulus over its gcd with g (degree k, integer lead c), the
+        resultant c^deg(g) prod g(theta_i) over M's roots is a nonzero
+        integer and each |g(theta_i)| is at most S, g's absolute
+        coefficients at M's Cauchy bound: |e| >= 1/(den |c|^deg(g) S^(k-1))."""
+        r = self._reduced(e)
+        if not any(r.num):
+            return Fraction(1)
+        M = self.modulus
+        g = _poly_of(_int_gcd(r.num[::-1], self.int_modulus[::-1]))
+        if g.degree > 0:
+            M = M.exact_div(g)
+        m, k = _integer_window(M.coeffs)[0], M.degree
+        B = 1 + max(Fraction(abs(c), abs(m[k])) for c in m[:k])
+        S = sum(abs(c) * B**i for i, c in enumerate(r.num))
+        return 1 / (r.den * abs(m[k]) ** (len(r.num) - 1) * S ** (k - 1))
 
     def approx_interval(self, e: "NFElem", width: Optional[Fraction] = None) -> tuple:
         lo, hi = self._enclose(e)
@@ -189,6 +208,22 @@ class NumberField:
         if self.is_zero(r - c0):
             return c0
         return None
+
+
+def _fold(cs: list, m: list, d: int) -> tuple:
+    """Integers cs (lowest first, at least d) reduced to d against the
+    integer modulus m of degree d, and the factor m[d]^(len(cs) - d) they
+    were scaled by: the same for every cs of one length, so that the
+    columns of a grid array keep one denominator."""
+    lead, scale = m[d], 1
+    for k in range(len(cs) - 1, d - 1, -1):
+        c = cs[k]
+        if lead != 1:
+            cs, scale = [lead * v for v in cs[:k]], scale * lead
+        if c:
+            for i in range(k - d, k):
+                cs[i] -= c * m[i - k + d]
+    return cs[:d], scale
 
 
 def _normal(field: NumberField, num, den: int) -> "NFElem":

@@ -12,7 +12,9 @@ their coefficients highest degree first; `_integer_window` does the same
 for a window of rationals: `sequences.windows` builds every term window
 of an exact scan with it, and a number-field element (`NFElem`) stores its
 coefficients, and the field its modulus, as the integers it returns, which
-+ - * then act on.  A positive scale keeps every sign and zero, so
++ - * then act on; `_common_scale` gives the lcm of two denominators, to
+which a grid array of `asymptotics.ratio` moves when an entry brings a
+denominator its own lacks.  A positive scale keeps every sign and zero, so
 the term stepper, the certificate bounds that `sequences` compares with
 u_n (`first_escape`) and with a(n)/a(n-1) (`_escape`, for the ratio base
 window), the corpus residual check and the Sturm layer run on these lists
@@ -252,6 +254,12 @@ def _integer_window(window: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers x and den > 0, the lcm of the denominators, with window[i] = x[i] / den."""
     den = math.lcm(*(v.denominator for v in window))
     return [v.numerator * (den // v.denominator) for v in window], den
+
+
+def _common_scale(a: int, b: int) -> tuple[int, int, int]:
+    """For positive denominators a and b: L = lcm(a, b), L // a and L // b."""
+    L = math.lcm(a, b)
+    return L, L // a, L // b
 
 
 def _jointly_primitive(lists: Sequence[Sequence[int]], sign: int) -> list[Poly]:

@@ -4,10 +4,18 @@ P-recursive sequences, and the induced expansion of u_n.
 The growth branch comes from the Newton polygon of the recurrence: the
 rightmost upper-hull edge fixes mu, the edge polynomial fixes the
 admissible lam values.  Past that point every exact step runs on grid
-arrays: plain lists of T + 1 scalars (`Fraction` or `NFElem`, whatever lam
-brings), entry k the coefficient of n^(-k/rho).  Four helpers do all of
-their arithmetic: the binomial row (1 + j/n)^alpha, the shifted v(n+j), the
-truncated Cauchy product and the inverse of 1 + x.
+arrays of T + 1 scalars, entry k the coefficient of n^(-k/rho), held as
+integer numerators over one positive denominator: one int list per power
+lam^e of the field basis (one list for a rational lam).  The binomial row
+(1 + j/n)^alpha, the shifted v(n+j), the truncated Cauchy product and the
+inverse of 1 + x run on ints and take one gcd per result; the solver's
+online arrays move to a common denominator only when an entry brings a
+new one.  Columns that pass the field degree are folded by
+`numberfield._fold`, against the modulus as it is at that call (a zero
+test may split it).  Scalars (`Fraction`, `NFElem`) come in through
+`_to_grid` and leave only as the solved stages, `u_grid` and
+`ratio_window_grid`; each zero test that decides an outcome (resonance,
+a nonzero residual slot) is made on the scalar, through `is_zero`.
 
 Correction coefficients of v are solved stage by stage, online, by the
 triangular coefficient recurrence of Wimp & Zeilberger (1985); a solve
@@ -23,11 +31,16 @@ rests on the check).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import Optional
 
-from ..algebra import NumberField, Poly, isolate_real_roots
+from ..algebra import NFElem, NumberField, Poly, isolate_real_roots
+from ..algebra.numberfield import _fold, _normal
+from ..algebra.poly import _common_scale, _integer_window
 from ..sequences import Recurrence, TermTable, check_scaling
 from .series import AsymSeries
 
@@ -121,117 +134,185 @@ def edge_polynomial(rec: Recurrence, mu: Fraction, on_edge: list) -> Poly:
 
 # -- grid arrays ----------------------------------------------------------------
 #
-# A grid array holds T + 1 scalars; entry k is the coefficient of n^(-k/rho).
+# A grid array (planes, den) holds T + 1 scalars: entry k, the coefficient of
+# n^(-k/rho), is sum_e planes[e][k] lam^e / den, den > 0.  The online arrays
+# of the stage solver are the same pair in a list, so that it can grow.
 
 
-def _binomial_row(j, alpha, rho: int, T: int) -> list:
-    """(1 + j/n)^alpha: C(alpha, l) j^l at k = l rho."""
-    row = [Fraction(0)] * (T + 1)
-    b = Fraction(1)
+def _to_grid(xs: list, K) -> tuple:
+    """The scalars xs (ints, `Fraction`s, or `NFElem`s of K) as a grid array."""
+    if K is None:
+        nums, den = _integer_window(xs)
+        return [nums], den
+    pad = (0,) * (K.degree - 1)
+    es = [K._reduced(x) if isinstance(x, NFElem) else _normal(K, (x.numerator,) + pad, x.denominator) for x in xs]
+    scale, den = _integer_window([Fraction(1, e.den) for e in es])
+    return [list(p) for p in zip(*([c * t for c in e.num] for e, t in zip(es, scale)))], den
+
+
+def _grid(planes: list, den: int, K) -> tuple:
+    """planes / den with any planes past the field degree (left by a split)
+    folded away and one gcd taken."""
+    if K is not None and len(planes) > K.degree:
+        cols = [_fold(list(c), K.int_modulus, K.degree) for c in zip(*planes)]
+        planes, den = [list(p) for p in zip(*(c for c, _ in cols))], den * cols[0][1]
+    g = math.gcd(den, *chain.from_iterable(planes))
+    return ([[c // g for c in p] for p in planes], den // g) if g > 1 else (planes, den)
+
+
+def _values(g: tuple, K, nf: Optional[list] = None) -> list:
+    """The scalars of a grid array: `NFElem`s in a field, save the entries k
+    with nf[k] False, which are rational and become `Fraction`s."""
+    planes, den = _grid(*g, K)
+    if K is None:
+        return [Fraction(c, den) for c in planes[0]]
+    planes = planes + [[0] * len(planes[0])] * (K.degree - len(planes))
+    out = [_normal(K, col, den) for col in zip(*planes)]
+    return out if nf is None else [x if t else x.to_fraction() for x, t in zip(out, nf)]
+
+
+def _unit(T: int) -> list:
+    return [[[1] + [0] * T], 1]
+
+
+def _entry(a, b, k: int, K) -> tuple:
+    """Entry k of the product of grid arrays a and b (b longer than k): a
+    column of numerators, folded to the field degree, and its denominator."""
+    (xs, s), (ys, t) = a, b
+    col = [0] * (len(xs) + len(ys) - 1)
+    for e, x in enumerate(xs):
+        for f, y in enumerate(ys):
+            col[e + f] += sum(map(mul, x[: k + 1], y[k::-1]))
+    if K is None or len(col) <= K.degree:
+        return col, s * t
+    col, scale = _fold(col, K.int_modulus, K.degree)
+    return col, s * t * scale
+
+
+def _put(g: list, k: int, col, den: int, row=(1,)) -> None:
+    """Add col / den times the ints row to the online grid array g from
+    entry k on, g first moving to the lcm of the denominators if den does
+    not divide its own."""
+    planes, D = g
+    q, r = divmod(D, den)
+    if r:
+        g[1], s, q = _common_scale(D, den)
+        planes[:] = [[c * s for c in p] for p in planes]
+    if len(col) > len(planes):
+        planes += [[0] * len(planes[0]) for _ in range(len(col) - len(planes))]
+    for p, c in zip(planes, col):
+        if c:
+            c *= q
+            for t, w in enumerate(row, k):
+                if w:
+                    p[t] += c * w
+
+
+def _binomial_row(j, alpha, rho: int, T: int) -> tuple:
+    """(1 + j/n)^alpha: C(alpha, l) j^l at k = l rho.  For alpha = p/q, entry
+    l is j^l p(p - q)..(p - (l-1)q) / (q^l l!), built over q^L L!, L = T // rho."""
+    p, q = Fraction(alpha).as_integer_ratio()
+    row, num = [0] * (T + 1), 1
+    den = scale = math.prod(q * t for t in range(1, T // rho + 1))
     for l, k in enumerate(range(0, T + 1, rho)):
-        row[k] = b
-        b = b * (alpha - l) / (l + 1) * j
-    return row
+        row[k] = num * scale
+        num, scale = num * (p - l * q) * j, scale // (q * (l + 1))
+    return _grid([row], den, None)
 
 
-def _memo_row(rows: dict, j, alpha, rho: int, T: int) -> list:
+def _memo_row(rows: dict, j, alpha, rho: int, T: int) -> tuple:
     """`_binomial_row` through the memo `rows`, keyed on (j, alpha, rho):
     a row is built once, to the largest T asked, and sliced after."""
     row = rows.get((j, alpha, rho))
-    if row is None or len(row) <= T:
+    if row is None or len(row[0][0]) <= T:
         row = rows[(j, alpha, rho)] = _binomial_row(j, alpha, rho, T)
-    return row[: T + 1]
+    return [row[0][0][: T + 1]], row[1]
 
 
-def _add_shifted(row: list, c, i: int, j: int, rho: int, rows: dict) -> None:
-    """Add the term c n^{-i/rho} of v, taken at n + j, to v(n+j)'s row:
-    c (1 + j/n)^{-i/rho} from k = i on."""
-    for k, b in enumerate(_memo_row(rows, j, Fraction(-i, rho), rho, len(row) - 1 - i)):
-        if b:
-            row[i + k] += c * b
-
-
-def _shifted(cs: list, rho: int, j: int, T: int, rows: dict) -> list:
-    """v(n+j) for v = 1 + sum cs[i-1] n^{-i/rho}."""
-    row = [Fraction(1)] + [Fraction(0)] * T
-    for i, c in enumerate(cs, start=1):
-        if c:
-            _add_shifted(row, c, i, j, rho, rows)
-    return row
+def _shifted(cs: tuple, rho: int, j: int, rows: dict, K) -> tuple:
+    """v(n+j) for the grid array cs of v = 1 + sum c_i n^{-i/rho}: the sum of
+    c_i (1 + j/n)^{-i/rho} from entry i on."""
+    planes, D = cs
+    T = len(planes[0]) - 1
+    out = [[[0] * (T + 1)], 1]
+    for i, col in enumerate(zip(*planes)):
+        if any(col):
+            (row,), R = _memo_row(rows, j, Fraction(-i, rho), rho, T - i)
+            _put(out, i, col, D * R, row)
+    return _grid(*out, K)
 
 
 def _grid_series(a: list, rho: int) -> AsymSeries:
-    """The grid array a as a series, to its error order len(a)/rho."""
+    """The scalars a of a grid array as a series, to its error order len(a)/rho."""
     return AsymSeries([(Fraction(k, rho), c) for k, c in enumerate(a)], Fraction(len(a), rho))
 
 
-def _terms(a: list) -> list:
-    """(k, scalar) for each nonzero entry of a grid array."""
-    return [(k, x) for k, x in enumerate(a) if x]
+def _mul(a: tuple, b: tuple, K) -> tuple:
+    """Truncated Cauchy product of two grid arrays of one length."""
+    cols = [_entry(a, b, k, K) for k in range(len(b[0][0]))]
+    return _grid([list(p) for p in zip(*(c for c, _ in cols))], cols[0][1], K)
 
 
-def _coef(terms, b: list, i: int):
-    """Coefficient i of a * b, with a given by (k, scalar) terms."""
-    return sum(x * b[i - m] for m, x in terms if m <= i)
-
-
-def _mul(a: list, b: list) -> list:
-    """Truncated Cauchy product of two grid arrays of one length, over
-    their nonzero entries only."""
-    out = [Fraction(0)] * len(b)
-    tb = _terms(b)
-    for m, x in _terms(a):
-        for k, y in tb:
-            if m + k >= len(out):
-                break
-            out[m + k] += x * y
-    return out
-
-
-def _inv(a: list) -> list:
-    """1/a for the grid array a = 1 + x: out[k] = -sum x[m] out[k - m] over
-    the nonzero entries of x and of out."""
-    x = _terms(a)[1:]
-    out, nonzero = [Fraction(1)], [True]
-    for k in range(1, len(a)):
-        out.append(-sum(c * out[k - m] for m, c in x if m <= k and nonzero[k - m]))
-        nonzero.append(bool(out[k]))
-    return out
+def _inv(a: tuple, K) -> tuple:
+    """1/a for the grid array a = 1 + x: out[k] = -sum x[m] out[k - m], m >= 1."""
+    planes, den = a
+    x, out = ([[0] + p[1:] for p in planes], den), _unit(len(planes[0]) - 1)
+    for k in range(1, len(planes[0])):
+        col, d = _entry(x, out, k, K)
+        _put(out, k, [-c for c in col], d)
+    return _grid(*out, K)
 
 
 # -- stage solver -------------------------------------------------------------
 
 
-def _slot_terms(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int) -> list:
-    """(x, off, s_k lam^x p_k[t]) per recurrence monomial on the grid: with
-    r(n) = lam n^mu v(n), residual slot i (absolute exponent -e0 + i/rho) is
-    the sum of s_k lam^x p_k[t] P_x[i - off], x = d - k, off = rho(e0 - t - mu x),
-    over integral off, where P_x = prod_{j<x} (1 + j/n)^mu v(n+j)."""
-    d = rec.order
+def _slot_terms(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T: int) -> list:
+    """(x, S_x) per shift count x = d - k with a term on the grid, S_x the
+    grid array of s_k lam^x p_k[t] at off = rho(e0 - t - mu x), for each
+    integral off <= T: with r(n) = lam n^mu v(n), residual slot i
+    (absolute exponent -e0 + i/rho) is the sum over x of entry i of
+    S_x P_x, where P_x = prod_{j<x} (1 + j/n)^mu v(n+j)."""
+    K, d = getattr(lam, "field", None), rec.order
+    powers = [1]
+    for _ in range(d):
+        powers.append(powers[-1] * lam)
     out = []
     for k, p in enumerate(rec.coeffs):
         x = d - k
-        sign_lam = lam**x if k == 0 else -(lam**x)
+        terms = {}
         for t, pt in enumerate(p.coeffs):
             off = rho * (e0 - t - mu * x)
-            if pt and off.denominator == 1:
-                out.append((x, int(off), sign_lam * pt))
+            if pt and off.denominator == 1 and off <= T:
+                terms[int(off)] = powers[x] * (pt if k == 0 else -pt)
+        if terms:
+            out.append((x, _to_grid([terms.get(i, 0) for i in range(T + 1)], K)))
     return out
 
 
-def _residual_slots(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, cs: list,
+def _slot(slots: list, arrays: list, i: int, K) -> list:
+    """Residual slot i, the sum over x of entry i of S_x arrays[x], as a
+    one-entry online grid array."""
+    acc = [[[0]], 1]
+    for x, s in slots:
+        _put(acc, 0, *_entry(s, arrays[x], i, K))
+    return acc
+
+
+def _residual_slots(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, cs: tuple,
                     rows: Optional[dict] = None) -> list:
-    """Residual slots 0..T for T = len(cs), rebuilt from c_1..c_T by whole
-    grid products, none of the online solver's arrays; binomial rows come
-    from the memo `rows`, fresh if none is given."""
-    T = len(cs)
+    """Residual slots 0..T as scalars, for the grid array cs of
+    [1, c_1..c_T], rebuilt by whole grid products, none of the online
+    solver's arrays; binomial rows come from the memo `rows`, fresh if
+    none is given."""
+    K = getattr(lam, "field", None)
+    T = len(cs[0][0]) - 1
     rows = {} if rows is None else rows
-    prefix = [[Fraction(1)] + [Fraction(0)] * T]
+    prefix = [_unit(T)]
     for j in range(rec.order):
-        f = _mul(_memo_row(rows, j, mu, rho, T), _shifted(cs, rho, j, T, rows))
-        prefix.append(_mul(prefix[-1], f))
-    slots = _slot_terms(rec, lam, mu, e0, rho)
-    return [sum(s * prefix[x][i - off] for x, off, s in slots if off <= i) for i in range(T + 1)]
+        f = _mul(_memo_row(rows, j, mu, rho, T), _shifted(cs, rho, j, rows, K), K)
+        prefix.append(_mul(prefix[-1], f, K))
+    slots = _slot_terms(rec, lam, mu, e0, rho, T)
+    return [_values(_slot(slots, prefix, i, K), K)[0] for i in range(T + 1)]
 
 
 @dataclass
@@ -260,46 +341,48 @@ def _branch(root, rec: Recurrence, on_edge: list) -> tuple:
 
 
 def _online_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T: int,
-                   slope, st: _Stages, rows: dict) -> list:
-    """c_1..c_T by the triangular recurrence of Wimp & Zeilberger (1985),
-    solved online on grid arrays: v_j of v(n+j), f_j = (1 + j/n)^mu v_j,
-    and the prefix products P_x = P_{x-1} f_{x-1}, one new Cauchy
-    coefficient each per stage.  Slot i (`_slot_terms`) reads P_x up to
-    index i only, and P_x[i] holds c_i only as x c_i, so slot i is
-    b + slope * c_i with b built from c_1..c_{i-1}.  Stages kept in `st`
-    are replayed into the arrays, not solved again.  Binomial rows come
-    from the memo `rows`."""
-    known = len(st.cs)
+                   slope, st: _Stages, rows: dict) -> tuple:
+    """The grid array [1, c_1..c_T] by the triangular recurrence of Wimp &
+    Zeilberger (1985), solved online on grid arrays: v_j of v(n+j),
+    f_j = (1 + j/n)^mu v_j, and the prefix products P_x = P_{x-1} f_{x-1},
+    one new Cauchy coefficient each per stage.  Slot i (`_slot_terms`)
+    reads P_x up to index i only, and P_x[i] holds c_i only as x c_i, so
+    slot i is b + slope * c_i with b built from c_1..c_{i-1}.  Stages kept
+    in `st` are replayed into the arrays, not solved again.  Binomial rows
+    come from the memo `rows`.  The array of v itself is v_0, f_0 and P_1."""
+    K = getattr(lam, "field", None)
     d = rec.order
-    slots = _slot_terms(rec, lam, mu, e0, rho)
-    binom = [_terms(_memo_row(rows, j, mu, rho, T)) for j in range(d)]
-    v = [[Fraction(1)] + [Fraction(0)] * T for _ in range(d)]
-    f = [[Fraction(1)] + [Fraction(0)] * T for _ in range(d)]
-    P = [[Fraction(1)] + [Fraction(0)] * T for _ in range(d + 1)]
-    cs = []
+    slots = _slot_terms(rec, lam, mu, e0, rho, T)
+    binom = [_memo_row(rows, j, mu, rho, T) for j in range(d)]
+    known, kden = _to_grid([1] + st.cs, K)
+    step = _to_grid([-1 / slope], K) if slope else None
+    cs = _unit(T)
+    v, f = [cs] + [_unit(T) for _ in range(1, d)], [cs] + [_unit(T) for _ in range(1, d)]
+    P = [_unit(T), cs] + [_unit(T) for _ in range(2, d + 1)]
     for i in range(1, T + 1):
-        for j in range(d):
-            f[j][i] = _coef(binom[j], v[j], i)
-        for x in range(1, d + 1):
-            P[x][i] = _coef(enumerate(P[x - 1][: i + 1]), f[x - 1], i)
-        if i <= known:
-            c = st.cs[i - 1]
+        for j in range(1, d):
+            _put(f[j], i, *_entry(binom[j], v[j], i, K))
+        for x in range(2, d + 1):
+            _put(P[x], i, *_entry(P[x - 1], f[x - 1], i, K))
+        if i <= len(st.cs):
+            col, den = [p[i] for p in known], kden
+        elif step is None:
+            if _values(_slot(slots, P, i, K), K)[0]:
+                st.resonance = i
+                raise _Resonance(i)
+            col, den = [0], 1
         else:
-            b = sum(s * P[x][i - off] for x, off, s in slots if off <= i)
-            if not slope:
-                if b:
-                    st.resonance = i
-                    raise _Resonance(i)
-                c = Fraction(0)
-            else:
-                c = -(b / slope)
-        cs.append(c)
-        for j in range(d):
-            _add_shifted(v[j], c, i, j, rho, rows)
-            f[j][i] += c
-        for x in range(1, d + 1):
-            P[x][i] += x * c
-    return cs
+            col, den = _entry(_slot(slots, P, i, K), step, 0, K)
+            g = math.gcd(den, *col)
+            col, den = [c // g for c in col], den // g
+        _put(cs, i, col, den)
+        for j in range(1, d):
+            (row,), R = _memo_row(rows, j, Fraction(-i, rho), rho, T - i)
+            _put(v[j], i, col, den * R, row)
+            _put(f[j], i, col, den)
+        for x in range(2, d + 1):
+            _put(P[x], i, [x * c for c in col], den)
+    return _grid(*cs, K)
 
 
 def _solve_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T: int,
@@ -310,7 +393,9 @@ def _solve_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T:
     solve that adds any ends by rebuilding every residual slot 0..T from
     the final c_1..c_T with whole grid products (`_residual_slots`), so a
     slip in the online arrays shows; each slot must be exactly 0.  The two
-    share one memo of binomial rows, so each row is built once per solve."""
+    share one memo of binomial rows, so each row is built once per solve.
+    New stages leave as scalars: `NFElem`s in a number field, except under
+    a zero slope, where every stage is a `Fraction` 0."""
     if st.resonance is not None and st.resonance <= T:
         raise _Resonance(st.resonance)
     if len(st.cs) >= T:
@@ -320,9 +405,10 @@ def _solve_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T:
     for i, r in enumerate(_residual_slots(rec, lam, mu, e0, rho, cs, rows)):
         if r:
             raise ExpansionError(f"internal: residual slot {i} does not vanish after stage solve")
-    st.floats += [float(c) for c in cs[len(st.cs):]]
-    st.cs = cs
-    return cs
+    new = _values(cs, getattr(lam, "field", None), [bool(slope)] * (T + 1))[len(st.cs) + 1 :]
+    st.floats += [float(c) for c in new]
+    st.cs = st.cs + new
+    return st.cs
 
 
 # -- branch acceptance ---------------------------------------------------------
@@ -433,21 +519,60 @@ def ratio_expansion(
 # -- induced expansions ----------------------------------------------------------
 
 
+def _nonzero(g: tuple, K) -> list:
+    """The nonzero entries of a grid array: by their numerators where no
+    split can hide a zero, else by the field's zero test."""
+    if K is None or K.known_irreducible:
+        return [any(c) for c in zip(*g[0])]
+    return [bool(x) for x in _values(g, K)]
+
+
+def _types(za: list, ta: list, zb: list, tb: Optional[list] = None) -> list:
+    """The entries of a product that scalar arithmetic skipping zero entries
+    makes `NFElem`s: where two nonzero entries meet, one an `NFElem` (z
+    flags the nonzero entries, t the `NFElem`s).  With tb None, those of
+    the inverse of a = 1 + x, zb flagging the inverse's nonzero entries."""
+    out: list = []
+    if not any(ta) and not any(tb or ()):
+        return [False] * len(zb)
+    for k in range(len(zb)):
+        t, lo = (out, 1) if tb is None else (tb, 0)
+        out.append(any(za[m] and zb[k - m] and (ta[m] or t[k - m]) for m in range(lo, k + 1)))
+    return out
+
+
 def u_grid(rx: RatioExpansion, scaling: str = "none") -> list:
     """u_n = a(n-1)a(n+1)/a(n)^2 = r(n)/r(n-1) = (1 - 1/n)^(-mu) v(n)/v(n-1)
-    as a grid array of T + 1 entries, T = len(rx.coeffs), entry k the
+    as a grid array of T + 1 scalars, T = len(rx.coeffs), entry k the
     coefficient of n^(-k/rho); factorial scaling multiplies by
-    n/(n+1) = (1 + 1/n)^(-1)."""
+    n/(n+1) = (1 + 1/n)^(-1).  Each entry is an `NFElem` or a `Fraction`
+    as scalar arithmetic skipping zero entries makes it (`_types`), since
+    the JSON form shows the type."""
     check_scaling(scaling)
-    rho, cs = rx.rho, rx.coeffs
-    T = len(cs)
-    u = _mul(_binomial_row(-1, -rx.mu, rho, T), [Fraction(1)] + cs)
-    u = _mul(u, _inv(_shifted(cs, rho, -1, T, {})))
+    K, rho, n = getattr(rx.lam, "field", None), rx.rho, len(rx.coeffs) + 1
+    cs = _to_grid([1] + rx.coeffs, K)
+    s = _shifted(cs, rho, -1, {}, K)
+    inv, rational = _inv(s, K), [False] * n
+    tc = [False] + [isinstance(c, NFElem) for c in rx.coeffs]
+    ts = _types([False] + _nonzero(cs, K)[1:], tc, [k % rho == 0 for k in range(n)], rational)
+    factors = [(cs, tc), (inv, _types(_nonzero(s, K), ts, _nonzero(inv, K)))]
     if scaling == "factorial":
-        u = _mul(u, _binomial_row(1, Fraction(-1), rho, T))
-    return u
+        factors.append((_binomial_row(1, -1, rho, n - 1), rational))
+    u, t = _binomial_row(-1, -rx.mu, rho, n - 1), rational
+    for g, tg in factors:
+        t = _types(_nonzero(u, K), t, _nonzero(g, K), tg)
+        u = _mul(u, g, K)
+    return _values(u, K, t)
 
 
 def u_expansion(rx: RatioExpansion, scaling: str = "none") -> AsymSeries:
     """`u_grid` as a series, to v's error order (T + 1)/rho."""
     return _grid_series(u_grid(rx, scaling), rx.rho)
+
+
+def ratio_window_grid(rx: RatioExpansion, T: int) -> list:
+    """a(n)/a(n-1) over lam n^mu, that is (1 - 1/n)^mu v(n-1), as a grid
+    array of T + 1 scalars from c_1..c_T (zero past the expansion)."""
+    K = getattr(rx.lam, "field", None)
+    cs = _to_grid(([1] + rx.coeffs + [0] * T)[: T + 1], K)
+    return _values(_mul(_binomial_row(-1, rx.mu, rx.rho, T), _shifted(cs, rx.rho, -1, {}, K), K), K)

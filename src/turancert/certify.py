@@ -36,7 +36,7 @@ from .algebra import (
     sign_at_infinity,
 )
 from .asymptotics import RatioExpansion, ratio_expansion
-from .asymptotics.ratio import _binomial_row, _mul, _shifted, u_grid
+from .asymptotics.ratio import ratio_window_grid, u_grid
 from .render import frac_str, ratfunc_to_json
 from .sequences import (
     Recurrence,
@@ -102,7 +102,7 @@ def _ratio_window_functions(rx: RatioExpansion, order: int):
     mu = int(mu)
 
     T = order - 1
-    w = _mul(_binomial_row(-1, mu, 1, T), _shifted(rx.coeffs[:T], 1, -1, T, {}))
+    w = ratio_window_grid(rx, T)
     mid = [(mu - k, rx.lam * c) for k, c in enumerate(w)]
     slack = mu - T
     return RatFunc.laurent(mid + [(slack, -1)]), RatFunc.laurent(mid + [(slack, 1)]), mu

@@ -14,10 +14,13 @@ of p0..pd are scaled by one common positive integer, which leaves the
 recurrence unchanged, and each pk(m) is then an integer Horner sum.  The
 last d terms are carried as integers x over one positive common
 denominator D.  A step computes S = p1(m) x(m+d-1) + ... + pd(m) x(m), so
-a(m+d) = S / (D p0(m)); it divides S and p0(m) by their gcd g (with the
-sign of p0(m), so that D stays positive) and, only when q = p0(m)/g is not
-1, scales the window and D by it.  An integer sequence thus keeps D = 1 and
-stores each term with no gcd but the small one.
+a(m+d) = S / (D p0(m)).  While D is 1 it first divides S by p0(m) with
+remainder, and a zero remainder makes the quotient the term, exactly and
+whatever the sign of p0(m), with no gcd at all.  Otherwise it divides S
+and p0(m) by their gcd g (with the sign of p0(m), so that D stays
+positive) and, only when q = p0(m)/g is not 1, scales the window and D by
+it.  An integer sequence thus keeps D = 1 and stores each term with one
+division; a table of rational terms (D > 1) never pays that division.
 
 Otherwise the term S/D is reduced against a kernel K: a positive integer
 that every prime of D divides, carried beside D.  When a step scales D by
@@ -329,6 +332,12 @@ class TermTable:
             s = 0
             for k, pk in enumerate(ps, 1):
                 s += _horner(pk, m) * xs[d - k]
+            if den == 1:
+                t, r = divmod(s, q)
+                if not r:  # an exact quotient, whatever the sign of q
+                    xs = xs[1:] + [t]
+                    vals.append(Fraction(t))
+                    continue
             # a(m+d) = s / (den * q); keep den > 0 by dividing with q's sign
             g = math.gcd(s, q)
             if q < 0:

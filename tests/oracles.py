@@ -5,6 +5,11 @@ point, the phi map on a u-expansion, and `AsymSeries` versions of the stage
 residual, of the u-expansion and of the ratio window functions, which the
 package computes on grid arrays.
 
+On grid arrays: the stage solver's helpers on `Fraction`/`NFElem` lists,
+one scalar operation at a time (binomial rows, shifts, Cauchy products,
+inverses, residual rebuilds, the u grid), and a stage solve by one residual
+rebuild per stage; the package runs these on integer numerators.
+
 On exact scalars: polynomial products and shifts by a loop over the
 coefficients in their own scalar type, and number-field `+ - * /`,
 negation, powers, zero test, sign and rational value by a `Poly` division
@@ -29,6 +34,7 @@ before `render.poly_text` took its place, for rational coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from turancert.algebra import NFElem, Poly, RatFunc, poly_gcd, scalar_sign
 from turancert.asymptotics import (
@@ -39,8 +45,9 @@ from turancert.asymptotics import (
     series_inv,
     shift_series,
 )
+from turancert.asymptotics.ratio import _Resonance
 from turancert.corpus import ENTRIES, CorpusEntry
-from turancert.sequences import PREC, Recurrence
+from turancert.sequences import PREC, Recurrence, check_scaling
 
 
 def get(name: str) -> CorpusEntry:
@@ -178,6 +185,151 @@ def series_ratio_windows(rx: RatioExpansion, order: int) -> tuple:
     mid = [(mu - int(e), rx.lam * c.constant_value()) for e, c in w.truncate(Fraction(order)).terms]
     slack = mu - order + 1
     return RatFunc.laurent(mid + [(slack, -1)]), RatFunc.laurent(mid + [(slack, 1)])
+
+
+# -- grid arrays as Fraction lists --------------------------------------------------
+#
+# The stage solver's grid helpers as they were before the package moved them
+# to integer numerators over one denominator: a grid array is a list of T + 1
+# scalars (`Fraction` or `NFElem`), entry k the coefficient of n^(-k/rho), and
+# each + and * is one scalar operation.  The package's kernels are checked
+# against these, values and output types alike.
+
+
+def _binomial_row(j, alpha, rho: int, T: int) -> list:
+    """(1 + j/n)^alpha: C(alpha, l) j^l at k = l rho."""
+    row = [Fraction(0)] * (T + 1)
+    b = Fraction(1)
+    for l, k in enumerate(range(0, T + 1, rho)):
+        row[k] = b
+        b = b * (alpha - l) / (l + 1) * j
+    return row
+
+
+def _memo_row(rows: dict, j, alpha, rho: int, T: int) -> list:
+    """`_binomial_row` through the memo `rows`, keyed on (j, alpha, rho):
+    a row is built once, to the largest T asked, and sliced after."""
+    row = rows.get((j, alpha, rho))
+    if row is None or len(row) <= T:
+        row = rows[(j, alpha, rho)] = _binomial_row(j, alpha, rho, T)
+    return row[: T + 1]
+
+
+def _add_shifted(row: list, c, i: int, j: int, rho: int, rows: dict) -> None:
+    """Add the term c n^{-i/rho} of v, taken at n + j, to v(n+j)'s row:
+    c (1 + j/n)^{-i/rho} from k = i on."""
+    for k, b in enumerate(_memo_row(rows, j, Fraction(-i, rho), rho, len(row) - 1 - i)):
+        if b:
+            row[i + k] += c * b
+
+
+def _shifted(cs: list, rho: int, j: int, T: int, rows: dict) -> list:
+    """v(n+j) for v = 1 + sum cs[i-1] n^{-i/rho}."""
+    row = [Fraction(1)] + [Fraction(0)] * T
+    for i, c in enumerate(cs, start=1):
+        if c:
+            _add_shifted(row, c, i, j, rho, rows)
+    return row
+
+
+def _terms(a: list) -> list:
+    """(k, scalar) for each nonzero entry of a grid array."""
+    return [(k, x) for k, x in enumerate(a) if x]
+
+
+def _mul(a: list, b: list) -> list:
+    """Truncated Cauchy product of two grid arrays of one length, over
+    their nonzero entries only."""
+    out = [Fraction(0)] * len(b)
+    tb = _terms(b)
+    for m, x in _terms(a):
+        for k, y in tb:
+            if m + k >= len(out):
+                break
+            out[m + k] += x * y
+    return out
+
+
+def _inv(a: list) -> list:
+    """1/a for the grid array a = 1 + x: out[k] = -sum x[m] out[k - m] over
+    the nonzero entries of x and of out."""
+    x = _terms(a)[1:]
+    out, nonzero = [Fraction(1)], [True]
+    for k in range(1, len(a)):
+        out.append(-sum(c * out[k - m] for m, c in x if m <= k and nonzero[k - m]))
+        nonzero.append(bool(out[k]))
+    return out
+
+
+def _slot_terms(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int) -> list:
+    """(x, off, s_k lam^x p_k[t]) per recurrence monomial on the grid: with
+    r(n) = lam n^mu v(n), residual slot i (absolute exponent -e0 + i/rho) is
+    the sum of s_k lam^x p_k[t] P_x[i - off], x = d - k, off = rho(e0 - t - mu x),
+    over integral off, where P_x = prod_{j<x} (1 + j/n)^mu v(n+j)."""
+    d = rec.order
+    out = []
+    for k, p in enumerate(rec.coeffs):
+        x = d - k
+        sign_lam = lam**x if k == 0 else -(lam**x)
+        for t, pt in enumerate(p.coeffs):
+            off = rho * (e0 - t - mu * x)
+            if pt and off.denominator == 1:
+                out.append((x, int(off), sign_lam * pt))
+    return out
+
+
+def _residual_slots(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, cs: list,
+                    rows: Optional[dict] = None) -> list:
+    """Residual slots 0..T for T = len(cs), rebuilt from c_1..c_T by whole
+    grid products, none of the online solver's arrays; binomial rows come
+    from the memo `rows`, fresh if none is given."""
+    T = len(cs)
+    rows = {} if rows is None else rows
+    prefix = [[Fraction(1)] + [Fraction(0)] * T]
+    for j in range(rec.order):
+        f = _mul(_memo_row(rows, j, mu, rho, T), _shifted(cs, rho, j, T, rows))
+        prefix.append(_mul(prefix[-1], f))
+    slots = _slot_terms(rec, lam, mu, e0, rho)
+    return [sum(s * prefix[x][i - off] for x, off, s in slots if off <= i) for i in range(T + 1)]
+
+
+def u_grid(rx: RatioExpansion, scaling: str = "none") -> list:
+    """u_n = a(n-1)a(n+1)/a(n)^2 = r(n)/r(n-1) = (1 - 1/n)^(-mu) v(n)/v(n-1)
+    as a grid array of T + 1 entries, T = len(rx.coeffs), entry k the
+    coefficient of n^(-k/rho); factorial scaling multiplies by
+    n/(n+1) = (1 + 1/n)^(-1)."""
+    check_scaling(scaling)
+    rho, cs = rx.rho, rx.coeffs
+    T = len(cs)
+    u = _mul(_binomial_row(-1, -rx.mu, rho, T), [Fraction(1)] + cs)
+    u = _mul(u, _inv(_shifted(cs, rho, -1, T, {})))
+    if scaling == "factorial":
+        u = _mul(u, _binomial_row(1, Fraction(-1), rho, T))
+    return u
+
+
+def reference_solve_stages(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, T: int,
+                           slope, st) -> list:
+    """`ratio._solve_stages` by one `_residual_slots` rebuild per stage on
+    `Fraction` lists: slot i of c_1..c_{i-1}, 0 is b, and c_i = -b/slope;
+    at slope 0 a zero b gives c_i = Fraction(0) and any other b resonates.
+    Keeps the same record in st: stages, their floats, the resonant stage."""
+    if st.resonance is not None and st.resonance <= T:
+        raise _Resonance(st.resonance)
+    cs = list(st.cs)
+    while len(cs) < T:
+        i = len(cs) + 1
+        b = _residual_slots(rec, lam, mu, e0, rho, cs + [Fraction(0)])[i]
+        if not slope:
+            if b:
+                st.resonance = i
+                raise _Resonance(i)
+            cs.append(Fraction(0))
+        else:
+            cs.append(-(b / slope))
+    st.floats += [float(c) for c in cs[len(st.cs):]]
+    st.cs = cs
+    return cs[:T]
 
 
 # -- exact terms ----------------------------------------------------------------

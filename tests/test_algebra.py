@@ -878,3 +878,27 @@ def test_nf_kernels_match_reduce_oracle(field, seed):
     assert got == want
     if field == "shrinking":
         assert got[-1][-1] == (-2, 0, 1)
+
+
+def test_sign_of_a_missed_zero_raises(monkeypatch):
+    K = NumberField(AlgebraicReal(X**2 - 2, 1, 2))
+    theta = K.generator()
+    zero, tiny = theta * theta - 2, (theta - 1) ** 30  # (sqrt 2 - 1)^30 ~ 3e-12
+    monkeypatch.setattr(NumberField, "is_zero", lambda self, e: False)
+    with pytest.raises(ArithmeticError, match=r"internal: NFElem\(\[Fraction\(0, 1\), Fraction\(0, 1\)\] .* is zero"):
+        K.sign(zero)
+    assert (K.sign(tiny), K.sign(-tiny)) == (1, -1)
+
+
+@pytest.mark.parametrize("modulus,coeffs", [
+    (X**2 - 2, [-1, 1]),
+    (2 * X**3 - 5, [F(1, 3), -2, 1]),
+    # (x^2 + 1)(x^2 - 4x + 1): x^2 + 1 vanishes at two other roots only
+    (X**4 - 4 * X**3 + 2 * X**2 - 4 * X + 1, [1, 0, 1]),
+])
+def test_sign_floor_is_below_the_value(modulus, coeffs):
+    root = next(r for r in isolate_real_roots(modulus) if r.hi > 1)
+    K = NumberField(root)
+    e = K.element(coeffs) ** 7
+    lo, hi = K.approx_interval(e, F(1, 10**30))
+    assert 0 < K._floor(e) <= min(abs(lo), abs(hi))

@@ -33,12 +33,14 @@ from turancert.asymptotics.ratio import (
     _Resonance,
     _solve_stages,
     _Stages,
+    u_grid,
 )
 from turancert.corpus import ENTRIES
 from turancert.parser import parse_recurrence
 from turancert.render import growth_record
 from turancert.sequences import Recurrence, TermTable, phi_values, u_value
 
+import oracles
 from oracles import eval_exact, get, phi_u_expansion, series_residual, series_u_expansion
 
 L = RatFunc.variable()
@@ -411,8 +413,8 @@ class TestRatioExpansion:
             for rho, st in tries.items():
                 for i in range(1, len(st.cs) + 2):
                     cs = st.cs[:i - 1]
-                    b = _residual_slots(rec, lam, mu, e0, rho, cs + [F(0)])[i]
-                    a1 = _residual_slots(rec, lam, mu, e0, rho, cs + [F(1)])[i]
+                    b = _residual_slots(rec, lam, mu, e0, rho, grid_of(lam, cs + [F(0)]))[i]
+                    a1 = _residual_slots(rec, lam, mu, e0, rho, grid_of(lam, cs + [F(1)]))[i]
                     assert a1 - b == slope
                     tried += 1
         assert tried
@@ -455,6 +457,11 @@ def _expansion_view(rx) -> tuple:
 def _stage_expansion(lam, mu, rho, cs) -> RatioExpansion:
     """A RatioExpansion from solved stages, without the exact-term check."""
     return RatioExpansion(lam=lam, lam_poly=None, mu=mu, rho=rho, coeffs=cs)
+
+
+def grid_of(lam, cs: list) -> tuple:
+    """The solver's integer grid array of [1, c_1..c_T]."""
+    return ratio_module._to_grid([1] + cs, getattr(lam, "field", None))
 
 
 def _slot_value(f: AsymSeries, exp: F):
@@ -629,9 +636,9 @@ class TestOnlineStages:
         solve = ratio_module._online_stages
 
         def perturbed(*args):
-            cs = solve(*args)
-            cs[stage - 1] += 1
-            return cs
+            planes, den = solve(*args)
+            planes[0][stage] += den  # c_stage + 1
+            return planes, den
 
         monkeypatch.setattr(ratio_module, "_online_stages", perturbed)
         with pytest.raises(ExpansionError, match=f"internal: residual slot {stage} does not vanish"):
@@ -654,7 +661,7 @@ class TestOnlineStages:
                     T = len(cs)
                     res = series_residual(rec, lam, mu, rho, cs, F(T + 1, rho))
                     want = [_slot_value(res, -e0 + F(i, rho)) for i in range(T + 1)]
-                    got = _residual_slots(rec, lam, mu, e0, rho, cs)
+                    got = _residual_slots(rec, lam, mu, e0, rho, grid_of(lam, cs))
                     assert len(got) == T + 1
                     assert all(g == w for g, w in zip(got, want))
                     compared += 1
@@ -674,7 +681,7 @@ class TestOnlineStages:
         residual, solve = ratio_module._residual_slots, ratio_module._solve_stages
 
         def counted_residual(*args):
-            builds.append(len(args[5]))  # T, the last stage
+            builds.append(len(args[5][0][0]) - 1)  # T, the last stage
             return residual(*args)
 
         def counted_solve(*args):
@@ -872,3 +879,144 @@ class TestPhiUExpansion:
             phi_u_expansion(AsymSeries.one(), order=4)  # u == 1 identically
         with pytest.raises(ValueError):
             phi_u_expansion(S((0, 2), (2, 1), err=4))  # leading not 1
+
+
+# -- integer grid kernels against the Fraction-list reference ------------------------
+
+# ROADMAP 8(b): lambda = 2 + sqrt 3 in a degree-4 field whose modulus
+# (x^2 + 1)(x^2 - 4x + 1) is reducible
+QUARTIC = "a(n+4) - 4*a(n+3) + 2*a(n+2) - 4*a(n+1) + a(n) = 0 ; 1, 4, 15, 56"
+
+
+def _grid_cases() -> dict:
+    from test_certify import HIGHER_ORDER_VALID_FROM, POWER_GROWTH
+
+    cases = {name: get(name).recurrence for name in sorted(ENTRIES)}
+    cases.update({text: parse_recurrence(text) for text in HIGHER_ORDER_VALID_FROM})
+    cases.update(POWER_GROWTH)
+    cases["quartic"] = parse_recurrence(QUARTIC)
+    return cases
+
+
+GRID_CASES = _grid_cases()
+
+
+def _same(x, y) -> bool:
+    """One scalar type and one value; an element of another field built on
+    the same root is compared inside x's field."""
+    if isinstance(x, NFElem) and isinstance(y, NFElem):
+        return x.field.is_zero(x - x.field.element(y.coeffs))
+    return type(x) is type(y) and x == y
+
+
+def _all_same(xs: list, ys: list) -> bool:
+    return len(xs) == len(ys) and all(_same(x, y) for x, y in zip(xs, ys))
+
+
+def _expand(rec, K: int, table):
+    try:
+        return ratio_expansion(rec, K, table=table)
+    except ExpansionError as err:
+        return err.details
+
+
+class TestGridKernels:
+    @pytest.mark.parametrize("name", sorted(GRID_CASES))
+    def test_expansions_match_fraction_reference(self, monkeypatch, name):
+        # the solver and u_grid against per-stage Fraction-list residual
+        # rebuilds, at K = 1..12 on one table each, every (root, rho) tried
+        rec = GRID_CASES[name]
+        new, ref = TermTable(rec), TermTable(rec)
+        for K in range(1, 13):
+            got = _expand(rec, K, new)
+            with monkeypatch.context() as m:
+                m.setattr(ratio_module, "_solve_stages", oracles.reference_solve_stages)
+                want = _expand(rec, K, ref)
+            if isinstance(want, dict):
+                assert got == want
+                continue
+            assert (got.mu, got.rho, got.diagnostics) == (want.mu, want.rho, want.diagnostics)
+            assert _all_same(got.coeffs, want.coeffs)
+            for scaling in ("none", "factorial"):
+                assert _all_same(u_grid(got, scaling), oracles.u_grid(got, scaling))
+        mu, e0 = new.expansions[(rec, None)][:2]
+        tries = 0
+        for got, want in zip(new.expansions[(rec, None)][3], ref.expansions[(rec, None)][3]):
+            lam = got[0]
+            assert got[5].keys() == want[5].keys()
+            for rho, st in got[5].items():
+                other = want[5][rho]
+                assert _all_same(st.cs, other.cs)
+                assert (st.floats, st.resonance) == (other.floats, other.resonance)
+                moved = [c + F(i, 3) for i, c in enumerate(st.cs, start=1)]
+                for cs in (st.cs, moved):
+                    slots = _residual_slots(rec, lam, mu, e0, rho, grid_of(lam, cs))
+                    assert slots == oracles._residual_slots(rec, lam, mu, e0, rho, cs)
+                tries += 1
+        assert tries
+
+    def test_cases_cover_fields_orders_and_powers(self):
+        kinds = set()
+        for rec in GRID_CASES.values():
+            rx = _expand(rec, 2, TermTable(rec))
+            if isinstance(rx, dict):
+                continue
+            field = getattr(rx.lam, "field", None)
+            kinds.add(("order", rec.order))
+            kinds.add(("mu", rx.mu))
+            if field is not None:
+                kinds.add(("irreducible", field.known_irreducible, field.degree))
+        assert {("order", 3), ("order", 4), ("mu", 1), ("mu", -1), ("mu", 2), ("mu", F(-1, 2))} <= kinds
+        assert ("irreducible", True, 2) in kinds and ("irreducible", False, 4) in kinds
+
+    def test_field_operation_count(self, monkeypatch):
+        # the stages and u_grid run on integers: field + and * are left only
+        # where the branch is set up (the slope, lam's powers, slot coefficients)
+        counts = dict.fromkeys(("_add", "__mul__"), 0)
+
+        def counting(name, method):
+            def counted(*args):
+                counts[name] += 1
+                return method(*args)
+            return counted
+
+        monkeypatch.setattr(NFElem, "_add", counting("_add", NFElem._add))
+        mul = counting("__mul__", NFElem.__mul__)
+        monkeypatch.setattr(NFElem, "__mul__", mul)
+        monkeypatch.setattr(NFElem, "__rmul__", mul)
+        for name in ("apery", "bn"):
+            u_grid(ratio_expansion(get(name).recurrence, 12))
+        assert counts == {"_add": 14, "__mul__": 82}
+
+    @pytest.mark.parametrize("domain", ["rational", "sqrt3"])
+    def test_kernels_match_on_random_arrays(self, domain):
+        rng = random.Random(f"grid/{domain}")
+        coef = COEF_DOMAINS[domain](rng)
+        lam = F(3, 2) if domain == "rational" else coef().field.generator()
+        K = getattr(lam, "field", None)
+
+        def array(n: int) -> list:
+            # zeros, and in a field also rational entries, which stay Fractions
+            return [rng.choice([coef(), coef(), F(rng.randint(-3, 3), 2), F(0)]) for _ in range(n)]
+
+        for _ in range(40):
+            T, rho, j = rng.randint(0, 9), rng.choice((1, 2, 3)), rng.choice((-1, 0, 1, 2))
+            alpha = F(rng.randint(-7, 7), rng.choice((1, 2, 3)))
+            a, b, cs = array(T + 1), array(T + 1), array(T)
+            grid_a, grid_b = (ratio_module._to_grid(x, K) for x in (a, b))
+            got = {
+                "row": ratio_module._values(ratio_module._binomial_row(j, alpha, rho, T), None),
+                "mul": ratio_module._values(ratio_module._mul(grid_a, grid_b, K), K),
+                "inv": ratio_module._values(ratio_module._inv(grid_of(lam, a[1:]), K), K),
+                "shift": ratio_module._values(ratio_module._shifted(grid_of(lam, cs), rho, j, {}, K), K),
+            }
+            want = {
+                "row": oracles._binomial_row(j, alpha, rho, T),
+                "mul": oracles._mul(a, b),
+                "inv": oracles._inv([F(1)] + a[1:]),
+                "shift": oracles._shifted(cs, rho, j, T, {}),
+            }
+            assert got == want
+            rx = RatioExpansion(lam=lam, lam_poly=None, mu=alpha, rho=rho, coeffs=cs)
+            for scaling in ("none", "factorial"):
+                assert _all_same(u_grid(rx, scaling), oracles.u_grid(rx, scaling))

@@ -267,6 +267,52 @@ def test_only_render_writes_text_forms():
     }
 
 
+# Grid arrays are integer numerators over one denominator, a form that one
+# module knows: no other module of the package imports one of its private
+# functions (the grid helpers) or the module itself.
+GRID_OWNER = "asymptotics/ratio.py"
+
+
+def grid_helpers() -> set:
+    """The private module-level functions of GRID_OWNER."""
+    tree = ast.parse((PACKAGE / GRID_OWNER).read_text(encoding="utf-8"))
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+
+
+def grid_helper_imports(source: str, helpers: set) -> list:
+    """Lines that import one of `helpers` from a module named ratio, or
+    import a module named ratio."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            if (node.module or "").split(".")[-1] == "ratio" and names & helpers or "ratio" in names:
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Import) and any(a.name.split(".")[-1] == "ratio" for a in node.names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_grid_helper_detector():
+    src = (
+        "from .asymptotics.ratio import u_grid, ratio_window_grid\n"
+        "from .asymptotics.ratio import _mul as m, u_grid\nfrom ..ratio import _inv\n"
+        "from .asymptotics import ratio\nimport turancert.asymptotics.ratio as r\n"
+        "from .poly import _mul\nfrom .asymptotics import series\n"
+    )
+    assert grid_helper_imports(src, {"_mul", "_inv"}) == [2, 3, 4, 5]
+
+
+def test_only_ratio_knows_the_grid_form():
+    helpers = grid_helpers()
+    assert {"_binomial_row", "_shifted", "_mul", "_inv", "_to_grid", "_values", "_entry", "_put"} <= helpers
+    users = {
+        str(p.relative_to(PACKAGE)): grid_helper_imports(p.read_text(encoding="utf-8"), helpers)
+        for p in PACKAGE.rglob("*.py")
+    }
+    assert {module for module, lines in users.items() if lines} == set(), users
+
+
 # The benchmark's tracer patches functions it names by module and attribute;
 # a renamed or deleted target would make every traced run fail.
 TRACING = PACKAGE.parent.parent / "perfbench" / "tracing.py"

@@ -295,6 +295,15 @@ STEPPING_RECS = {
     "sign-changing-p0": Recurrence(
         [Poly([-7, 2]) * Poly([1, 1]), Poly([3, 1]), Poly([-1, 3])], [F(1, 2), F(-1, 3)]
     ),
+    # integer terms 2^n (2n - 11): p0 = 2n - 11 is negative up to n = 5 and
+    # divides every step exactly, negative quotients included
+    "negative-p0-exact": parse_recurrence("(2*n-11)*a(n+1) - 2*(2*n-9)*a(n) = 0; a(0) = -11"),
+    # integer terms (n - 3) 2^n with a zero at n = 3, stepped through p0 = n + 2
+    "zero-integer-term": parse_recurrence(
+        "(n+2)*a(n+2) - 4*(n+2)*a(n+1) + 4*(n+2)*a(n) = 0; a(0) = -3, a(1) = -4"
+    ),
+    # 3 * 2^n / n!: integer while p0 = n + 1 divides, up to a(4) = 2; a(5) = 4/5
+    "integer-until-n5": parse_recurrence("(n+1)*a(n+1) - 2*a(n) = 0; a(0) = 3"),
 }
 
 
@@ -452,6 +461,9 @@ def test_stepping_gcds_stay_far_below_the_common_denominator(monkeypatch, tmp_pa
 def test_stepping_oracle_covers_zero_and_negative_terms():
     assert TermTable(get("fine").recurrence).value(1) == 0
     assert min(TermTable(get("bn").recurrence).values(0, 5)) < 0
+    assert TermTable(STEPPING_RECS["negative-p0-exact"]).values(0, 7) == [2**n * (2 * n - 11) for n in range(8)]
+    assert TermTable(STEPPING_RECS["zero-integer-term"]).values(2, 4) == [-4, 0, 16]
+    assert TermTable(STEPPING_RECS["integer-until-n5"]).values(3, 5) == [4, 2, F(4, 5)]
     vals = TermTable(STEPPING_RECS["rational-order2"]).values(0, 60)
     assert any(v < 0 for v in vals) and len({v.denominator for v in vals}) > 10
 
