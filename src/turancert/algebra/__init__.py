@@ -5,7 +5,6 @@ from .ratfunc import RatFunc, limit_at_infinity, sign_at_infinity
 from .roots import (
     AlgebraicReal,
     cauchy_root_bound,
-    count_roots_halfopen,
     eventual_positivity_threshold,
     isolate_real_roots,
     no_roots_above,
@@ -28,7 +27,6 @@ __all__ = [
     "no_roots_above",
     "rational_roots_small",
     "cauchy_root_bound",
-    "count_roots_halfopen",
     "sturm_chain",
     "NumberField",
     "NFElem",

@@ -22,7 +22,9 @@ by `_horner`.
 Products of rational polynomials are its second user: each factor is
 cleared by `_integer_window`, the integer lists are convolved, and the
 result is divided by the two scales once (1 for `RatFunc` normal forms);
-field-valued coefficients are convolved as they are.
+field-valued coefficients are convolved as they are.  `_int_shift` is the
+integer Taylor shift p(x + a) for an int a, which `RatFunc.shift` and the
+certificate fractions of `algebra.ratfunc` use.
 `_primitive_ints` divides such a list by its content, and
 `_jointly_primitive` divides several lists by their joint content with a
 chosen sign: `RatFunc`'s canonical pair and the parser's cleared
@@ -294,6 +296,16 @@ def _horner(cs: Sequence[int], m: int) -> int:
     for c in cs:
         acc = acc * m + c
     return acc
+
+
+def _int_shift(cs: Sequence[int], a: int) -> list[int]:
+    """p(x + a) for the integers cs of p (highest first) and an int a, by
+    repeated synthetic division: the Taylor shift, with no scalar leaving Z."""
+    out = list(cs)
+    for i in range(len(out) - 1):
+        for k in range(1, len(out) - i):
+            out[k] += a * out[k - 1]
+    return out
 
 
 def _primitive_ints(p: Poly) -> list[int]:

@@ -6,6 +6,18 @@ by one common scale, and those lists are divided by their integer gcd,
 then by their joint content, with the sign that makes the denominator's
 lead positive (so printed forms match hand-cleared fractions exactly).
 Over other fields the denominator is monic.
+
+That pair is unique, so a rational function may be built any way at all
+and normalised once.  Each `RatFunc` operator normalises its result;
+`_Frac` does not: it is a rational function over Q whose numerator is an
+integer list and whose denominator is a product of integer-list factors,
+with + - * / ** and integer shifts taking no gcd and no content.  The
+certificate inequalities of `certify` (corners, induction steps,
+discharge) are built as `_Frac`s and normalised once, by `_Frac.normal`,
+where a threshold or a stored field needs the canonical pair.  An integer
+shift of a canonical pair is canonical (it keeps coprimality, the joint
+content and the denominator's lead), so `RatFunc.shift` by an int takes
+no gcd either.
 """
 
 from __future__ import annotations
@@ -13,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import (
-    Poly, _exact_quotient, _int_gcd, _integer_coeffs, _jointly_primitive, _scalar_inv, poly_gcd,
-    scalar_sign,
+    Poly, _convolve, _exact_quotient, _int_gcd, _int_shift, _integer_coeffs,
+    _jointly_primitive, _over, _scalar_inv, poly_gcd, scalar_sign,
 )
 
 
@@ -37,11 +49,7 @@ class RatFunc:
             self.num, self.den = c.num, c.den
             return
         if num.is_rational() and den.is_rational():
-            a, b = _integer_coeffs((num, den))
-            g = _int_gcd(a, b) if min(len(a), len(b)) > 1 else [1]
-            if len(g) > 1:
-                a, b = _exact_quotient(a, g), _exact_quotient(b, g)
-            self.num, self.den = _jointly_primitive((a, b), b[0])
+            self.num, self.den = _canonical(*_integer_coeffs((num, den)))
             return
         g = poly_gcd(num, den)
         if g.degree > 0:
@@ -167,8 +175,130 @@ class RatFunc:
         return self.num.eval(x) * _scalar_inv(d)
 
     def shift(self, a) -> "RatFunc":
-        """r(x + a)."""
+        """r(x + a); an int shift of a rational pair is canonical as it stands."""
+        if type(a) is int and self.num.is_rational() and self.den.is_rational():
+            out = object.__new__(RatFunc)
+            cs = _integer_coeffs((self.num, self.den))
+            out.num, out.den = (_over(_int_shift(c, a)[::-1], 1) for c in cs)
+            return out
         return RatFunc(self.num.compose_shift(a), self.den.compose_shift(a))
+
+
+def _canonical(a, b) -> list[Poly]:
+    """The canonical pair of the integer lists a/b (highest first, b nonzero
+    with a nonzero lead): one gcd, then the joint content and the sign."""
+    if not a:
+        return [Poly(), Poly([1])]
+    g = _int_gcd(a, b) if min(len(a), len(b)) > 1 else [1]
+    if len(g) > 1:
+        a, b = _exact_quotient(a, g), _exact_quotient(b, g)
+    return _jointly_primitive((a, b), b[0])
+
+
+class _Frac:
+    """num / prod(f^m for f, m in den.items()) over Q, not normalised: num
+    and each factor f are integer tuples, highest degree first, with a
+    nonzero lead (num is () for zero).
+
+    A sum takes, for each factor, the larger of its two multiplicities
+    (factors are compared by value), so t(x, y) of two fractions over b and
+    d comes out over (bd)^2, as clearing by hand would give.  No operation
+    takes a gcd; `normal()` takes one, for the canonical `RatFunc`.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple, den: dict):
+        self.num, self.den = num, den
+
+    @staticmethod
+    def of(r) -> "_Frac":
+        """A rational `RatFunc` or `Poly` as a fraction."""
+        if isinstance(r, Poly):
+            return _Frac(_integer_coeffs((r,))[0], {})
+        num, den = _integer_coeffs((r.num, r.den))
+        return _Frac(num, {} if den == (1,) else {den: 1})
+
+    def _lifted(self, den: dict) -> tuple:
+        """num times the factors that `den` has beyond self.den."""
+        return _times(self.num, {f: m - self.den.get(f, 0) for f, m in den.items()})
+
+    def __add__(self, other) -> "_Frac":
+        other = _lift(other)
+        den = {**other.den, **{f: max(m, other.den.get(f, 0)) for f, m in self.den.items()}}
+        a, b = self._lifted(den), other._lifted(den)
+        if len(a) < len(b):
+            a, b = b, a
+        k = len(a) - len(b)
+        return _Frac(_stripped(a[:k] + tuple(x + y for x, y in zip(a[k:], b))), den)
+
+    def __neg__(self) -> "_Frac":
+        return _Frac(tuple(-c for c in self.num), self.den)
+
+    def __sub__(self, other) -> "_Frac":
+        return self + -_lift(other)
+
+    def __rsub__(self, other) -> "_Frac":
+        return _lift(other) + -self
+
+    def __mul__(self, other) -> "_Frac":
+        other = _lift(other)
+        den = dict(self.den)
+        for f, m in other.den.items():
+            den[f] = den.get(f, 0) + m
+        return _Frac(tuple(_convolve(self.num, other.num)) if self.num and other.num else (), den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other: "_Frac") -> "_Frac":
+        if not other.num:
+            raise ZeroDivisionError("division by a zero fraction")
+        den = dict(self.den)
+        den[other.num] = den.get(other.num, 0) + 1
+        return _Frac(_times(self.num, other.den), den)
+
+    def __rtruediv__(self, other) -> "_Frac":
+        return _lift(other) / self
+
+    def __pow__(self, k: int) -> "_Frac":
+        out = _ONE
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def shift(self, a: int) -> "_Frac":
+        """r(x + a) for an int a."""
+        return _Frac(tuple(_int_shift(self.num, a)), {tuple(_int_shift(f, a)): m for f, m in self.den.items()})
+
+    def normal(self) -> RatFunc:
+        """The canonical `RatFunc`: one gcd of num and the expanded denominator."""
+        out = object.__new__(RatFunc)
+        out.num, out.den = _canonical(list(self.num), list(_times((1,), self.den)))
+        return out
+
+
+_ONE = _Frac((1,), {})
+
+
+def _times(num: tuple, factors: dict) -> tuple:
+    """num times f^m for each factor f and multiplicity m."""
+    for f, m in factors.items():
+        for _ in range(m):
+            num = tuple(_convolve(num, f)) if num else num
+    return num
+
+
+def _lift(x) -> _Frac:
+    """An int as a fraction."""
+    return x if isinstance(x, _Frac) else _Frac((x,) if x else (), {})
+
+
+def _stripped(cs: tuple) -> tuple:
+    """cs without its leading zeros."""
+    k = 0
+    while k < len(cs) and not cs[k]:
+        k += 1
+    return cs[k:]
 
 
 def _quotient(x, d):

@@ -6,8 +6,11 @@ chains are built from integer pseudo-remainders (`poly._prem`), each
 member scaled by a positive constant, so every sign is the sign of the
 `Fraction` chain.  Thresholds count sign variations by integer Horner at
 integer points and read the count at +infinity from the leading
-coefficients.  Full root isolation returns `AlgebraicReal` handles
-(square-free defining polynomial + isolating interval with refinement).
+coefficients; a threshold of num/den takes one chain for num and one for
+den (`eventual_positivity_threshold`).  Root isolation counts them at
+rational points by homogeneous integer Horner (`_value_at`), and returns
+`AlgebraicReal` handles (square-free defining polynomial + isolating
+interval with refinement).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 from .poly import (
     Poly, _exact_quotient, _horner, _integer_coeffs, _poly_of, _prem, _primitive_ints,
-    scalar_sign, squarefree_part,
+    squarefree_part,
 )
 from .ratfunc import RatFunc, sign_at_infinity
 
@@ -39,18 +42,27 @@ def sturm_chain(p: Poly) -> list[Poly]:
     return chain
 
 
-def _variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        s = scalar_sign(q.eval(x))
-        if s:
-            signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _value_at(cs, x: Fraction) -> int:
+    """p(x) times x.denominator^deg p, for the integers cs of p (highest
+    first): homogeneous integer Horner, with the sign of p(x)."""
+    acc, scale = 0, 1
+    for c in cs:
+        acc = acc * x.numerator + c * scale
+        scale *= x.denominator
+    return acc
 
 
-def count_roots_halfopen(chain: list[Poly], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in (a, b] for a square-free chain head."""
-    return _variations(chain, a) - _variations(chain, b)
+def _sign_at(cs, x: Fraction) -> int:
+    """The sign of p(x), for the integers cs of p (highest first)."""
+    v = _value_at(cs, x)
+    return (v > 0) - (v < 0)
+
+
+def _count_roots(chain: list, a: Fraction, b: Fraction) -> int:
+    """Number of distinct real roots in (a, b] of a square-free chain head,
+    for a Sturm chain as integer lists (highest first)."""
+    return (_sign_changes([_value_at(cs, a) for cs in chain])
+            - _sign_changes([_value_at(cs, b) for cs in chain]))
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
@@ -73,11 +85,14 @@ def no_roots_above(p: Poly) -> int:
     That is max(0, ceil(largest real root)).  A Sturm count V(m) - V(inf)
     on the square-free part gives the roots in (m, inf); the search gallops
     up from 0 through 1, 2, 4, ... to the first count of zero and then
-    bisects.  Rational coefficients only.
+    bisects.  Coefficients with no sign change have no positive root
+    (Descartes' rule of signs), so M = 0 with no chain: the denominators
+    n^j (n+1)^k of the certificate inequalities take this path.  Rational
+    coefficients only.
     """
     if not p.is_rational():
         raise TypeError("thresholds need rational coefficients")
-    if p.degree <= 0:
+    if p.degree <= 0 or not _sign_changes(_integer_coeffs((p,))[0]):
         return 0
     chain = _integer_coeffs(sturm_chain(squarefree_part(p)))
     at_inf = _sign_changes([cs[0] for cs in chain])
@@ -112,7 +127,7 @@ class AlgebraicReal:
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
         (self._ints,) = _integer_coeffs((poly,))  # highest degree first
-        self._lo_sign = self._sign_at(self.lo)  # kept by refine
+        self._lo_sign = _sign_at(self._ints, self.lo)  # kept by refine
 
     def __repr__(self) -> str:
         return f"AlgebraicReal({list(self.poly.coeffs)!r}, {self.lo}, {self.hi})"
@@ -125,21 +140,13 @@ class AlgebraicReal:
             raise ValueError("not refined to a rational point")
         return self.lo
 
-    def _sign_at(self, x: Fraction) -> int:
-        """Sign of poly at x by homogeneous integer Horner on x's numerator and denominator."""
-        acc, scale = 0, 1
-        for c in self._ints:
-            acc = acc * x.numerator + c * scale
-            scale *= x.denominator
-        return (acc > 0) - (acc < 0)
-
     def refine(self) -> None:
         """Halve the interval, keeping the half with the sign change.  The sign
         at lo is not evaluated again: lo moves only to a midpoint whose sign was just taken."""
         if self.lo == self.hi:
             return
         mid = (self.lo + self.hi) / 2
-        v = self._sign_at(mid)
+        v = _sign_at(self._ints, mid)
         if v == 0:
             self.lo = self.hi = mid
             return
@@ -180,36 +187,37 @@ def isolate_real_roots(p: Poly) -> list[AlgebraicReal]:
     roots: list[AlgebraicReal] = []
     if len(qs) > 1:
         q = _poly_of(qs)
-        chain = sturm_chain(q)
+        chain = _integer_coeffs(sturm_chain(q))
+        cs = chain[0]
         bound = cauchy_root_bound(q)
         lo, hi = -bound - 1, bound + 1
 
         def recurse(a: Fraction, b: Fraction, count: int) -> None:
             if count == 0:
                 return
-            if count == 1 and scalar_sign(q.eval(a)) * scalar_sign(q.eval(b)) < 0:
+            if count == 1 and _sign_at(cs, a) * _sign_at(cs, b) < 0:
                 roots.append(AlgebraicReal(q, a, b))
                 return
             mid = (a + b) / 2
-            if q.eval(mid) == 0:
+            if not _value_at(cs, mid):
                 roots.append(AlgebraicReal(q, mid, mid))
                 # shrink around the exact root so the sub-intervals exclude it
                 w = (b - a) / 4
                 while True:
                     m1, m2 = mid - w, mid + w
-                    if q.eval(m1) != 0 and q.eval(m2) != 0:
-                        c_left = count_roots_halfopen(chain, a, m1)
-                        c_mid = count_roots_halfopen(chain, m1, m2)
+                    if _value_at(cs, m1) and _value_at(cs, m2):
+                        c_left = _count_roots(chain, a, m1)
+                        c_mid = _count_roots(chain, m1, m2)
                         if c_mid == 1:
                             recurse(a, m1, c_left)
                             recurse(m2, b, count - c_left - 1)
                             return
                     w /= 2
-            c_left = count_roots_halfopen(chain, a, mid)
+            c_left = _count_roots(chain, a, mid)
             recurse(a, mid, c_left)
             recurse(mid, b, count - c_left)
 
-        total = count_roots_halfopen(chain, lo, hi)
+        total = _count_roots(chain, lo, hi)
         recurse(lo, hi, total)
         # shrink intervals until they exclude the split-off rational points,
         # so sorting by endpoints orders the actual values
@@ -253,15 +261,17 @@ def eventual_positivity_threshold(r: RatFunc) -> int:
 
     Requires sign_at_infinity(r) > 0; raises ValueError otherwise.  The
     returned threshold is minimal: r(N0) <= 0 or den(N0) == 0 or N0 == 0.
-    Both conditions hold at n exactly when (num den)(n) > 0, which is
-    scanned down from `no_roots_above` by integer Horner.
+    Both conditions hold at n exactly when num(n) den(n) > 0, which is
+    scanned down by integer Horner from M = max(`no_roots_above(num)`,
+    `no_roots_above(den)`): the real roots of num den are those of num and
+    those of den, so M is the bound one Sturm chain of the product would
+    give, from two chains of half the degree.
     """
     if sign_at_infinity(r) <= 0:
         raise ValueError("rational function is not eventually positive")
-    prod = r.num * r.den
-    top = no_roots_above(prod)  # raises TypeError unless prod is rational
-    (cs,) = _integer_coeffs((prod,))
+    top = max(no_roots_above(r.num), no_roots_above(r.den))  # TypeErrors unless rational
+    num, den = _integer_coeffs((r.num, r.den))
     for n in range(top, 0, -1):
-        if _horner(cs, n) <= 0:
+        if _horner(num, n) * _horner(den, n) <= 0:
             return n
     return 0

@@ -17,6 +17,13 @@ finitely checkable claims:
 
 Everything is exact rational arithmetic; no step trusts the asymptotic
 expansion beyond the inductively proved windows.
+
+Each inequality that a threshold is taken of (the corners, the induction
+steps, the discharge) is built as one unnormalised fraction
+(`algebra.ratfunc._Frac`) and normalised to its canonical `RatFunc` once,
+right before its threshold or its place in a certificate.  The canonical
+pair is unique, so this gives the same polynomials, thresholds and bytes
+as normalising after every operation.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .algebra import (
     rationalize,
     sign_at_infinity,
 )
+from .algebra.ratfunc import _Frac
 from .asymptotics import RatioExpansion, ratio_expansion
 from .asymptotics.ratio import ratio_window_grid, u_grid
 from .render import frac_str, ratfunc_to_json
@@ -68,7 +76,7 @@ def _ept(r: RatFunc, what: str) -> int:
 
 
 def turan_form(x, y):
-    """t(x, y) = 4(1-x)(1-y) - (1-xy)^2 on exact scalars or RatFuncs."""
+    """t(x, y) = 4(1-x)(1-y) - (1-xy)^2 on exact scalars, RatFuncs or `_Frac`s."""
     return 4 * (1 - x) * (1 - y) - (1 - x * y) ** 2
 
 
@@ -139,30 +147,43 @@ def _induction_threshold(rec: Recurrence, s_l: RatFunc, s_u: RatFunc) -> int:
     """An n1 past which s_l > 0, every q_k = p_k/p_0 has its eventual sign
     and both induction steps hold: d - 1 consecutive ratios inside the
     window [s_l, s_u] at n+1 .. n+d-1, n > n1, put r(n+d) inside it too."""
-    d = rec.order
-    p0 = RatFunc(rec.coeffs[0])
-    q = [RatFunc(rec.coeffs[k]) / p0 for k in range(1, d + 1)]
+    return max(
+        _ept(r, what) if what else eventual_positivity_threshold(r)
+        for r, what in _induction_inequalities(rec, s_l, s_u)
+    )
 
-    # prod_small and prod_large run over s_l(n+d-j) and s_u(n+d-j), j < k; the
-    # upper step divides q_k > 0 by the small product, q_k < 0 by the large.
-    thresholds = [_ept(s_l, "s_l(n)")]
+
+def _induction_inequalities(rec: Recurrence, s_l: RatFunc, s_u: RatFunc):
+    """Yield (r, what) for each r > 0 that `_induction_threshold` needs, in
+    the order it checks them: s_l, |q_k| for q_k != 0 (what is None, the
+    sign being known), the upper and lower step.  The steps and running
+    products are unnormalised `_Frac`s, and each r is normalised once, when
+    it is yielded.
+    """
+    yield s_l, "s_l(n)"
+    d = rec.order
+    p0 = _Frac.of(rec.coeffs[0])
+    q = [_Frac.of(rec.coeffs[k]) / p0 for k in range(1, d + 1)]
+    L, U = _Frac.of(s_l), _Frac.of(s_u)
+
+    # over_small and over_large run over 1/s_l(n+d-j) and 1/s_u(n+d-j), j < k;
+    # the upper step divides q_k > 0 by the small product, q_k < 0 by the large.
     upper_step = lower_step = q[0]
-    prod_small = prod_large = RatFunc.one()
+    over_small = over_large = 1
     for k in range(2, d + 1):
-        prod_small = prod_small * s_l.shift(d - k + 1)
-        prod_large = prod_large * s_u.shift(d - k + 1)
-        qk = q[k - 1]
+        over_small = over_small * (1 / L.shift(d - k + 1))
+        over_large = over_large * (1 / U.shift(d - k + 1))
+        qk = q[k - 1].normal()
         sk = sign_at_infinity(qk)
         if sk == 0:
             continue
-        thresholds.append(eventual_positivity_threshold(qk if sk > 0 else -qk))
-        hi, lo = (prod_small, prod_large) if sk > 0 else (prod_large, prod_small)
-        upper_step = upper_step + qk / hi
-        lower_step = lower_step + qk / lo
+        yield (qk if sk > 0 else -qk), None
+        hi, lo = (over_small, over_large) if sk > 0 else (over_large, over_small)
+        upper_step = upper_step + q[k - 1] * hi
+        lower_step = lower_step + q[k - 1] * lo
 
-    thresholds.append(_ept(s_u.shift(d) - upper_step, "s_u(n+d) - upper step"))
-    thresholds.append(_ept(lower_step - s_l.shift(d), "lower step - s_l(n+d)"))
-    return max(thresholds)
+    yield (U.shift(d) - upper_step).normal(), "s_u(n+d) - upper step"
+    yield (lower_step - L.shift(d)).normal(), "lower step - s_l(n+d)"
 
 
 def _base_window(table: TermTable, s_l: RatFunc, s_u: RatFunc, start: int, d: int) -> int:
@@ -243,8 +264,15 @@ def certify_u_bounds(
 
 def _discharge_threshold(s_l: RatFunc, s_u: RatFunc, g: RatFunc, f: RatFunc) -> int:
     """An n2 past which g(n) < s_l(n+1)/s_u(n) and s_u(n+1)/s_l(n) < f(n)."""
-    hi = _ept(f - s_u.shift(1) / s_l, "f(n) - s_u(n+1)/s_l(n)")
-    return max(hi, _ept(s_l.shift(1) / s_u - g, "s_l(n+1)/s_u(n) - g(n)"))
+    return max(_ept(r, what) for r, what in _discharge_inequalities(s_l, s_u, g, f))
+
+
+def _discharge_inequalities(s_l: RatFunc, s_u: RatFunc, g: RatFunc, f: RatFunc):
+    """Yield (r, what) for the two r > 0 of `_discharge_threshold`, in its
+    order, each built as one `_Frac` and normalised once."""
+    L, U = _Frac.of(s_l), _Frac.of(s_u)
+    yield (_Frac.of(f) - U.shift(1) / L).normal(), "f(n) - s_u(n+1)/s_l(n)"
+    yield (L.shift(1) / U - _Frac.of(g)).normal(), "s_l(n+1)/s_u(n) - g(n)"
 
 
 FACTORIAL_FACTOR = RatFunc(Poly([0, 1]), Poly([1, 1]))  # u_n of a_n/n! is u_n of a_n times this
@@ -266,13 +294,15 @@ def corner_polynomial(g: RatFunc, f: RatFunc, corner: int) -> RatFunc:
     """t at corner `corner` of [g(n), f(n)] x [g(n+1), f(n+1)].
 
     Corners are numbered 0..3 as (g,g), (g,f), (f,g), (f,f), the second
-    coordinate shifted to n+1.
+    coordinate shifted to n+1.  t is taken on unnormalised `_Frac`s, so with
+    x = a/b and y = c/d the value is (4(b-a)(d-c)bd - (bd-ac)^2)/(bd)^2,
+    normalised by one gcd.
     """
     if corner not in (0, 1, 2, 3):
         raise ValueError("corner must be in 0..3")
-    x = g if corner < 2 else f
-    y = (g if corner % 2 == 0 else f).shift(1)
-    return turan_form(x, y)
+    x = _Frac.of(g if corner < 2 else f)
+    y = _Frac.of(g if corner % 2 == 0 else f).shift(1)
+    return turan_form(x, y).normal()
 
 
 def corner_suite(g: RatFunc, f: RatFunc) -> list:

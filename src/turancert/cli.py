@@ -262,10 +262,7 @@ def cmd_verify(args) -> int:
     rec, _, table = _open(args)
     ok, diagnosis = verify_certificate(cert, rec, table)
     table.flush()
-    try:
-        name = cert["sequence"]["name"] or _display_name(rec)
-    except (KeyError, TypeError):
-        name = _display_name(rec)
+    name = _display_name(rec)  # the sequence checked, not the certificate's label
     if ok:
         lines = [f"certificate for {name}: verified"]
         if cert.get("kind", "turan3") == "turan3":

@@ -17,7 +17,14 @@ by the modulus after every operation, and enclosures over the root's
 interval by interval Horner in `Fraction`s, which the package does on
 integers and reduced tuples.
 Root refinement by bisection that evaluates the polynomial in `Fraction`
-arithmetic at both ends of every step.
+arithmetic at both ends of every step, and Sturm root counts by `Fraction`
+evaluation of the chain's `Poly` members.  Positivity thresholds from one
+Sturm chain of the product num den.
+
+On certificates: the corner polynomials, the induction inequalities and
+the discharge inequalities built one `RatFunc` operator at a time, each
+operator normalising its result, which the package builds as one
+unnormalised fraction and normalises once.
 
 On exact terms: the search for the base window of the ratio induction,
 trying every start in `Fraction` arithmetic.
@@ -36,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from turancert.algebra import NFElem, Poly, RatFunc, poly_gcd, scalar_sign
+from turancert.algebra import NFElem, Poly, RatFunc, no_roots_above, poly_gcd, scalar_sign, sign_at_infinity
 from turancert.asymptotics import (
     AsymSeries,
     RatioExpansion,
@@ -46,6 +53,7 @@ from turancert.asymptotics import (
     shift_series,
 )
 from turancert.asymptotics.ratio import _Resonance
+from turancert.certify import turan_form
 from turancert.corpus import ENTRIES, CorpusEntry
 from turancert.sequences import PREC, Recurrence, check_scaling
 
@@ -510,6 +518,72 @@ def bisect_reference(poly: Poly, lo: Fraction, hi: Fraction) -> tuple:
     if v == 0:
         return mid, mid
     return (lo, mid) if scalar_sign(poly.eval(lo)) * scalar_sign(v) < 0 else (mid, hi)
+
+
+def count_roots_halfopen(chain: list, a: Fraction, b: Fraction) -> int:
+    """Number of distinct real roots in (a, b] of a square-free chain head,
+    from the signs of the chain's `Poly`s evaluated at a and b."""
+
+    def variations(x):
+        signs = [s for s in (scalar_sign(q.eval(x)) for q in chain) if s]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
+
+    return variations(a) - variations(b)
+
+
+def shift_reference(r: RatFunc, a) -> RatFunc:
+    """r(n + a), both sides shifted in the polynomial ring and normalised."""
+    return RatFunc(r.num.compose_shift(a), r.den.compose_shift(a))
+
+
+def product_chain_threshold(r: RatFunc) -> int:
+    """`eventual_positivity_threshold` from one Sturm chain of num den: scan
+    down from `no_roots_above(num den)` to the first n with (num den)(n) <= 0."""
+    prod = r.num * r.den
+    for n in range(no_roots_above(prod), 0, -1):
+        if prod.eval(n) <= 0:
+            return n
+    return 0
+
+
+def corner_polynomial_reference(g: RatFunc, f: RatFunc, corner: int) -> RatFunc:
+    """t at corner `corner` (0..3 as (g,g), (g,f), (f,g), (f,f)) on `RatFunc`s."""
+    x = g if corner < 2 else f
+    y = shift_reference(g if corner % 2 == 0 else f, 1)
+    return turan_form(x, y)
+
+
+def induction_inequalities_reference(rec: Recurrence, s_l: RatFunc, s_u: RatFunc) -> list:
+    """(r, what) for s_l, |q_k| (what None) and the two induction steps, with
+    running products of s_l(n+d-j) and s_u(n+d-j), j < k, on `RatFunc`s."""
+    d = rec.order
+    p0 = RatFunc(rec.coeffs[0])
+    q = [RatFunc(rec.coeffs[k]) / p0 for k in range(1, d + 1)]
+    out = [(s_l, "s_l(n)")]
+    upper_step = lower_step = q[0]
+    prod_small = prod_large = RatFunc.one()
+    for k in range(2, d + 1):
+        prod_small = prod_small * shift_reference(s_l, d - k + 1)
+        prod_large = prod_large * shift_reference(s_u, d - k + 1)
+        qk = q[k - 1]
+        sk = sign_at_infinity(qk)
+        if sk == 0:
+            continue
+        out.append((qk if sk > 0 else -qk, None))
+        hi, lo = (prod_small, prod_large) if sk > 0 else (prod_large, prod_small)
+        upper_step = upper_step + qk / hi
+        lower_step = lower_step + qk / lo
+    out.append((shift_reference(s_u, d) - upper_step, "s_u(n+d) - upper step"))
+    out.append((lower_step - shift_reference(s_l, d), "lower step - s_l(n+d)"))
+    return out
+
+
+def discharge_inequalities_reference(s_l: RatFunc, s_u: RatFunc, g: RatFunc, f: RatFunc) -> list:
+    """(r, what) for f - s_u(n+1)/s_l(n) and s_l(n+1)/s_u(n) - g on `RatFunc`s."""
+    return [
+        (f - shift_reference(s_u, 1) / s_l, "f(n) - s_u(n+1)/s_l(n)"),
+        (shift_reference(s_l, 1) / s_u - g, "s_l(n+1)/s_u(n) - g(n)"),
+    ]
 
 
 def poly_text_reference(p: Poly, var: str = "n") -> str:

@@ -18,7 +18,6 @@ from turancert.algebra import (
     Poly,
     RatFunc,
     cauchy_root_bound,
-    count_roots_halfopen,
     eventual_positivity_threshold,
     isolate_real_roots,
     limit_at_infinity,
@@ -31,9 +30,12 @@ from turancert.algebra import (
     sturm_chain,
 )
 
+from turancert.algebra import roots as roots_module
+from turancert.algebra.poly import _integer_coeffs
+
 from oracles import (
-    bisect_reference, loop_product, loop_shift, nf_add, nf_approx_interval, nf_div, nf_is_zero, nf_mul, nf_neg, nf_pow,
-    nf_sign, nf_sub, nf_to_fraction,
+    bisect_reference, count_roots_halfopen, loop_product, loop_shift, nf_add, nf_approx_interval, nf_div, nf_is_zero,
+    nf_mul, nf_neg, nf_pow, nf_sign, nf_sub, nf_to_fraction, product_chain_threshold,
 )
 
 X = Poly([0, 1])
@@ -651,6 +653,66 @@ def test_threshold_matches_fraction_oracle(seed):
         if sign_at_infinity(r) < 0:
             r = -r
         assert eventual_positivity_threshold(r) == fraction_threshold(r), r
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_split_chain_threshold_matches_product_chain(seed):
+    # denominators with a positive integer root above or below the
+    # numerator's largest root, repeated roots on either side, constant
+    # denominators; the threshold is minimal
+    rng = random.Random(8310 + seed)
+    cases = 0
+    while cases < 150:
+        num = random_poly(rng, 2) * (X - rng.randint(0, 40)) ** rng.randint(0, 3)
+        top = no_roots_above(num)
+        kind = rng.randrange(4)
+        if kind == 0:
+            den = random_constant(rng)
+        elif kind == 1:
+            den = random_poly(rng, 1) * (X - (top + rng.randint(1, 9))) ** rng.randint(1, 3)
+        elif kind == 2:
+            den = random_poly(rng, 1) * (X - rng.randint(0, max(top - 1, 0))) ** rng.randint(1, 3)
+        else:
+            den = random_poly(rng, 2) ** 2
+        r = RatFunc(num, den)
+        if r.is_zero():
+            continue
+        if sign_at_infinity(r) < 0:
+            r = -r
+        n0 = eventual_positivity_threshold(r)
+        assert n0 == product_chain_threshold(r), r
+        assert n0 == 0 or r.den.eval(n0) == 0 or r.eval(n0) <= 0, r
+        cases += 1
+
+
+def test_sturm_counts_match_fraction_evaluation():
+    # the integer chain's counts by homogeneous Horner against Fraction
+    # evaluation of the Poly chain, at rational points and at roots
+    rng = random.Random(8320)
+    for _ in range(60):
+        p = squarefree_part(random_poly(rng, 3))
+        if p.degree <= 0:
+            continue
+        ch = sturm_chain(p)
+        ints = _integer_coeffs(ch)
+        points = [F(rng.randint(-400, 400), rng.randint(1, 12)) for _ in range(6)]
+        points += [r.lo for r in isolate_real_roots(p) if r.is_rational()]
+        for a in points:
+            for b in points:
+                if a < b:
+                    assert roots_module._count_roots(ints, a, b) == count_roots_halfopen(ch, a, b), (p, a, b)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_int_shift_is_canonical(seed):
+    # an int shift keeps the canonical pair without a gcd
+    rng = random.Random(8330 + seed)
+    for _ in range(150):
+        r = RatFunc(random_poly(rng, 2), random_poly(rng, 2))
+        a = rng.randint(-30, 30)
+        got, want = r.shift(a), RatFunc(r.num.compose_shift(a), r.den.compose_shift(a))
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs), (r, a)
+        assert all(type(c) is F for c in got.num.coeffs + got.den.coeffs)
 
 
 def random_constant(rng) -> Poly:

@@ -28,6 +28,7 @@ from turancert.certify import (
     verify_certificate,
 )
 from turancert import certify, checks, cli, sequences
+from turancert.algebra import ratfunc as ratfunc_module
 from turancert.corpus import ENTRIES
 from turancert.parser import parse_recurrence
 from turancert.render import ratfunc_to_json
@@ -35,7 +36,10 @@ from turancert.sequences import (
     PREC, Recurrence, TermTable, check_inequality_range, first_escape, u_value,
 )
 
-from oracles import get, random_deltas, random_truncation, ratio_base_reference, series_ratio_windows
+from oracles import (
+    corner_polynomial_reference, discharge_inequalities_reference, get, induction_inequalities_reference,
+    random_deltas, random_truncation, ratio_base_reference, series_ratio_windows,
+)
 
 
 def rf(num, den=(1,)) -> RatFunc:
@@ -217,6 +221,94 @@ def test_ratio_induction_beyond_order_two(text):
         for n in range(rb.valid_from + 1, rb.valid_from + 60):
             assert rb.lower.eval(n) <= vals[n] / vals[n - 1] <= rb.upper.eval(n)
     assert got == HIGHER_ORDER_VALID_FROM[text]
+
+
+def forms(pairs) -> list:
+    """(num, den, what) coefficient tuples of (RatFunc, what) pairs."""
+    return [(r.num.coeffs, r.den.coeffs, what) for r, what in pairs]
+
+
+def assert_fused_match(rec, s_l, s_u, g, f, label):
+    """The fused corner, induction and discharge builders give the same
+    coefficient tuples as their operator-by-operator references, on g and f
+    as given and under the factorial scaling."""
+    assert forms(certify._induction_inequalities(rec, s_l, s_u)) == forms(
+        induction_inequalities_reference(rec, s_l, s_u)), label
+    for scaled in (False, True):
+        gs, fs = (g * certify.FACTORIAL_FACTOR, f * certify.FACTORIAL_FACTOR) if scaled else (g, f)
+        assert forms(certify._discharge_inequalities(s_l, s_u, gs, fs)) == forms(
+            discharge_inequalities_reference(s_l, s_u, gs, fs)), (label, scaled)
+        for i in range(4):
+            got, want = corner_polynomial(gs, fs, i), corner_polynomial_reference(gs, fs, i)
+            assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs), (label, scaled, i)
+
+
+def random_laurent(rng, top: int, lead, terms: int) -> RatFunc:
+    """lead n^top plus random rational corrections at n^(top-1) .. n^(top-terms)."""
+    return RatFunc.laurent([(top, lead)] + [
+        (top - k, F(rng.randint(-20, 20), rng.randint(1, 6))) for k in range(1, terms + 1)
+    ])
+
+
+class TestFusedInequalities:
+    def test_corpus_windows_match_references(self):
+        # every corpus window on the integer grid at K = 4, 6, 8, whether or
+        # not its proof closes
+        compared = 0
+        for name in sorted(ENTRIES):
+            rec = get(name).recurrence
+            t = TermTable(rec)
+            for order in (4, 6, 8):
+                rx = ratio_expansion(rec, order, table=t)
+                try:
+                    s_l, s_u, _ = certify._ratio_window_functions(rx, order)
+                except CertifyError:
+                    continue
+                g, f, _, _ = u_bound_functions(u_grid(rx), order)
+                assert_fused_match(rec, s_l, s_u, g, f, (name, order))
+                compared += 1
+        assert compared == 18
+
+    @pytest.mark.parametrize("text", sorted(HIGHER_ORDER_VALID_FROM))
+    def test_higher_order_windows_match_references(self, text):
+        rec = parse_recurrence(text)
+        t = TermTable(rec)
+        for order in range(2, 6):
+            rx = ratio_expansion(rec, order, table=t)
+            s_l, s_u, _ = certify._ratio_window_functions(rx, order)
+            g, f, _, _ = u_bound_functions(u_grid(rx), order)
+            assert_fused_match(rec, s_l, s_u, g, f, order)
+
+    def test_random_windows_match_references(self):
+        # random Laurent ratio and u windows (each also under the factorial
+        # scaling) on the corpus and higher-order recurrences
+        rng = random.Random(2901)
+        recs = [get(name).recurrence for name in sorted(ENTRIES)]
+        recs += [parse_recurrence(text) for text in sorted(HIGHER_ORDER_VALID_FROM)]
+        for trial in range(200):
+            mu = rng.choice([-1, 0, 0, 1, 2])
+            lam = F(rng.randint(1, 30), rng.randint(1, 4))
+            s_l = random_laurent(rng, mu, lam, rng.randint(0, 3))
+            s_u = s_l + RatFunc.laurent([(mu - rng.randint(1, 3), F(rng.randint(1, 9), rng.randint(1, 3)))])
+            g = random_laurent(rng, 0, 1, rng.randint(1, 3))
+            f = g + RatFunc.laurent([(-rng.randint(1, 3), F(rng.randint(1, 9), rng.randint(1, 4)))])
+            assert_fused_match(rng.choice(recs), s_l, s_u, g, f, trial)
+
+    def test_one_gcd_per_corner(self, monkeypatch):
+        calls = []
+        int_gcd = ratfunc_module._int_gcd
+
+        def counted(*args):
+            calls.append(args)
+            return int_gcd(*args)
+
+        monkeypatch.setattr(ratfunc_module, "_int_gcd", counted)
+        for name in ("motzkin", "franel3"):
+            g, f = CORNER_PAIRS[name]
+            for i in range(4):
+                calls.clear()
+                corner_polynomial(g, f, i)
+                assert len(calls) == 1, (name, i)
 
 
 class TestUBounds:

@@ -575,17 +575,18 @@ class TestCertifyAndVerify:
             "  s_u(n) - s_l(n) is not 2 n^-2, the slack of mu = 0 at order 3",
         ]
 
-    @pytest.mark.parametrize("src, message", [
-        ("involutions", "lower step - s_l(n+d)"),
-        (HARMONIC, "lower step - s_l(n+d)"),
+    @pytest.mark.parametrize("src, name, message", [
+        ("involutions", "involutions", "lower step - s_l(n+d)"),
+        (HARMONIC, "sequence", "lower step - s_l(n+d)"),
     ], ids=["involutions", "harmonic"])
-    def test_verify_rejects_a_window_on_the_wrong_sequence(self, capsys, tmp_path, src, message):
+    def test_verify_rejects_a_window_on_the_wrong_sequence(self, capsys, tmp_path, src, name, message):
+        # the header names the sequence checked, not the certificate's label
         cert_path = tmp_path / "b4.json"
         run(capsys, "certify", "binomial4", "-o", str(cert_path))
         code, out, err = run(capsys, "verify", str(cert_path), src)
         assert (code, err) == (3, "")
         head, mismatch, window = out.splitlines()
-        assert head == "certificate for binomial4: REJECTED"
+        assert head == f"certificate for {name}: REJECTED"
         assert mismatch == "  certificate does not describe this recurrence"
         assert window == "  the window is not proved: required inequality is not eventually positive: " + message
 
@@ -595,6 +596,8 @@ class TestCertifyAndVerify:
         code, out, _ = run(capsys, "verify", str(cert_path), "franel3")
         assert code == 3
         assert "REJECTED" in out
+        code, out, _ = run(capsys, "verify", str(cert_path), "franel3", "--json")
+        assert (code, json.loads(out)["name"]) == (3, "franel3")
 
     def test_scale_spelling_variants(self, capsys, tmp_path):
         a = tmp_path / "a.json"
