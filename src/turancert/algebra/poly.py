@@ -23,8 +23,8 @@ Products of rational polynomials are its second user: each factor is
 cleared by `_integer_window`, the integer lists are convolved, and the
 result is divided by the two scales once (1 for `RatFunc` normal forms);
 field-valued coefficients are convolved as they are.  `_int_shift` is the
-integer Taylor shift p(x + a) for an int a, which `RatFunc.shift` and the
-certificate fractions of `algebra.ratfunc` use.
+integer Taylor shift p(x + a) for an int a, which the certificate
+fractions of `algebra.ratfunc` use.
 `_primitive_ints` divides such a list by its content, and
 `_jointly_primitive` divides several lists by their joint content with a
 chosen sign: `RatFunc`'s canonical pair and the parser's cleared

@@ -11,13 +11,10 @@ That pair is unique, so a rational function may be built any way at all
 and normalised once.  Each `RatFunc` operator normalises its result;
 `_Frac` does not: it is a rational function over Q whose numerator is an
 integer list and whose denominator is a product of integer-list factors,
-with + - * / ** and integer shifts taking no gcd and no content.  The
+with + - * / and integer shifts taking no gcd and no content.  The
 certificate inequalities of `certify` (corners, induction steps,
 discharge) are built as `_Frac`s and normalised once, by `_Frac.normal`,
-where a threshold or a stored field needs the canonical pair.  An integer
-shift of a canonical pair is canonical (it keeps coprimality, the joint
-content and the denominator's lead), so `RatFunc.shift` by an int takes
-no gcd either.
+where a threshold or a stored field needs the canonical pair.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from fractions import Fraction
 
 from .poly import (
     Poly, _convolve, _exact_quotient, _int_gcd, _int_shift, _integer_coeffs,
-    _jointly_primitive, _over, _scalar_inv, poly_gcd, scalar_sign,
+    _jointly_primitive, _scalar_inv, poly_gcd, scalar_sign,
 )
 
 
@@ -175,12 +172,7 @@ class RatFunc:
         return self.num.eval(x) * _scalar_inv(d)
 
     def shift(self, a) -> "RatFunc":
-        """r(x + a); an int shift of a rational pair is canonical as it stands."""
-        if type(a) is int and self.num.is_rational() and self.den.is_rational():
-            out = object.__new__(RatFunc)
-            cs = _integer_coeffs((self.num, self.den))
-            out.num, out.den = (_over(_int_shift(c, a)[::-1], 1) for c in cs)
-            return out
+        """r(x + a)."""
         return RatFunc(self.num.compose_shift(a), self.den.compose_shift(a))
 
 
@@ -212,10 +204,8 @@ class _Frac:
         self.num, self.den = num, den
 
     @staticmethod
-    def of(r) -> "_Frac":
-        """A rational `RatFunc` or `Poly` as a fraction."""
-        if isinstance(r, Poly):
-            return _Frac(_integer_coeffs((r,))[0], {})
+    def of(r: RatFunc) -> "_Frac":
+        """A rational `RatFunc` as a fraction."""
         num, den = _integer_coeffs((r.num, r.den))
         return _Frac(num, {} if den == (1,) else {den: 1})
 
@@ -257,15 +247,6 @@ class _Frac:
         den[other.num] = den.get(other.num, 0) + 1
         return _Frac(_times(self.num, other.den), den)
 
-    def __rtruediv__(self, other) -> "_Frac":
-        return _lift(other) / self
-
-    def __pow__(self, k: int) -> "_Frac":
-        out = _ONE
-        for _ in range(k):
-            out = out * self
-        return out
-
     def shift(self, a: int) -> "_Frac":
         """r(x + a) for an int a."""
         return _Frac(tuple(_int_shift(self.num, a)), {tuple(_int_shift(f, a)): m for f, m in self.den.items()})
@@ -275,9 +256,6 @@ class _Frac:
         out = object.__new__(RatFunc)
         out.num, out.den = _canonical(list(self.num), list(_times((1,), self.den)))
         return out
-
-
-_ONE = _Frac((1,), {})
 
 
 def _times(num: tuple, factors: dict) -> tuple:

@@ -42,6 +42,7 @@ from .algebra import (
     rationalize,
     sign_at_infinity,
 )
+from .algebra.poly import _integer_coeffs
 from .algebra.ratfunc import _Frac
 from .asymptotics import RatioExpansion, ratio_expansion
 from .asymptotics.ratio import ratio_window_grid, u_grid
@@ -77,7 +78,8 @@ def _ept(r: RatFunc, what: str) -> int:
 
 def turan_form(x, y):
     """t(x, y) = 4(1-x)(1-y) - (1-xy)^2 on exact scalars, RatFuncs or `_Frac`s."""
-    return 4 * (1 - x) * (1 - y) - (1 - x * y) ** 2
+    w = 1 - x * y
+    return 4 * (1 - x) * (1 - y) - w * w
 
 
 # -- ratio bounds ---------------------------------------------------------------
@@ -162,17 +164,18 @@ def _induction_inequalities(rec: Recurrence, s_l: RatFunc, s_u: RatFunc):
     """
     yield s_l, "s_l(n)"
     d = rec.order
-    p0 = _Frac.of(rec.coeffs[0])
-    q = [_Frac.of(rec.coeffs[k]) / p0 for k in range(1, d + 1)]
+    # the p_k are cleared jointly, so q_k = p_k/p_0 keeps its scale
+    p0, *ps = (_Frac(cs, {}) for cs in _integer_coeffs(rec.coeffs))
+    q = [p / p0 for p in ps]
     L, U = _Frac.of(s_l), _Frac.of(s_u)
 
     # over_small and over_large run over 1/s_l(n+d-j) and 1/s_u(n+d-j), j < k;
     # the upper step divides q_k > 0 by the small product, q_k < 0 by the large.
     upper_step = lower_step = q[0]
-    over_small = over_large = 1
+    over_small = over_large = _Frac((1,), {})
     for k in range(2, d + 1):
-        over_small = over_small * (1 / L.shift(d - k + 1))
-        over_large = over_large * (1 / U.shift(d - k + 1))
+        over_small = over_small / L.shift(d - k + 1)
+        over_large = over_large / U.shift(d - k + 1)
         qk = q[k - 1].normal()
         sk = sign_at_infinity(qk)
         if sk == 0:

@@ -703,18 +703,6 @@ def test_sturm_counts_match_fraction_evaluation():
                     assert roots_module._count_roots(ints, a, b) == count_roots_halfopen(ch, a, b), (p, a, b)
 
 
-@pytest.mark.parametrize("seed", range(2))
-def test_int_shift_is_canonical(seed):
-    # an int shift keeps the canonical pair without a gcd
-    rng = random.Random(8330 + seed)
-    for _ in range(150):
-        r = RatFunc(random_poly(rng, 2), random_poly(rng, 2))
-        a = rng.randint(-30, 30)
-        got, want = r.shift(a), RatFunc(r.num.compose_shift(a), r.den.compose_shift(a))
-        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs), (r, a)
-        assert all(type(c) is F for c in got.num.coeffs + got.den.coeffs)
-
-
 def random_constant(rng) -> Poly:
     return Poly([F(rng.choice([-1, 1]) * rng.randint(1, 60), rng.randint(1, 12))])
 

@@ -294,6 +294,27 @@ class TestFusedInequalities:
             f = g + RatFunc.laurent([(-rng.randint(1, 3), F(rng.randint(1, 9), rng.randint(1, 4)))])
             assert_fused_match(rng.choice(recs), s_l, s_u, g, f, trial)
 
+    @pytest.mark.parametrize("scale", [F(1, 2), F(2, 3), F(-3, 4)])
+    def test_rational_coefficient_recurrences(self, scale):
+        # a `coeffs` document whose polynomials clear to different scales
+        # (fine halved: 3 + n, 9/2 + 7n/2, 3 + 2n) gives the same induction
+        # inequalities as the integer recurrence it is a multiple of
+        for name in sorted(ENTRIES):
+            rec = get(name).recurrence
+            doc = {
+                "coeffs": [[str(c * scale) for c in p.coeffs] for p in rec.coeffs],
+                "initials": [str(v) for v in rec.initials],
+            }
+            scaled, _ = cli.recurrence_from_json(doc)
+            rx = ratio_expansion(rec, 6, table=TermTable(rec))
+            try:
+                s_l, s_u, _ = certify._ratio_window_functions(rx, 6)
+            except CertifyError:
+                continue
+            want = forms(induction_inequalities_reference(rec, s_l, s_u))
+            assert forms(certify._induction_inequalities(scaled, s_l, s_u)) == want, (name, scale)
+            assert forms(induction_inequalities_reference(scaled, s_l, s_u)) == want, (name, scale)
+
     def test_one_gcd_per_corner(self, monkeypatch):
         calls = []
         int_gcd = ratfunc_module._int_gcd
