@@ -25,8 +25,8 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .poly import Poly, _convolve, _int_gcd, _integer_window, _poly_of
-from .roots import AlgebraicReal
+from .poly import Poly, _convolve, _exact_quotient, _int_gcd, _integer_window, _poly_of, _primitive_ints
+from .roots import AlgebraicReal, _sign_at
 
 
 def _iv_mul(a: tuple, b: tuple) -> tuple:
@@ -61,13 +61,10 @@ class NumberField:
 
     # -- root-aware modulus maintenance -----------------------------------
 
-    def _root_vanishes(self, g: Poly) -> bool:
-        """True if g(theta) == 0, for g dividing the modulus."""
-        if g.degree <= 0:
-            return False
-        sl = g.eval(self.root.lo)
-        sh = g.eval(self.root.hi)
-        return (sl > 0) != (sh > 0) or sl == 0 or sh == 0
+    def _root_vanishes(self, g: list[int]) -> bool:
+        """True if g(theta) == 0, for the integers g (highest first, degree
+        > 0) of a factor of the modulus."""
+        return _sign_at(g, self.root.lo) * _sign_at(g, self.root.hi) <= 0
 
     def _shrink_modulus(self, g: Poly) -> None:
         """Make g, monic, the modulus, kept with its degree and integer form."""
@@ -112,9 +109,9 @@ class NumberField:
             return True
         if self.known_irreducible:
             return False
-        g = _poly_of(_int_gcd(x[::-1], self.int_modulus[::-1]))
-        if g.degree > 0 and self._root_vanishes(g):
-            self._shrink_modulus(g)
+        g = _int_gcd(x[::-1], self.int_modulus[::-1])
+        if len(g) > 1 and self._root_vanishes(g):
+            self._shrink_modulus(_poly_of(g))
             return True
         return False
 
@@ -133,7 +130,7 @@ class NumberField:
             if r1.is_zero():
                 # gcd r0 nontrivial: p and modulus share a factor
                 g = r0.monic()
-                if self._root_vanishes(g):
+                if self._root_vanishes(_primitive_ints(g)):
                     self._shrink_modulus(g)
                     raise ZeroDivisionError("inverse of zero field element")
                 self._shrink_modulus(self.modulus.exact_div(g))
@@ -179,14 +176,14 @@ class NumberField:
         r = self._reduced(e)
         if not any(r.num):
             return Fraction(1)
-        M = self.modulus
-        g = _poly_of(_int_gcd(r.num[::-1], self.int_modulus[::-1]))
-        if g.degree > 0:
-            M = M.exact_div(g)
-        m, k = _integer_window(M.coeffs)[0], M.degree
-        B = 1 + max(Fraction(abs(c), abs(m[k])) for c in m[:k])
+        m = self.int_modulus[::-1]
+        g = _int_gcd(r.num[::-1], m)
+        if len(g) > 1:
+            m = _exact_quotient(m, g)
+        k = len(m) - 1
+        B = 1 + max(Fraction(abs(c), abs(m[0])) for c in m[1:])
         S = sum(abs(c) * B**i for i, c in enumerate(r.num))
-        return 1 / (r.den * abs(m[k]) ** (len(r.num) - 1) * S ** (k - 1))
+        return 1 / (r.den * abs(m[0]) ** (len(r.num) - 1) * S ** (k - 1))
 
     def approx_interval(self, e: "NFElem", width: Optional[Fraction] = None) -> tuple:
         lo, hi = self._enclose(e)

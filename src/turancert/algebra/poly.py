@@ -6,34 +6,27 @@ needed) a ``sign()`` method.  The zero polynomial has an empty
 coefficient tuple and degree -1.
 
 Rational polynomials have one integer normal form, and this module is the
-only place that clears them to it.  `_integer_coeffs` scales a group of
+only place that clears them to it: `_integer_coeffs` scales a group of
 them by one positive integer, the lcm of their denominators, and lists
 their coefficients highest degree first; `_integer_window` does the same
-for a window of rationals: `sequences.windows` builds every term window
-of an exact scan with it, and a number-field element (`NFElem`) stores its
-coefficients, and the field its modulus, as the integers it returns, which
-+ - * then act on; `_common_scale` gives the lcm of two denominators, to
-which a grid array of `asymptotics.ratio` moves when an entry brings a
-denominator its own lacks.  A positive scale keeps every sign and zero, so
-the term stepper, the certificate bounds that `sequences` compares with
-u_n (`first_escape`) and with a(n)/a(n-1) (`_escape`, for the ratio base
-window), the corpus residual check and the Sturm layer run on these lists
-by `_horner`.
-Products of rational polynomials are its second user: each factor is
-cleared by `_integer_window`, the integer lists are convolved, and the
-result is divided by the two scales once (1 for `RatFunc` normal forms);
-field-valued coefficients are convolved as they are.  `_int_shift` is the
-integer Taylor shift p(x + a) for an int a, which the certificate
-fractions of `algebra.ratfunc` use.
-`_primitive_ints` divides such a list by its content, and
-`_jointly_primitive` divides several lists by their joint content with a
-chosen sign: `RatFunc`'s canonical pair and the parser's cleared
-recurrence are both built by it.  `poly_gcd` and `RatFunc` take gcds of
-integer lists (`_int_gcd`): a pseudo-remainder is a positive multiple of
-the `Fraction` remainder, divided by its content, and `poly_gcd` returns
-its gcd primitive with positive lead.
-By Gauss's lemma a primitive divisor leaves an integer quotient
-(`_exact_quotient`) and does not change the content of what it divides.
+for a window of rationals, and `_common_scale` gives the lcm of two
+denominators.  A positive scale keeps every sign and zero, so the term
+stepper, the certificate bounds on term windows and the corpus residual
+check run on these lists by `_horner`; a number-field element (`NFElem`)
+stores its coefficients as such a list.
+`_primitive_ints` clears one polynomial and divides out its content; the
+root layer (`algebra.roots`) clears each input there, once, and its
+square-free parts (`squarefree_part`), derivatives and pseudo-remainders
+(`_prem`) take and return integer lists.  Products of rational polynomials
+convolve the cleared lists and divide by the two scales once; `_int_shift`
+is the integer Taylor shift.  `_jointly_primitive` divides several lists
+by their joint content with a chosen sign (`RatFunc`'s canonical pair, the
+parser's cleared recurrence).  Gcds of rational polynomials are taken on
+integer lists (`_int_gcd`), and by Gauss's lemma a primitive divisor
+leaves an integer quotient (`_exact_quotient`).  `poly_gcd`'s path for
+field-valued coefficients is reached by no command: it is kept for
+`RatFunc` over Q(lambda), which certificates with an algebraic growth
+constant will need (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -375,16 +368,19 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def squarefree_part(p: Poly) -> Poly:
-    """p with repeated roots collapsed to simple ones, primitive with
-    positive lead (rational coefficients only)."""
-    if p.degree <= 0:
-        return p
-    q = _primitive_ints(p)
-    g = _primitive_ints(poly_gcd(p, p.derivative()))
+def squarefree_part(cs: Sequence[int]) -> list[int]:
+    """The integers cs (highest first) with repeated roots collapsed to
+    simple ones, content-free with positive lead."""
+    q = _content_free(list(cs))
+    g = _int_gcd(q, _derivative(q))
     if len(g) > 1:
         q = _exact_quotient(q, g)
-    return _poly_of(q)
+    return [-c for c in q] if q and q[0] < 0 else q
+
+
+def _derivative(cs: Sequence[int]) -> list[int]:
+    """The derivative of the integers cs (highest first), content-free."""
+    return _content_free([c * k for c, k in zip(cs, range(len(cs) - 1, 0, -1))])
 
 
 def _exact_quotient(a: list[int], b: list[int]) -> list[int]:

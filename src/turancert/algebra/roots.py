@@ -1,16 +1,17 @@
 """Exact real root location: Sturm chains, isolation, positivity thresholds.
 
-Sturm chains, thresholds and isolation take rational coefficients and
-raise `TypeError` on any other scalar; all decisions are exact.  Sturm
-chains are built from integer pseudo-remainders (`poly._prem`), each
-member scaled by a positive constant, so every sign is the sign of the
-`Fraction` chain.  Thresholds count sign variations by integer Horner at
-integer points and read the count at +infinity from the leading
-coefficients; a threshold of num/den takes one chain for num and one for
-den (`eventual_positivity_threshold`).  Root isolation counts them at
-rational points by homogeneous integer Horner (`_value_at`), and returns
-`AlgebraicReal` handles (square-free defining polynomial + isolating
-interval with refinement).
+The layer runs on one representation: coprime integer coefficients, highest
+degree first.  The entries that take a `Poly` (`eventual_positivity_threshold`,
+`isolate_real_roots`, `AlgebraicReal`, and `no_roots_above`, which also takes
+the integers) clear it once, by `poly._primitive_ints` (`TypeError` on any
+other scalar); `squarefree_part`, `sturm_chain`, `rational_roots_small`,
+`cauchy_root_bound` and every evaluation then take integer lists, and all
+decisions are exact.  A chain member is a positive multiple of the
+`Fraction` chain's (integer pseudo-remainders, `poly._prem`), so it has its
+signs.  Thresholds count sign variations by integer Horner at integer
+points, one chain for num and one for den; isolation counts them at
+rational points by homogeneous integer Horner (`_value_at`) and returns
+`AlgebraicReal` handles, whose `poly` is the only `Poly` it builds.
 """
 
 from __future__ import annotations
@@ -19,26 +20,22 @@ import math
 from fractions import Fraction
 
 from .poly import (
-    Poly, _exact_quotient, _horner, _integer_coeffs, _poly_of, _prem, _primitive_ints,
+    Poly, _derivative, _exact_quotient, _horner, _over, _prem, _primitive_ints,
     squarefree_part,
 )
 from .ratfunc import RatFunc, sign_at_infinity
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain of p: p, p', then the negated remainders, each made
-    primitive with its sign kept."""
-    if not p.is_rational():
-        raise TypeError("Sturm chains need rational coefficients")
-    chain = [p, p.derivative()]
-    if chain[-1].is_zero():
-        return chain[:1]
-    a, b = _primitive_ints(p), _primitive_ints(chain[-1])
-    while len(b) > 1:
-        a, b = b, [-c for c in _prem(a, b)]
-        if not b:
+def sturm_chain(cs: list[int]) -> list[list[int]]:
+    """Sturm chain of the integers cs (highest first): cs, its derivative,
+    then the negated pseudo-remainders, each after the first content-free
+    with its sign kept."""
+    chain, b = [cs], _derivative(cs)
+    while b:
+        chain.append(b)
+        if len(b) == 1:
             break
-        chain.append(Poly(reversed(b)))
+        b = [-c for c in _prem(chain[-2], b)]
     return chain
 
 
@@ -65,12 +62,13 @@ def _count_roots(chain: list, a: Fraction, b: Fraction) -> int:
             - _sign_changes([_value_at(cs, b) for cs in chain]))
 
 
-def cauchy_root_bound(p: Poly) -> Fraction:
-    """B with all real roots of p inside (-B, B)."""
-    if p.degree <= 0:
+def cauchy_root_bound(cs: list[int]) -> Fraction:
+    """B with all real roots inside (-B, B), for the integers cs of a
+    polynomial (highest first)."""
+    if len(cs) <= 1:
         return Fraction(1)
-    m = max(abs(c) for c in p.coeffs[:-1])
-    return Fraction(1) + m / abs(p.leading())
+    m = max(abs(c) for c in cs[1:])
+    return Fraction(1) + Fraction(m, abs(cs[0]))
 
 
 def _sign_changes(values: list[int]) -> int:
@@ -79,7 +77,7 @@ def _sign_changes(values: list[int]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def no_roots_above(p: Poly) -> int:
+def no_roots_above(p: Poly | list[int]) -> int:
     """The smallest integer M >= 0 with no real root of p in (M, inf).
 
     That is max(0, ceil(largest real root)).  A Sturm count V(m) - V(inf)
@@ -87,14 +85,14 @@ def no_roots_above(p: Poly) -> int:
     up from 0 through 1, 2, 4, ... to the first count of zero and then
     bisects.  Coefficients with no sign change have no positive root
     (Descartes' rule of signs), so M = 0 with no chain: the denominators
-    n^j (n+1)^k of the certificate inequalities take this path.  Rational
-    coefficients only.
+    n^j (n+1)^k of the certificate inequalities take this path.  p is a
+    rational `Poly` or its integers (highest first), as the threshold scan
+    and a claimed threshold's check hold them.
     """
-    if not p.is_rational():
-        raise TypeError("thresholds need rational coefficients")
-    if p.degree <= 0 or not _sign_changes(_integer_coeffs((p,))[0]):
+    cs = _primitive_ints(p) if isinstance(p, Poly) else p
+    if len(cs) <= 1 or not _sign_changes(cs):
         return 0
-    chain = _integer_coeffs(sturm_chain(squarefree_part(p)))
+    chain = sturm_chain(squarefree_part(cs))
     at_inf = _sign_changes([cs[0] for cs in chain])
 
     def roots_above(m: int) -> int:
@@ -126,7 +124,7 @@ class AlgebraicReal:
         self.poly = poly
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        (self._ints,) = _integer_coeffs((poly,))  # highest degree first
+        self._ints = _primitive_ints(poly)  # highest degree first
         self._lo_sign = _sign_at(self._ints, self.lo)  # kept by refine
 
     def __repr__(self) -> str:
@@ -172,40 +170,36 @@ def isolate_real_roots(p: Poly) -> list[AlgebraicReal]:
     (lo == hi, linear defining polynomial); the remaining roots carry the
     reduced square-free factor and a genuine isolating interval.
     """
-    if not p.is_rational():
-        raise TypeError("isolation implemented for rational coefficients")
-    if p.degree <= 0:
+    qs = squarefree_part(_primitive_ints(p))
+    if len(qs) <= 1:
         return []
-    sq = squarefree_part(p)
-    qs = _primitive_ints(sq)
     points: list[AlgebraicReal] = []
-    for rv in rational_roots_small(sq):
+    for rv in rational_roots_small(qs):
         # a primitive factor leaves a primitive quotient with positive lead
         lin = [rv.denominator, -rv.numerator]
         qs = _exact_quotient(qs, lin)
-        points.append(AlgebraicReal(_poly_of(lin), rv, rv))
+        points.append(AlgebraicReal(_over(lin[::-1], 1), rv, rv))
     roots: list[AlgebraicReal] = []
     if len(qs) > 1:
-        q = _poly_of(qs)
-        chain = _integer_coeffs(sturm_chain(q))
-        cs = chain[0]
-        bound = cauchy_root_bound(q)
+        q = _over(qs[::-1], 1)
+        chain = sturm_chain(qs)
+        bound = cauchy_root_bound(qs)
         lo, hi = -bound - 1, bound + 1
 
         def recurse(a: Fraction, b: Fraction, count: int) -> None:
             if count == 0:
                 return
-            if count == 1 and _sign_at(cs, a) * _sign_at(cs, b) < 0:
+            if count == 1 and _sign_at(qs, a) * _sign_at(qs, b) < 0:
                 roots.append(AlgebraicReal(q, a, b))
                 return
             mid = (a + b) / 2
-            if not _value_at(cs, mid):
+            if not _value_at(qs, mid):
                 roots.append(AlgebraicReal(q, mid, mid))
                 # shrink around the exact root so the sub-intervals exclude it
                 w = (b - a) / 4
                 while True:
                     m1, m2 = mid - w, mid + w
-                    if _value_at(cs, m1) and _value_at(cs, m2):
+                    if _value_at(qs, m1) and _value_at(qs, m2):
                         c_left = _count_roots(chain, a, m1)
                         c_mid = _count_roots(chain, m1, m2)
                         if c_mid == 1:
@@ -230,16 +224,15 @@ def isolate_real_roots(p: Poly) -> list[AlgebraicReal]:
     return roots
 
 
-def rational_roots_small(p: Poly) -> list[Fraction]:
-    """Rational roots found by divisor search; skipped when the constant or
-    leading coefficient of the primitive form exceeds 10^6, where the search
-    stops being cheap."""
-    if p.degree <= 0 or not p.is_rational():
+def rational_roots_small(cs: list[int]) -> list[Fraction]:
+    """Rational roots of the coprime integers cs (highest first), found by
+    divisor search; skipped when the constant or leading coefficient
+    exceeds 10^6, where the search stops being cheap."""
+    if len(cs) <= 1:
         return []
-    cs = _primitive_ints(p)
     found = set() if cs[-1] else {Fraction(0)}
     while not cs[-1]:
-        cs.pop()
+        cs = cs[:-1]
     a0, ad = abs(cs[-1]), abs(cs[0])
     if max(a0, ad) <= 10**6:
         found.update(
@@ -247,7 +240,7 @@ def rational_roots_small(p: Poly) -> list[Fraction]:
             for pnum in _divisors(a0)
             for pden in _divisors(ad)
             for c in (Fraction(pnum, pden), Fraction(-pnum, pden))
-            if _horner(cs, c) == 0
+            if not _value_at(cs, c)
         )
     return sorted(found)
 
@@ -269,8 +262,8 @@ def eventual_positivity_threshold(r: RatFunc) -> int:
     """
     if sign_at_infinity(r) <= 0:
         raise ValueError("rational function is not eventually positive")
-    top = max(no_roots_above(r.num), no_roots_above(r.den))  # TypeErrors unless rational
-    num, den = _integer_coeffs((r.num, r.den))
+    num, den = _primitive_ints(r.num), _primitive_ints(r.den)
+    top = max(no_roots_above(num), no_roots_above(den))
     for n in range(top, 0, -1):
         if _horner(num, n) * _horner(den, n) <= 0:
             return n

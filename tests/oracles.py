@@ -437,7 +437,8 @@ def nf_is_zero(x: NFElem) -> bool:
     if K.known_irreducible:
         return False
     g = poly_gcd(Poly(cs), K.modulus)
-    if g.degree > 0 and K._root_vanishes(g):
+    lo, hi = g.eval(K.root.lo), g.eval(K.root.hi)
+    if g.degree > 0 and ((lo > 0) != (hi > 0) or lo == 0 or hi == 0):
         K._shrink_modulus(g)
         return True
     return False

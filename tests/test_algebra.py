@@ -31,7 +31,7 @@ from turancert.algebra import (
 )
 
 from turancert.algebra import roots as roots_module
-from turancert.algebra.poly import _integer_coeffs
+from turancert.algebra.poly import _primitive_ints as ints
 
 from oracles import (
     bisect_reference, count_roots_halfopen, loop_product, loop_shift, nf_add, nf_approx_interval, nf_div, nf_is_zero,
@@ -106,9 +106,8 @@ def test_gcd_divides_both(a, b, c):
 
 def test_squarefree_part_drops_multiplicity():
     p = (X - 1) ** 3 * (X + 2) ** 2 * (X**2 + 1)
-    s = squarefree_part(p)
-    expected = (X - 1) * (X + 2) * (X**2 + 1)
-    assert s.monic() == expected.monic()
+    expected = ints((X - 1) * (X + 2) * (X**2 + 1))
+    assert squarefree_part(ints(p)) == squarefree_part(ints(-F(3, 7) * p)) == expected
 
 
 # -- rational functions -------------------------------------------------------
@@ -204,15 +203,18 @@ def test_sign_and_limit_at_infinity():
 
 def test_sturm_counts_roots():
     p = (X - 1) * (X - 2) * (X - 3)
-    ch = sturm_chain(p)
-    assert count_roots_halfopen(ch, F(0), F(10)) == 3
-    assert count_roots_halfopen(ch, F(0), F(5, 2)) == 2
-    assert count_roots_halfopen(ch, F(3), F(10)) == 0  # half-open (3, 10]
+    ch = sturm_chain(ints(p))
+    oracle = fraction_sturm_chain(p)
+    assert ch == [ints(q) for q in oracle]
+    for count in (roots_module._count_roots, lambda _, a, b: count_roots_halfopen(oracle, a, b)):
+        assert count(ch, F(0), F(10)) == 3
+        assert count(ch, F(0), F(5, 2)) == 2
+        assert count(ch, F(3), F(10)) == 0  # half-open (3, 10]
 
 
 def test_cauchy_bound_contains_roots():
     p = X**2 - 30 * X + 1
-    b = cauchy_root_bound(p)
+    b = cauchy_root_bound(ints(p))
     for r in isolate_real_roots(p):
         r.refine_below(F(1, 100))
         assert -b <= r.lo and r.hi <= b
@@ -254,16 +256,18 @@ def test_isolate_includes_rational_roots():
 
 def test_rational_roots_small():
     p = (3 * X - 2) * (X + 5) * (X**2 + 1)
-    assert rational_roots_small(p) == [F(-5), F(2, 3)]
-    assert rational_roots_small(X**2 + 1) == []
+    assert rational_roots_small(ints(p)) == [F(-5), F(2, 3)]
+    assert rational_roots_small(ints(X**2 + 1)) == []
 
 
 def test_no_roots_above_is_safe():
     p = (X - 7) * (X - 3)
     top = no_roots_above(p)
     assert top >= 7
-    ch = sturm_chain(p)
-    assert count_roots_halfopen(ch, F(top), F(top + 10**6)) == 0
+    ch = sturm_chain(ints(p))
+    assert ch == [ints(q) for q in fraction_sturm_chain(p)]
+    assert roots_module._count_roots(ch, F(top), F(top + 10**6)) == 0
+    assert count_roots_halfopen(fraction_sturm_chain(p), F(top), F(top + 10**6)) == 0
 
 
 # thresholds for hand-checked sign windows; each value is minimal
@@ -374,17 +378,18 @@ def test_rationalize_exact_nf_rational():
 
 
 def test_sturm_layer_rejects_nf_scalars():
-    # the Sturm and threshold layer is rational only; poly_gcd keeps its
-    # number-field path, which RatFunc over Q(lambda) needs
+    # every entry of the root layer that takes a Poly clears it to integers
+    # once and refuses any other scalar.  poly_gcd and RatFunc keep a number-field
+    # path that no command reaches; it is kept for algebraic growth constants
+    # in certificates (ROADMAP item 5)
     K = sqrt_field(2)
     s = K.generator()
     p = Poly([s - 3, K.from_rational(1)])  # n + (sqrt2 - 3), root ~ 1.586
     for fn, arg in (
-        (sturm_chain, p),
-        (squarefree_part, p),
         (no_roots_above, p),
         (eventual_positivity_threshold, RatFunc(p)),
         (isolate_real_roots, p),
+        (lambda q: AlgebraicReal(q, 1, 2), p),
     ):
         with pytest.raises(TypeError):
             fn(arg)
@@ -555,7 +560,8 @@ def fraction_no_roots_above(p: Poly) -> int:
         return 0
     q = fraction_squarefree_part(p)
     chain = fraction_sturm_chain(q)
-    lo, hi = 0, int(cauchy_root_bound(q)) + 1
+    bound = 1 + max(abs(c) for c in q.coeffs[:-1]) / abs(q.leading())  # Cauchy
+    lo, hi = 0, int(bound) + 1
     if count_roots_halfopen(chain, F(lo), F(hi)) == 0:
         return 0
     while hi - lo > 1:
@@ -602,13 +608,14 @@ def random_poly(rng, factors: int = 3) -> Poly:
 @pytest.mark.parametrize("seed", range(4))
 def test_sturm_layer_matches_fraction_oracle(seed):
     rng = random.Random(8100 + seed)
+    # chain members compared content-free with their signs kept
     for _ in range(150):
         p = random_poly(rng)
-        sq = squarefree_part(p)
-        assert sq == fraction_squarefree_part(p), p
-        assert all(type(c) is F for c in sq.coeffs)
-        assert sturm_chain(sq) == fraction_sturm_chain(sq), p
-        assert sturm_chain(p) == fraction_sturm_chain(p), p
+        sq = squarefree_part(ints(p))
+        assert sq == ints(fraction_primitive(fraction_squarefree_part(p))), p
+        assert all(type(c) is int for c in sq)
+        assert sturm_chain(sq) == [ints(q) for q in fraction_sturm_chain(Poly(sq[::-1]))], p
+        assert sturm_chain(ints(p)) == [ints(q) for q in fraction_sturm_chain(p)], p
         assert no_roots_above(p) == fraction_no_roots_above(p), p
 
 
@@ -620,6 +627,8 @@ def test_no_roots_above_on_probe_points():
             for lead in (1, -F(3, 7)):
                 p = lead * (X - root) ** mult * (X + 5) * (X**2 + 1)
                 assert no_roots_above(p) == fraction_no_roots_above(p) == root
+                # the integer form, at any positive or negative scale
+                assert no_roots_above(ints(p)) == no_roots_above([-6 * c for c in ints(p)]) == root
     assert no_roots_above(X - F(1, 3)) == 1
     assert no_roots_above(-3 * X + 1000) == 334
     assert no_roots_above(Poly([7])) == no_roots_above(X**2 + 1) == no_roots_above(X + 2) == 0
@@ -687,20 +696,21 @@ def test_split_chain_threshold_matches_product_chain(seed):
 
 def test_sturm_counts_match_fraction_evaluation():
     # the integer chain's counts by homogeneous Horner against Fraction
-    # evaluation of the Poly chain, at rational points and at roots
+    # evaluation of the oracle's Poly chain, at rational points and at roots
     rng = random.Random(8320)
     for _ in range(60):
-        p = squarefree_part(random_poly(rng, 3))
-        if p.degree <= 0:
+        sq = squarefree_part(ints(random_poly(rng, 3)))
+        if len(sq) <= 1:
             continue
-        ch = sturm_chain(p)
-        ints = _integer_coeffs(ch)
+        p = Poly(sq[::-1])
+        ch, oracle = sturm_chain(sq), fraction_sturm_chain(p)
+        assert ch == [ints(q) for q in oracle], p
         points = [F(rng.randint(-400, 400), rng.randint(1, 12)) for _ in range(6)]
         points += [r.lo for r in isolate_real_roots(p) if r.is_rational()]
         for a in points:
             for b in points:
                 if a < b:
-                    assert roots_module._count_roots(ints, a, b) == count_roots_halfopen(ch, a, b), (p, a, b)
+                    assert roots_module._count_roots(ch, a, b) == count_roots_halfopen(oracle, a, b), (p, a, b)
 
 
 def random_constant(rng) -> Poly:
@@ -793,7 +803,7 @@ def test_isolate_splits_rational_roots_off_the_primitive_factor(seed):
             p = p * (X**2 - rng.choice([2, 3, 5, 7]))
         sq = fraction_squarefree_part(p)
         rational = fraction_rational_roots(sq)
-        assert rational_roots_small(sq) == rational, p
+        assert rational_roots_small(ints(sq)) == rational, p
         cofactor = sq
         for rv in rational:
             cofactor = cofactor.exact_div(X - rv)

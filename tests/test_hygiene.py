@@ -367,6 +367,50 @@ def test_reduced_field_arithmetic_builds_no_poly(monkeypatch):
     assert truths == [True, False, False]
 
 
+# The root layer clears a threshold's input once and then runs on integer
+# lists: a Poly built there (by Poly() or poly._over) is a conversion back.
+def test_threshold_path_builds_no_poly(monkeypatch):
+    import sys
+
+    from turancert.algebra import poly, roots
+    from turancert.certify import CertifyError, certify_turan3
+    from turancert.corpus import ENTRIES
+
+    corners = []
+    for e in ENTRIES.values():
+        try:
+            cert = certify_turan3(e.recurrence, 4, scaling=e.scaling)
+        except CertifyError:  # a window-only certificate, or none
+            continue
+        corners += cert.corners
+    assert len(corners) == 16  # motzkin, franel3, fine and domb
+    built = []
+    init, over = poly.Poly.__init__, poly._over
+
+    def counted_init(self, coeffs=()):
+        built.append(self)
+        init(self, coeffs)
+
+    def counted_over(cs, scale):
+        built.append(over(cs, scale))
+        return built[-1]
+
+    monkeypatch.setattr(poly.Poly, "__init__", counted_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("turancert") and getattr(module, "_over", None) is over:
+            monkeypatch.setattr(module, "_over", counted_over)
+    thresholds = [roots.eventual_positivity_threshold(c["value"]) for c in corners]
+    tops = [roots.no_roots_above(c["value"].num) for c in corners]
+    assert built == []
+    isolated = [roots.isolate_real_roots(c["value"].num) for c in corners]
+    monkeypatch.undo()
+    assert thresholds == [c["threshold"] for c in corners]
+    assert all(t >= n for t, n in zip(tops, thresholds))
+    # isolation builds the defining polynomial of its roots and nothing else
+    held = {id(r.poly) for found in isolated for r in found}
+    assert built and {id(p) for p in built} <= held
+
+
 # -- benchmark records -----------------------------------------------------------
 
 BENCH_RECORDS = sorted(ROOT.glob("BENCH_*.json"))
