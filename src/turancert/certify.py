@@ -48,6 +48,7 @@ from .asymptotics import RatioExpansion, ratio_expansion
 from .asymptotics.ratio import ratio_window_grid, u_grid
 from .render import frac_str, ratfunc_to_json
 from .sequences import (
+    FACTORIAL_FACTOR,
     Recurrence,
     TermTable,
     _escape,
@@ -278,9 +279,6 @@ def _discharge_inequalities(s_l: RatFunc, s_u: RatFunc, g: RatFunc, f: RatFunc):
     yield (L.shift(1) / U - _Frac.of(g)).normal(), "s_l(n+1)/s_u(n) - g(n)"
 
 
-FACTORIAL_FACTOR = RatFunc(Poly([0, 1]), Poly([1, 1]))  # u_n of a_n/n! is u_n of a_n times this
-
-
 def scaled_bounds(ub: UBounds, scaling: str) -> UBounds:
     """The u-window under `scaling`: both window functions times
     `FACTORIAL_FACTOR` under the factorial scaling."""
@@ -453,6 +451,9 @@ def certify_u_window(
     The containment already holds for all n > validFrom by the ratio
     induction; the segment recheck over (validFrom, validFrom +
     U_WINDOW_SPAN] is a redundant exact confirmation stored with the artifact.
+    For an order-1 recurrence `first_escape` steps terms only up to its
+    closed-form threshold and decides the rest of the segment by root
+    counts, so the table gains no term past that threshold.
     """
     if table is None:
         table = TermTable(rec)

@@ -15,7 +15,6 @@ from .algebra import Poly, RatFunc, eventual_positivity_threshold
 from .algebra.poly import _horner, _integer_coeffs, _integer_window
 from .asymptotics import ratio_expansion, u_expansion
 from .certify import (
-    FACTORIAL_FACTOR,
     CertifyError,
     certify_turan3,
     certify_u_bounds,
@@ -24,7 +23,7 @@ from .certify import (
 )
 from .corpus import ENTRIES, CorpusEntry
 from .criteria import llogconcave_verdict, turan3_verdict
-from .sequences import TermTable, check_inequality_range, first_escape, turan3_sign, u_value
+from .sequences import FACTORIAL_FACTOR, TermTable, check_inequality_range, first_escape, turan3_sign, u_value
 
 
 class CheckResult(NamedTuple):

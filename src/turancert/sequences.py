@@ -77,7 +77,11 @@ scans one, `turan3_sign` and `logconcave_sign` are one-window scans,
 quotient of terms with bounds p/q on them for `certify`: u_n by the form
 q a(n-1)a(n+1) - p a(n)^2 (`first_escape`), and a(n)/a(n-1) by
 q a(n-1)a(n) - p a(n-1)^2 over the base window of the ratio induction.
-No other module reads `PREC` or calls `windows`.
+No other module reads `PREC` or calls `windows`.  For an order-1
+recurrence, a(n+1) = R(n) a(n), u_n is the rational function
+R(n)/R(n-1) of n, so `first_escape` scans windows only up to a threshold
+H from root counts and decides every later index by the sign of that
+function against the bounds.
 
 A homogeneous form keeps its sign when the window is multiplied by a
 positive number, so a sign needs no denominator.  `_form_sign` takes the
@@ -107,7 +111,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
 
-from .algebra import Poly, RatFunc
+from .algebra import Poly, RatFunc, eventual_positivity_threshold, no_roots_above, sign_at_infinity
 from .algebra.poly import _horner, _integer_coeffs, _integer_window
 
 CACHE_MAGIC = b"TCTERMS2"
@@ -477,12 +481,50 @@ def _form_sign(form: Callable, xs: Sequence[int]) -> int:
     return (val > 0) - (val < 0)
 
 
+FACTORIAL_FACTOR = RatFunc(Poly([0, 1]), Poly([1, 1]))  # u_n of a_n/n! is u_n of a_n times this
+
+
 def first_escape(
     table: TermTable, scaling: str, g: RatFunc, f: RatFunc, lo: int, hi: int
 ) -> Optional[int]:
     """First n in [lo, hi] with u_n outside [g(n), f(n)], or None (`_escape`
-    with k = 3)."""
+    with k = 3).
+
+    An order-1 table runs `_escape` on [lo, min(hi, H)] only, for H from
+    `_order1_tail_start`.  With a(n+1) = R(n) a(n), R = p1/p0, and L
+    initial values, H >= L, H bounds the real roots of p0(n-1), p1(n-1),
+    g.den and f.den, and H bounds the eventual positivity thresholds of
+    Q - g and f - Q, for Q(n) = R(n)/R(n-1), times n/(n+1) under
+    `factorial`.  Take n > H.  a(n-1..n+1) come from the recurrence, and
+    no p0(m) with m >= H vanishes, so no `SingularRecurrenceError` is
+    skipped.  a(n) != 0: a(H) != 0 (the head checked it, or a(lo-1) != 0
+    when H < lo), and no p1(m) with m >= H vanishes.  Neither bound has a
+    pole at n.  So u_n = Q(n), strictly inside [g(n), f(n)].  Every index
+    is decided exactly, the head by the window kernel and the tail by root
+    counts.
+    """
+    if table.rec.order == 1 and scaling in SCALINGS and 1 <= lo <= hi:
+        hi = min(hi, _order1_tail_start(table, scaling, g, f, lo, hi))
     return _escape(table, scaling, g, f, lo, hi, 3)
+
+
+def _order1_tail_start(
+    table: TermTable, scaling: str, g: RatFunc, f: RatFunc, lo: int, hi: int
+) -> int:
+    """The H of `first_escape` for an order-1 table, or hi (the full scan)
+    when p1 = 0, a(lo-1) = 0, or Q - g or f - Q is not positive at infinity."""
+    p0, p1 = table.rec.coeffs
+    if not p1 or not table.value(lo - 1):
+        return hi
+    p0s, p1s = p0.compose_shift(-1), p1.compose_shift(-1)  # p0(n-1), p1(n-1)
+    q = RatFunc(p1 * p0s, p0 * p1s)
+    if scaling == "factorial":
+        q = q * FACTORIAL_FACTOR
+    diffs = (q - g, f - q)
+    if any(sign_at_infinity(r) <= 0 for r in diffs):
+        return hi
+    return max(len(table.rec.initials), *map(eventual_positivity_threshold, diffs),
+               *map(no_roots_above, (p0s, p1s, g.den, f.den)))
 
 
 def _escape(
@@ -501,7 +543,7 @@ def _escape(
     and A, B are multiplied out exactly only when one is not.  A pole of g
     or f (q = 0), or x[-2] = 0, which leaves Q_n undefined, counts as an
     escape.  Terms are filled lazily: checking n needs a(n+k-2) and nothing
-    beyond it.
+    beyond it, so an order-1 `first_escape` fills none past a(H+1).
     """
     (gp, gq), (fp, fq) = (_integer_coeffs((r.num, r.den)) for r in (g, f))
     for n, (xs, _) in enumerate(windows(table, lo - 1, hi - 1, k, scaling), lo):

@@ -623,6 +623,25 @@ class TestUWindowCertificate:
         ok, diag = verify_certificate(doc, e.recurrence, t)
         assert (ok, diag) == (False, ["checked segment is empty"])
 
+    def test_order1_segment_work_does_not_grow_with_its_length(self):
+        # inverse-catalan is order 1: past a closed-form threshold (here
+        # below the segment) u_n is decided by root counts, not by terms
+        rec = get("inverse-catalan").recurrence
+        t = TermTable(rec)
+        _, ub = certify_u_bounds(rec, 4, table=t)
+        filled = len(t)
+        doc = certify_u_window(rec, 4, table=t).to_json()
+        assert len(t) == filled < ub.valid_from + 2001
+        lo = ub.valid_from + 1
+        t = TermTable(rec)
+        assert first_escape(t, "none", ub.lower, ub.upper, lo, lo + 1999) is None
+        assert len(t) == lo  # a(0..lo-1): the first window's first term
+        doc["checkedSegment"]["to"] = doc["checkedSegment"]["from"] + 10**6
+        start = time.perf_counter()
+        ok, diag = verify_certificate(doc, rec, TermTable(rec))
+        assert time.perf_counter() - start < 0.5
+        assert (ok, diag) == (True, [])
+
 
 HALF_CUBE = rf([1], [0, 0, 0, 2])  # 1/(2n^3), half the K = 4 ratio slack
 
@@ -983,6 +1002,105 @@ class TestFirstEscape:
             calls.clear()
             assert first_escape(t, "none", c, c, 500, 500) is None
             assert calls == [False, True]
+
+
+def kernel_escape(table, scaling, g, f, lo, hi):
+    """The window kernel alone, with no closed-form tail."""
+    return sequences._escape(table, scaling, g, f, lo, hi, 3)
+
+
+def escapes_or_error(scan, rec, scaling, g, f, lo, hi):
+    """`all_escapes` of `scan` on a fresh table, ending with (type, text)
+    of the exception that stopped it, if one did."""
+    out = []
+    try:
+        out += all_escapes(scan, TermTable(rec), scaling, g, f, lo, hi)
+    except Exception as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def exact_u(rec, scaling):
+    """u_n = R(n)/R(n-1) of an order-1 recurrence, R = p1/p0, times
+    n/(n+1) under the factorial scaling."""
+    r = RatFunc(rec.coeffs[1], rec.coeffs[0])
+    q = r / r.shift(-1)
+    return q * SCALE if scaling == "factorial" else q
+
+
+def random_order1_case(rng):
+    """(rec, scaling, g, f, lo, hi, kind): a random order-1 recurrence, a
+    window around its exact u_n of one of five kinds, and a segment."""
+    kind = rng.choice(["tight", "pole", "far", "nonpositive", "wide"])
+    if kind == "far":  # g or f crosses u on (c1, c2), past n = 1000
+        c1 = rng.randint(1001, 1060)
+        c2 = c1 + rng.randint(0, 4) + F(1, 2)
+        lo, hi = rng.randint(950, 1000), int(c2) + rng.randint(1, 20)
+    else:
+        lo = rng.randint(1, 30)
+        hi = lo + rng.randint(0, 80)
+
+    def linear(root_chance):
+        """c (n - r) with an integer root r in range, or a n + b with no root >= 0."""
+        c = rng.choice([-3, -2, -1, 1, 2, 3])
+        if rng.random() < root_chance:
+            return Poly([-c * rng.randint(0, hi), c])
+        p = Poly([rng.randint(1, 9), rng.randint(1, 4)])
+        return p * Poly([rng.randint(1, 5), 1]) if rng.random() < 0.2 else p.scale(c)
+
+    p0, p1 = linear(0.15), linear(0.15)
+    initials = [F(rng.randint(-9, 9) or 1, rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.1:
+        initials[rng.randrange(len(initials))] = F(0)
+    rec = Recurrence([p0, p1], initials)
+    scaling = rng.choice(["none", "factorial"])
+    u = exact_u(rec, scaling)
+    d = F(rng.randint(1, 9), rng.randint(1, 3)) / X ** rng.randint(1, 4)
+    g, f = u - d, u + F(rng.randint(1, 9), 2) / X ** rng.randint(1, 4)
+    if kind == "pole":
+        bump = F(rng.randint(1, 5)) / (X - rng.randint(lo, hi))
+        g, f = (g - bump, f) if rng.random() < 0.5 else (g, f + bump)
+    elif kind == "far":
+        cross = F(rng.randint(1, 9)) * (X - c1) * (X - c2) / X ** rng.randint(3, 6)
+        g, f = (u - cross, f) if rng.random() < 0.5 else (g, u + cross)
+    elif kind == "nonpositive":
+        g, f = (u + d, f) if rng.random() < 0.5 else (g, u)
+    elif kind == "wide":
+        g, f = RatFunc.const(-50), RatFunc.const(50)
+    return rec, scaling, g, f, lo, hi, kind
+
+
+class TestOrder1ClosedForm:
+    """first_escape on order-1 tables, which decides the tail past a
+    closed-form threshold, against the kernel alone and the Fraction oracle."""
+
+    def test_random_recurrences_match_kernel_and_oracle(self):
+        rng = random.Random(31)
+        seen = {"escape": 0, "none": 0, "error": 0, "cut": 0, "far escape": 0}
+        for _ in range(420):
+            rec, scaling, g, f, lo, hi, kind = case = random_order1_case(rng)
+            got = escapes_or_error(first_escape, rec, scaling, g, f, lo, hi)
+            assert got == escapes_or_error(kernel_escape, rec, scaling, g, f, lo, hi), case
+            if got and isinstance(got[-1], tuple):
+                seen["error"] += 1
+                continue
+            assert got == all_escapes(oracle_escape, TermTable(rec), scaling, g, f, lo, hi), case
+            seen["escape" if got else "none"] += 1
+            seen["far escape"] += kind == "far" and any(n > 1000 for n in got)
+            seen["cut"] += sequences._order1_tail_start(TermTable(rec), scaling, g, f, lo, hi) < hi
+        assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("scaling", ["none", "factorial"])
+    def test_alternating_fails_only_past_1000(self, scaling):
+        # a(n) = (-3)^n (n+1)!: the lower bound crosses u on (1500, 1503.5)
+        rec = SIGNED["alternating"]
+        u = exact_u(rec, scaling)
+        assert exact_u(rec, "none") == (X + 2) / (X + 1)
+        g = u - (X - 1500) * (X - F(3007, 2)) / X**5
+        t = TermTable(rec)
+        assert all_escapes(first_escape, t, scaling, g, u + 1 / X, 1, 3000) == [1501, 1502, 1503]
+        assert_same_escapes(t, scaling, g, u + 1 / X, 1, 3000)
+        assert all_escapes(kernel_escape, t, scaling, g, u + 1 / X, 1, 3000) == [1501, 1502, 1503]
 
 
 def oracle_ratio_escape(table, scaling, g, f, lo, hi):
