@@ -361,11 +361,14 @@ class NFElem:
         return f"NFElem({list(self.coeffs)!r} mod {list(self.field.modulus.coeffs)!r})"
 
 
-def rationalize(x, direction: str, max_den: int = 10**6) -> Fraction:
-    """Nearest safe rational with denominator <= max_den.
+ROUND_DEN = 10**6  # an irrational value rounds outward to a multiple of 1/ROUND_DEN
+
+
+def rationalize(x, direction: str) -> Fraction:
+    """A multiple of 1/ROUND_DEN on one side of x, less than 2/ROUND_DEN from it.
 
     direction 'up' gives a value >= x, 'down' a value <= x.  Exact
-    rationals pass through unchanged (no rounding needed).
+    rationals, of any denominator, pass through unchanged.
     """
     if isinstance(x, int):
         return Fraction(x)
@@ -374,11 +377,11 @@ def rationalize(x, direction: str, max_den: int = 10**6) -> Fraction:
     q = x.to_fraction()
     if q is not None:
         return q
-    lo, hi = x.approx_interval(Fraction(1, 4 * max_den))
+    lo, hi = x.approx_interval(Fraction(1, 4 * ROUND_DEN))
     if direction == "up":
-        num = hi.numerator * max_den + hi.denominator - 1
-        return Fraction(num // hi.denominator, max_den)
+        num = hi.numerator * ROUND_DEN + hi.denominator - 1
+        return Fraction(num // hi.denominator, ROUND_DEN)
     if direction == "down":
-        num = lo.numerator * max_den
-        return Fraction(num // lo.denominator, max_den)
+        num = lo.numerator * ROUND_DEN
+        return Fraction(num // lo.denominator, ROUND_DEN)
     raise ValueError("direction must be 'up' or 'down'")

@@ -509,11 +509,7 @@ def ratio_expansion(
             entry["status"] = "rejected by exact-term comparison"
             break
         diagnostics["branches"].append(dict(entry))
-    raise ExpansionError(
-        "no growth branch matches the exact terms; if every branch reports "
-        "resonance, retry with an explicit larger rho",
-        diagnostics,
-    )
+    raise ExpansionError("no growth branch matches the exact terms", diagnostics)
 
 
 # -- induced expansions ----------------------------------------------------------

@@ -226,7 +226,7 @@ def u_bound_functions(u: list, order: int):
     (`u_grid`, entry k the coefficient of n^-k): kept terms, rounded outward.
 
     Keeps the nonzero entries 0 < k < order-1, rounds them outward to
-    denominators at most 10^6, and adds a unit slack at the last kept
+    multiples of 1/ROUND_DEN (10^-6), and adds a unit slack at the last kept
     exponent (or at order-1 if none is kept).
     """
     kept = {
@@ -609,7 +609,7 @@ def _pole_order(r: RatFunc) -> int:
 def _replay_turan3(
     table, scaling, g, f, valid_from, n_cert, corners, segment, violations, holds_from
 ) -> list:
-    bad = []
+    bad, reach = [], [valid_from]  # past max(reach), proved windows and corners settle the form
     if len(corners) != 4:
         bad.append("expected exactly four corner polynomials")
     else:
@@ -620,8 +620,10 @@ def _replay_turan3(
                 continue
             if sign_at_infinity(expect) <= 0:
                 bad.append(f"corner {i} is not eventually positive")
-            elif eventual_positivity_threshold(expect) > thr:
-                bad.append(f"corner {i} threshold {thr} is not valid")
+            else:
+                reach.append(eventual_positivity_threshold(expect))
+                if reach[-1] > thr:
+                    bad.append(f"corner {i} threshold {thr} is not valid")
             if thr > n_cert:
                 bad.append(f"N = {n_cert} does not cover corner {i} threshold {thr}")
 
@@ -632,7 +634,8 @@ def _replay_turan3(
     if lo != 1 or hi != n_cert:
         bad.append("initial segment does not cover [1, N]")
     else:
-        viol = check_inequality_range(table, "turan3", lo, hi, scaling)
+        top = min(hi, max(reach)) if len(reach) == 5 else hi
+        viol = check_inequality_range(table, "turan3", lo, top, scaling)
         if viol != violations:
             bad.append("initial-segment violations do not match")
         if holds_from != _holds_from(viol):
@@ -646,5 +649,5 @@ def _replay_u_window(table, scaling, g, f, valid_from, segment) -> list:
         return ["checked segment does not start right after validFrom"]
     if hi < lo:
         return ["checked segment is empty"]
-    n = first_escape(table, scaling, g, f, lo, hi)
+    n = first_escape(table, scaling, g, f, lo, min(hi, valid_from + U_WINDOW_SPAN))
     return [] if n is None else [f"u at n = {n} escapes the stored window"]

@@ -315,19 +315,8 @@ def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
         help="emit a JSON object instead of text",
     )
     p.add_argument(
-        "--cache-dir", metavar="DIR",
-        default=d if suppress else None,
+        "--cache-dir", metavar="DIR", default=d,
         help="directory for the exact-term disk cache",
-    )
-    p.add_argument(
-        "--max-K", type=int, dest="max_K", metavar="K",
-        default=d if suppress else 8,
-        help="expansion order cap for verdict retries (default 8)",
-    )
-    p.add_argument(
-        "--seed", type=int,
-        default=d if suppress else 0,
-        help="accepted and ignored: no check samples any more",
     )
 
 
@@ -365,6 +354,10 @@ def _u_asymp_args(p: argparse.ArgumentParser) -> None:
 def _verdict_args(p: argparse.ArgumentParser) -> None:
     _add_source(p)
     _add_scale(p)
+    p.add_argument(
+        "--max-K", type=int, dest="max_K", metavar="K", default=8,
+        help="highest expansion order the verdict retries at (default 8)",
+    )
 
 
 def _check_llc_args(p: argparse.ArgumentParser) -> None:
@@ -373,7 +366,8 @@ def _check_llc_args(p: argparse.ArgumentParser) -> None:
 
 
 def _certify_args(p: argparse.ArgumentParser) -> None:
-    _verdict_args(p)
+    _add_source(p)
+    _add_scale(p)
     p.add_argument("-K", type=int, default=4, help="window order (default 4)")
     p.add_argument("-o", "--output", metavar="FILE",
                    help="certificate path (default <name>.turan3.json, or"
@@ -388,6 +382,8 @@ def _verify_args(p: argparse.ArgumentParser) -> None:
 def _corpus_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("corpus_cmd", choices=["run"],
                    help="run: recompute and compare every stored artifact")
+    p.add_argument("--seed", type=int, metavar="N",
+                   help="accepted and ignored: no check samples any more")
 
 
 # name -> (function, help text, argument adder), in the order --help lists them

@@ -31,6 +31,7 @@ from turancert.algebra import (
 )
 
 from turancert.algebra import roots as roots_module
+from turancert.algebra.numberfield import ROUND_DEN
 from turancert.algebra.poly import _primitive_ints as ints
 
 from oracles import (
@@ -358,14 +359,14 @@ def test_nf_division_by_zero_element():
 def test_rationalize_directions():
     K = sqrt_field(2)
     s = K.generator()
-    up = rationalize(s, "up", max_den=1000)
-    down = rationalize(s, "down", max_den=1000)
-    assert up.denominator <= 1000 and down.denominator <= 1000
+    up = rationalize(s, "up")
+    down = rationalize(s, "down")
+    assert ROUND_DEN % up.denominator == 0 and ROUND_DEN % down.denominator == 0
     assert down < up
     assert (s - down).sign() >= 0 and (up - s).sign() >= 0
-    assert up - down <= F(1, 250)
-    # rationals pass through untouched even with a tiny max_den
-    assert rationalize(F(22, 7), "up", max_den=3) == F(22, 7)
+    assert up - down <= F(4, ROUND_DEN)
+    # rationals pass through untouched, even with a denominator above ROUND_DEN
+    assert rationalize(F(22, 7 * ROUND_DEN + 1), "up") == F(22, 7 * ROUND_DEN + 1)
     assert rationalize(7, "down") == 7
 
 

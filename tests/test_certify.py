@@ -532,6 +532,25 @@ class TestTuranCertificate:
         assert not ok
         assert message in diag
 
+    @pytest.mark.parametrize("extra, diagnosis", [
+        ([], []),
+        ([5 * 10**4], ["initial-segment violations do not match"]),
+    ], ids=["raised", "raised-with-violation"])
+    def test_raised_n_does_not_size_the_rescan(self, extra, diagnosis):
+        # past the corner thresholds and validFrom the proved window and the
+        # corners settle every index, so a larger stored N costs no terms
+        e = get("motzkin")
+        doc = certify_turan3(e.recurrence, 4, scaling="factorial").to_json()
+        assert doc["N"] == 67
+        doc["N"] = doc["initialSegment"]["to"] = 10**5
+        doc["initialSegment"]["violations"] += extra
+        t = TermTable(e.recurrence)
+        start = time.perf_counter()
+        ok, diag = verify_certificate(doc, e.recurrence, t)
+        assert time.perf_counter() - start < 0.5
+        assert (ok, diag) == (not diagnosis, diagnosis)
+        assert len(t) < 100
+
     def test_verify_rejects_wrong_sequence(self):
         cert = certify_turan3(get("franel3").recurrence, 4, scaling="factorial")
         ok, diag = verify_certificate(cert.to_json(), get("motzkin").recurrence)
@@ -622,6 +641,19 @@ class TestUWindowCertificate:
         doc["checkedSegment"]["to"] = to
         ok, diag = verify_certificate(doc, e.recurrence, t)
         assert (ok, diag) == (False, ["checked segment is empty"])
+
+    def test_raised_segment_end_does_not_size_the_rescan(self):
+        # the window is proved for every n > validFrom; the rescan covers
+        # the U_WINDOW_SPAN indices that certify_u_window checks
+        e = get("binomial4")
+        doc = certify_u_window(e.recurrence, 4).to_json()
+        doc["checkedSegment"]["to"] = doc["checkedSegment"]["from"] + 10**6
+        t = TermTable(e.recurrence)
+        start = time.perf_counter()
+        ok, diag = verify_certificate(doc, e.recurrence, t)
+        assert time.perf_counter() - start < 1
+        assert (ok, diag) == (True, [])
+        assert len(t) <= doc["checkedSegment"]["from"] + certify.U_WINDOW_SPAN + 2
 
     def test_order1_segment_work_does_not_grow_with_its_length(self):
         # inverse-catalan is order 1: past a closed-form threshold (here

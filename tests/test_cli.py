@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import shutil
@@ -850,7 +851,7 @@ VALID = [
     ["ratio-asymp", "--operator", "N - 2", "-K", "3"],
     ["u-asymp", "fine", "--scale", "n!", "--json"],
     ["check-turan3", "fine", "--max-K", "5"],
-    ["check-llc", "motzkin", "--ell", "2", "--seed", "3"],
+    ["check-llc", "motzkin", "--ell", "2", "--max-K", "3"],
     ["certify", "motzkin", "-K", "5", "-o", "out.json"],
     ["verify", "cert.json", "motzkin"],
     ["corpus", "run"],
@@ -910,3 +911,80 @@ class TestOneCommandParser:
         with pytest.raises(SystemExit):
             full("terms").parse_args(["corpus", "run"])
         assert "invalid choice: 'corpus' (choose from 'terms')" in capsys.readouterr().err
+
+
+def settings(parser: argparse.ArgumentParser) -> dict:
+    """A parser's optional settings, bar -h and --version: dest -> option strings."""
+    skip = (argparse._HelpAction, argparse._VersionAction)
+    return {a.dest: a.option_strings for a in parser._actions
+            if a.option_strings and not isinstance(a, skip)}
+
+
+def command_parsers(root: argparse.ArgumentParser) -> dict:
+    (sub,) = (a for a in root._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+# one cheap line per command that sets every option the command accepts;
+# {d} is a scratch directory, which also holds the certificate that verify reads
+EVERY_OPTION = {
+    "terms": "terms motzkin --operator --to 3",
+    "ratio-asymp": "ratio-asymp motzkin --operator -K 2",
+    "u-asymp": "u-asymp motzkin --operator --scale n! -K 2",
+    "check-turan3": "check-turan3 motzkin --operator --scale n! --max-K 4",
+    "check-llc": "check-llc motzkin --operator --scale n! --max-K 4 --ell 1",
+    "certify": "certify motzkin --operator --scale n! -K 4 -o {d}/out.json",
+    "verify": "verify {d}/cert.json motzkin --operator",
+    "corpus": "corpus run --seed 3",
+}
+IGNORED = {("corpus", "seed")}  # the benchmark's `corpus run` op still passes --seed
+
+# each setting that nothing read, as a line that used to parse
+REMOVED_SETTINGS = [
+    ["--max-K=3", "terms", "motzkin", "--to", "3"],
+    ["--seed=3", "terms", "motzkin", "--to", "3"],
+    *([*line.split(), flag, "3"] for flag, lines in (
+        ("--max-K", ["terms motzkin --to 3", "ratio-asymp motzkin", "u-asymp motzkin",
+                     "certify motzkin", "verify cert.json motzkin", "corpus run"]),
+        ("--seed", ["terms motzkin --to 3", "ratio-asymp motzkin", "u-asymp motzkin",
+                    "check-turan3 motzkin", "check-llc motzkin --ell 1", "certify motzkin",
+                    "verify cert.json motzkin"]),
+    ) for line in lines),
+]
+
+
+class TestEveryOptionIsRead:
+    """A command accepts only the options that its code reads."""
+
+    def test_settings_count(self):
+        root = cli.build_parser()
+        parsers = [root, *command_parsers(root).values()]
+        assert len(parsers) == 9
+        assert sum(len(settings(p)) for p in parsers) == 38
+        assert len(REMOVED_SETTINGS) == 53 - 38
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_every_parsed_option_is_read(self, tmp_path, name):
+        assert main(["certify", "motzkin", "-o", str(tmp_path / "cert.json")]) == 0
+        argv = [*EVERY_OPTION[name].format(d=tmp_path).split(), "--json", "--cache-dir", str(tmp_path)]
+        accepted = settings(command_parsers(cli.build_parser(name))[name])
+        assert all(set(opts) & set(argv) for opts in accepted.values())
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, attr):
+                reads.add(attr)
+                return super().__getattribute__(attr)
+
+        args = cli.build_parser(name).parse_args(argv, namespace=Recording())
+        reads.clear()
+        assert args.fn(args) == 0
+        assert {d for d in accepted if d not in reads} == {d for c, d in IGNORED if c == name}
+
+    @pytest.mark.parametrize("argv", REMOVED_SETTINGS, ids=" ".join)
+    def test_removed_setting_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        flag = next(a for a in argv if a.startswith(("--max-K", "--seed")))
+        extra = flag if "=" in flag else f"{flag} 3"  # a root setting, or a command's
+        assert err.splitlines()[-1].endswith(f"error: unrecognized arguments: {extra}")
