@@ -38,18 +38,28 @@ terms when the table grew another way, such as a cache load; K is then the
 lcm of the initial state's denominator and |p0(m)| over every stepped m,
 since each prime of a stored denominator comes from one or the other.
 
-`TermTable.decimal_strings` renders an integer sequence without `str(int)`,
-which takes quadratic time in the digit count on CPython 3.11.  It
-steps the recurrence a second time from the initial values, in
-`decimal.Decimal` under `_EXACT_DECIMAL`, whose precision and exponent
-range are the largest there are and which traps `Inexact` and `Rounded`:
-each term is a small-integer combination of the last d decimals divided
-exactly by p0(m), so it costs linear time, and `str` of a decimal is
-linear too.  The terms stay integers with exponent 0, so `str` writes them
-exactly as `str(int)` does; a zero is normalised to `Decimal(0)`, since a
-decimal zero carries a sign and would print as "-0".  The path runs only
-when every requested term has denominator 1, and it stops before the
-first term with more digits than `sys.get_int_max_str_digits()` allows,
+`TermTable.decimal_strings` renders the terms without `str(int)`, which
+takes quadratic time in the digit count on CPython 3.11.  It steps the
+window x / D a second time from the initial values, exactly as `ensure`
+does, in `decimal.Decimal` under `_EXACT_DECIMAL`, whose precision and
+exponent range are the largest there are and which traps `Inexact` and
+`Rounded`.  A step takes S as a small-integer combination of the last d
+decimals.  While D is 1 it divides S by p0(m) with remainder, and a zero
+remainder makes the quotient the term.  Otherwise it divides S and p0(m)
+by g = gcd(S mod p0(m), p0(m)), with the sign of p0(m), and scales the
+window and D by q = p0(m)/g.  D is carried as a binary int too, which
+costs only products of small ints, and the term's numerator and
+denominator are S / H and D / H for H = D // (the denominator that the
+table already reduced the term to).  An order-1 window then resyncs to
+the reduced term, as `ensure`'s does.  The divisions by g and by H are
+exact, so `//` gives them, at about half the cost of an exact `/`.  For
+the corpus H stays small (at most 51 bits for involutions up to
+n = 3000), so each step costs linear time in the digit count, and so
+does `str` of a decimal.  The decimals stay integers with exponent 0, so
+`str` writes them exactly as `str(int)` does; a zero is normalised to
+`Decimal(0)`, since a decimal zero carries a sign and would print as
+"-0".  Rendering stops before the first term whose numerator or
+denominator has more digits than `sys.get_int_max_str_digits()` allows,
 so that the caller's `str` raises the usual `ValueError` on that term.
 The table's binary terms stay the only values stored or cached.
 
@@ -375,37 +385,55 @@ class TermTable:
         self._state = (len(vals), xs, den, ker)
 
     def decimal_strings(self, hi: int) -> list[str]:
-        """`str` of the known terms a(0..hi) up to the first one over the
-        int-to-str digit limit, by exact decimal stepping; [] unless every
-        one of those terms is an integer.  The caller renders the rest."""
+        """`str` of the known terms a(0..hi), written from exact decimals:
+        `ensure`'s window x / D stepped again from the initial values, each
+        term read as (S / H) / (D / H) for H = D // its reduced denominator,
+        and an order-1 window resynced to the reduced term.  Stops before
+        the first term whose numerator or denominator has more digits than
+        the int-to-str limit; the caller renders the rest."""
         vals = self._vals[: hi + 1]
-        if any(v.denominator != 1 for v in vals):
-            return []
         limit = sys.get_int_max_str_digits()
         p0, *ps = self._coeffs
         d = len(ps)
         first = len(self.rec.initials)
-        xs: list[Decimal] = []  # the last d decimals
+        xs, den = _integer_window(self.rec.initials[-d:])
         out = []
         with decimal.localcontext(_EXACT_DECIMAL):
+            xs, dden = [Decimal(x) for x in xs], Decimal(den)
             for i, v in enumerate(vals):
                 if i < first:
-                    x = Decimal(v.numerator)
+                    num, rd = Decimal(v.numerator), Decimal(v.denominator)
                 else:
                     m = i - d
-                    s = _horner(ps[0], m) * xs[-1]
-                    for k in range(1, d):
-                        s += _horner(ps[k], m) * xs[-1 - k]
-                    x = s / _horner(p0, m)
-                    if not x:
-                        x = Decimal(0)  # not -0
-                xs.append(x)
-                if len(xs) > d:
-                    del xs[0]
+                    q = _horner(p0, m)
+                    s = sum(_horner(pk, m) * xs[d - k] for k, pk in enumerate(ps, 1))
+                    xs = xs[1:]
+                    num, r = divmod(s, q) if den == 1 else (None, 1)
+                    if r:
+                        # a(i) = s / (D q), stepped as in `ensure`
+                        g = math.gcd(int(s % q), q)
+                        if q < 0:
+                            g = -g
+                        if g != 1:
+                            s //= g
+                            q //= g
+                        if q != 1:
+                            xs = [x * q for x in xs]
+                            den *= q
+                            dden *= q
+                        h = den // v.denominator  # the term is (s / h) / (D / h)
+                        num, rd = (s // h, dden // h) if h > 1 else (s, dden)
+                        if d == 1:  # `ensure` carries the reduced term
+                            s, den, dden = num, v.denominator, rd
+                    else:
+                        s, rd = num, dden
+                    xs.append(s)
+                if not num:
+                    num = Decimal(0)  # not -0
                 # an integer decimal has adjusted() + 1 digits
-                if limit and x.adjusted() >= limit:
+                if limit and max(num.adjusted(), rd.adjusted()) >= limit:
                     break
-                out.append(str(x))
+                out.append(str(num) if v.denominator == 1 else f"{num}/{rd}")
         return out
 
     def value(self, n: int) -> Fraction:

@@ -31,7 +31,7 @@ from turancert import certify, checks, cli, sequences
 from turancert.algebra import ratfunc as ratfunc_module
 from turancert.corpus import ENTRIES
 from turancert.parser import parse_recurrence
-from turancert.render import ratfunc_to_json
+from turancert.render import frac_str, ratfunc_to_json
 from turancert.sequences import (
     PREC, Recurrence, TermTable, check_inequality_range, first_escape, u_value,
 )
@@ -549,6 +549,21 @@ class TestTuranCertificate:
         ok, diag = verify_certificate(doc, e.recurrence, t)
         assert time.perf_counter() - start < 0.5
         assert (ok, diag) == (not diagnosis, diagnosis)
+        assert len(t) < 100
+
+    def test_rejected_corner_does_not_size_the_rescan(self):
+        # a corner that does not match rejects the certificate, so the
+        # initial segment is not scanned at all
+        e = get("motzkin")
+        doc = certify_turan3(e.recurrence, 4, scaling="factorial").to_json()
+        doc["N"] = doc["initialSegment"]["to"] = 10**5
+        num = doc["corners"][0]["num"]
+        num[0] = frac_str(F(num[0]) + 1)
+        t = TermTable(e.recurrence)
+        start = time.perf_counter()
+        ok, diag = verify_certificate(doc, e.recurrence, t)
+        assert time.perf_counter() - start < 0.5
+        assert not ok and "corner 0 does not match the stored window functions" in diag
         assert len(t) < 100
 
     def test_verify_rejects_wrong_sequence(self):

@@ -188,6 +188,14 @@ class TestTermsOutput:
         assert (code, err) == (0, "")
         assert out == json.dumps({"name": "apery", "to": 3500, "terms": terms}, indent=2) + "\n"
 
+    def test_lifted_digit_limit_renders_rational_terms_as_str(self, capsys, digit_limit):
+        digit_limit(0)
+        code, out, err = run(capsys, "terms", "involutions", "--to", "3000", "--json")
+        terms = [str(v) for v in TermTable(get("involutions").recurrence).values(0, 3000)]
+        assert len(terms[-1].split("/")[1]) > 4300
+        assert (code, err) == (0, "")
+        assert out == json.dumps({"name": "involutions", "to": 3000, "terms": terms}, indent=2) + "\n"
+
 
 # sha256 of the stdout of `COMMAND NAME -K k --json`, recorded before the
 # stage solver moved from per-stage residual builds to coefficient arrays

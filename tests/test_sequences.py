@@ -314,10 +314,11 @@ def test_integer_stepping_matches_fraction_oracle(name):
     assert _pairs(TermTable(rec).values(0, n)) == _pairs(fraction_terms(rec, n))
 
 
-def random_recurrence(rng):
-    """Order 2 or 3; p0 a signed product of linear factors, some repeated and
-    some negative at small n, that vanishes at no n >= 0; rational initials."""
-    d = rng.choice((2, 3))
+def random_recurrence(rng, orders=(2, 3)):
+    """Order in `orders`; p0 a signed product of linear factors, some
+    repeated and some negative at small n, that vanishes at no n >= 0;
+    rational initials."""
+    d = rng.choice(orders)
     p0 = Poly([rng.choice((-1, 1)) * rng.randint(1, 6)])
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.7:
@@ -359,10 +360,7 @@ def _rendered(rec, n):
 @pytest.mark.parametrize("name", sorted(corpus.ENTRIES))
 def test_decimal_strings_match_frac_str_on_the_corpus(name):
     got, want = _rendered(get(name).recurrence, 1500)
-    if name in ("inverse-catalan", "involutions"):
-        assert "/" in want[3] and got == []  # rational terms fall back whole
-    else:
-        assert got == want
+    assert got == want
 
 
 DECIMAL_RECS = {
@@ -371,6 +369,16 @@ DECIMAL_RECS = {
     # order 1 with three initial values: stepping starts at n = 2
     "extra-initials": Recurrence([Poly([1, 1]), Poly([1, 1]) * Poly([-5, 2])], [4, -9, 2]),
     "both-signs": parse_recurrence("a(n+2) + (n+1)*a(n+1) - 3*a(n) = 0 ; a(0)=2, a(1)=-1"),
+    # the harmonic numbers: a(n)'s denominator is lcm(1..n), far below the
+    # stepped D, so each term cancels a large H
+    "harmonic": parse_recurrence(
+        "(n+2)*a(n+2) - (2*n+3)*a(n+1) + (n+1)*a(n) = 0 ; a(0)=0, a(1)=1"
+    ),
+    # p0 < 0 and both steps vanish at n = 2: a(4) = 0 is a decimal -0, and
+    # a(5) = -a(3)/9 is not 0 again
+    "zero-term": Recurrence(
+        [Poly([-3, -2]), Poly([-2, 1]), Poly([-2, 1])], [F(-1, 3), F(5, 7)]
+    ),
 }
 
 
@@ -380,6 +388,25 @@ def test_decimal_strings_match_frac_str(name):
     assert got == want
     if name == "both-signs":
         assert any(t.startswith("-") for t in got) and any(t[0] not in "-0" for t in got)
+    if name == "zero-term":
+        assert got[4] == "0" and got[5] != "0"
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_rational_recurrences_render_as_frac_str(seed):
+    rec = random_recurrence(random.Random(2500 + seed), orders=(1, 2, 3))
+    got, want = _rendered(rec, 150)
+    assert got == want
+
+
+def test_random_rational_recurrences_cover_the_cases():
+    """The seeds of the test above reach every order, a negative p0 and
+    rational initials of both signs."""
+    recs = [random_recurrence(random.Random(2500 + seed), orders=(1, 2, 3)) for seed in range(40)]
+    assert {rec.order for rec in recs} == {1, 2, 3}
+    assert any(rec.coeffs[0].eval(0) < 0 for rec in recs)
+    initials = [v for rec in recs for v in rec.initials if v.denominator > 1]
+    assert min(initials) < 0 < max(initials)
 
 
 def random_integer_recurrence(rng):
@@ -423,6 +450,30 @@ def test_decimal_strings_stop_before_the_first_term_over_the_digit_limit():
     finally:
         sys.set_int_max_str_digits(old)
     assert 0 < first_over < 600 and got == want[:first_over]
+
+
+@pytest.mark.parametrize("rec, n, crosses", [
+    # a(n) = I(n)/n!: the denominator crosses the limit first
+    (get("involutions").recurrence, 600, "denominator"),
+    # a(n) = 3^n/(n+1): the numerator crosses the limit first
+    (parse_recurrence("(n+2)*a(n+1) - 3*(n+1)*a(n) = 0 ; a(0)=1"), 1500, "numerator"),
+], ids=["involutions", "numerator-first"])
+def test_rational_decimal_strings_stop_before_the_first_term_over_the_digit_limit(rec, n, crosses):
+    table = TermTable(rec)
+    vals = table.values(0, n)
+    want = [frac_str(v) for v in vals]
+    digits = [{"numerator": len(str(abs(v.numerator))), "denominator": len(str(v.denominator))}
+              for v in vals]
+    first_over = next(i for i, ds in enumerate(digits) if max(ds.values()) > 640)
+    over = {part for part, k in digits[first_over].items() if k > 640}
+    assert 0 < first_over < n and over == {crosses}
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        got = table.decimal_strings(n)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert got == want[:first_over]
 
 
 class _TracedMath:
