@@ -22,21 +22,35 @@ positive) and, only when q = p0(m)/g is not 1, scales the window and D by
 it.  An integer sequence thus keeps D = 1 and stores each term with one
 division; a table of rational terms (D > 1) never pays that division.
 
-Otherwise the term S/D is reduced against a kernel K: a positive integer
+Otherwise the term S/D is reduced against a kernel K: a divisor of D
 that every prime of D divides, carried beside D.  When a step scales D by
-q, K becomes lcm(K, q).  The reduction sets h = gcd(S, K, D), and while
-h > 1 divides the numerator and D by h and sets h = gcd(num, h, D); a
-prime they still share divides every h so far, so the loop ends with them
-coprime.  Each gcd has an operand no larger than K, which grows like the
-lcm of the p0 values (about 4.3k bits for involutions at n = 3000), while
-D grows like their product (about 29.5k bits).  When K is not smaller than
-D the term takes one gcd(S, D).  That is always so for order 1: there the
-reduced term itself is the carried state, so D cannot outgrow the term's
-own denominator, and K is D.  The state lives on the table, so filling one
-index at a time does not rebuild it.  It is rebuilt from the last d stored
-terms when the table grew another way, such as a cache load; K is then the
-lcm of the initial state's denominator and |p0(m)| over every stepped m,
-since each prime of a stored denominator comes from one or the other.
+q, K gains t, the part of q coprime to K.  The reduction sets
+h = gcd(S, K), and while h > 1 divides the numerator and D by h and sets
+h = gcd(num mod h, h, D); a prime they still share divides every h so far,
+so the loop ends with them coprime.  K grows like the product of the
+primes of the p0 values (about 4.2k bits for involutions at n = 3000),
+while D grows like the product of the values themselves (about 29.5k bits)
+and S like the terms' numerators (about 14.5k bits).  So while K is far
+below D, 2 bits(K) < bits(D), the window's residues x mod K are carried
+too, and every operand of a reduction but D has K's size: S mod K is the
+small-coefficient sum of those residues, and gcd(S, K) = gcd(S mod K, K).
+The new residue (S / g) mod K cannot come through an inverse of g, whose
+primes may divide K, so it is S mod gK divided by g, where S mod gK joins
+by CRT S mod g K_g, for K_g the part of K over g's primes, taken as one
+division of S by a small modulus, with (S mod K) mod (K / K_g).  When K
+gains t, a scaled x q is 0 mod t, so its residue mod Kt is t (x (q/t) mod
+K), and the new residue joins S mod t by CRT.  The residues start from
+x mod K when the size test first holds, as after a cache load, and are
+dropped when it fails: where p0 brings a new prime at almost every step, K
+grows with D and they would cost more than they save.  When K is D the
+term takes one gcd(S, D).  That is always so for order
+1: there the reduced term itself is the carried state, so D cannot outgrow
+the term's own denominator, and K is D.  The state lives on the table, so
+filling one index at a time does not rebuild it.  It is rebuilt from the
+last d stored terms when the table grew another way, such as a cache load;
+K is then the gcd with D of a product built, as the steps build K, from the
+initial state's denominator and |p0(m)| over every stepped m, since each
+prime of a stored denominator comes from one or the other.
 
 `TermTable.decimal_strings` renders the terms without `str(int)`, which
 takes quadratic time in the digit count on CPython 3.11.  It steps the
@@ -222,6 +236,15 @@ def _reduced(num: int, den: int) -> Fraction:
     return v
 
 
+def _coprime_part(q: int, k: int) -> int:
+    """The largest divisor of q > 0 that is coprime to k."""
+    c = math.gcd(q, k)
+    while c > 1:
+        q //= c
+        c = math.gcd(q, c)
+    return q
+
+
 class TermTable:
     """Exact terms of a recurrence with optional disk persistence."""
 
@@ -231,9 +254,9 @@ class TermTable:
         self._vals: list[Fraction] = list(rec.initials)
         self._persisted = 0
         self._coeffs = _integer_coeffs(rec.coeffs)
-        # (len(_vals), x, D, K): a(len - d + i) = x[i] / D and every prime of D
-        # divides K, valid while len matches
-        self._state: Optional[tuple[int, list[int], int, int]] = None
+        # (len(_vals), x, D, K, x mod K or None): a(len - d + i) = x[i] / D, K
+        # divides D and every prime of D divides K, valid while len matches
+        self._state: Optional[tuple[int, list[int], int, int, Optional[list[int]]]] = None
         self.expansions: dict = {}  # (recurrence, rho) -> state kept by ratio_expansion
         self.u_bounds: dict = {}  # (recurrence, order) -> (rb, ub) kept by certify_u_bounds
         if cache_dir:
@@ -326,16 +349,16 @@ class TermTable:
         p0, *ps = self._coeffs
         d = len(ps)
         if self._state is not None and self._state[0] == len(vals):
-            _, xs, den, ker = self._state
+            _, xs, den, ker, rs = self._state
         else:
             xs, den = _integer_window(vals[-d:])
-            ker = den
+            ker, rs = den, None
             if d > 1 and den > 1:
-                # den's primes divide the initial state's denominator or a p0(m)
+                # den's primes divide the initial denominator or a p0(m); K | D
                 ker = _integer_window(self.rec.initials[-d:])[1]
                 for m in range(len(self.rec.initials) - d, len(vals) - d):
-                    q = abs(_horner(p0, m))
-                    ker = ker * q // math.gcd(ker, q)
+                    ker *= _coprime_part(abs(_horner(p0, m)), ker)
+                ker = math.gcd(ker, den)
         while len(vals) <= n:
             m = len(vals) - d  # recurrence index producing a(m+d)
             q = _horner(p0, m)
@@ -354,27 +377,48 @@ class TermTable:
                     continue
             # a(m+d) = s / (den * q); keep den > 0 by dividing with q's sign
             g = math.gcd(s, q)
+            if d > 1 and 2 * ker.bit_length() < den.bit_length():
+                if rs is None:
+                    rs = [x % ker for x in xs]
+                r = sum(_horner(pk, m) * rs[d - k] for k, pk in enumerate(ps, 1))
+                if g > 1:
+                    # s mod gK by CRT on g K_g, for K_g the part of K over g's
+                    # primes, and rest = K / K_g; then (s / g) mod K
+                    rest = _coprime_part(ker, g)
+                    mg = ker // rest * g
+                    r %= rest
+                    r = (r + rest * ((s % mg - r) * pow(rest, -1, mg) % mg)) // g
+                r = (-r if q < 0 else r) % ker
+            else:
+                rs = None
             if q < 0:
                 g = -g
             s //= g
             q //= g
+            t = 1
             if q == 1:
                 xs = xs[1:]
             else:
                 xs = [x * q for x in xs[1:]]
                 den *= q
-                # order 1 carries the reduced term, so K is D itself
-                ker = ker * q // math.gcd(ker, q) if d > 1 else den
+                if d > 1:  # K gains t, the part of q coprime to it
+                    t = _coprime_part(q, ker)
             xs.append(s)
+            if rs is not None:
+                # x q mod Kt is t (x (q / t) mod K), and s mod Kt comes by CRT
+                rs = [t * (x * (q // t) % ker) for x in rs[1:]]
+                rs.append(r + ker * ((s % t - r) * pow(ker, -1, t) % t))
+            # order 1 carries the reduced term, so there K is D itself
+            ker = den if d == 1 else ker * t
             if den == 1:
                 v = Fraction(s)
             elif ker < den:
                 # a prime that num and rd still share divides every h so far
-                num, rd, h = s, den, math.gcd(s, ker, den)
+                num, rd, h = s, den, math.gcd(s if rs is None else rs[-1], ker)
                 while h > 1:
                     num //= h
                     rd //= h
-                    h = math.gcd(num, h, rd)
+                    h = math.gcd(num % h, h, rd)
                 v = _reduced(num, rd)
             else:
                 h = math.gcd(s, den)
@@ -382,7 +426,7 @@ class TermTable:
                 if d == 1:
                     xs, den = [v.numerator], v.denominator
             vals.append(v)
-        self._state = (len(vals), xs, den, ker)
+        self._state = (len(vals), xs, den, ker, rs)
 
     def decimal_strings(self, hi: int) -> list[str]:
         """`str` of the known terms a(0..hi), written from exact decimals:

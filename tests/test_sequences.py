@@ -304,6 +304,22 @@ STEPPING_RECS = {
     ),
     # 3 * 2^n / n!: integer while p0 = n + 1 divides, up to a(4) = 2; a(5) = 4/5
     "integer-until-n5": parse_recurrence("(n+1)*a(n+1) - 2*a(n) = 0; a(0) = 3"),
+    # the harmonic numbers: K stays about D's size, so no residues are kept
+    "harmonic": parse_recurrence(
+        "(n+2)*a(n+2) - (2*n+3)*a(n+1) + (n+1)*a(n) = 0; a(0) = 0, a(1) = 1"
+    ),
+    # p0 = n^2 + 1 brings a new prime at most steps, so K grows with D
+    "n2-plus-1-p0": parse_recurrence(
+        "(n^2+1)*a(n+2) - (n+1)*a(n+1) - a(n) = 0; a(0) = 1, a(1) = 1"
+    ),
+    "rational-order3": parse_recurrence(
+        "(n+3)*(2*n+1)*a(n+3) - (n+1)*a(n+2) + 2*a(n+1) - (n+2)*a(n) = 0;"
+        " a(0) = 1/2, a(1) = -1/3, a(2) = 2/5"
+    ),
+    # S = 0 at n = 100, long after D > 1: g = p0(100), and a(102) = 0
+    "zero-step-sum": parse_recurrence(
+        "(n+2)*a(n+2) - (n-100)*a(n+1) - (n-100)*a(n) = 0; a(0) = 1/3, a(1) = 2/7"
+    ),
 }
 
 
@@ -477,8 +493,8 @@ def test_rational_decimal_strings_stop_before_the_first_term_over_the_digit_limi
 
 
 class _TracedMath:
-    """The math module with gcd wrapped to record the bit length of its
-    smallest operand on every call."""
+    """The math module with gcd wrapped to record the bit lengths of its
+    operands, smallest first, on every call."""
 
     def __init__(self):
         self.sizes = []
@@ -487,14 +503,16 @@ class _TracedMath:
         return getattr(math, name)
 
     def gcd(self, *args):
-        self.sizes.append(min(abs(x).bit_length() for x in args))
+        self.sizes.append(sorted(abs(x).bit_length() for x in args))
         return math.gcd(*args)
 
 
 def test_stepping_gcds_stay_far_below_the_common_denominator(monkeypatch, tmp_path):
-    """Involutions carries D of about 29.5k bits at n = 3000.  Reducing each
-    term by gcd(S, D) makes gcds whose smaller operand has about 14.5k bits;
-    the kernel K keeps every gcd at K's size, about 4.3k bits."""
+    """Involutions carries D of about 29.5k bits at n = 3000 and numerators
+    S of about 14.5k bits.  A reduction that passed S itself to a gcd with
+    the kernel K would work on S's size; with S carried modulo K, no gcd
+    has an operand other than its largest above K's size, about 4.2k bits,
+    from an empty table and from a cache loaded at n = 999."""
     rec = get("involutions").recurrence
     cached = TermTable(rec, cache_dir=str(tmp_path))
     cached.ensure(999)
@@ -505,8 +523,9 @@ def test_stepping_gcds_stay_far_below_the_common_denominator(monkeypatch, tmp_pa
         traced.sizes.clear()
         table.ensure(3000)
         den_bits = max(v.denominator.bit_length() for v in table.values(2990, 3000))
-        assert den_bits > 29000
-        assert traced.sizes and max(traced.sizes) < den_bits // 4
+        ker_bits = table._state[3].bit_length()
+        assert den_bits > 29000 and ker_bits < den_bits // 4
+        assert traced.sizes and max(max(sizes[:-1]) for sizes in traced.sizes) <= ker_bits
 
 
 def test_stepping_oracle_covers_zero_and_negative_terms():
@@ -515,11 +534,15 @@ def test_stepping_oracle_covers_zero_and_negative_terms():
     assert TermTable(STEPPING_RECS["negative-p0-exact"]).values(0, 7) == [2**n * (2 * n - 11) for n in range(8)]
     assert TermTable(STEPPING_RECS["zero-integer-term"]).values(2, 4) == [-4, 0, 16]
     assert TermTable(STEPPING_RECS["integer-until-n5"]).values(3, 5) == [4, 2, F(4, 5)]
+    assert TermTable(STEPPING_RECS["zero-step-sum"]).value(102) == 0
     vals = TermTable(STEPPING_RECS["rational-order2"]).values(0, 60)
     assert any(v < 0 for v in vals) and len({v.denominator for v in vals}) > 10
 
 
-@pytest.mark.parametrize("name", ["inverse-catalan", "involutions", "bn", "fine", "rational-order2"])
+@pytest.mark.parametrize("name", [
+    "inverse-catalan", "involutions", "bn", "fine", "rational-order2",
+    "harmonic", "n2-plus-1-p0", "rational-order3", "zero-step-sum",
+])
 def test_many_small_ensures_match_one_fill(name):
     rec = STEPPING_RECS[name]
     rng = random.Random(9)
@@ -535,7 +558,10 @@ def test_many_small_ensures_match_one_fill(name):
     "name, cached, to",
     [
         pytest.param(name, 50, 250, id=name)
-        for name in ["involutions", "bn", "rational-order2", "square-ratio", "cubed-p0"]
+        for name in [
+            "involutions", "bn", "rational-order2", "square-ratio", "cubed-p0",
+            "harmonic", "n2-plus-1-p0", "rational-order3", "zero-step-sum",
+        ]
     ]
     + [pytest.param("involutions", 1000, 1500, id="involutions-from-1000")],
 )
