@@ -30,27 +30,26 @@ h = gcd(num mod h, h, D); a prime they still share divides every h so far,
 so the loop ends with them coprime.  K grows like the product of the
 primes of the p0 values (about 4.2k bits for involutions at n = 3000),
 while D grows like the product of the values themselves (about 29.5k bits)
-and S like the terms' numerators (about 14.5k bits).  So while K is far
-below D, 2 bits(K) < bits(D), the window's residues x mod K are carried
-too, and every operand of a reduction but D has K's size: S mod K is the
-small-coefficient sum of those residues, and gcd(S, K) = gcd(S mod K, K).
-The new residue (S / g) mod K cannot come through an inverse of g, whose
-primes may divide K, so it is S mod gK divided by g, where S mod gK joins
-by CRT S mod g K_g, for K_g the part of K over g's primes, taken as one
-division of S by a small modulus, with (S mod K) mod (K / K_g).  When K
-gains t, a scaled x q is 0 mod t, so its residue mod Kt is t (x (q/t) mod
-K), and the new residue joins S mod t by CRT.  The residues start from
-x mod K when the size test first holds, as after a cache load, and are
-dropped when it fails: where p0 brings a new prime at almost every step, K
-grows with D and they would cost more than they save.  When K is D the
-term takes one gcd(S, D).  That is always so for order
-1: there the reduced term itself is the carried state, so D cannot outgrow
-the term's own denominator, and K is D.  The state lives on the table, so
+and S like the terms' numerators (about 14.5k bits).  So for order d >= 2
+the window's residues x mod K are carried too, and every operand of a
+reduction but D has K's size: S mod K is the small-coefficient sum of
+those residues, and gcd(S, K) = gcd(S mod K, K).  The new residue
+(S / g) mod K cannot come through an inverse of g, whose primes may divide
+K, so it is S mod gK divided by g, where S mod gK joins by CRT
+S mod g K_g, for K_g the part of K over g's primes, taken as one division
+of S by a small modulus, with (S mod K) mod (K / K_g).  When K gains t, a
+scaled x q is 0 mod t, so its residue mod Kt is t (x (q/t) mod K), and
+the new residue joins S mod t by CRT.  While D is 1, K is 1 and every
+residue is 0.  Order 1 takes one gcd(S, D) and carries no residues: there
+the reduced term itself is the carried state, so D cannot outgrow the
+term's own denominator, and K is D.  The state lives on the table, so
 filling one index at a time does not rebuild it.  It is rebuilt from the
 last d stored terms when the table grew another way, such as a cache load;
 K is then the gcd with D of a product built, as the steps build K, from the
 initial state's denominator and |p0(m)| over every stepped m, since each
-prime of a stored denominator comes from one or the other.
+prime of a stored denominator comes from one or the other.  A vanishing
+p0(m) among them, which only a cache file can hold terms past, is a
+`SingularRecurrenceError`, as it is to a stepped table.
 
 `TermTable.decimal_strings` renders the terms without `str(int)`, which
 takes quadratic time in the digit count on CPython 3.11.  It steps the
@@ -254,9 +253,10 @@ class TermTable:
         self._vals: list[Fraction] = list(rec.initials)
         self._persisted = 0
         self._coeffs = _integer_coeffs(rec.coeffs)
-        # (len(_vals), x, D, K, x mod K or None): a(len - d + i) = x[i] / D, K
-        # divides D and every prime of D divides K, valid while len matches
-        self._state: Optional[tuple[int, list[int], int, int, Optional[list[int]]]] = None
+        # (len(_vals), x, D, K, x mod K): a(len - d + i) = x[i] / D, K divides
+        # D and every prime of D divides K, valid while len matches; order 1
+        # does not read the residues
+        self._state: Optional[tuple[int, list[int], int, int, list[int]]] = None
         self.expansions: dict = {}  # (recurrence, rho) -> state kept by ratio_expansion
         self.u_bounds: dict = {}  # (recurrence, order) -> (rb, ub) kept by certify_u_bounds
         if cache_dir:
@@ -352,13 +352,19 @@ class TermTable:
             _, xs, den, ker, rs = self._state
         else:
             xs, den = _integer_window(vals[-d:])
-            ker, rs = den, None
+            ker = den
             if d > 1 and den > 1:
                 # den's primes divide the initial denominator or a p0(m); K | D
                 ker = _integer_window(self.rec.initials[-d:])[1]
                 for m in range(len(self.rec.initials) - d, len(vals) - d):
-                    ker *= _coprime_part(abs(_horner(p0, m)), ker)
+                    q = _horner(p0, m)
+                    if q == 0:  # a loaded table can hold terms past it
+                        raise SingularRecurrenceError(
+                            f"leading coefficient vanishes at n={m}; cannot advance"
+                        )
+                    ker *= _coprime_part(abs(q), ker)
                 ker = math.gcd(ker, den)
+            rs = [x % ker for x in xs]
         while len(vals) <= n:
             m = len(vals) - d  # recurrence index producing a(m+d)
             q = _horner(p0, m)
@@ -377,10 +383,10 @@ class TermTable:
                     continue
             # a(m+d) = s / (den * q); keep den > 0 by dividing with q's sign
             g = math.gcd(s, q)
-            if d > 1 and 2 * ker.bit_length() < den.bit_length():
-                if rs is None:
-                    rs = [x % ker for x in xs]
-                r = sum(_horner(pk, m) * rs[d - k] for k, pk in enumerate(ps, 1))
+            if d > 1:
+                r = 0
+                for k, pk in enumerate(ps, 1):
+                    r += _horner(pk, m) * rs[d - k]
                 if g > 1:
                     # s mod gK by CRT on g K_g, for K_g the part of K over g's
                     # primes, and rest = K / K_g; then (s / g) mod K
@@ -389,8 +395,6 @@ class TermTable:
                     r %= rest
                     r = (r + rest * ((s % mg - r) * pow(rest, -1, mg) % mg)) // g
                 r = (-r if q < 0 else r) % ker
-            else:
-                rs = None
             if q < 0:
                 g = -g
             s //= g
@@ -404,17 +408,17 @@ class TermTable:
                 if d > 1:  # K gains t, the part of q coprime to it
                     t = _coprime_part(q, ker)
             xs.append(s)
-            if rs is not None:
+            if d > 1:
                 # x q mod Kt is t (x (q / t) mod K), and s mod Kt comes by CRT
-                rs = [t * (x * (q // t) % ker) for x in rs[1:]]
-                rs.append(r + ker * ((s % t - r) * pow(ker, -1, t) % t))
+                rs = [t * (x * (q // t) % ker) for x in rs[1:]] if q > 1 else rs[1:]
+                rs.append(r + ker * ((s % t - r) * pow(ker, -1, t) % t) if t > 1 else r)
             # order 1 carries the reduced term, so there K is D itself
             ker = den if d == 1 else ker * t
             if den == 1:
                 v = Fraction(s)
-            elif ker < den:
+            elif d > 1:
                 # a prime that num and rd still share divides every h so far
-                num, rd, h = s, den, math.gcd(s if rs is None else rs[-1], ker)
+                num, rd, h = s, den, math.gcd(rs[-1], ker)
                 while h > 1:
                     num //= h
                     rd //= h

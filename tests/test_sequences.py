@@ -304,7 +304,7 @@ STEPPING_RECS = {
     ),
     # 3 * 2^n / n!: integer while p0 = n + 1 divides, up to a(4) = 2; a(5) = 4/5
     "integer-until-n5": parse_recurrence("(n+1)*a(n+1) - 2*a(n) = 0; a(0) = 3"),
-    # the harmonic numbers: K stays about D's size, so no residues are kept
+    # the harmonic numbers: K stays about D's size
     "harmonic": parse_recurrence(
         "(n+2)*a(n+2) - (2*n+3)*a(n+1) + (n+1)*a(n) = 0; a(0) = 0, a(1) = 1"
     ),
@@ -587,6 +587,24 @@ def test_singular_recurrence_raises_where_the_oracle_does():
             "leading coefficient vanishes at n=3; cannot advance"
         )
     assert _pairs(table.values(0, 3)) == _pairs(fraction_terms(rec, 3))
+
+
+def test_loaded_terms_past_a_vanishing_p0_raise_on_extension(tmp_path):
+    """p0 vanishes at n = 5, so a(7) has no value; a cache file can still
+    hold terms past it.  Extending such a table rebuilds its kernel over
+    p0(5) = 0 and must raise as a stepped table does."""
+    rec = parse_recurrence(
+        "(n-5)*(n+2)*a(n+2) - (n+1)*a(n+1) - 3*a(n) = 0; a(0) = 1/3, a(1) = 2/7"
+    )
+    table = TermTable(rec)
+    with pytest.raises(SingularRecurrenceError):
+        table.ensure(7)
+    terms = table.values(0, 6) + [F(k, 11) for k in range(7, 13)]
+    _write_cache(tmp_path / f"{rec.cache_key()}.terms", [(v.numerator, v.denominator) for v in terms])
+    loaded = TermTable(rec, cache_dir=str(tmp_path))
+    assert len(loaded) == 13
+    with pytest.raises(SingularRecurrenceError, match="vanishes at n=5"):
+        loaded.ensure(13)
 
 
 def test_reduced_fraction_equals_normalised_fraction():
