@@ -127,10 +127,12 @@ def cmd_terms(args) -> int:
     if args.to < 0:
         raise ValueError("--to must be nonnegative")
     table = TermTable(rec, cache_dir=args.cache_dir)
-    vals = table.values(0, args.to)
-    table.flush()
+    if args.cache_dir:
+        table.ensure(args.to)
+        table.flush()
     terms = table.decimal_strings(args.to)
-    terms += [frac_str(v) for v in vals[len(terms) :]]
+    # a term over the int-to-str digit limit: str raises its ValueError
+    terms += [frac_str(table.value(n)) for n in range(len(terms), args.to + 1)]
     if args.json:
         print(json.dumps({"name": _display_name(rec), "to": args.to, "terms": terms}, indent=2))
     else:

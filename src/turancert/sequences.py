@@ -52,29 +52,32 @@ p0(m) among them, which only a cache file can hold terms past, is a
 `SingularRecurrenceError`, as it is to a stepped table.
 
 `TermTable.decimal_strings` renders the terms without `str(int)`, which
-takes quadratic time in the digit count on CPython 3.11.  It steps the
-window x / D a second time from the initial values, exactly as `ensure`
-does, in `decimal.Decimal` under `_EXACT_DECIMAL`, whose precision and
-exponent range are the largest there are and which traps `Inexact` and
-`Rounded`.  A step takes S as a small-integer combination of the last d
-decimals.  While D is 1 it divides S by p0(m) with remainder, and a zero
-remainder makes the quotient the term.  Otherwise it divides S and p0(m)
-by g = gcd(S mod p0(m), p0(m)), with the sign of p0(m), and scales the
-window and D by q = p0(m)/g.  D is carried as a binary int too, which
-costs only products of small ints, and the term's numerator and
-denominator are S / H and D / H for H = D // (the denominator that the
-table already reduced the term to).  An order-1 window then resyncs to
-the reduced term, as `ensure`'s does.  The divisions by g and by H are
-exact, so `//` gives them, at about half the cost of an exact `/`.  For
-the corpus H stays small (at most 51 bits for involutions up to
-n = 3000), so each step costs linear time in the digit count, and so
-does `str` of a decimal.  The decimals stay integers with exponent 0, so
-`str` writes them exactly as `str(int)` does; a zero is normalised to
-`Decimal(0)`, since a decimal zero carries a sign and would print as
-"-0".  Rendering stops before the first term whose numerator or
-denominator has more digits than `sys.get_int_max_str_digits()` allows,
-so that the caller's `str` raises the usual `ValueError` on that term.
-The table's binary terms stay the only values stored or cached.
+takes quadratic time in the digit count on CPython 3.11, and it is what
+drives the table for `terms`.  It steps the window x / D from the initial
+values as `ensure` does, in `decimal.Decimal` under `_EXACT_DECIMAL`,
+whose precision and exponent range are the largest there are and which
+traps `Inexact` and `Rounded`.  A step takes S as a small-integer
+combination of the last d decimals.  While D is 1 it divides S by p0(m)
+with remainder, and a zero remainder makes the quotient the term, with no
+binary term at all: an integer sequence is stepped once.  Otherwise it
+divides S and p0(m) by g = gcd(S mod p0(m), p0(m)), with the sign of
+p0(m), and scales the window and D by q = p0(m)/g.  D is carried as a
+binary int too, which costs only products of small ints, and the term's
+numerator and denominator are S / H and D / H for H = D // (the reduced
+denominator of a(i)), read from the table through `ensure`, which fills
+it lazily on its kept state.  An order-1 window then resyncs to the
+reduced term, as `ensure`'s does.  The divisions by g and by H are exact,
+so `//` gives them, at about half the cost of an exact `/`.  For the
+corpus H stays small (at most 51 bits for involutions up to n = 3000), so
+each step costs linear time in the digit count, and so does `str` of a
+decimal.  The decimals stay integers with exponent 0, so `str` writes them
+exactly as `str(int)` does; a zero is normalised to `Decimal(0)`, since a
+decimal zero carries a sign and would print as "-0".  A vanishing p0(m)
+is a `SingularRecurrenceError`, as it is to `ensure`.  Rendering stops
+before the first term whose numerator or denominator has more digits than
+`sys.get_int_max_str_digits()` allows, so that the caller's `str` raises
+the usual `ValueError` on that term, and no later term is stepped.  The
+table's binary terms stay the only values stored or cached.
 
 The disk cache (`CACHE_MAGIC` "TCTERMS2") holds every known term as
 length-prefixed big-endian signed numerator and denominator, followed by
@@ -222,6 +225,10 @@ class Recurrence:
         return acc
 
 
+def _singular(m: int) -> SingularRecurrenceError:
+    return SingularRecurrenceError(f"leading coefficient vanishes at n={m}; cannot advance")
+
+
 def _encode_int(v: int) -> bytes:
     raw = v.to_bytes((v.bit_length() + 8) // 8, "big", signed=True)
     return struct.pack(">I", len(raw)) + raw
@@ -359,9 +366,7 @@ class TermTable:
                 for m in range(len(self.rec.initials) - d, len(vals) - d):
                     q = _horner(p0, m)
                     if q == 0:  # a loaded table can hold terms past it
-                        raise SingularRecurrenceError(
-                            f"leading coefficient vanishes at n={m}; cannot advance"
-                        )
+                        raise _singular(m)
                     ker *= _coprime_part(abs(q), ker)
                 ker = math.gcd(ker, den)
             rs = [x % ker for x in xs]
@@ -369,9 +374,7 @@ class TermTable:
             m = len(vals) - d  # recurrence index producing a(m+d)
             q = _horner(p0, m)
             if q == 0:
-                raise SingularRecurrenceError(
-                    f"leading coefficient vanishes at n={m}; cannot advance"
-                )
+                raise _singular(m)
             s = 0
             for k, pk in enumerate(ps, 1):
                 s += _horner(pk, m) * xs[d - k]
@@ -433,27 +436,30 @@ class TermTable:
         self._state = (len(vals), xs, den, ker, rs)
 
     def decimal_strings(self, hi: int) -> list[str]:
-        """`str` of the known terms a(0..hi), written from exact decimals:
-        `ensure`'s window x / D stepped again from the initial values, each
-        term read as (S / H) / (D / H) for H = D // its reduced denominator,
-        and an order-1 window resynced to the reduced term.  Stops before
-        the first term whose numerator or denominator has more digits than
-        the int-to-str limit; the caller renders the rest."""
-        vals = self._vals[: hi + 1]
+        """`str` of a(0..hi), written from exact decimals: the window x / D
+        stepped from the initial values as in `ensure`, an exact integer
+        quotient taken as the term, and any other term read as (S / H) /
+        (D / H) for H = D // its reduced denominator, which `ensure` gives;
+        an order-1 window resyncs to the reduced term.  Stops before the
+        first term whose numerator or denominator has more digits than the
+        int-to-str limit; the caller renders the rest."""
         limit = sys.get_int_max_str_digits()
         p0, *ps = self._coeffs
         d = len(ps)
-        first = len(self.rec.initials)
-        xs, den = _integer_window(self.rec.initials[-d:])
+        initials = self.rec.initials
+        xs, den = _integer_window(initials[-d:])
         out = []
         with decimal.localcontext(_EXACT_DECIMAL):
             xs, dden = [Decimal(x) for x in xs], Decimal(den)
-            for i, v in enumerate(vals):
-                if i < first:
+            for i in range(hi + 1):
+                if i < len(initials):
+                    v = initials[i]
                     num, rd = Decimal(v.numerator), Decimal(v.denominator)
                 else:
                     m = i - d
                     q = _horner(p0, m)
+                    if not q:
+                        raise _singular(m)
                     s = sum(_horner(pk, m) * xs[d - k] for k, pk in enumerate(ps, 1))
                     xs = xs[1:]
                     num, r = divmod(s, q) if den == 1 else (None, 1)
@@ -469,10 +475,11 @@ class TermTable:
                             xs = [x * q for x in xs]
                             den *= q
                             dden *= q
-                        h = den // v.denominator  # the term is (s / h) / (D / h)
+                        rden = self.value(i).denominator
+                        h = den // rden  # the term is (s / h) / (D / h)
                         num, rd = (s // h, dden // h) if h > 1 else (s, dden)
                         if d == 1:  # `ensure` carries the reduced term
-                            s, den, dden = num, v.denominator, rd
+                            s, den, dden = num, rden, rd
                     else:
                         s, rd = num, dden
                     xs.append(s)
@@ -481,7 +488,7 @@ class TermTable:
                 # an integer decimal has adjusted() + 1 digits
                 if limit and max(num.adjusted(), rd.adjusted()) >= limit:
                     break
-                out.append(str(num) if v.denominator == 1 else f"{num}/{rd}")
+                out.append(str(num) if rd == 1 else f"{num}/{rd}")
         return out
 
     def value(self, n: int) -> Fraction:

@@ -109,20 +109,55 @@ class TestSources:
         assert (code, out) == (1, "")
         assert err.strip() == f"error: malformed recurrence document: {reason}"
 
-    @pytest.mark.parametrize("command", ["check-turan3", "certify"])
+    @pytest.mark.parametrize(
+        "command", ["check-turan3", "certify", "terms", "ratio-asymp", "u-asymp", "check-llc"]
+    )
     def test_leading_coefficient_root(self, capsys, tmp_path, command):
         # p0 = n - 3 vanishes where a(4) would be computed
         src = "(n-3)*a(n+1) - a(n) = 0 ; a(0)=1"
-        extra = ["-o", str(tmp_path / "c.json")] if command == "certify" else []
+        extra = {
+            "certify": ["-o", str(tmp_path / "c.json")],
+            "terms": ["--to", "10"],
+            "check-llc": ["--ell", "2"],
+        }.get(command, [])
         code, out, err = run(capsys, command, src, *extra)
         assert code == 1
         assert out == ""
         assert err.strip() == "error: leading coefficient vanishes at n=3; cannot advance"
 
+    def test_leading_coefficient_root_under_integer_terms(self, capsys):
+        # every step up to a(3) is an exact integer quotient; p0 = n - 3 then
+        # vanishes before any term has been stepped in binary
+        src = "(n-3)*a(n+1) - (n-3)*a(n) = 0 ; a(0)=1"
+        assert run(capsys, "terms", src, "--to", "3") == (0, "1, 1, 1, 1\n", "")
+        assert run(capsys, "terms", src, "--to", "10") == (
+            1, "", "error: leading coefficient vanishes at n=3; cannot advance\n"
+        )
+
+    def test_first_failing_index_is_reported(self, capsys, tmp_path, digit_limit):
+        # a(n) = 16^n passes 640 digits at n = 532, before p0 = n - 700
+        # vanishes; --cache-dir steps every term before rendering any
+        digit_limit(640)
+        with pytest.raises(ValueError) as exc:
+            str(10**640)
+        src = "(n-700)*a(n+1) - 16*(n-700)*a(n) = 0 ; a(0)=1"
+        assert run(capsys, "terms", src, "--to", "800") == (1, "", f"error: {exc.value}\n")
+        assert run(capsys, "terms", src, "--to", "800", "--cache-dir", str(tmp_path)) == (
+            1, "", "error: leading coefficient vanishes at n=700; cannot advance\n"
+        )
+
     def test_cache_dir_is_written(self, capsys, tmp_path):
         code, _, _ = run(capsys, "terms", "motzkin", "--to", "200", "--cache-dir", str(tmp_path))
         assert code == 0
         assert len(TermTable(get("motzkin").recurrence, str(tmp_path))) == 201
+
+    def test_cache_dir_is_written_past_the_digit_limit(self, capsys, tmp_path, digit_limit):
+        digit_limit(640)
+        with pytest.raises(ValueError) as exc:
+            str(10**640)
+        argv = ["terms", "apery", "--to", "600", "--cache-dir", str(tmp_path)]
+        assert run(capsys, *argv) == (1, "", f"error: {exc.value}\n")
+        assert len(TermTable(get("apery").recurrence, str(tmp_path))) == 601
 
 
 # sha256 of the stdout of `terms NAME --to 1500 [--json]`, recorded while

@@ -408,6 +408,48 @@ def test_decimal_strings_match_frac_str(name):
         assert got[4] == "0" and got[5] != "0"
 
 
+def _fresh_rendered(rec, n):
+    """(a fresh table, its decimal_strings(n), frac_str of each of a(0..n)
+    from a second table)."""
+    table = TermTable(rec)
+    got = table.decimal_strings(n)
+    return table, got, [frac_str(v) for v in TermTable(rec).values(0, n)]
+
+
+@pytest.mark.parametrize("name", sorted(corpus.ENTRIES))
+def test_decimal_strings_step_a_fresh_table_on_the_corpus(name):
+    rec = get(name).recurrence
+    table, got, want = _fresh_rendered(rec, 1500)
+    assert got == want
+    if name in ("motzkin", "domb"):  # every step is an exact integer quotient
+        assert len(table) == len(rec.initials)
+    if name == "involutions":  # every step reads its reduced denominator
+        assert len(table) == 1501
+
+
+@pytest.mark.parametrize("name", sorted(DECIMAL_RECS))
+def test_decimal_strings_step_a_fresh_table(name):
+    _, got, want = _fresh_rendered(DECIMAL_RECS[name], 300)
+    assert got == want
+
+
+def test_decimal_strings_step_no_term_past_the_digit_limit():
+    rec = get("involutions").recurrence
+    vals = TermTable(rec).values(0, 600)
+    first_over = next(
+        i for i, v in enumerate(vals) if len(str(max(v.numerator, v.denominator))) > 640
+    )
+    table = TermTable(rec)
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        got = table.decimal_strings(600)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert 0 < first_over < 600 and got == [frac_str(v) for v in vals[:first_over]]
+    assert len(table) == first_over + 1
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_random_rational_recurrences_render_as_frac_str(seed):
     rec = random_recurrence(random.Random(2500 + seed), orders=(1, 2, 3))
