@@ -57,6 +57,9 @@ from .sequences import (
     first_escape,
 )
 
+# indices of exact terms a certificate may scan for its ratio induction: the
+# induction threshold must lie below it, and the base window within it past
+# the threshold
 BASE_SCAN_BUDGET = 10000
 U_WINDOW_SPAN = 2000  # indices past validFrom that a u-window certificate rechecks
 
@@ -140,6 +143,11 @@ def certify_ratio_bounds(
     s_l, s_u, mu = _ratio_window_functions(rx, order)
 
     n1 = _induction_threshold(rec, s_l, s_u)
+    if n1 >= BASE_SCAN_BUDGET:
+        raise CertifyError(
+            f"the ratio induction starts past n = {n1}, beyond the "
+            f"{BASE_SCAN_BUDGET} indices a base scan covers"
+        )
     # for d = 1, r(n+1) = q_1(n) exactly, so the step covers every n+1 with n > n1
     d = rec.order
     valid_from = n1 + 1 if d == 1 else _base_window(table, s_l, s_u, n1 + 2, d) - 1

@@ -130,9 +130,8 @@ def cmd_terms(args) -> int:
     if args.cache_dir:
         table.ensure(args.to)
         table.flush()
+    # a term over the int-to-str digit limit raises str's ValueError
     terms = table.decimal_strings(args.to)
-    # a term over the int-to-str digit limit: str raises its ValueError
-    terms += [frac_str(table.value(n)) for n in range(len(terms), args.to + 1)]
     if args.json:
         print(json.dumps({"name": _display_name(rec), "to": args.to, "terms": terms}, indent=2))
     else:

@@ -31,7 +31,7 @@ from typing import Optional
 
 from .algebra import RatFunc, limit_at_infinity, scalar_sign, sign_at_infinity
 from .asymptotics import AsymSeries, ratio_expansion, u_expansion
-from .render import coef_str, frac_str, inv_log_series_str
+from .render import _scalar_str, coef_str, frac_str, inv_log_series_str
 from .sequences import Recurrence, TermTable
 
 HOLDS = "holds"
@@ -186,9 +186,9 @@ def turan3_asymptotic(u: AsymSeries) -> Verdict:
 
     # Critical regime alpha_1 = 2: the n^-6 coefficient is -4 r_1^2 (r_1 + 1).
     lim = limit_at_infinity(r1)
-    lim_str = lim if isinstance(lim, str) else frac_str(lim)
+    lim_str = lim if isinstance(lim, str) else _scalar_str(lim)
     trace.append(f"alpha_1 = 2 (critical); limit of r_1 at infinity: {lim_str}")
-    if lim == "-inf" or (not isinstance(lim, str) and lim < -1):
+    if lim == "-inf" or (not isinstance(lim, str) and scalar_sign(lim + 1) < 0):
         trace.append("leading term of the form: -4 r_1^2 (r_1 + 1) / n^6 > 0")
         return Verdict(
             HOLDS,

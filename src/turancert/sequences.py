@@ -9,75 +9,59 @@ a(0..m), m >= d-1.  Terms are exact, and every stored term is a canonical
 `Fraction` (coprime, positive denominator), equal and hash-equal to what
 `Fraction` arithmetic gives.
 
-`TermTable` steps on integers.  When the table is built, the coefficients
-of p0..pd are scaled by one common positive integer, which leaves the
-recurrence unchanged, and each pk(m) is then an integer Horner sum.  The
-last d terms are carried as integers x over one positive common
-denominator D.  A step computes S = p1(m) x(m+d-1) + ... + pd(m) x(m), so
-a(m+d) = S / (D p0(m)).  While D is 1 it first divides S by p0(m) with
-remainder, and a zero remainder makes the quotient the term, exactly and
-whatever the sign of p0(m), with no gcd at all.  Otherwise it divides S
-and p0(m) by their gcd g (with the sign of p0(m), so that D stays
-positive) and, only when q = p0(m)/g is not 1, scales the window and D by
-it.  An integer sequence thus keeps D = 1 and stores each term with one
-division; a table of rational terms (D > 1) never pays that division.
-
-Otherwise the term S/D is reduced against a kernel K: a divisor of D
-that every prime of D divides, carried beside D.  When a step scales D by
-q, K gains t, the part of q coprime to K.  The reduction sets
-h = gcd(S, K), and while h > 1 divides the numerator and D by h and sets
-h = gcd(num mod h, h, D); a prime they still share divides every h so far,
-so the loop ends with them coprime.  K grows like the product of the
-primes of the p0 values (about 4.2k bits for involutions at n = 3000),
-while D grows like the product of the values themselves (about 29.5k bits)
-and S like the terms' numerators (about 14.5k bits).  So for order d >= 2
-the window's residues x mod K are carried too, and every operand of a
-reduction but D has K's size: S mod K is the small-coefficient sum of
-those residues, and gcd(S, K) = gcd(S mod K, K).  The new residue
-(S / g) mod K cannot come through an inverse of g, whose primes may divide
-K, so it is S mod gK divided by g, where S mod gK joins by CRT
-S mod g K_g, for K_g the part of K over g's primes, taken as one division
-of S by a small modulus, with (S mod K) mod (K / K_g).  When K gains t, a
-scaled x q is 0 mod t, so its residue mod Kt is t (x (q/t) mod K), and
-the new residue joins S mod t by CRT.  While D is 1, K is 1 and every
-residue is 0.  Order 1 takes one gcd(S, D) and carries no residues: there
-the reduced term itself is the carried state, so D cannot outgrow the
-term's own denominator, and K is D.  The state lives on the table, so
-filling one index at a time does not rebuild it.  It is rebuilt from the
-last d stored terms when the table grew another way, such as a cache load;
-K is then the gcd with D of a product built, as the steps build K, from the
-initial state's denominator and |p0(m)| over every stepped m, since each
-prime of a stored denominator comes from one or the other.  A vanishing
-p0(m) among them, which only a cache file can hold terms past, is a
-`SingularRecurrenceError`, as it is to a stepped table.
-
-`TermTable.decimal_strings` renders the terms without `str(int)`, which
-takes quadratic time in the digit count on CPython 3.11, and it is what
-drives the table for `terms`.  It steps the window x / D from the initial
-values as `ensure` does, in `decimal.Decimal` under `_EXACT_DECIMAL`,
+`TermTable.ensure` and `TermTable.decimal_strings` drive one stepper,
+`_steps`, on `int` and on `decimal.Decimal` alike: it takes only `+`, `*`,
+`divmod`, `%` and exact `//` of the window, and hands `math.gcd` only ints.
+When the table is built, the coefficients of p0..pd are scaled by one
+common positive integer, which leaves the recurrence unchanged, and each
+pk(m) is then an integer Horner sum.  The last d terms are carried as x
+over one positive common denominator D.  A step computes
+S = p1(m) x(m+d-1) + ... + pd(m) x(m), so a(m+d) = S / (D q), q = p0(m).
+While D is 1 it first divides S by q with remainder, and a zero remainder
+makes the quotient the term, exactly and whatever the sign of q, with no
+gcd at all: an integer sequence keeps D = 1 and one division per term.
+Order 1 carries the reduced term x/D itself, and a prime common to p1(m) x
+and D q divides p1(m) (if it divides D, since x/D is reduced) or q (if
+not), so the term is reduced by one gcd on residues mod |p1(m) q|.  Order
+d >= 2 divides S and q by g = gcd(S mod q, q), with the sign of q so that
+D stays positive, and, when q/g is not 1, scales the window and D by it.
+The term S/D is then reduced against a kernel K: a divisor of D that every
+prime of D divides, carried beside D.  When a step scales D by q, K gains
+t, the part of q coprime to K.  The reduction sets h = gcd(S, K), and while
+h > 1 divides the numerator and D by h and sets h = gcd(num mod h, h), then
+gcd(D mod h, h) while that is still above 1; a prime they still share
+divides every h so far, so the loop ends with them coprime.  K grows like
+the product of the primes of the p0 values (about 4.2k bits for
+involutions at n = 3000), while D grows like the product of the values
+themselves (about 29.5k bits) and S like the terms' numerators (about
+14.5k bits).  So the window's residues x mod K are carried too, and every
+gcd operand has K's size: S mod K is the small-coefficient sum of those
+residues, and gcd(S, K) = gcd(S mod K, K).  The new residue (S / g) mod K
+cannot come through an inverse of g, whose primes may divide K, so it is
+S mod gK divided by g, where S mod gK joins by CRT S mod g K_g, for K_g
+the part of K over g's primes, taken as one division of S by a small
+modulus, with (S mod K) mod (K / K_g).  When K gains t, a scaled x q is 0
+mod t, so its residue mod Kt is t (x (q/t) mod K), and the new residue
+joins S mod t by CRT.  While D is 1, K is 1 and every residue is 0.  The
+integer state lives on the table, so filling one index at a time does not
+rebuild it.  It is rebuilt from the last d stored terms when the table grew
+another way, such as a cache load; K is then the gcd with D of a product
+built, as the steps build K, from the initial state's denominator and
+|p0(m)| over every stepped m, since each prime of a stored denominator
+comes from one or the other.  A vanishing p0(m) among them, which only a
+cache file can hold terms past, is a `SingularRecurrenceError`, as it is
+to a stepped table.  `decimal_strings`, which `terms` renders with, feeds
+the stepper decimal copies of the initial state, in `_EXACT_DECIMAL`,
 whose precision and exponent range are the largest there are and which
-traps `Inexact` and `Rounded`.  A step takes S as a small-integer
-combination of the last d decimals.  While D is 1 it divides S by p0(m)
-with remainder, and a zero remainder makes the quotient the term, with no
-binary term at all: an integer sequence is stepped once.  Otherwise it
-divides S and p0(m) by g = gcd(S mod p0(m), p0(m)), with the sign of
-p0(m), and scales the window and D by q = p0(m)/g.  D is carried as a
-binary int too, which costs only products of small ints, and the term's
-numerator and denominator are S / H and D / H for H = D // (the reduced
-denominator of a(i)), read from the table through `ensure`, which fills
-it lazily on its kept state.  An order-1 window then resyncs to the
-reduced term, as `ensure`'s does.  The divisions by g and by H are exact,
-so `//` gives them, at about half the cost of an exact `/`.  For the
-corpus H stays small (at most 51 bits for involutions up to n = 3000), so
-each step costs linear time in the digit count, and so does `str` of a
-decimal.  The decimals stay integers with exponent 0, so `str` writes them
-exactly as `str(int)` does; a zero is normalised to `Decimal(0)`, since a
-decimal zero carries a sign and would print as "-0".  A vanishing p0(m)
-is a `SingularRecurrenceError`, as it is to `ensure`.  Rendering stops
-before the first term whose numerator or denominator has more digits than
-`sys.get_int_max_str_digits()` allows, so that the caller's `str` raises
-the usual `ValueError` on that term, and no later term is stepped.  The
-table's binary terms stay the only values stored or cached.
+traps `Inexact` and `Rounded`, and it reads and fills no binary term.  The
+decimals stay integers with exponent 0, so `str` writes them exactly as
+`str(int)` does, but in time linear in the digit count rather than
+quadratic, as `str(int)` takes on CPython 3.11; a zero is normalised to
+`Decimal(0)`, since a decimal zero carries a sign and would print as "-0".
+At the first term whose numerator or denominator has more digits than
+`sys.get_int_max_str_digits()` allows, it raises the `ValueError` of
+`str(int)` on the numerator, then on the denominator, as `frac_str` of the
+term would, and steps no term past it.
 
 The disk cache (`CACHE_MAGIC` "TCTERMS2") holds every known term as
 length-prefixed big-endian signed numerator and denominator, followed by
@@ -135,6 +119,7 @@ import struct
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import Poly, RatFunc, eventual_positivity_threshold, no_roots_above, sign_at_infinity
@@ -251,6 +236,98 @@ def _coprime_part(q: int, k: int) -> int:
     return q
 
 
+def _steps(
+    coeffs: tuple, m: int, stop: int, xs: list, den, ker: int, rs: list[int]
+) -> Iterator[tuple]:
+    """Yield (num, rd, (xs, den, ker, rs)) for a(m+d), ..., a(stop-1+d): the
+    term num / rd, reduced with rd > 0, then the state after it.  The state
+    is the window a(m..m+d-1) = xs / den, and for order d >= 2 the kernel
+    ker of den with the residues rs = xs mod ker (see the module
+    docstring); order 1 passes ker and rs on unread.  xs and den are ints,
+    or `Decimal`s under `_EXACT_DECIMAL`, and num, rd and the state keep
+    their type; ker, rs and every gcd operand are ints.
+
+    Order 1 carries the reduced term x/D = a(m), and a(m+1) = c x / (D q)
+    for c = p1(m), q = p0(m) != 0.  Lemma: gcd(c x, D q) divides c q.
+    Proof: take a prime p and e = v_p(gcd(c x, D q)).  If p divides D, it
+    does not divide x, since x/D is reduced, so e <= v_p(c x) = v_p(c).
+    Otherwise e <= v_p(D q) = v_p(q).  Either way e <= v_p(c q).  So
+    h = gcd(c x, D q) = gcd(c x mod |c q|, D q mod |c q|, |c q|), and the
+    term is (c x / h) / (D q / h) with h taking the sign of q; when c q = 0,
+    c = 0 and the term is 0.
+    """
+    p0, ps = coeffs  # ps = pd .. p1, against the window
+    d = len(ps)
+    integral = den == 1  # while D is 1, try the exact quotient first
+    for m in range(m, stop):
+        q = _horner(p0, m)
+        if q == 0:
+            raise _singular(m)
+        s = 0
+        for pk, x in zip(ps, xs):
+            s += _horner(pk, m) * x
+        if integral:
+            t, r = divmod(s, q)
+            if not r:  # an exact quotient, whatever the sign of q
+                xs = xs[1:]
+                xs.append(t)
+                yield t, den, (xs, den, ker, rs)
+                continue
+        if d == 1:
+            cq = abs(_horner(ps[0], m) * q)
+            if not cq:
+                num, rd = s, s + 1  # s = 0, and rd = 1 in den's type
+            else:
+                h = math.gcd(int(s % cq), int(den % cq) * q % cq, cq)
+                if q < 0:
+                    h = -h
+                num, rd = s // h, den * q // h
+            xs, den = [num], rd
+            integral = rd == 1
+            yield num, rd, (xs, den, ker, rs)
+            continue
+        # a(m+d) = s / (den * q); keep den > 0 by dividing with q's sign
+        integral = False
+        g = math.gcd(int(s % q), q)
+        r = 0
+        for pk, x in zip(ps, rs):
+            r += _horner(pk, m) * x
+        if g > 1:
+            # s mod gK by CRT on g K_g, for K_g the part of K over g's
+            # primes, and rest = K / K_g; then (s / g) mod K
+            rest = _coprime_part(ker, g)
+            mg = ker // rest * g
+            r %= rest
+            r = (r + rest * ((int(s % mg) - r) * pow(rest, -1, mg) % mg)) // g
+        r = (-r if q < 0 else r) % ker
+        if q < 0:
+            g = -g
+        s //= g
+        q //= g
+        t = 1
+        if q == 1:
+            xs, rs = xs[1:], rs[1:]
+        else:
+            xs = [x * q for x in xs[1:]]
+            den *= q
+            t = _coprime_part(q, ker)  # K gains t, the part of q coprime to it
+            # x q mod Kt is t (x (q / t) mod K)
+            rs = [t * (x * (q // t) % ker) for x in rs[1:]]
+        xs.append(s)
+        # s mod Kt by CRT
+        rs.append(r + ker * ((int(s % t) - r) * pow(ker, -1, t) % t) if t > 1 else r)
+        ker *= t
+        # a prime that num and rd still share divides every h so far
+        num, rd, h = s, den, math.gcd(rs[-1], ker)
+        while h > 1:
+            num //= h
+            rd //= h
+            h = math.gcd(int(num % h), h)
+            if h > 1:
+                h = math.gcd(int(rd % h), h)
+        yield num, rd, (xs, den, ker, rs)
+
+
 class TermTable:
     """Exact terms of a recurrence with optional disk persistence."""
 
@@ -259,10 +336,11 @@ class TermTable:
         self.cache_dir = cache_dir
         self._vals: list[Fraction] = list(rec.initials)
         self._persisted = 0
-        self._coeffs = _integer_coeffs(rec.coeffs)
+        p0, *ps = _integer_coeffs(rec.coeffs)
+        self._coeffs = (p0, ps[::-1])  # p0, then pd .. p1 against the window
         # (len(_vals), x, D, K, x mod K): a(len - d + i) = x[i] / D, K divides
         # D and every prime of D divides K, valid while len matches; order 1
-        # does not read the residues
+        # reads neither K nor the residues
         self._state: Optional[tuple[int, list[int], int, int, list[int]]] = None
         self.expansions: dict = {}  # (recurrence, rho) -> state kept by ratio_expansion
         self.u_bounds: dict = {}  # (recurrence, order) -> (rb, ub) kept by certify_u_bounds
@@ -349,145 +427,58 @@ class TermTable:
 
     # -- terms -----------------------------------------------------------
 
+    def _window_state(self, vals: Sequence[Fraction]) -> tuple:
+        """(xs, D, K, xs mod K) for the last d of `vals`, the first terms of
+        the table, with K rebuilt from the initial denominator and the
+        stepped p0(m) as the module docstring says."""
+        p0 = self._coeffs[0]
+        d = self.rec.order
+        xs, den = _integer_window(vals[-d:])
+        ker = den
+        if d > 1 and den > 1:
+            # den's primes divide the initial denominator or a p0(m); K | D
+            ker = _integer_window(self.rec.initials[-d:])[1]
+            for m in range(len(self.rec.initials) - d, len(vals) - d):
+                q = _horner(p0, m)
+                if q == 0:  # a loaded table can hold terms past it
+                    raise _singular(m)
+                ker *= _coprime_part(abs(q), ker)
+            ker = math.gcd(ker, den)
+        return xs, den, ker, [x % ker for x in xs]
+
     def ensure(self, n: int) -> None:
         vals = self._vals
         if len(vals) > n:
             return
-        p0, *ps = self._coeffs
-        d = len(ps)
-        if self._state is not None and self._state[0] == len(vals):
-            _, xs, den, ker, rs = self._state
-        else:
-            xs, den = _integer_window(vals[-d:])
-            ker = den
-            if d > 1 and den > 1:
-                # den's primes divide the initial denominator or a p0(m); K | D
-                ker = _integer_window(self.rec.initials[-d:])[1]
-                for m in range(len(self.rec.initials) - d, len(vals) - d):
-                    q = _horner(p0, m)
-                    if q == 0:  # a loaded table can hold terms past it
-                        raise _singular(m)
-                    ker *= _coprime_part(abs(q), ker)
-                ker = math.gcd(ker, den)
-            rs = [x % ker for x in xs]
-        while len(vals) <= n:
-            m = len(vals) - d  # recurrence index producing a(m+d)
-            q = _horner(p0, m)
-            if q == 0:
-                raise _singular(m)
-            s = 0
-            for k, pk in enumerate(ps, 1):
-                s += _horner(pk, m) * xs[d - k]
-            if den == 1:
-                t, r = divmod(s, q)
-                if not r:  # an exact quotient, whatever the sign of q
-                    xs = xs[1:] + [t]
-                    vals.append(Fraction(t))
-                    continue
-            # a(m+d) = s / (den * q); keep den > 0 by dividing with q's sign
-            g = math.gcd(s, q)
-            if d > 1:
-                r = 0
-                for k, pk in enumerate(ps, 1):
-                    r += _horner(pk, m) * rs[d - k]
-                if g > 1:
-                    # s mod gK by CRT on g K_g, for K_g the part of K over g's
-                    # primes, and rest = K / K_g; then (s / g) mod K
-                    rest = _coprime_part(ker, g)
-                    mg = ker // rest * g
-                    r %= rest
-                    r = (r + rest * ((s % mg - r) * pow(rest, -1, mg) % mg)) // g
-                r = (-r if q < 0 else r) % ker
-            if q < 0:
-                g = -g
-            s //= g
-            q //= g
-            t = 1
-            if q == 1:
-                xs = xs[1:]
-            else:
-                xs = [x * q for x in xs[1:]]
-                den *= q
-                if d > 1:  # K gains t, the part of q coprime to it
-                    t = _coprime_part(q, ker)
-            xs.append(s)
-            if d > 1:
-                # x q mod Kt is t (x (q / t) mod K), and s mod Kt comes by CRT
-                rs = [t * (x * (q // t) % ker) for x in rs[1:]] if q > 1 else rs[1:]
-                rs.append(r + ker * ((s % t - r) * pow(ker, -1, t) % t) if t > 1 else r)
-            # order 1 carries the reduced term, so there K is D itself
-            ker = den if d == 1 else ker * t
-            if den == 1:
-                v = Fraction(s)
-            elif d > 1:
-                # a prime that num and rd still share divides every h so far
-                num, rd, h = s, den, math.gcd(rs[-1], ker)
-                while h > 1:
-                    num //= h
-                    rd //= h
-                    h = math.gcd(num % h, h, rd)
-                v = _reduced(num, rd)
-            else:
-                h = math.gcd(s, den)
-                v = _reduced(s // h, den // h)
-                if d == 1:
-                    xs, den = [v.numerator], v.denominator
-            vals.append(v)
-        self._state = (len(vals), xs, den, ker, rs)
+        state = self._state
+        if state is None or state[0] != len(vals):
+            state = (len(vals), *self._window_state(vals))
+        d = self.rec.order
+        for num, rd, kept in _steps(self._coeffs, len(vals) - d, n + 1 - d, *state[1:]):
+            vals.append(_reduced(num, rd))
+        self._state = (len(vals), *kept)
 
     def decimal_strings(self, hi: int) -> list[str]:
-        """`str` of a(0..hi), written from exact decimals: the window x / D
-        stepped from the initial values as in `ensure`, an exact integer
-        quotient taken as the term, and any other term read as (S / H) /
-        (D / H) for H = D // its reduced denominator, which `ensure` gives;
-        an order-1 window resyncs to the reduced term.  Stops before the
-        first term whose numerator or denominator has more digits than the
-        int-to-str limit; the caller renders the rest."""
+        """`str` of a(0..hi), written from exact decimals that `_steps`
+        gives from the initial values; the table is neither read nor filled.
+        Raises the int-to-str `ValueError` at the first term whose numerator
+        or denominator has more digits than the limit."""
         limit = sys.get_int_max_str_digits()
-        p0, *ps = self._coeffs
-        d = len(ps)
         initials = self.rec.initials
-        xs, den = _integer_window(initials[-d:])
+        xs, den, ker, rs = self._window_state(initials)
         out = []
         with decimal.localcontext(_EXACT_DECIMAL):
-            xs, dden = [Decimal(x) for x in xs], Decimal(den)
-            for i in range(hi + 1):
-                if i < len(initials):
-                    v = initials[i]
-                    num, rd = Decimal(v.numerator), Decimal(v.denominator)
-                else:
-                    m = i - d
-                    q = _horner(p0, m)
-                    if not q:
-                        raise _singular(m)
-                    s = sum(_horner(pk, m) * xs[d - k] for k, pk in enumerate(ps, 1))
-                    xs = xs[1:]
-                    num, r = divmod(s, q) if den == 1 else (None, 1)
-                    if r:
-                        # a(i) = s / (D q), stepped as in `ensure`
-                        g = math.gcd(int(s % q), q)
-                        if q < 0:
-                            g = -g
-                        if g != 1:
-                            s //= g
-                            q //= g
-                        if q != 1:
-                            xs = [x * q for x in xs]
-                            den *= q
-                            dden *= q
-                        rden = self.value(i).denominator
-                        h = den // rden  # the term is (s / h) / (D / h)
-                        num, rd = (s // h, dden // h) if h > 1 else (s, dden)
-                        if d == 1:  # `ensure` carries the reduced term
-                            s, den, dden = num, rden, rd
-                    else:
-                        s, rd = num, dden
-                    xs.append(s)
+            d = self.rec.order
+            heads = [(Decimal(v.numerator), Decimal(v.denominator), None) for v in initials[: hi + 1]]
+            steps = _steps(self._coeffs, len(initials) - d, hi + 1 - d,
+                           [Decimal(x) for x in xs], Decimal(den), ker, rs)
+            for num, rd, _ in chain(heads, steps):
                 if not num:
                     num = Decimal(0)  # not -0
                 # an integer decimal has adjusted() + 1 digits
                 if limit and max(num.adjusted(), rd.adjusted()) >= limit:
-                    break
+                    str(int(num))  # raises the ValueError that frac_str would,
+                    str(int(rd))  # on the numerator first
                 out.append(str(num) if rd == 1 else f"{num}/{rd}")
         return out
 

@@ -517,6 +517,13 @@ class TestVerdictCommands:
         assert code == 2
         assert json.loads(out)["rule"] == "llc.boundary"
 
+    def test_irrational_critical_limit_is_decided(self, capsys):
+        # alpha_1 = 2 with r_1 -> (2 - sqrt 6)/2, a root of 2x^2 + 4x - 1 > -1
+        src = "(n^2+3*n+2)*a(n+2) - (6*n+10)*a(n+1) - (6*n^2+6*n+1)*a(n) = 0 ; a(0)=5, a(1)=5"
+        code, out, err = run(capsys, "check-turan3", src)
+        assert (code, err) == (3, "")
+        assert "limit of r_1 at infinity: ~-0.2247448714" in out
+
     def test_verdict_json_payload(self, capsys):
         code, out, _ = run(capsys, "check-turan3", "franel3", "--json")
         assert code == 0
@@ -527,6 +534,16 @@ class TestVerdictCommands:
 
 
 class TestCertifyAndVerify:
+    def test_induction_threshold_past_the_scan_budget_is_an_error(self, capsys, tmp_path):
+        src = "(4*n+16)*a(n+2) - (2*n+9)*a(n+1) - 11*a(n) = 0 ; a(0)=6, a(1)=2"
+        code, out, err = run(capsys, "certify", src, "-o", str(tmp_path / "c.json"))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: the ratio induction starts past n = 45495, beyond the "
+            f"{certify_module.BASE_SCAN_BUDGET} indices a base scan covers\n"
+        )
+        assert not (tmp_path / "c.json").exists()
+
     def test_certify_writes_and_verifies(self, capsys, tmp_path):
         cert_path = tmp_path / "m.json"
         code, out, _ = run(capsys, "certify", "motzkin", "-o", str(cert_path))

@@ -236,6 +236,54 @@ def test_only_sequences_decides_term_windows():
     assert users == {WINDOW_OWNER}
 
 
+# Terms are stepped in one place: `TermTable.decimal_strings` drives the
+# stepper on decimals of its own and reads no binary term, and a vanishing
+# p0 is raised only by the stepper and by the kernel rebuild of a loaded
+# table.
+TERM_READS = {"value", "values", "ensure"}
+
+
+def self_attributes(func: ast.AST) -> set:
+    """Attributes read through `self` in `func`."""
+    return {
+        n.attr
+        for n in ast.walk(func)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "self"
+    }
+
+
+def raisers(source: str, func: str) -> list:
+    """Qualified names of the definitions of `source` that raise a call of `func`."""
+    return sorted(
+        qual
+        for qual, node in _definitions(ast.parse(source))
+        if any(
+            isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+            and isinstance(n.exc.func, ast.Name) and n.exc.func.id == func
+            for n in ast.walk(node)
+        )
+    )
+
+
+def test_stepping_detectors():
+    src = (
+        "def f(m):\n    raise g(m)\ndef h():\n    x = g(1)\n    raise x\n"
+        "class T:\n    def a(self):\n        return self.value(1) + self.n\n"
+        "    def b(self):\n        if 1:\n            raise g(2)\n"
+    )
+    tree = ast.parse(src)
+    methods = dict(_definitions(tree))
+    assert self_attributes(methods["T.a"]) == {"value", "n"}
+    assert raisers(src, "g") == ["T.b", "f"]
+
+
+def test_one_stepper_for_the_term_table():
+    source = (PACKAGE / "sequences.py").read_text(encoding="utf-8")
+    methods = dict(_definitions(ast.parse(source)))
+    assert not self_attributes(methods["TermTable.decimal_strings"]) & TERM_READS
+    assert raisers(source, "_singular") == ["TermTable._window_state", "_steps"]
+
+
 # Text and JSON forms are written in one module: no other module defines a
 # function or a method named *_text, *_str or *_record.
 TEXT_OWNER = "render.py"

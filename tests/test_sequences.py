@@ -266,6 +266,20 @@ def _pairs(vals):
     return [(v.numerator, v.denominator, hash(v)) for v in vals]
 
 
+# order 1 with rational terms: c q = p1(m) p0(m) vanishes, is negative, or
+# meets the window only from the last of several initial values
+ORDER1_RECS = {
+    # p1 = 3n - 12 vanishes at n = 4 while D > 1: a(5) = 0, and so is every later term
+    "order1-vanishing-p1": parse_recurrence("(2*n+3)*a(n+1) - (3*n-12)*a(n) = 0; a(0) = 5/7"),
+    # p0 = 2n - 7 < 0 up to n = 3
+    "order1-negative-p0": parse_recurrence("(2*n-7)*a(n+1) - (3*n+1)*a(n) = 0; a(0) = 5/3"),
+    # three initial values, the last of them reduced against p0 = 2n + 3
+    "order1-extra-initials": Recurrence(
+        [Poly([3, 2]), Poly([-5, 4])], [F(1, 2), F(-3, 5), F(7, 4)]
+    ),
+}
+
+
 STEPPING_RECS = {
     **{name: get(name).recurrence for name in sorted(corpus.ENTRIES)},
     "square-ratio": parse_recurrence("a(n+1) - (n+2)^2/(n+1)^2*a(n) = 0; a(0) = 1"),
@@ -320,6 +334,7 @@ STEPPING_RECS = {
     "zero-step-sum": parse_recurrence(
         "(n+2)*a(n+2) - (n-100)*a(n+1) - (n-100)*a(n) = 0; a(0) = 1/3, a(1) = 2/7"
     ),
+    **ORDER1_RECS,
 }
 
 
@@ -356,6 +371,24 @@ def random_recurrence(rng, orders=(2, 3)):
 def test_random_recurrences_match_fraction_oracle(seed):
     rec = random_recurrence(random.Random(1500 + seed))
     assert _pairs(TermTable(rec).values(0, 120)) == _pairs(fraction_terms(rec, 120))
+
+
+@pytest.mark.parametrize("batch", range(10))
+def test_random_recurrences_of_orders_1_to_3_match_fraction_oracle(batch, tmp_path):
+    """300 seeds in 10 batches: the terms filled at once, one index at a
+    time and past a cache loaded at n = 39, and their decimal strings."""
+    for seed in range(30 * batch, 30 * batch + 30):
+        rec = random_recurrence(random.Random(7000 + seed), orders=(1, 2, 3))
+        want = _pairs(fraction_terms(rec, 120))
+        assert _pairs(TermTable(rec).values(0, 120)) == want, seed
+        lazy = TermTable(rec)
+        assert _pairs([lazy.value(i) for i in range(121)]) == want, seed
+        cached = TermTable(rec, cache_dir=str(tmp_path))
+        cached.ensure(39)
+        cached.flush()
+        assert _pairs(TermTable(rec, cache_dir=str(tmp_path)).values(0, 120)) == want, seed
+        strings = [frac_str(F(num, den)) for num, den, _ in want]
+        assert TermTable(rec).decimal_strings(120) == strings, seed
 
 
 def test_involutions_match_fraction_oracle_to_1500():
@@ -395,6 +428,7 @@ DECIMAL_RECS = {
     "zero-term": Recurrence(
         [Poly([-3, -2]), Poly([-2, 1]), Poly([-2, 1])], [F(-1, 3), F(5, 7)]
     ),
+    **ORDER1_RECS,
 }
 
 
@@ -416,15 +450,18 @@ def _fresh_rendered(rec, n):
     return table, got, [frac_str(v) for v in TermTable(rec).values(0, n)]
 
 
+def _at_initial_values(table):
+    """The table holds its initial values only, and no stepping state."""
+    return table._vals == list(table.rec.initials) and table._state is None
+
+
 @pytest.mark.parametrize("name", sorted(corpus.ENTRIES))
 def test_decimal_strings_step_a_fresh_table_on_the_corpus(name):
     rec = get(name).recurrence
     table, got, want = _fresh_rendered(rec, 1500)
     assert got == want
-    if name in ("motzkin", "domb"):  # every step is an exact integer quotient
-        assert len(table) == len(rec.initials)
-    if name == "involutions":  # every step reads its reduced denominator
-        assert len(table) == 1501
+    # every step is decimal, integer quotients and reduced terms alike
+    assert _at_initial_values(table)
 
 
 @pytest.mark.parametrize("name", sorted(DECIMAL_RECS))
@@ -433,21 +470,34 @@ def test_decimal_strings_step_a_fresh_table(name):
     assert got == want
 
 
-def test_decimal_strings_step_no_term_past_the_digit_limit():
+def test_decimal_strings_step_no_term_past_the_digit_limit(monkeypatch):
     rec = get("involutions").recurrence
     vals = TermTable(rec).values(0, 600)
     first_over = next(
         i for i, v in enumerate(vals) if len(str(max(v.numerator, v.denominator))) > 640
     )
     table = TermTable(rec)
+    stepped = []
+
+    def counted(*args):
+        for step in steps(*args):
+            stepped.append(step)
+            yield step
+
+    steps = sequences._steps
+    monkeypatch.setattr(sequences, "_steps", counted)
     old = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(640)
-        got = table.decimal_strings(600)
+        got = table.decimal_strings(first_over - 1)
+        with pytest.raises(ValueError):
+            table.decimal_strings(600)
     finally:
         sys.set_int_max_str_digits(old)
     assert 0 < first_over < 600 and got == [frac_str(v) for v in vals[:first_over]]
-    assert len(table) == first_over + 1
+    assert _at_initial_values(table)
+    # the second call steps up to a(first_over), and no further
+    assert len(stepped) == 2 * first_over + 1 - 2 * len(rec.initials)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -504,10 +554,15 @@ def test_decimal_strings_stop_before_the_first_term_over_the_digit_limit():
     old = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(640)
-        got = table.decimal_strings(600)
+        got = table.decimal_strings(first_over - 1)
+        with pytest.raises(ValueError) as over:
+            frac_str(table.value(first_over))
+        with pytest.raises(ValueError) as raised:
+            table.decimal_strings(600)
     finally:
         sys.set_int_max_str_digits(old)
     assert 0 < first_over < 600 and got == want[:first_over]
+    assert str(raised.value) == str(over.value)
 
 
 @pytest.mark.parametrize("rec, n, crosses", [
@@ -528,10 +583,15 @@ def test_rational_decimal_strings_stop_before_the_first_term_over_the_digit_limi
     old = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(640)
-        got = table.decimal_strings(n)
+        got = table.decimal_strings(first_over - 1)
+        with pytest.raises(ValueError) as over:
+            frac_str(vals[first_over])
+        with pytest.raises(ValueError) as raised:
+            table.decimal_strings(n)
     finally:
         sys.set_int_max_str_digits(old)
     assert got == want[:first_over]
+    assert str(raised.value) == str(over.value)
 
 
 class _TracedMath:
@@ -554,20 +614,64 @@ def test_stepping_gcds_stay_far_below_the_common_denominator(monkeypatch, tmp_pa
     S of about 14.5k bits.  A reduction that passed S itself to a gcd with
     the kernel K would work on S's size; with S carried modulo K, no gcd
     has an operand other than its largest above K's size, about 4.2k bits,
-    from an empty table and from a cache loaded at n = 999."""
+    from an empty table, from a cache loaded at n = 999, and in the decimal
+    steps of `decimal_strings`."""
     rec = get("involutions").recurrence
     cached = TermTable(rec, cache_dir=str(tmp_path))
     cached.ensure(999)
     cached.flush()
     traced = _TracedMath()
     monkeypatch.setattr(sequences, "math", traced)
+    kernels = []
     for table in (TermTable(rec), TermTable(rec, cache_dir=str(tmp_path))):
         traced.sizes.clear()
         table.ensure(3000)
         den_bits = max(v.denominator.bit_length() for v in table.values(2990, 3000))
         ker_bits = table._state[3].bit_length()
+        kernels.append(ker_bits)
         assert den_bits > 29000 and ker_bits < den_bits // 4
         assert traced.sizes and max(max(sizes[:-1]) for sizes in traced.sizes) <= ker_bits
+    traced.sizes.clear()
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        TermTable(rec).decimal_strings(3000)
+    finally:
+        sys.set_int_max_str_digits(old)
+    # the decimal steps build K as the empty table's steps do
+    assert traced.sizes and max(max(sizes[:-1]) for sizes in traced.sizes) <= kernels[0]
+
+
+@pytest.mark.parametrize("name", [
+    "inverse-catalan", "integer-until-n5", "order1-negative-p0", "order1-extra-initials",
+])
+def test_order1_gcds_stay_at_the_size_of_c_q(monkeypatch, tmp_path, name):
+    """An order-1 step reduces c x / (D q) by one gcd on residues mod
+    |c q|, for c = p1(m) and q = p0(m), so no gcd operand has more bits
+    than the largest |c q| up to n = 1500, while D has thousands, from an
+    empty table, from a cache loaded at n = 499, and in decimal steps."""
+    rec = STEPPING_RECS[name]
+    n = 1500
+    p0, p1 = sequences._integer_coeffs(rec.coeffs)
+    cq_bits = max(abs(sequences._horner(p0, m) * sequences._horner(p1, m)).bit_length()
+                  for m in range(n))
+    cached = TermTable(rec, cache_dir=str(tmp_path))
+    cached.ensure(499)
+    cached.flush()
+    traced = _TracedMath()
+    monkeypatch.setattr(sequences, "math", traced)
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        for fill in (lambda: TermTable(rec).ensure(n),
+                     lambda: TermTable(rec, cache_dir=str(tmp_path)).ensure(n),
+                     lambda: TermTable(rec).decimal_strings(n)):
+            traced.sizes.clear()
+            fill()
+            assert traced.sizes and max(max(sizes) for sizes in traced.sizes) <= cq_bits
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert TermTable(rec).value(n).denominator.bit_length() > 20 * cq_bits
 
 
 def test_stepping_oracle_covers_zero_and_negative_terms():
@@ -583,7 +687,7 @@ def test_stepping_oracle_covers_zero_and_negative_terms():
 
 @pytest.mark.parametrize("name", [
     "inverse-catalan", "involutions", "bn", "fine", "rational-order2",
-    "harmonic", "n2-plus-1-p0", "rational-order3", "zero-step-sum",
+    "harmonic", "n2-plus-1-p0", "rational-order3", "zero-step-sum", *ORDER1_RECS,
 ])
 def test_many_small_ensures_match_one_fill(name):
     rec = STEPPING_RECS[name]
@@ -602,7 +706,7 @@ def test_many_small_ensures_match_one_fill(name):
         pytest.param(name, 50, 250, id=name)
         for name in [
             "involutions", "bn", "rational-order2", "square-ratio", "cubed-p0",
-            "harmonic", "n2-plus-1-p0", "rational-order3", "zero-step-sum",
+            "harmonic", "n2-plus-1-p0", "rational-order3", "zero-step-sum", *ORDER1_RECS,
         ]
     ]
     + [pytest.param("involutions", 1000, 1500, id="involutions-from-1000")],
