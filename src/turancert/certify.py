@@ -328,6 +328,12 @@ def corner_suite(g: RatFunc, f: RatFunc) -> list:
     return out
 
 
+def _recurrence_fields(rec: Recurrence) -> dict:
+    """The "coeffs" and "initials" of a certificate's "sequence" block."""
+    return {"coeffs": [[frac_str(c) for c in p.coeffs] for p in rec.coeffs],
+            "initials": [frac_str(v) for v in rec.initials]}
+
+
 @dataclass
 class Certificate:
     """What every certificate kind proves: the ratio window and the u-window.
@@ -351,10 +357,7 @@ class Certificate:
             "toolVersion": __version__,
             "kind": self.kind,
             "sequence": {
-                "name": self.rec.name,
-                "coeffs": [[frac_str(c) for c in p.coeffs] for p in self.rec.coeffs],
-                "initials": [frac_str(v) for v in self.rec.initials],
-                "scaling": self.scaling,
+                "name": self.rec.name, **_recurrence_fields(self.rec), "scaling": self.scaling,
             },
             "order": self.order,
             "ratioBounds": {
@@ -530,9 +533,7 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
         if kind not in ("turan3", "u-window"):
             return False, [f"unknown certificate kind {kind!r}"]
         seq = cert.get("sequence", {})
-        coeffs = [[frac_str(c) for c in p.coeffs] for p in rec.coeffs]
-        initials = [frac_str(v) for v in rec.initials]
-        if seq.get("coeffs") != coeffs or seq.get("initials") != initials:
+        if any(seq.get(key) != value for key, value in _recurrence_fields(rec).items()):
             bad.append("certificate does not describe this recurrence")
         scaling = seq.get("scaling", "none")
         check_scaling(scaling)

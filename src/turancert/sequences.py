@@ -42,16 +42,17 @@ S mod gK divided by g, where S mod gK joins by CRT S mod g K_g, for K_g
 the part of K over g's primes, taken as one division of S by a small
 modulus, with (S mod K) mod (K / K_g).  When K gains t, a scaled x q is 0
 mod t, so its residue mod Kt is t (x (q/t) mod K), and the new residue
-joins S mod t by CRT.  While D is 1, K is 1 and every residue is 0.  The
-integer state lives on the table, so filling one index at a time does not
-rebuild it.  It is rebuilt from the last d stored terms when the table grew
-another way, such as a cache load; K is then the gcd with D of a product
-built, as the steps build K, from the initial state's denominator and
-|p0(m)| over every stepped m, since each prime of a stored denominator
-comes from one or the other.  A vanishing p0(m) among them, which only a
-cache file can hold terms past, is a `SingularRecurrenceError`, as it is
-to a stepped table.  `decimal_strings`, which `terms` renders with, feeds
-the stepper decimal copies of the initial state, in `_EXACT_DECIMAL`,
+joins S mod t by CRT.  While D is 1, K is 1 and every residue is 0.  That
+state lives only in the suspended `_steps` generator the table keeps, so
+filling one index at a time resumes it.  `ensure` builds it from the last
+d stored terms at the first step, past the initial values or a loaded
+cache; K is then the gcd with D of a product built, as the steps build K,
+from the initial state's denominator and |p0(m)| over every stepped m,
+since each prime of a stored denominator comes from one or the other.  A
+vanishing p0(m) among them, which only a cache file can hold terms past,
+is a `SingularRecurrenceError`, as it is to a stepped table, and each
+later `ensure` raises it again.  `decimal_strings`, which `terms` renders,
+feeds the stepper decimal copies of the initial state, in `_EXACT_DECIMAL`,
 whose precision and exponent range are the largest there are and which
 traps `Inexact` and `Rounded`, and it reads and fills no binary term.  The
 decimals stay integers with exponent 0, so `str` writes them exactly as
@@ -73,22 +74,21 @@ older "TCTERMS1" format, which has no digest, is read as a cache miss and
 rewritten by the next flush.
 
 Every finite check on the terms is the sign of a homogeneous form on a
-window of consecutive terms, taken on a(n) or on a(n)/n!.  `windows` is
-the one builder of those windows: integers, scaled on integers and filled
-one window at a time, yielded with the positive denominator they stand
-over.  Only `phi_values` reads that denominator, and only it needs the
-factorial the `factorial` scaling divides by, which it steps itself.  A
-window slides from the one before, keeping k-1 integers, whenever the
-entering denominator is a multiple of the last lcm, as it always is for
-integer terms.  `FORMS`
-names each scanned form with its window length; `check_inequality_range`
-scans one, `turan3_sign` and `logconcave_sign` are one-window scans,
-`phi_values` iterates phi on the windows, and `_escape` compares a
-quotient of terms with bounds p/q on them for `certify`: u_n by the form
-q a(n-1)a(n+1) - p a(n)^2 (`first_escape`), and a(n)/a(n-1) by
-q a(n-1)a(n) - p a(n-1)^2 over the base window of the ratio induction.
-No other module reads `PREC` or calls `windows`.  For an order-1
-recurrence, a(n+1) = R(n) a(n), u_n is the rational function
+window of consecutive terms, taken on a(n) or on a(n)/n!.  Only `windows`
+makes those windows: integers, scaled on integers, yielded with the
+positive denominator they stand over, and built in one loop that reads
+one term per index and slides the window whenever the entering
+denominator is a multiple of the last lcm, as it always is for integer
+terms.  Only `phi_values` reads that denominator, and only it needs the
+factorial the `factorial` scaling divides by, which it steps itself.
+`FORMS` names each scanned form with its window length;
+`check_inequality_range` scans one, `turan3_sign` and `logconcave_sign`
+are one-window scans, `phi_values` iterates phi on the windows, and
+`_escape` compares a quotient of terms with bounds p/q on them for
+`certify`: u_n by the form q a(n-1)a(n+1) - p a(n)^2 (`first_escape`),
+and a(n)/a(n-1) by q a(n-1)a(n) - p a(n-1)^2 over the base window of the
+ratio induction.  No other module reads `PREC` or calls `windows`.  For
+an order-1 recurrence, a(n+1) = R(n) a(n), u_n is the rational function
 R(n)/R(n-1) of n, so `first_escape` scans windows only up to a threshold
 H from root counts and decides every later index by the sign of that
 function against the bounds.
@@ -119,7 +119,7 @@ import struct
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count, islice
 from typing import Callable, Iterator, Optional, Sequence
 
 from .algebra import Poly, RatFunc, eventual_positivity_threshold, no_roots_above, sign_at_infinity
@@ -236,16 +236,13 @@ def _coprime_part(q: int, k: int) -> int:
     return q
 
 
-def _steps(
-    coeffs: tuple, m: int, stop: int, xs: list, den, ker: int, rs: list[int]
-) -> Iterator[tuple]:
-    """Yield (num, rd, (xs, den, ker, rs)) for a(m+d), ..., a(stop-1+d): the
-    term num / rd, reduced with rd > 0, then the state after it.  The state
-    is the window a(m..m+d-1) = xs / den, and for order d >= 2 the kernel
-    ker of den with the residues rs = xs mod ker (see the module
-    docstring); order 1 passes ker and rs on unread.  xs and den are ints,
-    or `Decimal`s under `_EXACT_DECIMAL`, and num, rd and the state keep
-    their type; ker, rs and every gcd operand are ints.
+def _steps(coeffs: tuple, m: int, xs: list, den, ker: int, rs: list[int]) -> Iterator[tuple]:
+    """Yield (num, rd) for a(m+d), a(m+d+1), ...: each term num / rd,
+    reduced with rd > 0, stepped from the window a(m..m+d-1) = xs / den
+    and, for order d >= 2, the kernel ker of den with the residues
+    rs = xs mod ker (see the module docstring); order 1 reads neither.  xs
+    and den are ints, or `Decimal`s under `_EXACT_DECIMAL`, and num and rd
+    keep their type; ker, rs and every gcd operand are ints.
 
     Order 1 carries the reduced term x/D = a(m), and a(m+1) = c x / (D q)
     for c = p1(m), q = p0(m) != 0.  Lemma: gcd(c x, D q) divides c q.
@@ -259,7 +256,7 @@ def _steps(
     p0, ps = coeffs  # ps = pd .. p1, against the window
     d = len(ps)
     integral = den == 1  # while D is 1, try the exact quotient first
-    for m in range(m, stop):
+    for m in count(m):
         q = _horner(p0, m)
         if q == 0:
             raise _singular(m)
@@ -271,7 +268,7 @@ def _steps(
             if not r:  # an exact quotient, whatever the sign of q
                 xs = xs[1:]
                 xs.append(t)
-                yield t, den, (xs, den, ker, rs)
+                yield t, den
                 continue
         if d == 1:
             cq = abs(_horner(ps[0], m) * q)
@@ -284,7 +281,7 @@ def _steps(
                 num, rd = s // h, den * q // h
             xs, den = [num], rd
             integral = rd == 1
-            yield num, rd, (xs, den, ker, rs)
+            yield num, rd
             continue
         # a(m+d) = s / (den * q); keep den > 0 by dividing with q's sign
         integral = False
@@ -325,7 +322,7 @@ def _steps(
             h = math.gcd(int(num % h), h)
             if h > 1:
                 h = math.gcd(int(rd % h), h)
-        yield num, rd, (xs, den, ker, rs)
+        yield num, rd
 
 
 class TermTable:
@@ -338,10 +335,8 @@ class TermTable:
         self._persisted = 0
         p0, *ps = _integer_coeffs(rec.coeffs)
         self._coeffs = (p0, ps[::-1])  # p0, then pd .. p1 against the window
-        # (len(_vals), x, D, K, x mod K): a(len - d + i) = x[i] / D, K divides
-        # D and every prime of D divides K, valid while len matches; order 1
-        # reads neither K nor the residues
-        self._state: Optional[tuple[int, list[int], int, int, list[int]]] = None
+        # the suspended `_steps` that yields the next term, or None
+        self._stepper: Optional[Iterator[tuple]] = None
         self.expansions: dict = {}  # (recurrence, rho) -> state kept by ratio_expansion
         self.u_bounds: dict = {}  # (recurrence, order) -> (rb, ub) kept by certify_u_bounds
         if cache_dir:
@@ -450,13 +445,16 @@ class TermTable:
         vals = self._vals
         if len(vals) > n:
             return
-        state = self._state
-        if state is None or state[0] != len(vals):
-            state = (len(vals), *self._window_state(vals))
-        d = self.rec.order
-        for num, rd, kept in _steps(self._coeffs, len(vals) - d, n + 1 - d, *state[1:]):
-            vals.append(_reduced(num, rd))
-        self._state = (len(vals), *kept)
+        # _vals grows only by `_load`, from __init__ before any step, and
+        # here, so a live stepper always yields a(len(_vals)) next
+        if self._stepper is None:
+            self._stepper = _steps(self._coeffs, len(vals) - self.rec.order, *self._window_state(vals))
+        try:
+            for num, rd in islice(self._stepper, n + 1 - len(vals)):
+                vals.append(_reduced(num, rd))
+        except BaseException:  # a raise closed the stepper: the next call rebuilds it
+            self._stepper = None
+            raise
 
     def decimal_strings(self, hi: int) -> list[str]:
         """`str` of a(0..hi), written from exact decimals that `_steps`
@@ -468,11 +466,10 @@ class TermTable:
         xs, den, ker, rs = self._window_state(initials)
         out = []
         with decimal.localcontext(_EXACT_DECIMAL):
-            d = self.rec.order
-            heads = [(Decimal(v.numerator), Decimal(v.denominator), None) for v in initials[: hi + 1]]
-            steps = _steps(self._coeffs, len(initials) - d, hi + 1 - d,
+            heads = [(Decimal(v.numerator), Decimal(v.denominator)) for v in initials]
+            steps = _steps(self._coeffs, len(initials) - self.rec.order,
                            [Decimal(x) for x in xs], Decimal(den), ker, rs)
-            for num, rd, _ in chain(heads, steps):
+            for num, rd in islice(chain(heads, steps), hi + 1):
                 if not num:
                     num = Decimal(0)  # not -0
                 # an integer decimal has adjusted() + 1 digits
@@ -663,43 +660,43 @@ def windows(
     (i+k-1)!/(i+j)!, a product of small ints; f itself is left to the
     caller, since a sign scan reads xs only.
 
-    The window at i slides from the one at i-1 when the entering term's
-    denominator d is a multiple m den of the last den: d is the new lcm,
-    the k-1 kept entries are multiplied by m (and by i+k-1 under
-    `factorial`) and the entering numerator is appended.  Otherwise the
-    window is cleared afresh.  Each window is a new list.  Terms are filled
-    one window at a time, so a scan that stops early computes none past its
-    last window.
+    One loop reads a(j), j = lo .. hi+k-1, into the window of a(j-k+1..j)
+    (from a(lo) while it fills) and yields it once it holds k terms.  When
+    the entering denominator d is m den, or while the window fills, with
+    m = d / gcd(den, d), the window slides to its new lcm den m: the oldest
+    entry leaves a full window, the rest are multiplied by m (and by j under
+    `factorial`), and the entering numerator is scaled to den m.  A full
+    window is otherwise cleared afresh, since the leaving term may alone
+    have held a factor of den.  Each yielded window is a new list, and a
+    scan that stops early computes no term past its last window.
     """
     check_scaling(scaling)
     factorial = scaling == "factorial"
-
-    def cleared(i: int, vals: list[Fraction]) -> tuple[list[int], int]:
-        """The window at i built from its terms, with the lcm of their denominators."""
-        xs, den = _integer_window(vals)
-        if factorial:
-            m = 1  # (i + k - 1)! / (i + j)!
-            for j in range(k - 1, -1, -1):
-                xs[j] *= m
-                m *= i + j
-        return xs, den
-
-    if hi < lo:
-        return
-    xs, den = cleared(lo, table.values(lo, lo + k - 1))
-    yield xs, den
-    for i in range(lo + 1, hi + 1):
-        vals = table.values(i, i + k - 1)
-        m, r = divmod(vals[-1].denominator, den)
-        if r:
-            xs, den = cleared(i, vals)
-        else:  # every denominator of the window divides the new one
-            den = vals[-1].denominator
+    xs, den = [], 1
+    for j in range(lo, hi + k):
+        v = table.value(j)
+        m, r = divmod(v.denominator, den)
+        if r and len(xs) == k:  # den may keep a factor of the leaving term alone
+            i = j - k + 1
+            xs, den = _integer_window(table.values(i, j))
             if factorial:
-                m *= i + k - 1
-            xs = [x * m for x in xs[1:]] if m > 1 else xs[1:]
-            xs.append(vals[-1].numerator)
-        yield xs, den
+                m = 1  # j! / (i + t)!
+                for t in range(k - 1, -1, -1):
+                    xs[t] *= m
+                    m *= i + t
+        else:
+            e = 1  # den m / d, the entering numerator's factor
+            if r:  # a filling window holds every term read: its lcm is lcm(den, d)
+                g = math.gcd(den, v.denominator)
+                m, e = v.denominator // g, den // g
+            den *= m
+            if factorial:
+                m *= j
+            kept = xs[1:] if len(xs) == k else xs
+            xs = [x * m for x in kept] if m > 1 else kept
+            xs.append(v.numerator * e)
+        if len(xs) == k:
+            yield xs, den
 
 
 # predicate -> (window length, form giving (value, radius)); the window at n

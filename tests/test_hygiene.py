@@ -236,20 +236,35 @@ def test_only_sequences_decides_term_windows():
     assert users == {WINDOW_OWNER}
 
 
-# Terms are stepped in one place: `TermTable.decimal_strings` drives the
-# stepper on decimals of its own and reads no binary term, and a vanishing
-# p0 is raised only by the stepper and by the kernel rebuild of a loaded
-# table.
+# Terms are stepped in one place: `_steps` is created only by
+# `TermTable.ensure`, which keeps it suspended in place of any snapshot of
+# its state, and by `TermTable.decimal_strings`, which drives it on decimals
+# of its own and reads no binary term; `windows` reads terms only through
+# `value` and `values`; and a vanishing p0 is raised only by the stepper
+# and by the kernel rebuild of a loaded table.
 TERM_READS = {"value", "values", "ensure"}
 
 
-def self_attributes(func: ast.AST) -> set:
-    """Attributes read through `self` in `func`."""
+def self_attributes(func: ast.AST, name: str = "self", ctx: type = ast.Load) -> set:
+    """Attributes read (or, with ctx=ast.Store, set) through `name` in `func`."""
     return {
         n.attr
         for n in ast.walk(func)
-        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "self"
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+        and n.value.id == name and isinstance(n.ctx, ctx)
     }
+
+
+def callers(source: str, func: str) -> list:
+    """Qualified names of the definitions of `source` that call `func` by name."""
+    return sorted(
+        qual
+        for qual, node in _definitions(ast.parse(source))
+        if any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == func
+            for n in ast.walk(node)
+        )
+    )
 
 
 def raisers(source: str, func: str) -> list:
@@ -270,11 +285,15 @@ def test_stepping_detectors():
         "def f(m):\n    raise g(m)\ndef h():\n    x = g(1)\n    raise x\n"
         "class T:\n    def a(self):\n        return self.value(1) + self.n\n"
         "    def b(self):\n        if 1:\n            raise g(2)\n"
+        "    def c(self, t):\n        self.s = t.values(g)\n        self.n += t.k\n"
     )
     tree = ast.parse(src)
     methods = dict(_definitions(tree))
     assert self_attributes(methods["T.a"]) == {"value", "n"}
+    assert self_attributes(methods["T.c"], "t") == {"values", "k"}
+    assert self_attributes(methods["T.c"], ctx=ast.Store) == {"s", "n"}
     assert raisers(src, "g") == ["T.b", "f"]
+    assert callers(src, "g") == ["T.b", "f", "h"]
 
 
 def test_one_stepper_for_the_term_table():
@@ -282,6 +301,13 @@ def test_one_stepper_for_the_term_table():
     methods = dict(_definitions(ast.parse(source)))
     assert not self_attributes(methods["TermTable.decimal_strings"]) & TERM_READS
     assert raisers(source, "_singular") == ["TermTable._window_state", "_steps"]
+    assert callers(source, "_steps") == ["TermTable.decimal_strings", "TermTable.ensure"]
+    assert self_attributes(methods["windows"], "table") <= {"value", "values"}
+    assigned = set()
+    for qual, node in methods.items():
+        if qual.startswith("TermTable."):
+            assigned |= self_attributes(node, ctx=ast.Store)
+    assert "_stepper" in assigned and "_state" not in assigned
 
 
 # Text and JSON forms are written in one module: no other module defines a

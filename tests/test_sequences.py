@@ -451,8 +451,8 @@ def _fresh_rendered(rec, n):
 
 
 def _at_initial_values(table):
-    """The table holds its initial values only, and no stepping state."""
-    return table._vals == list(table.rec.initials) and table._state is None
+    """The table holds its initial values only, and no stepper."""
+    return table._vals == list(table.rec.initials) and table._stepper is None
 
 
 @pytest.mark.parametrize("name", sorted(corpus.ENTRIES))
@@ -627,7 +627,7 @@ def test_stepping_gcds_stay_far_below_the_common_denominator(monkeypatch, tmp_pa
         traced.sizes.clear()
         table.ensure(3000)
         den_bits = max(v.denominator.bit_length() for v in table.values(2990, 3000))
-        ker_bits = table._state[3].bit_length()
+        ker_bits = table._stepper.gi_frame.f_locals["ker"].bit_length()  # the live stepper's K
         kernels.append(ker_bits)
         assert den_bits > 29000 and ker_bits < den_bits // 4
         assert traced.sizes and max(max(sizes[:-1]) for sizes in traced.sizes) <= ker_bits
@@ -698,6 +698,61 @@ def test_many_small_ensures_match_one_fill(name):
         n += rng.choice((1, 1, 1, 2, 3, 17))
         lazy.ensure(n)
     assert _pairs(lazy.values(0, n)) == _pairs(TermTable(rec).values(0, n))
+
+
+def _counted_steppers(monkeypatch):
+    """A list that gets one entry per `_steps` generator created from now on."""
+    made = []
+    steps = sequences._steps
+
+    def counted(*args):
+        made.append(args[1])
+        return steps(*args)
+
+    monkeypatch.setattr(sequences, "_steps", counted)
+    return made
+
+
+@pytest.mark.parametrize("name", ["involutions", "harmonic", "rational-order3", *ORDER1_RECS])
+def test_one_index_at_a_time_resumes_one_stepper(monkeypatch, tmp_path, name):
+    """Filling one index at a time to 300, directly or by a scan's windows,
+    creates one `_steps` generator, on a fresh table and past a loaded cache."""
+    rec = STEPPING_RECS[name]
+    first = TermTable(rec, cache_dir=str(tmp_path))
+    first.ensure(49)
+    first.flush()
+    want = _pairs(TermTable(rec).values(0, 300))
+    made = _counted_steppers(monkeypatch)
+    for table in (TermTable(rec), TermTable(rec, cache_dir=str(tmp_path))):
+        made.clear()
+        start = len(table) - rec.order  # the first m the stepper steps
+        for n in range(301):
+            table.ensure(n)
+        assert made == [start]
+        assert _pairs(table.values(0, 300)) == want
+    scanned = TermTable(rec)
+    made.clear()
+    check_inequality_range(scanned, "log-concave", 1, 299)
+    assert len(made) == 1 and len(scanned) == 301
+
+
+def test_vanishing_p0_is_raised_by_every_later_call(tmp_path):
+    """p0 vanishes at n = 5, so a(7) has no value.  A raise closes the
+    suspended stepper; each later `ensure` or `value` past a(6) raises
+    the same error again, and the table keeps a(0..6), fresh or loaded."""
+    rec = parse_recurrence("(n-5)*a(n+2) - a(n+1) - a(n) = 0 ; a(0)=1, a(1)=2")
+    fresh = TermTable(rec, cache_dir=str(tmp_path))
+    with pytest.raises(SingularRecurrenceError, match="vanishes at n=5"):
+        fresh.ensure(7)
+    fresh.flush()
+    loaded = TermTable(rec, cache_dir=str(tmp_path))
+    assert len(loaded) == 7
+    for table in (fresh, loaded):
+        for call in (table.ensure, table.value, table.ensure, table.value):
+            with pytest.raises(SingularRecurrenceError, match="vanishes at n=5"):
+                call(9)
+            assert len(table) == 7
+        assert _pairs(table.values(0, 6)) == _pairs(fraction_terms(rec, 6))
 
 
 @pytest.mark.parametrize(
