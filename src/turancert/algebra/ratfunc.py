@@ -13,8 +13,9 @@ and normalised once.  Each `RatFunc` operator normalises its result;
 integer list and whose denominator is a product of integer-list factors,
 with + - * / and integer shifts taking no gcd and no content.  The
 certificate inequalities of `certify` (corners, induction steps,
-discharge) are built as `_Frac`s and normalised once, by `_Frac.normal`,
-where a threshold or a stored field needs the canonical pair.
+discharge) and the scalars of `parser` are built as `_Frac`s and
+normalised by `_Frac.normal` only where a threshold, a stored field or a
+parse decision needs the canonical pair.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ rests on the check).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from operator import mul
@@ -58,16 +57,15 @@ class _Resonance(Exception):
         self.stage = stage
 
 
-@dataclass
 class RatioExpansion:
     """a(n+1)/a(n) = lam * n^mu * v(n) with v = 1 + sum c_i n^{-i/rho} + o(...)."""
 
-    lam: object
-    lam_poly: Optional[Poly]
-    mu: Fraction
-    rho: int
-    coeffs: list
-    diagnostics: dict = field(default_factory=dict)
+    __slots__ = ("lam", "lam_poly", "mu", "rho", "coeffs", "diagnostics")
+
+    def __init__(self, lam, lam_poly: Optional[Poly], mu: Fraction, rho: int, coeffs: list,
+                 diagnostics: Optional[dict] = None):
+        self.lam, self.lam_poly, self.mu, self.rho, self.coeffs = lam, lam_poly, mu, rho, coeffs
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     @property
     def v(self) -> AsymSeries:
@@ -315,13 +313,15 @@ def _residual_slots(rec: Recurrence, lam, mu: Fraction, e0: Fraction, rho: int, 
     return [_values(_slot(slots, prefix, i, K), K)[0] for i in range(T + 1)]
 
 
-@dataclass
 class _Stages:
     """Checked stages of one (root, rho) try, their floats, and any resonant stage."""
 
-    cs: list = field(default_factory=list)
-    floats: list = field(default_factory=list)
-    resonance: Optional[int] = None
+    __slots__ = ("cs", "floats", "resonance")
+
+    def __init__(self):
+        self.cs: list = []
+        self.floats: list = []
+        self.resonance: Optional[int] = None
 
 
 def _branch(root, rec: Recurrence, on_edge: list) -> tuple:

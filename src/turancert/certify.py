@@ -29,9 +29,8 @@ as normalising after every operation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import ClassVar, Optional
+from typing import ClassVar, NamedTuple, Optional
 
 from . import __version__
 from .algebra import (
@@ -89,8 +88,7 @@ def turan_form(x, y):
 # -- ratio bounds ---------------------------------------------------------------
 
 
-@dataclass
-class RatioBounds:
+class RatioBounds(NamedTuple):
     """Certified window s_l(n) <= a(n)/a(n-1) <= s_u(n) for all n > valid_from."""
 
     lam: Fraction
@@ -218,8 +216,7 @@ def _base_window(table: TermTable, s_l: RatFunc, s_u: RatFunc, start: int, d: in
 # -- u window -------------------------------------------------------------------
 
 
-@dataclass
-class UBounds:
+class UBounds(NamedTuple):
     """Certified window g(n) <= u_n <= f(n) for all n > valid_from."""
 
     lower: RatFunc
@@ -293,7 +290,7 @@ def scaled_bounds(ub: UBounds, scaling: str) -> UBounds:
     check_scaling(scaling)
     if scaling == "none":
         return ub
-    return replace(ub, lower=ub.lower * FACTORIAL_FACTOR, upper=ub.upper * FACTORIAL_FACTOR)
+    return ub._replace(lower=ub.lower * FACTORIAL_FACTOR, upper=ub.upper * FACTORIAL_FACTOR)
 
 
 # -- corner polynomials and the certificate ------------------------------------
@@ -334,7 +331,6 @@ def _recurrence_fields(rec: Recurrence) -> dict:
             "initials": [frac_str(v) for v in rec.initials]}
 
 
-@dataclass
 class Certificate:
     """What every certificate kind proves: the ratio window and the u-window.
 
@@ -342,12 +338,11 @@ class Certificate:
     ratio bounds, u bounds) and then the kind's own fields from `_tail`.
     """
 
+    __slots__ = ("rec", "scaling", "order", "ratio", "bounds")
     kind: ClassVar[str]
-    rec: Recurrence
-    scaling: str
-    order: int
-    ratio: RatioBounds
-    bounds: UBounds
+
+    def __init__(self, rec: Recurrence, scaling: str, order: int, ratio: RatioBounds, bounds: UBounds):
+        self.rec, self.scaling, self.order, self.ratio, self.bounds = rec, scaling, order, ratio, bounds
 
     def _tail(self) -> dict:
         raise NotImplementedError
@@ -380,7 +375,6 @@ class Certificate:
         return json.dumps(self.to_json(), indent=2)
 
 
-@dataclass
 class TuranCertificate(Certificate):
     """Finite certificate that the cubic Turan inequality holds from an index.
 
@@ -389,10 +383,12 @@ class TuranCertificate(Certificate):
     index in the initial segment was evaluated in exact arithmetic.
     """
 
+    __slots__ = ("corners", "N", "violations")
     kind = "turan3"
-    corners: list
-    N: int
-    violations: list
+
+    def __init__(self, rec, scaling, order, ratio, bounds, corners: list, N: int, violations: list):
+        super().__init__(rec, scaling, order, ratio, bounds)
+        self.corners, self.N, self.violations = corners, N, violations
 
     @property
     def holds_from(self) -> int:
@@ -434,7 +430,6 @@ def certify_turan3(
     return TuranCertificate(rec, scaling, order, rb, ub, corners, n_cert, violations)
 
 
-@dataclass
 class UWindowCertificate(Certificate):
     """Certified window g(n) <= u_n <= f(n) without a sign conclusion.
 
@@ -443,9 +438,12 @@ class UWindowCertificate(Certificate):
     checked segment records an exact recheck of the containment.
     """
 
+    __slots__ = ("checked_from", "checked_to")
     kind = "u-window"
-    checked_from: int
-    checked_to: int
+
+    def __init__(self, rec, scaling, order, ratio, bounds, checked_from: int, checked_to: int):
+        super().__init__(rec, scaling, order, ratio, bounds)
+        self.checked_from, self.checked_to = checked_from, checked_to
 
     def _tail(self) -> dict:
         return {"checkedSegment": {"from": self.checked_from, "to": self.checked_to}}

@@ -25,7 +25,6 @@ bound prove the level identically 0.  A constant r_1 stays an exact constant.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -42,17 +41,17 @@ INCONCLUSIVE = "inconclusive"
 RETRYABLE = ("turan3.insufficient-order", "llc.insufficient-order")
 
 
-@dataclass
 class Verdict:
     """Outcome of one criterion: result, deciding rule, and reasoning trace."""
 
-    result: str
-    rule: str
-    reason: str
-    trace: list = field(default_factory=list)
+    __slots__ = ("result", "rule", "reason", "trace")
+
+    def __init__(self, result: str, rule: str, reason: str, trace: Optional[list] = None):
+        self.result, self.rule, self.reason = result, rule, reason
+        self.trace = [] if trace is None else trace
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"result": self.result, "rule": self.rule, "reason": self.reason, "trace": list(self.trace)}
 
     @property
     def retryable(self) -> bool:

@@ -13,6 +13,18 @@ integer polynomials.
 `parse_operator` imports the shift-operator notation instead: a polynomial
 in n and N with N*f(n) = f(n+1)*N, e.g. (n+2)^3*N^2 - (2n+3)*(17n^2+51n+39)*N
 + (n+1)^3, annihilating the sequence.
+
+A power is refused, by a ParseError at its '^' and before it is expanded,
+when its expansion would pass a limit.  A base of degree d in n raised to
++-k needs d*k <= MAX_POWER_DEGREE (1000), and with largest integer
+coefficient c it needs k*ceil(log2 |c|) <= MAX_POWER_BITS (100000): 10^200
+and 2^100000 pass, 2^100001 does not.  A shift-operator base of degree e in
+N needs e*k * max(1, d*k) <= MAX_POWER_DEGREE.
+
+Scalars are `_Frac`s while parsing: unnormalised fractions whose sums and
+products take no gcd.  A scalar is normalised only where a decision needs
+its canonical form: a constant test, a power's limits, and once per
+coefficient of the finished relation.
 """
 
 from __future__ import annotations
@@ -21,7 +33,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Poly, RatFunc, poly_gcd
-from .algebra.poly import _integer_coeffs, _jointly_primitive
+from .algebra.poly import _convolve, _integer_coeffs, _jointly_primitive
+from .algebra.ratfunc import _Frac
 from .sequences import Recurrence
 
 
@@ -62,9 +75,9 @@ def _tokenize(text: str) -> list[_Tok]:
             out.append(_Tok("-", "-", i))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():  # the digits int() reads; "²" is a digit but not decimal
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             out.append(_Tok("num", int(text[i:j]), i))
             i = j
@@ -87,12 +100,16 @@ def _tokenize(text: str) -> list[_Tok]:
 
 # -- linear values ----------------------------------------------------------------
 
-_ZERO = RatFunc.zero()
-_ONE = RatFunc.one()
+MAX_POWER_DEGREE = 1000
+MAX_POWER_BITS = 100_000
+
+_ZERO = _Frac((), {})
+_ONE = _Frac((1,), {})
+_N = _Frac((1, 0), {})
 
 
 class _Lin:
-    """Scalar rational function plus a combination of a(n+k) terms.
+    """Scalar fraction plus a combination of a(n+k) terms.
 
     In operator mode the combination is a polynomial in the shift N instead,
     with the scalar slot fused into the N^0 coefficient at the end.
@@ -100,7 +117,7 @@ class _Lin:
 
     __slots__ = ("scalar", "terms")
 
-    def __init__(self, scalar: RatFunc = _ZERO, terms: Optional[dict] = None):
+    def __init__(self, scalar: _Frac = _ZERO, terms: Optional[dict] = None):
         self.scalar = scalar
         self.terms = terms or {}
 
@@ -116,7 +133,7 @@ def _lin_add(a: _Lin, b: _Lin, sign: int) -> _Lin:
     terms = dict(a.terms)
     for k, v in b.terms.items():
         w = terms.get(k, _ZERO) + (v if sign > 0 else -v)
-        if w.is_zero():
+        if not w.num:
             terms.pop(k, None)
         else:
             terms[k] = w
@@ -127,9 +144,9 @@ def _operator_terms(a: _Lin) -> dict:
     """The N-polynomial of an operator-mode value: its scalar part is the
     N^0 coefficient."""
     terms = dict(a.terms)
-    if not a.scalar.is_zero():
+    if a.scalar.num:
         w = terms.get(0, _ZERO) + a.scalar
-        if w.is_zero():
+        if not w.num:
             terms.pop(0, None)
         else:
             terms[0] = w
@@ -199,15 +216,17 @@ class _Parser:
         t = self.next()
         exp = self._int_exponent()
         if base.is_scalar:
-            if exp >= 0:
-                return _Lin(base.scalar ** exp)
-            if base.scalar.is_zero():
+            r = base.scalar.normal()
+            if exp < 0 and r.is_zero():
                 raise ParseError("zero raised to a negative power", t.pos)
-            return _Lin(_ONE / base.scalar ** (-exp))
+            _check_power([r], 0, abs(exp), t.pos)
+            return _Lin(_power(r, exp))
         if not self.op_mode:
             raise ParseError("sequence terms cannot be raised to a power", t.pos)
         if exp < 0:
             raise ParseError("shift operators cannot have negative powers", t.pos)
+        terms = _operator_terms(base)
+        _check_power([r.normal() for r in terms.values()], max(terms), exp, t.pos)
         acc = _Lin(_ONE)
         for _ in range(exp):
             acc = self._combine(acc, base, "*", t.pos)
@@ -232,7 +251,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "num":
             self.next()
-            return _Lin(RatFunc.const(Fraction(t.value)))
+            return _Lin(_Frac((t.value,) if t.value else (), {}))
         if t.kind == "(":
             self.next()
             inner = self.expr()
@@ -241,7 +260,7 @@ class _Parser:
         if t.kind == "name":
             self.next()
             if t.value == "n":
-                return _Lin(RatFunc.variable())
+                return _Lin(_N)
             if t.value == "a" and not self.op_mode:
                 return self._seq_term(t.pos)
             if t.value == "N" and self.op_mode:
@@ -255,7 +274,7 @@ class _Parser:
         self.expect(")")
         if not arg.is_scalar:
             raise ParseError("nested sequence terms are not supported", pos)
-        shift = arg.scalar - RatFunc.variable()
+        shift = (arg.scalar - _N).normal()
         if not shift.is_constant():
             raise ParseError("sequence argument must be n plus an integer shift", pos)
         off = shift.constant_value()
@@ -271,21 +290,21 @@ class _Parser:
             if not b.is_scalar:
                 what = "shift operators" if self.op_mode else "sequence terms"
                 raise ParseError(f"cannot divide by {what}", pos)
-            if b.scalar.is_zero():
+            if not b.scalar.num:
                 raise ParseError("division by zero", pos)
-            if self.op_mode and not a.is_scalar and not b.scalar.is_constant():
+            if self.op_mode and not a.is_scalar and not b.scalar.normal().is_constant():
                 raise ParseError(
                     "dividing a shift operator by a function of n is ambiguous; "
                     "clear the denominator by hand",
                     pos,
                 )
-            inv = _ONE / b.scalar
-            return a.map_terms(lambda r: r * inv)
+            s = b.scalar
+            return a.map_terms(lambda r: r / s)
         if a.is_scalar:
             s = a.scalar
             return b.map_terms(lambda r: s * r)
         # in operator mode a non-constant b is an N^0 operator for the Ore product
-        if b.is_scalar and (not self.op_mode or b.scalar.is_constant()):
+        if b.is_scalar and (not self.op_mode or b.scalar.normal().is_constant()):
             s = b.scalar
             return a.map_terms(lambda r: r * s)
         if not self.op_mode:
@@ -294,12 +313,12 @@ class _Parser:
                 "the relation must be linear",
                 pos,
             )
-        out: dict[int, RatFunc] = {}
+        out: dict[int, _Frac] = {}
         b_terms = _operator_terms(b)
         for k, q in _operator_terms(a).items():
             for j, r in b_terms.items():
                 w = out.get(k + j, _ZERO) + q * r.shift(k)
-                if w.is_zero():
+                if not w.num:
                     out.pop(k + j, None)
                 else:
                     out[k + j] = w
@@ -343,9 +362,48 @@ class _Parser:
 
     def _const_value(self, pos: int) -> Fraction:
         v = self.expr()
-        if not v.is_scalar or not v.scalar.is_constant():
+        r = v.scalar.normal() if v.is_scalar else None
+        if r is None or not r.is_constant():
             raise ParseError("initial values must be constants", pos)
-        return Fraction(v.scalar.constant_value())
+        return Fraction(r.constant_value())
+
+
+# -- powers -----------------------------------------------------------------------
+
+
+def _check_power(coeffs: list, shifts: int, k: int, pos: int) -> None:
+    """Refuse base^k past the module's limits, before it is expanded: the
+    base has the canonical coefficients `coeffs` (one for a scalar base)
+    and degree `shifts` in N."""
+    degree = max(max(r.num.degree, r.den.degree) for r in coeffs)
+    size = shifts * k * max(1, degree * k) if shifts else degree * k
+    if size > MAX_POWER_DEGREE:
+        raise ParseError(f"power too large: its degree would exceed MAX_POWER_DEGREE = {MAX_POWER_DEGREE}", pos)
+    top = max(abs(c.numerator) for r in coeffs for c in (*r.num.coeffs, *r.den.coeffs))
+    if (top - 1).bit_length() * k > MAX_POWER_BITS:
+        raise ParseError(f"power too large: its coefficients would exceed MAX_POWER_BITS = {MAX_POWER_BITS} bits", pos)
+
+
+def _power(r: RatFunc, k: int) -> _Frac:
+    """r^k for a canonical rational r and an int k (r nonzero if k < 0)."""
+    num, den = _integer_coeffs((r.num, r.den))
+    if k < 0:
+        num, den, k = den, num, -k
+    return _Frac(_expanded(num, k), {} if den == (1,) else {_expanded(den, k): 1})
+
+
+def _expanded(cs: tuple, k: int) -> tuple:
+    """The integer list cs (highest first) to the power k >= 0, by squaring."""
+    if not cs:
+        return () if k else (1,)
+    out = (1,)
+    while k:
+        if k & 1:
+            out = tuple(_convolve(out, cs))
+        k >>= 1
+        if k:
+            cs = tuple(_convolve(cs, cs))
+    return out
 
 
 # -- normalization ----------------------------------------------------------------
@@ -360,20 +418,21 @@ def _relation_to_recurrence(
 ) -> Recurrence:
     if not lin.terms:
         raise ParseError("degenerate relation: no sequence terms remain")
-    if not lin.scalar.is_zero():
+    if lin.scalar.num:
         raise ParseError(
             "inhomogeneous relation: constant part "
             "does not cancel and is not supported"
         )
     kmin = min(lin.terms)
-    shifted = {k - kmin: r.shift(-kmin) for k, r in lin.terms.items()}
+    shifted = {k - kmin: (r.shift(-kmin) if kmin else r).normal() for k, r in lin.terms.items()}
     d = max(shifted)
     if d == 0:
         raise ParseError("degenerate relation: only a single shift appears")
     den = Poly.const(1)
     for r in shifted.values():
-        den = _poly_lcm(den, r.den)
-    polys = {k: r.num * den.exact_div(r.den) for k, r in shifted.items()}
+        if r.den != den:
+            den = _poly_lcm(den, r.den)
+    polys = {k: r.num if r.den == den else r.num * den.exact_div(r.den) for k, r in shifted.items()}
     # p0*a(n+d) on the left, +p_k*a(n+d-k) on the right
     coeffs = [polys.get(d, Poly())]
     for k in range(1, d + 1):

@@ -112,7 +112,6 @@ No floats are involved, so the answer never depends on the truncation.
 from __future__ import annotations
 
 import decimal
-import hashlib
 import math
 import os
 import struct
@@ -127,7 +126,7 @@ from .algebra.poly import _horner, _integer_coeffs, _integer_window
 
 CACHE_MAGIC = b"TCTERMS2"
 _STALE_MAGIC = b"TCTERMS1"  # the format before the digest: a cache miss
-_DIGEST_SIZE = hashlib.sha256().digest_size
+_DIGEST_SIZE = 32  # sha256; hashlib loads only where a term cache is read or written
 # exact integer arithmetic in decimal: any rounding raises
 _EXACT_DECIMAL = decimal.Context(
     prec=decimal.MAX_PREC,
@@ -194,6 +193,8 @@ class Recurrence:
         return f"Recurrence(order={self.order}, name={self.name!r})"
 
     def cache_key(self) -> str:
+        import hashlib
+
         h = hashlib.sha256()
         for c in self.coeffs:
             h.update(repr([(q.numerator, q.denominator) for q in c.coeffs]).encode())
@@ -359,6 +360,8 @@ class TermTable:
             return
         if head != CACHE_MAGIC:
             raise CacheError(f"bad cache header in {path}")
+        import hashlib
+
         end = len(blob) - _DIGEST_SIZE
         view = memoryview(blob)
         if end < len(CACHE_MAGIC) or (
@@ -400,6 +403,8 @@ class TermTable:
         would create the cache file itself."""
         if not self.cache_dir or len(self._vals) <= self._persisted:
             return
+        import hashlib
+
         path = self._path()
         tmp = f"{path}.{os.urandom(8).hex()}.tmp"
         flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0)

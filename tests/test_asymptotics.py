@@ -533,6 +533,20 @@ def _oracle(name: str, index: int, rho: int) -> tuple:
     return _ORACLE[key]
 
 
+class TestRecords:
+    def test_stages_share_no_list(self):
+        a, b = _Stages(), _Stages()
+        a.cs.append(F(1))
+        a.floats.append(1.0)
+        assert (b.cs, b.floats, b.resonance) == ([], [], None)
+        assert a.cs is not b.cs and a.floats is not b.floats
+
+    def test_default_diagnostics_share_no_dict(self):
+        a, b = (RatioExpansion(lam=F(4), lam_poly=None, mu=F(0), rho=1, coeffs=[]) for _ in range(2))
+        a.diagnostics["k"] = 1
+        assert b.diagnostics == {} and a.diagnostics is not b.diagnostics
+
+
 class TestOnlineStages:
     @pytest.mark.parametrize("K", [4, 8, 12])
     @pytest.mark.parametrize("name", sorted(ENTRIES))

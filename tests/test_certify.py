@@ -489,6 +489,14 @@ class TestTuranCertificate:
         with pytest.raises(ValueError, match="unknown scaling"):
             scaled_bounds(ub, "geometric")
 
+    def test_scaled_bounds_keep_every_other_field(self):
+        _, ub = certify_u_bounds(get("motzkin").recurrence, 4)
+        scaled = scaled_bounds(ub, "factorial")
+        kept = [f for f in type(ub)._fields if f not in ("lower", "upper")]
+        assert kept == ["valid_from", "slack_exponent", "kept"]
+        assert [getattr(scaled, f) for f in kept] == [getattr(ub, f) for f in kept]
+        assert (scaled.lower, scaled.upper) != (ub.lower, ub.upper)
+
     def test_verify_rejects_tampered_threshold(self):
         e = get("motzkin")
         cert = certify_turan3(e.recurrence, 4, scaling="factorial").to_json()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,8 @@ from turancert.asymptotics import (
     u_power,
     u_power_log,
 )
-from turancert import criteria
+from turancert import cli, criteria
+from turancert.corpus import ENTRIES
 from turancert.criteria import (
     LogSeries,
     _settled,
@@ -451,3 +453,31 @@ class TestDrivers:
         assert back["result"] == "holds"
         assert back["rule"] == v.rule
         assert isinstance(back["trace"], list)
+
+    def test_default_traces_are_fresh_lists(self):
+        a, b = criteria.Verdict("holds", "r", "x"), criteria.Verdict("holds", "r", "x")
+        a.trace.append("note")
+        assert a.trace == ["note"] and b.trace == [] and a.trace is not b.trace
+
+    def test_to_dict_copies_the_trace_in_field_order(self):
+        trace = ["one", "two"]
+        d = criteria.Verdict("fails", "rule", "why", trace).to_dict()
+        assert list(d) == ["result", "rule", "reason", "trace"]
+        assert d["trace"] == trace and d["trace"] is not trace
+
+
+# Verdict.to_dict() of every corpus entry under its default scaling, as
+# written when Verdict was a dataclass serialised by dataclasses.asdict.
+VERDICT_DICTS = json.loads((Path(__file__).parent / "verdict_dicts.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_verdict_dicts_match_the_recorded_ones(name):
+    rec, scaling = cli.load_source(name, False)
+    got = {
+        "check-turan3": turan3_verdict(rec, scaling=scaling).to_dict(),
+        "check-llc --ell 1": llogconcave_verdict(rec, 1, scaling=scaling).to_dict(),
+        "check-llc --ell 2": llogconcave_verdict(rec, 2, scaling=scaling).to_dict(),
+    }
+    assert got == VERDICT_DICTS[name]
+    assert all(list(d) == ["result", "rule", "reason", "trace"] for d in got.values())

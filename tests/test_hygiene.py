@@ -1,13 +1,16 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no function of the package goes uncalled without a recorded reason,
-every function the benchmark's tracer names still exists, and every
-committed benchmark record holds the fields its readers use."""
+importing the command line loads no module that no command needs at
+start-up, every function the benchmark's tracer names still exists, and
+every committed benchmark record holds the fields its readers use."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -43,6 +46,40 @@ def test_detector_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Standard modules that every command would pay for at start-up and none
+# needs there: dataclasses and what it imports, and hashlib, which only a
+# term cache reads or writes.
+STARTUP_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "hashlib")
+
+STARTUP_PROBE = """
+import io, json, sys
+sys.path.insert(0, sys.argv[1])
+free = json.loads(sys.argv[3])
+loaded = lambda: sorted(m for m in free if m in sys.modules)
+from turancert import cli
+seen = {"import": loaded()}
+out, sys.stdout = sys.stdout, io.StringIO()
+codes = [cli.main(["check-turan3", "motzkin"])]
+seen["check-turan3"] = loaded()
+codes.append(cli.main(["terms", "motzkin", "--to", "5", "--cache-dir", sys.argv[2]]))
+seen["terms --cache-dir"] = loaded()
+sys.stdout = out
+print(json.dumps({"codes": codes, "seen": seen}))
+"""
+
+
+def test_cli_import_loads_nothing_start_up_does_not_need(tmp_path):
+    # -S: no site module, so only the package's own imports load anything
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", STARTUP_PROBE, str(ROOT / "src"), str(tmp_path),
+         json.dumps(STARTUP_FREE)],
+        capture_output=True, text=True, check=True,
+    )
+    got = json.loads(run.stdout)
+    assert got["codes"] == [0, 0]
+    assert got["seen"] == {"import": [], "check-turan3": [], "terms --cache-dir": ["hashlib"]}
 
 
 # Functions no module of the package calls, kept for a reason outside it.

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import math
 import random
+import signal
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from turancert.algebra import AlgebraicReal, NumberField, Poly, RatFunc
-from turancert.parser import ParseError, parse_operator, parse_recurrence
+from turancert import cli
+from turancert.parser import MAX_POWER_BITS, MAX_POWER_DEGREE, ParseError, parse_operator, parse_recurrence
 from turancert.render import poly_text, ratfunc_text
+
+from turancert.corpus import ENTRIES
 
 from oracles import get, poly_text_reference
 
@@ -180,6 +185,141 @@ class TestGrammarErrors:
     def test_non_integer_power(self):
         with pytest.raises(ParseError):
             parse_recurrence("n^(1/2)*a(n+1) - a(n) = 0 ; 1")
+
+    @pytest.mark.parametrize("text, pos", [("²*a(n+1) - a(n) = 0 ; 1", 0), ("3²*a(n+1) - a(n) = 0 ; 1", 1)])
+    def test_non_decimal_digit_is_an_unexpected_character(self, text, pos):
+        # "²" is a digit to str.isdigit but no literal int() can read
+        with pytest.raises(ParseError) as err:
+            parse_recurrence(text)
+        assert (str(err.value), err.value.pos) == (f"unexpected character '²' (at position {pos})", pos)
+
+
+class TestPowerLimits:
+    """A power past MAX_POWER_DEGREE or MAX_POWER_BITS is refused at its '^'
+    before it is expanded; one at the limit parses."""
+
+    def test_limits_sit_far_above_every_corpus_relation(self):
+        assert (MAX_POWER_DEGREE, MAX_POWER_BITS) == (1000, 100_000)
+        for e in ENTRIES.values():
+            coeffs = e.recurrence.coeffs
+            assert 100 * max(p.degree for p in coeffs) <= MAX_POWER_DEGREE
+            assert 100 * max(abs(c.numerator).bit_length() for p in coeffs for c in p.coeffs) <= MAX_POWER_BITS
+
+    @pytest.mark.parametrize("parse, text, shape", [
+        (parse_recurrence, "(n+1)^1000*a(n+1) - a(n) = 0 ; 1", (1, 1000, 0)),
+        (parse_recurrence, "a(n+1) - (n+1)^-1000*a(n) = 0 ; 1", (1, 1000, 0)),
+        (parse_recurrence, "2^100000*a(n+1) - 3^-50000*a(n) = 0 ; 1", (1, 0, 0)),
+        (parse_recurrence, "(n^2+1)^500*a(n+1) - a(n) = 0 ; 1", (1, 1000, 0)),
+        (parse_operator, "N^1000 - 1 ; " + ", ".join(["1"] * 1000), (1000, 0, 0)),
+        (parse_operator, "(n*N)^31 - 1 ; " + ", ".join(["1"] * 31), (31, 31, 0)),
+    ])
+    def test_powers_at_the_limits_parse(self, parse, text, shape):
+        r = parse(text)
+        assert (r.order, r.coeffs[0].degree, r.coeffs[-1].degree) == shape
+
+    @pytest.mark.parametrize("parse, text, pos, limit", [
+        (parse_recurrence, "(n+1)^1001*a(n+1) - a(n) = 0 ; 1", 5, "MAX_POWER_DEGREE = 1000"),
+        (parse_recurrence, "a(n+1) - (n+1)^-1001*a(n) = 0 ; 1", 14, "MAX_POWER_DEGREE = 1000"),
+        (parse_recurrence, "(n^2+1)^501*a(n+1) - a(n) = 0 ; 1", 7, "MAX_POWER_DEGREE = 1000"),
+        (parse_recurrence, "((n+1)^1000)^2*a(n+1) - a(n) = 0 ; 1", 12, "MAX_POWER_DEGREE = 1000"),
+        (parse_recurrence, "(n+1)^100000*a(n+1) - a(n) = 0 ; 1", 5, "MAX_POWER_DEGREE = 1000"),
+        (parse_recurrence, "2^100001*a(n+1) - a(n) = 0 ; 1", 1, "MAX_POWER_BITS = 100000 bits"),
+        (parse_recurrence, "a(n+1) - 1/2^-100001*a(n) = 0 ; 1", 12, "MAX_POWER_BITS = 100000 bits"),
+        (parse_recurrence, "(10^200*n+1)^600*a(n+1) - a(n) = 0 ; 1", 12, "MAX_POWER_BITS = 100000 bits"),
+        (parse_operator, "N^1001 - 1 ; 1", 1, "MAX_POWER_DEGREE = 1000"),
+        (parse_operator, "(n*N)^32 - 1 ; 1", 5, "MAX_POWER_DEGREE = 1000"),
+        (parse_operator, "N^312123/4 ; 1", 1, "MAX_POWER_DEGREE = 1000"),
+    ])
+    def test_powers_past_the_limits_are_refused_at_the_caret(self, parse, text, pos, limit):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert time.perf_counter() - start < 1.0
+        assert text[pos] == "^" and err.value.pos == pos
+        assert str(err.value).startswith("power too large: ") and limit in str(err.value)
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_recurrence, "0^-100000*a(n) = 0 ; 1", "zero raised to a negative power"),
+        (parse_recurrence, "a(n)^100000 - a(n+1) = 0 ; 1", "sequence terms cannot be raised to a power"),
+        (parse_operator, "N^-100000 ; 1", "shift operators cannot have negative powers"),
+    ])
+    def test_structural_errors_come_before_the_limits(self, parse, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse(text)
+
+    def test_check_turan3_refuses_a_runaway_power_at_once(self, capsys):
+        start = time.perf_counter()
+        code = cli.main(["check-turan3", "(n+1)^100000*a(n+1) - a(n) = 0 ; a(0)=1"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: power too large: its degree would exceed MAX_POWER_DEGREE = 1000 (at position 5)"
+        ]
+        assert elapsed < 1.0
+
+
+# -- fuzz gate ------------------------------------------------------------------
+
+FUZZ_PIECES = (
+    "n", "a(n)", "a(n+1)", "a(n-1)", "a(n+1/2)", "N", "(", ")", "+", "-", "*", "/", "^",
+    "=", ";", ",", "0", "1", "2", "7", "12", "3/4", "^-1", "0.5", "a(0)=1",
+)
+FUZZ_SECONDS_PER_CALL = 1.0
+
+
+def fuzz_texts(seed: int, count: int) -> list:
+    """`count` strings of 1-14 pieces of the grammar's alphabet."""
+    rng = random.Random(seed)
+    return ["".join(rng.choice(FUZZ_PIECES) for _ in range(rng.randint(1, 14))) for _ in range(count)]
+
+
+def mutated_sources(seed: int, count: int) -> list:
+    """`count` corpus sources, each with one piece inserted at, or one
+    character replaced by a piece at, a random place: text near a valid
+    relation, so that many of them parse."""
+    rng = random.Random(seed)
+    sources = [e.source for e in ENTRIES.values()]
+    out = []
+    for _ in range(count):
+        text = rng.choice(sources)
+        i = rng.randrange(len(text) + 1)
+        out.append(text[:i] + rng.choice(FUZZ_PIECES) + text[i + rng.randint(0, 1):])
+    return out
+
+
+class _Overrun(BaseException):
+    """Raised by the timer; a BaseException, so no handler in the parser takes it."""
+
+
+def _on_timer(signum, frame):
+    raise _Overrun(f"a parse ran past {FUZZ_SECONDS_PER_CALL} s")
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+def test_fuzzed_text_raises_only_parse_errors():
+    escaped, messages, parsed = [], set(), 0
+    old = signal.signal(signal.SIGALRM, _on_timer)
+    try:
+        for text in fuzz_texts(38, 3000) + mutated_sources(38, 600):
+            for parse in (parse_recurrence, parse_operator):
+                signal.setitimer(signal.ITIMER_REAL, FUZZ_SECONDS_PER_CALL)
+                try:
+                    parse(text)
+                    parsed += 1
+                except ParseError as exc:
+                    messages.add(str(exc).split(" (at position")[0])
+                except BaseException as exc:
+                    escaped.append((parse.__name__, text, repr(exc)))
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, old)
+    assert escaped == []
+    # the strings reach most of the grammar's refusals, not one early error,
+    # and the mutated sources also reach the end of a parse
+    assert len({m for m in messages if not m.startswith(("unknown symbol", "expected", "unexpected"))}) >= 12
+    assert parsed >= 50
 
 
 class TestOperatorImport:
