@@ -203,7 +203,7 @@ def _base_window(table: TermTable, s_l: RatFunc, s_u: RatFunc, start: int, d: in
     at n too, so the next m tried is n + 1."""
     m = start
     while m < start + BASE_SCAN_BUDGET:
-        n = _escape(table, "none", s_l, s_u, m, m + d - 2, 2)
+        n = _escape(table, s_l, s_u, m, m + d - 2, 2)
         if n is None:
             return m
         m = n + 1
@@ -460,6 +460,7 @@ def certify_u_window(
     The containment already holds for all n > validFrom by the ratio
     induction; the segment recheck over (validFrom, validFrom +
     U_WINDOW_SPAN] is a redundant exact confirmation stored with the artifact.
+    Containment is scale-free, so the recheck reads the unscaled window.
     For an order-1 recurrence `first_escape` steps terms only up to its
     closed-form threshold and decides the rest of the segment by root
     counts, so the table gains no term past that threshold.
@@ -467,14 +468,13 @@ def certify_u_window(
     if table is None:
         table = TermTable(rec)
     rb, ub = certify_u_bounds(rec, order, table=table)
-    ub = scaled_bounds(ub, scaling)
 
     lo, hi = ub.valid_from + 1, ub.valid_from + U_WINDOW_SPAN
-    n = first_escape(table, scaling, ub.lower, ub.upper, lo, hi)
+    n = first_escape(table, ub.lower, ub.upper, lo, hi)
     if n is not None:
         raise CertifyError(f"u at n = {n} escapes the certified window")
 
-    return UWindowCertificate(rec, scaling, order, rb, ub, lo, hi)
+    return UWindowCertificate(rec, scaling, order, rb, scaled_bounds(ub, scaling), lo, hi)
 
 
 # -- independent re-check -------------------------------------------------------
@@ -519,7 +519,9 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
     follow from g and f with valid thresholds, N covers them and validFrom,
     and the segment's violations and holdsFrom are reproduced; for
     "u-window" u_n stays in the window on a nonempty checked segment that
-    starts right after validFrom.  Returns (ok, diagnosis list).
+    starts right after validFrom.  Containment is scale-free, so a scaled
+    g and f are divided by `FACTORIAL_FACTOR` once, for all but the corners
+    and the Turan segment.  Returns (ok, diagnosis list).
     """
     if table is None:
         table = TermTable(rec)
@@ -552,7 +554,7 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
             raise ValueError(f"negative validFrom {valid_from}")
         if kind == "turan3":
             seg = cert["initialSegment"]
-            replay, tail = _replay_turan3, {
+            tail = {
                 "n_cert": _json_int(cert["N"], "N"),
                 "corners": [
                     (_rf_from_json(c, "corner"), _json_int(c["threshold"], "threshold"))
@@ -564,21 +566,21 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
             }
         else:
             seg = cert["checkedSegment"]
-            replay, tail = _replay_u_window, {
-                "segment": (_json_int(seg["from"], "from"), _json_int(seg["to"], "to")),
-            }
+            tail = {"segment": (_json_int(seg["from"], "from"), _json_int(seg["to"], "to"))}
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         return False, [f"malformed certificate: {exc}"]
 
-    bad += _replay_windows(rec, table, scaling, order, ratio, g, f, valid_from, slack_exp) or replay(
-        table, scaling, g, f, valid_from, **tail)
+    g0, f0 = (g / FACTORIAL_FACTOR, f / FACTORIAL_FACTOR) if scaling == "factorial" else (g, f)
+    bad += _replay_windows(rec, table, order, ratio, g0, f0, valid_from, slack_exp) or (
+        _replay_turan3(table, scaling, g, f, valid_from, **tail) if kind == "turan3"
+        else _replay_u_window(table, g0, f0, valid_from, **tail))
     return not bad, bad
 
 
-def _replay_windows(rec, table, scaling, order, rb, g, f, valid_from, slack_exp) -> list:
-    """Prove the stored ratio window and u-window with the builder's own
-    induction and discharge, and check that the stated slack exponent is the
-    largest power of 1/n in the unscaled f - g.  Exponents are read off the
+def _replay_windows(rec, table, order, rb, g, f, valid_from, slack_exp) -> list:
+    """Prove the stored ratio window and the unscaled u-window g, f with the
+    builder's own induction and discharge, and check that the stated slack
+    exponent is the largest power of 1/n in f - g.  Exponents are read off the
     stored functions, so no stated order or mu sizes the work."""
     slack = rb.upper - rb.lower
     e = slack.num.degree - slack.den.degree
@@ -587,8 +589,6 @@ def _replay_windows(rec, table, scaling, order, rb, g, f, valid_from, slack_exp)
     top = rb.lower.num.degree - rb.lower.den.degree
     if not rb.lower or top != rb.mu or limit_at_infinity(rb.lower / RatFunc.laurent([(top, 1)])) != rb.lam:
         return [f"s_l(n) does not lead with lambda n^mu = {frac_str(rb.lam)} n^{rb.mu}"]
-    if scaling == "factorial":
-        g, f = g / FACTORIAL_FACTOR, f / FACTORIAL_FACTOR
     try:
         n1 = _induction_threshold(rec, rb.lower, rb.upper)
         n2 = max(_discharge_threshold(rb.lower, rb.upper, g, f), rb.valid_from)
@@ -596,7 +596,7 @@ def _replay_windows(rec, table, scaling, order, rb, g, f, valid_from, slack_exp)
         return [f"the window is not proved: {exc}"]
     if rb.valid_from <= n1:
         return [f"ratio validFrom {rb.valid_from} is below the induction threshold {n1 + 1}"]
-    base = _escape(table, "none", rb.lower, rb.upper, rb.valid_from + 1, rb.valid_from + rec.order - 1, 2)
+    base = _escape(table, rb.lower, rb.upper, rb.valid_from + 1, rb.valid_from + rec.order - 1, 2)
     if base is not None:
         return [f"base ratio a(n)/a(n-1) at n = {base} is outside the ratio window"]
     if valid_from < n2:
@@ -649,11 +649,11 @@ def _replay_turan3(
     return bad
 
 
-def _replay_u_window(table, scaling, g, f, valid_from, segment) -> list:
+def _replay_u_window(table, g, f, valid_from, segment) -> list:
     lo, hi = segment
     if lo != valid_from + 1:
         return ["checked segment does not start right after validFrom"]
     if hi < lo:
         return ["checked segment is empty"]
-    n = first_escape(table, scaling, g, f, lo, min(hi, valid_from + U_WINDOW_SPAN))
+    n = first_escape(table, g, f, lo, min(hi, valid_from + U_WINDOW_SPAN))
     return [] if n is None else [f"u at n = {n} escapes the stored window"]

@@ -75,15 +75,18 @@ def _check_growth(e: CorpusEntry, table: TermTable) -> list:
     return [CheckResult(e.name, "ratio-growth", not probs, "; ".join(probs))]
 
 
+def _coefficient_problems(e: CorpusEntry, table: TermTable, order: int, want) -> list:
+    """"n^-k: got != c" for each (k, c) of `want` where e's u-series at
+    `order` has not the constant c at n^-k."""
+    u = u_expansion(ratio_expansion(e.recurrence, order, table=table))
+    got = {k: u.coefficient(k) for k, _ in want}
+    return [f"n^-{k}: {got[k]} != {c}" for k, c in want
+            if not (got[k].is_constant() and got[k].constant_value() == c)]
+
+
 def _check_u_series(e: CorpusEntry, table: TermTable) -> list:
     want = e.expected["u_series"]["coeffs"]
-    order = int(max(want)) + 1
-    u = u_expansion(ratio_expansion(e.recurrence, order, table=table))
-    probs = []
-    for exp, coef in sorted(want.items()):
-        got = u.coefficient(exp)
-        if not (got.is_constant() and got.constant_value() == coef):
-            probs.append(f"n^-{exp}: {got} != {coef}")
+    probs = _coefficient_problems(e, table, int(max(want)) + 1, sorted(want.items()))
     return [CheckResult(e.name, "u-series", not probs, "; ".join(probs))]
 
 
@@ -108,12 +111,7 @@ def _check_ht_bounds(e: CorpusEntry, table: TermTable) -> list:
     except CertifyError as exc:
         # not certifiable on this grid; the window constant must still
         # simplify to the stored exact rational in the expansion
-        u = u_expansion(ratio_expansion(e.recurrence, 4, table=table))
-        probs = []
-        for exp, coef in want["d"].items():
-            got = u.coefficient(exp)
-            if not (got.is_constant() and Fraction(0) + got.constant_value() == coef):
-                probs.append(f"n^-{exp}: {got} != {coef}")
+        probs = _coefficient_problems(e, table, 4, want["d"].items())
         detail = f"window constants only ({exc})" if not probs else "; ".join(probs)
         return [CheckResult(e.name, "ht-bounds", not probs, detail)]
     probs = []
@@ -124,7 +122,7 @@ def _check_ht_bounds(e: CorpusEntry, table: TermTable) -> list:
     if ub.valid_from > want["n_max"]:
         probs.append(f"validFrom {ub.valid_from} > {want['n_max']}")
     if not probs:
-        n = first_escape(table, "none", ub.lower, ub.upper, ub.valid_from + 1, ub.valid_from + 100)
+        n = first_escape(table, ub.lower, ub.upper, ub.valid_from + 1, ub.valid_from + 100)
         if n is not None:
             probs.append(f"sandwich breaks at n={n}")
     return [CheckResult(e.name, "ht-bounds", not probs, "; ".join(probs))]

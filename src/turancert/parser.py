@@ -19,7 +19,8 @@ when its expansion would pass a limit.  A base of degree d in n raised to
 +-k needs d*k <= MAX_POWER_DEGREE (1000), and with largest integer
 coefficient c it needs k*ceil(log2 |c|) <= MAX_POWER_BITS (100000): 10^200
 and 2^100000 pass, 2^100001 does not.  A shift-operator base of degree e in
-N needs e*k * max(1, d*k) <= MAX_POWER_DEGREE.
+N needs e*k * max(1, d*k) <= MAX_POWER_DEGREE.  So does, at its operator,
+a product, quotient or sum whose scalar would pass MAX_POWER_DEGREE.
 
 Scalars are `_Frac`s while parsing: unnormalised fractions whose sums and
 products take no gcd.  A scalar is normalised only where a decision needs
@@ -129,27 +130,50 @@ class _Lin:
         return _Lin(fn(self.scalar), {k: fn(v) for k, v in self.terms.items()})
 
 
-def _lin_add(a: _Lin, b: _Lin, sign: int) -> _Lin:
+def _den_degree(den: dict) -> int:
+    return sum((len(f) - 1) * m for f, m in den.items())
+
+
+def _bounded(op: str, a: _Frac, b: _Frac, pos: int) -> _Frac:
+    """a + b, a * b or a / b (b nonzero) for op "+", "*" or "/", where a
+    zero operand gives the other or `_ZERO`.  A result whose numerator or
+    expanded denominator would pass degree MAX_POWER_DEGREE is refused at
+    `pos` before anything is convolved: a product adds the operands'
+    degrees (a quotient crosswise), a sum lifts both to their common den."""
+    if not (a.num and b.num):
+        return (a if a.num else b) if op == "+" else _ZERO
+    an, ad, bn, bd = len(a.num) - 1, _den_degree(a.den), len(b.num) - 1, _den_degree(b.den)
+    if op == "+":
+        den = _den_degree({**b.den, **{f: max(m, b.den.get(f, 0)) for f, m in a.den.items()}})
+        num = max(an - ad, bn - bd) + den
+    else:
+        num, den = (an + bn, ad + bd) if op == "*" else (an + bd, ad + bn)
+    if max(num, den) > MAX_POWER_DEGREE:
+        raise ParseError(f"expression too large: its degree would exceed MAX_POWER_DEGREE = {MAX_POWER_DEGREE}", pos)
+    return a + b if op == "+" else a * b if op == "*" else a / b
+
+
+def _add_into(terms: dict, k: int, v: _Frac, pos: int) -> None:
+    """terms[k] += v, bounded, with a coefficient that cancels removed."""
+    w = _bounded("+", terms.get(k, _ZERO), v, pos)
+    if w.num:
+        terms[k] = w
+    else:
+        terms.pop(k, None)
+
+
+def _lin_add(a: _Lin, b: _Lin, sign: int, pos: int) -> _Lin:
     terms = dict(a.terms)
     for k, v in b.terms.items():
-        w = terms.get(k, _ZERO) + (v if sign > 0 else -v)
-        if not w.num:
-            terms.pop(k, None)
-        else:
-            terms[k] = w
-    return _Lin(a.scalar + (b.scalar if sign > 0 else -b.scalar), terms)
+        _add_into(terms, k, v if sign > 0 else -v, pos)
+    return _Lin(_bounded("+", a.scalar, b.scalar if sign > 0 else -b.scalar, pos), terms)
 
 
-def _operator_terms(a: _Lin) -> dict:
+def _operator_terms(a: _Lin, pos: int) -> dict:
     """The N-polynomial of an operator-mode value: its scalar part is the
     N^0 coefficient."""
     terms = dict(a.terms)
-    if a.scalar.num:
-        w = terms.get(0, _ZERO) + a.scalar
-        if not w.num:
-            terms.pop(0, None)
-        else:
-            terms[0] = w
+    _add_into(terms, 0, a.scalar, pos)
     return terms
 
 
@@ -185,7 +209,7 @@ class _Parser:
         acc = self.term()
         while self.peek().kind in ("+", "-"):
             op = self.next()
-            acc = _lin_add(acc, self.term(), 1 if op.kind == "+" else -1)
+            acc = _lin_add(acc, self.term(), 1 if op.kind == "+" else -1, op.pos)
         return acc
 
     def term(self) -> _Lin:
@@ -225,7 +249,7 @@ class _Parser:
             raise ParseError("sequence terms cannot be raised to a power", t.pos)
         if exp < 0:
             raise ParseError("shift operators cannot have negative powers", t.pos)
-        terms = _operator_terms(base)
+        terms = _operator_terms(base, t.pos)
         _check_power([r.normal() for r in terms.values()], max(terms), exp, t.pos)
         acc = _Lin(_ONE)
         for _ in range(exp):
@@ -298,15 +322,12 @@ class _Parser:
                     "clear the denominator by hand",
                     pos,
                 )
-            s = b.scalar
-            return a.map_terms(lambda r: r / s)
+            return a.map_terms(lambda r: _bounded("/", r, b.scalar, pos))
         if a.is_scalar:
-            s = a.scalar
-            return b.map_terms(lambda r: s * r)
+            return b.map_terms(lambda r: _bounded("*", a.scalar, r, pos))
         # in operator mode a non-constant b is an N^0 operator for the Ore product
         if b.is_scalar and (not self.op_mode or b.scalar.normal().is_constant()):
-            s = b.scalar
-            return a.map_terms(lambda r: r * s)
+            return a.map_terms(lambda r: _bounded("*", r, b.scalar, pos))
         if not self.op_mode:
             raise ParseError(
                 "products of sequence terms are not supported; "
@@ -314,14 +335,10 @@ class _Parser:
                 pos,
             )
         out: dict[int, _Frac] = {}
-        b_terms = _operator_terms(b)
-        for k, q in _operator_terms(a).items():
+        b_terms = _operator_terms(b, pos)
+        for k, q in _operator_terms(a, pos).items():
             for j, r in b_terms.items():
-                w = out.get(k + j, _ZERO) + q * r.shift(k)
-                if not w.num:
-                    out.pop(k + j, None)
-                else:
-                    out[k + j] = w
+                _add_into(out, k + j, _bounded("*", q, r.shift(k), pos), pos)
         return _Lin(terms=out)
 
     # initial values
@@ -451,15 +468,15 @@ def _parse(text: str, name: str, operator_mode: bool) -> Recurrence:
     p = _Parser(text, operator_mode)
     lhs = p.expr()
     if p.peek().kind == "=":
-        p.next()
+        eq = p.next()
         rhs = p.expr()
-        lin = _lin_add(lhs, rhs, -1)
+        lin = _lin_add(lhs, rhs, -1, eq.pos)
     elif operator_mode:
         lin = lhs
     else:
         raise ParseError("expected '=' in the relation", p.peek().pos)
-    if operator_mode:
-        lin = _Lin(terms=_operator_terms(lin))
+    if operator_mode:  # an N^0 coefficient too large is refused at the relation's end
+        lin = _Lin(terms=_operator_terms(lin, p.peek().pos))
     inits: list[Fraction] = []
     if p.peek().kind == ";":
         p.next()

@@ -87,7 +87,10 @@ are one-window scans, `phi_values` iterates phi on the windows, and
 `_escape` compares a quotient of terms with bounds p/q on them for
 `certify`: u_n by the form q a(n-1)a(n+1) - p a(n)^2 (`first_escape`),
 and a(n)/a(n-1) by q a(n-1)a(n) - p a(n-1)^2 over the base window of the
-ratio induction.  No other module reads `PREC` or calls `windows`.  For
+ratio induction.  Both read a(n), as containment is scale-free: a(n)/n!
+multiplies the quotient by F(n) = n/(n+1) (1/n for the ratio), positive
+with no zero or pole at n >= 1, so it lies in [g F, f F] exactly when it
+lies in [g, f], and g F has a pole where g has.  No other module reads `PREC` or calls `windows`.  For
 an order-1 recurrence, a(n+1) = R(n) a(n), u_n is the rational function
 R(n)/R(n-1) of n, so `first_escape` scans windows only up to a threshold
 H from root counts and decides every later index by the sign of that
@@ -504,24 +507,17 @@ class TermTable:
 
 # -- derived values ---------------------------------------------------------
 
-SCALINGS = ("none", "factorial")
-
-
 def check_scaling(scaling: str) -> None:
-    if scaling not in SCALINGS:
-        raise ValueError(f"unknown scaling {scaling!r}; expected one of {SCALINGS}")
+    if scaling not in ("none", "factorial"):
+        raise ValueError(f"unknown scaling {scaling!r}; expected one of ('none', 'factorial')")
 
 
-def u_value(table: TermTable, n: int, scaling: str = "none") -> Fraction:
-    """u_n = a(n-1)a(n+1)/a(n)^2; the 1/n! scaling multiplies by n/(n+1)."""
-    check_scaling(scaling)
+def u_value(table: TermTable, n: int) -> Fraction:
+    """u_n = a(n-1)a(n+1)/a(n)^2 (for a(n)/n!, u_n n/(n+1))."""
     an = table.value(n)
     if an == 0:
         raise ZeroDivisionError(f"a({n}) = 0")
-    u = table.value(n - 1) * table.value(n + 1) / (an * an)
-    if scaling == "factorial":
-        u = u * Fraction(n, n + 1)
-    return u
+    return table.value(n - 1) * table.value(n + 1) / (an * an)
 
 
 PREC = 128  # bits kept per window entry by the sign filter
@@ -560,33 +556,29 @@ def _form_sign(form: Callable, xs: Sequence[int]) -> int:
 FACTORIAL_FACTOR = RatFunc(Poly([0, 1]), Poly([1, 1]))  # u_n of a_n/n! is u_n of a_n times this
 
 
-def first_escape(
-    table: TermTable, scaling: str, g: RatFunc, f: RatFunc, lo: int, hi: int
-) -> Optional[int]:
+def first_escape(table: TermTable, g: RatFunc, f: RatFunc, lo: int, hi: int) -> Optional[int]:
     """First n in [lo, hi] with u_n outside [g(n), f(n)], or None (`_escape`
-    with k = 3).
+    with k = 3).  u_n is that of a(n), since containment is scale-free: a
+    window on the u_n of a(n)/n! is divided by `FACTORIAL_FACTOR` first.
 
     An order-1 table runs `_escape` on [lo, min(hi, H)] only, for H from
     `_order1_tail_start`.  With a(n+1) = R(n) a(n), R = p1/p0, and L
     initial values, H >= L, H bounds the real roots of p0(n-1), p1(n-1),
     g.den and f.den, and H bounds the eventual positivity thresholds of
-    Q - g and f - Q, for Q(n) = R(n)/R(n-1), times n/(n+1) under
-    `factorial`.  Take n > H.  a(n-1..n+1) come from the recurrence, and
-    no p0(m) with m >= H vanishes, so no `SingularRecurrenceError` is
-    skipped.  a(n) != 0: a(H) != 0 (the head checked it, or a(lo-1) != 0
-    when H < lo), and no p1(m) with m >= H vanishes.  Neither bound has a
-    pole at n.  So u_n = Q(n), strictly inside [g(n), f(n)].  Every index
-    is decided exactly, the head by the window kernel and the tail by root
-    counts.
+    Q - g and f - Q, for Q(n) = R(n)/R(n-1).  Take n > H.  a(n-1..n+1)
+    come from the recurrence, and no p0(m) with m >= H vanishes, so no
+    `SingularRecurrenceError` is skipped.  a(n) != 0: a(H) != 0 (the head
+    checked it, or a(lo-1) != 0 when H < lo), and no p1(m) with m >= H
+    vanishes.  Neither bound has a pole at n.  So u_n = Q(n), strictly
+    inside [g(n), f(n)].  Every index is decided exactly, the head by the
+    window kernel and the tail by root counts.
     """
-    if table.rec.order == 1 and scaling in SCALINGS and 1 <= lo <= hi:
-        hi = min(hi, _order1_tail_start(table, scaling, g, f, lo, hi))
-    return _escape(table, scaling, g, f, lo, hi, 3)
+    if table.rec.order == 1 and 1 <= lo <= hi:
+        hi = min(hi, _order1_tail_start(table, g, f, lo, hi))
+    return _escape(table, g, f, lo, hi, 3)
 
 
-def _order1_tail_start(
-    table: TermTable, scaling: str, g: RatFunc, f: RatFunc, lo: int, hi: int
-) -> int:
+def _order1_tail_start(table: TermTable, g: RatFunc, f: RatFunc, lo: int, hi: int) -> int:
     """The H of `first_escape` for an order-1 table, or hi (the full scan)
     when p1 = 0, a(lo-1) = 0, or Q - g or f - Q is not positive at infinity."""
     p0, p1 = table.rec.coeffs
@@ -594,8 +586,6 @@ def _order1_tail_start(
         return hi
     p0s, p1s = p0.compose_shift(-1), p1.compose_shift(-1)  # p0(n-1), p1(n-1)
     q = RatFunc(p1 * p0s, p0 * p1s)
-    if scaling == "factorial":
-        q = q * FACTORIAL_FACTOR
     diffs = (q - g, f - q)
     if any(sign_at_infinity(r) <= 0 for r in diffs):
         return hi
@@ -603,26 +593,25 @@ def _order1_tail_start(
                *map(no_roots_above, (p0s, p1s, g.den, f.den)))
 
 
-def _escape(
-    table: TermTable, scaling: str, g: RatFunc, f: RatFunc, lo: int, hi: int, k: int
-) -> Optional[int]:
+def _escape(table: TermTable, g: RatFunc, f: RatFunc, lo: int, hi: int, k: int) -> Optional[int]:
     """First n in [lo, hi] with Q_n = x[0] x[-1] / x[-2]^2 outside
     [g(n), f(n)], or None, for x the integer window of a(n-1..n+k-2) from
-    `windows`: Q_n is a(n)/a(n-1) for k = 2 (A = x0 x1, B = x0^2) and u_n
-    for k = 3 (A = x0 x2, B = x1^2).  The window is closed and decided
-    exactly: g and f become integer coefficients once, each bound is p/q at
-    n by integer Horner with q > 0, and Q_n - p/q has the sign of
-    q A - p B.  As in `_form_sign`, x / 2^s = t + delta for t = x >> s,
-    each delta in [0, 1), so q A - p B at t moves by at most
-    q(|t[0]| + |t[-1]| + 1) + |p|(2|t[-2]| + 1) (`_window_products`); a
-    bound is decided on t when its value there exceeds that radius in size,
-    and A, B are multiplied out exactly only when one is not.  A pole of g
-    or f (q = 0), or x[-2] = 0, which leaves Q_n undefined, counts as an
-    escape.  Terms are filled lazily: checking n needs a(n+k-2) and nothing
-    beyond it, so an order-1 `first_escape` fills none past a(H+1).
+    `windows`, unscaled since containment is scale-free: Q_n is a(n)/a(n-1)
+    for k = 2 (A = x0 x1, B = x0^2) and u_n for k = 3 (A = x0 x2,
+    B = x1^2).  The window is closed and decided exactly: g and f become
+    integer coefficients once, each bound is p/q at n by integer Horner
+    with q > 0, and Q_n - p/q has the sign of q A - p B.  As in
+    `_form_sign`, x / 2^s = t + delta for t = x >> s, each delta in [0, 1),
+    so q A - p B at t moves by at most q(|t[0]| + |t[-1]| + 1) +
+    |p|(2|t[-2]| + 1) (`_window_products`); a bound is decided on t when
+    its value there exceeds that radius in size, and A, B are multiplied
+    out exactly only when one is not.  A pole of g or f (q = 0), or
+    x[-2] = 0, which leaves Q_n undefined, counts as an escape.  Terms are
+    filled lazily: checking n needs a(n+k-2) and nothing beyond it, so an
+    order-1 `first_escape` fills none past a(H+1).
     """
     (gp, gq), (fp, fq) = (_integer_coeffs((r.num, r.den)) for r in (g, f))
-    for n, (xs, _) in enumerate(windows(table, lo - 1, hi - 1, k, scaling), lo):
+    for n, (xs, _) in enumerate(windows(table, lo - 1, hi - 1, k), lo):
         x0, x1, x2 = xs[0], xs[-2], xs[-1]
         lp, lq, up, uq = _horner(gp, n), _horner(gq, n), _horner(fp, n), _horner(fq, n)
         if not (x1 and lq and uq):

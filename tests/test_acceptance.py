@@ -128,12 +128,13 @@ def test_certified_u_window_end_to_end(tmp_path, capsys):
 
 
 def test_motzkin_u_window_sandwich_exact():
-    """u_n (n+1)/n of the scaled Motzkin sequence sits strictly inside the
-    certified window for every n in [75, 5000], in exact arithmetic."""
+    """u_n of the Motzkin numbers, which is u_n (n+1)/n of the scaled
+    sequence, sits strictly inside the certified window for every n in
+    [75, 5000], in exact arithmetic."""
     table = TermTable(get("motzkin").recurrence)
     table.values(74, 5001)
     for n in range(75, 5001):
-        v = u_value(table, n, scaling="factorial") * F(n + 1, n)
+        v = u_value(table, n)
         assert 1 + F(1, 2 * n * n) < v < 1 + F(5, 2 * n * n)
 
 

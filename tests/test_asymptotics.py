@@ -824,7 +824,7 @@ class TestUExpansion:
         u = u_expansion(rx, "factorial")
         t = TermTable(get("motzkin").recurrence)
         def residual(n: int) -> F:
-            return abs(u_value(t, n, "factorial") - eval_exact(u, n))
+            return abs(u_value(t, n) * F(n, n + 1) - eval_exact(u, n))
         bound = residual(100) * F(100) ** 5 * F(3, 2)
         for n in (500, 1000, 2000, 5000):
             assert residual(n) * F(n) ** 5 <= bound
@@ -834,7 +834,7 @@ class TestUExpansion:
         u = u_expansion(rx)
         t = TermTable(get("involutions").recurrence)
         def residual(n: int) -> F:
-            return abs(u_value(t, n, "none") - eval_exact(u, n))
+            return abs(u_value(t, n) - eval_exact(u, n))
         bound = residual(121) * F(121) ** F(9, 2) * 2
         for n in (400, 1600, 2500):
             assert residual(n) * F(n) ** F(9, 2) <= bound

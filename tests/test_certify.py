@@ -29,7 +29,7 @@ from turancert.certify import (
 )
 from turancert import certify, checks, cli, sequences
 from turancert.algebra import ratfunc as ratfunc_module
-from turancert.corpus import ENTRIES
+from turancert.corpus import ENTRIES, CorpusEntry
 from turancert.parser import parse_recurrence
 from turancert.render import frac_str, ratfunc_to_json
 from turancert.sequences import (
@@ -689,7 +689,7 @@ class TestUWindowCertificate:
         assert len(t) == filled < ub.valid_from + 2001
         lo = ub.valid_from + 1
         t = TermTable(rec)
-        assert first_escape(t, "none", ub.lower, ub.upper, lo, lo + 1999) is None
+        assert first_escape(t, ub.lower, ub.upper, lo, lo + 1999) is None
         assert len(t) == lo  # a(0..lo-1): the first window's first term
         doc["checkedSegment"]["to"] = doc["checkedSegment"]["from"] + 10**6
         start = time.perf_counter()
@@ -836,11 +836,26 @@ class TestProvedHead:
         assert (ok, diag) == (False, [f"s_u(n) - s_l(n) is not 2 n^{1 - order}, the slack of mu = 0 at order {order}"])
 
 
+def scaled_u(table, n, scaling):
+    """u_n of a(n), or u_n n/(n+1), that of a(n)/n!, under the factorial
+    scaling."""
+    u = u_value(table, n)
+    return u * F(n, n + 1) if scaling == "factorial" else u
+
+
+def unscaled(scaling, g, f):
+    """A window on the u_n of `scaled_u` as the window on the unscaled u_n
+    that has the same escapes: each bound over n/(n+1) under the factorial
+    scaling."""
+    return (g / SCALE, f / SCALE) if scaling == "factorial" else (g, f)
+
+
 def oracle_escape(table, scaling, g, f, lo, hi):
-    """The Fraction scan that first_escape replaced: u_n between two evaluations."""
+    """The Fraction scan that first_escape replaced: the scaled u_n between
+    two evaluations."""
     for n in range(lo, hi + 1):
         try:
-            inside = g.eval(n) <= u_value(table, n, scaling) <= f.eval(n)
+            inside = g.eval(n) <= scaled_u(table, n, scaling) <= f.eval(n)
         except ZeroDivisionError:
             inside = False
         if not inside:
@@ -848,17 +863,24 @@ def oracle_escape(table, scaling, g, f, lo, hi):
     return None
 
 
-def all_escapes(scan, table, scaling, g, f, lo, hi):
-    """Every index of [lo, hi] that `scan` reports, restarting after each."""
+def scaled_escape(table, scaling, g, f, lo, hi):
+    """first_escape of a window on the scaled u_n, run on its unscaled window."""
+    return first_escape(table, *unscaled(scaling, g, f), lo, hi)
+
+
+def all_escapes(scan, *args):
+    """Every index of [lo, hi] that `scan(*head, lo, hi)` reports, for
+    args = (*head, lo, hi), restarting after each."""
+    *head, lo, hi = args
     out = []
-    while (n := scan(table, scaling, g, f, lo, hi)) is not None:
+    while (n := scan(*head, lo, hi)) is not None:
         out.append(n)
         lo = n + 1
     return out
 
 
 def assert_same_escapes(table, scaling, g, f, lo, hi):
-    got = all_escapes(first_escape, table, scaling, g, f, lo, hi)
+    got = all_escapes(scaled_escape, table, scaling, g, f, lo, hi)
     assert got == all_escapes(oracle_escape, table, scaling, g, f, lo, hi)
     return got
 
@@ -909,7 +931,7 @@ class TestFirstEscape:
         assert t.value(0) == -1
         for g2, f2 in moved_windows(g, f):
             assert_same_escapes(t, e.scaling, g2, f2, 1, 60)
-        assert first_escape(t, e.scaling, g, f, 1, 60) == 1
+        assert first_escape(t, *unscaled(e.scaling, g, f), 1, 60) == 1
 
     def test_pole_inside_range(self):
         # the moved bound has a pole at n = 40 and a negative denominator below it
@@ -924,7 +946,7 @@ class TestFirstEscape:
         ):
             got = assert_same_escapes(t, "none", g2, f2, 1, 80)
             assert 40 in got
-        assert first_escape(t, "none", g - 1 / (X - 40) ** 2, f, 20, 80) == 40
+        assert first_escape(t, g - 1 / (X - 40) ** 2, f, 20, 80) == 40
 
     def test_zero_terms_escape(self):
         # fine: a(1) = 0 leaves u_1 undefined
@@ -932,12 +954,12 @@ class TestFirstEscape:
         t = TermTable(e.recurrence)
         g, f = window_pair(F(0), F(3), True)
         assert t.value(1) == 0
-        assert first_escape(t, e.scaling, g, f, 1, 1) == 1
+        assert first_escape(t, *unscaled(e.scaling, g, f), 1, 1) == 1
         assert_same_escapes(t, e.scaling, g, f, 1, 60)
         # 1, 0, 0, 1, 0, 0, ...: u_1 = u_2 = 0/0, where the form itself is 0
         t = TermTable(Recurrence([Poly([1]), Poly(), Poly(), Poly([1])], [1, 0, 0]))
         g, f = RatFunc.const(-1), RatFunc.const(1)
-        assert all_escapes(first_escape, t, "none", g, f, 1, 8) == [1, 2, 4, 5, 7, 8]
+        assert all_escapes(first_escape, t, g, f, 1, 8) == [1, 2, 4, 5, 7, 8]
         assert_same_escapes(t, "none", g, f, 1, 8)
 
     @pytest.mark.parametrize("name, scaling", [("binomial4", "none"), ("motzkin", "factorial")])
@@ -945,10 +967,10 @@ class TestFirstEscape:
         # equality defeats the filter, so the exact form decides, and <= holds
         t = TermTable(get(name).recurrence)
         n0 = 30
-        c = RatFunc.const(u_value(t, n0, scaling))
-        assert first_escape(t, scaling, c, c, n0, n0) is None
-        assert first_escape(t, scaling, c, RatFunc.const(10), n0, n0) is None
-        assert first_escape(t, scaling, RatFunc.const(0), c, n0, n0) is None
+        c = RatFunc.const(scaled_u(t, n0, scaling))
+        assert first_escape(t, *unscaled(scaling, c, c), n0, n0) is None
+        assert first_escape(t, *unscaled(scaling, c, RatFunc.const(10)), n0, n0) is None
+        assert first_escape(t, *unscaled(scaling, RatFunc.const(0), c), n0, n0) is None
         got = assert_same_escapes(t, scaling, c, c, n0 - 5, n0 + 5)
         assert got == [n for n in range(n0 - 5, n0 + 6) if n != n0]
 
@@ -956,11 +978,10 @@ class TestFirstEscape:
         # tampered motzkin upper bound: u leaves it at n = 231 of [68, 2000]
         rec = get("motzkin").recurrence
         _, ub = certify_u_bounds(rec, 4)
-        ub = scaled_bounds(ub, "factorial")
         assert ub.valid_from == 67
-        f = (1 + F(3, 2) / X**2 - F(39, 8) / X**3 + (F(489, 32) - F(1, 5)) / X**4) * SCALE
+        f = 1 + F(3, 2) / X**2 - F(39, 8) / X**3 + (F(489, 32) - F(1, 5)) / X**4
         t = TermTable(rec)
-        assert first_escape(t, "factorial", ub.lower, f, 68, 2000) == 231
+        assert first_escape(t, ub.lower, f, 68, 2000) == 231
         assert len(t) == 233  # a(0..232): checking n = 231 needs a(232)
 
     @pytest.mark.parametrize("scaling", ["none", "factorial"])
@@ -986,12 +1007,12 @@ class TestFirstEscape:
         t = TermTable(SIGNED[name] if name in SIGNED else get(name).recurrence)
         wide, m = RatFunc.const(-100), RatFunc.const(100)
         for n0 in (5, 37, 150):
-            u0 = u_value(t, n0, scaling)
+            u0 = scaled_u(t, n0, scaling)
             bump = 100 * (X - n0) ** 2
             for eps, want in ((F(1, 10**30), n0), (F(1, 10**80), n0), (F(0), None)):
                 g, f = u0 + eps - bump, u0 - eps + bump
-                assert first_escape(t, scaling, g, m, 2, 200) == want
-                assert first_escape(t, scaling, wide, f, 2, 200) == want
+                assert first_escape(t, *unscaled(scaling, g, m), 2, 200) == want
+                assert first_escape(t, *unscaled(scaling, wide, f), 2, 200) == want
                 assert_same_escapes(t, scaling, g, f, 2, 200)
 
     def test_alternating_terms_past_the_filter_width(self):
@@ -1000,17 +1021,17 @@ class TestFirstEscape:
         t = TermTable(SIGNED["alternating"])
         u = (X + 2) / (X + 1)
         assert t.value(61) < 0 < t.value(60) and t.value(60).numerator.bit_length() > 2 * PREC
-        assert first_escape(t, "none", u, u, 1, 120) is None
-        assert first_escape(t, "none", u - 1 / X**9, u + 1 / X**9, 1, 120) is None
+        assert first_escape(t, u, u, 1, 120) is None
+        assert first_escape(t, u - 1 / X**9, u + 1 / X**9, 1, 120) is None
         # a bound off u by less than the truncation resolves is settled exactly
-        assert first_escape(t, "none", u - 1, u - 1 / X**40, 40, 120) == 40
-        assert first_escape(t, "none", u + 1 / X**40, u + 1, 40, 120) == 40
+        assert first_escape(t, u - 1, u - 1 / X**40, 40, 120) == 40
+        assert first_escape(t, u + 1 / X**40, u + 1, 40, 120) == 40
         for cut in (3, 60, 61, 99):
             # both bounds cross u at n = cut, and u leaves them from n = cut + 1
             g, f = u + (X - cut) / X**12, u + (cut - X) / X**12
-            assert first_escape(t, "none", u, f, 1, 120) == cut + 1
-            assert first_escape(t, "none", g, u, 1, 120) == cut + 1
-            assert all_escapes(first_escape, t, "none", g, f, 1, 120) == list(range(cut + 1, 121))
+            assert first_escape(t, u, f, 1, 120) == cut + 1
+            assert first_escape(t, g, u, 1, 120) == cut + 1
+            assert all_escapes(first_escape, t, g, f, 1, 120) == list(range(cut + 1, 121))
             for scaling in ("none", "factorial"):
                 assert_same_escapes(t, scaling, g, u + 1, 1, 120)
                 assert_same_escapes(t, scaling, u - 1, f, 1, 120)
@@ -1050,26 +1071,26 @@ class TestFirstEscape:
             t = TermTable(rec)
             _, ub = certify_u_bounds(rec, 4, table=t)
             calls.clear()
-            assert first_escape(t, "none", ub.lower, ub.upper, ub.valid_from + 1, ub.valid_from + 2000) is None
+            assert first_escape(t, ub.lower, ub.upper, ub.valid_from + 1, ub.valid_from + 2000) is None
             assert len(calls) == 2000 and not any(calls), name
             # a bound equal to u(n0) is decided only by the exact products
             c = RatFunc.const(u_value(t, 500))
             calls.clear()
-            assert first_escape(t, "none", c, c, 500, 500) is None
+            assert first_escape(t, c, c, 500, 500) is None
             assert calls == [False, True]
 
 
 def kernel_escape(table, scaling, g, f, lo, hi):
     """The window kernel alone, with no closed-form tail."""
-    return sequences._escape(table, scaling, g, f, lo, hi, 3)
+    return sequences._escape(table, *unscaled(scaling, g, f), lo, hi, 3)
 
 
-def escapes_or_error(scan, rec, scaling, g, f, lo, hi):
-    """`all_escapes` of `scan` on a fresh table, ending with (type, text)
-    of the exception that stopped it, if one did."""
+def escapes_or_error(scan, rec, *args):
+    """`all_escapes(scan, table, *args)` on a fresh table of `rec`, ending
+    with (type, text) of the exception that stopped it, if one did."""
     out = []
     try:
-        out += all_escapes(scan, TermTable(rec), scaling, g, f, lo, hi)
+        out += all_escapes(scan, TermTable(rec), *args)
     except Exception as exc:
         out.append((type(exc), str(exc)))
     return out
@@ -1134,7 +1155,7 @@ class TestOrder1ClosedForm:
         seen = {"escape": 0, "none": 0, "error": 0, "cut": 0, "far escape": 0}
         for _ in range(420):
             rec, scaling, g, f, lo, hi, kind = case = random_order1_case(rng)
-            got = escapes_or_error(first_escape, rec, scaling, g, f, lo, hi)
+            got = escapes_or_error(scaled_escape, rec, scaling, g, f, lo, hi)
             assert got == escapes_or_error(kernel_escape, rec, scaling, g, f, lo, hi), case
             if got and isinstance(got[-1], tuple):
                 seen["error"] += 1
@@ -1142,7 +1163,7 @@ class TestOrder1ClosedForm:
             assert got == all_escapes(oracle_escape, TermTable(rec), scaling, g, f, lo, hi), case
             seen["escape" if got else "none"] += 1
             seen["far escape"] += kind == "far" and any(n > 1000 for n in got)
-            seen["cut"] += sequences._order1_tail_start(TermTable(rec), scaling, g, f, lo, hi) < hi
+            seen["cut"] += sequences._order1_tail_start(TermTable(rec), *unscaled(scaling, g, f), lo, hi) < hi
         assert min(seen.values()) >= 20, seen
 
     @pytest.mark.parametrize("scaling", ["none", "factorial"])
@@ -1153,9 +1174,101 @@ class TestOrder1ClosedForm:
         assert exact_u(rec, "none") == (X + 2) / (X + 1)
         g = u - (X - 1500) * (X - F(3007, 2)) / X**5
         t = TermTable(rec)
-        assert all_escapes(first_escape, t, scaling, g, u + 1 / X, 1, 3000) == [1501, 1502, 1503]
+        assert all_escapes(scaled_escape, t, scaling, g, u + 1 / X, 1, 3000) == [1501, 1502, 1503]
         assert_same_escapes(t, scaling, g, u + 1 / X, 1, 3000)
         assert all_escapes(kernel_escape, t, scaling, g, u + 1 / X, 1, 3000) == [1501, 1502, 1503]
+
+
+def random_order2_case(rng):
+    """(rec, g, f, lo, hi, n0, kind): a random order-2 recurrence whose p0 vanishes at
+    no n >= 0, and a window on its unscaled u_n around the value at a random
+    n0, of one of three kinds: narrowing about u(n0), a bump that u leaves
+    at n0 alone, or wide."""
+    p0 = Poly([rng.randint(1, 4), rng.randint(0, 3)])
+    p1, p2 = (Poly([rng.randint(-9, 9), rng.randint(-4, 4)]) for _ in range(2))
+    rec = Recurrence([p0, p1, p2], [F(rng.randint(-9, 9) or 1, rng.randint(1, 4)) for _ in range(2)])
+    lo = rng.randint(1, 20)
+    hi = lo + rng.randint(0, 60)
+    n0 = rng.randint(lo, hi)
+    try:
+        c = u_value(TermTable(rec), n0)
+    except ZeroDivisionError:
+        c = F(1)
+    kind = rng.choice(["narrow", "bump", "wide"])
+    if kind == "narrow":
+        g = c - F(rng.randint(1, 9), rng.randint(1, 3)) / X ** rng.randint(0, 3)
+        f = c + F(rng.randint(1, 9), rng.randint(1, 3)) / X ** rng.randint(0, 3)
+    elif kind == "bump":  # above u(n0) by 1/10^30 there, far below u elsewhere
+        g, f = c + F(1, 10**30) - 10**6 * (X - n0) ** 2, RatFunc.const(10**9)
+    else:
+        g, f = RatFunc.const(-50), RatFunc.const(50)
+    return rec, g, f, lo, hi, n0, kind
+
+
+class TestScaleFree:
+    """Containment is scale-free: first_escape on the unscaled u_n and a
+    window [g, f] of it finds every index where the scaled u_n, in Fraction
+    arithmetic, leaves [g F, f F], F = n/(n+1) the factorial factor, and
+    [g, f] itself without the scaling."""
+
+    @staticmethod
+    def assert_scale_free(rec, g, f, lo, hi, table=None):
+        """The escapes from [g, f]; under both scalings, the oracle's escapes
+        of the scaled u_n from the scaled window are the same.  A scan that
+        a vanishing p0 stops is not compared: the oracle, which reads a(n)
+        before a(n+1), counts a zero a(n) as an escape first."""
+        got = (escapes_or_error(first_escape, rec, g, f, lo, hi) if table is None
+               else all_escapes(first_escape, table, g, f, lo, hi))
+        if got and isinstance(got[-1], tuple):
+            return got
+        for scaling in ("none", "factorial"):
+            gs, fs = (g * SCALE, f * SCALE) if scaling == "factorial" else (g, f)
+            want = (escapes_or_error(oracle_escape, rec, scaling, gs, fs, lo, hi) if table is None
+                    else all_escapes(oracle_escape, table, scaling, gs, fs, lo, hi))
+            assert got == want, (rec, g, f, lo, hi, scaling)
+        return got
+
+    @pytest.mark.parametrize("name", CERTIFIABLE)
+    def test_certified_corpus_windows(self, name):
+        rec = get(name).recurrence
+        t = TermTable(rec)
+        ub = certify_u_bounds(rec, 4, table=t)[1]
+        escaped = inside = 0
+        for g, f in moved_windows(ub.lower, ub.upper):
+            for lo, hi in ((1, 40), (ub.valid_from + 1, ub.valid_from + 30)):
+                got = self.assert_scale_free(rec, g, f, lo, hi, t)
+                escaped += len(got)
+                inside += hi - lo + 1 - len(got)
+        assert escaped and inside
+
+    def test_random_order1_tables(self):
+        # the windows of `random_order1_case` around the exact u_n, taken
+        # unscaled; the "far" ones cross u past n = 1000, in the closed-form tail
+        rng = random.Random(39)
+        seen = {"escape": 0, "none": 0, "error": 0, "tail": 0}
+        for _ in range(80):
+            rec, scaling, g, f, lo, hi, kind = random_order1_case(rng)
+            g, f = unscaled(scaling, g, f)
+            got = self.assert_scale_free(rec, g, f, lo, hi)
+            if got and isinstance(got[-1], tuple):
+                seen["error"] += 1
+                continue
+            seen["escape" if got else "none"] += 1
+            seen["tail"] += sequences._order1_tail_start(TermTable(rec), g, f, lo, hi) < hi
+        assert min(seen.values()) >= 5, seen
+
+    def test_random_order2_tables(self):
+        rng = random.Random(392)
+        escaped = inside = bumps = 0
+        for _ in range(60):
+            rec, g, f, lo, hi, n0, kind = random_order2_case(rng)
+            got = self.assert_scale_free(rec, g, f, lo, hi)
+            if kind == "bump":
+                assert n0 in got
+                bumps += 1
+            escaped += len(got)
+            inside += hi - lo + 1 - len(got)
+        assert escaped and inside and bumps, (escaped, inside, bumps)
 
 
 def oracle_ratio_escape(table, scaling, g, f, lo, hi):
@@ -1174,7 +1287,9 @@ def oracle_ratio_escape(table, scaling, g, f, lo, hi):
 
 
 def ratio_escape(table, scaling, g, f, lo, hi):
-    return sequences._escape(table, scaling, g, f, lo, hi, 2)
+    """The k = 2 scan of a window on the scaled ratio, run on its unscaled
+    window: a(n)/a(n-1) of a(n)/n! is that of a(n) over n."""
+    return sequences._escape(table, *((g * X, f * X) if scaling == "factorial" else (g, f)), lo, hi, 2)
 
 
 def given_terms(vals):
@@ -1339,6 +1454,41 @@ class TestExactRectangleLemma:
         monkeypatch.setattr(checks, "turan_form", form)
         r = checks.rectangle_lemma()
         assert not r.ok and problem in r.detail
+
+
+def with_expected(name, key, value):
+    """The corpus entry `name` with its expected `key` replaced by `value`."""
+    e = get(name)
+    return CorpusEntry(e.name, e.source, e.recurrence, e.scaling, {**e.expected, key: value})
+
+
+class TestCoefficientChecks:
+    """The u-series check and the ht-bounds check of an entry that does not
+    certify compare coefficients in one loop, and name each that differs."""
+
+    def test_u_series_names_each_wrong_coefficient(self):
+        want = {F(1): F(-1, 2), F(3, 2): F(3, 4), F(2): F(13, 8)}
+        e = with_expected("involutions", "u_series", {"coeffs": want})
+        (r,) = checks._check_u_series(e, TermTable(e.recurrence))
+        assert (r.check, r.ok) == ("u-series", False)
+        assert r.detail == (
+            "n^-3/2: RatFunc([Fraction(-1, 1)], [Fraction(4, 1)]) != 3/4; "
+            "n^-2: RatFunc([Fraction(5, 1)], [Fraction(8, 1)]) != 13/8"
+        )
+
+    def test_uncertified_ht_bounds_compare_the_expansion(self):
+        e = get("bn")
+        (r,) = checks._check_ht_bounds(e, TermTable(e.recurrence))
+        assert (r.ok, r.detail) == (True, "window constants only (certification needs a rational growth constant)")
+        bounds = {**e.expected["ht_bounds"], "d": {F(2): F(5, 2), F(3): F(1)}}
+        e = with_expected("bn", "ht_bounds", bounds)
+        (r,) = checks._check_ht_bounds(e, TermTable(e.recurrence))
+        field = "mod [Fraction(1, 1), Fraction(-6, 1), Fraction(1, 1)])], [Fraction(1, 1)])"
+        assert (r.check, r.ok) == ("ht-bounds", False)
+        assert r.detail == (
+            f"n^-2: RatFunc([NFElem([Fraction(3, 2), Fraction(0, 1)] {field} != 5/2; "
+            f"n^-3: RatFunc([NFElem([Fraction(-165, 32), Fraction(39, 32)] {field} != 1"
+        )
 
 
 class TestResidualCheck:

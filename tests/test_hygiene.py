@@ -273,6 +273,65 @@ def test_only_sequences_decides_term_windows():
     assert users == {WINDOW_OWNER}
 
 
+# The functions that take a `scaling` parameter.  The n! scaling changes
+# the Turan, log-concave and phi forms and the u-series, so it reaches
+# their scans, verdicts and certificates.  Containment of u_n in a window
+# is scale-free (`sequences.first_escape`), so no containment scan and no
+# `u_value` takes one.
+SCALING_PARAMETER = {
+    "asymptotics/ratio.py": {"u_grid", "u_expansion"},
+    "certify.py": {
+        "scaled_bounds", "Certificate.__init__", "TuranCertificate.__init__", "certify_turan3",
+        "UWindowCertificate.__init__", "certify_u_window", "_replay_turan3",
+    },
+    "checks.py": {"window_functions"},
+    "cli.py": {"_scaling_note"},
+    "corpus.py": {"CorpusEntry.__init__"},
+    "criteria.py": {"_drive", "turan3_verdict", "llogconcave_verdict"},
+    "sequences.py": {
+        "check_scaling", "windows", "check_inequality_range", "_sign_at", "turan3_sign",
+        "logconcave_sign", "phi_values",
+    },
+}
+
+
+def scaling_functions(source: str) -> set:
+    """Qualified names of the functions, methods and nested functions of
+    `source` with a parameter named `scaling`."""
+    out = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                if "scaling" in {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}:
+                    out.add(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_scaling_detector():
+    src = (
+        "def a(t, scaling='none'):\n    def inner(*, scaling):\n        pass\n"
+        "class K:\n    def m(self, scaling):\n        pass\n    def n(self, scale):\n        pass\n"
+        "def b(t, g, f):\n    scaling = 1\n"
+    )
+    assert scaling_functions(src) == {"a", "a.inner", "K.m"}
+
+
+def test_only_scale_dependent_functions_take_a_scaling():
+    found = {
+        str(p.relative_to(PACKAGE)): names
+        for p in sorted(PACKAGE.rglob("*.py"))
+        if (names := scaling_functions(p.read_text(encoding="utf-8")))
+    }
+    assert found == SCALING_PARAMETER
+
+
 # Terms are stepped in one place: `_steps` is created only by
 # `TermTable.ensure`, which keeps it suspended in place of any snapshot of
 # its state, and by `TermTable.decimal_strings`, which drives it on decimals

@@ -238,6 +238,45 @@ class TestPowerLimits:
         assert text[pos] == "^" and err.value.pos == pos
         assert str(err.value).startswith("power too large: ") and limit in str(err.value)
 
+    def test_a_product_of_powers_at_the_limit_parses(self):
+        r = parse_recurrence("(n+1)^500*(n+1)^500*a(n+1) - a(n) = 0 ; 1")
+        assert (r.order, r.coeffs[0].degree, r.coeffs[1].degree) == (1, 1000, 0)
+
+    @pytest.mark.parametrize("parse, text, pos", [
+        (parse_recurrence, "(n+1)^500*(n+1)^501*a(n+1) - a(n) = 0 ; 1", 9),
+        (parse_recurrence, "(n+1)^1000*(n+1)^1000*(n+1)^1000*a(n+1) - a(n) = 0 ; 1", 10),
+        (parse_recurrence, "(n+1)^1000*" * 8 + "a(n+1) - a(n) = 0 ; 1", 10),
+        (parse_recurrence, "(n+1)^1000 (n+2)*a(n+1) - a(n) = 0 ; 1", 11),
+        (parse_recurrence, "a(n+1)/(n+1)^600/(n+2)^600 - a(n) = 0 ; 1", 16),
+        (parse_recurrence, "1/(n+1)^600 + 1/(n+2)^600 = a(n+1) - a(n) ; 1", 12),
+        (parse_recurrence, "a(n+1) - a(n) = 1/(n+1)^600 - 1/(n+2)^600 ; 1", 28),
+        (parse_recurrence, "a(n+1)/(n+1)^600 - (n+2)^600*a(n+1) - a(n) = 0 ; 1", 17),
+        (parse_operator, "(n+1)^600*(N*(n+1)^600) - 1 ; 1", 9),
+        (parse_operator, "N*(n+1)^600*(n+2)^600 - 1 ; 1", 11),
+    ])
+    def test_products_and_sums_past_the_degree_limit_are_refused(self, parse, text, pos):
+        # each power passes its own limits; the scalar its operator would
+        # form does not, and is refused before a coefficient is convolved,
+        # at the operator or, for adjacent factors, at the second one
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert time.perf_counter() - start < 1.0
+        assert text[pos] in "*/+-(" and err.value.pos == pos
+        assert str(err.value) == (
+            f"expression too large: its degree would exceed MAX_POWER_DEGREE = 1000 (at position {pos})")
+
+    def test_check_turan3_refuses_a_runaway_product_at_once(self, capsys):
+        start = time.perf_counter()
+        code = cli.main(["check-turan3", "(n+1)^1000*" * 8 + "a(n+1) - a(n) = 0 ; 1"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: expression too large: its degree would exceed MAX_POWER_DEGREE = 1000 (at position 10)"
+        ]
+        assert elapsed < 1.0
+
     @pytest.mark.parametrize("parse, text, message", [
         (parse_recurrence, "0^-100000*a(n) = 0 ; 1", "zero raised to a negative power"),
         (parse_recurrence, "a(n)^100000 - a(n+1) = 0 ; 1", "sequence terms cannot be raised to a power"),

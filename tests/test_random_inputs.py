@@ -2,8 +2,9 @@
 
 Each input is a random recurrence of order 1 to 3 whose leading
 coefficient vanishes at no n >= 0.  It runs in-process through `cli.main`
-as `check-turan3 --json`, `check-llc --ell 1 --json` and `certify -o F`,
-and every certificate written then runs through `verify`.  Each call has
+as `check-turan3 --json`, `check-llc --ell 1 --json`, `certify -o F` and
+`certify --scale n! -o F`, and every certificate written then runs
+through `verify`.  Each call has
 a time bound.  Every exit code must be one the command line documents,
 exit 1 must come with an `error:` line, `--json` output must parse, and
 every certificate written must verify.
@@ -91,29 +92,31 @@ def _run(argv: list) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def check_input(src: str, workdir: Path) -> list:
-    """Run `src` through every command; return the exit codes, and raise
-    AssertionError on the first broken rule."""
-    codes = []
+def check_input(src: str, workdir: Path) -> dict:
+    """Run `src` through every command; return the exit code of each, by
+    name ("verify n!" for the certificate of "certify n!", if one was
+    written), and raise AssertionError on the first broken rule."""
+    codes = {}
     cert = workdir / "cert.json"
-    cert.unlink(missing_ok=True)
-    for argv in (
-        ["check-turan3", src, "--json"],
-        ["check-llc", src, "--ell", "1", "--json"],
-        ["certify", src, "-o", str(cert)],
+    for name, argv in (
+        ("turan3", ["check-turan3", src, "--json"]),
+        ("llc", ["check-llc", src, "--ell", "1", "--json"]),
+        ("certify", ["certify", src, "-o", str(cert)]),
+        ("certify n!", ["certify", src, "--scale", "n!", "-o", str(cert)]),
     ):
+        cert.unlink(missing_ok=True)
         code, out, err = _run(argv)
-        context = f"{argv[0]} on {src!r}: exit {code}, stderr {err!r}"
+        context = f"{name} on {src!r}: exit {code}, stderr {err!r}"
         assert code in EXIT_CODES, context
         if code == 1:
             assert any(line.startswith("error: ") for line in err.splitlines()), context
         if "--json" in argv and out:
             json.loads(out)
-        codes.append(code)
-    if cert.exists():
-        code, out, err = _run(["verify", str(cert), src])
-        assert code == 0, f"verify on {src!r}: exit {code}, {out!r}, {err!r}"
-        codes.append(code)
+        codes[name] = code
+        if cert.exists():
+            code, out, err = _run(["verify", str(cert), src])
+            assert code == 0, f"verify of {name} on {src!r}: exit {code}, {out!r}, {err!r}"
+            codes[name.replace("certify", "verify")] = code
     return codes
 
 
@@ -147,15 +150,14 @@ def main(argv: list) -> int:
     count = int(argv[0])
     first = int(argv[1]) if len(argv) > 1 else 0
     tally: Counter = Counter()
-    certified = 0
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         for seed in range(first, first + count):
             codes = check_input(random_input(seed), Path(tmp))
-            tally.update(f"{cmd}={code}" for cmd, code in zip(("turan3", "llc", "certify"), codes))
-            certified += len(codes) == 4
+            tally.update(f"{cmd}={code}" for cmd, code in codes.items())
+    verified = tally["verify=0"] + tally["verify n!=0"]
     print(f"{count} inputs from seed {first} in {time.perf_counter() - start:.1f} s: "
-          f"{certified} certificates verified; exit codes {dict(sorted(tally.items()))}")
+          f"{verified} certificates verified; exit codes {dict(sorted(tally.items()))}")
     return 0
 
 

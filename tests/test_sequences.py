@@ -143,7 +143,7 @@ def test_factorial_scaling_matches_explicit_division():
     entry = get("motzkin")
     table = TermTable(entry.recurrence)
     for n in range(1, 12):
-        lhs = u_value(table, n, scaling="factorial")
+        lhs = u_value(table, n) * F(n, n + 1)
         scaled = [table.value(k) / math.factorial(k) for k in (n - 1, n, n + 1)]
         assert lhs == scaled[0] * scaled[2] / scaled[1] ** 2
         assert turan3_sign(table, n, scaling="factorial") == _t3_sign_direct(table, n)
