@@ -47,13 +47,13 @@ from .asymptotics import RatioExpansion, ratio_expansion
 from .asymptotics.ratio import ratio_window_grid, u_grid
 from .render import frac_str, ratfunc_to_json
 from .sequences import (
-    FACTORIAL_FACTOR,
     Recurrence,
     TermTable,
     _escape,
     check_inequality_range,
     check_scaling,
     first_escape,
+    scale_window,
 )
 
 # indices of exact terms a certificate may scan for its ratio induction: the
@@ -285,12 +285,9 @@ def _discharge_inequalities(s_l: RatFunc, s_u: RatFunc, g: RatFunc, f: RatFunc):
 
 
 def scaled_bounds(ub: UBounds, scaling: str) -> UBounds:
-    """The u-window under `scaling`: both window functions times
-    `FACTORIAL_FACTOR` under the factorial scaling."""
-    check_scaling(scaling)
-    if scaling == "none":
-        return ub
-    return ub._replace(lower=ub.lower * FACTORIAL_FACTOR, upper=ub.upper * FACTORIAL_FACTOR)
+    """The u-window under `scaling`, by `scale_window`."""
+    lower, upper = scale_window(ub.lower, ub.upper, scaling)
+    return ub._replace(lower=lower, upper=upper)
 
 
 # -- corner polynomials and the certificate ------------------------------------
@@ -520,7 +517,7 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
     and the segment's violations and holdsFrom are reproduced; for
     "u-window" u_n stays in the window on a nonempty checked segment that
     starts right after validFrom.  Containment is scale-free, so a scaled
-    g and f are divided by `FACTORIAL_FACTOR` once, for all but the corners
+    g and f are unscaled once (`scale_window`), for all but the corners
     and the Turan segment.  Returns (ok, diagnosis list).
     """
     if table is None:
@@ -570,7 +567,7 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         return False, [f"malformed certificate: {exc}"]
 
-    g0, f0 = (g / FACTORIAL_FACTOR, f / FACTORIAL_FACTOR) if scaling == "factorial" else (g, f)
+    g0, f0 = scale_window(g, f, scaling, undo=True)
     bad += _replay_windows(rec, table, order, ratio, g0, f0, valid_from, slack_exp) or (
         _replay_turan3(table, scaling, g, f, valid_from, **tail) if kind == "turan3"
         else _replay_u_window(table, g0, f0, valid_from, **tail))

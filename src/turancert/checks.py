@@ -23,7 +23,7 @@ from .certify import (
 )
 from .corpus import ENTRIES, CorpusEntry
 from .criteria import llogconcave_verdict, turan3_verdict
-from .sequences import FACTORIAL_FACTOR, TermTable, check_inequality_range, first_escape, turan3_sign, u_value
+from .sequences import TermTable, check_inequality_range, first_escape, scale_window, turan3_sign, u_value
 
 
 class CheckResult(NamedTuple):
@@ -36,13 +36,9 @@ class CheckResult(NamedTuple):
 
 
 def window_functions(window: dict, scaling: str) -> tuple[RatFunc, RatFunc]:
-    """Bound pair 1 + sum c/n^e per side, times `FACTORIAL_FACTOR` under
-    the factorial scaling."""
-    factor = FACTORIAL_FACTOR if scaling == "factorial" else 1
-    return tuple(
-        RatFunc.laurent([(0, 1)] + [(-int(e), c) for e, c in window[part].items()]) * factor
-        for part in ("g", "f")
-    )
+    """Bound pair 1 + sum c/n^e per side, under `scaling` by `scale_window`."""
+    g, f = (RatFunc.laurent([(0, 1)] + [(-int(e), c) for e, c in window[part].items()]) for part in ("g", "f"))
+    return scale_window(g, f, scaling)
 
 
 def _check_terms(e: CorpusEntry, table: TermTable) -> list:

@@ -10,12 +10,12 @@ certification, I/O).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
+from types import SimpleNamespace
+from typing import NamedTuple, NoReturn, Optional
 
 from . import __version__
 from .algebra import Poly
@@ -280,8 +280,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    if args.corpus_cmd != "run":  # pragma: no cover - argparse enforces this
-        raise ValueError("unknown corpus subcommand")
     results = run_all(cache_dir=args.cache_dir)
     failures = [r for r in results if not r.ok]
     lines = []
@@ -305,144 +303,194 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if not failures else EXIT_FAILS
 
 
-# -- argument plumbing ----------------------------------------------------------
+# -- command lines ----------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, suppress: bool) -> None:
-    d = argparse.SUPPRESS if suppress else None
-    p.add_argument(
-        "--json", action="store_true",
-        default=d if suppress else False,
-        help="emit a JSON object instead of text",
-    )
-    p.add_argument(
-        "--cache-dir", metavar="DIR", default=d,
-        help="directory for the exact-term disk cache",
-    )
+class Arg(NamedTuple):
+    """A positional (no flags) or an option of kind flag, int, str, choice, or help or version."""
+
+    flags: tuple
+    dest: str
+    kind: str = "str"
+    default: object = None
+    required: bool = False
+    metavar: Optional[str] = None
+    help: str = ""
+    choices: tuple = ()
 
 
-def _add_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("src", help="corpus name, file, or relation text")
-    p.add_argument(
-        "--operator", action="store_true",
-        help="read the source as a shift-operator polynomial in n and N",
-    )
+_ACTIONS = ("flag", "help", "version")  # the kinds that take no value
+_HELP = Arg(("-h", "--help"), "help", "help", help="show this help message and exit")
+COMMON = (  # accepted before the command and anywhere after it
+    Arg(("--json",), "json", "flag", False, help="emit a JSON object instead of text"),
+    Arg(("--cache-dir",), "cache_dir", metavar="DIR", help="directory for the exact-term disk cache"),
+)
+_ROOT = (_HELP, Arg(("--version",), "version", "version", help="print the version and exit"), *COMMON)
+_SRC = (Arg((), "src", help="corpus name, file, or relation text"),)
+_OPERATOR = Arg(("--operator",), "operator", "flag", False,
+                help="read the source as a shift-operator polynomial in n and N")
+_SCALE = Arg(("--scale",), "scale", "choice", choices=tuple(sorted(_SCALE_NAMES)),
+             help="work with a(n)/n! instead of a(n) (corpus default applies otherwise)")
+_K = Arg(("-K",), "K", "int", 4, metavar="K", help="expansion order (default 4)")
+_MAX_K = Arg(("--max-K",), "max_K", "int", 8, metavar="K",
+             help="highest expansion order the verdict retries at (default 8)")
 
-
-def _add_scale(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--scale", choices=sorted(_SCALE_NAMES),
-        help="work with a(n)/n! instead of a(n) (corpus default applies otherwise)",
-    )
-
-
-def _terms_args(p: argparse.ArgumentParser) -> None:
-    _add_source(p)
-    p.add_argument("--to", type=int, required=True, metavar="N")
-
-
-def _ratio_asymp_args(p: argparse.ArgumentParser) -> None:
-    _add_source(p)
-    p.add_argument("-K", type=int, default=4, help="expansion order (default 4)")
-
-
-def _u_asymp_args(p: argparse.ArgumentParser) -> None:
-    _add_source(p)
-    _add_scale(p)
-    p.add_argument("-K", type=int, default=4, help="expansion order (default 4)")
-
-
-def _verdict_args(p: argparse.ArgumentParser) -> None:
-    _add_source(p)
-    _add_scale(p)
-    p.add_argument(
-        "--max-K", type=int, dest="max_K", metavar="K", default=8,
-        help="highest expansion order the verdict retries at (default 8)",
-    )
-
-
-def _check_llc_args(p: argparse.ArgumentParser) -> None:
-    _verdict_args(p)
-    p.add_argument("--ell", type=int, required=True, metavar="L")
-
-
-def _certify_args(p: argparse.ArgumentParser) -> None:
-    _add_source(p)
-    _add_scale(p)
-    p.add_argument("-K", type=int, default=4, help="window order (default 4)")
-    p.add_argument("-o", "--output", metavar="FILE",
-                   help="certificate path (default <name>.turan3.json, or"
-                        " <name>.uwindow.json for a window-only fallback)")
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("cert", help="certificate JSON file")
-    _add_source(p)
-
-
-def _corpus_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("corpus_cmd", choices=["run"],
-                   help="run: recompute and compare every stored artifact")
-    p.add_argument("--seed", type=int, metavar="N",
-                   help="accepted and ignored: no check samples any more")
-
-
-# name -> (function, help text, argument adder), in the order --help lists them
+# name -> (function, help, positionals, options), in the order --help lists them
 COMMANDS = {
-    "terms": (cmd_terms, "print exact terms a(0)..a(N)", _terms_args),
-    "ratio-asymp": (cmd_ratio_asymp, "asymptotic expansion of a(n+1)/a(n)", _ratio_asymp_args),
-    "u-asymp": (cmd_u_asymp, "asymptotic expansion of a(n+1)a(n-1)/a(n)^2", _u_asymp_args),
-    "check-turan3": (cmd_check_turan3, "asymptotic verdict for the cubic Turan inequality",
-                     _verdict_args),
-    "check-llc": (cmd_check_llc, "asymptotic verdict for l-fold log-concavity", _check_llc_args),
-    "certify": (cmd_certify, "produce a finite certificate for the cubic Turan inequality",
-                _certify_args),
-    "verify": (cmd_verify, "re-check a certificate against a recurrence", _verify_args),
-    "corpus": (cmd_corpus, "operations on the built-in corpus", _corpus_args),
+    "terms": (cmd_terms, "print exact terms a(0)..a(N)", _SRC,
+              (_OPERATOR, Arg(("--to",), "to", "int", required=True, metavar="N", help="the last index"))),
+    "ratio-asymp": (cmd_ratio_asymp, "asymptotic expansion of a(n+1)/a(n)", _SRC, (_OPERATOR, _K)),
+    "u-asymp": (cmd_u_asymp, "asymptotic expansion of a(n+1)a(n-1)/a(n)^2", _SRC, (_OPERATOR, _SCALE, _K)),
+    "check-turan3": (cmd_check_turan3, "asymptotic verdict for the cubic Turan inequality", _SRC,
+                     (_OPERATOR, _SCALE, _MAX_K)),
+    "check-llc": (cmd_check_llc, "asymptotic verdict for l-fold log-concavity", _SRC, (
+        _OPERATOR, _SCALE, _MAX_K, Arg(("--ell",), "ell", "int", required=True, metavar="L", help="the fold count l"))),
+    "certify": (cmd_certify, "produce a finite certificate for the cubic Turan inequality", _SRC, (
+        _OPERATOR, _SCALE, _K._replace(help="window order (default 4)"),
+        Arg(("-o", "--output"), "output", metavar="FILE", help="certificate path (default"
+            " <name>.turan3.json, or <name>.uwindow.json for a window-only fallback)"))),
+    "verify": (cmd_verify, "re-check a certificate against a recurrence",
+               (Arg((), "cert", help="certificate JSON file"), *_SRC), (_OPERATOR,)),
+    "corpus": (cmd_corpus, "operations on the built-in corpus", (Arg(
+        (), "corpus_cmd", "choice", choices=("run",), help="run: recompute and compare every stored artifact"),),
+        (Arg(("--seed",), "seed", "int", metavar="N", help="accepted and ignored: no check samples any more"),)),
 }
+_COMMAND = Arg((), "cmd", "choice", metavar="command", choices=tuple(COMMANDS))
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """A command's parser: it reports arguments it does not know under its own usage."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        args, extra = super().parse_known_args(args, namespace)
-        if extra:
-            self.error(f"unrecognized arguments: {' '.join(extra)}")
-        return args, extra
+def _spec(name: Optional[str]) -> tuple:
+    """(prog, positionals, options) of command `name`, or of the root for None."""
+    if name is None:
+        return "turancert", (_COMMAND,), _ROOT
+    return f"turancert {name}", COMMANDS[name][2], (_HELP, *COMMON, *COMMANDS[name][3])
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The root parser with every command, or with `command`'s alone.
+def _fail(name: Optional[str], msg: str) -> NoReturn:
+    """Exit 1 on a usage error of command `name` (None for the root), as argparse does."""
+    print(f"{_usage(name)}\n{_spec(name)[0]}: error: {msg}", file=sys.stderr)
+    raise SystemExit(EXIT_ERROR)
 
-    A command line whose first word names a command parses and fails the
-    same way under either tree, so `main` builds only that command's."""
-    root = argparse.ArgumentParser(
-        prog="turancert",
-        description="Exact asymptotics and Turan-type certificates "
-        "for P-recursive sequences.",
-        epilog="exit codes: 0 holds/success, 1 error, 2 inconclusive, 3 fails",
-    )
-    root.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    _add_common(root, suppress=False)
-    sub = root.add_subparsers(dest="cmd", required=True, metavar="command",
-                              parser_class=_CommandParser)
-    for name, (fn, help_text, add_arguments) in COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            _add_common(p, suppress=True)
-            add_arguments(p)
-            p.set_defaults(fn=fn)
-    return root
+
+def _label(a: Arg) -> str:  # how an error names the argument
+    return "/".join(a.flags) or a.metavar or a.dest
+
+
+def _shown(a: Arg, flag: str = "") -> str:  # `flag` and the metavar
+    meta = a.metavar or ("{%s}" % ",".join(a.choices) if a.choices else a.dest)
+    return flag if a.kind in _ACTIONS else f"{flag} {meta}".strip()
+
+
+def _usage(name: Optional[str]) -> str:
+    prog, positionals, options = _spec(name)
+    words = [_shown(a, a.flags[0]) if a.required else f"[{_shown(a, a.flags[0])}]" for a in options]
+    return " ".join(["usage:", prog, *words, *map(_shown, positionals)] + ["..."] * (name is None))
+
+
+def _help(name: Optional[str]) -> str:
+    _, positionals, options = _spec(name)
+    rows = [(c, spec[1]) for c, spec in COMMANDS.items()] if name is None else [
+        (_shown(a), a.help) for a in positionals]
+    rows += [(", ".join(_shown(a, f) for f in a.flags), a.help) for a in options]
+    width = max(len(r) for r, _ in rows) + 2
+    about = COMMANDS[name][1] if name else "Exact asymptotics and Turan-type certificates for P-recursive sequences."
+    return "\n".join([_usage(name), "", about, "", *(f"  {r:<{width}}{h}" for r, h in rows)]
+                     + ["", "exit codes: 0 holds/success, 1 error, 2 inconclusive, 3 fails"] * (name is None))
+
+
+def _lookup(tok: str, flags: dict, name: Optional[str]):
+    """(arg, flag, attached value) for an option, (None, tok, None) for an
+    unknown one, None for a positional."""
+    if tok in flags:
+        return flags[tok], tok, None
+    if len(tok) < 2 or tok[0] != "-":
+        return None
+    flag, eq, value = tok.partition("=")
+    if eq and flag in flags:
+        return flags[flag], flag, value
+    if tok[1] == "-":  # a unique prefix of a long option
+        hits, value = [f for f in flags if f.startswith(flag)], value if eq else None
+    else:  # a short option with its value attached
+        hits, value = [f for f in flags if f == tok[:2]], tok[2:]
+    if len(hits) > 1:
+        _fail(name, f"ambiguous option: {tok} could match {', '.join(hits)}")
+    if hits:
+        return flags[hits[0]], hits[0], value
+    whole, dot, frac = tok[1:].removesuffix("\n").partition(".")  # ^-\d+$|^-\d*\.\d+$
+    number = (frac if dot else whole).isdecimal() and (not whole or whole.isdecimal())
+    return None if number or " " in tok else (None, tok, None)  # a negative number is a value
+
+
+def _value(a: Arg, text: str, name: Optional[str]):
+    if a.kind == "int":
+        try:
+            return int(text)
+        except ValueError:
+            _fail(name, f"argument {_label(a)}: invalid int value: {text!r}")
+    if a.choices and text not in a.choices:
+        choices = ", ".join(map(repr, a.choices))
+        _fail(name, f"argument {_label(a)}: invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _read(name: Optional[str], tokens: list, ns) -> None:
+    """Set on ns the defaults and what `tokens` give command `name`, or the root for None,
+    which reads the words after the command word as that command.  Errors come in argparse's
+    order: an ambiguous prefix, then from left to right, a missing argument, unrecognized ones."""
+    _, positionals, options = _spec(name)
+    for a in (*COMMON, _COMMAND) if name is None else positionals + COMMANDS[name][3]:
+        setattr(ns, a.dest, a.default)
+    flags = {f: a for a in options for f in a.flags}
+    end = tokens.index("--") if "--" in tokens else len(tokens)  # the rest are positionals
+    kinds = [_lookup(t, flags, name) for t in tokens[:end]] + [None] * (len(tokens) - end)
+    free, extras, i, last_free = list(positionals), [], 0, False
+    while i < len(tokens):
+        tok, kind, i = tokens[i], kinds[i], i + 1
+        if i - 1 == end and (name or i == len(tokens)):  # an adjacent positional takes "--"
+            if not (last_free or free and i < len(tokens)):
+                extras.append(tok)
+            continue
+        last_free = kind is None and bool(free)
+        a, _, value = kind or (free.pop(0) if free else None, None, tok)
+        if a is None:
+            extras.append(tok)
+        elif a.kind in _ACTIONS:
+            if value is not None:
+                _fail(name, f"argument {_label(a)}: ignored explicit argument {value!r}")
+            if a.kind != "flag":
+                print(_help(name) if a.kind == "help" else f"turancert {__version__}")
+                raise SystemExit(EXIT_OK)
+            setattr(ns, a.dest, True)
+        else:
+            if value is None:
+                if i >= end or kinds[i] is not None:
+                    _fail(name, f"argument {_label(a)}: expected one argument")
+                value, i = tokens[i], i + 1
+            setattr(ns, a.dest, _value(a, value, name))
+            if a is _COMMAND:
+                ns.fn = COMMANDS[value][0]
+                _read(value, tokens[i:], ns)
+                break
+    missing = [_label(a) for a in (*free, *options)
+               if not a.flags or a.required and getattr(ns, a.dest) is None]
+    if missing:
+        _fail(name, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(name, f"unrecognized arguments: {' '.join(extras)}")
+
+
+def parse_args(argv, namespace=None):
+    """The namespace of a command line, or SystemExit: 0 after --help or --version, 1 after
+    a usage error, with the usage line and "PROG: error: MSG" (argparse's message) on stderr."""
+    ns = SimpleNamespace() if namespace is None else namespace
+    _read(None, list(argv), ns)
+    return ns
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
-    except SystemExit as exc:  # argparse exits 0 after --help or --version, 2 on misuse
-        return EXIT_OK if exc.code == 0 else EXIT_ERROR
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         return args.fn(args)
     except (

@@ -20,7 +20,8 @@ when its expansion would pass a limit.  A base of degree d in n raised to
 coefficient c it needs k*ceil(log2 |c|) <= MAX_POWER_BITS (100000): 10^200
 and 2^100000 pass, 2^100001 does not.  A shift-operator base of degree e in
 N needs e*k * max(1, d*k) <= MAX_POWER_DEGREE.  So does, at its operator,
-a product, quotient or sum whose scalar would pass MAX_POWER_DEGREE.
+a product, quotient or sum whose scalar would pass MAX_POWER_DEGREE, and
+so does the lcm of the coefficients' denominators that clears the relation.
 
 Scalars are `_Frac`s while parsing: unnormalised fractions whose sums and
 products take no gcd.  A scalar is normalised only where a decision needs
@@ -426,10 +427,6 @@ def _expanded(cs: tuple, k: int) -> tuple:
 # -- normalization ----------------------------------------------------------------
 
 
-def _poly_lcm(a: Poly, b: Poly) -> Poly:
-    return (a * b).exact_div(poly_gcd(a, b))
-
-
 def _relation_to_recurrence(
     lin: _Lin, initials: list[Fraction], name: str
 ) -> Recurrence:
@@ -447,8 +444,11 @@ def _relation_to_recurrence(
         raise ParseError("degenerate relation: only a single shift appears")
     den = Poly.const(1)
     for r in shifted.values():
-        if r.den != den:
-            den = _poly_lcm(den, r.den)
+        if r.den != den:  # den = lcm(den, r.den), refused before it is multiplied out
+            g = poly_gcd(den, r.den)
+            if den.degree + r.den.degree - g.degree > MAX_POWER_DEGREE:
+                raise ParseError(f"relation too large: its cleared denominator's degree would exceed MAX_POWER_DEGREE = {MAX_POWER_DEGREE}")
+            den = den * r.den.exact_div(g)
     polys = {k: r.num if r.den == den else r.num * den.exact_div(r.den) for k, r in shifted.items()}
     # p0*a(n+d) on the left, +p_k*a(n+d-k) on the right
     coeffs = [polys.get(d, Poly())]

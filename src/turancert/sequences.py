@@ -556,6 +556,15 @@ def _form_sign(form: Callable, xs: Sequence[int]) -> int:
 FACTORIAL_FACTOR = RatFunc(Poly([0, 1]), Poly([1, 1]))  # u_n of a_n/n! is u_n of a_n times this
 
 
+def scale_window(g: RatFunc, f: RatFunc, scaling: str, undo: bool = False) -> tuple:
+    """A u_n window (g, f) of a(n) as one of b(n) = a(n)/n! under `factorial`
+    (both times `FACTORIAL_FACTOR`), or with `undo` one of b(n) as one of a(n)."""
+    check_scaling(scaling)
+    if scaling == "none":
+        return g, f
+    return (g / FACTORIAL_FACTOR, f / FACTORIAL_FACTOR) if undo else (g * FACTORIAL_FACTOR, f * FACTORIAL_FACTOR)
+
+
 def first_escape(table: TermTable, g: RatFunc, f: RatFunc, lo: int, hi: int) -> Optional[int]:
     """First n in [lo, hi] with u_n outside [g(n), f(n)], or None (`_escape`
     with k = 3).  u_n is that of a(n), since containment is scale-free: a

@@ -36,10 +36,16 @@ On the corpus: lookup of an entry by name.
 
 On text forms: the polynomial printer that `turancert.parser` carried
 before `render.poly_text` took its place, for rational coefficients.
+
+On command lines: the argparse tree that `turancert.cli` parsed with
+before its own option-table parser, built from the same `cli.COMMANDS`.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 from fractions import Fraction
 from typing import Optional
 
@@ -52,6 +58,7 @@ from turancert.asymptotics import (
     series_inv,
     shift_series,
 )
+from turancert import __version__, cli
 from turancert.asymptotics.ratio import _Resonance
 from turancert.certify import turan_form
 from turancert.corpus import ENTRIES, CorpusEntry
@@ -609,3 +616,61 @@ def poly_text_reference(p: Poly, var: str = "n") -> str:
     for sign, body in parts[1:]:
         out += f" {sign} {body}"
     return out
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it reports arguments it does not know under its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
+
+def _add_argument(p: argparse.ArgumentParser, a: "cli.Arg", suppress: bool = False) -> None:
+    """`a` as an argparse argument; `suppress` leaves its dest unset unless given."""
+    kw = {"help": a.help}
+    if a.kind == "flag":
+        kw["action"] = "store_true"
+    else:
+        kw.update({"type": int} if a.kind == "int" else {})
+        kw.update({"choices": a.choices} if a.choices else {})
+        kw.update({"metavar": a.metavar} if a.metavar else {})
+    if not a.flags:
+        p.add_argument(a.dest, **kw)
+        return
+    kw.update({"required": True} if a.required else {})
+    p.add_argument(*a.flags, dest=a.dest, default=argparse.SUPPRESS if suppress else a.default, **kw)
+
+
+def argparse_reference() -> argparse.ArgumentParser:
+    """The root parser with every command, as argparse reads `cli.COMMANDS`.
+    The common options sit on the root and on each command, where they
+    are set only when given."""
+    root = argparse.ArgumentParser(prog="turancert")
+    root.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    for a in cli.COMMON:
+        _add_argument(root, a)
+    sub = root.add_subparsers(dest="cmd", required=True, metavar="command",
+                              parser_class=_CommandParser)
+    for name, (fn, help_text, positionals, options) in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for a in cli.COMMON:
+            _add_argument(p, a, suppress=True)
+        for a in (*positionals, *options):
+            _add_argument(p, a)
+        p.set_defaults(fn=fn)
+    return root
+
+
+def parse_outcome(parse, argv: list) -> tuple:
+    """(exit code, the namespace's attributes or None, stdout, stderr) of
+    parse(argv), where a usage exit counts as code 1 and a help exit as 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = parse(list(argv))
+        except SystemExit as exc:
+            return (0 if exc.code == 0 else 1), None, out.getvalue(), err.getvalue()
+    return 0, vars(ns), out.getvalue(), err.getvalue()

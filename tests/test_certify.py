@@ -235,7 +235,7 @@ def assert_fused_match(rec, s_l, s_u, g, f, label):
     assert forms(certify._induction_inequalities(rec, s_l, s_u)) == forms(
         induction_inequalities_reference(rec, s_l, s_u)), label
     for scaled in (False, True):
-        gs, fs = (g * certify.FACTORIAL_FACTOR, f * certify.FACTORIAL_FACTOR) if scaled else (g, f)
+        gs, fs = (g * sequences.FACTORIAL_FACTOR, f * sequences.FACTORIAL_FACTOR) if scaled else (g, f)
         assert forms(certify._discharge_inequalities(s_l, s_u, gs, fs)) == forms(
             discharge_inequalities_reference(s_l, s_u, gs, fs)), (label, scaled)
         for i in range(4):

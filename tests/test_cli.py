@@ -2,23 +2,25 @@
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
+import random
 import shutil
 import subprocess
 import sys
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
+from turancert import __version__
 from turancert import certify as certify_module
 from turancert import cli
 from turancert.certify import certify_turan3, certify_u_window
-from turancert.cli import COMMANDS, main
+from turancert.cli import COMMANDS, EXIT_ERROR, main
 from turancert.sequences import TermTable
 
-from oracles import get
+from oracles import argparse_reference, get, parse_outcome
 
 SUPER_CRITICAL = "(n+2)^3*a(n+1) - ((n+2)^3+1)*a(n) = 0 ; a(0)=1"
 HARMONIC = "(n+2)*a(n+2) - (2*n+3)*a(n+1) + (n+1)*a(n) = 0 ; 0, 1"
@@ -918,20 +920,33 @@ VALID = [
 ]
 
 
+def reference_outcome(capsys, monkeypatch, argv):
+    """outcome(argv) with the argparse reference parsing the line; its usage
+    exit 2 counts as main's usage exit 1."""
+    monkeypatch.setattr(cli, "parse_args", argparse_reference().parse_args)
+    code, out, err = outcome(capsys, argv)
+    monkeypatch.undo()
+    return (EXIT_ERROR if code == 2 else code), out, err
+
+
 class TestOneCommandParser:
-    """main builds the parser of the named command only, with the same outcome."""
+    """main parses with the option table, with the argparse reference's outcome."""
 
     @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
     def test_same_output_and_exit_as_the_full_tree(self, capsys, monkeypatch, argv):
-        got = outcome(capsys, argv)
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
-        assert outcome(capsys, argv) == got
+        code, out, err = outcome(capsys, argv)
+        want_code, want_out, want_err = reference_outcome(capsys, monkeypatch, argv)
+        assert code == want_code
+        if "--help" in argv:  # the help layout is the table's own
+            assert (code, err) == (0, "") and out.startswith("usage: turancert")
+        else:
+            assert out == want_out
+            assert err.splitlines()[-1:] == want_err.splitlines()[-1:]
 
     def test_valid_lines_parse_alike(self):
         assert sorted(argv[0] for argv in VALID) == sorted(COMMANDS)
         for argv in VALID:
-            assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+            assert vars(cli.parse_args(argv)) == vars(argparse_reference().parse_args(argv))
 
     @pytest.mark.parametrize("argv, code", [
         (["check-turan3", "motzkin", "--bogus"], 1),  # usage errors exit 1, not argparse's 2
@@ -956,33 +971,156 @@ class TestOneCommandParser:
         extra = " ".join(argv[argv.index("--bogus"):])
         assert lines[-1] == f"turancert check-turan3: error: unrecognized arguments: {extra}"
 
-    def test_only_the_named_command_is_built(self, capsys, monkeypatch):
-        built, full = [], cli.build_parser
-
-        def recorded(command=None):
-            built.append(command)
-            return full(command)
-
-        monkeypatch.setattr(cli, "build_parser", recorded)
-        assert outcome(capsys, ["terms", "motzkin", "--to", "2"])[:2] == (0, "1, 1, 2\n")
-        outcome(capsys, ["--json", "terms", "motzkin", "--to", "2"])
-        outcome(capsys, ["bogus"])
-        assert built == ["terms", None, None]
-        with pytest.raises(SystemExit):
-            full("terms").parse_args(["corpus", "run"])
-        assert "invalid choice: 'corpus' (choose from 'terms')" in capsys.readouterr().err
+    def test_help_lists_every_option(self, capsys):
+        for name, (_, help_text, positionals, options) in COMMANDS.items():
+            code, out, _ = outcome(capsys, [name, "-h"])
+            lines = out.splitlines()
+            assert code == 0 and lines[0] == cli._usage(name) and help_text in lines
+            for a in (*positionals, *cli.COMMON, *options):
+                assert any(a.help in line and (a.flags[-1] if a.flags else "") in line for line in lines)
+        code, out, _ = outcome(capsys, ["-h"])
+        assert code == 0 and all(any(name in line for line in out.splitlines()) for name in COMMANDS)
+        assert outcome(capsys, ["--version"]) == (0, f"turancert {__version__}\n", "")
 
 
-def settings(parser: argparse.ArgumentParser) -> dict:
-    """A parser's optional settings, bar -h and --version: dest -> option strings."""
-    skip = (argparse._HelpAction, argparse._VersionAction)
-    return {a.dest: a.option_strings for a in parser._actions
-            if a.option_strings and not isinstance(a, skip)}
+# one line for each kind of usage error: (argv, argparse's message after "error: ")
+ERROR_LINES = [
+    (["check-turan3", "motzkin", "--scale", "weird"],
+     "argument --scale: invalid choice: 'weird' (choose from 'factorial', 'n!', 'none')"),
+    (["corpus", "walk"], "argument corpus_cmd: invalid choice: 'walk' (choose from 'run')"),
+    (["--json", "bogus"], "argument command: invalid choice: 'bogus' (choose from "
+     + ", ".join(map(repr, COMMANDS)) + ")"),
+    (["terms", "motzkin", "--to", "3", "extra"], "unrecognized arguments: extra"),
+    (["--cache-dir", "d", "--bogus", "terms", "motzkin", "--to", "3"], "unrecognized arguments: --bogus"),
+    (["terms", "motzkin", "--to", "3", "--"], "unrecognized arguments: --"),
+    (["certify", "motzkin", "-o"], "argument -o/--output: expected one argument"),
+    (["terms", "motzkin", "--to", "--json"], "argument --to: expected one argument"),
+    (["--cache-dir"], "argument --cache-dir: expected one argument"),
+    (["u-asymp", "motzkin", "-K", "two"], "argument -K: invalid int value: 'two'"),
+    (["check-llc", "motzkin", "--ell=1.5"], "argument --ell: invalid int value: '1.5'"),
+    (["check-llc", "motzkin"], "the following arguments are required: --ell"),
+    (["verify"], "the following arguments are required: cert, src"),
+    ([], "the following arguments are required: command"),
+    (["certify", "motzkin", "--o", "out.json"], "ambiguous option: --o could match --operator, --output"),
+    (["certify", "motzkin", "--o=out.json"], "ambiguous option: --o=out.json could match --operator, --output"),
+    (["terms", "motzkin", "--to", "3", "--json=yes"], "argument --json: ignored explicit argument 'yes'"),
+    (["ratio-asymp", "motzkin", "-hx"], "argument -h/--help: ignored explicit argument 'x'"),
+]
 
 
-def command_parsers(root: argparse.ArgumentParser) -> dict:
-    (sub,) = (a for a in root._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices
+def _units(argv: list) -> tuple:
+    """(root options, command, units): each unit an option word with its value, or a positional."""
+    name = next(w for w in argv if w in COMMANDS)
+    takes_value = {f: a.kind != "flag" for a in (*cli.COMMON, *COMMANDS[name][3]) for f in a.flags}
+    units, i = [], argv.index(name) + 1
+    while i < len(argv):
+        n = 2 if takes_value.get(argv[i]) else 1
+        units.append(argv[i:i + n])
+        i += n
+    return argv[:argv.index(name)], name, units
+
+
+def _prefixes(name: str, flag: str) -> list:
+    """The prefixes of a long option that name it alone among `name`'s options."""
+    flags = [f for a in cli._spec(name)[2] for f in a.flags]
+    return [flag[:k] for k in range(3, len(flag) + 1) if [f for f in flags if f.startswith(flag[:k])] == [flag]]
+
+
+def _variant(rng, argv: list) -> list:
+    """argv with its options reordered and respelled at random, meaning the same."""
+    root, name, units = _units(argv)
+    common = {f for a in cli.COMMON for f in a.flags}
+    args = {f: a for a in cli._spec(name)[2] for f in a.flags}
+    options = [u for u in units if u[0] in args]
+    positionals = [u[0] for u in units if u[0] not in args]
+    front = [u for u in options if u[0] in common and rng.random() < 0.3]  # a root option
+    options = [u for u in options if u not in front]
+    spelled = []
+    for flag, *value in options:
+        other = {"int": "-7", "choice": "none"}.get(args[flag].kind, "x")
+        if flag.startswith("--") and rng.random() < 0.5:
+            flag = rng.choice(_prefixes(name, flag))
+        if value and rng.random() < 0.3:  # a repeated option: the last one wins
+            spelled.append([flag, other])
+        if value and rng.random() < 0.5:
+            spelled.append([f"{flag}={value[0]}" if flag.startswith("--") else flag + value[0]])
+        else:
+            spelled.append([flag, *value])
+    words = [w for u in front for w in u]
+    if rng.random() < 0.3 and positionals:  # "--" ends the options
+        rng.shuffle(spelled)
+        return root + words + [name] + [w for u in spelled for w in u] + ["--"] + positionals
+    slots = spelled + [[p] for p in positionals]
+    rng.shuffle(slots)
+    order = iter(positionals)  # positionals keep their order
+    slots = [[next(order)] if u[0] in positionals else u for u in slots]
+    return root + words + [name] + [w for u in slots for w in u]
+
+
+def differential_lines() -> list:
+    """The lines the option table and the argparse reference must read alike."""
+    rng = random.Random(40)
+    base = list(VALID) + [EVERY_OPTION[c].format(d="d").split() for c in sorted(EVERY_OPTION)]
+    base += [
+        ["--json", "--cache-dir", "d", "check-turan3", "motzkin", "--cache-dir", "e"],
+        ["certify", "-5", "-K", "-3", "-o", "-1"],  # negative numbers are values
+        ["certify", "motzkin", "-K=3", "-o=out.json", "--json", "--json"],
+        ["check-turan3", "motzkin", "--max-K", "-2", "--scale", "none", "--scale", "n!"],
+        ["verify", "c.json", "-.5", "--operator"],
+        ["corpus", "run", "--seed", "-1", "--seed", "12"],
+    ]
+    lines = [*base, *(_variant(rng, line) for line in base for _ in range(12))]
+    lines += [argv for argv, _ in ERROR_LINES]
+    for line in base:  # one word dropped, doubled or replaced by a wrong one
+        for _ in range(4):
+            argv, k = list(line), rng.randrange(len(line))
+            argv[k:k + 1] = rng.choice([[], [argv[k]] * 2, ["--bogus"], ["-K", "x"], ["--o"], ["--"]])
+            lines.append(argv)
+    return lines
+
+
+class TestDifferential:
+    """The option table reads every line as argparse read `cli.COMMANDS`."""
+
+    def test_lines_cover_every_form(self):
+        lines = differential_lines()
+        words = [w for line in lines for w in line]
+        assert len(lines) >= 300
+        assert all(line in lines for line in VALID)
+        assert any("=" in w and w.startswith("--") for w in words)  # --opt=value
+        assert any(w.startswith(("-K", "-o")) and len(w) > 2 for w in words)  # -K5, -oF
+        flags = {f for name in COMMANDS for a in cli._spec(name)[2] for f in a.flags if f[1] == "-"}
+        assert any(2 < len(w) < len(f) and f.startswith(w) for w in words for f in flags)  # a prefix
+        assert "--" in words and "-3" in words
+        assert any(line[0] in ("--json", "--cache-dir") for line in lines)  # a root option first
+
+    def test_lines_parse_alike(self):
+        ref = argparse_reference()
+        diffs = []
+        for argv in differential_lines():
+            code, got, _, err = parse_outcome(cli.parse_args, argv)
+            want_code, want, _, want_err = parse_outcome(ref.parse_args, argv)
+            if (code, got) != (want_code, want) or err.splitlines()[-1:] != want_err.splitlines()[-1:]:
+                diffs.append((argv, err.splitlines()[-1:], want_err.splitlines()[-1:]))
+        assert diffs == []
+
+    @pytest.mark.parametrize("argv, msg", ERROR_LINES, ids=[" ".join(a) for a, _ in ERROR_LINES])
+    def test_usage_error_line(self, capsys, argv, msg):
+        code, out, err = outcome(capsys, argv)
+        command = [w for w in argv[:1] if w in COMMANDS]
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"{' '.join(['turancert', *command])}: error: {msg}"
+        assert parse_outcome(argparse_reference().parse_args, argv)[3].splitlines()[-1] == err.splitlines()[-1]
+
+
+def settings(options: tuple) -> dict:
+    """The option settings among `options`, bar -h and --version: dest -> option strings."""
+    return {a.dest: a.flags for a in options if a.flags and a.kind not in ("help", "version")}
+
+
+def command_parsers() -> dict:
+    """The options the parser accepts at the root (under None) and after each command."""
+    return {name: cli._spec(name)[2] for name in (None, *COMMANDS)}
 
 
 # one cheap line per command that sets every option the command accepts;
@@ -1017,8 +1155,7 @@ class TestEveryOptionIsRead:
     """A command accepts only the options that its code reads."""
 
     def test_settings_count(self):
-        root = cli.build_parser()
-        parsers = [root, *command_parsers(root).values()]
+        parsers = list(command_parsers().values())
         assert len(parsers) == 9
         assert sum(len(settings(p)) for p in parsers) == 38
         assert len(REMOVED_SETTINGS) == 53 - 38
@@ -1027,16 +1164,16 @@ class TestEveryOptionIsRead:
     def test_every_parsed_option_is_read(self, tmp_path, name):
         assert main(["certify", "motzkin", "-o", str(tmp_path / "cert.json")]) == 0
         argv = [*EVERY_OPTION[name].format(d=tmp_path).split(), "--json", "--cache-dir", str(tmp_path)]
-        accepted = settings(command_parsers(cli.build_parser(name))[name])
+        accepted = settings(command_parsers()[name])
         assert all(set(opts) & set(argv) for opts in accepted.values())
         reads = set()
 
-        class Recording(argparse.Namespace):
+        class Recording(SimpleNamespace):
             def __getattribute__(self, attr):
                 reads.add(attr)
                 return super().__getattribute__(attr)
 
-        args = cli.build_parser(name).parse_args(argv, namespace=Recording())
+        args = cli.parse_args(argv, namespace=Recording())
         reads.clear()
         assert args.fn(args) == 0
         assert {d for d in accepted if d not in reads} == {d for c, d in IGNORED if c == name}

@@ -49,9 +49,11 @@ def test_no_unused_imports(path):
 
 
 # Standard modules that every command would pay for at start-up and none
-# needs there: dataclasses and what it imports, and hashlib, which only a
-# term cache reads or writes.
-STARTUP_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "hashlib")
+# needs there: dataclasses and what it imports, hashlib, which only a term
+# cache reads or writes, and argparse with the gettext and locale it loads,
+# since the command line is read from `cli.COMMANDS` by the module itself.
+STARTUP_FREE = ("dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "hashlib",
+                "argparse", "gettext", "locale")
 
 STARTUP_PROBE = """
 import io, json, sys
@@ -92,7 +94,6 @@ UNCALLED_BUT_KEPT = {
     "series_inv": "benchmark tracing times it by name; the tests' u-series oracle inverts with it",
     "residual": "benchmark workload: the Fraction residual that checks long term runs",
     "shift_series": "benchmark tracing times it by name; the tests' oracles shift with it",
-    "parse_known_args": "argparse calls it on the command's parser for every command line",
 }
 
 
@@ -289,8 +290,8 @@ SCALING_PARAMETER = {
     "corpus.py": {"CorpusEntry.__init__"},
     "criteria.py": {"_drive", "turan3_verdict", "llogconcave_verdict"},
     "sequences.py": {
-        "check_scaling", "windows", "check_inequality_range", "_sign_at", "turan3_sign",
-        "logconcave_sign", "phi_values",
+        "check_scaling", "scale_window", "windows", "check_inequality_range", "_sign_at",
+        "turan3_sign", "logconcave_sign", "phi_values",
     },
 }
 

@@ -277,6 +277,25 @@ class TestPowerLimits:
         ]
         assert elapsed < 1.0
 
+    def test_check_turan3_refuses_a_runaway_cleared_denominator(self, capsys):
+        # each coefficient passes; clearing both denominators would form
+        # a degree-2000 lcm, which is refused before it is multiplied out
+        start = time.perf_counter()
+        code = cli.main(["check-turan3", "a(n)/(n+1)^1000 + a(n+1)/(n+2)^1000 = 0 ; 1"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: relation too large: its cleared denominator's degree would exceed"
+            " MAX_POWER_DEGREE = 1000"
+        ]
+        assert elapsed < 5.0
+
+    def test_cleared_denominator_degree_counts_the_common_factor_once(self):
+        # deg lcm = 601 + 601 - 600 = 602: the common (n+1)^600 cancels
+        rec = parse_recurrence("a(n)/((n+1)^600*(n+3)) + a(n+1)/((n+1)^600*(n+2)) = 0 ; 1")
+        assert rec.coeffs == (Poly([3, 1]), Poly([-2, -1]))
+
     @pytest.mark.parametrize("parse, text, message", [
         (parse_recurrence, "0^-100000*a(n) = 0 ; 1", "zero raised to a negative power"),
         (parse_recurrence, "a(n)^100000 - a(n+1) = 0 ; 1", "sequence terms cannot be raised to a power"),
