@@ -80,7 +80,10 @@ positive denominator they stand over, and built in one loop that reads
 one term per index and slides the window whenever the entering
 denominator is a multiple of the last lcm, as it always is for integer
 terms.  Only `phi_values` reads that denominator, and only it needs the
-factorial the `factorial` scaling divides by, which it steps itself.
+factorial the `factorial` scaling divides by, which it steps itself; it
+reduces each iterated value against a kernel of the primes of that
+denominator times the factorial, carried across windows beside the power
+the value stands over.
 `FORMS` names each scanned form with its window length;
 `check_inequality_range` scans one, `turan3_sign` and `logconcave_sign`
 are one-window scans, `phi_values` iterates phi on the windows, and
@@ -754,29 +757,58 @@ def phi_values(
     Fractions; the `factorial` scaling divides a(n) by n! before the first
     level.  The value at n depends on the window a(n..n+2 level) only: phi
     is iterated on its integers xs from `windows`, without a gcd, and the
-    result N / (den f)^(2^level), with f = (n + 2 level)! under `factorial`
-    and f = 1 otherwise, is reduced once at the end: each prime N shares
-    with (den f)^(2^level) divides g = gcd(N, den f), so dividing both by
-    g, then by the part of g they still share, until that is 1, leaves
-    them coprime.
+    result N / P, for P = (den f)^(2^level), with f = (n + 2 level)! under
+    `factorial` and f = 1 otherwise, is reduced once at the end against a
+    kernel K of den f, carried across windows with P.
+
+    Every prime of den f divides K.  When `windows` yields a den that is a
+    multiple m of the last, den f is the last one times m step, where step
+    = n + 2 level under `factorial` and 1 otherwise, so K gains
+    `_coprime_part(m step, K)` and P is multiplied by (m step)^(2^level);
+    otherwise K and P restart from den f.  After a restart K is den f, and
+    after a growth a prime of den f divides the last den f, so the last K,
+    or m step, so it divides the new K either way.
+
+    For N != 0, h = gcd(N mod K, K) = gcd(N, K) holds exactly the primes of
+    den f that divide N.  The doubling h <- gcd(N mod h^2, h^2) keeps h | N
+    and h's primes and never lowers h, so it stops; at its fixed point, for
+    each prime p of h, min(v_p(N), 2 v_p(h)) = v_p(h), so v_p(h) = v_p(N):
+    h is N's whole part over those primes.  Then c = gcd(P mod h, h) has
+    v_p(c) = min(v_p(N), v_p(P)) at every prime of h, and v_p of
+    gcd(N, P) is 0 at every other p, since p divides N and den f only if it
+    divides h.  So c = gcd(N, P), and one division of N and P by c leaves
+    them coprime, over P / c > 0.  A zero N gives 0/1.  Every gcd operand is
+    then K, m step, h^2 or h, and none has a quarter of den f's bits on the
+    motzkin and involutions windows of [0, 600].
     """
     if level < 0:
         raise ValueError("level must be >= 0")
     if lo < 0:
         raise ValueError(f"phi values from n = {lo} need a({lo}); indices start at 0")
     out = []
-    k, f = 2 * level + 1, 1
+    k, e, f, step, last = 2 * level + 1, 1 << level, 1, 1, 0
     for n, (xs, den) in enumerate(windows(table, lo, hi, k, scaling), lo):
         if scaling == "factorial":  # f = (n + k - 1)!, one factor more per step
-            f = f * (n + k - 1) if n > lo else math.factorial(n + k - 1)
-            den *= f
+            step = n + k - 1
+            f = f * step if n > lo else math.factorial(step)
+        m, r = divmod(den, last) if last else (0, 1)
+        last = den
+        if r:  # restart from den f
+            ker = den * f
+            power = ker**e
+        elif m * step > 1:  # den f grew by m step
+            ker *= _coprime_part(m * step, ker)
+            power *= (m * step) ** e
         for _ in range(level):
             xs = [xs[i + 1] * xs[i + 1] - xs[i] * xs[i + 2] for i in range(len(xs) - 2)]
-        num, g = xs[0], math.gcd(xs[0], den)
-        den **= 1 << level
-        while g > 1:
-            num //= g
-            den //= g
-            g = math.gcd(num, g, den)
-        out.append(_reduced(num, den))
+        num = xs[0]
+        if not num:
+            out.append(_reduced(0, 1))
+            continue
+        h, g = 0, math.gcd(num % ker, ker)
+        while g != h:  # N's whole part over the primes of gcd(N, K)
+            h, hh = g, g * g
+            g = math.gcd(num % hh, hh)
+        c = math.gcd(power % h, h)
+        out.append(_reduced(num // c, power // c) if c > 1 else _reduced(num, power))
     return out

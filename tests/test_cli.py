@@ -982,6 +982,16 @@ class TestOneCommandParser:
         assert code == 0 and all(any(name in line for line in out.splitlines()) for name in COMMANDS)
         assert outcome(capsys, ["--version"]) == (0, f"turancert {__version__}\n", "")
 
+    @pytest.mark.parametrize("argv, prog, rest", [
+        (["-hh"], "turancert", "h"),
+        (["ratio-asymp", "motzkin", "-hK5"], "turancert ratio-asymp", "K5"),
+    ], ids=["-hh", "-hK5"])
+    def test_help_joined_to_another_short_option_is_a_usage_error(self, capsys, argv, prog, rest):
+        """-h stands alone, as the README says; argparse printed help here."""
+        code, out, err = outcome(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"{prog}: error: argument -h/--help: ignored explicit argument {rest!r}"
+
 
 # one line for each kind of usage error: (argv, argparse's message after "error: ")
 ERROR_LINES = [

@@ -849,21 +849,27 @@ PHI_RECS = {
 }
 
 
+# (lo, hi) inputs: empty and 41-index ranges near 0, and one far from 0, where
+# a den that is no multiple of the last restarts the carried kernel and power
+# among windows that carry them (harmonic, inverse-catalan, sign-changing-p0,
+# zero-step-sum and order1-* at levels 1-3)
+PHI_RANGES = [(lo, hi) for lo in (0, 1, 5) for hi in (lo - 1, lo + 40)] + [(120, 160)]
+
+
 @pytest.mark.parametrize("name", sorted(PHI_RECS))
 def test_phi_values_match_fraction_oracle(name):
     table = TermTable(PHI_RECS[name])
     for level in range(4):
         for scaling in ("none", "factorial"):
-            for lo in (0, 1, 5):
-                for hi in (lo - 1, lo + 40):
-                    got = phi_values(table, level, lo, hi, scaling)
-                    want = fraction_phi_values(table, level, lo, hi, scaling)
-                    assert len(got) == max(hi - lo + 1, 0)
-                    assert _pairs(got) == _pairs(want), (level, scaling, lo, hi)
-                    for v in got:
-                        assert type(v) is F
-                        assert v.denominator > 0
-                        assert math.gcd(v.numerator, v.denominator) == 1
+            for lo, hi in PHI_RANGES:
+                got = phi_values(table, level, lo, hi, scaling)
+                want = fraction_phi_values(table, level, lo, hi, scaling)
+                assert len(got) == max(hi - lo + 1, 0)
+                assert _pairs(got) == _pairs(want), (level, scaling, lo, hi)
+                for v in got:
+                    assert type(v) is F
+                    assert v.denominator > 0
+                    assert math.gcd(v.numerator, v.denominator) == 1
 
 
 @pytest.mark.parametrize("name", ["motzkin", "involutions"])
@@ -873,6 +879,27 @@ def test_phi_values_match_fraction_oracle_on_long_windows(name):
     for level in (1, 2):
         got = phi_values(table, level, 250, 300, entry.scaling)
         assert _pairs(got) == _pairs(fraction_phi_values(table, level, 250, 300, entry.scaling))
+
+
+@pytest.mark.parametrize("name", ["motzkin", "involutions"])
+def test_phi_gcds_stay_at_the_size_of_the_kernel(monkeypatch, name):
+    """The level-2 value at n = 600 stands over (den f)^4, with den f of
+    about 4.6k bits.  A reduction by gcd(N, den f) works at den f's size;
+    with a kernel of den f's primes carried across windows, no gcd operand
+    has more than a quarter of den f's bits on [0, 600]."""
+    entry = get(name)
+    table = TermTable(entry.recurrence)
+    table.ensure(604)  # the terms are filled untraced
+    den = _integer_window(table.values(600, 604))[1]
+    if entry.scaling == "factorial":
+        den *= math.factorial(604)
+    traced = _TracedMath()
+    monkeypatch.setattr(sequences, "math", traced)
+    got = phi_values(table, 2, 0, 600, entry.scaling)
+    monkeypatch.undo()
+    assert den.bit_length() > 4000 and traced.sizes
+    assert max(max(sizes) for sizes in traced.sizes) <= den.bit_length() // 4
+    assert _pairs(got[-5:]) == _pairs(fraction_phi_values(table, 2, 596, 600, entry.scaling))
 
 
 def test_phi_values_oracle_cases_cover_zeros_and_signs():
