@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .poly import Poly, _convolve, _exact_quotient, _int_gcd, _integer_window, _poly_of, _primitive_ints
+from .poly import Poly, _convolve, _exact_quotient, _int_gcd, _integer_window, _poly_of, _primitive_ints, pow_by_squaring
 from .roots import AlgebraicReal, _sign_at
 
 
@@ -322,14 +322,7 @@ class NFElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.field.inv(self) ** (-k)
-        out = self.field.from_rational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return pow_by_squaring(self, k, self.field.from_rational(1))
 
     # predicates ------------------------------------------------------------
 

@@ -32,6 +32,7 @@ constant will need (ROADMAP item 5).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -147,14 +148,7 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return pow_by_squaring(self, k, Poly([1]))
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
@@ -266,6 +260,19 @@ def _jointly_primitive(lists: Sequence[Sequence[int]], sign: int) -> list[Poly]:
     return [_over([c // g for c in reversed(cs)], 1) for cs in lists]
 
 
+def pow_by_squaring(x, k: int, one, mul=operator.mul):
+    """`one` times x^k, for an int k >= 0, by square-and-multiply under the
+    product `mul`; x is squared only while a higher bit of k remains."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return out
+
+
 def _convolve(x: Sequence, y: Sequence) -> list:
     """The product of two coefficient lists (integers, or any exact scalars),
     in the order given; an entry no pair reaches stays the int 0."""
@@ -366,6 +373,35 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.is_rational():
         return a.primitive()
     return a.monic()
+
+
+# primes below 2^30 for `_gcd_degree_bound`, so that residues stay one-digit ints
+_GCD_PRIMES = (1000000007, 998244353, 1000000009)
+
+
+def _gcd_degree_bound(x: Sequence[int], y: Sequence[int], floor: int = -1) -> int:
+    """An upper bound on the degree of gcd(x, y) over Q, for nonzero integer
+    lists (highest first), from their Euclidean remainders modulo a prime p
+    that divides neither leading coefficient: the degree of the first one at
+    most `floor`, or else of the last nonzero one (the gcd mod p).
+
+    The primitive gcd g over Z divides x and y in Z[x] (Gauss's lemma), so
+    lc(g) divides lc(x), which p does not divide: g mod p keeps g's degree
+    and divides every remainder mod p.  Without such a p among
+    `_GCD_PRIMES`, the bound is the smaller degree."""
+    p = next((q for q in _GCD_PRIMES if x[0] % q and y[0] % q), None)
+    if p is None:
+        return min(len(x), len(y)) - 1
+    a, b = sorted(([c % p for c in x], [c % p for c in y]), key=len, reverse=True)
+    while b and len(b) - 1 > floor:
+        inv, nb = pow(b[0], -1, p), len(b)
+        while len(a) >= nb:
+            c = a[0] * inv % p
+            a = [(u - c * v) % p for u, v in zip(a[1:nb], b[1:])] + a[nb:] if c else a[1:]
+        while a and not a[0]:
+            a = a[1:]
+        a, b = b, a
+    return len(b) - 1 if b else len(a) - 1
 
 
 def squarefree_part(cs: Sequence[int]) -> list[int]:

@@ -296,6 +296,7 @@ def _const(v) -> RatFunc:
 
 
 def _as_ratfunc(x) -> RatFunc:
+    """Coerce a scalar, polynomial or rational function to RatFunc."""
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, Poly):

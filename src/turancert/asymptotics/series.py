@@ -15,18 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from ..algebra import Poly, RatFunc
+from ..algebra import RatFunc
+from ..algebra.poly import pow_by_squaring
+from ..algebra.ratfunc import _as_ratfunc
 
 Exp = Fraction
-
-
-def as_coef(x) -> RatFunc:
-    """Coerce a scalar, polynomial in L, or rational function to RatFunc."""
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, Poly):
-        return RatFunc(x)
-    return RatFunc.const(x)
 
 
 def gen_binomial(alpha, k: int):
@@ -50,7 +43,7 @@ class AsymSeries:
         merged: dict = {}
         for e, c in terms:
             e = Fraction(e)
-            c = as_coef(c)
+            c = _as_ratfunc(c)
             if e in merged:
                 merged[e] = merged[e] + c
             else:
@@ -131,7 +124,7 @@ class AsymSeries:
         return self + (-other)
 
     def scale(self, c) -> "AsymSeries":
-        c = as_coef(c)
+        c = _as_ratfunc(c)
         return AsymSeries([(e, c * k) for e, k in self.terms], self.error_order)
 
     def __mul__(self, other) -> "AsymSeries":
@@ -166,14 +159,7 @@ class AsymSeries:
     def __pow__(self, k: int) -> "AsymSeries":
         if k < 0:
             raise ValueError("negative powers go through series_inv")
-        out = AsymSeries.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return pow_by_squaring(self, k, AsymSeries.one())
 
     # -- reshaping ---------------------------------------------------------------
 

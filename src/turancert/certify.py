@@ -121,10 +121,7 @@ def _ratio_window_functions(rx: RatioExpansion, order: int):
 
 
 def certify_ratio_bounds(
-    rec: Recurrence,
-    order: int = 4,
-    table: Optional[TermTable] = None,
-    rx: Optional[RatioExpansion] = None,
+    table: TermTable, order: int = 4, rx: Optional[RatioExpansion] = None
 ) -> RatioBounds:
     """Prove two-sided bounds on consecutive-term ratios by window induction.
 
@@ -134,8 +131,7 @@ def certify_ratio_bounds(
     consecutive exactly in-window ratios to start the induction.  The upper
     and lower steps bound r(n+d) through the window of the ratios before it.
     """
-    if table is None:
-        table = TermTable(rec)
+    rec = table.rec
     if rx is None:
         rx = ratio_expansion(rec, order, table=table)
     s_l, s_u, mu = _ratio_window_functions(rx, order)
@@ -248,27 +244,21 @@ def u_bound_functions(u: list, order: int):
     return build(0, -1), build(1, +1), slack_exp, kept
 
 
-def certify_u_bounds(
-    rec: Recurrence,
-    order: int = 4,
-    table: Optional[TermTable] = None,
-) -> tuple:
+def certify_u_bounds(table: TermTable, order: int = 4) -> tuple:
     """Certified two-sided u_n window, discharged from the ratio window.
 
     u_n = r(n+1)/r(n) with r(n) = a(n)/a(n-1), so with positive ratio
     bounds s_l <= r <= s_u the quotient is sandwiched by
     s_l(n+1)/s_u(n) and s_u(n+1)/s_l(n).  The pair is kept on `table`,
-    per (recurrence, order).
+    per order.
     """
-    if table is None:
-        table = TermTable(rec)
-    if (rec, order) not in table.u_bounds:
-        rx = ratio_expansion(rec, order, table=table)
-        rb = certify_ratio_bounds(rec, order, table=table, rx=rx)
+    if order not in table.u_bounds:
+        rx = ratio_expansion(table.rec, order, table=table)
+        rb = certify_ratio_bounds(table, order, rx)
         g, f, slack_exp, kept = u_bound_functions(u_grid(rx), order)
         n2 = max(_discharge_threshold(rb.lower, rb.upper, g, f), rb.valid_from)
-        table.u_bounds[(rec, order)] = rb, UBounds(g, f, n2, slack_exp, kept)
-    return table.u_bounds[(rec, order)]
+        table.u_bounds[order] = rb, UBounds(g, f, n2, slack_exp, kept)
+    return table.u_bounds[order]
 
 
 def _discharge_threshold(s_l: RatFunc, s_u: RatFunc, g: RatFunc, f: RatFunc) -> int:
@@ -408,23 +398,16 @@ def _holds_from(violations: list) -> int:
     return violations[-1] + 1 if violations else 1
 
 
-def certify_turan3(
-    rec: Recurrence,
-    order: int = 4,
-    scaling: str = "none",
-    table: Optional[TermTable] = None,
-) -> TuranCertificate:
+def certify_turan3(table: TermTable, order: int = 4, scaling: str = "none") -> TuranCertificate:
     """End-to-end certificate for 4 b_n b_{n+1} > (a_n a_{n+1} - a_{n-1} a_{n+2})^2."""
-    if table is None:
-        table = TermTable(rec)
-    rb, ub = certify_u_bounds(rec, order, table=table)
+    rb, ub = certify_u_bounds(table, order)
     ub = scaled_bounds(ub, scaling)
 
     corners = corner_suite(ub.lower, ub.upper)
     n_cert = max([ub.valid_from] + [c["threshold"] for c in corners])
 
     violations = check_inequality_range(table, "turan3", 1, n_cert, scaling)
-    return TuranCertificate(rec, scaling, order, rb, ub, corners, n_cert, violations)
+    return TuranCertificate(table.rec, scaling, order, rb, ub, corners, n_cert, violations)
 
 
 class UWindowCertificate(Certificate):
@@ -446,12 +429,7 @@ class UWindowCertificate(Certificate):
         return {"checkedSegment": {"from": self.checked_from, "to": self.checked_to}}
 
 
-def certify_u_window(
-    rec: Recurrence,
-    order: int = 4,
-    scaling: str = "none",
-    table: Optional[TermTable] = None,
-) -> UWindowCertificate:
+def certify_u_window(table: TermTable, order: int = 4, scaling: str = "none") -> UWindowCertificate:
     """Certified u-window alone, rechecked exactly over a finite segment.
 
     The containment already holds for all n > validFrom by the ratio
@@ -462,16 +440,14 @@ def certify_u_window(
     closed-form threshold and decides the rest of the segment by root
     counts, so the table gains no term past that threshold.
     """
-    if table is None:
-        table = TermTable(rec)
-    rb, ub = certify_u_bounds(rec, order, table=table)
+    rb, ub = certify_u_bounds(table, order)
 
     lo, hi = ub.valid_from + 1, ub.valid_from + U_WINDOW_SPAN
     n = first_escape(table, ub.lower, ub.upper, lo, hi)
     if n is not None:
         raise CertifyError(f"u at n = {n} escapes the certified window")
 
-    return UWindowCertificate(rec, scaling, order, rb, scaled_bounds(ub, scaling), lo, hi)
+    return UWindowCertificate(table.rec, scaling, order, rb, scaled_bounds(ub, scaling), lo, hi)
 
 
 # -- independent re-check -------------------------------------------------------
@@ -503,15 +479,15 @@ def _json_int(value, name: str) -> int:
     return value
 
 
-def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] = None):
+def verify_certificate(cert: dict, table: TermTable):
     """Replay a certificate against the sequence itself.
 
     The head and the kind's own fields are read in one parse; a certificate
     that does not parse is rejected as malformed, and so is an integer
     field that is not a JSON integer (a string, a float or a boolean) or a
     rational coefficient that is not a string in the writer's form.  Then
-    every claim is proved exactly from the stored fields and the recurrence
-    alone: it names this recurrence, `_replay_windows` proves both windows
+    every claim is proved exactly from the stored fields and the table's
+    recurrence alone: it names that recurrence, `_replay_windows` proves both windows
     and checks slackExponent against g and f, and for "turan3" the corners
     follow from g and f with valid thresholds, N covers them and validFrom,
     and the segment's violations and holdsFrom are reproduced; for
@@ -520,8 +496,6 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
     g and f are unscaled once (`scale_window`), for all but the corners
     and the Turan segment.  Returns (ok, diagnosis list).
     """
-    if table is None:
-        table = TermTable(rec)
     bad: list = []
     try:
         if not isinstance(cert, dict):
@@ -530,7 +504,7 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
         if kind not in ("turan3", "u-window"):
             return False, [f"unknown certificate kind {kind!r}"]
         seq = cert.get("sequence", {})
-        if any(seq.get(key) != value for key, value in _recurrence_fields(rec).items()):
+        if any(seq.get(key) != value for key, value in _recurrence_fields(table.rec).items()):
             bad.append("certificate does not describe this recurrence")
         scaling = seq.get("scaling", "none")
         check_scaling(scaling)
@@ -568,13 +542,13 @@ def verify_certificate(cert: dict, rec: Recurrence, table: Optional[TermTable] =
         return False, [f"malformed certificate: {exc}"]
 
     g0, f0 = scale_window(g, f, scaling, undo=True)
-    bad += _replay_windows(rec, table, order, ratio, g0, f0, valid_from, slack_exp) or (
+    bad += _replay_windows(table, order, ratio, g0, f0, valid_from, slack_exp) or (
         _replay_turan3(table, scaling, g, f, valid_from, **tail) if kind == "turan3"
         else _replay_u_window(table, g0, f0, valid_from, **tail))
     return not bad, bad
 
 
-def _replay_windows(rec, table, order, rb, g, f, valid_from, slack_exp) -> list:
+def _replay_windows(table, order, rb, g, f, valid_from, slack_exp) -> list:
     """Prove the stored ratio window and the unscaled u-window g, f with the
     builder's own induction and discharge, and check that the stated slack
     exponent is the largest power of 1/n in f - g.  Exponents are read off the
@@ -587,13 +561,13 @@ def _replay_windows(rec, table, order, rb, g, f, valid_from, slack_exp) -> list:
     if not rb.lower or top != rb.mu or limit_at_infinity(rb.lower / RatFunc.laurent([(top, 1)])) != rb.lam:
         return [f"s_l(n) does not lead with lambda n^mu = {frac_str(rb.lam)} n^{rb.mu}"]
     try:
-        n1 = _induction_threshold(rec, rb.lower, rb.upper)
+        n1 = _induction_threshold(table.rec, rb.lower, rb.upper)
         n2 = max(_discharge_threshold(rb.lower, rb.upper, g, f), rb.valid_from)
     except CertifyError as exc:
         return [f"the window is not proved: {exc}"]
     if rb.valid_from <= n1:
         return [f"ratio validFrom {rb.valid_from} is below the induction threshold {n1 + 1}"]
-    base = _escape(table, rb.lower, rb.upper, rb.valid_from + 1, rb.valid_from + rec.order - 1, 2)
+    base = _escape(table, rb.lower, rb.upper, rb.valid_from + 1, rb.valid_from + table.rec.order - 1, 2)
     if base is not None:
         return [f"base ratio a(n)/a(n-1) at n = {base} is outside the ratio window"]
     if valid_from < n2:

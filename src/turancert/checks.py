@@ -50,7 +50,7 @@ def _check_terms(e: CorpusEntry, table: TermTable) -> list:
 
 def _check_growth(e: CorpusEntry, table: TermTable) -> list:
     want = e.expected["lam"]
-    rx = ratio_expansion(e.recurrence, 4, table=table)
+    rx = ratio_expansion(table.rec, 4, table=table)
     probs = []
     if rx.mu != want["mu"]:
         probs.append(f"mu {rx.mu} != {want['mu']}")
@@ -74,7 +74,7 @@ def _check_growth(e: CorpusEntry, table: TermTable) -> list:
 def _coefficient_problems(e: CorpusEntry, table: TermTable, order: int, want) -> list:
     """"n^-k: got != c" for each (k, c) of `want` where e's u-series at
     `order` has not the constant c at n^-k."""
-    u = u_expansion(ratio_expansion(e.recurrence, order, table=table))
+    u = u_expansion(ratio_expansion(table.rec, order, table=table))
     got = {k: u.coefficient(k) for k, _ in want}
     return [f"n^-{k}: {got[k]} != {c}" for k, c in want
             if not (got[k].is_constant() and got[k].constant_value() == c)]
@@ -87,7 +87,7 @@ def _check_u_series(e: CorpusEntry, table: TermTable) -> list:
 
 
 def _check_turan3(e: CorpusEntry, table: TermTable) -> list:
-    v = turan3_verdict(e.recurrence, scaling=e.scaling, max_order=8, table=table)
+    v = turan3_verdict(table, e.scaling, 8)
     ok = v.result == e.expected["turan3"]
     detail = "" if ok else f"{v.result} ({v.rule}) != {e.expected['turan3']}"
     return [CheckResult(e.name, "turan3-verdict", ok, detail)]
@@ -95,7 +95,7 @@ def _check_turan3(e: CorpusEntry, table: TermTable) -> list:
 
 def _check_llc_level(e: CorpusEntry, table: TermTable) -> list:
     ell = e.expected["llc_level"]
-    v = llogconcave_verdict(e.recurrence, ell, scaling=e.scaling, max_order=8, table=table)
+    v = llogconcave_verdict(table, ell, e.scaling, 8)
     ok = v.result == "holds"
     return [CheckResult(e.name, f"llc-level-{ell}", ok, "" if ok else f"{v.result} ({v.rule})")]
 
@@ -103,7 +103,7 @@ def _check_llc_level(e: CorpusEntry, table: TermTable) -> list:
 def _check_ht_bounds(e: CorpusEntry, table: TermTable) -> list:
     want = e.expected["ht_bounds"]
     try:
-        _, ub = certify_u_bounds(e.recurrence, 4, table=table)
+        _, ub = certify_u_bounds(table, 4)
     except CertifyError as exc:
         # not certifiable on this grid; the window constant must still
         # simplify to the stored exact rational in the expansion
@@ -153,7 +153,7 @@ def _check_holds_from(e: CorpusEntry, table: TermTable) -> list:
         probs.append(f"already positive at n={start - 1}")
     out = [CheckResult(e.name, "holds-from", not probs, "; ".join(probs))]
     try:
-        cert = certify_turan3(e.recurrence, 4, scaling=e.scaling, table=table)
+        cert = certify_turan3(table, 4, e.scaling)
         ok = cert.holds_from == start
         out.append(
             CheckResult(
@@ -181,8 +181,8 @@ def _check_first_u_index(e: CorpusEntry, table: TermTable) -> list:
 def _check_residual(e: CorpusEntry, table: TermTable) -> list:
     """The recurrence holds on a(0..300+d), tested on integers: the
     coefficients and the terms are each scaled by one positive integer."""
-    d = e.recurrence.order
-    p0, *ps = _integer_coeffs(e.recurrence.coeffs)
+    d = table.rec.order
+    p0, *ps = _integer_coeffs(table.rec.coeffs)
     xs, _ = _integer_window(table.values(0, 300 + d))
     bad = [
         n for n in range(0, 300)

@@ -58,24 +58,49 @@ _SCALE_NAMES = {"none": "none", "n!": "factorial", "factorial": "factorial"}
 # -- sources ------------------------------------------------------------------
 
 
+def _malformed(msg: str) -> ParseError:
+    return ParseError(f"malformed recurrence document: {msg}")
+
+
+def _rationals(value, where: str) -> list:
+    """The Fractions of a document's JSON list of integers and rational strings."""
+    if type(value) is not list:
+        raise _malformed(f"{where} is not a list")
+    out = []
+    for i, v in enumerate(value):
+        try:
+            if type(v) not in (int, str):
+                raise ValueError
+            out.append(Fraction(v))
+        except (ValueError, ZeroDivisionError):
+            raise _malformed(f"{where}[{i}] = {json.dumps(v)} is not an integer or a rational string") from None
+    return out
+
+
 def recurrence_from_json(doc) -> tuple[Recurrence, str]:
+    """A recurrence document: relation text under "text", shift-operator text
+    under "operator", or "coeffs" (p0..pd, each a list of rationals, lowest
+    degree first) and "initials"; "name" and "scaling" are optional."""
     if not isinstance(doc, dict):
-        raise ParseError("malformed recurrence document: expected a JSON object")
+        raise _malformed("expected a JSON object")
     scaling = doc.get("scaling", "none")
     if not isinstance(scaling, str) or scaling not in _SCALE_NAMES:
-        raise ParseError(f"malformed recurrence document: unknown scaling {scaling!r}")
+        raise _malformed(f"unknown scaling {scaling!r}")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise _malformed("'name' is not a string")
     for key, parse in (("text", parse_recurrence), ("operator", parse_operator)):
         if key in doc:
             if not isinstance(doc[key], str):
-                raise ParseError(f"malformed recurrence document: {key!r} is not a string")
-            return parse(doc[key], name=doc.get("name", "")), _SCALE_NAMES[scaling]
-    try:
-        coeffs = [Poly([Fraction(c) for c in p]) for p in doc["coeffs"]]
-        initials = [Fraction(v) for v in doc["initials"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed recurrence document: {exc}") from exc
-    rec = Recurrence(coeffs, initials, name=doc.get("name", ""))
-    return rec, _SCALE_NAMES[scaling]
+                raise _malformed(f"{key!r} is not a string")
+            return parse(doc[key], name=name), _SCALE_NAMES[scaling]
+    for key in ("coeffs", "initials"):
+        if key not in doc:
+            raise _malformed(f"missing {key!r}")
+    if type(doc["coeffs"]) is not list:
+        raise _malformed("coeffs is not a list")
+    coeffs = [Poly(_rationals(p, f"coeffs[{i}]")) for i, p in enumerate(doc["coeffs"])]
+    return Recurrence(coeffs, _rationals(doc["initials"], "initials"), name=name), _SCALE_NAMES[scaling]
 
 
 def load_source(src: str, operator: bool = False) -> tuple[Recurrence, str]:
@@ -94,14 +119,14 @@ def load_source(src: str, operator: bool = False) -> tuple[Recurrence, str]:
     return rec, "none"
 
 
-def _open(args) -> tuple[Recurrence, str, TermTable]:
-    """The source's recurrence, its scaling (--scale, where the command has
-    it, over the source's default) and a term table on --cache-dir."""
+def _open(args) -> tuple[TermTable, str]:
+    """A term table on --cache-dir of the source's recurrence, and its scaling
+    (--scale, where the command has it, over the source's default)."""
     rec, scaling = load_source(args.src, args.operator)
     choice = getattr(args, "scale", None)
     if choice is not None:
         scaling = _SCALE_NAMES[choice]
-    return rec, scaling, TermTable(rec, cache_dir=args.cache_dir)
+    return TermTable(rec, cache_dir=args.cache_dir), scaling
 
 
 def _display_name(rec: Recurrence) -> str:
@@ -140,11 +165,12 @@ def cmd_terms(args) -> int:
 
 
 def cmd_ratio_asymp(args) -> int:
-    rec, _, table = _open(args)
-    rx = ratio_expansion(rec, args.K, table=table)
+    table, _ = _open(args)
+    name = _display_name(table.rec)
+    rx = ratio_expansion(table.rec, args.K, table=table)
     table.flush()
     growth = growth_record(rx)
-    lines = [f"a(n+1)/a(n) = lambda * n^mu * v(n)   [{_display_name(rec)}]"]
+    lines = [f"a(n+1)/a(n) = lambda * n^mu * v(n)   [{name}]"]
     if "lambda" in growth:
         lines.append(f"lambda = {growth['lambda']}")
     else:
@@ -156,32 +182,31 @@ def cmd_ratio_asymp(args) -> int:
         lines.append(f"exponent grid: multiples of 1/{rx.rho}")
     v = rx.v
     lines.append(f"v(n) = {series_to_text(v)}")
-    _emit(args, lines, {"name": _display_name(rec), "growth": growth,
-                        "series": series_to_json(v)})
+    _emit(args, lines, {"name": name, "growth": growth, "series": series_to_json(v)})
     return EXIT_OK
 
 
 def cmd_u_asymp(args) -> int:
-    rec, scaling, table = _open(args)
-    rx = ratio_expansion(rec, args.K, table=table)
+    table, scaling = _open(args)
+    name = _display_name(table.rec)
+    rx = ratio_expansion(table.rec, args.K, table=table)
     table.flush()
     u = u_expansion(rx, scaling=scaling)
     lines = [
-        f"u(n) = b(n+1)*b(n-1)/b(n)^2 with b(n) = {_scaling_note(scaling)}"
-        f"   [{_display_name(rec)}]",
+        f"u(n) = b(n+1)*b(n-1)/b(n)^2 with b(n) = {_scaling_note(scaling)}   [{name}]",
         f"u(n) = {series_to_text(u)}",
     ]
-    _emit(args, lines, {"name": _display_name(rec), "scaling": scaling,
-                        "series": series_to_json(u)})
+    _emit(args, lines, {"name": name, "scaling": scaling, "series": series_to_json(u)})
     return EXIT_OK
 
 
 def _verdict_command(args, check) -> int:
-    rec, scaling, table = _open(args)
-    v = check(rec, scaling, table)
+    table, scaling = _open(args)
+    name = _display_name(table.rec)
+    v = check(table, scaling)
     table.flush()
     lines = [
-        f"sequence: {_display_name(rec)} (checking {_scaling_note(scaling)})",
+        f"sequence: {name} (checking {_scaling_note(scaling)})",
         f"verdict: {v.result}",
         f"rule: {v.rule}",
         f"reason: {v.reason}",
@@ -189,37 +214,28 @@ def _verdict_command(args, check) -> int:
     for note in v.trace:
         lines.append(f"  {note}")
     payload = v.to_dict()
-    payload["name"] = _display_name(rec)
+    payload["name"] = name
     payload["scaling"] = scaling
     _emit(args, lines, payload)
     return _VERDICT_EXIT[v.result]
 
 
 def cmd_check_turan3(args) -> int:
-    return _verdict_command(
-        args,
-        lambda rec, scaling, table: turan3_verdict(
-            rec, scaling=scaling, max_order=args.max_K, table=table
-        ),
-    )
+    return _verdict_command(args, lambda table, scaling: turan3_verdict(table, scaling, args.max_K))
 
 
 def cmd_check_llc(args) -> int:
-    return _verdict_command(
-        args,
-        lambda rec, scaling, table: llogconcave_verdict(
-            rec, args.ell, scaling=scaling, max_order=args.max_K, table=table
-        ),
-    )
+    return _verdict_command(args, lambda table, scaling: llogconcave_verdict(table, args.ell, scaling, args.max_K))
 
 
 def cmd_certify(args) -> int:
-    rec, scaling, table = _open(args)
-    lines = [f"sequence: {_display_name(rec)} (checking {_scaling_note(scaling)})"]
+    table, scaling = _open(args)
+    name = _display_name(table.rec)
+    lines = [f"sequence: {name} (checking {_scaling_note(scaling)})"]
     try:
-        cert = certify_turan3(rec, args.K, scaling=scaling, table=table)
+        cert = certify_turan3(table, args.K, scaling)
     except CornerError as exc:
-        cert = certify_u_window(rec, args.K, scaling=scaling, table=table)
+        cert = certify_u_window(table, args.K, scaling)
         lines.append(f"the window does not settle the cubic Turan inequality: {exc}")
     else:
         lines.append(
@@ -227,7 +243,7 @@ def cmd_certify(args) -> int:
             f" (lambda = {frac_str(cert.ratio.lam)}, mu = {cert.ratio.mu})"
         )
     table.flush()
-    out_path = args.output or f"{_display_name(rec)}.{cert.kind.replace('-', '')}.json"
+    out_path = args.output or f"{name}.{cert.kind.replace('-', '')}.json"
     blob = cert.dumps()
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(blob + "\n")
@@ -260,10 +276,10 @@ def cmd_certify(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.cert, "r", encoding="utf-8") as fh:
         cert = json.load(fh)
-    rec, _, table = _open(args)
-    ok, diagnosis = verify_certificate(cert, rec, table)
+    table, _ = _open(args)
+    ok, diagnosis = verify_certificate(cert, table)
     table.flush()
-    name = _display_name(rec)  # the sequence checked, not the certificate's label
+    name = _display_name(table.rec)  # the sequence checked, not the certificate's label
     if ok:
         lines = [f"certificate for {name}: verified"]
         if cert.get("kind", "turan3") == "turan3":

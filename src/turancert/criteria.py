@@ -31,7 +31,7 @@ from typing import Optional
 from .algebra import RatFunc, limit_at_infinity, scalar_sign, sign_at_infinity
 from .asymptotics import AsymSeries, ratio_expansion, u_expansion
 from .render import _scalar_str, coef_str, frac_str, inv_log_series_str
-from .sequences import Recurrence, TermTable
+from .sequences import TermTable
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -494,40 +494,24 @@ def llogconcave_asymptotic(u: AsymSeries, ell: int) -> Verdict:
 # -- drivers --------------------------------------------------------------------
 
 
-def _drive(rec, check, scaling, max_order, table) -> Verdict:
-    if table is None:
-        table = TermTable(rec)
+def _drive(table: TermTable, check, scaling, max_order) -> Verdict:
     order = min(4, max_order)
-    last: Optional[Verdict] = None
     while True:
-        rx = ratio_expansion(rec, order, table=table)
-        u = u_expansion(rx, scaling=scaling)
-        last = check(u)
-        if not last.retryable or order >= max_order:
-            return last
+        v = check(u_expansion(ratio_expansion(table.rec, order, table=table), scaling=scaling))
+        if not v.retryable or order >= max_order:
+            return v
         order = min(max_order, 2 * order)
 
 
-def turan3_verdict(
-    rec: Recurrence,
-    scaling: str = "none",
-    max_order: int = 8,
-    table: Optional[TermTable] = None,
-) -> Verdict:
-    """Expand u_n for a recurrence and decide the cubic Turan form.
+def turan3_verdict(table: TermTable, scaling: str = "none", max_order: int = 8) -> Verdict:
+    """Expand u_n for the table's recurrence and decide the cubic Turan form.
 
     Starts at expansion order 4 and doubles up to max_order while the verdict
     stays inconclusive for lack of certified terms.
     """
-    return _drive(rec, turan3_asymptotic, scaling, max_order, table)
+    return _drive(table, turan3_asymptotic, scaling, max_order)
 
 
-def llogconcave_verdict(
-    rec: Recurrence,
-    ell: int,
-    scaling: str = "none",
-    max_order: int = 8,
-    table: Optional[TermTable] = None,
-) -> Verdict:
-    """Expand u_n for a recurrence and decide ell-fold log-concavity."""
-    return _drive(rec, lambda u: llogconcave_asymptotic(u, ell), scaling, max_order, table)
+def llogconcave_verdict(table: TermTable, ell: int, scaling: str = "none", max_order: int = 8) -> Verdict:
+    """Expand u_n for the table's recurrence and decide ell-fold log-concavity."""
+    return _drive(table, lambda u: llogconcave_asymptotic(u, ell), scaling, max_order)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import Poly, RatFunc, poly_gcd
-from .algebra.poly import _convolve, _integer_coeffs, _jointly_primitive
+from .algebra.poly import _convolve, _gcd_degree_bound, _integer_coeffs, _jointly_primitive, pow_by_squaring
 from .algebra.ratfunc import _Frac
 from .sequences import Recurrence
 
@@ -411,17 +411,8 @@ def _power(r: RatFunc, k: int) -> _Frac:
 
 
 def _expanded(cs: tuple, k: int) -> tuple:
-    """The integer list cs (highest first) to the power k >= 0, by squaring."""
-    if not cs:
-        return () if k else (1,)
-    out = (1,)
-    while k:
-        if k & 1:
-            out = tuple(_convolve(out, cs))
-        k >>= 1
-        if k:
-            cs = tuple(_convolve(cs, cs))
-    return out
+    """The integer list cs (highest first) to the power k >= 0."""
+    return pow_by_squaring(cs, k, (1,), lambda x, y: tuple(_convolve(x, y)))
 
 
 # -- normalization ----------------------------------------------------------------
@@ -445,8 +436,12 @@ def _relation_to_recurrence(
     den = Poly.const(1)
     for r in shifted.values():
         if r.den != den:  # den = lcm(den, r.den), refused before it is multiplied out
-            g = poly_gcd(den, r.den)
-            if den.degree + r.den.degree - g.degree > MAX_POWER_DEGREE:
+            # the lcm's degree passes the limit when its gcd's degree is below
+            # `excess`; a modular bound on that degree may refuse first
+            excess = den.degree + r.den.degree - MAX_POWER_DEGREE
+            coarse = excess > 0 and _gcd_degree_bound(*_integer_coeffs((den, r.den)), excess - 1) < excess
+            g = None if coarse else poly_gcd(den, r.den)
+            if g is None or g.degree < excess:
                 raise ParseError(f"relation too large: its cleared denominator's degree would exceed MAX_POWER_DEGREE = {MAX_POWER_DEGREE}")
             den = den * r.den.exact_div(g)
     polys = {k: r.num if r.den == den else r.num * den.exact_div(r.den) for k, r in shifted.items()}

@@ -345,7 +345,7 @@ class TermTable:
         # the suspended `_steps` that yields the next term, or None
         self._stepper: Optional[Iterator[tuple]] = None
         self.expansions: dict = {}  # (recurrence, rho) -> state kept by ratio_expansion
-        self.u_bounds: dict = {}  # (recurrence, order) -> (rb, ub) kept by certify_u_bounds
+        self.u_bounds: dict = {}  # order -> (rb, ub) kept by certify_u_bounds
         if cache_dir:
             os.makedirs(cache_dir, exist_ok=True)
             self._load()

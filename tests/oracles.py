@@ -32,6 +32,12 @@ trying every start in `Fraction` arithmetic.
 On truncated windows: random PREC-bit truncations and the random fractional
 parts that the truncation drops, for the radius tests of the sign forms.
 
+On expansions at large n: the relative error of a ratio expansion, and of
+its u-series, against exact terms at n = 500 .. 4000, in 60-digit `mpmath`.
+The terms come from integer companion-matrix products (binary splitting),
+not from the package's stepper.  A sample, it can refute an accepted
+branch, though it proves none.
+
 On the corpus: lookup of an entry by name.
 
 On text forms: the polynomial printer that `turancert.parser` carried
@@ -45,11 +51,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
+import math
 from fractions import Fraction
 from typing import Optional
 
+import mpmath
+
 from turancert.algebra import NFElem, Poly, RatFunc, no_roots_above, poly_gcd, scalar_sign, sign_at_infinity
+from turancert.algebra.poly import _horner, _integer_coeffs
 from turancert.asymptotics import (
     AsymSeries,
     RatioExpansion,
@@ -59,7 +70,7 @@ from turancert.asymptotics import (
     shift_series,
 )
 from turancert import __version__, cli
-from turancert.asymptotics.ratio import _Resonance
+from turancert.asymptotics.ratio import _Resonance, u_grid
 from turancert.certify import turan_form
 from turancert.corpus import ENTRIES, CorpusEntry
 from turancert.sequences import PREC, Recurrence, check_scaling
@@ -70,6 +81,105 @@ def get(name: str) -> CorpusEntry:
     if name not in ENTRIES:
         raise KeyError(f"unknown corpus entry {name!r}; have {sorted(ENTRIES)}")
     return ENTRIES[name]
+
+
+# -- expansions at large n ------------------------------------------------------
+
+EXPANSION_POINTS = (500, 1000, 2000, 4000)
+EXPANSION_WIDTH = Fraction(1, 10**50)  # of the intervals that stand for NFElem scalars
+
+
+def _step_product(coeffs: list, lo: int, hi: int) -> tuple:
+    """(P, D) with w(hi) = P w(lo) / D, for the window w(m) = (a(m+d-1), ...,
+    a(m)) and the integer coefficients (highest first) of p0..pd: a product
+    tree of the companion matrices, in integers."""
+    if hi - lo == 1:
+        p0, *ps = (_horner(p, lo) for p in coeffs)
+        return [ps] + [[p0 if j == i else 0 for j in range(len(ps))] for i in range(len(ps) - 1)], p0
+    mid = (lo + hi) // 2
+    (P1, D1), (P2, D2) = _step_product(coeffs, lo, mid), _step_product(coeffs, mid, hi)
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*P1)] for row in P2], D1 * D2
+
+
+def exact_terms_at(rec: Recurrence, points: tuple) -> dict:
+    """{n: (x, D)} with a(n) = x / D exactly, not reduced, for each n >= 0 of
+    `points`: integer windows that binary splitting steps from the initial
+    values, forming no term between two points and no gcd."""
+    coeffs, d = _integer_coeffs(rec.coeffs), rec.order
+    den = math.lcm(*(v.denominator for v in rec.initials[:d]))
+    w = [v.numerator * (den // v.denominator) for v in rec.initials[:d]][::-1]
+    m, out = 0, {}
+    for n in sorted(points):
+        if n > m:
+            P, D = _step_product(coeffs, m, n)
+            if not D:
+                raise ZeroDivisionError(f"p0 vanishes on [{m}, {n})")
+            w, den, m = [sum(p * x for p, x in zip(row, w)) for row in P], den * D, n
+        out[n] = w[-1], den
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _terms_near_points(rec: Recurrence) -> dict:
+    """{n: a(n)} as 60-digit mpf for n - 1, n and n + 1, n in EXPANSION_POINTS."""
+    points = tuple(n + j for n in EXPANSION_POINTS for j in (-1, 0, 1))
+    with mpmath.workdps(60):
+        return {n: mpmath.mpf(x) / D for n, (x, D) in exact_terms_at(rec, points).items()}
+
+
+def _mpf(x) -> mpmath.mpf:
+    """A Fraction, or an NFElem by the midpoint of its interval at EXPANSION_WIDTH."""
+    if isinstance(x, NFElem):
+        lo, hi = x.approx_interval(EXPANSION_WIDTH)
+        x = (lo + hi) / 2
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def expansion_errors(rec: Recurrence, rx: RatioExpansion, scaling: str = "none") -> tuple:
+    """The relative errors at EXPANSION_POINTS of lam n^mu (1 + sum c_i
+    n^(-i/rho)) against the exact a(n+1)/a(n), and of the u-series
+    sum u_k n^(-k/rho) (`u_grid` under `scaling`) against the exact u_n,
+    as two lists of mpf (inf where a term is 0), in 60 digits."""
+    check_scaling(scaling)
+    with mpmath.workdps(60):
+        a = _terms_near_points(rec)
+        lam, mu = _mpf(rx.lam), _mpf(rx.mu)
+        cs, us = [_mpf(c) for c in [Fraction(1)] + rx.coeffs], [_mpf(c) for c in u_grid(rx, scaling)]
+        ratio, u = [], []
+        for n in EXPANSION_POINTS:
+            if not (a[n - 1] and a[n] and a[n + 1]):
+                ratio.append(mpmath.inf)
+                u.append(mpmath.inf)
+                continue
+            x = mpmath.mpf(n) ** (mpmath.mpf(-1) / rx.rho)
+            exact_u = a[n - 1] * a[n + 1] / a[n] ** 2 * (mpmath.mpf(n) / (n + 1) if scaling == "factorial" else 1)
+            ratio.append(abs(lam * mpmath.mpf(n) ** mu * mpmath.polyval(cs[::-1], x) * a[n] / a[n + 1] - 1))
+            u.append(abs(mpmath.polyval(us[::-1], x) / exact_u - 1))
+        return ratio, u
+
+
+def _decays(errors: list, order: Fraction, octaves: int) -> bool:
+    """Whether e(4000) < 10^-40, or the slope log2(e(4000)/e(m))/octaves,
+    m = 4000/2^octaves, is at most -order + 0.6."""
+    if errors[-1] < mpmath.mpf(10) ** -40:
+        return True
+    start = errors[-1 - octaves]
+    if not start or mpmath.isinf(errors[-1]):
+        return False
+    return mpmath.log(errors[-1] / start, 2) / octaves <= -float(order) + 0.6
+
+
+def expansion_agrees(rec: Recurrence, rx: RatioExpansion, scaling: str = "none") -> bool:
+    """Whether the branch rx that `ratio_expansion` accepts for `rec` agrees
+    with its exact terms.  The relative error e(n) of the ratio expansion
+    must decay like n^-((T+1)/rho), T = len(rx.coeffs): log2(e(4000)/e(2000))
+    is at most -(T+1)/rho + 0.6, unless e(4000) < 10^-40.  The u-series
+    under `scaling` must meet the same bound on its mean slope from 500 to
+    4000, since its error can change sign in between (involutions at K = 4,
+    near n = 1000, leaves a last-octave slope of -3.7 against -4.5)."""
+    order = Fraction(len(rx.coeffs) + 1, rx.rho)
+    ratio, u = expansion_errors(rec, rx, scaling)
+    return _decays(ratio, order, 1) and _decays(u, order, 3)
 
 
 def eval_exact(s: AsymSeries, n: int):

@@ -101,7 +101,7 @@ def test_certified_u_window_end_to_end(tmp_path, capsys):
     the 2000 indices that follow it."""
     rec = get("binomial4").recurrence
     table = TermTable(rec)
-    _, ub = certify_u_bounds(rec, 4, table=table)
+    _, ub = certify_u_bounds(table, 4)
     assert ub.lower == rf([F(1, 2), 0, 1], [0, 0, 1])
     assert ub.upper == rf([F(5, 2), 0, 1], [0, 0, 1])
     assert ub.valid_from <= 200
@@ -143,7 +143,7 @@ def test_turan_verdict_classifications():
     exact closed u-forms, and the narrow-span counterexample correctly."""
     for name in ("inverse-catalan", "involutions", "apery", "motzkin", "franel3", "bn"):
         entry = get(name)
-        v = turan3_verdict(entry.recurrence, scaling=entry.scaling)
+        v = turan3_verdict(TermTable(entry.recurrence), scaling=entry.scaling)
         assert v.result == "holds", (name, v.rule)
 
     L = RatFunc.variable()
@@ -168,7 +168,7 @@ def test_iterated_log_concavity_levels():
     n^2 log n; every claimed level is cross-checked against the iterated-phi
     leading coefficient and against concrete phi values on [100, 2000]."""
     ic = get("inverse-catalan")
-    assert llogconcave_verdict(ic.recurrence, 2).result == "holds"
+    assert llogconcave_verdict(TermTable(ic.recurrence), 2).result == "holds"
     u_ic = u_expansion(ratio_expansion(ic.recurrence, 8))
     assert [r.sign() for r in llc_level_coefficients(u_ic, 2)] == [-1, -1]
     table = TermTable(ic.recurrence)

@@ -32,7 +32,9 @@ from turancert.algebra import (
 
 from turancert.algebra import roots as roots_module
 from turancert.algebra.numberfield import ROUND_DEN
-from turancert.algebra.poly import _primitive_ints as ints
+from turancert.algebra.poly import _GCD_PRIMES, _convolve, _gcd_degree_bound, _int_gcd, _primitive_ints as ints
+from turancert.asymptotics import AsymSeries
+from turancert.parser import _expanded
 
 from oracles import (
     bisect_reference, count_roots_halfopen, loop_product, loop_shift, nf_add, nf_approx_interval, nf_div, nf_is_zero,
@@ -66,6 +68,34 @@ def test_poly_arithmetic_basics():
     assert p.eval(F(3)) == 8
     assert (X**3).derivative() == 3 * X**2
     assert (2 * X + 3) - (X + 3) == X
+
+
+def _power_cases(kind: str) -> list:
+    """(base, one, product) triples of one type, for the power property."""
+    if kind == "poly":
+        return [(b, Poly([1]), operator.mul) for b in (Poly([]), Poly([F(-2, 3)]), X - 1, 2 * X**3 - X + F(1, 2))]
+    if kind == "series":
+        L = RatFunc.variable()
+        return [(AsymSeries([(F(e), c) for e, c in terms], error_order=err), AsymSeries.one(), operator.mul)
+                for terms, err in [([], None), ([(0, 1), (1, L)], F(7, 2)), ([(F(1, 2), 2), (2, -1)], None),
+                                   ([(-1, F(1, 3))], F(4))]]
+    if kind == "nfelem":
+        s = sqrt_field(2).generator()
+        return [(b, s.field.from_rational(1), operator.mul) for b in (s, 3 - 2 * s / 5, s * s - 2, s + F(1, 7))]
+    return [(cs, (1,), lambda x, y: tuple(_convolve(x, y))) for cs in ((), (1,), (3, -1), (2, 0, -5, 1))]
+
+
+@pytest.mark.parametrize("kind", ["poly", "series", "nfelem", "int-list"])
+def test_power_is_repeated_multiplication(kind):
+    """Poly, AsymSeries and NFElem powers and the parser's integer-list
+    powers share one square-and-multiply; each agrees with k-fold products
+    for k = 0..9 (so () gives (1,) at k = 0 and () after)."""
+    power = _expanded if kind == "int-list" else operator.pow
+    for base, one, mul in _power_cases(kind):
+        want = one
+        for k in range(10):
+            assert power(base, k) == want, (base, k)
+            want = mul(want, base)
 
 
 def test_compose_shift():
@@ -651,6 +681,30 @@ def test_gcd_and_ratfunc_match_fraction_oracle(seed):
         if not b.is_zero():
             r = RatFunc(a, b)
             assert (r.num.coeffs, r.den.coeffs) == fraction_form(a, b), (a, b)
+
+
+def test_modular_gcd_degree_bounds_the_exact_one():
+    """`_gcd_degree_bound` never falls below the exact gcd's degree: with
+    floor -1 it is the gcd's degree mod p (equal to the exact one here, as
+    no random pair is unlucky), and with a floor it stops at the first
+    remainder of degree at most the floor, or ends at the gcd mod p."""
+    rng = random.Random(8300)
+    for _ in range(200):
+        shared = [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 5)]
+        x, y = (ints(random_poly(rng, 3) * Poly(shared)) for _ in range(2))
+        if not x or not y:
+            continue
+        exact = len(_int_gcd(x, y)) - 1
+        assert _gcd_degree_bound(x, y) == exact, (x, y)
+        floor = rng.randint(-1, 6)
+        got = _gcd_degree_bound(x, y, floor)
+        assert got >= exact and (got <= floor or got == exact), (x, y, floor)
+    # a lead divisible by every prime of the bound leaves the smaller degree
+    lead = math.prod(_GCD_PRIMES)
+    assert _gcd_degree_bound([lead, 1], [lead, 0, 3]) == 1
+    # (x+1)^50 and (x+2)^50: the first remainder stops a floor of 49
+    x1, x2 = (ints((X + c) ** 50) for c in (1, 2))
+    assert _gcd_degree_bound(x1, x2, 49) <= 49 and _gcd_degree_bound(x1, x2) == 0
 
 
 @pytest.mark.parametrize("seed", range(2))

@@ -42,6 +42,7 @@ from turancert.sequences import Recurrence, TermTable, phi_values, u_value
 
 import oracles
 from oracles import eval_exact, get, phi_u_expansion, series_residual, series_u_expansion
+from test_random_inputs import random_input
 
 L = RatFunc.variable()
 
@@ -985,7 +986,8 @@ class TestGridKernels:
 
     def test_field_operation_count(self, monkeypatch):
         # the stages and u_grid run on integers: field + and * are left only
-        # where the branch is set up (the slope, lam's powers, slot coefficients)
+        # where the branch is set up (the slope, lam's powers, slot coefficients);
+        # a power squares its base only while a higher bit of the exponent remains
         counts = dict.fromkeys(("_add", "__mul__"), 0)
 
         def counting(name, method):
@@ -1000,7 +1002,7 @@ class TestGridKernels:
         monkeypatch.setattr(NFElem, "__rmul__", mul)
         for name in ("apery", "bn"):
             u_grid(ratio_expansion(get(name).recurrence, 12))
-        assert counts == {"_add": 14, "__mul__": 82}
+        assert counts == {"_add": 14, "__mul__": 72}
 
     @pytest.mark.parametrize("domain", ["rational", "sqrt3"])
     def test_kernels_match_on_random_arrays(self, domain):
@@ -1034,3 +1036,45 @@ class TestGridKernels:
             rx = RatioExpansion(lam=lam, lam_poly=None, mu=alpha, rho=rho, coeffs=cs)
             for scaling in ("none", "factorial"):
                 assert _all_same(u_grid(rx, scaling), oracles.u_grid(rx, scaling))
+
+
+# -- the expansion oracle at large n -----------------------------------------------
+
+# Inputs whose accepted branch does not describe the sequence: A hides a
+# 3^n term of weight 10^-40 behind 2^n (n+1)(n+2), B adds (-2)^n to it, C
+# has three edge roots of one modulus, and D's and the seeds' edge roots
+# are +-lambda.
+WRONG_BRANCH = {
+    "A": "(n^4+n^3-23*n^2-69*n-54)*a(n+2) + (-5*n^4-6*n^3+95*n^2+300*n+252)*a(n+1)"
+         " + (6*n^4+12*n^3-102*n^2-324*n-216)*a(n) = 0 ; a(0)=2+1/10^40, a(1)=12+3/(2*10^40)",
+    "B": "(n+2)^2*a(n+2) - 2*(2*n+5)*a(n+1) - 4*(n+3)^2*a(n) = 0 ; a(0)=3, a(1)=10",
+    "C": "(n^2+6*n+9)*a(n+3) + (3-7*n)*a(n+2) + (2*n-1)*a(n+1) - (7*n+10)*a(n) = 0 ; a(0)=6, a(1)=7, a(2)=3",
+    "D": "(4*n^2+20*n+16)*a(n+3) - (12*n+10)*a(n+2) + (3-3*n-6*n^2)*a(n+1) + 12*a(n) = 0 ; a(0)=1, a(1)=5, a(2)=3",
+    **{f"seed-{seed}": random_input(seed) for seed in (664, 739, 1039, 1104, 1346, 1430)},
+}
+
+
+class TestExpansionOracle:
+    """The oracle's power, not the package's correctness: it accepts every
+    corpus branch and flags the wrong branches that `ratio_expansion`
+    accepts at K = 4."""
+
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_accepts_the_corpus(self, name):
+        rec = get(name).recurrence
+        table = TermTable(rec)
+        for K in (4, 8):
+            rx = ratio_expansion(rec, K, table=table)
+            for scaling in ("none", "factorial"):
+                assert oracles.expansion_agrees(rec, rx, scaling), (K, scaling)
+
+    @pytest.mark.parametrize("name", sorted(WRONG_BRANCH))
+    def test_flags_a_wrong_branch(self, name):
+        rec = parse_recurrence(WRONG_BRANCH[name])
+        assert not oracles.expansion_agrees(rec, ratio_expansion(rec, 4))
+
+    def test_terms_match_the_table(self):
+        rec = parse_recurrence(WRONG_BRANCH["seed-1430"])
+        got = oracles.exact_terms_at(rec, (0, 1, 2, 57, 200, 201))
+        table = TermTable(rec)
+        assert all(x * table.value(n).denominator == D * table.value(n).numerator for n, (x, D) in got.items())

@@ -66,7 +66,7 @@ CORNER_PAIRS = {
 
 class TestRatioBounds:
     def test_order_one_direct_discharge(self):
-        rb = certify_ratio_bounds(get("inverse-catalan").recurrence, 4)
+        rb = certify_ratio_bounds(TermTable(get("inverse-catalan").recurrence), 4)
         assert rb.lam == F(1, 4)
         assert rb.mu == 0
         t = TermTable(get("inverse-catalan").recurrence)
@@ -76,25 +76,25 @@ class TestRatioBounds:
 
     def test_window_induction_motzkin(self):
         rec = get("motzkin").recurrence
-        rb = certify_ratio_bounds(rec, 4)
+        rb = certify_ratio_bounds(TermTable(rec), 4)
         t = TermTable(rec)
         vals = t.values(0, rb.valid_from + 300)
         for n in range(rb.valid_from + 1, rb.valid_from + 300):
             assert rb.lower.eval(n) <= vals[n] / vals[n - 1] <= rb.upper.eval(n)
 
     def test_slack_is_one_unit(self):
-        rb = certify_ratio_bounds(get("motzkin").recurrence, 4)
+        rb = certify_ratio_bounds(TermTable(get("motzkin").recurrence), 4)
         width = rb.upper - rb.lower
         # mu = 0, order 4: slack n^-3 on each side
         assert width == rf([2], [0, 0, 0, 1])
 
     def test_half_integer_grid_refused(self):
         with pytest.raises(CertifyError):
-            certify_ratio_bounds(get("involutions").recurrence, 4)
+            certify_ratio_bounds(TermTable(get("involutions").recurrence), 4)
 
     def test_algebraic_growth_refused(self):
         with pytest.raises(CertifyError):
-            certify_ratio_bounds(get("bn").recurrence, 4)
+            certify_ratio_bounds(TermTable(get("bn").recurrence), 4)
 
     def test_window_functions_match_series_construction(self):
         # lam (1 - 1/n)^mu v(n-1) n^mu from the grid arrays, against the
@@ -130,7 +130,7 @@ class TestRatioBounds:
             for order in range(2, 9):
                 searches.clear()
                 try:
-                    result = certify_ratio_bounds(rec, order).valid_from
+                    result = certify_ratio_bounds(TermTable(rec), order).valid_from
                 except CertifyError as err:
                     result = str(err)
                 got.setdefault(name, []).append(result)
@@ -212,7 +212,7 @@ def test_ratio_induction_beyond_order_two(text):
     got = []
     for order in range(2, 6):
         try:
-            rb = certify_ratio_bounds(rec, order, table=t)
+            rb = certify_ratio_bounds(t, order)
         except CertifyError as err:
             got.append(str(err))
             continue
@@ -346,7 +346,7 @@ class TestUBounds:
             return ept(r, what)
 
         monkeypatch.setattr(certify, "_ept", recorded)
-        certify_u_bounds(get("motzkin").recurrence, 4)
+        certify_u_bounds(TermTable(get("motzkin").recurrence), 4)
         assert seen == [
             "s_l(n)",
             "s_u(n+d) - upper step",
@@ -357,7 +357,7 @@ class TestUBounds:
 
     def test_binomial4_printed_pair(self):
         rec = get("binomial4").recurrence
-        rb, ub = certify_u_bounds(rec, 4)
+        rb, ub = certify_u_bounds(TermTable(rec), 4)
         assert ub.lower == rf([F(1, 2), 0, 1], [0, 0, 1])
         assert ub.upper == rf([F(5, 2), 0, 1], [0, 0, 1])
         assert ub.valid_from <= 200
@@ -367,30 +367,30 @@ class TestUBounds:
     def test_binomial4_sandwich(self):
         rec = get("binomial4").recurrence
         t = TermTable(rec)
-        _, ub = certify_u_bounds(rec, 4, table=t)
+        _, ub = certify_u_bounds(t, 4)
         for n in range(ub.valid_from + 1, ub.valid_from + 300):
             assert ub.lower.eval(n) <= u_value(t, n) <= ub.upper.eval(n)
 
     def test_motzkin_and_franel3_pairs(self):
-        _, ub = certify_u_bounds(get("motzkin").recurrence, 4)
+        _, ub = certify_u_bounds(TermTable(get("motzkin").recurrence), 4)
         assert ub.lower == rf([F(1, 2), 0, 1], [0, 0, 1])
         assert ub.upper == rf([F(5, 2), 0, 1], [0, 0, 1])
-        _, ub = certify_u_bounds(get("franel3").recurrence, 4)
+        _, ub = certify_u_bounds(TermTable(get("franel3").recurrence), 4)
         assert ub.lower == rf([0, 0, 1], [0, 0, 1])
         assert ub.upper == rf([2, 0, 1], [0, 0, 1])
 
     def test_shared_table_matches_fresh_calls(self):
-        # one window solve per (recurrence, order) serves every caller of a table
+        # one window solve per order serves every caller of a table
         rec = get("motzkin").recurrence
         shared = TermTable(rec)
-        pair = certify_u_bounds(rec, 4, table=shared)
-        assert pair == certify_u_bounds(rec, 4, table=TermTable(rec))
-        assert certify_u_bounds(rec, 4, table=shared) is pair
+        pair = certify_u_bounds(shared, 4)
+        assert pair == certify_u_bounds(TermTable(rec), 4)
+        assert certify_u_bounds(shared, 4) is pair
         for make in (certify_turan3, certify_u_window):
-            cert = make(rec, 4, scaling="factorial", table=shared)
-            assert cert.to_json() == make(rec, 4, scaling="factorial", table=TermTable(rec)).to_json()
-            assert verify_certificate(cert.to_json(), rec, table=shared) == (True, [])
-        assert certify_u_bounds(rec, 5, table=shared) == certify_u_bounds(rec, 5, table=TermTable(rec))
+            cert = make(shared, 4, scaling="factorial")
+            assert cert.to_json() == make(TermTable(rec), 4, scaling="factorial").to_json()
+            assert verify_certificate(cert.to_json(), shared) == (True, [])
+        assert certify_u_bounds(shared, 5) == certify_u_bounds(TermTable(rec), 5)
         assert len(shared.u_bounds) == 2
 
     def test_bound_functions_keep_rule(self):
@@ -439,7 +439,7 @@ class TestCorners:
         # inverse-catalan: u -> 1 at order n^-2, same order as the window
         # width, so no corner can be eventually positive.
         rec = get("inverse-catalan").recurrence
-        _, ub = certify_u_bounds(rec, 4)
+        _, ub = certify_u_bounds(TermTable(rec), 4)
         with pytest.raises(CornerError):
             corner_suite(ub.lower, ub.upper)
 
@@ -448,40 +448,40 @@ class TestTuranCertificate:
     def test_motzkin_end_to_end(self):
         e = get("motzkin")
         t = TermTable(e.recurrence)
-        cert = certify_turan3(e.recurrence, 4, scaling="factorial", table=t)
+        cert = certify_turan3(t, 4, scaling="factorial")
         assert cert.violations == [1]
         assert cert.holds_from == 2
         assert cert.N >= max(c["threshold"] for c in cert.corners)
-        ok, diag = verify_certificate(cert.to_json(), e.recurrence, t)
+        ok, diag = verify_certificate(cert.to_json(), t)
         assert ok, diag
 
     def test_franel3_end_to_end(self):
         e = get("franel3")
         t = TermTable(e.recurrence)
-        cert = certify_turan3(e.recurrence, 4, scaling="factorial", table=t)
+        cert = certify_turan3(t, 4, scaling="factorial")
         assert cert.violations == [1]
         assert cert.holds_from == 2
-        ok, diag = verify_certificate(cert.to_json(), e.recurrence, t)
+        ok, diag = verify_certificate(cert.to_json(), t)
         assert ok, diag
 
     def test_json_round_trip_and_determinism(self):
         e = get("motzkin")
-        cert = certify_turan3(e.recurrence, 4, scaling="factorial")
+        cert = certify_turan3(TermTable(e.recurrence), 4, scaling="factorial")
         blob = cert.dumps()
-        again = certify_turan3(e.recurrence, 4, scaling="factorial").dumps()
+        again = certify_turan3(TermTable(e.recurrence), 4, scaling="factorial").dumps()
         assert blob == again
         parsed = json.loads(blob)
-        ok, diag = verify_certificate(parsed, e.recurrence)
+        ok, diag = verify_certificate(parsed, TermTable(e.recurrence))
         assert ok, diag
         assert parsed["toolVersion"]
         assert parsed["sequence"]["scaling"] == "factorial"
 
     def test_unknown_scaling_rejected(self):
         with pytest.raises(ValueError):
-            certify_turan3(get("motzkin").recurrence, 4, scaling="geometric")
+            certify_turan3(TermTable(get("motzkin").recurrence), 4, scaling="geometric")
 
     def test_scaled_bounds(self):
-        _, ub = certify_u_bounds(get("motzkin").recurrence, 4)
+        _, ub = certify_u_bounds(TermTable(get("motzkin").recurrence), 4)
         assert scaled_bounds(ub, "none") == ub
         scaled = scaled_bounds(ub, "factorial")
         assert (scaled.lower, scaled.upper) == (ub.lower * SCALE, ub.upper * SCALE)
@@ -490,7 +490,7 @@ class TestTuranCertificate:
             scaled_bounds(ub, "geometric")
 
     def test_scaled_bounds_keep_every_other_field(self):
-        _, ub = certify_u_bounds(get("motzkin").recurrence, 4)
+        _, ub = certify_u_bounds(TermTable(get("motzkin").recurrence), 4)
         scaled = scaled_bounds(ub, "factorial")
         kept = [f for f in type(ub)._fields if f not in ("lower", "upper")]
         assert kept == ["valid_from", "slack_exponent", "kept"]
@@ -499,25 +499,25 @@ class TestTuranCertificate:
 
     def test_verify_rejects_tampered_threshold(self):
         e = get("motzkin")
-        cert = certify_turan3(e.recurrence, 4, scaling="factorial").to_json()
+        cert = certify_turan3(TermTable(e.recurrence), 4, scaling="factorial").to_json()
         cert["corners"][1]["threshold"] -= 1
-        ok, diag = verify_certificate(cert, e.recurrence)
+        ok, diag = verify_certificate(cert, TermTable(e.recurrence))
         assert not ok
         assert any("threshold" in d for d in diag)
 
     def test_verify_rejects_tampered_bound(self):
         e = get("motzkin")
-        cert = certify_turan3(e.recurrence, 4, scaling="factorial").to_json()
+        cert = certify_turan3(TermTable(e.recurrence), 4, scaling="factorial").to_json()
         cert["bounds"]["f"]["num"][0] = "99"
-        ok, diag = verify_certificate(cert, e.recurrence)
+        ok, diag = verify_certificate(cert, TermTable(e.recurrence))
         assert not ok
         assert any("corner" in d for d in diag)
 
     def test_verify_rejects_tampered_violations(self):
         e = get("motzkin")
-        cert = certify_turan3(e.recurrence, 4, scaling="factorial").to_json()
+        cert = certify_turan3(TermTable(e.recurrence), 4, scaling="factorial").to_json()
         cert["initialSegment"]["violations"] = []
-        ok, diag = verify_certificate(cert, e.recurrence)
+        ok, diag = verify_certificate(cert, TermTable(e.recurrence))
         assert not ok
         assert any("violations" in d for d in diag)
 
@@ -534,9 +534,9 @@ class TestTuranCertificate:
     def test_verify_rejects_undefined_sample(self, name, tamper, message):
         e = get(name)
         t = TermTable(e.recurrence)
-        doc = certify_turan3(e.recurrence, 4, scaling=e.scaling, table=t).to_json()
+        doc = certify_turan3(t, 4, scaling=e.scaling).to_json()
         tamper(doc)
-        ok, diag = verify_certificate(doc, e.recurrence, t)
+        ok, diag = verify_certificate(doc, t)
         assert not ok
         assert message in diag
 
@@ -548,13 +548,13 @@ class TestTuranCertificate:
         # past the corner thresholds and validFrom the proved window and the
         # corners settle every index, so a larger stored N costs no terms
         e = get("motzkin")
-        doc = certify_turan3(e.recurrence, 4, scaling="factorial").to_json()
+        doc = certify_turan3(TermTable(e.recurrence), 4, scaling="factorial").to_json()
         assert doc["N"] == 67
         doc["N"] = doc["initialSegment"]["to"] = 10**5
         doc["initialSegment"]["violations"] += extra
         t = TermTable(e.recurrence)
         start = time.perf_counter()
-        ok, diag = verify_certificate(doc, e.recurrence, t)
+        ok, diag = verify_certificate(doc, t)
         assert time.perf_counter() - start < 0.5
         assert (ok, diag) == (not diagnosis, diagnosis)
         assert len(t) < 100
@@ -563,33 +563,48 @@ class TestTuranCertificate:
         # a corner that does not match rejects the certificate, so the
         # initial segment is not scanned at all
         e = get("motzkin")
-        doc = certify_turan3(e.recurrence, 4, scaling="factorial").to_json()
+        doc = certify_turan3(TermTable(e.recurrence), 4, scaling="factorial").to_json()
         doc["N"] = doc["initialSegment"]["to"] = 10**5
         num = doc["corners"][0]["num"]
         num[0] = frac_str(F(num[0]) + 1)
         t = TermTable(e.recurrence)
         start = time.perf_counter()
-        ok, diag = verify_certificate(doc, e.recurrence, t)
+        ok, diag = verify_certificate(doc, t)
         assert time.perf_counter() - start < 0.5
         assert not ok and "corner 0 does not match the stored window functions" in diag
         assert len(t) < 100
 
     def test_verify_rejects_wrong_sequence(self):
-        cert = certify_turan3(get("franel3").recurrence, 4, scaling="factorial")
-        ok, diag = verify_certificate(cert.to_json(), get("motzkin").recurrence)
+        cert = certify_turan3(TermTable(get("franel3").recurrence), 4, scaling="factorial")
+        ok, diag = verify_certificate(cert.to_json(), TermTable(get("motzkin").recurrence))
         assert not ok
         assert any("recurrence" in d for d in diag)
 
+    def test_the_table_is_the_sequence_certified(self, capsys, tmp_path):
+        # Motzkin's recurrence from a(0)=5, a(1)=1: the certificate is the
+        # variant's own, and Motzkin's table rejects it
+        motzkin = get("motzkin").recurrence
+        variant = Recurrence(motzkin.coeffs, [5, 1], name="variant")
+        cert = certify_turan3(TermTable(variant), 4, "factorial")
+        assert (cert.holds_from, cert.violations) == (5, [1, 2, 3, 4])
+        assert verify_certificate(cert.to_json(), TermTable(variant)) == (True, [])
+        ok, diag = verify_certificate(cert.to_json(), TermTable(motzkin))
+        assert not ok and diag[0] == "certificate does not describe this recurrence"
+        path = tmp_path / "variant.json"
+        path.write_text(cert.dumps())
+        assert cli.main(["verify", str(path), "motzkin"]) == 3
+        assert capsys.readouterr().out.startswith("certificate for motzkin: REJECTED\n")
+
     def test_verify_rejects_malformed(self):
-        ok, diag = verify_certificate({"sequence": {}}, get("motzkin").recurrence)
+        ok, diag = verify_certificate({"sequence": {}}, TermTable(get("motzkin").recurrence))
         assert not ok
         assert any("malformed" in d for d in diag)
 
     def test_verify_rejects_unknown_kind(self):
-        cert = certify_turan3(get("motzkin").recurrence, 4, scaling="factorial")
+        cert = certify_turan3(TermTable(get("motzkin").recurrence), 4, scaling="factorial")
         doc = cert.to_json()
         doc["kind"] = "llc2"
-        ok, diag = verify_certificate(doc, get("motzkin").recurrence)
+        ok, diag = verify_certificate(doc, TermTable(get("motzkin").recurrence))
         assert not ok
         assert any("kind" in d for d in diag)
 
@@ -601,8 +616,8 @@ class TestUWindowCertificate:
         e = get("binomial4")
         t = TermTable(e.recurrence)
         with pytest.raises(CertifyError, match="not eventually positive"):
-            certify_turan3(e.recurrence, 4, table=t)
-        cert = certify_u_window(e.recurrence, 4, table=t)
+            certify_turan3(t, 4)
+        cert = certify_u_window(t, 4)
         assert cert.bounds.lower == rf([F(1, 2), 0, 1], [0, 0, 1])
         assert cert.bounds.upper == rf([F(5, 2), 0, 1], [0, 0, 1])
         assert cert.bounds.valid_from <= 200
@@ -610,25 +625,25 @@ class TestUWindowCertificate:
         assert cert.checked_to == cert.bounds.valid_from + 2000
         doc = json.loads(cert.dumps())
         assert doc["kind"] == "u-window"
-        ok, diag = verify_certificate(doc, e.recurrence, t)
+        ok, diag = verify_certificate(doc, t)
         assert ok, diag
 
     def test_scaled_window(self):
         e = get("motzkin")
         t = TermTable(e.recurrence)
-        cert = certify_u_window(e.recurrence, 4, scaling="factorial", table=t)
+        cert = certify_u_window(t, 4, scaling="factorial")
         g, f = CORNER_PAIRS["motzkin"]
         assert cert.bounds.lower == g
         assert cert.bounds.upper == f
-        ok, diag = verify_certificate(cert.to_json(), e.recurrence, t)
+        ok, diag = verify_certificate(cert.to_json(), t)
         assert ok, diag
 
     def test_verify_rejects_tampered_window(self):
         e = get("binomial4")
         t = TermTable(e.recurrence)
-        doc = certify_u_window(e.recurrence, 4, table=t).to_json()
+        doc = certify_u_window(t, 4).to_json()
         doc["bounds"]["g"]["num"][0] = "3"
-        ok, diag = verify_certificate(doc, e.recurrence, t)
+        ok, diag = verify_certificate(doc, t)
         assert not ok
         assert (
             "the window is not proved: required inequality is not eventually positive:"
@@ -638,10 +653,10 @@ class TestUWindowCertificate:
     def test_verify_rejects_early_valid_from(self):
         e = get("binomial4")
         t = TermTable(e.recurrence)
-        doc = certify_u_window(e.recurrence, 4, table=t).to_json()
+        doc = certify_u_window(t, 4).to_json()
         doc["bounds"]["validFrom"] = 1
         doc["checkedSegment"] = {"from": 2, "to": 100}
-        ok, diag = verify_certificate(doc, e.recurrence, t)
+        ok, diag = verify_certificate(doc, t)
         assert not ok
         assert "validFrom 1 is below 6, past which the ratio window discharges the u-window" in diag
 
@@ -649,9 +664,9 @@ class TestUWindowCertificate:
         # the recheck never reads terms before a(0)
         e = get("binomial4")
         t = TermTable(e.recurrence)
-        doc = certify_u_window(e.recurrence, 4, table=t).to_json()
+        doc = certify_u_window(t, 4).to_json()
         doc["checkedSegment"]["from"] = 0
-        ok, diag = verify_certificate(doc, e.recurrence, t)
+        ok, diag = verify_certificate(doc, t)
         assert (ok, diag) == (False, ["checked segment does not start right after validFrom"])
 
     @pytest.mark.parametrize("to", [6, 3, -5])
@@ -659,21 +674,21 @@ class TestUWindowCertificate:
         # a segment ending before it starts rechecks no index at all
         e = get("binomial4")
         t = TermTable(e.recurrence)
-        doc = certify_u_window(e.recurrence, 4, table=t).to_json()
+        doc = certify_u_window(t, 4).to_json()
         assert doc["checkedSegment"]["from"] == 7
         doc["checkedSegment"]["to"] = to
-        ok, diag = verify_certificate(doc, e.recurrence, t)
+        ok, diag = verify_certificate(doc, t)
         assert (ok, diag) == (False, ["checked segment is empty"])
 
     def test_raised_segment_end_does_not_size_the_rescan(self):
         # the window is proved for every n > validFrom; the rescan covers
         # the U_WINDOW_SPAN indices that certify_u_window checks
         e = get("binomial4")
-        doc = certify_u_window(e.recurrence, 4).to_json()
+        doc = certify_u_window(TermTable(e.recurrence), 4).to_json()
         doc["checkedSegment"]["to"] = doc["checkedSegment"]["from"] + 10**6
         t = TermTable(e.recurrence)
         start = time.perf_counter()
-        ok, diag = verify_certificate(doc, e.recurrence, t)
+        ok, diag = verify_certificate(doc, t)
         assert time.perf_counter() - start < 1
         assert (ok, diag) == (True, [])
         assert len(t) <= doc["checkedSegment"]["from"] + certify.U_WINDOW_SPAN + 2
@@ -683,9 +698,9 @@ class TestUWindowCertificate:
         # below the segment) u_n is decided by root counts, not by terms
         rec = get("inverse-catalan").recurrence
         t = TermTable(rec)
-        _, ub = certify_u_bounds(rec, 4, table=t)
+        _, ub = certify_u_bounds(t, 4)
         filled = len(t)
-        doc = certify_u_window(rec, 4, table=t).to_json()
+        doc = certify_u_window(t, 4).to_json()
         assert len(t) == filled < ub.valid_from + 2001
         lo = ub.valid_from + 1
         t = TermTable(rec)
@@ -693,7 +708,7 @@ class TestUWindowCertificate:
         assert len(t) == lo  # a(0..lo-1): the first window's first term
         doc["checkedSegment"]["to"] = doc["checkedSegment"]["from"] + 10**6
         start = time.perf_counter()
-        ok, diag = verify_certificate(doc, rec, TermTable(rec))
+        ok, diag = verify_certificate(doc, TermTable(rec))
         assert time.perf_counter() - start < 0.5
         assert (ok, diag) == (True, [])
 
@@ -771,19 +786,19 @@ class TestProvedHead:
     def test_rejects_a_false_head(self, n_cert, tamper, message):
         rec = get("motzkin").recurrence
         t = TermTable(rec)
-        doc = certify_turan3(rec, 4, "factorial", table=t).to_json()
+        doc = certify_turan3(t, 4, "factorial").to_json()
         tamper(doc)
         doc = refreshed(doc, t, n_cert)
-        assert verify_certificate(doc, rec, t) == (False, [message])
+        assert verify_certificate(doc, t) == (False, [message])
 
     def test_base_ratios_are_checked_exactly(self):
         # 3^n's window closes the induction for 2^n too, whose ratios lie outside it
         three = parse_recurrence("a(n+2) - 5*a(n+1) + 6*a(n) = 0 ; 1, 3")
         two = parse_recurrence("a(n+2) - 5*a(n+1) + 6*a(n) = 0 ; 1, 2")
-        doc = certify_u_window(three, 4).to_json()
+        doc = certify_u_window(TermTable(three), 4).to_json()
         assert doc["ratioBounds"]["validFrom"] == 6
-        assert verify_certificate(doc, three) == (True, [])
-        assert verify_certificate(doc, two) == (False, [
+        assert verify_certificate(doc, TermTable(three)) == (True, [])
+        assert verify_certificate(doc, TermTable(two)) == (False, [
             "certificate does not describe this recurrence",
             "base ratio a(n)/a(n-1) at n = 7 is outside the ratio window",
         ])
@@ -794,7 +809,7 @@ class TestProvedHead:
     ], ids=["zero", "negated"])
     def test_a_false_lower_bound_exits_3_with_a_diagnosis(self, capsys, tmp_path, tamper, message):
         rec = get("motzkin").recurrence
-        doc = certify_turan3(rec, 4, "factorial").to_json()
+        doc = certify_turan3(TermTable(rec), 4, "factorial").to_json()
         tamper(doc)
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
@@ -808,7 +823,7 @@ class TestProvedHead:
             for order in (4, 6, 8):
                 for make in (certify_turan3, certify_u_window):
                     try:
-                        cert = make(e.recurrence, order, e.scaling, table=TermTable(e.recurrence))
+                        cert = make(TermTable(e.recurrence), order, e.scaling)
                     except (CertifyError, ExpansionError):
                         continue
                     docs.append((e.recurrence, cert.to_json()))
@@ -822,16 +837,16 @@ class TestProvedHead:
         for attr in ("ratio_expansion", "certify_u_bounds", "certify_ratio_bounds"):
             monkeypatch.setattr(certify, attr, refused)
         for rec, doc in docs:
-            assert verify_certificate(doc, rec, TermTable(rec)) == (True, []), doc["sequence"]["name"]
+            assert verify_certificate(doc, TermTable(rec)) == (True, []), doc["sequence"]["name"]
 
     @pytest.mark.parametrize("order", [8, 16, 24])
     def test_rewritten_order_is_rejected_at_once(self, order):
         rec = get("binomial4").recurrence
         t = TermTable(rec)
-        doc = certify_u_window(rec, 4, table=t).to_json()
+        doc = certify_u_window(t, 4).to_json()
         doc["order"] = order
         start = time.perf_counter()
-        ok, diag = verify_certificate(doc, rec, t)
+        ok, diag = verify_certificate(doc, t)
         assert time.perf_counter() - start < 0.5
         assert (ok, diag) == (False, [f"s_u(n) - s_l(n) is not 2 n^{1 - order}, the slack of mu = 0 at order {order}"])
 
@@ -914,7 +929,7 @@ class TestFirstEscape:
     def test_certified_windows_match_oracle(self, name, scaling):
         rec = get(name).recurrence
         t = TermTable(rec)
-        ub = scaled_bounds(certify_u_bounds(rec, 4, table=t)[1], scaling)
+        ub = scaled_bounds(certify_u_bounds(t, 4)[1], scaling)
         escaped = inside = 0
         for g, f in moved_windows(ub.lower, ub.upper):
             for lo, hi in ((1, 60), (ub.valid_from + 1, ub.valid_from + 40)):
@@ -937,7 +952,7 @@ class TestFirstEscape:
         # the moved bound has a pole at n = 40 and a negative denominator below it
         rec = get("binomial4").recurrence
         t = TermTable(rec)
-        _, ub = certify_u_bounds(rec, 4, table=t)
+        _, ub = certify_u_bounds(t, 4)
         g, f = ub.lower, ub.upper
         for g2, f2 in (
             (g - 1 / (X - 40), f),
@@ -977,7 +992,7 @@ class TestFirstEscape:
     def test_rejecting_scan_fills_terms_lazily(self):
         # tampered motzkin upper bound: u leaves it at n = 231 of [68, 2000]
         rec = get("motzkin").recurrence
-        _, ub = certify_u_bounds(rec, 4)
+        _, ub = certify_u_bounds(TermTable(rec), 4)
         assert ub.valid_from == 67
         f = 1 + F(3, 2) / X**2 - F(39, 8) / X**3 + (F(489, 32) - F(1, 5)) / X**4
         t = TermTable(rec)
@@ -1069,7 +1084,7 @@ class TestFirstEscape:
         for name in ("binomial4", "motzkin"):
             rec = get(name).recurrence
             t = TermTable(rec)
-            _, ub = certify_u_bounds(rec, 4, table=t)
+            _, ub = certify_u_bounds(t, 4)
             calls.clear()
             assert first_escape(t, ub.lower, ub.upper, ub.valid_from + 1, ub.valid_from + 2000) is None
             assert len(calls) == 2000 and not any(calls), name
@@ -1232,7 +1247,7 @@ class TestScaleFree:
     def test_certified_corpus_windows(self, name):
         rec = get(name).recurrence
         t = TermTable(rec)
-        ub = certify_u_bounds(rec, 4, table=t)[1]
+        ub = certify_u_bounds(t, 4)[1]
         escaped = inside = 0
         for g, f in moved_windows(ub.lower, ub.upper):
             for lo, hi in ((1, 40), (ub.valid_from + 1, ub.valid_from + 30)):
@@ -1374,10 +1389,10 @@ def test_certificates_reach_no_series_operation(monkeypatch):
         monkeypatch.setattr(series.AsymSeries, attr, refused)
     for name in ("motzkin", "binomial4"):
         rec = get(name).recurrence
-        full = certify_turan3(rec, 4, "factorial", table=TermTable(rec))
-        window = certify_u_window(rec, 4, table=TermTable(rec))
+        full = certify_turan3(TermTable(rec), 4, "factorial")
+        window = certify_u_window(TermTable(rec), 4)
         for cert in (full, window):
-            assert verify_certificate(cert.to_json(), rec, TermTable(rec)) == (True, [])
+            assert verify_certificate(cert.to_json(), TermTable(rec)) == (True, [])
 
 
 @pytest.mark.parametrize(
@@ -1395,8 +1410,8 @@ def test_certificates_build_no_series(monkeypatch, name, make):
 
     monkeypatch.setattr(series.AsymSeries, "__init__", refused)
     e = get(name)
-    cert = make(e.recurrence, 4, e.scaling, table=TermTable(e.recurrence))
-    assert verify_certificate(cert.to_json(), e.recurrence, TermTable(e.recurrence)) == (True, [])
+    cert = make(TermTable(e.recurrence), 4, e.scaling)
+    assert verify_certificate(cert.to_json(), TermTable(e.recurrence)) == (True, [])
 
 
 class TestRectangleLemma:

@@ -38,9 +38,9 @@ def u_bounds_calls(monkeypatch):
     calls = []
     original = certify_module.certify_u_bounds
 
-    def counted(rec, order, **kwargs):
+    def counted(table, order):
         calls.append(order)
-        return original(rec, order, **kwargs)
+        return original(table, order)
 
     monkeypatch.setattr(certify_module, "certify_u_bounds", counted)
     return calls
@@ -101,8 +101,24 @@ class TestSources:
                 {"text": "a(n+1) - 2*a(n) = 0 ; a(0)=1", "scaling": "factorail"},
                 "unknown scaling 'factorail'",
             ),
+            # a string where a list belongs is not read one character at a time
+            ({"coeffs": [[1], [-2]], "initials": "37"}, "initials is not a list"),
+            ({"coeffs": ["12", [-1]], "initials": [1]}, "coeffs[0] is not a list"),
+            ({"coeffs": "12", "initials": [1]}, "coeffs is not a list"),
+            # a boolean or a float is not an exact rational
+            ({"coeffs": [[1], [-2]], "initials": [True]}, "initials[0] = true is not an integer or a rational string"),
+            ({"coeffs": [[1], [-2]], "initials": [1.5]}, "initials[0] = 1.5 is not an integer or a rational string"),
+            ({"coeffs": [[1], [-2, False]], "initials": [1]},
+             "coeffs[1][1] = false is not an integer or a rational string"),
+            ({"coeffs": [[1], [-2]], "initials": ["1/0"]},
+             'initials[0] = "1/0" is not an integer or a rational string'),
+            ({"coeffs": [[1], [-2]], "initials": [1], "name": 5}, "'name' is not a string"),
+            ({"text": "a(n+1) - 2*a(n) = 0 ; a(0)=1", "name": ["x"]}, "'name' is not a string"),
+            ({"initials": [1]}, "missing 'coeffs'"),
         ],
-        ids=["number", "null", "text-not-a-string", "operator-not-a-string", "unknown-scaling"],
+        ids=["number", "null", "text-not-a-string", "operator-not-a-string", "unknown-scaling",
+             "initials-a-string", "coefficient-a-string", "coeffs-a-string", "bool-initial", "float-initial",
+             "bool-coefficient", "zero-denominator", "name-a-number", "text-name-a-list", "no-coeffs"],
     )
     def test_malformed_json_document(self, capsys, tmp_path, doc, reason):
         p = tmp_path / "rec.json"
@@ -832,7 +848,7 @@ class TestCertificateContract:
     )
     def test_malformed_certificate_is_rejected(self, capsys, tmp_path, case, certify):
         tamper, diagnosis = {**MALFORMED, **MALFORMED_U_WINDOW}[case]
-        doc = certify(get("motzkin").recurrence, 4, scaling="factorial").to_json()
+        doc = certify(TermTable(get("motzkin").recurrence), 4, scaling="factorial").to_json()
         if tamper is None:
             doc = [doc]
         else:

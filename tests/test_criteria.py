@@ -158,11 +158,11 @@ class TestTuran3:
         assert (v.result, v.rule) == ("holds", "turan3.subcritical")
 
     def test_motzkin_scaled_holds(self):
-        v = turan3_verdict(get("motzkin").recurrence, scaling="factorial")
+        v = turan3_verdict(TermTable(get("motzkin").recurrence), scaling="factorial")
         assert (v.result, v.rule) == ("holds", "turan3.subcritical")
 
     def test_franel3_scaled_holds(self):
-        v = turan3_verdict(get("franel3").recurrence, scaling="factorial")
+        v = turan3_verdict(TermTable(get("franel3").recurrence), scaling="factorial")
         assert (v.result, v.rule) == ("holds", "turan3.subcritical")
 
     def test_narrow_span_truncated_is_retryable(self):
@@ -258,7 +258,7 @@ class TestLogConcavityLevels:
         assert (v3.result, v3.rule) == ("inconclusive", "llc.insufficient-order")
 
     def test_inverse_catalan_level3_is_boundary_after_retry(self):
-        v = llogconcave_verdict(get("inverse-catalan").recurrence, 3)
+        v = llogconcave_verdict(TermTable(get("inverse-catalan").recurrence), 3)
         assert (v.result, v.rule) == ("inconclusive", "llc.boundary")
 
     def test_level_coefficients_inverse_catalan(self):
@@ -290,9 +290,9 @@ class TestLogConcavityLevels:
     def test_motzkin_scaled_levels_subcritical(self):
         rec = get("motzkin").recurrence
         for ell in (1, 2, 5):
-            v = llogconcave_verdict(rec, ell, scaling="factorial")
+            v = llogconcave_verdict(TermTable(rec), ell, scaling="factorial")
             assert v.result == "holds"
-        assert llogconcave_verdict(rec, 5, scaling="factorial").rule == "llc.subcritical"
+        assert llogconcave_verdict(TermTable(rec), 5, scaling="factorial").rule == "llc.subcritical"
 
     def test_square_power_holds_every_level(self):
         u = u_power(2, None)
@@ -432,22 +432,22 @@ class TestDrivers:
     def test_factorial_ancestor_is_log_convex(self):
         # a(n+1) = (n+1) a(n), a(0) = 1: the factorials themselves.
         rec = Recurrence([Poly([1]), Poly([1, 1])], [1], name="factorial")
-        v = turan3_verdict(rec)
+        v = turan3_verdict(TermTable(rec))
         assert (v.result, v.rule) == ("fails", "turan3.log-convex")
-        v = llogconcave_verdict(rec, 2)
+        v = llogconcave_verdict(TermTable(rec), 2)
         assert (v.result, v.rule) == ("fails", "llc.log-convex")
 
     def test_driver_stops_at_cap(self):
-        v = llogconcave_verdict(get("inverse-catalan").recurrence, 5, max_order=8)
+        v = llogconcave_verdict(TermTable(get("inverse-catalan").recurrence), 5, max_order=8)
         assert (v.result, v.rule) == ("inconclusive", "llc.insufficient-order")
         assert v.retryable
 
     def test_driver_can_reach_deeper_levels(self):
-        v = llogconcave_verdict(get("inverse-catalan").recurrence, 4, max_order=16)
+        v = llogconcave_verdict(TermTable(get("inverse-catalan").recurrence), 4, max_order=16)
         assert v.rule in ("llc.threshold", "llc.boundary", "llc.critical.threshold")
 
     def test_verdict_serializes(self):
-        v = turan3_verdict(get("inverse-catalan").recurrence)
+        v = turan3_verdict(TermTable(get("inverse-catalan").recurrence))
         blob = json.dumps(v.to_dict())
         back = json.loads(blob)
         assert back["result"] == "holds"
@@ -475,9 +475,9 @@ VERDICT_DICTS = json.loads((Path(__file__).parent / "verdict_dicts.json").read_t
 def test_verdict_dicts_match_the_recorded_ones(name):
     rec, scaling = cli.load_source(name, False)
     got = {
-        "check-turan3": turan3_verdict(rec, scaling=scaling).to_dict(),
-        "check-llc --ell 1": llogconcave_verdict(rec, 1, scaling=scaling).to_dict(),
-        "check-llc --ell 2": llogconcave_verdict(rec, 2, scaling=scaling).to_dict(),
+        "check-turan3": turan3_verdict(TermTable(rec), scaling=scaling).to_dict(),
+        "check-llc --ell 1": llogconcave_verdict(TermTable(rec), 1, scaling=scaling).to_dict(),
+        "check-llc --ell 2": llogconcave_verdict(TermTable(rec), 2, scaling=scaling).to_dict(),
     }
     assert got == VERDICT_DICTS[name]
     assert all(list(d) == ["result", "rule", "reason", "trace"] for d in got.values())

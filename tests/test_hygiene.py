@@ -333,6 +333,78 @@ def test_only_scale_dependent_functions_take_a_scaling():
     assert found == SCALING_PARAMETER
 
 
+# The term table is the one handle on a sequence: a function that needs
+# the recurrence of a table reads `table.rec`.  So no function takes both a
+# recurrence and a table, which could name two different sequences, and no
+# function makes a fresh table when its table parameter is left None.
+# `ratio_expansion` keeps (rec, K, rho, table) with a table that defaults to
+# None: the benchmark's tracer calls it positionally with that signature.
+TABLE_PARAMETER_EXEMPT = {("asymptotics/ratio.py", "ratio_expansion")}
+
+
+def _annotated(arg: ast.arg, name: str) -> bool:
+    """Whether the annotation of `arg` names `name`, as in X, Optional[X] or "X"."""
+    if arg.annotation is None:
+        return False
+    words = {getattr(n, "id", None) or getattr(n, "attr", None) or getattr(n, "value", None)
+             for n in ast.walk(arg.annotation)}
+    return name in words
+
+
+def table_parameter_problems(source: str) -> list:
+    """(qualified name, problem) for each function, method or nested function
+    of `source` that takes both a recurrence and a term table, or defaults a
+    term table to None.  A parameter is a recurrence when it is annotated
+    `Recurrence` or named `rec`, and a term table when it is annotated
+    `TermTable` or named `table`."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a, qual = child.args, prefix + child.name
+                positional = a.posonlyargs + a.args
+                defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+                params = list(zip(positional, defaults)) + list(zip(a.kwonlyargs, a.kw_defaults))
+                recs = [x for x, _ in params if x.arg == "rec" or _annotated(x, "Recurrence")]
+                tables = [(x, d) for x, d in params if x.arg == "table" or _annotated(x, "TermTable")]
+                if recs and tables:
+                    out.append((qual, "takes a recurrence and a table"))
+                if any(isinstance(d, ast.Constant) and d.value is None for _, d in tables):
+                    out.append((qual, "defaults a table to None"))
+                visit(child, f"{qual}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(ast.parse(source), "")
+    return sorted(out)
+
+
+def test_table_parameter_detector():
+    src = (
+        "def a(rec, n, table=None):\n    def inner(r: 'Recurrence', *, t: TermTable):\n        pass\n"
+        "class K:\n    def m(self, x: Optional[TermTable] = None):\n        pass\n"
+        "    def n(self, table: TermTable, rec_count=None):\n        pass\n"
+        "def b(table, order=4, rx=None):\n    rec = table.rec\n"
+        "def c(rec: Recurrence, s_l, s_u):\n    pass\n"
+    )
+    assert table_parameter_problems(src) == [
+        ("K.m", "defaults a table to None"),
+        ("a", "defaults a table to None"),
+        ("a", "takes a recurrence and a table"),
+        ("a.inner", "takes a recurrence and a table"),
+    ]
+
+
+def test_the_table_is_the_one_handle_on_a_sequence():
+    found = {
+        (str(p.relative_to(PACKAGE)), qual)
+        for p in sorted(PACKAGE.rglob("*.py"))
+        for qual, _ in table_parameter_problems(p.read_text(encoding="utf-8"))
+    }
+    assert found == TABLE_PARAMETER_EXEMPT
+
+
 # Terms are stepped in one place: `_steps` is created only by
 # `TermTable.ensure`, which keeps it suspended in place of any snapshot of
 # its state, and by `TermTable.decimal_strings`, which drives it on decimals
@@ -545,12 +617,13 @@ def test_threshold_path_builds_no_poly(monkeypatch):
 
     from turancert.algebra import poly, roots
     from turancert.certify import CertifyError, certify_turan3
+    from turancert.sequences import TermTable
     from turancert.corpus import ENTRIES
 
     corners = []
     for e in ENTRIES.values():
         try:
-            cert = certify_turan3(e.recurrence, 4, scaling=e.scaling)
+            cert = certify_turan3(TermTable(e.recurrence), 4, scaling=e.scaling)
         except CertifyError:  # a window-only certificate, or none
             continue
         corners += cert.corners

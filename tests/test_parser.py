@@ -10,8 +10,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from turancert.algebra import AlgebraicReal, NumberField, Poly, RatFunc
+from turancert.algebra import AlgebraicReal, NumberField, Poly, RatFunc, poly_gcd
 from turancert import cli
+from turancert import parser as parser_module
 from turancert.parser import MAX_POWER_BITS, MAX_POWER_DEGREE, ParseError, parse_operator, parse_recurrence
 from turancert.render import poly_text, ratfunc_text
 
@@ -290,6 +291,22 @@ class TestPowerLimits:
             " MAX_POWER_DEGREE = 1000"
         ]
         assert elapsed < 5.0
+
+    def test_a_runaway_cleared_denominator_is_refused_without_the_exact_gcd(self, monkeypatch):
+        # modulo 10^9+7 the first remainder of (n+1)^1000 and (n+2)^1000 has
+        # degree 999, which bounds their gcd's: the lcm's degree is then at
+        # least 1001, so the relation is refused before their exact gcd
+        def exact_gcd(a, b):
+            assert min(a.degree, b.degree) == 0, "the exact gcd of the two powers was taken"
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(parser_module, "poly_gcd", exact_gcd)
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_recurrence("a(n)/(n+1)^1000 + a(n+1)/(n+2)^1000 = 0 ; 1")
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == (
+            "relation too large: its cleared denominator's degree would exceed MAX_POWER_DEGREE = 1000")
 
     def test_cleared_denominator_degree_counts_the_common_factor_once(self):
         # deg lcm = 601 + 601 - 600 = 602: the common (n+1)^600 cancels

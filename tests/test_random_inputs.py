@@ -10,7 +10,10 @@ exit 1 must come with an `error:` line, `--json` output must parse, and
 every certificate written must verify.
 
 `python tests/test_random_inputs.py COUNT [FIRST_SEED]` runs the same
-checks on COUNT inputs from FIRST_SEED (default 0) and prints a summary.
+checks on COUNT inputs from FIRST_SEED (default 0) and prints a summary,
+with the number of branches that `ratio_expansion` accepts at K = 4 and
+that the expansion oracle (`oracles.expansion_agrees`) contradicts.  It
+asserts nothing about those branches.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from pathlib import Path
 import pytest
 
 from turancert import cli
+from turancert.asymptotics import ExpansionError, ratio_expansion
+from turancert.parser import ParseError, parse_recurrence
+
+from oracles import expansion_agrees
 
 SECONDS_PER_CALL = 8
 EXIT_CODES = {0, 1, 2, 3}  # holds/success, error, inconclusive, fails
@@ -146,18 +153,37 @@ def test_fixed_input_runs_every_command_cleanly(name, tmp_path):
     check_input(FIXED[name], tmp_path)
 
 
+def branch_contradicted(src: str) -> bool | None:
+    """None when `ratio_expansion` accepts no branch of `src` at K = 4, else
+    whether the expansion oracle contradicts the branch it accepts."""
+    try:
+        rec = parse_recurrence(src)
+        rx = ratio_expansion(rec, 4)
+    except (ParseError, ExpansionError, ValueError, ZeroDivisionError):
+        return None
+    return not expansion_agrees(rec, rx)
+
+
 def main(argv: list) -> int:
     count = int(argv[0])
     first = int(argv[1]) if len(argv) > 1 else 0
     tally: Counter = Counter()
+    accepted, contradicted = 0, []
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         for seed in range(first, first + count):
-            codes = check_input(random_input(seed), Path(tmp))
+            src = random_input(seed)
+            codes = check_input(src, Path(tmp))
             tally.update(f"{cmd}={code}" for cmd, code in codes.items())
+            wrong = branch_contradicted(src)
+            accepted += wrong is not None
+            if wrong:
+                contradicted.append(seed)
     verified = tally["verify=0"] + tally["verify n!=0"]
     print(f"{count} inputs from seed {first} in {time.perf_counter() - start:.1f} s: "
           f"{verified} certificates verified; exit codes {dict(sorted(tally.items()))}")
+    print(f"{accepted} accepted branches, {len(contradicted)} contradicted by the expansion oracle"
+          f" (seeds {contradicted})")
     return 0
 
 
