@@ -62,12 +62,6 @@ class Poly:
             cs.pop()
         self.coeffs: tuple = tuple(cs)
 
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def const(c) -> "Poly":
-        return Poly([c])
-
     # -- basic structure -------------------------------------------------
 
     @property

@@ -459,11 +459,13 @@ def ratio_expansion(
 ) -> RatioExpansion:
     """Expand a(n+1)/a(n) to K correction orders past the growth term.
 
-    Edge roots and solved stages are kept on `table`, per (recurrence, rho)."""
+    Edge roots and solved stages are kept on `table`, which must be rec's, per (recurrence, rho)."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if table is None:
         table = TermTable(rec)
+    elif table.rec != rec:
+        raise ValueError("the term table is of another recurrence")
     if (rec, rho) not in table.expansions:
         mu, e0, on_edge = dominant_edge(rec)
         char = edge_polynomial(rec, mu, on_edge)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import ClassVar, NamedTuple, Optional
+from typing import ClassVar, NamedTuple
 
 from . import __version__
 from .algebra import (
@@ -120,9 +120,7 @@ def _ratio_window_functions(rx: RatioExpansion, order: int):
     return RatFunc.laurent(mid + [(slack, -1)]), RatFunc.laurent(mid + [(slack, 1)]), mu
 
 
-def certify_ratio_bounds(
-    table: TermTable, order: int = 4, rx: Optional[RatioExpansion] = None
-) -> RatioBounds:
+def certify_ratio_bounds(table: TermTable, order: int = 4) -> RatioBounds:
     """Prove two-sided bounds on consecutive-term ratios by window induction.
 
     The recurrence is rewritten as r(n+d) = q_1(n) + sum_k q_k(n) / prod of
@@ -132,8 +130,7 @@ def certify_ratio_bounds(
     and lower steps bound r(n+d) through the window of the ratios before it.
     """
     rec = table.rec
-    if rx is None:
-        rx = ratio_expansion(rec, order, table=table)
+    rx = ratio_expansion(rec, order, table=table)
     s_l, s_u, mu = _ratio_window_functions(rx, order)
 
     n1 = _induction_threshold(rec, s_l, s_u)
@@ -254,7 +251,7 @@ def certify_u_bounds(table: TermTable, order: int = 4) -> tuple:
     """
     if order not in table.u_bounds:
         rx = ratio_expansion(table.rec, order, table=table)
-        rb = certify_ratio_bounds(table, order, rx)
+        rb = certify_ratio_bounds(table, order)
         g, f, slack_exp, kept = u_bound_functions(u_grid(rx), order)
         n2 = max(_discharge_threshold(rb.lower, rb.upper, g, f), rb.valid_from)
         table.u_bounds[order] = rb, UBounds(g, f, n2, slack_exp, kept)

@@ -22,6 +22,10 @@ and 2^100000 pass, 2^100001 does not.  A shift-operator base of degree e in
 N needs e*k * max(1, d*k) <= MAX_POWER_DEGREE.  So does, at its operator,
 a product, quotient or sum whose scalar would pass MAX_POWER_DEGREE, and
 so does the lcm of the coefficients' denominators that clears the relation.
+That lcm is formed on integer lists.  Each new denominator's gcd with it
+has its degree bounded modulo a prime first: a bound that puts the lcm
+past the limit refuses, and a bound of 0 proves the two coprime, so their
+lcm is their product and no exact gcd is taken.
 
 Scalars are `_Frac`s while parsing: unnormalised fractions whose sums and
 products take no gcd.  A scalar is normalised only where a decision needs
@@ -34,8 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Poly, RatFunc, poly_gcd
-from .algebra.poly import _convolve, _gcd_degree_bound, _integer_coeffs, _jointly_primitive, pow_by_squaring
+from .algebra import RatFunc
+from .algebra.poly import _convolve, _exact_quotient, _gcd_degree_bound, _int_gcd, _integer_coeffs, _jointly_primitive, pow_by_squaring
 from .algebra.ratfunc import _Frac
 from .sequences import Recurrence
 
@@ -433,25 +437,24 @@ def _relation_to_recurrence(
     d = max(shifted)
     if d == 0:
         raise ParseError("degenerate relation: only a single shift appears")
-    den = Poly.const(1)
-    for r in shifted.values():
-        if r.den != den:  # den = lcm(den, r.den), refused before it is multiplied out
+    pairs = {k: _integer_coeffs((r.num, r.den)) for k, r in shifted.items()}  # scale 1 on canonical pairs
+    den = (1,)
+    for _, b in pairs.values():
+        if b != den:  # den = lcm(den, b), refused before it is multiplied out
             # the lcm's degree passes the limit when its gcd's degree is below
-            # `excess`; a modular bound on that degree may refuse first
-            excess = den.degree + r.den.degree - MAX_POWER_DEGREE
-            coarse = excess > 0 and _gcd_degree_bound(*_integer_coeffs((den, r.den)), excess - 1) < excess
-            g = None if coarse else poly_gcd(den, r.den)
-            if g is None or g.degree < excess:
+            # `excess`: a modular bound on that degree below it refuses, and a
+            # bound of 0 proves the two coprime, so no exact gcd is taken
+            excess = len(den) + len(b) - 2 - MAX_POWER_DEGREE
+            bound = _gcd_degree_bound(den, b, max(excess - 1, 0))
+            g = _int_gcd(den, b) if bound >= max(excess, 1) else [1]
+            if len(g) - 1 < excess:
                 raise ParseError(f"relation too large: its cleared denominator's degree would exceed MAX_POWER_DEGREE = {MAX_POWER_DEGREE}")
-            den = den * r.den.exact_div(g)
-    polys = {k: r.num if r.den == den else r.num * den.exact_div(r.den) for k, r in shifted.items()}
+            den = tuple(_convolve(den, _exact_quotient(b, g) if len(g) > 1 else b))
+    polys = {k: a if b == den or not a else _convolve(a, _exact_quotient(den, b)) for k, (a, b) in pairs.items()}
     # p0*a(n+d) on the left, +p_k*a(n+d-k) on the right
-    coeffs = [polys.get(d, Poly())]
-    for k in range(1, d + 1):
-        coeffs.append(-polys.get(d - k, Poly()))
-    if coeffs[0].is_zero():
+    ints = [polys.get(d, [])] + [[-c for c in polys.get(d - k, [])] for k in range(1, d + 1)]
+    if not ints[0]:
         raise ParseError("degenerate relation: the highest shift cancels")
-    ints = _integer_coeffs(coeffs)
     coeffs = _jointly_primitive(ints, ints[0][0])
     try:
         return Recurrence(coeffs, initials, name=name)

@@ -376,21 +376,18 @@ class TermTable:
             raise CacheError(f"cache digest mismatch in {path}")
         vals: list[Fraction] = []
         pos = len(CACHE_MAGIC)
-        try:
-            while pos < end:
-                nums = []
-                for _ in range(2):
-                    (ln,) = struct.unpack_from(">I", view, pos)
-                    pos += 4
-                    if ln == 0 or pos + ln > end:
-                        raise CacheError(f"truncated cache entry in {path}")
-                    nums.append(int.from_bytes(view[pos : pos + ln], "big", signed=True))
-                    pos += ln
-                if nums[1] <= 0:
-                    raise CacheError(f"denominator {nums[1]} at index {len(vals)} in {path}")
-                vals.append(_reduced(nums[0], nums[1]))
-        except struct.error as exc:
-            raise CacheError(f"corrupt cache file {path}: {exc}") from None
+        while pos < end:  # a length starts at or before end, and the digest after end holds its 4 bytes
+            nums = []
+            for _ in range(2):
+                (ln,) = struct.unpack_from(">I", view, pos)
+                pos += 4
+                if ln == 0 or pos + ln > end:
+                    raise CacheError(f"truncated cache entry in {path}")
+                nums.append(int.from_bytes(view[pos : pos + ln], "big", signed=True))
+                pos += ln
+            if nums[1] <= 0:
+                raise CacheError(f"denominator {nums[1]} at index {len(vals)} in {path}")
+            vals.append(_reduced(nums[0], nums[1]))
         # sanity: cached prefix must agree with the declared initial values
         for i, v in enumerate(self.rec.initials):
             if i < len(vals) and vals[i] != v:

@@ -41,7 +41,10 @@ branch, though it proves none.
 On the corpus: lookup of an entry by name.
 
 On text forms: the polynomial printer that `turancert.parser` carried
-before `render.poly_text` took its place, for rational coefficients.
+before `render.poly_text` took its place, for rational coefficients, and
+the clearing of a parsed relation's denominators by an lcm of Fraction
+`Poly`s, with an exact `poly_gcd` for every new denominator, which the
+parser forms on integer lists.
 
 On command lines: the argparse tree that `turancert.cli` parsed with
 before its own option-table parser, built from the same `cli.COMMANDS`.
@@ -60,7 +63,7 @@ from typing import Optional
 import mpmath
 
 from turancert.algebra import NFElem, Poly, RatFunc, no_roots_above, poly_gcd, scalar_sign, sign_at_infinity
-from turancert.algebra.poly import _horner, _integer_coeffs
+from turancert.algebra.poly import _horner, _integer_coeffs, _jointly_primitive
 from turancert.asymptotics import (
     AsymSeries,
     RatioExpansion,
@@ -726,6 +729,29 @@ def poly_text_reference(p: Poly, var: str = "n") -> str:
     for sign, body in parts[1:]:
         out += f" {sign} {body}"
     return out
+
+
+def clearing_reference(coeffs: dict, max_degree: int) -> list:
+    """p0..pd of the relation sum_k coeffs[k] a(n+k) = 0, for canonical
+    `RatFunc`s keyed by shift, the lowest 0: every coefficient times the lcm
+    of the denominators, built by `poly_gcd` and `Poly.exact_div`, with
+    p0 = coeffs[d] and p_k = -coeffs[d-k], in their joint normal form.  A
+    ValueError carries the parser's text when the lcm's degree would pass
+    max_degree or p0 is zero."""
+    den = Poly([1])
+    for r in coeffs.values():
+        if r.den != den:
+            g = poly_gcd(den, r.den)
+            if den.degree + r.den.degree - g.degree > max_degree:
+                raise ValueError("relation too large: its cleared denominator's degree would exceed "
+                                 f"MAX_POWER_DEGREE = {max_degree}")
+            den = den * r.den.exact_div(g)
+    d = max(coeffs)
+    polys = [coeffs[k].num * den.exact_div(coeffs[k].den) if k in coeffs else Poly() for k in range(d, -1, -1)]
+    if polys[0].is_zero():
+        raise ValueError("degenerate relation: the highest shift cancels")
+    ints = _integer_coeffs([polys[0]] + [-p for p in polys[1:]])
+    return _jointly_primitive(ints, ints[0][0])
 
 
 class _CommandParser(argparse.ArgumentParser):

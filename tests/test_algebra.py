@@ -285,6 +285,20 @@ def test_isolate_includes_rational_roots():
     assert rationals == [F(1, 3)]
 
 
+def test_isolate_a_root_at_a_bisection_midpoint():
+    # (x - 1)(x - 2)(x^2 + C) with 3C = 2^21 - 2: the constant 2C passes
+    # 10^6, so the divisor search skips it, and the bisection of
+    # (-2^21, 2^21) reaches the midpoint 2 of (0, 4), an exact root
+    C = (2**21 - 2) // 3
+    p = (X - 1) * (X - 2) * (X**2 + C)
+    assert rational_roots_small(ints(p)) == []
+    one, two = isolate_real_roots(p)
+    assert (two.lo, two.hi) == (2, 2) and two.is_rational()
+    assert one.lo < 1 < one.hi < 2 and not one.is_rational()
+    one.refine_below(F(1, 1000))
+    assert one.lo <= 1 <= one.hi
+
+
 def test_rational_roots_small():
     p = (3 * X - 2) * (X + 5) * (X**2 + 1)
     assert rational_roots_small(ints(p)) == [F(-5), F(2, 3)]

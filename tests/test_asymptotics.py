@@ -386,6 +386,19 @@ class TestRatioExpansion:
             assert got.diagnostics == want.diagnostics
         assert len(shared.expansions) == 1
 
+    @pytest.mark.parametrize("other", [
+        lambda rec: get("domb").recurrence,
+        lambda rec: Recurrence(rec.coeffs, [5, 1]),
+    ], ids=["domb", "motzkin-from-5"])
+    def test_a_table_of_another_recurrence_is_refused(self, other):
+        # domb's terms would decide Motzkin's growth branch, and the variant
+        # from a(0)=5 shares Motzkin's recurrence but not its terms
+        rec = get("motzkin").recurrence
+        table = TermTable(other(rec))
+        with pytest.raises(ValueError, match="the term table is of another recurrence"):
+            ratio_expansion(rec, 4, table=table)
+        assert table.expansions == {}
+
     def test_shared_table_replays_resonance(self):
         # a double root of the edge polynomial resonates at stage rho for every rho try
         coeffs = [Poly([1, 1]), Poly([2, 2]), Poly([0, -1])]

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from turancert.algebra import Poly, RatFunc, eventual_positivity_threshold
+from turancert.algebra import Poly, RatFunc, eventual_positivity_threshold, sign_at_infinity
 from turancert.asymptotics import ExpansionError, ratio_expansion
 from turancert.asymptotics.ratio import u_grid
 from turancert.certify import (
@@ -444,6 +444,21 @@ class TestCorners:
             corner_suite(ub.lower, ub.upper)
 
 
+def with_wide_g(doc):
+    """A tamper that lowers g by 1/n and recomputes slackExponent and the
+    corners from it: corners 1 and 2, (g, f) and (f, g), are then
+    eventually negative, and are stored with threshold 0."""
+    g, f = (certify._rf_from_json(doc["bounds"][k], k) for k in ("g", "f"))
+    g -= rf([1], [0, 1])
+    g0, f0 = sequences.scale_window(g, f, doc["sequence"]["scaling"], undo=True)
+    doc["bounds"].update(g=ratfunc_to_json(g), slackExponent=str(certify._pole_order(f0 - g0)))
+    corners = [corner_polynomial(g, f, i) for i in range(4)]
+    doc["corners"] = [
+        {**ratfunc_to_json(c), "threshold": eventual_positivity_threshold(c) if sign_at_infinity(c) > 0 else 0}
+        for c in corners
+    ]
+
+
 class TestTuranCertificate:
     def test_motzkin_end_to_end(self):
         e = get("motzkin")
@@ -520,6 +535,25 @@ class TestTuranCertificate:
         ok, diag = verify_certificate(cert, TermTable(e.recurrence))
         assert not ok
         assert any("violations" in d for d in diag)
+
+    @pytest.mark.parametrize("tamper, diagnosis", [
+        (lambda doc: doc.update(corners=doc["corners"][:3]), ["expected exactly four corner polynomials"]),
+        (with_wide_g, ["corner 1 is not eventually positive", "corner 2 is not eventually positive"]),
+        # a larger threshold is still valid, but N no longer covers it
+        (lambda doc: doc["corners"][1].update(threshold=100), ["N = 67 does not cover corner 1 threshold 100"]),
+        (lambda doc: (doc.update(N=66), doc["initialSegment"].update(to=66)),
+         ["N does not cover the window validity threshold"]),
+        (lambda doc: doc["initialSegment"].update({"from": 2}), ["initial segment does not cover [1, N]"]),
+    ], ids=["three-corners", "negative-corner", "n-below-corner", "n-below-valid-from", "segment"])
+    def test_a_false_tail_exits_3_with_a_diagnosis(self, capsys, tmp_path, tamper, diagnosis):
+        doc = certify_turan3(TermTable(get("motzkin").recurrence), 4, "factorial").to_json()
+        assert (doc["N"], doc["bounds"]["validFrom"]) == (67, 67)
+        tamper(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["verify", str(path), "motzkin"]) == 3
+        out, err = capsys.readouterr()
+        assert (out.splitlines(), err) == (["certificate for motzkin: REJECTED"] + ["  " + d for d in diagnosis], "")
 
     @pytest.mark.parametrize("name, tamper, message", [
         # g gets a pole just past validFrom, and grows like n

@@ -257,6 +257,12 @@ class TestLogConcavityLevels:
         v3 = llogconcave_asymptotic(u, 3)
         assert (v3.result, v3.rule) == ("inconclusive", "llc.insufficient-order")
 
+    def test_supercritical_correction_is_inconclusive(self):
+        # u_n = 1 - n^-3: alpha_1 = 3 lies past the critical 2
+        v = llogconcave_asymptotic(S((0, 1), (3, -1)), 1)
+        assert (v.result, v.rule) == ("inconclusive", "llc.supercritical")
+        assert v.trace[-1] == "alpha_1 > 2: outside the scope of this criterion"
+
     def test_inverse_catalan_level3_is_boundary_after_retry(self):
         v = llogconcave_verdict(TermTable(get("inverse-catalan").recurrence), 3)
         assert (v.result, v.rule) == ("inconclusive", "llc.boundary")

@@ -339,6 +339,7 @@ def test_only_scale_dependent_functions_take_a_scaling():
 # function makes a fresh table when its table parameter is left None.
 # `ratio_expansion` keeps (rec, K, rho, table) with a table that defaults to
 # None: the benchmark's tracer calls it positionally with that signature.
+# It refuses a table whose recurrence is not `rec`.
 TABLE_PARAMETER_EXEMPT = {("asymptotics/ratio.py", "ratio_expansion")}
 
 

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import signal
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from turancert.algebra import AlgebraicReal, NumberField, Poly, RatFunc, poly_gcd
+from turancert.algebra import AlgebraicReal, NumberField, Poly, RatFunc
+from turancert.algebra.poly import _int_gcd as int_gcd
 from turancert import cli
 from turancert import parser as parser_module
 from turancert.parser import MAX_POWER_BITS, MAX_POWER_DEGREE, ParseError, parse_operator, parse_recurrence
@@ -18,7 +20,7 @@ from turancert.render import poly_text, ratfunc_text
 
 from turancert.corpus import ENTRIES
 
-from oracles import get, poly_text_reference
+from oracles import clearing_reference, get, poly_text_reference
 
 
 class TestGrammar:
@@ -64,6 +66,14 @@ class TestGrammar:
         assert r.coeffs[0] == Poly([4, 4, 1])
         assert r.coeffs[2] == Poly([2, 3, 1])
 
+    @pytest.mark.parametrize("exponent, plain", [
+        ("(-1)", "(n+1)*a(n+1) - a(n) = 0 ; 1"),
+        ("(--2)", "a(n+1) - (n+1)^2*a(n) = 0 ; 1"),
+    ])
+    def test_parenthesized_exponent(self, exponent, plain):
+        got = parse_recurrence(f"a(n+1) - (n+1)^{exponent}*a(n) = 0 ; 1")
+        assert got == parse_recurrence(plain)
+
     def test_bare_initials(self):
         r = parse_recurrence("(4*n+2)*a(n+1) - (n+2)*a(n) = 0 ; 1")
         assert r.initials == (F(1),)
@@ -94,6 +104,38 @@ def random_rational_poly(rng) -> Poly:
     return p
 
 
+DENOMINATOR_FACTORS = (Poly([1, 1]), Poly([2, 1]), Poly([3, 2]), Poly([-1, 3]), Poly([1, 0, 1]), Poly([1, 1, 1]))
+
+
+def random_denominator_relation(seed: int) -> tuple:
+    """(text, coefficients): a relation of order 1-3 whose coefficients are
+    random_rational_poly over c times powers (1-3) of up to three of
+    DENOMINATOR_FACTORS, so that two denominators share some factors and
+    not others; a middle shift is absent with probability 1/4, and one
+    relation in eight starts with 0*a(n+k), k up to d+1, which keeps a zero
+    coefficient at k unless a later term adds to it.  The coefficients are
+    canonical `RatFunc`s keyed by shift, as the parser sees them."""
+    rng = random.Random(seed)
+    d = rng.randint(1, 3)
+    coeffs, parts = {}, []
+    if rng.random() < 1 / 8:
+        k = rng.randint(0, d + 1)
+        coeffs[k] = RatFunc.zero()
+        parts.append(f"0*a(n+{k})")
+    for k in range(d + 1):
+        if 0 < k < d and rng.random() < 1 / 4:
+            continue
+        num, c = random_rational_poly(rng), rng.randint(1, 3)
+        factors = [(f, rng.randint(1, 3)) for f in rng.sample(DENOMINATOR_FACTORS, rng.randint(0, 3))]
+        den = Poly([c])
+        for f, e in factors:
+            den = den * f ** e
+        coeffs[k] = RatFunc(num, den)
+        den_text = "*".join([str(c)] + [f"({poly_text(f)})^{e}" for f, e in factors])
+        parts.append(f"({poly_text(num)})/({den_text})*a(n+{k})")
+    return " + ".join(parts) + " = 0 ; " + ", ".join(["1"] * d), coeffs
+
+
 class TestClearing:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_fraction_clearing(self, seed):
@@ -113,6 +155,19 @@ class TestClearing:
                 assert list(got.coeffs) == want, text
                 assert got.coeffs[0].leading() > 0
                 assert all(type(c) is F for p in got.coeffs for c in p.coeffs)
+
+    def test_matches_the_fraction_lcm(self):
+        # the integer-list lcm against the lcm of Fraction Polys with an
+        # exact gcd for every new denominator
+        for seed in range(300):
+            text, coeffs = random_denominator_relation(seed)
+            try:
+                want = clearing_reference(coeffs, MAX_POWER_DEGREE)
+            except ValueError as exc:
+                with pytest.raises(ParseError, match=re.escape(str(exc))):
+                    parse_recurrence(text)
+            else:
+                assert list(parse_recurrence(text).coeffs) == want, text
 
     def test_negative_lead_and_fractions(self):
         r = parse_recurrence("-(2/3*n + 1/2)*a(n+1) = (3/4*n - 5/6)*a(n) ; 1")
@@ -165,6 +220,21 @@ class TestGrammarErrors:
         with pytest.raises(ParseError, match="mixed"):
             parse_recurrence("a(n+2) - a(n) = 0 ; a(0)=1, 2")
 
+    def test_initials_bare_then_assigned(self):
+        with pytest.raises(ParseError) as err:
+            parse_recurrence("a(n+2) - a(n) = 0 ; 1, a(1)=2")
+        assert str(err.value) == "mixed bare and a(i)= initial values (at position 23)"
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_recurrence, "a(n+1) - a(n)/0 = 0 ; 1", "division by zero (at position 13)"),
+        (parse_operator, "N/(n+1) - 1 ; 1",
+         "dividing a shift operator by a function of n is ambiguous; clear the denominator by hand (at position 1)"),
+    ])
+    def test_refused_quotients(self, parse, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
     def test_position_reported(self):
         with pytest.raises(ParseError) as err:
             parse_recurrence("a(n+1) @ a(n) = 0 ; 1")
@@ -193,6 +263,15 @@ class TestGrammarErrors:
         with pytest.raises(ParseError) as err:
             parse_recurrence(text)
         assert (str(err.value), err.value.pos) == (f"unexpected character '²' (at position {pos})", pos)
+
+
+def no_exact_gcd_of_powers(monkeypatch):
+    """Make the parser's exact gcd fail on two nonconstant polynomials."""
+    def exact_gcd(a, b):
+        assert min(len(a), len(b)) == 1, "the exact gcd of the two powers was taken"
+        return int_gcd(a, b)
+
+    monkeypatch.setattr(parser_module, "_int_gcd", exact_gcd)
 
 
 class TestPowerLimits:
@@ -296,17 +375,20 @@ class TestPowerLimits:
         # modulo 10^9+7 the first remainder of (n+1)^1000 and (n+2)^1000 has
         # degree 999, which bounds their gcd's: the lcm's degree is then at
         # least 1001, so the relation is refused before their exact gcd
-        def exact_gcd(a, b):
-            assert min(a.degree, b.degree) == 0, "the exact gcd of the two powers was taken"
-            return poly_gcd(a, b)
-
-        monkeypatch.setattr(parser_module, "poly_gcd", exact_gcd)
+        no_exact_gcd_of_powers(monkeypatch)
         start = time.perf_counter()
         with pytest.raises(ParseError) as err:
             parse_recurrence("a(n)/(n+1)^1000 + a(n+1)/(n+2)^1000 = 0 ; 1")
         assert time.perf_counter() - start < 1.0
         assert str(err.value) == (
             "relation too large: its cleared denominator's degree would exceed MAX_POWER_DEGREE = 1000")
+
+    def test_coprime_cleared_denominators_take_no_exact_gcd(self, monkeypatch):
+        # the remainders of (n+1)^500 and (n+2)^500 modulo 10^9+7 end in a
+        # constant, which proves the two coprime: the lcm is their product
+        no_exact_gcd_of_powers(monkeypatch)
+        rec = parse_recurrence("a(n)/(n+1)^500 + a(n+1)/(n+2)^500 = 0 ; 1")
+        assert rec.coeffs == (Poly([1, 1]) ** 500, -Poly([2, 1]) ** 500)
 
     def test_cleared_denominator_degree_counts_the_common_factor_once(self):
         # deg lcm = 601 + 601 - 600 = 602: the common (n+1)^600 cancels

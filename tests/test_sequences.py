@@ -7,6 +7,7 @@ import math
 import os
 import random
 import stat
+import struct
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -918,8 +919,8 @@ def test_phi_values_oracle_cases_cover_zeros_and_signs():
 # -- cache --------------------------------------------------------------------
 
 
-def _write_cache(path, pairs, magic=CACHE_MAGIC, digest=True):
-    payload = b"".join(_encode_int(x) for pair in pairs for x in pair)
+def _write_cache(path, pairs, magic=CACHE_MAGIC, digest=True, tail=b""):
+    payload = b"".join(_encode_int(x) for pair in pairs for x in pair) + tail
     tail = hashlib.sha256(payload).digest() if digest else b""
     path.write_bytes(magic + payload + tail)
 
@@ -949,6 +950,20 @@ def test_cache_rejects_nonpositive_denominator(tmp_path, den):
     path = tmp_path / f"{rec.cache_key()}.terms"
     _write_cache(path, [(1, 1), (1, 1), (2, den)])
     with pytest.raises(CacheError, match="denominator"):
+        TermTable(rec, cache_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("pairs, tail, message", [
+    ([(1, 1)], struct.pack(">I", 5) + b"\x01", "truncated cache entry"),
+    ([(1, 1)], struct.pack(">I", 0), "truncated cache entry"),
+    # too short for a length: the length would run into the digest
+    ([(1, 1)], b"\x00\x00", "truncated cache entry"),
+    ([(2, 1), (1, 1)], b"", "cache/initials mismatch at index 0"),
+], ids=["short-entry", "empty-entry", "short-length", "initials"])
+def test_cache_rejects_a_bad_entry_under_a_valid_digest(tmp_path, pairs, tail, message):
+    rec = get("motzkin").recurrence
+    _write_cache(tmp_path / f"{rec.cache_key()}.terms", pairs, tail=tail)
+    with pytest.raises(CacheError, match=message):
         TermTable(rec, cache_dir=str(tmp_path))
 
 
